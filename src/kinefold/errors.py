@@ -29,6 +29,10 @@ class StericClashError(KinefoldError, ArithmeticError):
     """Two atom centers closer than the minimum resolvable distance."""
 
 
+class NonFiniteTorqueError(KinefoldError, ArithmeticError):
+    """A joint torque came out NaN or infinite."""
+
+
 class PDBFormatError(KinefoldError, ValueError):
     """Unparseable or empty PDB content."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import Chain, Conformation, KinematicState, apply_deltas, kinematic_state
-from .errors import ConfigurationError, KinefoldError
+from .errors import ConfigurationError, KinefoldError, NonFiniteTorqueError
 from .forcefield import (
     AtomParams,
     DielectricModel,
@@ -261,9 +261,20 @@ class StepConfig:
             raise ConfigurationError("tolerances must be non-negative")
 
 
+def check_finite_torques(torques: JointTorques, context: str = "") -> None:
+    """Raise naming the first non-finite dof instead of stepping on it."""
+    bad = np.flatnonzero(~np.isfinite(torques.tau))
+    if bad.size:
+        raise NonFiniteTorqueError(
+            f"{context}non-finite torque {torques.tau[bad[0]]} on dof {bad[0]}"
+            f" ({bad.size} of {torques.tau.size} dofs non-finite)"
+        )
+
+
 def kcm_step(torques: JointTorques, conf: Conformation,
              config: StepConfig) -> tuple[Conformation, np.ndarray]:
     """One normalized compliance step; frozen joints and zero fields stay."""
+    check_finite_torques(torques)
     free = ~conf.frozen
     if not free.any():
         raise ConfigurationError("cannot step with every joint frozen")
@@ -321,6 +332,7 @@ def fold(chain: Chain, conf: Conformation, fld: Field,
         wr = link_wrenches(chain, state.positions, result.forces)
         torques = joint_torques(chain, conf, wr, state)
         t_torque = time.perf_counter() - t0
+        check_finite_torques(torques, f"aborted at iteration {it}: ")
 
         free = ~conf.frozen
         tau_max = float(np.max(np.abs(torques.tau[free]))) if free.any() else 0.0

@@ -17,6 +17,10 @@ opposite force contributions of magnitude ``4 pi gamma_i R_off_i^2 /
 power-of-two quantum, so the pair writes cancel bitwise: total momentum
 is exactly zero and results are independent of accumulation order
 (and therefore of the thread schedule).
+
+Coverage of a sample by a neighbor is tested as a dot product against a
+per-neighbor threshold (see ``_coverage``); samples near the threshold
+fall back to the distance test, so the states equal that test's.
 """
 
 from __future__ import annotations
@@ -31,6 +35,15 @@ from .errors import ConfigurationError
 
 MIN_SAMPLES = 12
 _FIXED_POINT_BITS = 36
+# Coverage is screened by a dot product and re-decided by the exact
+# distance test within this many Angstroms of the threshold.  Both forms
+# round at ~1e-13 A for coordinates below 1e3 A, far inside the margin.
+_SCREEN_MARGIN = 1e-6
+# Slack on the reach test r_i + r_j: tangent spheres stay in the lists.
+_REACH_EPS = 1e-6
+_AXES = np.arange(3)
+# Atoms per vectorized block; bounds the pair and sample temporaries.
+_BLOCK_ATOMS = 256
 
 
 @dataclass(frozen=True)
@@ -126,18 +139,83 @@ def check_cav_cutoff(params, config: SolvationConfig, d_cut_cav: float) -> None:
         )
 
 
-def _atom_chunks(n: int, threads: int):
-    threads = max(1, min(threads, n)) if n else 1
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+def _over_blocks(work, n: int, threads: int) -> list:
+    """``work(lo, hi)`` over contiguous atom blocks of at most _BLOCK_ATOMS
+    (at least one per thread), on ``threads`` workers; results in order."""
+    parts = max(threads, -(-n // _BLOCK_ATOMS), 1)
+    bounds = np.linspace(0, n, parts + 1).astype(int)
+    blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda ab: work(*ab), blocks))
+    return [work(lo, hi) for lo, hi in blocks]
+
+
+def _sample_columns(points: np.ndarray) -> np.ndarray:
+    """(4, nq): unit sample directions as columns over a row of ones."""
+    return np.vstack([points.T, np.ones(len(points))])
+
+
+def _pair_rows(positions, neighbors, r_off: np.ndarray, atoms: np.ndarray,
+               slack: float):
+    """Neighbor pairs (i, j), i in ``atoms``, whose offset spheres can meet
+    once j moves by up to ``slack``, in neighbor-list order: per-atom
+    starts into the pair arrays, the neighbor j, and D = x_j - x_i."""
+    nbs = [neighbors[i] for i in atoms]
+    row = np.repeat(np.arange(len(atoms)), [len(nb) for nb in nbs])
+    i = atoms[row]
+    j = np.concatenate(nbs or [[]]).astype(np.intp, copy=False)
+    d = positions[j] - positions[i]
+    reach = r_off[i] + r_off[j] + slack + _REACH_EPS
+    keep = np.einsum("ij,ij->i", d, d) <= reach * reach
+    starts = np.searchsorted(row[keep], np.arange(len(atoms) + 1))
+    return starts, j[keep], d[keep]
+
+
+def _screen_rows(d: np.ndarray, r_i: np.ndarray, r_j2: np.ndarray) -> np.ndarray:
+    """Rows [D, -(|D|^2 + r_i^2 - r_j^2) / (2 r_i)]: a row times a sample
+    column [u, 1] is how far u.D lies past the coverage threshold."""
+    rows = np.empty((len(d), 4))
+    rows[:, :3] = d
+    rows[:, 3] = (np.einsum("ij,ij->i", d, d) + r_i * r_i - r_j2) / (-2.0 * r_i)
+    return rows
+
+
+def _coverage(rows: np.ndarray, columns: np.ndarray, exact) -> np.ndarray:
+    """(len(rows), columns.shape[1]) mask: the sample of column k lies in
+    the offset sphere of the neighbor of row j.
+
+    Sample ``x_i + r_i u`` lies in neighbor j's sphere iff
+    ``u.D >= (|D|^2 + r_i^2 - r_j^2) / (2 r_i)``, ``D = x_j - x_i``: one
+    product of the ``_screen_rows`` with the sample ``columns``.  Every
+    entry farther than _SCREEN_MARGIN from the threshold is decided by its
+    sign; the rest go to ``exact(j, k)``, the caller's distance test
+    ``|x_i + r_i u - x_j|^2 <= r_j^2``, so the mask equals that test's
+    bit for bit.
+    """
+    gap = rows @ columns
+    cov = gap > _SCREEN_MARGIN
+    near = gap >= -_SCREEN_MARGIN
+    if np.count_nonzero(near) != np.count_nonzero(cov):
+        j, k = np.nonzero(near ^ cov)
+        cov[j, k] = exact(j, k)
+    return cov
+
+
+def _covers(origin, r_i: float, u: np.ndarray, centers: np.ndarray,
+            r_j2: np.ndarray) -> np.ndarray:
+    """The distance test: sample ``origin + r_i u`` within sqrt(r_j2) of
+    its center."""
+    diff = (origin + r_i * u) - centers
+    return (diff * diff).sum(-1) <= r_j2
 
 
 def sasa_pass(positions, params, neighbors, sphere: SampleSphere,
               config: SolvationConfig = SolvationConfig()):
     """Exposure counting: returns (SasaResult, ExposureStates).
 
-    ``neighbors`` holds one sorted index array per atom (cavity-cutoff
-    filtered); sorting makes the recorded critical neighbor the lowest
+    ``neighbors`` holds one ascending index array per atom (cavity-cutoff
+    filtered); the order makes the recorded critical neighbor the lowest
     overlapping index, deterministically.
     """
     positions = np.asarray(positions, float)
@@ -148,32 +226,29 @@ def sasa_pass(positions, params, neighbors, sphere: SampleSphere,
     counts = np.zeros((n, nq), np.uint8)
     critical = np.full((n, nq), -1, np.int32)
     covered = np.zeros(n, np.int64)
+    columns = _sample_columns(sphere.points)
 
     def work(lo: int, hi: int) -> None:
+        starts, nbr, d = _pair_rows(positions, neighbors, r_off,
+                                    np.arange(lo, hi), 0.0)
+        rows = _screen_rows(d, np.repeat(r_off[lo:hi], np.diff(starts)),
+                            r_off2[nbr])
         for i in range(lo, hi):
-            nb = neighbors[i]
-            if len(nb) == 0:
+            a, b = starts[i - lo], starts[i - lo + 1]
+            if a == b:
                 continue
-            pts = positions[i] + r_off[i] * sphere.points
-            diff = pts[:, None, :] - positions[nb][None, :, :]
-            cov = (diff * diff).sum(-1) <= r_off2[nb][None, :]
-            cnt = cov.sum(1)
+            nb = nbr[a:b]
+            cov = _coverage(rows[a:b], columns, lambda j, k: _covers(
+                positions[i], r_off[i], sphere.points[k], positions[nb[j]],
+                r_off2[nb[j]]))
+            cnt = cov.sum(0, dtype=np.int32)
             np.minimum(cnt, 2, out=cnt)
             counts[i] = cnt
-            hit = cnt == 1
-            if hit.any():
-                first = np.argmax(cov[hit], axis=1)
-                critical[i, hit] = nb[first]
-            covered[i] = int((cnt > 0).sum())
+            hit = np.flatnonzero(cnt == 1)
+            critical[i, hit] = nb[np.argmax(cov[:, hit], axis=0)]
+            covered[i] = np.count_nonzero(cnt)
 
-    chunks = _atom_chunks(n, config.threads)
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(lambda ab: work(*ab), chunks))
-    else:
-        for lo, hi in chunks:
-            work(lo, hi)
-
+    _over_blocks(work, n, config.threads)
     f_exp = (nq - covered) / float(nq)
     a0 = 4.0 * math.pi * r_off2
     a_exp = f_exp * a0
@@ -191,65 +266,88 @@ def _force_quantum(params, r_off: np.ndarray, nq: int, delta_r: float):
     return np.round(delta / quantum).astype(np.int64), quantum
 
 
+def check_accumulator(nq: int, max_nb: int, w_max: int) -> None:
+    """Bound the int64 force accumulator before any sample is tested.
+
+    Per axis, an atom's entry takes at most nq (max_nb + 1) events from its
+    own samples (an exposed sample may be covered by each neighbor, a
+    critical one freed once) and nq from each neighbor's samples, each of
+    at most w_max quanta: ``nq (2 max_nb + 1) w_max`` must stay below 2**63.
+    """
+    if int(nq) * (2 * int(max_nb) + 1) * int(w_max) >= 2**63:
+        raise ConfigurationError(
+            f"solvation force accumulator could overflow int64: {nq} samples "
+            f"x (2 x {max_nb} neighbors + 1) x {w_max} quanta >= 2**63; "
+            "use fewer samples or a shorter cavity cutoff"
+        )
+
+
 def solvation_forces(positions, params, neighbors, sphere: SampleSphere,
                      states: ExposureStates,
                      config: SolvationConfig = SolvationConfig()) -> np.ndarray:
     """Forward-difference solvation forces from precomputed exposure states.
 
-    Exposed samples test every neighbor displaced by +delta_r along each
-    axis; critically overlapped samples test only their recorded
-    coverer.  Multiply overlapped samples cannot change exposure under a
-    single displacement and are skipped.
+    Exposed samples test every neighbor that can reach them once displaced
+    by +delta_r along each axis; critically overlapped samples test only
+    their recorded coverer.  Multiply overlapped samples cannot change
+    exposure under a single displacement and are skipped.
     """
     positions = np.asarray(positions, float)
     n = len(positions)
     nq = sphere.n
     r_off = offset_radii(params, config)
-    r_off2 = r_off * r_off
     w_int, quantum = _force_quantum(params, r_off, nq, config.delta_r)
+    check_accumulator(nq, max((len(nb) for nb in neighbors), default=0),
+                      int(np.max(np.abs(w_int), initial=0)))
+    r_off2 = r_off * r_off
     dr = config.delta_r
+    columns = _sample_columns(sphere.points)
 
     def work(lo: int, hi: int) -> np.ndarray:
         acc = np.zeros((n, 3), np.int64)
-        for i in range(lo, hi):
-            if w_int[i] == 0:
+        counts = states.counts[lo:hi]
+        weighted = w_int[lo:hi, None] != 0
+        # exposed samples: every neighbor that reaches them, displaced;
+        # pair p displaced along axis s is row 3p + s
+        atoms = lo + np.flatnonzero((weighted & (counts == 0)).any(1))
+        starts, nbr, d = _pair_rows(positions, neighbors, r_off, atoms, dr)
+        d3 = np.repeat(d[:, None], 3, axis=1)
+        d3[:, _AXES, _AXES] += dr
+        rows = _screen_rows(d3.reshape(-1, 3),
+                            np.repeat(r_off[atoms], 3 * np.diff(starts)),
+                            np.repeat(r_off2[nbr], 3))
+        for t, i in enumerate(atoms):
+            a, b = starts[t], starts[t + 1]
+            if a == b:
                 continue
-            nb = neighbors[i]
-            if len(nb) == 0:
-                continue
-            pts = positions[i] + r_off[i] * sphere.points
-            ci = states.counts[i]
-            k0 = np.flatnonzero(ci == 0)
-            k1 = np.flatnonzero(ci == 1)
-            for s in range(3):
-                if k0.size:
-                    shifted = positions[nb].copy()
-                    shifted[:, s] += dr
-                    diff = pts[k0][:, None, :] - shifted[None, :, :]
-                    cov = (diff * diff).sum(-1) <= r_off2[nb][None, :]
-                    per_nb = cov.sum(0)
-                    total = int(per_nb.sum())
-                    if total:
-                        acc[i, s] -= total * w_int[i]
-                        hits = per_nb > 0
-                        np.add.at(acc[:, s], nb[hits], per_nb[hits] * w_int[i])
-                if k1.size:
-                    jo = states.critical[i, k1]
-                    shifted = positions[jo]  # fancy index: already a copy
-                    shifted[:, s] += dr
-                    d = pts[k1] - shifted
-                    freed = (d * d).sum(-1) > r_off2[jo]
-                    if freed.any():
-                        jf = jo[freed]
-                        acc[i, s] += int(freed.sum()) * w_int[i]
-                        np.subtract.at(acc[:, s], jf, w_int[i])
+            w = w_int[i]
+            k0 = np.flatnonzero(states.counts[i] == 0)
+            nb = nbr[a:b]
+
+            def exact(row, k):
+                jx, axis = nb[row // 3], row % 3
+                shifted = positions[jx]  # fancy index: already a copy
+                shifted[np.arange(len(jx)), axis] += dr
+                return _covers(positions[i], r_off[i], sphere.points[k0[k]],
+                               shifted, r_off2[jx])
+
+            cov = _coverage(rows[3 * a:3 * b], columns[:, k0], exact)
+            gained = cov.sum(1).reshape(-1, 3)
+            acc[i] -= gained.sum(0) * w
+            acc[nb] += gained * w  # rows of nb are distinct
+        # critically overlapped samples of the whole block: the recorded
+        # coverer alone, displaced
+        i, k = np.nonzero(weighted & (counts == 1))
+        i += lo
+        jo = states.critical[i, k]
+        shifted = np.repeat(positions[jo][:, None], 3, axis=1)
+        shifted[:, _AXES, _AXES] += dr
+        freed = ~_covers(positions[i, None], r_off[i, None, None],
+                         sphere.points[k, None], shifted, r_off2[jo, None])
+        e, axis = np.nonzero(freed)
+        np.add.at(acc, (i[e], axis), w_int[i[e]])
+        np.subtract.at(acc, (jo[e], axis), w_int[i[e]])
         return acc
 
-    chunks = _atom_chunks(n, config.threads)
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(lambda ab: work(*ab), chunks))
-        acc = sum(parts)
-    else:
-        acc = work(*chunks[0]) if chunks else np.zeros((n, 3), np.int64)
+    acc = sum(_over_blocks(work, n, config.threads), np.zeros((n, 3), np.int64))
     return acc.astype(float) * quantum

@@ -244,19 +244,15 @@ def filtered_pairs(
 def filtered_lists(
     table: NeighborTable, positions: np.ndarray, d_cut: float
 ) -> list[np.ndarray]:
-    """Per-atom exact cut-off neighbor lists, sorted ascending."""
+    """Per-atom exact cut-off neighbor lists, ascending as the table rows are."""
     n = table.n_atoms
     i = np.repeat(np.arange(n), np.diff(table.offsets))
     j = table.neighbors
     diff = positions[i] - positions[j]
     d2 = np.einsum("ij,ij->i", diff, diff)
     keep = d2 <= d_cut * d_cut
-    i, j = i[keep], j[keep]
-    out = []
-    bounds = np.searchsorted(i, np.arange(n + 1))
-    for a in range(n):
-        out.append(np.sort(j[bounds[a] : bounds[a + 1]]))
-    return out
+    row_ends = np.cumsum(np.bincount(i[keep], minlength=n))
+    return np.split(j[keep], row_ends[:-1])
 
 
 def brute_force_pairs(

@@ -80,6 +80,32 @@ def two_sphere_exposed_area(r_off, d):
     return 4.0 * math.pi * r_off**2 - 2.0 * math.pi * r_off * h
 
 
+def distance_exposure_states(positions, params, neighbors, sphere, config):
+    """Unscreened exposure pass: the (N, nb, 3) distance test on every
+    (sample, neighbor) pair.  Returns (counts, critical, f_exp)."""
+    positions = np.asarray(positions, float)
+    n = len(positions)
+    nq = sphere.n
+    r_off = offset_radii(params, config)
+    r_off2 = r_off * r_off
+    counts = np.zeros((n, nq), np.uint8)
+    critical = np.full((n, nq), -1, np.int32)
+    covered = np.zeros(n, np.int64)
+    for i in range(n):
+        nb = np.asarray(neighbors[i], int)
+        if len(nb) == 0:
+            continue
+        pts = positions[i] + r_off[i] * sphere.points
+        diff = pts[:, None, :] - positions[nb][None, :, :]
+        cov = (diff * diff).sum(-1) <= r_off2[nb][None, :]
+        cnt = np.minimum(cov.sum(1), 2)
+        counts[i] = cnt
+        hit = cnt == 1
+        critical[i, hit] = nb[np.argmax(cov[hit], axis=1)]
+        covered[i] = int((cnt > 0).sum())
+    return counts, critical, (nq - covered) / float(nq)
+
+
 def naive_solvation_forces(positions, params, neighbors, sphere, config):
     """Unoptimized displaced-recount force variant (binary coverage).
 

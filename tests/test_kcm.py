@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kinefold.chain import Conformation, build_chain, forward_kinematics, kinematic_state
-from kinefold.errors import ConfigurationError
+from kinefold.errors import ConfigurationError, NonFiniteTorqueError
 from kinefold.kcm import (
     FieldConfig,
     JointTorques,
@@ -163,6 +163,12 @@ def test_step_all_frozen_rejected():
         kcm_step(JointTorques(np.ones(2)), conf, StepConfig())
 
 
+def test_step_rejects_non_finite_torque():
+    tau = JointTorques(np.array([1.0, np.nan, np.inf]))
+    with pytest.raises(NonFiniteTorqueError, match="torque nan on dof 1 "):
+        kcm_step(tau, _conf(3), StepConfig())
+
+
 # ---- fold -----------------------------------------------------------------
 
 def test_torque_free_start_converges_immediately(param_set):
@@ -211,6 +217,28 @@ def test_fold_reports_offending_iteration(param_set):
     with pytest.raises(StericClashError, match="iteration 0"):
         fold(ch_bad, ch_bad.conf_zp(), field, StepConfig(max_iters=3))
     del ch, field
+
+
+def test_fold_names_iteration_of_non_finite_torque(param_set):
+    ch = build_chain(["ALA"] * 3)
+    field = make_field(ch, param_set)
+
+    class NaNAfterFirst:
+        """Finite forces on iteration 0, a NaN force on the last atom after."""
+        calls = 0
+
+        def evaluate(self, positions):
+            result = field.evaluate(positions)
+            if self.calls:
+                result.forces[-1, 0] = np.nan
+            self.calls += 1
+            return result
+
+    # the NaN reaches every joint upstream of the last atom: dof 0 first
+    with pytest.raises(NonFiniteTorqueError,
+                       match="iteration 1: non-finite torque nan on dof 0 "):
+        fold(ch, ch.conf_from_backbone(-30.0, -30.0), NaNAfterFirst(),
+             StepConfig(max_iters=5, torque_tol_rel=0.0))
 
 
 def test_fold_water_mode_runs(param_set):

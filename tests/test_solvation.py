@@ -1,18 +1,25 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinefold.errors import ConfigurationError
 from kinefold.forcefield import AtomParams
+from kinefold.kcm import _brute_table
 from kinefold.solvation import (
+    SampleSphere,
     SolvationConfig,
+    check_accumulator,
     check_cav_cutoff,
     generate_samples,
     offset_radii,
     sasa_pass,
     solvation_forces,
 )
+from kinefold.spatial import build_grid, build_neighbor_table, filtered_lists
 
 from . import oracles
 
@@ -264,6 +271,146 @@ def test_parallel_schedule_identical(rng):
     f1 = solvation_forces(pos, params, nbrs, sp, st1, seq_cfg)
     f4 = solvation_forces(pos, params, nbrs, sp, st4, par_cfg)
     assert np.array_equal(f1, f4)  # fixed point: order independent
+
+
+# ---- screened coverage vs the distance test ------------------------------
+
+def assert_matches_distance_oracle(pos, params, nbrs, sp, cfg):
+    res, states = sasa_pass(pos, params, nbrs, sp, cfg)
+    counts, critical, f_exp = oracles.distance_exposure_states(pos, params, nbrs,
+                                                               sp, cfg)
+    assert np.array_equal(states.counts, counts)
+    assert np.array_equal(states.critical, critical)
+    assert np.array_equal(res.f_exp, f_exp)
+    f = solvation_forces(pos, params, nbrs, sp, states, cfg)
+    want = oracles.naive_solvation_forces(pos, params, nbrs, sp, cfg)
+    assert np.array_equal(f, want)
+    return states
+
+
+def axis_sphere(n=128):
+    """Geodesic samples after the six axis directions (rows 0-5: +x, +y,
+    +z, -x, -y, -z), where the tie cases put exact boundary points."""
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    return SampleSphere(np.vstack([axes, generate_samples(n).points]))
+
+
+# offset radii 2.0/2.5/3.0/3.5/4.0 are exact in binary with the 1.4 probe,
+# so clusters on a half-Angstrom lattice hit tangencies and coincidences
+_LATTICE_R = (0.6, 1.1, 1.6, 2.1, 2.6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                          st.integers(0, 12), st.sampled_from(_LATTICE_R),
+                          st.floats(-0.2, 0.05)),
+                min_size=2, max_size=7),
+       st.none() | st.integers(0, 2**16))
+def test_screened_coverage_matches_distance_oracle(atoms, jitter_seed):
+    """Random clusters, on a lattice (ties) or jittered off it."""
+    cell = np.array([a[:3] for a in atoms], float) * 0.5
+    if jitter_seed is not None:
+        cell += np.random.default_rng(jitter_seed).uniform(-0.3, 0.3, cell.shape)
+    n = len(atoms)
+    params = make_params(n, radius=np.array([a[3] for a in atoms]),
+                         gamma=np.array([a[4] for a in atoms]))
+    assert_matches_distance_oracle(cell, params, all_neighbors(n), axis_sphere(64),
+                                   SolvationConfig(samples=70))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_boundary_samples_match_distance_oracle(seed, displaced):
+    """Each neighbor's offset sphere passes through one sample of atom 0,
+    as placed or, when ``displaced``, after its +delta_r move along one
+    axis.  Rounding decides those samples, so the screen must hand every
+    one of them to the distance test."""
+    rng = np.random.default_rng(seed)
+    n = 7
+    sp = generate_samples(128)
+    cfg = SolvationConfig(samples=128)
+    params = make_params(n, rng)
+    r_off = offset_radii(params, cfg)
+    pos = np.empty((n, 3))
+    pos[0] = rng.uniform(-20, 20, 3)
+    for a, k in enumerate(rng.choice(sp.n, n - 1, replace=False), start=1):
+        v = rng.normal(size=3)
+        pos[a] = pos[0] + r_off[0] * sp.points[k] + r_off[a] * v / np.linalg.norm(v)
+        if displaced:
+            pos[a, rng.integers(3)] -= cfg.delta_r
+    assert_matches_distance_oracle(pos, params, all_neighbors(n), sp, cfg)
+
+
+def test_tangent_spheres_tie_is_covered():
+    params = make_params(2, radius=np.full(2, 1.6))   # offset radius 3.0
+    pos = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0]])
+    states = assert_matches_distance_oracle(pos, params, all_neighbors(2),
+                                            axis_sphere(), SolvationConfig())
+    assert states.counts[0, 0] == 1 and states.critical[0, 0] == 1  # +x
+    assert states.counts[1, 3] == 1 and states.critical[1, 3] == 0  # -x
+    assert states.counts[0, 1:].max() == 0
+
+
+@pytest.mark.parametrize("radius, pos", [
+    # coincident centers, equal radii: every sample sits on the threshold
+    ([1.6, 1.6, 1.1], [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [4.0, 2.0, 3.0]]),
+    # atom 0 engulfed by atom 1
+    ([0.4, 3.0, 1.6], [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 5.0, 0.0]]),
+], ids=["coincident", "engulfed"])
+def test_degenerate_overlaps_match_oracle(radius, pos):
+    params = make_params(3, radius=np.array(radius))
+    assert_matches_distance_oracle(np.array(pos), params, all_neighbors(3),
+                                   axis_sphere(), SolvationConfig())
+
+
+def test_neighbor_at_exact_cutoff_matches_oracle():
+    """Offset radius 4.0 on both atoms of a pair 8.0 A apart: the pair sits
+    on the 8.0 A cavity cutoff and its spheres touch at one sample."""
+    params = make_params(3, radius=np.full(3, 2.6))
+    pos = np.array([[0.0, 0.0, 0.0], [8.0, 0.0, 0.0], [0.0, 0.0, 8.0]])
+    cfg = SolvationConfig()
+    check_cav_cutoff(params, cfg, 8.0)
+    for table in (build_neighbor_table(build_grid(pos), 8.0),
+                  _brute_table(pos, 8.0)):
+        nbrs = filtered_lists(table, pos, 8.0)
+        assert nbrs[0].tolist() == [1, 2]
+        states = assert_matches_distance_oracle(pos, params, nbrs, axis_sphere(),
+                                                cfg)
+        assert states.critical[0, 0] == 1 and states.critical[0, 2] == 2
+
+
+def test_neighbor_reaching_only_when_displaced():
+    """The neighbor sits delta_r/2 beyond tangency on atom 0's -x side: it
+    covers nothing, but its +x displacement covers atom 0's -x sample, so
+    the force pass must not drop it as out of reach."""
+    params = make_params(2, radius=np.full(2, 1.6))   # offset radius 3.0
+    cfg = SolvationConfig()
+    pos = np.array([[0.0, 0.0, 0.0], [-6.0 - cfg.delta_r / 2, 0.0, 0.0]])
+    sp = axis_sphere()
+    states = assert_matches_distance_oracle(pos, params, all_neighbors(2), sp, cfg)
+    assert states.counts.max() == 0
+    f = solvation_forces(pos, params, all_neighbors(2), sp, states, cfg)
+    assert f[0, 0] != 0 and f[1, 0] == -f[0, 0]
+
+
+def test_accumulator_bound():
+    check_accumulator(1024, 2000, 2**37)
+    with pytest.raises(ConfigurationError,
+                       match="2048 samples x .2 x 40000 neighbors"):
+        check_accumulator(2048, 40_000, 2**37)
+
+
+def test_forces_refuse_overflowing_accumulator():
+    """The guard fires before any sample is touched: a stand-in sphere
+    claims 2**30 samples but carries only twelve points."""
+    params = make_params(2)
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    sp = generate_samples(12)
+    _, states = sasa_pass(pos, params, all_neighbors(2), sp, SolvationConfig(samples=12))
+    huge = SimpleNamespace(n=2**30, points=sp.points)
+    with pytest.raises(ConfigurationError, match=f"{2**30} samples"):
+        solvation_forces(pos, params, all_neighbors(2), huge, states,
+                         SolvationConfig(samples=12))
 
 
 def test_cav_cutoff_guard():

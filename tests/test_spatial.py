@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kinefold.errors import ConfigurationError
+from kinefold.kcm import _brute_table
 from kinefold.spatial import (
     Cutoffs,
     GridConfig,
@@ -89,6 +90,18 @@ def test_filtered_table_matches_brute_force(rng, d_cut):
     for i in range(500):
         assert set(got[i].tolist()) == want[i]
         assert np.all(np.diff(got[i]) > 0)  # sorted, no duplicates
+
+
+def test_table_rows_ascending(rng):
+    """The solvation pass records the first covering neighbor of each row
+    as the critical one, so hashed and brute rows must both be ascending,
+    before and after exact filtering."""
+    pos = rng.uniform(0, 22, (300, 3))
+    hashed = build_neighbor_table(build_grid(pos), 8.0)
+    brute = _brute_table(pos, 8.0)
+    for table in (hashed, brute):
+        for row in table.lists() + filtered_lists(table, pos, 6.0):
+            assert np.all(np.diff(row) > 0)
 
 
 def test_superset_and_self_exclusion(rng):
