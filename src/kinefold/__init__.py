@@ -4,8 +4,8 @@ The protein is an open kinematic linkage whose dihedral joints comply
 under torques derived from electrostatic, van der Waals, and
 SASA-based implicit-solvation forces.  Per-iteration work stays
 expected-linear through spatial hashing, a bond-tree interaction
-classifier, offset-sphere surface enumeration, and suffix-sum torque
-aggregation.
+classifier, offset-sphere surface enumeration, and one reverse
+parent-pointer pass that aggregates torques over the linkage tree.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ from .chain import (
     build_chain,
     forward_kinematics,
     kinematic_state,
-    link_transforms,
 )
 from .errors import KinefoldError
 from .forcefield import (

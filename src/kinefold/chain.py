@@ -10,7 +10,10 @@ geometry as read.
 
 Atom positions follow from prefix products of joint rotations about the
 reference axes and prefix sums of rotated body vectors; each rigid link
-carries its member atoms as fixed offsets from its joint point.
+carries its member atoms as fixed offsets from its joint point.  Links
+are stored in topological order (every link's parent has a lower index),
+so one forward pass over a parent-index array places the whole tree and
+one reverse pass over it aggregates any per-link quantity onto ancestors.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import numpy as np
 
 from .errors import ChainBuildError, ConfigurationError, UnknownResidueError
 from .geometry import (
+    AXIS_UNIT_TOL,
     dihedral_angle,
     frame_from_backbone,
-    rotation_about_axis,
     signed_degrees,
     unit_vector,
     wrap_degrees,
@@ -116,6 +119,51 @@ class LinkRecord:
     chi0: float = 0.0      # reference chi (deg) for the index map
 
 
+@dataclass(frozen=True)
+class LinkArrays:
+    """Per-link constants of a chain stacked for the array passes.
+
+    Row ``li`` belongs to ``chain.links[li]``; the ground row (0) has a
+    zero axis and dof -1.  ``k`` is each axis's cross-product matrix, so
+    a joint's Rodrigues rotation is ``I + sin(t) k + (1 - cos(t)) k2``.
+    """
+
+    parent: list[int]         # parent link index, -1 for ground (a list:
+                              # the per-link loops index it element-wise)
+    dof: np.ndarray           # (n_links,) flat dof index
+    axis0: np.ndarray         # (n_links, 3) reference unit axes
+    body0: np.ndarray         # (n_links, 3) reference body vectors
+    k: np.ndarray             # (n_links, 3, 3)
+    k2: np.ndarray            # (n_links, 3, 3), k @ k
+    point0: np.ndarray        # (n_links, 3) reference joint points
+
+    @classmethod
+    def of(cls, chain: "Chain") -> "LinkArrays":
+        links = chain.links
+        axis0 = np.array([np.zeros(3) if l.axis0 is None else l.axis0 for l in links])
+        norms = np.linalg.norm(axis0[1:], axis=1)
+        bad = np.flatnonzero(np.abs(norms - 1.0) > AXIS_UNIT_TOL)
+        if bad.size:
+            raise ConfigurationError(
+                f"rotation axis must be unit length, got norm {norms[bad[0]]:.3e}"
+                f" on link {bad[0] + 1}"
+            )
+        x, y, z = axis0.T
+        k = np.zeros((len(links), 3, 3))
+        k[:, 0, 1], k[:, 0, 2] = -z, y
+        k[:, 1, 0], k[:, 1, 2] = z, -x
+        k[:, 2, 0], k[:, 2, 1] = -y, x
+        return cls(
+            parent=[l.parent for l in links],
+            dof=np.array([l.dof for l in links], int),
+            axis0=axis0,
+            body0=np.array([l.body0 for l in links]),
+            k=k,
+            k2=k @ k,
+            point0=np.array([l.point0 for l in links]),
+        )
+
+
 @dataclass
 class Chain:
     """Immutable-by-convention linkage over a fixed atom set."""
@@ -150,6 +198,7 @@ class Chain:
         self._lookup = {}
         for i, (r, nm) in enumerate(zip(self.atom_residue, self.atom_names)):
             self._lookup.setdefault((int(r), nm), i)
+        self.link_arrays = LinkArrays.of(self)
 
     def atom_index(self, residue: int, name: str) -> int:
         return self._lookup[(residue, name)]
@@ -159,15 +208,6 @@ class Chain:
 
     def dof_psi(self, i: int) -> int:
         return 2 * i + 1
-
-    def dof_chi(self, i: int, k: int) -> int:
-        for link in self.links:
-            if link.kind == "chi" and link.residue == i and link.chi_index == k:
-                return link.dof
-        raise KeyError(f"residue {i} has no chi joint {k}")
-
-    def side_dofs(self, i: int) -> list[int]:
-        return [l.dof for l in self.links if l.kind == "chi" and l.residue == i]
 
     # ---- conformation helpers ----------------------------------------------
     def conf_zp(self) -> Conformation:
@@ -229,46 +269,42 @@ class Chain:
 
 @dataclass
 class KinematicState:
-    """Per-joint transforms plus derived axes and joint points."""
+    """Per-link transforms, joint points and axes, plus atom positions."""
 
-    transforms: list[np.ndarray]      # M per link (ground included)
-    joint_points: list[np.ndarray]    # p per link
-    axes: list[np.ndarray | None]     # current unit axis per link
-    positions: np.ndarray             # atom positions (n, 3)
+    transforms: np.ndarray     # (n_links, 3, 3) prefix rotation per link
+    joint_points: np.ndarray   # (n_links, 3) current joint point per link
+    axes: np.ndarray           # (n_links, 3) current unit axis; ground row 0
+    positions: np.ndarray      # (n_atoms, 3)
 
 
 def kinematic_state(chain: Chain, conf: Conformation) -> KinematicState:
+    """Batched Rodrigues rotations, then one forward pass over the links:
+    ``M[li] = M[parent] @ R[li]`` and ``P[li] = P[parent] + M[parent] @
+    body0[parent]``, valid because every parent precedes its child."""
     chain.validate_conformation(conf)
-    n_links = len(chain.links)
-    M: list = [None] * n_links
-    P: list = [None] * n_links
-    U: list = [None] * n_links
-    pos = np.empty((chain.n_atoms, 3))
-    for li, link in enumerate(chain.links):
-        if link.kind == "ground":
-            M[li] = np.eye(3)
-            P[li] = np.zeros(3)
-        else:
-            parent = chain.links[link.parent]
-            base = M[link.parent]
-            P[li] = P[link.parent] + base @ parent.body0
-            rot = rotation_about_axis(link.axis0, float(conf.theta[link.dof]))
-            M[li] = base @ rot
-            U[li] = M[li] @ link.axis0
-        idx = link.atom_indices
-        if idx.size:
-            pos[idx] = P[li] + (chain.zp_pos[idx] - link.point0) @ M[li].T
-    return KinematicState(transforms=M, joint_points=P, axes=U, positions=pos)
-
-
-def link_transforms(chain: Chain, conf: Conformation) -> list[np.ndarray]:
-    """Rotation matrix per joint, ordered by dof index."""
-    state = kinematic_state(chain, conf)
-    out: list = [None] * chain.n_dof
-    for li, link in enumerate(chain.links):
-        if link.kind != "ground":
-            out[link.dof] = state.transforms[li]
-    return out
+    arr = chain.link_arrays
+    t = np.radians(conf.theta[arr.dof[1:]])[:, None, None]
+    rot = np.eye(3) + np.sin(t) * arr.k[1:] + (1.0 - np.cos(t)) * arr.k2[1:]
+    parent = arr.parent
+    n_links = len(parent)
+    # the loops write through lists of per-link row views, which costs
+    # about half of indexing the stacked arrays on every step
+    M = np.empty((n_links, 3, 3))
+    M[0] = np.eye(3)
+    m_rows = list(M)
+    for li, r in enumerate(rot, 1):
+        np.matmul(m_rows[parent[li]], r, out=m_rows[li])
+    body = list(np.einsum("lij,lj->li", M, arr.body0))
+    P = np.zeros((n_links, 3))
+    p_rows = list(P)
+    for li in range(1, n_links):
+        pa = parent[li]
+        np.add(p_rows[pa], body[pa], out=p_rows[li])
+    axes = np.einsum("lij,lj->li", M, arr.axis0)
+    owner = chain.atom_link
+    offset = chain.zp_pos - arr.point0[owner]
+    pos = P[owner] + np.einsum("aij,aj->ai", M[owner], offset)
+    return KinematicState(transforms=M, joint_points=P, axes=axes, positions=pos)
 
 
 def forward_kinematics(chain: Chain, conf: Conformation) -> np.ndarray:
@@ -356,6 +392,14 @@ class _Builder:
         return kw["index"]
 
     def finish(self, residues, geometry, source) -> Chain:
+        # the forward and reverse link passes rely on parents coming first
+        for rec in self.links:
+            i, parent = rec["index"], rec["parent"]
+            if not (0 <= parent < i if i else parent == -1):
+                raise ChainBuildError(
+                    f"link {i} has parent {parent}; every link must follow its "
+                    f"parent and only link 0 may be the root"
+                )
         # flat dof order: backbone 0..2m-1, then chi joints grouped by residue
         next_dof = 2 * len(residues)
         for rec in self.links:

@@ -143,9 +143,18 @@ def cmd_fold(args) -> int:
     out = Path(args.out)
     runs = max(args.batch, 1)
     summary_rows = []
+    failed = []
     for run in range(runs):
         conf = _initial_conformation(chain, args, rng)
-        traj = fold(chain, conf, field, step)
+        try:
+            traj = fold(chain, conf, field, step)
+        except KinefoldError as exc:
+            # one bad start (a clash, a non-finite torque) must not cost
+            # the other runs their results or the batch its summary
+            failed.append(run)
+            summary_rows.append([run, "", False, f"error: {exc}", "", "", ""])
+            print(f"error: run {run}: {exc}", file=sys.stderr)
+            continue
         run_dir = out if runs == 1 else out / f"run_{run:04d}"
         log = RunLog(run_dir)
         log.write_trajectory(chain, traj)
@@ -162,13 +171,15 @@ def cmd_fold(args) -> int:
               f"converged={traj.converged} ({traj.reason}), "
               f"G_total={traj.records[-1].energy.g_total:.3f} kcal/mol")
     if runs > 1:
+        out.mkdir(parents=True, exist_ok=True)
         with open(out / "summary.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["run", "iterations", "converged", "reason",
                         "g_total", "mean_phi", "mean_psi"])
             w.writerows(summary_rows)
-    write_manifest(out, _manifest_payload(args, chain, {"runs": runs}))
-    return 0
+    write_manifest(out, _manifest_payload(args, chain,
+                                          {"runs": runs, "failed_runs": failed}))
+    return 2 if failed else 0
 
 
 def cmd_scan_rama(args) -> int:

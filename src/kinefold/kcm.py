@@ -2,12 +2,16 @@
 
 Per iteration, atom forces are summed into per-link wrenches (force plus
 moment about the amino-terminus anchor, which sits at the global
-origin).  Joint torques follow by aggregating generalized forces over
-the subtree each joint drives: a running suffix along the backbone, with
-each side branch's own suffix folded in at its branch link.  That turns
-the quadratic contribution scan into a linear pass.  The compliance step
-moves every unfrozen joint proportionally to its torque, normalized so
-the largest step is exactly kappa degrees.
+origin).  Joint torques need the total wrench of the subtree each joint
+drives.  Links are stored parent-first, so one reverse pass over the
+parent indices, adding each link's wrench into its parent's, leaves
+every link holding its subtree total; backbone and side branches need
+no separate cases.  One vectorized projection ``u.T - (u x p).F`` onto
+the current axes and joint points of the array kinematic state then
+gives every torque.  That turns the quadratic contribution scan into a
+linear pass.  The compliance step moves every unfrozen joint
+proportionally to its torque, normalized so the largest step is exactly
+kappa degrees.
 """
 
 from __future__ import annotations
@@ -195,48 +199,24 @@ class JointTorques:
 
 def joint_torques(chain: Chain, conf: Conformation, wrenches: LinkWrenches,
                   state: KinematicState | None = None) -> JointTorques:
-    """Suffix-aggregated joint torques, O(l) total."""
+    """Subtree wrenches by one reverse parent-pointer pass, then projected
+    onto every joint at once; O(l) total."""
     if state is None:
         state = kinematic_state(chain, conf)
-    m = chain.n_residues
+    arr = chain.link_arrays
+    # columns 0-2 force, 3-5 moment about the origin
+    total = np.concatenate([wrenches.force, wrenches.torque], axis=1)
+    parent = arr.parent
+    rows = list(total)
+    for li in range(len(parent) - 1, 0, -1):
+        pa = parent[li]
+        np.add(rows[pa], rows[li], out=rows[pa])
+    u = state.axes[1:]
+    arm = np.cross(u, state.joint_points[1:])
+    proj = (np.einsum("li,li->l", u, total[1:, 3:])
+            - np.einsum("li,li->l", arm, total[1:, :3]))
     tau = np.zeros(chain.n_dof)
-
-    def project(link_index: int, f_agg, t_agg) -> float:
-        u = state.axes[link_index]
-        p = state.joint_points[link_index]
-        return float(u @ t_agg - np.cross(u, p) @ f_agg)
-
-    # side branches: plain suffix within the branch, total folded into phi
-    side_total_f = np.zeros((m, 3))
-    side_total_t = np.zeros((m, 3))
-    by_residue: dict[int, list[int]] = {}
-    for li, link in enumerate(chain.links):
-        if link.kind == "chi":
-            by_residue.setdefault(link.residue, []).append(li)
-    for res, lis in by_residue.items():
-        lis.sort(key=lambda li: chain.links[li].chi_index)
-        f_agg = np.zeros(3)
-        t_agg = np.zeros(3)
-        for li in reversed(lis):
-            f_agg += wrenches.force[li]
-            t_agg += wrenches.torque[li]
-            tau[chain.links[li].dof] = project(li, f_agg, t_agg)
-        side_total_f[res] = f_agg
-        side_total_t[res] = t_agg
-
-    # backbone suffix from the carboxyl end back to the anchor
-    backbone = [li for li, l in enumerate(chain.links) if l.kind in ("phi", "psi")]
-    backbone.sort(key=lambda li: chain.links[li].dof)
-    f_agg = np.zeros(3)
-    t_agg = np.zeros(3)
-    for li in reversed(backbone):
-        link = chain.links[li]
-        f_agg += wrenches.force[li]
-        t_agg += wrenches.torque[li]
-        if link.kind == "phi":
-            f_agg += side_total_f[link.residue]
-            t_agg += side_total_t[link.residue]
-        tau[link.dof] = project(li, f_agg, t_agg)
+    tau[arr.dof[1:]] = proj
     return JointTorques(tau=tau)
 
 

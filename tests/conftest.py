@@ -1,7 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from kinefold.chain import build_chain
+from kinefold.chain import Conformation, build_chain
 from kinefold.kcm import Field, FieldConfig
 from kinefold.pdbio import load_params
 from kinefold.topology import TreeWeights, build_tree
@@ -36,3 +39,25 @@ def make_field(chain, param_set, **cfg_kwargs):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# random chains for the differential tests of the array kinematics and the
+# reverse torque pass: 1-12 residues covering plain, hydroxyl, thiol and
+# side-chain-free links
+random_sequences = st.lists(st.sampled_from(["SER", "ALA", "GLY", "CYS"]),
+                            min_size=1, max_size=12)
+
+
+@lru_cache(maxsize=64)
+def cached_chain(sequence: tuple[str, ...]):
+    return build_chain(list(sequence))
+
+
+def random_case(sequence, seed):
+    """Chain, a random conformation with about a quarter of its dofs
+    frozen, and random atom forces, all from ``seed``."""
+    chain = cached_chain(tuple(sequence))
+    rng = np.random.default_rng(seed)
+    conf = Conformation(rng.uniform(0.0, 360.0, chain.n_dof),
+                        rng.random(chain.n_dof) < 0.25, chain.n_residues)
+    return chain, conf, rng.normal(size=(chain.n_atoms, 3))

@@ -155,7 +155,7 @@ def test_criterion_4_step2_soundness():
 
 
 # --------------------------------------------------------------------------
-# 5. suffix torques == quadratic column scan, 1e-10 relative
+# 5. reverse-pass torques == quadratic column scan, 1e-10 relative
 # --------------------------------------------------------------------------
 
 def test_criterion_5_torque_equivalence():

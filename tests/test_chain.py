@@ -1,20 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinefold.chain import (
     Conformation,
+    _Builder,
     apply_deltas,
     build_chain,
     forward_kinematics,
     kinematic_state,
-    link_transforms,
     measure_backbone_dihedrals,
 )
 from kinefold.errors import ChainBuildError, ConfigurationError, UnknownResidueError
 from kinefold.geometry import rotation_about_axis
+from kinefold.pdbio import read_pdb, write_pdb
 
+from .conftest import random_case, random_sequences
 from .oracles import twist_fk
 
 
@@ -62,6 +66,57 @@ def test_every_atom_has_one_link(mixed_chain):
     counted = sum(len(l.atom_indices) for l in mixed_chain.links)
     assert counted == mixed_chain.n_atoms
     assert mixed_chain.atom_residue.tolist() == sorted(mixed_chain.atom_residue.tolist())
+
+
+def test_links_follow_their_parents(mixed_chain, tmp_path):
+    path = tmp_path / "mixed.pdb"
+    write_pdb(mixed_chain, forward_kinematics(mixed_chain, mixed_chain.conf_zp()), path)
+    imported = build_chain([], geometry=read_pdb(path))
+    for chain in (mixed_chain, imported):
+        parents = [link.parent for link in chain.links]
+        assert parents[0] == -1
+        assert all(0 <= p < i for i, p in enumerate(parents) if i)
+
+
+def relinked_builder(chain, order):
+    """A builder holding ``chain``'s atoms and bonds, with its links
+    listed in ``order`` and every link reference renumbered to match."""
+    new = {old: k for k, old in enumerate(order)}
+    new[-1] = -1
+    b = _Builder()
+    for old in order:
+        rec = chain.links[old]
+        b.add_link(kind=rec.kind, residue=rec.residue, chi_index=rec.chi_index,
+                   dof=rec.dof, parent=new[rec.parent], axis0=rec.axis0,
+                   body0=rec.body0, point0=rec.point0, chi0=rec.chi0)
+    for a in range(chain.n_atoms):
+        b.add_atom(chain.atom_names[a], chain.atom_elements[a], chain.atom_classes[a],
+                   int(chain.atom_residue[a]), new[int(chain.atom_link[a])],
+                   chain.zp_pos[a], bool(chain.hetero_mask[a]))
+    b.bonds = list(chain.bonds)
+    return b
+
+
+def test_reordered_links_rejected(mixed_chain, rng):
+    ids = list(range(len(mixed_chain.links)))
+    same = relinked_builder(mixed_chain, ids).finish(
+        mixed_chain.residues, mixed_chain.geometry, "canonical")
+    conf = random_conf(mixed_chain, rng)
+    assert np.array_equal(forward_kinematics(same, conf),
+                          forward_kinematics(mixed_chain, conf))
+    # residue 0's psi link ahead of its phi parent; a joint link ahead of ground
+    for order, message in (([0, 2, 1] + ids[3:], "link 1 has parent 2"),
+                           ([1, 0] + ids[2:], "link 0 has parent 1")):
+        with pytest.raises(ChainBuildError, match=message):
+            relinked_builder(mixed_chain, order).finish(
+                mixed_chain.residues, mixed_chain.geometry, "canonical")
+
+
+def test_non_unit_axis_rejected(ala2):
+    links = list(ala2.links)
+    links[3] = dataclasses.replace(links[3], axis0=1.001 * links[3].axis0)
+    with pytest.raises(ConfigurationError, match="unit length"):
+        dataclasses.replace(ala2, links=links)
 
 
 def test_plane_constants_rows(ala2):
@@ -119,8 +174,14 @@ def test_l_chirality_of_templates(mixed_chain):
 
 # ---- transforms -----------------------------------------------------------
 
+def joint_transforms(chain, conf):
+    """Prefix rotation of every joint link (ground excluded)."""
+    transforms = kinematic_state(chain, conf).transforms
+    return [(link, transforms[link.index]) for link in chain.links[1:]]
+
+
 def test_all_zero_gives_identity(ala2):
-    for m in link_transforms(ala2, ala2.conf_zp()):
+    for _, m in joint_transforms(ala2, ala2.conf_zp()):
         assert np.allclose(m, np.eye(3), atol=1e-15)
 
 
@@ -128,7 +189,7 @@ def test_single_joint_prefix(ala2):
     theta = np.zeros(ala2.n_dof)
     theta[0] = 30.0
     conf = Conformation(theta, np.zeros(ala2.n_dof, bool), 2)
-    mats = link_transforms(ala2, conf)
+    mats = {link.dof: m for link, m in joint_transforms(ala2, conf)}
     first = rotation_about_axis(ala2.links[1].axis0, 30.0)
     for dof in range(4):  # every backbone joint downstream of joint 1
         assert np.allclose(mats[dof], first, atol=1e-12)
@@ -136,7 +197,7 @@ def test_single_joint_prefix(ala2):
 
 def test_prefix_matches_naive_products(ala2, rng):
     conf = random_conf(ala2, rng)
-    mats = link_transforms(ala2, conf)
+    transforms = kinematic_state(ala2, conf).transforms
     # naive: recompute each backbone prefix from scratch
     backbone = [l for l in ala2.links if l.kind in ("phi", "psi")]
     backbone.sort(key=lambda l: l.dof)
@@ -144,12 +205,12 @@ def test_prefix_matches_naive_products(ala2, rng):
         m = np.eye(3)
         for r in range(j + 1):
             m = m @ rotation_about_axis(backbone[r].axis0, conf.theta[backbone[r].dof])
-        assert np.abs(m - mats[backbone[j].dof]).max() < 1e-12
+        assert np.abs(m - transforms[backbone[j].index]).max() < 1e-12
 
 
 def test_transforms_orthonormal(mixed_chain, rng):
     conf = random_conf(mixed_chain, rng)
-    for m in link_transforms(mixed_chain, conf):
+    for _, m in joint_transforms(mixed_chain, conf):
         assert np.abs(m.T @ m - np.eye(3)).max() < 1e-10
 
 
@@ -189,6 +250,15 @@ def test_fk_matches_twist_oracle(rng):
         fast = forward_kinematics(ch, conf)
         slow = twist_fk(ch, conf)
         assert np.abs(fast - slow).max() < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_sequences, st.integers(0, 2**32 - 1))
+@example(["GLY"], 0)
+def test_array_fk_matches_twist_oracle_on_random_chains(sequence, seed):
+    chain, conf, _ = random_case(sequence, seed)
+    fast = forward_kinematics(chain, conf)
+    assert np.abs(fast - twist_fk(chain, conf)).max() < 1e-9
 
 
 def test_peptide_atoms_match_plane_combination(ala2, rng):

@@ -63,6 +63,36 @@ def test_fold_batch_summary(tmp_path):
     assert (out / "run_0000" / "log.csv").exists()
 
 
+def test_fold_batch_survives_failed_run(tmp_path, monkeypatch, capsys):
+    import kinefold.cli as cli
+    from kinefold.errors import StericClashError
+
+    real_fold, calls = cli.fold, []
+
+    def flaky_fold(*args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise StericClashError("aborted at iteration 0: atoms 3 and 7 overlap")
+        return real_fold(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fold", flaky_fold)
+    out = tmp_path / "batch"
+    rc = main(["fold", "--seq", "AAA", "--init", "random", "--batch", "3",
+               "--max-iters", "2", "--out", str(out)])
+    assert rc == 2
+    assert len(calls) == 3
+    rows = read_csv(out / "summary.csv")
+    assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+    assert rows[2][2] == "False"
+    assert rows[2][3] == "error: aborted at iteration 0: atoms 3 and 7 overlap"
+    assert rows[1][1] == rows[3][1] == "2"  # the other runs completed
+    assert (out / "run_0000" / "log.csv").exists()
+    assert not (out / "run_0001").exists()
+    assert (out / "run_0002" / "log.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["failed_runs"] == [1]
+    assert "run 1: aborted at iteration 0" in capsys.readouterr().err
+
+
 def test_fold_freeze_flag(tmp_path):
     out = tmp_path / "fr"
     main(["fold", "--seq", "AAAA", "--init", "uniform:-30,-30", "--freeze",

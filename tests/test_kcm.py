@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kinefold.chain import Conformation, build_chain, forward_kinematics, kinematic_state
 from kinefold.errors import ConfigurationError, NonFiniteTorqueError
@@ -16,7 +18,7 @@ from kinefold.kcm import (
     single_point,
 )
 
-from .conftest import make_field
+from .conftest import make_field, random_case, random_sequences
 from .oracles import quadratic_joint_torques
 
 
@@ -94,6 +96,18 @@ def test_suffix_matches_quadratic_scan(rng, length):
         slow = quadratic_joint_torques(ch, state, w)
         scale = np.abs(slow).max()
         assert np.abs(fast - slow).max() < 1e-10 * max(scale, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_sequences, st.integers(0, 2**32 - 1))
+@example(["GLY"], 0)
+def test_reverse_pass_matches_quadratic_scan_on_random_chains(sequence, seed):
+    chain, conf, forces = random_case(sequence, seed)
+    state = kinematic_state(chain, conf)
+    w = link_wrenches(chain, state.positions, forces)
+    fast = joint_torques(chain, conf, w, state).tau
+    slow = quadratic_joint_torques(chain, state, w)
+    assert np.abs(fast - slow).max() < 1e-10 * max(np.abs(slow).max(), 1.0)
 
 
 def test_torque_is_energy_gradient(ala2, param_set, rng):
