@@ -20,15 +20,7 @@ from .chain import (
     kinematic_state,
 )
 from .errors import KinefoldError
-from .forcefield import (
-    AtomParams,
-    DielectricModel,
-    EnergyBreakdown,
-    elec_energy,
-    elec_forces,
-    vdw_energy,
-    vdw_forces,
-)
+from .forcefield import AtomParams, DielectricModel, EnergyBreakdown
 from .geometry import dihedral_angle, rotation_about_axis
 from .kcm import (
     Field,

@@ -27,8 +27,8 @@ from .kcm import (
     ramachandran_scan,
 )
 from .pdbio import RunLog, load_params, read_pdb, read_sequence, write_manifest, write_pdb
-from .solvation import SolvationConfig, generate_samples, sasa_pass
-from .spatial import Cutoffs, GridConfig, build_grid, build_neighbor_table, filtered_lists
+from .solvation import SolvationConfig
+from .spatial import Cutoffs, GridConfig
 from .topology import TreeWeights, build_tree
 
 
@@ -54,7 +54,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-r", type=float, default=1e-2,
                    help="forward-difference step for solvation forces")
     p.add_argument("--probe-radius", type=float, default=1.4)
-    p.add_argument("--threads", type=int, default=1, help="cap for parallel phases")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--omega", default="trans", choices=("trans", "cis"))
 
@@ -85,7 +84,7 @@ def _build_system(args):
         solvation_cfg=SolvationConfig(
             probe_radius=args.probe_radius, delta_r=args.delta_r,
             samples=args.samples, sampling=args.sampling,
-            seed=args.seed, threads=args.threads),
+            seed=args.seed),
         use_hash=not args.no_hash,
     )
     return chain, Field(atom_params, weights, config)
@@ -231,14 +230,10 @@ def cmd_scan_hinge(args) -> int:
 
 def cmd_sasa(args) -> int:
     chain, field = _build_system(args)
+    field = Field(field.params, field.weights,
+                  dataclasses.replace(field.config, solvation=True))
     positions = forward_kinematics(chain, chain.conf_zp())
-    cfg = field.config
-    grid = build_grid(positions, cfg.grid)
-    table = build_neighbor_table(grid, cfg.cutoffs.cav)
-    lists = filtered_lists(table, positions, cfg.cutoffs.cav)
-    sphere = generate_samples(cfg.solvation_cfg.samples, cfg.solvation_cfg.sampling,
-                              cfg.solvation_cfg.seed)
-    result, _ = sasa_pass(positions, field.params, lists, sphere, cfg.solvation_cfg)
+    result = field.evaluate(positions, energy_only=True).sasa
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sasa.csv", "w", newline="") as fh:
@@ -249,7 +244,7 @@ def cmd_sasa(args) -> int:
                         f"{result.f_exp[i]:.10g}", f"{result.a_exp[i]:.10g}"])
     print(f"total exposed area {result.a_exp.sum():.3f} A^2, "
           f"G_cav {result.g_cav:.4f} kcal/mol over {chain.n_atoms} atoms")
-    write_manifest(out, _manifest_payload(args, chain, {"samples": sphere.n}))
+    write_manifest(out, _manifest_payload(args, chain, {"samples": field.sphere().n}))
     return 0
 
 
@@ -268,7 +263,7 @@ def cmd_bench(args) -> int:
         solvation = bool(args.water)
         base_cfg = FieldConfig(
             solvation=solvation,
-            solvation_cfg=SolvationConfig(samples=args.samples, threads=args.threads),
+            solvation_cfg=SolvationConfig(samples=args.samples),
         )
         fld_h = Field(atom_params, weights, base_cfg)
         fld_b = Field(atom_params, weights,

@@ -89,12 +89,6 @@ def extract_pairs(positions, table: NeighborTable, d_cut: float):
     return i, j, d
 
 
-def _pair_terms(positions, table, d_cut, weights, kind):
-    i, j, d = extract_pairs(positions, table, d_cut)
-    w = weights.weights_for(i, j, kind)
-    return i, j, d, w
-
-
 def elec_pair_quantities(params, i, j, d, w, dielectric):
     """Energy and force magnitude per pair for the Coulomb term."""
     kap = dielectric.of(d)
@@ -114,52 +108,6 @@ def vdw_pair_quantities(params, i, j, d, w):
 
 
 def accumulate_pair_forces(n, positions, i, j, d, mag) -> np.ndarray:
-    return _accumulate_n(n, positions, i, j, d, mag)
-
-
-def elec_energy(positions, params: AtomParams, table: NeighborTable,
-                weights, d_cut: float = 9.0,
-                dielectric: DielectricModel = DielectricModel()) -> float:
-    """Truncated Coulomb energy, each unordered pair counted once."""
-    i, j, d, w = _pair_terms(positions, table, d_cut, weights, "elec")
-    kap = dielectric.of(d)
-    return float(np.sum(COULOMB_K * w * params.q[i] * params.q[j] / (kap * d)))
-
-
-def elec_forces(positions, params: AtomParams, table: NeighborTable,
-                weights, d_cut: float = 9.0,
-                dielectric: DielectricModel = DielectricModel()) -> np.ndarray:
-    """Per-atom Coulomb force vectors (kcal mol^-1 A^-1)."""
-    i, j, d, w = _pair_terms(positions, table, d_cut, weights, "elec")
-    kap = dielectric.of(d)
-    mag = COULOMB_K * w * params.q[i] * params.q[j] / (kap * d * d)
-    return _accumulate(positions, i, j, d, mag)
-
-
-def vdw_energy(positions, params: AtomParams, table: NeighborTable,
-               weights, d_cut: float = 5.0) -> float:
-    """Truncated 6-12 energy, each unordered pair counted once."""
-    i, j, d, w = _pair_terms(positions, table, d_cut, weights, "vdw")
-    eps = np.sqrt(params.eps[i] * params.eps[j])
-    ratio6 = (params.R[i] + params.R[j]) ** 6 / d**6
-    return float(np.sum(w * eps * (ratio6 * ratio6 - 2.0 * ratio6)))
-
-
-def vdw_forces(positions, params: AtomParams, table: NeighborTable,
-               weights, d_cut: float = 5.0) -> np.ndarray:
-    """Per-atom van der Waals force vectors."""
-    i, j, d, w = _pair_terms(positions, table, d_cut, weights, "vdw")
-    eps = np.sqrt(params.eps[i] * params.eps[j])
-    dd = params.R[i] + params.R[j]
-    mag = 12.0 * w * eps * (dd**12 / d**13 - dd**6 / d**7)
-    return _accumulate(positions, i, j, d, mag)
-
-
-def _accumulate(positions, i, j, d, mag) -> np.ndarray:
-    return _accumulate_n(len(positions), positions, i, j, d, mag)
-
-
-def _accumulate_n(n, positions, i, j, d, mag) -> np.ndarray:
     """Scatter +/- mag * e_ij onto atoms i and j (action equals reaction)."""
     out = np.zeros((n, 3))
     if len(d) == 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -251,7 +251,7 @@ LOG_VERSION = "kinefold run log v1"
 
 @dataclass
 class RunLog:
-    """Per-iteration CSV logs plus snapshot bookkeeping.
+    """Per-iteration CSV logs plus snapshot PDBs.
 
     Deterministic quantities (energies, torque norm, dihedrals) go to
     ``log.csv`` and ``dihedrals.csv``; wall-clock phase timings go to
@@ -259,7 +259,6 @@ class RunLog:
     """
 
     out_dir: Path
-    snapshot_paths: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
@@ -291,7 +290,6 @@ class RunLog:
     def snapshot(self, chain, positions, tag) -> Path:
         path = self.out_dir / f"snap_{tag}.pdb"
         write_pdb(chain, positions, path)
-        self.snapshot_paths.append(str(path))
         return path
 
 

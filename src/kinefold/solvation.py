@@ -16,7 +16,7 @@ opposite force contributions of magnitude ``4 pi gamma_i R_off_i^2 /
 (N delta_r)``.  Contributions accumulate in 64-bit fixed point with a
 power-of-two quantum, so the pair writes cancel bitwise: total momentum
 is exactly zero and results are independent of accumulation order
-(and therefore of the thread schedule).
+(and therefore of how the atoms are split into blocks).
 
 Coverage of a sample by a neighbor is tested as a dot product against a
 per-neighbor threshold (see ``_coverage``); samples near the threshold
@@ -26,7 +26,6 @@ fall back to the distance test, so the states equal that test's.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ class SolvationConfig:
     samples: int = 1024
     sampling: str = "geodesic"   # or "random" (testing aid; needs larger N)
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if min(self.probe_radius, self.delta_r) <= 0 or self.samples < MIN_SAMPLES:
@@ -139,16 +137,11 @@ def check_cav_cutoff(params, config: SolvationConfig, d_cut_cav: float) -> None:
         )
 
 
-def _over_blocks(work, n: int, threads: int) -> list:
-    """``work(lo, hi)`` over contiguous atom blocks of at most _BLOCK_ATOMS
-    (at least one per thread), on ``threads`` workers; results in order."""
-    parts = max(threads, -(-n // _BLOCK_ATOMS), 1)
-    bounds = np.linspace(0, n, parts + 1).astype(int)
-    blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda ab: work(*ab), blocks))
-    return [work(lo, hi) for lo, hi in blocks]
+def _over_blocks(work, n: int) -> list:
+    """``work(lo, hi)`` over the fewest contiguous, near-equal atom blocks
+    of at most _BLOCK_ATOMS; results in order."""
+    bounds = np.linspace(0, n, -(-n // _BLOCK_ATOMS) + 1).astype(int)
+    return [work(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _sample_columns(points: np.ndarray) -> np.ndarray:
@@ -248,7 +241,7 @@ def sasa_pass(positions, params, neighbors, sphere: SampleSphere,
             critical[i, hit] = nb[np.argmax(cov[:, hit], axis=0)]
             covered[i] = np.count_nonzero(cnt)
 
-    _over_blocks(work, n, config.threads)
+    _over_blocks(work, n)
     f_exp = (nq - covered) / float(nq)
     a0 = 4.0 * math.pi * r_off2
     a_exp = f_exp * a0
@@ -349,5 +342,5 @@ def solvation_forces(positions, params, neighbors, sphere: SampleSphere,
         np.subtract.at(acc, (jo[e], axis), w_int[i[e]])
         return acc
 
-    acc = sum(_over_blocks(work, n, config.threads), np.zeros((n, 3), np.int64))
+    acc = sum(_over_blocks(work, n), np.zeros((n, 3), np.int64))
     return acc.astype(float) * quantum

@@ -31,9 +31,6 @@ class Cutoffs:
         if min(self.elec, self.vdw, self.cav) <= 0:
             raise ConfigurationError("cutoff distances must be positive")
 
-    def largest(self) -> float:
-        return max(self.elec, self.vdw, self.cav)
-
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -65,19 +62,6 @@ class HashGrid:
     def linear_ids(self, cells: np.ndarray) -> np.ndarray:
         d = self.dims
         return (cells[..., 0] * d[1] + cells[..., 1]) * d[2] + cells[..., 2]
-
-    @property
-    def buckets(self) -> dict[tuple[int, int, int], np.ndarray]:
-        """Occupied cells -> atom-index arrays (for inspection and tests)."""
-        out = {}
-        for k in range(len(self._occupied)):
-            members = self._atom_order[self._starts[k] : self._starts[k + 1]]
-            lin = int(self._occupied[k])
-            z = lin % self.dims[2]
-            y = (lin // self.dims[2]) % self.dims[1]
-            x = lin // (self.dims[1] * self.dims[2])
-            out[(int(x), int(y), int(z))] = members
-        return out
 
 
 def build_grid(positions: np.ndarray, config: GridConfig = GridConfig()) -> HashGrid:

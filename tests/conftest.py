@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import strategies as st
 
 from kinefold.chain import Conformation, build_chain
+from kinefold.forcefield import DielectricModel
 from kinefold.kcm import Field, FieldConfig
 from kinefold.pdbio import load_params
-from kinefold.topology import TreeWeights, build_tree
+from kinefold.spatial import Cutoffs, GridConfig
+from kinefold.topology import TreeWeights, UniformWeights, build_tree
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +37,21 @@ def make_field(chain, param_set, **cfg_kwargs):
     params = param_set.resolve(chain)
     weights = TreeWeights(build_tree(chain), param_set.weights)
     return Field(params, weights, FieldConfig(**cfg_kwargs))
+
+
+def pair_field(params, weights=UniformWeights(), dielectric=DielectricModel(),
+               **cutoffs):
+    """Vacuum field (elec and vdW terms) for a free cluster at
+    ``Cutoffs(**cutoffs)``."""
+    grid = GridConfig(cutoffs=Cutoffs(**cutoffs))
+    return Field(params, weights, FieldConfig(dielectric=dielectric, grid=grid))
+
+
+def only(params, term: str):
+    """``params`` with the other pair term silenced: eps = 0 leaves the
+    Coulomb term alone, q = 0 the van der Waals term."""
+    zero = np.zeros(params.n_atoms)
+    return replace(params, eps=zero) if term == "elec" else replace(params, q=zero)
 
 
 @pytest.fixture

@@ -10,8 +10,9 @@ import time
 import numpy as np
 import pytest
 
+from kinefold import solvation
 from kinefold.chain import Conformation, build_chain, forward_kinematics, kinematic_state
-from kinefold.forcefield import AtomParams, elec_forces, vdw_forces
+from kinefold.forcefield import AtomParams
 from kinefold.kcm import (
     StepConfig,
     fold,
@@ -28,9 +29,8 @@ from kinefold.solvation import (
     solvation_forces,
 )
 from kinefold.spatial import build_grid, build_neighbor_table, filtered_lists
-from kinefold.topology import UniformWeights
 
-from .conftest import make_field
+from .conftest import make_field, only, pair_field
 from .oracles import naive_solvation_forces, quadratic_joint_torques, two_sphere_exposed_area
 
 
@@ -188,9 +188,8 @@ def test_criterion_6_force_equilibrium():
                             R=rng.uniform(1.2, 2.0, 200),
                             eps=rng.uniform(0.02, 0.25, 200),
                             gamma=np.zeros(200), solv_class=("C",) * 200)
-        table = build_neighbor_table(build_grid(pos), 9.0)
-        fe = elec_forces(pos, params, table, UniformWeights(), 9.0)
-        fv = vdw_forces(pos, params, table, UniformWeights(), 5.0)
+        fe = pair_field(only(params, "elec"), elec=9.0).evaluate(pos).forces
+        fv = pair_field(only(params, "vdw"), vdw=5.0).evaluate(pos).forces
         for f in (fe, fv):
             worst = max(worst, np.abs(f.sum(0)).max() / max(np.abs(f).max(), 1.0))
     report(6, worst < 1e-9, f"largest residual momentum {worst:.2e} relative")
@@ -300,21 +299,26 @@ def test_criterion_10_scaling(param_set):
 
 
 # --------------------------------------------------------------------------
-# 11. thread count never changes exposure states; forces within 1e-6
+# 11. the atom-block partition never changes exposure states; forces within
+#     1e-6
 # --------------------------------------------------------------------------
 
-def test_criterion_11_parallel_consistency(param_set):
+def test_criterion_11_block_partition_invariance(param_set, monkeypatch):
     ch = build_chain(["SER", "ALA", "CYS"] * 6)
     params = param_set.resolve(ch)
     pos = forward_kinematics(ch, ch.conf_zp())
     lists = filtered_lists(build_neighbor_table(build_grid(pos), 8.0), pos, 8.0)
     sphere = generate_samples(1024)
-    base_cfg = SolvationConfig(samples=1024, threads=1)
-    res1, st1 = sasa_pass(pos, params, lists, sphere, base_cfg)
-    f1 = solvation_forces(pos, params, lists, sphere, st1, base_cfg)
+    cfg = SolvationConfig(samples=1024)
+    n = len(pos)
+    monkeypatch.setattr(solvation, "_BLOCK_ATOMS", n)
+    res1, st1 = sasa_pass(pos, params, lists, sphere, cfg)
+    f1 = solvation_forces(pos, params, lists, sphere, st1, cfg)
     ok = True
-    for threads in (2, 4, 7):
-        cfg = SolvationConfig(samples=1024, threads=threads)
+    for blocks in (2, 4, 7):
+        size = -(-n // blocks)
+        assert -(-n // size) == blocks
+        monkeypatch.setattr(solvation, "_BLOCK_ATOMS", size)
         res_t, st_t = sasa_pass(pos, params, lists, sphere, cfg)
         f_t = solvation_forces(pos, params, lists, sphere, st_t, cfg)
         ok &= bool(np.array_equal(st1.counts, st_t.counts))
@@ -323,7 +327,7 @@ def test_criterion_11_parallel_consistency(param_set):
         scale = max(np.abs(f1).max(), 1e-12)
         ok &= bool(np.abs(f_t - f1).max() <= 1e-6 * scale)
     report(11, ok, "exposure states identical and forces within 1e-6 "
-                   "for 2, 4, and 7 threads")
+                   f"for {n} atoms in 1, 2, 4, and 7 blocks")
 
 
 # --------------------------------------------------------------------------

@@ -124,6 +124,15 @@ def test_sasa_matches_module(tmp_path):
     assert table_total == pytest.approx(res.a_exp.sum(), rel=1e-9)
 
 
+def test_sasa_rejects_short_cavity_cutoff(tmp_path, capsys):
+    # the same guard as fold --water: a cutoff below 2(R_max + probe) would
+    # silently drop overlapping offset spheres
+    rc = main(["sasa", "--seq", "GSAG", "--samples", "256", "--cutoffs", "9,5,3",
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "cavity cutoff" in capsys.readouterr().err
+
+
 def test_bench_rows_and_trend(tmp_path):
     out = tmp_path / "b"
     rc = main(["bench", "--sizes", "20,40,80", "--repeat", "2", "--out", str(out)])

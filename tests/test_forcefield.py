@@ -7,15 +7,11 @@ from kinefold.forcefield import (
     AtomParams,
     DielectricModel,
     EnergyBreakdown,
-    elec_energy,
-    elec_forces,
-    vdw_energy,
-    vdw_forces,
 )
-from kinefold.spatial import build_grid, build_neighbor_table
 from kinefold.topology import UniformWeights
 
 from . import oracles
+from .conftest import only, pair_field
 
 
 def cluster_params(n, rng, charged=True):
@@ -39,11 +35,13 @@ def spread_cluster(rng, n, side, min_d=1.6):
     return np.array(pts)
 
 
-def table_for(pos, d_cut):
-    return build_neighbor_table(build_grid(pos), d_cut)
+def energy(pos, params, weights=UniformWeights(), **kw):
+    return pair_field(params, weights, **kw).evaluate(pos, energy_only=True).energy
 
 
-W1 = UniformWeights()
+def forces(pos, params, term, weights=UniformWeights(), **kw):
+    """Forces of one pair term: the other is silenced in ``params``."""
+    return pair_field(only(params, term), weights, **kw).evaluate(pos).forces
 
 
 def test_zero_charge_no_contribution(rng):
@@ -51,30 +49,28 @@ def test_zero_charge_no_contribution(rng):
     params = AtomParams(q=np.array([0.0, 1.0]), R=np.ones(2) * 1.5,
                         eps=np.ones(2) * 0.1, gamma=np.zeros(2),
                         solv_class=("C", "C"))
-    f = elec_forces(pos, params, table_for(pos, 9.0), W1)
+    f = forces(pos, params, "elec")
     assert np.allclose(f, 0.0)
-    assert elec_energy(pos, params, table_for(pos, 9.0), W1) == 0.0
+    assert energy(pos, params).g_elec == 0.0
 
 
 def test_beyond_cutoff_zero():
     pos = np.array([[0.0, 0.0, 0.0], [9.5, 0.0, 0.0]])
     params = AtomParams(q=np.ones(2), R=np.ones(2) * 1.5, eps=np.ones(2) * 0.1,
                         gamma=np.zeros(2), solv_class=("C", "C"))
-    t = table_for(pos, 9.0)
-    assert elec_energy(pos, params, t, W1, 9.0) == 0.0
-    assert np.allclose(elec_forces(pos, params, t, W1, 9.0), 0.0)
+    assert energy(pos, params, elec=9.0).g_elec == 0.0
+    assert np.allclose(forces(pos, params, "elec", elec=9.0), 0.0)
 
 
 def test_unit_charges_hand_value():
     pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     params = AtomParams(q=np.ones(2), R=np.ones(2) * 1.5, eps=np.ones(2) * 0.1,
                         gamma=np.zeros(2), solv_class=("C", "C"))
-    t = table_for(pos, 9.0)
-    f = elec_forces(pos, params, t, W1)
+    f = forces(pos, params, "elec")
     want = oracles.pair_elec_force(1.0, 1.0, 3.0, kappa=3.0)
     assert f[0, 0] == pytest.approx(-want, rel=1e-12)
     assert f[1, 0] == pytest.approx(want, rel=1e-12)
-    e = elec_energy(pos, params, t, W1)
+    e = energy(pos, params).g_elec
     assert e == pytest.approx(oracles.pair_elec_energy(1.0, 1.0, 3.0, kappa=3.0))
     assert e == pytest.approx(COULOMB_K / 9.0)
 
@@ -84,14 +80,13 @@ def test_opposite_charges_negative_energy():
     params = AtomParams(q=np.array([1.0, -1.0]), R=np.ones(2) * 1.5,
                         eps=np.ones(2) * 0.1, gamma=np.zeros(2),
                         solv_class=("C", "C"))
-    assert elec_energy(pos, params, table_for(pos, 9.0), W1) < 0
+    assert energy(pos, params).g_elec < 0
 
 
 def test_elec_energy_matches_brute(rng):
     pos = spread_cluster(rng, 20, 11.0)
     params = cluster_params(20, rng)
-    t = table_for(pos, 9.0)
-    got = elec_energy(pos, params, t, W1, 9.0)
+    got = energy(pos, params, elec=9.0).g_elec
     want = oracles.brute_elec_energy(pos, params.q, 9.0, lambda d: d)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -101,9 +96,9 @@ def test_vdw_zero_force_at_minimum():
     params = AtomParams(q=np.zeros(2), R=np.array([1.5, 1.5]),
                         eps=np.array([0.2, 0.2]), gamma=np.zeros(2),
                         solv_class=("C", "C"))
-    f = vdw_forces(pos, params, table_for(pos, 5.0), W1)
+    f = forces(pos, params, "vdw")
     assert np.abs(f).max() < 1e-12
-    e = vdw_energy(pos, params, table_for(pos, 5.0), W1)
+    e = energy(pos, params).g_vdw
     assert e == pytest.approx(-0.2)
 
 
@@ -112,15 +107,14 @@ def test_vdw_repulsive_inside_minimum():
     params = AtomParams(q=np.zeros(2), R=np.array([1.5, 1.5]),
                         eps=np.array([0.2, 0.2]), gamma=np.zeros(2),
                         solv_class=("C", "C"))
-    f = vdw_forces(pos, params, table_for(pos, 5.0), W1)
+    f = forces(pos, params, "vdw")
     assert f[0, 0] < 0 and f[1, 0] > 0  # pushed apart
 
 
 def test_vdw_energy_matches_brute(rng):
     pos = spread_cluster(rng, 18, 9.0, min_d=2.2)
     params = cluster_params(18, rng, charged=False)
-    t = table_for(pos, 5.0)
-    got = vdw_energy(pos, params, t, W1, 5.0)
+    got = energy(pos, params, vdw=5.0).g_vdw
     want = oracles.brute_vdw_energy(pos, params.eps, params.R, 5.0)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -129,15 +123,14 @@ def test_vdw_beyond_cutoff_zero():
     pos = np.array([[0.0, 0.0, 0.0], [5.5, 0.0, 0.0]])
     params = AtomParams(q=np.zeros(2), R=np.ones(2), eps=np.ones(2) * 0.1,
                         gamma=np.zeros(2), solv_class=("C", "C"))
-    assert vdw_energy(pos, params, table_for(pos, 5.0), W1, 5.0) == 0.0
+    assert energy(pos, params, vdw=5.0).g_vdw == 0.0
 
 
 def test_newton_third_law(rng):
     pos = spread_cluster(rng, 60, 14.0)
     params = cluster_params(60, rng)
-    t = table_for(pos, 9.0)
-    fe = elec_forces(pos, params, t, W1, 9.0)
-    fv = vdw_forces(pos, params, t, W1, 5.0)
+    fe = forces(pos, params, "elec", elec=9.0)
+    fv = forces(pos, params, "vdw", vdw=5.0)
     for f in (fe, fv):
         scale = np.abs(f).max()
         assert np.abs(f.sum(axis=0)).max() < 1e-9 * max(scale, 1.0)
@@ -148,19 +141,18 @@ def test_force_energy_consistency_constant_dielectric(rng):
     dielectric = DielectricModel(mode="constant", kappa=2.0)
     pos = spread_cluster(rng, 8, 6.5, min_d=2.0)
     params = cluster_params(8, rng)
-    d_cut = 50.0  # everything well inside the cutoff
+    cut = {"elec": 50.0, "vdw": 50.0}  # everything well inside the cutoffs
     h = 1e-5
-    t = table_for(pos, d_cut)
-    f_e = elec_forces(pos, params, t, W1, d_cut, dielectric)
-    f_v = vdw_forces(pos, params, t, W1, d_cut)
+    f_e = forces(pos, params, "elec", dielectric=dielectric, **cut)
+    f_v = forces(pos, params, "vdw", **cut)
     for a in (0, 3):
         for s in range(3):
             plus = pos.copy(); plus[a, s] += h
             minus = pos.copy(); minus[a, s] -= h
-            ge = (elec_energy(plus, params, table_for(plus, d_cut), W1, d_cut, dielectric)
-                  - elec_energy(minus, params, table_for(minus, d_cut), W1, d_cut, dielectric))
-            gv = (vdw_energy(plus, params, table_for(plus, d_cut), W1, d_cut)
-                  - vdw_energy(minus, params, table_for(minus, d_cut), W1, d_cut))
+            e_plus = energy(plus, params, dielectric=dielectric, **cut)
+            e_minus = energy(minus, params, dielectric=dielectric, **cut)
+            ge = e_plus.g_elec - e_minus.g_elec
+            gv = e_plus.g_vdw - e_minus.g_vdw
             assert -ge / (2 * h) == pytest.approx(f_e[a, s], rel=1e-4, abs=1e-7)
             assert -gv / (2 * h) == pytest.approx(f_v[a, s], rel=1e-4, abs=1e-7)
 
@@ -169,19 +161,18 @@ def test_weight_gating_zeroes_everything(rng):
     pos = spread_cluster(rng, 12, 8.0)
     params = cluster_params(12, rng)
     zero = UniformWeights(0.0)
-    t = table_for(pos, 9.0)
-    assert elec_energy(pos, params, t, zero) == 0.0
-    assert vdw_energy(pos, params, t, zero) == 0.0
-    assert np.allclose(elec_forces(pos, params, t, zero), 0.0)
-    assert np.allclose(vdw_forces(pos, params, t, zero), 0.0)
+    e = energy(pos, params, zero)
+    assert e.g_elec == 0.0
+    assert e.g_vdw == 0.0
+    assert np.allclose(forces(pos, params, "elec", zero), 0.0)
+    assert np.allclose(forces(pos, params, "vdw", zero), 0.0)
 
 
 def test_truncation_reaches_untruncated_limit(rng):
     pos = spread_cluster(rng, 15, 7.0)
     params = cluster_params(15, rng)
     diameter = np.linalg.norm(pos.max(0) - pos.min(0)) + 1.0
-    t = table_for(pos, diameter)
-    got = elec_energy(pos, params, t, W1, diameter)
+    got = energy(pos, params, elec=diameter).g_elec
     want = oracles.brute_elec_energy(pos, params.q, np.inf, lambda d: d)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -191,7 +182,7 @@ def test_coincident_atoms_raise():
     params = AtomParams(q=np.ones(2), R=np.ones(2), eps=np.ones(2) * 0.1,
                         gamma=np.zeros(2), solv_class=("C", "C"))
     with pytest.raises(StericClashError):
-        elec_forces(pos, params, table_for(pos, 9.0), W1)
+        forces(pos, params, "elec")
 
 
 def test_energy_breakdown_sums():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinefold import solvation
 from kinefold.errors import ConfigurationError
 from kinefold.forcefield import AtomParams
 from kinefold.kcm import _brute_table
@@ -253,7 +254,7 @@ def test_forces_match_energy_forward_difference(rng):
                 assert abs(f[a, s] - fd) <= tol
 
 
-def test_parallel_schedule_identical(rng):
+def test_block_partition_identical(rng, monkeypatch):
     n = 24
     pos = rng.uniform(0, 9, (n, 3))
     params = make_params(n, rng)
@@ -261,16 +262,17 @@ def test_parallel_schedule_identical(rng):
                                size=min(10, n - 1), replace=False))
             for i in range(n)]
     sp = generate_samples(512)
-    seq_cfg = SolvationConfig(samples=512, threads=1)
-    par_cfg = SolvationConfig(samples=512, threads=4)
-    res1, st1 = sasa_pass(pos, params, nbrs, sp, seq_cfg)
-    res4, st4 = sasa_pass(pos, params, nbrs, sp, par_cfg)
-    assert np.array_equal(st1.counts, st4.counts)
-    assert np.array_equal(st1.critical, st4.critical)
-    assert np.array_equal(res1.f_exp, res4.f_exp)
-    f1 = solvation_forces(pos, params, nbrs, sp, st1, seq_cfg)
-    f4 = solvation_forces(pos, params, nbrs, sp, st4, par_cfg)
-    assert np.array_equal(f1, f4)  # fixed point: order independent
+    cfg = SolvationConfig(samples=512)
+    res1, st1 = sasa_pass(pos, params, nbrs, sp, cfg)
+    f1 = solvation_forces(pos, params, nbrs, sp, st1, cfg)
+    for size in (12, 6, 4, 1):  # 2, 4, 6 and 24 blocks against one
+        monkeypatch.setattr(solvation, "_BLOCK_ATOMS", size)
+        res_b, st_b = sasa_pass(pos, params, nbrs, sp, cfg)
+        assert np.array_equal(st1.counts, st_b.counts)
+        assert np.array_equal(st1.critical, st_b.critical)
+        assert np.array_equal(res1.f_exp, res_b.f_exp)
+        f_b = solvation_forces(pos, params, nbrs, sp, st_b, cfg)
+        assert np.array_equal(f1, f_b)  # fixed point: order independent
 
 
 # ---- screened coverage vs the distance test ------------------------------
