@@ -79,14 +79,16 @@ class EnergyBreakdown:
 
 
 def extract_pairs(positions, table: NeighborTable, d_cut: float):
-    """Exact cut-off pairs (i < j, distances) with the steric-clash guard."""
-    i, j, d = filtered_pairs(table, positions, d_cut)
+    """Exact cut-off pairs (i < j, sorted by (i, j)) with squared
+    distances and distances, after the steric-clash guard."""
+    i, j, d2 = filtered_pairs(table, positions, d_cut)
+    d = np.sqrt(d2)
     if len(d) and float(d.min()) < MIN_DISTANCE:
         k = int(np.argmin(d))
         raise StericClashError(
             f"atoms {i[k]} and {j[k]} closer than {MIN_DISTANCE} A (d={d[k]:.3e})"
         )
-    return i, j, d
+    return i, j, d2, d
 
 
 def elec_pair_quantities(params, i, j, d, w, dielectric):

@@ -111,23 +111,32 @@ class Field:
         table, t_hash = self._neighbor_table(positions)
         n = len(positions)
 
-        # one pair extraction serves both terms: exact per-term filtering
-        # is a cheap mask over the shared (i, j, d) arrays
+        # one pass over the table's pairs: one distance pass at the largest
+        # active cutoff, one classification, one force scatter of the
+        # summed elec and vdW magnitudes, and the cavity lists below from
+        # the same arrays.  Each term masks its own cutoff; the elec and
+        # vdW masks also require d2 <= max(elec, vdw)^2, so both terms see
+        # the same pairs whether or not the cavity cutoff is the largest.
         t0 = time.perf_counter()
-        i, j, d = extract_pairs(positions, table, max(cut.elec, cut.vdw))
-        forces = np.zeros((n, 3))
-        ke = d <= cut.elec
-        we = self.weights.weights_for(i[ke], j[ke], "elec")
+        i, j, d2, d = extract_pairs(positions, table, cfg.active_cutoff())
+        r = max(cut.elec, cut.vdw)
+        kf = d2 <= r * r
+        ke = kf & (d <= cut.elec)
+        kv = kf & (d <= cut.vdw)
+        w = self.weights.weights_for(i, j)
         e_elec, mag_e = elec_pair_quantities(self.params, i[ke], j[ke], d[ke],
-                                             we, cfg.dielectric)
+                                             w[ke, 0], cfg.dielectric)
         g_elec = float(e_elec.sum())
-        kv = d <= cut.vdw
-        wv = self.weights.weights_for(i[kv], j[kv], "vdw")
-        e_vdw, mag_v = vdw_pair_quantities(self.params, i[kv], j[kv], d[kv], wv)
+        e_vdw, mag_v = vdw_pair_quantities(self.params, i[kv], j[kv], d[kv],
+                                           w[kv, 1])
         g_vdw = float(e_vdw.sum())
-        if not energy_only:
-            forces += accumulate_pair_forces(n, positions, i[ke], j[ke], d[ke], mag_e)
-            forces += accumulate_pair_forces(n, positions, i[kv], j[kv], d[kv], mag_v)
+        if energy_only:
+            forces = np.zeros((n, 3))
+        else:
+            mag = np.zeros(len(d))
+            mag[ke] = mag_e
+            mag[kv] += mag_v
+            forces = accumulate_pair_forces(n, positions, i, j, d, mag)
         t_force = time.perf_counter() - t0
 
         g_cav = 0.0
@@ -136,7 +145,8 @@ class Field:
         if cfg.solvation:
             t0 = time.perf_counter()
             check_cav_cutoff(self.params, cfg.solvation_cfg, cut.cav)
-            cav_lists = filtered_lists(table, positions, cut.cav)
+            kc = d2 <= cut.cav * cut.cav
+            cav_lists = filtered_lists(n, i[kc], j[kc])
             sasa, states = sasa_pass(positions, self.params, cav_lists,
                                      self.sphere(), cfg.solvation_cfg)
             g_cav = sasa.g_cav
@@ -155,15 +165,11 @@ class Field:
 
 
 def _brute_table(positions, d_cut: float) -> NeighborTable:
-    """All-pairs neighbor lists: the quadratic baseline (no hashing)."""
-    n = len(positions)
+    """All-pairs half table: the quadratic baseline (no hashing).  The
+    brute-force pairs are already sorted by (i, j)."""
     i, j, _ = brute_force_pairs(positions, d_cut)
-    both_i = np.concatenate([i, j])
-    both_j = np.concatenate([j, i])
-    order = np.lexsort((both_j, both_i))
-    both_i, both_j = both_i[order], both_j[order]
-    offsets = np.searchsorted(both_i, np.arange(n + 1))
-    return NeighborTable(d_cut=float(d_cut), offsets=offsets, neighbors=both_j)
+    offsets = np.searchsorted(i, np.arange(len(positions) + 1))
+    return NeighborTable(offsets=offsets, neighbors=j)
 
 
 # --------------------------------------------------------------------------

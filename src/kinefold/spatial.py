@@ -6,8 +6,14 @@ query gathers every bucket whose center lies within
 ``d_cut + sqrt(3) * cell`` of the query cell center; the extra cell
 diagonal covers the worst-case offset between atom and cell centers, so
 the gathered set is a strict superset of the true cut-off neighborhood.
-Exact distance filtering happens at use time, which keeps downstream
-force sums identical to their brute-force definitions.
+
+The table is a half table: each candidate pair is stored once, as
+j > i in row i, and rows ascend, so the pairs come out sorted by (i, j)
+just as ``brute_force_pairs`` lists them.  Exact distance filtering
+happens at use time, once per evaluation at the largest active cut-off
+(``filtered_pairs``), which keeps downstream force sums identical to
+their brute-force definitions; ``filtered_lists`` turns such pairs into
+symmetric per-atom rows without another distance pass.
 """
 
 from __future__ import annotations
@@ -47,21 +53,15 @@ class GridConfig:
 class HashGrid:
     cell_size: float
     r_min: np.ndarray
-    r_max: np.ndarray
     dims: np.ndarray                  # cells per axis
     cell_index: np.ndarray            # (n, 3) integer cell of each atom
     _occupied: np.ndarray = field(repr=False)      # sorted linear ids
     _starts: np.ndarray = field(repr=False)        # CSR starts into _atom_order
     _atom_order: np.ndarray = field(repr=False)    # atoms sorted by cell id
-    positions: np.ndarray = field(repr=False)
 
     @property
     def n_atoms(self) -> int:
         return len(self._atom_order)
-
-    def linear_ids(self, cells: np.ndarray) -> np.ndarray:
-        d = self.dims
-        return (cells[..., 0] * d[1] + cells[..., 1]) * d[2] + cells[..., 2]
 
 
 def build_grid(positions: np.ndarray, config: GridConfig = GridConfig()) -> HashGrid:
@@ -88,21 +88,20 @@ def build_grid(positions: np.ndarray, config: GridConfig = GridConfig()) -> Hash
     return HashGrid(
         cell_size=float(cell),
         r_min=r_min,
-        r_max=r_max,
         dims=dims,
         cell_index=cells,
         _occupied=occupied,
         _starts=starts,
         _atom_order=order,
-        positions=positions,
     )
 
 
 @dataclass
 class NeighborTable:
-    """Per-atom superset neighbor lists (sorted, self excluded)."""
+    """Half table of superset candidate pairs: row i holds the candidates
+    j > i, ascending, so every unordered pair is stored once and
+    ``pairs()`` comes out sorted by (i, j)."""
 
-    d_cut: float
     offsets: np.ndarray    # CSR offsets, length n+1
     neighbors: np.ndarray  # concatenated neighbor indices
 
@@ -110,18 +109,10 @@ class NeighborTable:
     def n_atoms(self) -> int:
         return len(self.offsets) - 1
 
-    def list_of(self, i: int) -> np.ndarray:
-        return self.neighbors[self.offsets[i] : self.offsets[i + 1]]
-
-    def lists(self) -> list[np.ndarray]:
-        return [self.list_of(i) for i in range(self.n_atoms)]
-
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unordered candidate pairs (i < j), each once."""
+        """Unordered candidate pairs (i < j), each once, sorted by (i, j)."""
         i = np.repeat(np.arange(self.n_atoms), np.diff(self.offsets))
-        j = self.neighbors
-        keep = j > i
-        return i[keep], j[keep]
+        return i, self.neighbors
 
 
 def _stencil(cell: float, d_cut: float) -> np.ndarray:
@@ -145,7 +136,8 @@ def _segment_arange(lengths: np.ndarray) -> np.ndarray:
 
 
 def build_neighbor_table(grid: HashGrid, d_cut: float) -> NeighborTable:
-    """Superset neighbor lists for one cut-off; expected O(n) overall."""
+    """Half table of superset candidate pairs for one cut-off; expected
+    O(n) overall."""
     if d_cut <= 0:
         raise ConfigurationError("cutoff must be positive")
     n = grid.n_atoms
@@ -181,62 +173,53 @@ def build_neighbor_table(grid: HashGrid, d_cut: float) -> NeighborTable:
     counts = starts[1:] - starts[:-1]
     atom_order = grid._atom_order
 
-    # flat gather: members of every found destination cell, grouped by source
+    # flat gather: members of every found destination cell, grouped by
+    # source cell, then sorted within each source segment by one sort of
+    # the key (segment, atom)
     dst_len = counts[dst_cell]
     flat_gather = atom_order[np.repeat(starts[dst_cell], dst_len) + _segment_arange(dst_len)]
     gather_per_src = np.bincount(src_cell, weights=dst_len, minlength=n_occ).astype(np.int64)
-    # sort each source segment so per-atom rows come out ascending
-    seg_id = np.repeat(np.arange(n_occ), gather_per_src)
-    flat_gather = flat_gather[np.lexsort((flat_gather, seg_id))]
+    seg_key = np.repeat(np.arange(n_occ) * n, gather_per_src)
+    keys = np.sort(seg_key + flat_gather)
+    flat_gather = keys - seg_key
+    seg_end = np.cumsum(gather_per_src)
 
-    # every atom of a source cell sees that cell's gathered segment
-    row_len = np.repeat(gather_per_src, counts)            # per atom, self included
-    seg_begin = np.concatenate(([0], np.cumsum(gather_per_src)))
-    row_begin = np.repeat(seg_begin[:-1], counts)
-    entries_j = flat_gather[np.repeat(row_begin, row_len) + _segment_arange(row_len)]
-    entries_i = np.repeat(atom_order, row_len)
-    keep = entries_j != entries_i                          # drop self
-    entries_i = entries_i[keep]
-    entries_j = entries_j[keep]
-
-    # rows are grouped by atom_order; re-key CSR by atom index
-    lengths = np.zeros(n, np.int64)
-    lengths[atom_order] = row_len - 1
+    # atom i's row is the part of its cell's segment above i: a suffix,
+    # found by one search for the key (cell of i, i)
+    cell_of = np.empty(n, np.int64)
+    cell_of[atom_order] = np.repeat(np.arange(n_occ), counts)
+    row_begin = np.searchsorted(keys, cell_of * n + np.arange(n), side="right")
+    lengths = seg_end[cell_of] - row_begin
     offsets = np.zeros(n + 1, np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    flat = np.empty(len(entries_j), np.int64)
-    # scatter each row into its final slot
-    row_starts_src = np.concatenate(([0], np.cumsum(row_len - 1)))
-    dest_index = np.repeat(
-        offsets[atom_order] - row_starts_src[:-1], row_len - 1
-    ) + np.arange(len(entries_j), dtype=np.int64)
-    flat[dest_index] = entries_j
-    return NeighborTable(d_cut=float(d_cut), offsets=offsets, neighbors=flat)
+    neighbors = flat_gather[np.repeat(row_begin - offsets[:-1], lengths)
+                            + np.arange(offsets[-1], dtype=np.int64)]
+    return NeighborTable(offsets=offsets, neighbors=neighbors)
 
 
 def filtered_pairs(
     table: NeighborTable, positions: np.ndarray, d_cut: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact cut-off pairs (i < j) from the superset table, with distances."""
+    """Exact cut-off pairs (i < j, sorted by (i, j)) from the superset
+    table, with squared distances."""
     i, j = table.pairs()
     diff = positions[i] - positions[j]
     d2 = np.einsum("ij,ij->i", diff, diff)
     keep = d2 <= d_cut * d_cut
-    return i[keep], j[keep], np.sqrt(d2[keep])
+    return i[keep], j[keep], d2[keep]
 
 
-def filtered_lists(
-    table: NeighborTable, positions: np.ndarray, d_cut: float
-) -> list[np.ndarray]:
-    """Per-atom exact cut-off neighbor lists, ascending as the table rows are."""
-    n = table.n_atoms
-    i = np.repeat(np.arange(n), np.diff(table.offsets))
-    j = table.neighbors
-    diff = positions[i] - positions[j]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    keep = d2 <= d_cut * d_cut
-    row_ends = np.cumsum(np.bincount(i[keep], minlength=n))
-    return np.split(j[keep], row_ends[:-1])
+def filtered_lists(n: int, i: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+    """Per-atom neighbor lists of the pairs (i < j, sorted by (i, j)).
+
+    A stable sort of the rows ``[j, i]`` symmetrises the pairs: row a
+    first gets the partners i < a of the pairs (i, a), in ascending i,
+    then the partners j > a of the pairs (a, j), in ascending j, so every
+    row comes out ascending."""
+    rows = np.concatenate([j, i])
+    order = np.argsort(rows, kind="stable")
+    row_ends = np.cumsum(np.bincount(rows, minlength=n))
+    return np.split(np.concatenate([i, j])[order], row_ends[:-1])
 
 
 def brute_force_pairs(

@@ -46,28 +46,16 @@ class WeightTable:
             if not 0.0 <= v <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {v}")
 
-    def elec(self, cls: InteractionClass) -> float:
-        return {
-            InteractionClass.BONDED12: 0.0,
-            InteractionClass.PAIR13: self.w13_elec,
-            InteractionClass.PAIR14: self.w14_elec,
-            InteractionClass.FULL: 1.0,
-        }[cls]
-
-    def vdw(self, cls: InteractionClass) -> float:
-        return {
-            InteractionClass.BONDED12: 0.0,
-            InteractionClass.PAIR13: self.w13_vdw,
-            InteractionClass.PAIR14: self.w14_vdw,
-            InteractionClass.FULL: 1.0,
-        }[cls]
-
-    def elec_by_class(self) -> np.ndarray:
-        """Weight indexed by InteractionClass value (index 0 unused)."""
-        return np.array([np.nan, 0.0, self.w13_elec, self.w14_elec, 1.0])
-
-    def vdw_by_class(self) -> np.ndarray:
-        return np.array([np.nan, 0.0, self.w13_vdw, self.w14_vdw, 1.0])
+    def by_class(self) -> np.ndarray:
+        """(5, 2) elec/vdW weights indexed by InteractionClass value (row 0
+        unused)."""
+        return np.array([
+            [np.nan, np.nan],
+            [0.0, 0.0],
+            [self.w13_elec, self.w13_vdw],
+            [self.w14_elec, self.w14_vdw],
+            [1.0, 1.0],
+        ])
 
 
 @dataclass
@@ -189,10 +177,9 @@ class TreeWeights:
     tree: BondTree
     table: WeightTable = WeightTable()
 
-    def weights_for(self, i: np.ndarray, j: np.ndarray, kind: str) -> np.ndarray:
-        cls = classify_pairs(self.tree, i, j)
-        by = self.table.elec_by_class() if kind == "elec" else self.table.vdw_by_class()
-        return by[cls]
+    def weights_for(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """(m, 2) elec/vdW weights of the pairs, from one classification."""
+        return self.table.by_class()[classify_pairs(self.tree, i, j)]
 
 
 @dataclass(frozen=True)
@@ -201,5 +188,5 @@ class UniformWeights:
 
     value: float = 1.0
 
-    def weights_for(self, i, j, kind: str) -> np.ndarray:
-        return np.full(np.asarray(i).shape, self.value)
+    def weights_for(self, i, j) -> np.ndarray:
+        return np.full((len(i), 2), self.value)

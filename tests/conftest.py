@@ -9,7 +9,7 @@ from kinefold.chain import Conformation, build_chain
 from kinefold.forcefield import DielectricModel
 from kinefold.kcm import Field, FieldConfig
 from kinefold.pdbio import load_params
-from kinefold.spatial import Cutoffs, GridConfig
+from kinefold.spatial import Cutoffs, GridConfig, filtered_lists, filtered_pairs
 from kinefold.topology import TreeWeights, UniformWeights, build_tree
 
 
@@ -52,6 +52,19 @@ def only(params, term: str):
     Coulomb term alone, q = 0 the van der Waals term."""
     zero = np.zeros(params.n_atoms)
     return replace(params, eps=zero) if term == "elec" else replace(params, q=zero)
+
+
+def cutoff_lists(table, positions, d_cut):
+    """Ascending per-atom neighbor lists at ``d_cut``: the table's pairs
+    with ``d2 <= d_cut**2``, symmetrised as ``Field.evaluate`` builds the
+    cavity lists."""
+    i, j, _ = filtered_pairs(table, positions, d_cut)
+    return filtered_lists(table.n_atoms, i, j)
+
+
+def table_rows(table):
+    """The half table's rows: row i holds the candidates j > i."""
+    return np.split(table.neighbors, table.offsets[1:-1])
 
 
 @pytest.fixture

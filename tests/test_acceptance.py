@@ -28,9 +28,9 @@ from kinefold.solvation import (
     sasa_pass,
     solvation_forces,
 )
-from kinefold.spatial import build_grid, build_neighbor_table, filtered_lists
+from kinefold.spatial import build_grid, build_neighbor_table
 
-from .conftest import make_field, only, pair_field
+from .conftest import cutoff_lists, make_field, only, pair_field
 from .oracles import naive_solvation_forces, quadratic_joint_torques, two_sphere_exposed_area
 
 
@@ -65,7 +65,7 @@ def test_criterion_1_neighbor_oracle():
         grid = build_grid(pos)
         for d_cut in cutoffs:
             table = build_neighbor_table(grid, d_cut)
-            got = filtered_lists(table, pos, d_cut)
+            got = cutoff_lists(table, pos, d_cut)
             want_mask = d2 <= d_cut * d_cut
             for i in range(500):
                 if not np.array_equal(got[i], np.flatnonzero(want_mask[i])):
@@ -307,7 +307,7 @@ def test_criterion_11_block_partition_invariance(param_set, monkeypatch):
     ch = build_chain(["SER", "ALA", "CYS"] * 6)
     params = param_set.resolve(ch)
     pos = forward_kinematics(ch, ch.conf_zp())
-    lists = filtered_lists(build_neighbor_table(build_grid(pos), 8.0), pos, 8.0)
+    lists = cutoff_lists(build_neighbor_table(build_grid(pos), 8.0), pos, 8.0)
     sphere = generate_samples(1024)
     cfg = SolvationConfig(samples=1024)
     n = len(pos)

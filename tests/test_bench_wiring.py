@@ -42,3 +42,17 @@ def test_evaluate_calls_every_phase_layer(ala2, param_set):
     seen = {span[0] for span in rec.spans}
     for phase in ("hash", "force", "solvation"):
         assert set(spans.PHASES[phase]) <= seen, phase
+
+
+def test_evaluate_is_one_pass_over_the_pairs(ala2, param_set):
+    """One solvated evaluation extracts, classifies, scatters and lists the
+    pairs once each."""
+    field = make_field(ala2, param_set, solvation=True,
+                       solvation_cfg=SolvationConfig(samples=64))
+    positions = forward_kinematics(ala2, ala2.conf_zp())
+    with spans.Recorder() as rec:
+        field.evaluate(positions)
+    names = [span[0] for span in rec.spans]
+    for name in ("forcefield.extract_pairs", "topology.weights_for",
+                 "forcefield.accumulate", "spatial.filtered_lists"):
+        assert names.count(name) == 1, (name, names.count(name))

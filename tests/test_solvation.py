@@ -20,9 +20,10 @@ from kinefold.solvation import (
     sasa_pass,
     solvation_forces,
 )
-from kinefold.spatial import build_grid, build_neighbor_table, filtered_lists
+from kinefold.spatial import build_grid, build_neighbor_table
 
 from . import oracles
+from .conftest import cutoff_lists
 
 
 def make_params(n, rng=None, gamma=None, radius=None):
@@ -374,7 +375,7 @@ def test_neighbor_at_exact_cutoff_matches_oracle():
     check_cav_cutoff(params, cfg, 8.0)
     for table in (build_neighbor_table(build_grid(pos), 8.0),
                   _brute_table(pos, 8.0)):
-        nbrs = filtered_lists(table, pos, 8.0)
+        nbrs = cutoff_lists(table, pos, 8.0)
         assert nbrs[0].tolist() == [1, 2]
         states = assert_matches_distance_oracle(pos, params, nbrs, axis_sphere(),
                                                 cfg)

@@ -124,10 +124,11 @@ def test_build_allocates_linearly():
 
 def test_weight_table_pins_ends():
     wt = WeightTable(w13_elec=0.2, w14_elec=0.7)
-    assert wt.elec(InteractionClass.BONDED12) == 0.0
-    assert wt.elec(InteractionClass.FULL) == 1.0
-    assert wt.elec(InteractionClass.PAIR13) == pytest.approx(0.2)
-    assert wt.vdw(InteractionClass.PAIR14) == pytest.approx(0.5)
+    by = wt.by_class()
+    assert by[InteractionClass.BONDED12, 0] == 0.0
+    assert by[InteractionClass.FULL, 0] == 1.0
+    assert by[InteractionClass.PAIR13, 0] == pytest.approx(0.2)
+    assert by[InteractionClass.PAIR14, 1] == pytest.approx(0.5)
     with pytest.raises(ConfigurationError):
         WeightTable(w14_elec=1.5)
 
@@ -141,7 +142,7 @@ def test_tree_weights_vectorized(ala2, param_set):
     o0 = ala2.atom_index(0, "O")
     i = np.array([n0, n0, n0])
     j = np.array([ca0, c0, o0])  # 1-2, 1-3, 1-4
-    w = tw.weights_for(i, j, "elec")
+    w = tw.weights_for(i, j)[:, 0]
     assert w[0] == 0.0
     assert w[1] == pytest.approx(param_set.weights.w13_elec)
     assert w[2] == pytest.approx(param_set.weights.w14_elec)
