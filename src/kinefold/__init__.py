@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .chain import (
     Chain,
     Conformation,
-    PeptideGeometry,
     apply_deltas,
     build_chain,
     forward_kinematics,
@@ -21,11 +20,10 @@ from .chain import (
 )
 from .errors import KinefoldError
 from .forcefield import AtomParams, DielectricModel, EnergyBreakdown
-from .geometry import dihedral_angle, rotation_about_axis
+from .geometry import dihedral_angle
 from .kcm import (
     Field,
     FieldConfig,
-    JointTorques,
     StepConfig,
     Trajectory,
     fold,
@@ -69,8 +67,6 @@ from .topology import (
     BondTree,
     InteractionClass,
     TreeWeights,
-    UniformWeights,
     WeightTable,
     build_tree,
-    classify,
 )

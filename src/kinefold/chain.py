@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ChainBuildError, ConfigurationError, UnknownResidueError
+from .errors import ChainBuildError, ConfigurationError
 from .geometry import (
     AXIS_UNIT_TOL,
     dihedral_angle,
@@ -33,7 +33,7 @@ from .geometry import (
     unit_vector,
     wrap_degrees,
 )
-from .residues import ResidueSpec, TemplateRegistry, default_templates
+from .residues import ResidueSpec, default_templates
 
 # Canonical backbone constants (Angstroms / degrees).  The carbonyl C,
 # carbonyl O, and amide H are not walked explicitly: they come from the
@@ -59,19 +59,6 @@ PLANE_CONSTANTS = {
 
 BACKBONE_CLASSES = {"N": "N", "H": "H", "C": "C", "O": "O", "OXT": "O2"}
 
-MAX_LINKS_PER_RESIDUE = 6  # 2 backbone + up to 4 side links
-
-
-@dataclass(frozen=True)
-class PeptideGeometry:
-    """Canonical peptide-group constants used by the builder."""
-
-    plane_constants: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(PLANE_CONSTANTS)
-    )
-    omega_mode: str = "trans"  # trans (-180) or cis (0)
-
-
 
 @dataclass(frozen=True)
 class Conformation:
@@ -79,7 +66,6 @@ class Conformation:
 
     theta: np.ndarray
     frozen: np.ndarray
-    residue_count: int
 
     def __post_init__(self):
         object.__setattr__(self, "theta", wrap_degrees(np.asarray(self.theta, float)))
@@ -88,8 +74,14 @@ class Conformation:
             raise ConfigurationError("theta and frozen mask must have equal length")
 
     def freeze(self, dofs) -> "Conformation":
+        dofs = np.asarray(dofs, int)
+        bad = dofs[(dofs < 0) | (dofs >= len(self.frozen))]
+        if bad.size:
+            raise ConfigurationError(
+                f"cannot freeze dof {bad[0]}: dofs are 0..{len(self.frozen) - 1}"
+            )
         mask = self.frozen.copy()
-        mask[np.asarray(dofs, int)] = True
+        mask[dofs] = True
         return replace(self, frozen=mask)
 
 
@@ -115,7 +107,6 @@ class LinkRecord:
     axis0: np.ndarray | None
     body0: np.ndarray
     point0: np.ndarray
-    atom_indices: np.ndarray
     chi0: float = 0.0      # reference chi (deg) for the index map
 
 
@@ -178,7 +169,6 @@ class Chain:
     zp_pos: np.ndarray
     bonds: list[tuple[int, int]]
     hetero_mask: np.ndarray
-    geometry: PeptideGeometry
     source: str = "canonical"
 
     # ---- counts and lookups -------------------------------------------------
@@ -211,11 +201,7 @@ class Chain:
 
     # ---- conformation helpers ----------------------------------------------
     def conf_zp(self) -> Conformation:
-        return Conformation(
-            theta=np.zeros(self.n_dof),
-            frozen=np.zeros(self.n_dof, bool),
-            residue_count=self.n_residues,
-        )
+        return Conformation(theta=np.zeros(self.n_dof), frozen=np.zeros(self.n_dof, bool))
 
     def conf_from_backbone(self, phi, psi) -> Conformation:
         """Backbone dihedrals in degrees (scalars broadcast); chi at defaults."""
@@ -225,7 +211,7 @@ class Chain:
         theta = np.zeros(self.n_dof)
         theta[0 : 2 * m : 2] = wrap_degrees(phi + 180.0)
         theta[1 : 2 * m : 2] = wrap_degrees(psi + 180.0)
-        return Conformation(theta, np.zeros(self.n_dof, bool), m)
+        return Conformation(theta, np.zeros(self.n_dof, bool))
 
     def dihedrals_from_theta(self, conf: Conformation):
         """Invert the index map: theta -> (phi, psi, chi) in [-180, 180)."""
@@ -239,22 +225,6 @@ class Chain:
                     signed_degrees(conf.theta[link.dof] + link.chi0)
                 )
         return phi, psi, chi
-
-    def theta_from_dihedrals(self, phi, psi, chi=None) -> Conformation:
-        conf = self.conf_from_backbone(phi, psi)
-        if chi:
-            theta = conf.theta.copy()
-            for (i, k), value in chi.items():
-                link = self.links[self._chi_link_index(i, k)]
-                theta[link.dof] = wrap_degrees(value - link.chi0)
-            conf = replace(conf, theta=theta)
-        return conf
-
-    def _chi_link_index(self, i: int, k: int) -> int:
-        for li, link in enumerate(self.links):
-            if link.kind == "chi" and link.residue == i and link.chi_index == k:
-                return li
-        raise KeyError((i, k))
 
     def validate_conformation(self, conf: Conformation) -> None:
         if conf.theta.shape[0] != self.n_dof:
@@ -312,24 +282,6 @@ def forward_kinematics(chain: Chain, conf: Conformation) -> np.ndarray:
     return kinematic_state(chain, conf).positions
 
 
-def measure_backbone_dihedrals(chain: Chain, positions: np.ndarray):
-    """(phi, psi) measured directly from coordinates; NaN where undefined."""
-    m = chain.n_residues
-    phi = np.full(m, np.nan)
-    psi = np.full(m, np.nan)
-    for i in range(m):
-        n_i = positions[chain.atom_index(i, "N")]
-        ca_i = positions[chain.atom_index(i, "CA")]
-        c_i = positions[chain.atom_index(i, "C")]
-        if i > 0:
-            c_prev = positions[chain.atom_index(i - 1, "C")]
-            phi[i] = dihedral_angle(c_prev, n_i, ca_i, c_i)
-        if i + 1 < m:
-            n_next = positions[chain.atom_index(i + 1, "N")]
-            psi[i] = dihedral_angle(n_i, ca_i, c_i, n_next)
-    return phi, psi
-
-
 # --------------------------------------------------------------------------
 # canonical builder
 # --------------------------------------------------------------------------
@@ -339,7 +291,7 @@ def _plane_dir(angle_deg: float) -> np.ndarray:
     return np.array([math.cos(a), math.sin(a), 0.0])
 
 
-def _walk_backbone(m: int, omegas: list[str]):
+def _walk_backbone(m: int, cis: bool):
     """Extended planar walk; returns N, CA, provisional C per residue."""
     npos = [np.zeros(3)]
     capos = []
@@ -355,7 +307,7 @@ def _walk_backbone(m: int, omegas: list[str]):
             direction += turn * (180.0 - ANGLE_CA_C_N)
             turn = -turn
             npos.append(ctmp[i] + BOND_C_N * _plane_dir(direction))
-            if omegas[i] == "cis":
+            if cis:
                 turn = -turn
             direction += turn * (180.0 - ANGLE_C_N_CA)
             turn = -turn
@@ -391,7 +343,7 @@ class _Builder:
         self.links.append(kw)
         return kw["index"]
 
-    def finish(self, residues, geometry, source) -> Chain:
+    def finish(self, residues, source) -> Chain:
         # the forward and reverse link passes rely on parents coming first
         for rec in self.links:
             i, parent = rec["index"], rec["parent"]
@@ -406,72 +358,76 @@ class _Builder:
             if rec["kind"] == "chi":
                 rec["dof"] = next_dof
                 next_dof += 1
-        atom_link = np.asarray(self.link_of, int)
-        link_records = []
-        for rec in self.links:
-            rec["atom_indices"] = np.flatnonzero(atom_link == rec["index"])
-            link_records.append(LinkRecord(**rec))
-        chain = Chain(
+        return Chain(
             residues=residues,
-            links=link_records,
+            links=[LinkRecord(**rec) for rec in self.links],
             atom_names=self.names,
             atom_elements=self.elements,
             atom_classes=self.classes,
             atom_residue=np.asarray(self.residue_of, int),
-            atom_link=atom_link,
+            atom_link=np.asarray(self.link_of, int),
             zp_pos=np.array(self.pos),
             bonds=self.bonds,
             hetero_mask=np.asarray(self.hetero, bool),
-            geometry=geometry,
             source=source,
         )
-        if chain.n_dof > MAX_LINKS_PER_RESIDUE * chain.n_residues:
-            raise ChainBuildError("link count exceeds 6 per residue")
-        return chain
 
 
-def _combo(pc, key, b2, b3):
-    c1, c2 = pc[key]
+def _backbone_links(b: _Builder, npos, capos, cpos, last_tip):
+    """The ground link and each residue's phi (N-CA) and psi (CA-C) links.
+
+    A psi link's body runs from CA to the next residue's N; the last one
+    ends at ``last_tip``.  Returns (ground, phi link ids, psi link ids).
+    """
+    m = len(npos)
+    ground = b.add_link(kind="ground", residue=-1, chi_index=0, dof=-1, parent=-1,
+                        axis0=None, body0=np.zeros(3), point0=np.zeros(3))
+    link_phi = [0] * m
+    link_psi = [0] * m
+    for i in range(m):
+        link_phi[i] = b.add_link(
+            kind="phi", residue=i, chi_index=0, dof=2 * i,
+            parent=link_psi[i - 1] if i else ground,
+            axis0=unit_vector(capos[i] - npos[i]),
+            body0=capos[i] - npos[i],
+            point0=npos[i].copy(),
+        )
+        link_psi[i] = b.add_link(
+            kind="psi", residue=i, chi_index=0, dof=2 * i + 1,
+            parent=link_phi[i],
+            axis0=unit_vector(cpos[i] - capos[i]),
+            body0=(npos[i + 1] if i + 1 < m else last_tip) - capos[i],
+            point0=capos[i].copy(),
+        )
+    return ground, link_phi, link_psi
+
+
+def _combo(key, b2, b3):
+    c1, c2 = PLANE_CONSTANTS[key]
     return c1 * b2 + c2 * b3
 
 
-def build_chain(
-    sequence,
-    geometry=None,
-    *,
-    omega="trans",
-    templates: TemplateRegistry | None = None,
-) -> Chain:
+def build_chain(sequence, geometry=None, *, omega="trans") -> Chain:
     """Build the linkage from a residue-code list.
 
     ``geometry`` is None for the canonical build (extended reference with
     the shipped plane coefficients) or a parsed structure record to
-    retain imported geometry as-read.
+    retain imported geometry as-read.  ``omega`` ("trans" or "cis") sets
+    every peptide bond of a canonical build.
     """
     if geometry is not None:
-        return _build_imported(geometry, templates or default_templates())
+        return _build_imported(geometry)
 
     seq = [str(c).upper() for c in sequence]
     if not seq:
         raise ChainBuildError("zero-length sequence")
-    templates = templates or default_templates()
-    for code in seq:
-        if code not in templates:
-            raise UnknownResidueError(f"no residue template for {code!r}")
+    specs = [default_templates().get(code) for code in seq]
+    if omega not in ("trans", "cis"):
+        raise ChainBuildError(f"omega must be trans or cis, got {omega!r}")
+    cis = omega == "cis"
 
     m = len(seq)
-    if isinstance(omega, str):
-        omegas = [omega] * max(m - 1, 1)
-    else:
-        omegas = list(omega)
-        if len(omegas) != max(m - 1, 1):
-            raise ChainBuildError("omega list must have one entry per peptide bond")
-    for w in omegas:
-        if w not in ("trans", "cis"):
-            raise ChainBuildError(f"omega must be trans or cis, got {w!r}")
-
-    pc = dict(PLANE_CONSTANTS)
-    npos, capos, ctmp, direction, turn = _walk_backbone(m, omegas)
+    npos, capos, ctmp, direction, turn = _walk_backbone(m, cis)
 
     # peptide-group atoms from the coefficient rows; the rows encode the
     # trans plane, so cis planes (on request) fall back to internal coords
@@ -481,11 +437,11 @@ def build_chain(
     for i in range(m - 1):
         b2 = npos[i + 1] - capos[i]
         b3 = capos[i + 1] - npos[i + 1]
-        if omegas[i] == "trans":
-            c = capos[i] + _combo(pc, "CA_C", b2, b3)
+        if not cis:
+            c = capos[i] + _combo("CA_C", b2, b3)
             cpos.append(c)
-            opos.append(c + _combo(pc, "C_O", b2, b3))
-            hpos[i + 1] = npos[i + 1] + _combo(pc, "N_H", b2, b3)
+            opos.append(c + _combo("C_O", b2, b3))
+            hpos[i + 1] = npos[i + 1] + _combo("N_H", b2, b3)
         else:
             c = ctmp[i]
             cpos.append(c)
@@ -507,34 +463,14 @@ def build_chain(
     h1 = npos[0] + BOND_N_H_TERM * _plane_dir(-ANGLE_H_N_CA)
 
     b = _Builder()
-    ground = b.add_link(kind="ground", residue=-1, chi_index=0, dof=-1, parent=-1,
-                        axis0=None, body0=np.zeros(3), point0=np.zeros(3))
-
-    link_phi = [0] * m
-    link_psi = [0] * m
-    for i in range(m):
-        link_phi[i] = b.add_link(
-            kind="phi", residue=i, chi_index=0, dof=2 * i,
-            parent=link_psi[i - 1] if i else ground,
-            axis0=unit_vector(capos[i] - npos[i]),
-            body0=capos[i] - npos[i],
-            point0=npos[i].copy(),
-        )
-        body = (npos[i + 1] if i + 1 < m else oxt) - capos[i]
-        link_psi[i] = b.add_link(
-            kind="psi", residue=i, chi_index=0, dof=2 * i + 1,
-            parent=link_phi[i],
-            axis0=unit_vector(cpos[i] - capos[i]),
-            body0=body,
-            point0=capos[i].copy(),
-        )
+    ground, link_phi, link_psi = _backbone_links(b, npos, capos, cpos, oxt)
 
     # atoms, residue by residue
     idx_n = [0] * m
     idx_ca = [0] * m
     idx_c = [0] * m
     for i in range(m):
-        spec = templates.get(seq[i])
+        spec = specs[i]
         owner_n = ground if i == 0 else link_psi[i - 1]
         idx_n[i] = b.add_atom("N", "N", "N", i, owner_n, npos[i])
         hp = h1 if i == 0 else hpos[i]
@@ -565,8 +501,7 @@ def build_chain(
     for i in range(m - 1):
         b.bonds.append((idx_c[i], idx_n[i + 1]))
 
-    geometry_rec = PeptideGeometry(plane_constants=pc, omega_mode=omegas[0])
-    return b.finish(list(seq), geometry_rec, "canonical")
+    return b.finish(list(seq), "canonical")
 
 
 def _add_side_links(b, spec: ResidueSpec, residue, phi_link):
@@ -609,7 +544,7 @@ _BOND_SLACK = 0.4
 _N_TERM_H_NAMES = ("H", "H1", "H2", "H3", "HN")
 
 
-def _build_imported(record, templates: TemplateRegistry) -> Chain:
+def _build_imported(record) -> Chain:
     protein = [a for a in record.atoms if not a.hetero]
     hetero = [a for a in record.atoms if a.hetero]
     if not protein:
@@ -644,38 +579,16 @@ def _build_imported(record, templates: TemplateRegistry) -> Chain:
         warnings.warn("structure carries no amide hydrogens; building without them",
                       stacklevel=2)
 
-    b = _Builder()
-    ground = b.add_link(kind="ground", residue=-1, chi_index=0, dof=-1, parent=-1,
-                        axis0=None, body0=np.zeros(3), point0=np.zeros(3))
-
     npos = [np.asarray(res_atom(g[2], "N").xyz, float) for g in groups]
     capos = [np.asarray(res_atom(g[2], "CA").xyz, float) for g in groups]
     cpos = [np.asarray(res_atom(g[2], "C").xyz, float) for g in groups]
+    tip_atom = res_atom(groups[-1][2], "OXT") or res_atom(groups[-1][2], "O")
+    last_tip = np.asarray(tip_atom.xyz, float) if tip_atom is not None else cpos[-1]
 
-    link_phi = [0] * m
-    link_psi = [0] * m
-    for i in range(m):
-        link_phi[i] = b.add_link(
-            kind="phi", residue=i, chi_index=0, dof=2 * i,
-            parent=link_psi[i - 1] if i else ground,
-            axis0=unit_vector(capos[i] - npos[i]),
-            body0=capos[i] - npos[i],
-            point0=npos[i].copy(),
-        )
-        if i + 1 < m:
-            tip = npos[i + 1]
-        else:
-            last = groups[i][2]
-            tip_atom = res_atom(last, "OXT") or res_atom(last, "O")
-            tip = np.asarray(tip_atom.xyz, float) if tip_atom is not None else cpos[i]
-        link_psi[i] = b.add_link(
-            kind="psi", residue=i, chi_index=0, dof=2 * i + 1,
-            parent=link_phi[i],
-            axis0=unit_vector(cpos[i] - capos[i]),
-            body0=tip - capos[i],
-            point0=capos[i].copy(),
-        )
+    b = _Builder()
+    ground, link_phi, link_psi = _backbone_links(b, npos, capos, cpos, last_tip)
 
+    templates = default_templates()
     residues = [g[1] for g in groups]
     for i, (seq_no, res_name, atoms) in enumerate(groups):
         spec = templates.specs.get(res_name)
@@ -718,7 +631,7 @@ def _build_imported(record, templates: TemplateRegistry) -> Chain:
         b.add_atom(a.name, a.element, f"EL_{a.element}", m + a.res_seq % 10_000,
                    ground, a.xyz, hetero=True)
 
-    return b.finish(residues, PeptideGeometry(), "imported")
+    return b.finish(residues, "imported")
 
 
 def _imported_class(a, res_name: str, spec: ResidueSpec | None) -> str:

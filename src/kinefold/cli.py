@@ -1,4 +1,4 @@
-"""Command-line driver: fold, Ramachandran/hinge scans, SASA, benchmarks.
+"""Command-line driver: fold, Ramachandran/hinge scans, SASA.
 
 Every run writes a manifest.json recording the effective configuration
 (including the seed), so any artifact can be reproduced bit for bit.
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -46,16 +47,24 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cutoffs", default="9.0,5.0,8.0",
                    help="elec,vdw,cav cut-off distances in Angstroms")
     p.add_argument("--alpha", type=float, default=1.0, help="grid buckets per atom")
-    p.add_argument("--no-hash", action="store_true",
-                   help="use the quadratic all-pairs scan instead of the grid")
     p.add_argument("--samples", type=int, default=1024, help="sphere sample count")
-    p.add_argument("--sampling", default="geodesic", choices=("geodesic", "random"),
-                   help="sphere sampling scheme (random needs far larger counts)")
     p.add_argument("--delta-r", type=float, default=1e-2,
                    help="forward-difference step for solvation forces")
     p.add_argument("--probe-radius", type=float, default=1.4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--omega", default="trans", choices=("trans", "cis"))
+
+
+def _numbers(flag: str, text: str, counts: tuple[int, ...], usage: str) -> list[float]:
+    """The comma-separated finite numbers in ``text``, as many as one of
+    ``counts``; anything else is an error naming ``--flag``."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) not in counts or not all(map(math.isfinite, values)):
+        raise KinefoldError(f"--{flag}: expected {usage}, got {text!r}")
+    return values
 
 
 def _build_system(args):
@@ -69,13 +78,13 @@ def _build_system(args):
         raise KinefoldError("need --seq or --pdb")
     atom_params = params_set.resolve(chain, args.gamma_set)
     weights = TreeWeights(build_tree(chain), params_set.weights)
-    cut = [float(x) for x in args.cutoffs.split(",")]
-    if len(cut) != 3:
-        raise KinefoldError("--cutoffs needs three comma-separated values")
+    cut = _numbers("cutoffs", args.cutoffs, (3,), "three numbers ELEC,VDW,CAV")
     if args.dielectric == "distance":
         dielectric = DielectricModel()
     else:
-        dielectric = DielectricModel(mode="constant", kappa=float(args.dielectric))
+        (kappa,) = _numbers("dielectric", args.dielectric, (1,),
+                            "'distance' or a number")
+        dielectric = DielectricModel(mode="constant", kappa=kappa)
     config = FieldConfig(
         solvation=bool(args.water),
         dielectric=dielectric,
@@ -83,9 +92,7 @@ def _build_system(args):
                         cutoffs=Cutoffs(elec=cut[0], vdw=cut[1], cav=cut[2])),
         solvation_cfg=SolvationConfig(
             probe_radius=args.probe_radius, delta_r=args.delta_r,
-            samples=args.samples, sampling=args.sampling,
-            seed=args.seed),
-        use_hash=not args.no_hash,
+            samples=args.samples),
     )
     return chain, Field(atom_params, weights, config)
 
@@ -109,7 +116,8 @@ def _initial_conformation(chain: Chain, args, rng) -> Conformation:
     if mode == "zp" or (mode == "native" and chain.source == "imported"):
         conf = chain.conf_zp()
     elif mode.startswith("uniform:"):
-        parts = [float(x) for x in mode.split(":", 1)[1].split(",")]
+        parts = _numbers("init", mode.split(":", 1)[1], (1, 2),
+                         "uniform:PHI or uniform:PHI,PSI")
         phi, psi = parts if len(parts) == 2 else (parts[0], parts[0])
         conf = chain.conf_from_backbone(phi, psi)
     elif mode == "random":
@@ -122,7 +130,12 @@ def _initial_conformation(chain: Chain, args, rng) -> Conformation:
     else:
         raise KinefoldError(f"unknown init mode {mode!r}")
     if args.freeze:
-        conf = conf.freeze([int(x) for x in args.freeze.split(",")])
+        try:
+            dofs = [int(x) for x in args.freeze.split(",")]
+        except ValueError:
+            raise KinefoldError(f"--freeze: expected comma-separated dof indices, "
+                                f"got {args.freeze!r}") from None
+        conf = conf.freeze(dofs)
     return conf
 
 
@@ -205,9 +218,15 @@ def cmd_scan_hinge(args) -> int:
     chain, field = _build_system(args)
     dofs = []
     for part in args.hinges.split(","):
-        res_s, kind = part.split(":")
-        res = int(res_s) - 1
-        dofs.append(chain.dof_phi(res) if kind == "phi" else chain.dof_psi(res))
+        res_s, _, kind = part.partition(":")
+        res = int(res_s) - 1 if res_s.strip().isdigit() else -1
+        if kind not in ("phi", "psi") or not 0 <= res < chain.n_residues:
+            raise KinefoldError(f"--hinges: entry {part!r} is not RES:phi or RES:psi "
+                                f"with RES in 1..{chain.n_residues}")
+        dof = chain.dof_phi(res) if kind == "phi" else chain.dof_psi(res)
+        if dof in dofs:
+            raise KinefoldError(f"--hinges: entry {part!r} names a hinge twice")
+        dofs.append(dof)
     base = chain.conf_zp()
     base = base.freeze([d for d in range(chain.n_dof) if d not in dofs])
     grid = hinge_scan(chain, dofs, args.range, args.steps, field, base)
@@ -245,50 +264,6 @@ def cmd_sasa(args) -> int:
     print(f"total exposed area {result.a_exp.sum():.3f} A^2, "
           f"G_cav {result.g_cav:.4f} kcal/mol over {chain.n_atoms} atoms")
     write_manifest(out, _manifest_payload(args, chain, {"samples": field.sphere().n}))
-    return 0
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    params_set = load_params(args.params)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    print(f"{'m':>6} {'atoms':>7} {'t_hash':>10} {'t_force_h':>11} "
-          f"{'t_force_b':>11} {'t_solv':>10}")
-    for m in sizes:
-        chain = build_chain(["ALA"] * m)
-        atom_params = params_set.resolve(chain, args.gamma_set)
-        weights = TreeWeights(build_tree(chain), params_set.weights)
-        solvation = bool(args.water)
-        base_cfg = FieldConfig(
-            solvation=solvation,
-            solvation_cfg=SolvationConfig(samples=args.samples),
-        )
-        fld_h = Field(atom_params, weights, base_cfg)
-        fld_b = Field(atom_params, weights,
-                      dataclasses.replace(base_cfg, use_hash=False))
-        positions = forward_kinematics(chain, chain.conf_zp())
-        t_hash = t_force_h = t_force_b = t_solv = np.inf
-        for _ in range(args.repeat):
-            r = fld_h.evaluate(positions)
-            t_hash = min(t_hash, r.timings["hash"])
-            t_force_h = min(t_force_h, r.timings["force"])
-            t_solv = min(t_solv, r.timings["solvation"])
-            rb = fld_b.evaluate(positions)
-            # quadratic mode has no hashing phase: neighbor scan is force work
-            t_force_b = min(t_force_b, rb.timings["force"] + rb.timings["hash"])
-        rows.append([m, chain.n_atoms, t_hash, t_force_h, t_force_b, t_solv])
-        print(f"{m:6d} {chain.n_atoms:7d} {t_hash:10.5f} {t_force_h:11.5f} "
-              f"{t_force_b:11.5f} {t_solv:10.5f}")
-    with open(out / "bench.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "atoms", "t_hash_build", "t_force_hashed",
-                    "t_force_brute", "t_solvation"])
-        w.writerows([[r[0], r[1]] + [f"{x:.6f}" for x in r[2:]] for r in rows])
-    write_manifest(out, {"version": __version__, "command": "bench",
-                         "arguments": {k: v for k, v in vars(args).items()
-                                       if k != "func"}})
     return 0
 
 
@@ -335,12 +310,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sasa", help="per-atom solvent-accessible surface areas")
     _common_flags(p)
     p.set_defaults(func=cmd_sasa)
-
-    p = sub.add_parser("bench", help="per-phase timings, hashed vs quadratic")
-    _common_flags(p)
-    p.add_argument("--sizes", default="50,100,200", help="residue counts")
-    p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
     return ap
 
 

@@ -1,4 +1,5 @@
-"""Low-level 3D geometry: rotations, angle wrapping, dihedral measurement.
+"""Low-level 3D geometry: unit vectors, angle wrapping, dihedral
+measurement and residue frames.
 
 All public angles are in degrees; trigonometry converts internally.
 Rotations follow the right-hand rule about the given axis direction.
@@ -21,24 +22,6 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise ConfigurationError("cannot normalize a zero-length vector")
     return np.asarray(v, dtype=float) / n
-
-
-def rotation_about_axis(axis: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit ``axis`` by ``angle_deg``.
-
-    The axis must already be unit length (within 1e-9); right-handed sign
-    convention, so ``rotation_about_axis(z, 90) @ x == y``.
-    """
-    axis = np.asarray(axis, dtype=float)
-    if abs(float(np.linalg.norm(axis)) - 1.0) > AXIS_UNIT_TOL:
-        raise ConfigurationError(
-            f"rotation axis must be unit length, got norm {np.linalg.norm(axis):.3e}"
-        )
-    t = math.radians(angle_deg)
-    c, s = math.cos(t), math.sin(t)
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
 def wrap_degrees(theta) -> np.ndarray:

@@ -92,7 +92,7 @@ class Field:
     def sphere(self) -> SampleSphere:
         if self._sphere is None or self._sphere.n != self.config.solvation_cfg.samples:
             cfg = self.config.solvation_cfg
-            self._sphere = generate_samples(cfg.samples, cfg.sampling, cfg.seed)
+            self._sphere = generate_samples(cfg.samples)
         return self._sphere
 
     def _neighbor_table(self, positions) -> tuple[NeighborTable, float]:
@@ -198,19 +198,15 @@ def link_wrenches(chain: Chain, positions, forces) -> LinkWrenches:
     return LinkWrenches(force=f_out, torque=t_out)
 
 
-@dataclass
-class JointTorques:
-    tau: np.ndarray  # per dof, kcal/mol per radian of joint rotation
-
-
 def joint_torques(chain: Chain, conf: Conformation, wrenches: LinkWrenches,
-                  state: KinematicState | None = None) -> JointTorques:
-    """Subtree wrenches by one reverse parent-pointer pass, then projected
-    onto every joint at once; O(l) total."""
+                  state: KinematicState | None = None) -> np.ndarray:
+    """Torque per dof (kcal/mol per radian of joint rotation): subtree
+    wrenches by one reverse parent-pointer pass, then projected onto every
+    joint at once; O(l) total.  ``wrenches`` is left as given."""
     if state is None:
         state = kinematic_state(chain, conf)
     arr = chain.link_arrays
-    # columns 0-2 force, 3-5 moment about the origin
+    # a new array: columns 0-2 force, 3-5 moment about the origin
     total = np.concatenate([wrenches.force, wrenches.torque], axis=1)
     parent = arr.parent
     rows = list(total)
@@ -223,7 +219,7 @@ def joint_torques(chain: Chain, conf: Conformation, wrenches: LinkWrenches,
             - np.einsum("li,li->l", arm, total[1:, :3]))
     tau = np.zeros(chain.n_dof)
     tau[arr.dof[1:]] = proj
-    return JointTorques(tau=tau)
+    return tau
 
 
 # --------------------------------------------------------------------------
@@ -247,27 +243,28 @@ class StepConfig:
             raise ConfigurationError("tolerances must be non-negative")
 
 
-def check_finite_torques(torques: JointTorques, context: str = "") -> None:
+def check_finite_torques(tau: np.ndarray, context: str = "") -> None:
     """Raise naming the first non-finite dof instead of stepping on it."""
-    bad = np.flatnonzero(~np.isfinite(torques.tau))
+    bad = np.flatnonzero(~np.isfinite(tau))
     if bad.size:
         raise NonFiniteTorqueError(
-            f"{context}non-finite torque {torques.tau[bad[0]]} on dof {bad[0]}"
-            f" ({bad.size} of {torques.tau.size} dofs non-finite)"
+            f"{context}non-finite torque {tau[bad[0]]} on dof {bad[0]}"
+            f" ({bad.size} of {tau.size} dofs non-finite)"
         )
 
 
-def kcm_step(torques: JointTorques, conf: Conformation,
+def kcm_step(tau: np.ndarray, conf: Conformation,
              config: StepConfig) -> tuple[Conformation, np.ndarray]:
-    """One normalized compliance step; frozen joints and zero fields stay."""
-    check_finite_torques(torques)
+    """One normalized compliance step on the per-dof torques ``tau``;
+    frozen joints and zero fields stay."""
+    check_finite_torques(tau)
     free = ~conf.frozen
     if not free.any():
         raise ConfigurationError("cannot step with every joint frozen")
-    tau_max = float(np.max(np.abs(torques.tau[free])))
+    tau_max = float(np.max(np.abs(tau[free])))
     if tau_max == 0.0:
-        return conf, np.zeros_like(torques.tau)
-    deltas = np.where(free, config.kappa * torques.tau / tau_max, 0.0)
+        return conf, np.zeros_like(tau)
+    deltas = np.where(free, config.kappa * tau / tau_max, 0.0)
     return apply_deltas(conf, deltas), deltas
 
 
@@ -316,12 +313,12 @@ def fold(chain: Chain, conf: Conformation, fld: Field,
             raise type(exc)(f"aborted at iteration {it}: {exc}") from exc
         t0 = time.perf_counter()
         wr = link_wrenches(chain, state.positions, result.forces)
-        torques = joint_torques(chain, conf, wr, state)
+        tau = joint_torques(chain, conf, wr, state)
         t_torque = time.perf_counter() - t0
-        check_finite_torques(torques, f"aborted at iteration {it}: ")
+        check_finite_torques(tau, f"aborted at iteration {it}: ")
 
         free = ~conf.frozen
-        tau_max = float(np.max(np.abs(torques.tau[free]))) if free.any() else 0.0
+        tau_max = float(np.max(np.abs(tau[free]))) if free.any() else 0.0
         timings = dict(result.timings, fk=t_fk, torque=t_torque)
         records.append(IterationRecord(it, result.energy, tau_max, timings,
                                        conf.theta.copy()))
@@ -345,7 +342,7 @@ def fold(chain: Chain, conf: Conformation, fld: Field,
             if drift < step.energy_tol:
                 converged, reason = True, "energy plateau"
                 break
-        conf, _ = kcm_step(torques, conf, step)
+        conf, _ = kcm_step(tau, conf, step)
     return Trajectory(records, snapshots, conf, converged, reason)
 
 
@@ -361,7 +358,6 @@ def single_point(chain: Chain, conf: Conformation, fld: Field) -> EnergyBreakdow
 @dataclass
 class ScanGrid:
     axes: list[np.ndarray]          # angle values per scanned dof
-    dofs: list[int]
     g_elec: np.ndarray
     g_vdw: np.ndarray
     g_cav: np.ndarray
@@ -374,6 +370,11 @@ class ScanGrid:
 def ramachandran_scan(chain: Chain, residue: int, resolution: int,
                       fld: Field, base: Conformation | None = None) -> ScanGrid:
     """Energy over a (phi, psi) grid for one residue, other DOFs fixed."""
+    if not 0 <= residue < chain.n_residues:
+        raise ConfigurationError(
+            f"residue {residue} out of range: the chain has residues "
+            f"0..{chain.n_residues - 1}"
+        )
     if resolution < 2:
         raise ConfigurationError("grid resolution must be at least 2")
     base = base or chain.conf_zp()
@@ -392,6 +393,8 @@ def hinge_scan(chain: Chain, hinge_dofs: list[int], half_range: float,
             raise ConfigurationError(f"hinge joint {dof} out of range")
     if not 1 <= len(hinge_dofs) <= 2:
         raise ConfigurationError("hinge scans support one or two joints")
+    if len(set(hinge_dofs)) != len(hinge_dofs):
+        raise ConfigurationError(f"hinge joints {list(hinge_dofs)} repeat a joint")
     if steps < 1:
         raise ConfigurationError("steps must be positive")
     offsets = (np.linspace(-half_range, half_range, steps)
@@ -413,5 +416,4 @@ def _sweep(chain, fld, base, dofs, theta_axes, label_axes) -> ScanGrid:
         conf = replace(base, theta=theta)
         e = single_point(chain, conf, fld)
         g_e[idx], g_v[idx], g_c[idx] = e.g_elec, e.g_vdw, e.g_cav
-    return ScanGrid(axes=list(label_axes), dofs=list(dofs),
-                    g_elec=g_e, g_vdw=g_v, g_cav=g_c)
+    return ScanGrid(axes=list(label_axes), g_elec=g_e, g_vdw=g_v, g_cav=g_c)

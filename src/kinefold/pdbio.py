@@ -37,7 +37,6 @@ _GENERIC_FALLBACK = (0.0, 1.5, 0.05, "NONE")
 
 @dataclass(frozen=True)
 class AtomRecord:
-    serial: int
     name: str
     res_name: str
     res_seq: int
@@ -50,9 +49,6 @@ class AtomRecord:
 @dataclass
 class StructureRecord:
     atoms: list[AtomRecord]
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
 
 def _element_of(name: str, raw: str) -> str:
@@ -93,7 +89,6 @@ def read_pdb(path) -> StructureRecord:
                 continue  # alternate locations: first occurrence wins
             seen_alt.add(key)
             atoms.append(AtomRecord(
-                serial=int(line[6:11]) if line[6:11].strip() else len(atoms) + 1,
                 name=name,
                 res_name=res_name,
                 res_seq=res_seq,

@@ -105,9 +105,6 @@ class ResidueSpec:
 class TemplateRegistry:
     specs: dict[str, ResidueSpec] = field(default_factory=dict)
 
-    def __contains__(self, code: str) -> bool:
-        return code in self.specs
-
     def get(self, code: str) -> ResidueSpec:
         try:
             return self.specs[code]
@@ -174,16 +171,12 @@ def parse_templates(text: str) -> TemplateRegistry:
     return registry
 
 
-def load_default_templates() -> TemplateRegistry:
-    text = resources.files("kinefold.data").joinpath("templates.kft").read_text()
-    return parse_templates(text)
-
-
 _default: TemplateRegistry | None = None
 
 
 def default_templates() -> TemplateRegistry:
     global _default
     if _default is None:
-        _default = load_default_templates()
+        text = resources.files("kinefold.data").joinpath("templates.kft").read_text()
+        _default = parse_templates(text)
     return _default

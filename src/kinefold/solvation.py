@@ -50,8 +50,6 @@ class SolvationConfig:
     probe_radius: float = 1.4
     delta_r: float = 1e-2
     samples: int = 1024
-    sampling: str = "geodesic"   # or "random" (testing aid; needs larger N)
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.probe_radius, self.delta_r) <= 0 or self.samples < MIN_SAMPLES:
@@ -65,24 +63,17 @@ class SampleSphere:
     """Unit-sphere sample set shared by all atoms."""
 
     points: np.ndarray
-    mode: str = "geodesic"
 
     @property
     def n(self) -> int:
         return len(self.points)
 
 
-def generate_samples(n: int, mode: str = "geodesic", seed: int = 0) -> SampleSphere:
+def generate_samples(n: int) -> SampleSphere:
     """Deterministic quasi-uniform sampling: latitude orbits with uniform
     angular spacing, points per orbit proportional to circumference."""
     if n < MIN_SAMPLES:
         raise ConfigurationError(f"need at least {MIN_SAMPLES} sample points, got {n}")
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        v = rng.normal(size=(n, 3))
-        return SampleSphere(v / np.linalg.norm(v, axis=1, keepdims=True), mode)
-    if mode != "geodesic":
-        raise ConfigurationError(f"unknown sampling mode {mode!r}")
     n_orb = max(2 * int(round(math.sqrt(math.pi * n) / 4.0)), 2)
     polar = (np.arange(n_orb) + 0.5) * math.pi / n_orb
     weights = np.sin(polar)
@@ -105,7 +96,7 @@ def generate_samples(n: int, mode: str = "geodesic", seed: int = 0) -> SampleSph
         pts[at : at + c, 2] = z
         at += c
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return SampleSphere(pts, mode)
+    return SampleSphere(pts)
 
 
 @dataclass

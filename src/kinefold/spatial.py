@@ -25,6 +25,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 SQRT3 = float(np.sqrt(3.0))
+# Floor on the cell edge (A): a near-flat or tiny bounding box would
+# otherwise give a vanishing cell and an unbounded stencil.
+MIN_CELL = 1.0
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,6 @@ class Cutoffs:
 @dataclass(frozen=True)
 class GridConfig:
     alpha: float = 1.0
-    min_cell: float = 1.0  # floors the cell edge for degenerate tiny systems
     cutoffs: Cutoffs = field(default_factory=Cutoffs)
 
     def __post_init__(self):
@@ -76,7 +78,7 @@ def build_grid(positions: np.ndarray, config: GridConfig = GridConfig()) -> Hash
     extent = r_max - r_min
     v_bb = float(np.prod(extent))
     cell = (v_bb / (config.alpha * n)) ** (1.0 / 3.0) if v_bb > 0 else 0.0
-    cell = max(cell, config.min_cell)
+    cell = max(cell, MIN_CELL)
     dims = np.maximum(np.ceil(extent / cell).astype(np.int64), 1)
     cells = np.floor((positions - r_min) / cell).astype(np.int64)
     np.clip(cells, 0, dims - 1, out=cells)  # atoms exactly on the max face

@@ -131,13 +131,6 @@ def build_tree(chain) -> BondTree:
     )
 
 
-def classify(tree: BondTree, i: int, j: int) -> InteractionClass:
-    """Interaction class of one pair; symmetric, O(1)."""
-    if i == j:
-        raise ConfigurationError("classify requires two distinct atoms")
-    return InteractionClass(int(classify_pairs(tree, np.array([i]), np.array([j]))[0]))
-
-
 def classify_pairs(tree: BondTree, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Vectorized classification; returns InteractionClass values."""
     i = np.asarray(i, np.int64)
@@ -180,13 +173,3 @@ class TreeWeights:
     def weights_for(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """(m, 2) elec/vdW weights of the pairs, from one classification."""
         return self.table.by_class()[classify_pairs(self.tree, i, j)]
-
-
-@dataclass(frozen=True)
-class UniformWeights:
-    """All pairs fully weighted; for free clusters without topology."""
-
-    value: float = 1.0
-
-    def weights_for(self, i, j) -> np.ndarray:
-        return np.full((len(i), 2), self.value)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -10,7 +10,17 @@ from kinefold.forcefield import DielectricModel
 from kinefold.kcm import Field, FieldConfig
 from kinefold.pdbio import load_params
 from kinefold.spatial import Cutoffs, GridConfig, filtered_lists, filtered_pairs
-from kinefold.topology import TreeWeights, UniformWeights, build_tree
+from kinefold.topology import TreeWeights, build_tree
+
+
+@dataclass(frozen=True)
+class UniformWeights:
+    """All pairs fully weighted; for free clusters without topology."""
+
+    value: float = 1.0
+
+    def weights_for(self, i, j) -> np.ndarray:
+        return np.full((len(i), 2), self.value)
 
 
 @pytest.fixture(scope="session")
@@ -90,5 +100,5 @@ def random_case(sequence, seed):
     chain = cached_chain(tuple(sequence))
     rng = np.random.default_rng(seed)
     conf = Conformation(rng.uniform(0.0, 360.0, chain.n_dof),
-                        rng.random(chain.n_dof) < 0.25, chain.n_residues)
+                        rng.random(chain.n_dof) < 0.25)
     return chain, conf, rng.normal(size=(chain.n_atoms, 3))

@@ -6,11 +6,75 @@ primitives with the library (same IEEE ops) but not algorithms.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from kinefold.geometry import rotation_about_axis
+from kinefold.errors import ConfigurationError
+from kinefold.geometry import AXIS_UNIT_TOL, dihedral_angle, wrap_degrees
 from kinefold.solvation import _force_quantum, offset_radii
+from kinefold.topology import InteractionClass, classify_pairs
+
+
+def rotation_about_axis(axis: np.ndarray, angle_deg: float) -> np.ndarray:
+    """Rodrigues rotation matrix about a unit ``axis`` by ``angle_deg``.
+
+    The axis must already be unit length (within 1e-9); right-handed sign
+    convention, so ``rotation_about_axis(z, 90) @ x == y``.
+    """
+    axis = np.asarray(axis, dtype=float)
+    if abs(float(np.linalg.norm(axis)) - 1.0) > AXIS_UNIT_TOL:
+        raise ConfigurationError(
+            f"rotation axis must be unit length, got norm {np.linalg.norm(axis):.3e}"
+        )
+    t = math.radians(angle_deg)
+    c, s = math.cos(t), math.sin(t)
+    x, y, z = axis
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+
+
+def measure_backbone_dihedrals(chain, positions: np.ndarray):
+    """(phi, psi) measured directly from coordinates; NaN where undefined."""
+    m = chain.n_residues
+    phi = np.full(m, np.nan)
+    psi = np.full(m, np.nan)
+    for i in range(m):
+        n_i = positions[chain.atom_index(i, "N")]
+        ca_i = positions[chain.atom_index(i, "CA")]
+        c_i = positions[chain.atom_index(i, "C")]
+        if i > 0:
+            c_prev = positions[chain.atom_index(i - 1, "C")]
+            phi[i] = dihedral_angle(c_prev, n_i, ca_i, c_i)
+        if i + 1 < m:
+            n_next = positions[chain.atom_index(i + 1, "N")]
+            psi[i] = dihedral_angle(n_i, ca_i, c_i, n_next)
+    return phi, psi
+
+
+def theta_from_dihedrals(chain, phi, psi, chi=None):
+    """The index map: (phi, psi, chi) in degrees -> conformation; the
+    inverse of ``chain.dihedrals_from_theta``."""
+    conf = chain.conf_from_backbone(phi, psi)
+    if chi:
+        theta = conf.theta.copy()
+        for (i, k), value in chi.items():
+            link = chain.links[_chi_link_index(chain, i, k)]
+            theta[link.dof] = wrap_degrees(value - link.chi0)
+        conf = replace(conf, theta=theta)
+    return conf
+
+
+def _chi_link_index(chain, i: int, k: int) -> int:
+    for li, link in enumerate(chain.links):
+        if link.kind == "chi" and link.residue == i and link.chi_index == k:
+            return li
+    raise KeyError((i, k))
+
+
+def classify(tree, i: int, j: int) -> InteractionClass:
+    """Interaction class of one pair; symmetric, O(1)."""
+    return InteractionClass(int(classify_pairs(tree, np.array([i]), np.array([j]))[0]))
 
 
 def brute_neighbor_sets(positions, d_cut):
@@ -205,7 +269,7 @@ def twist_fk(chain, conf):
         children.setdefault(link.parent, []).append(li)
 
     def descend(li):
-        out = list(chain.links[li].atom_indices)
+        out = list(np.flatnonzero(chain.atom_link == li))
         for ch in children.get(li, []):
             out.extend(descend(ch))
         return out

@@ -165,11 +165,11 @@ def test_criterion_5_torque_equivalence():
     worst = 0.0
     for _ in range(20):
         conf = Conformation(rng.uniform(0, 360, ch.n_dof),
-                            np.zeros(ch.n_dof, bool), 10)
+                            np.zeros(ch.n_dof, bool))
         state = kinematic_state(ch, conf)
         forces = rng.normal(size=(ch.n_atoms, 3))
         w = link_wrenches(ch, state.positions, forces)
-        fast = joint_torques(ch, conf, w, state).tau
+        fast = joint_torques(ch, conf, w, state)
         slow = quadratic_joint_torques(ch, state, w)
         worst = max(worst, np.abs(fast - slow).max() / max(np.abs(slow).max(), 1.0))
     report(5, worst < 1e-10, f"20 conformations, worst relative gap {worst:.2e}")
@@ -342,8 +342,8 @@ def test_criterion_12_mirror_symmetry(param_set):
     done = 0
     while done < 20:
         conf = Conformation(rng.uniform(0, 360, ch.n_dof),
-                            np.zeros(ch.n_dof, bool), 6)
-        mirror = Conformation((360.0 - conf.theta) % 360.0, conf.frozen, 6)
+                            np.zeros(ch.n_dof, bool))
+        mirror = Conformation((360.0 - conf.theta) % 360.0, conf.frozen)
         try:
             g1 = single_point(ch, conf, field).g_total
             g2 = single_point(ch, mirror, field).g_total

@@ -6,20 +6,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinefold.chain import (
+    PLANE_CONSTANTS,
     Conformation,
     _Builder,
     apply_deltas,
     build_chain,
     forward_kinematics,
     kinematic_state,
-    measure_backbone_dihedrals,
 )
 from kinefold.errors import ChainBuildError, ConfigurationError, UnknownResidueError
-from kinefold.geometry import rotation_about_axis
 from kinefold.pdbio import read_pdb, write_pdb
 
 from .conftest import random_case, random_sequences
-from .oracles import twist_fk
+from .oracles import (
+    measure_backbone_dihedrals,
+    rotation_about_axis,
+    theta_from_dihedrals,
+    twist_fk,
+)
 
 
 def backbone_indices(chain):
@@ -29,7 +33,7 @@ def backbone_indices(chain):
 
 def random_conf(chain, rng, span=360.0):
     theta = rng.uniform(0.0, span, chain.n_dof)
-    return Conformation(theta, np.zeros(chain.n_dof, bool), chain.n_residues)
+    return Conformation(theta, np.zeros(chain.n_dof, bool))
 
 
 # ---- construction ---------------------------------------------------------
@@ -63,7 +67,8 @@ def test_empty_sequence_rejected():
 
 
 def test_every_atom_has_one_link(mixed_chain):
-    counted = sum(len(l.atom_indices) for l in mixed_chain.links)
+    counted = sum(len(np.flatnonzero(mixed_chain.atom_link == l.index))
+                  for l in mixed_chain.links)
     assert counted == mixed_chain.n_atoms
     assert mixed_chain.atom_residue.tolist() == sorted(mixed_chain.atom_residue.tolist())
 
@@ -99,8 +104,7 @@ def relinked_builder(chain, order):
 
 def test_reordered_links_rejected(mixed_chain, rng):
     ids = list(range(len(mixed_chain.links)))
-    same = relinked_builder(mixed_chain, ids).finish(
-        mixed_chain.residues, mixed_chain.geometry, "canonical")
+    same = relinked_builder(mixed_chain, ids).finish(mixed_chain.residues, "canonical")
     conf = random_conf(mixed_chain, rng)
     assert np.array_equal(forward_kinematics(same, conf),
                           forward_kinematics(mixed_chain, conf))
@@ -108,8 +112,7 @@ def test_reordered_links_rejected(mixed_chain, rng):
     for order, message in (([0, 2, 1] + ids[3:], "link 1 has parent 2"),
                            ([1, 0] + ids[2:], "link 0 has parent 1")):
         with pytest.raises(ChainBuildError, match=message):
-            relinked_builder(mixed_chain, order).finish(
-                mixed_chain.residues, mixed_chain.geometry, "canonical")
+            relinked_builder(mixed_chain, order).finish(mixed_chain.residues, "canonical")
 
 
 def test_non_unit_axis_rejected(ala2):
@@ -119,10 +122,10 @@ def test_non_unit_axis_rejected(ala2):
         dataclasses.replace(ala2, links=links)
 
 
-def test_plane_constants_rows(ala2):
-    assert set(ala2.geometry.plane_constants) == {"CA_C", "C_N", "C_O", "N_H"}
-    c1, c2 = ala2.geometry.plane_constants["CA_C"]
-    c1n, c2n = ala2.geometry.plane_constants["C_N"]
+def test_plane_constants_rows():
+    assert set(PLANE_CONSTANTS) == {"CA_C", "C_N", "C_O", "N_H"}
+    c1, c2 = PLANE_CONSTANTS["CA_C"]
+    c1n, c2n = PLANE_CONSTANTS["C_N"]
     assert c1 + c1n == pytest.approx(1.0)
     assert c2 + c2n == pytest.approx(0.0)
 
@@ -188,7 +191,7 @@ def test_all_zero_gives_identity(ala2):
 def test_single_joint_prefix(ala2):
     theta = np.zeros(ala2.n_dof)
     theta[0] = 30.0
-    conf = Conformation(theta, np.zeros(ala2.n_dof, bool), 2)
+    conf = Conformation(theta, np.zeros(ala2.n_dof, bool))
     mats = {link.dof: m for link, m in joint_transforms(ala2, conf)}
     first = rotation_about_axis(ala2.links[1].axis0, 30.0)
     for dof in range(4):  # every backbone joint downstream of joint 1
@@ -229,7 +232,7 @@ def test_intralink_rigidity(mixed_chain, rng):
     zp = forward_kinematics(mixed_chain, mixed_chain.conf_zp())
     pos = forward_kinematics(mixed_chain, random_conf(mixed_chain, rng))
     for link in mixed_chain.links:
-        idx = link.atom_indices
+        idx = np.flatnonzero(mixed_chain.atom_link == link.index)
         for a in range(len(idx)):
             for b in range(a + 1, len(idx)):
                 d0 = np.linalg.norm(zp[idx[a]] - zp[idx[b]])
@@ -266,7 +269,7 @@ def test_peptide_atoms_match_plane_combination(ala2, rng):
     conf = random_conf(ala2, rng)
     state = kinematic_state(ala2, conf)
     pos = state.positions
-    pc = ala2.geometry.plane_constants
+    pc = PLANE_CONSTANTS
     links = {(l.kind, l.residue): l for l in ala2.links if l.kind != "ground"}
     i = 0
     m_psi = state.transforms[links[("psi", i)].index]
@@ -305,7 +308,7 @@ def test_measured_dihedrals_match_map(mixed_chain, rng):
 )
 def test_apply_deltas_wrap_property(thetas, deltas):
     k = min(len(thetas), len(deltas))
-    conf = Conformation(np.array(thetas[:k]), np.zeros(k, bool), 1)
+    conf = Conformation(np.array(thetas[:k]), np.zeros(k, bool))
     out = apply_deltas(conf, np.array(deltas[:k]))
     assert np.all(out.theta >= 0.0) and np.all(out.theta < 360.0)
     # wrapping preserves the angle modulo a full turn
@@ -320,16 +323,24 @@ def test_apply_deltas_zero_noop(ala2):
 
 
 def test_apply_deltas_wraps():
-    conf = Conformation(np.array([359.0]), np.array([False]), 1)
+    conf = Conformation(np.array([359.0]), np.array([False]))
     out = apply_deltas(conf, np.array([2.0]))
     assert out.theta[0] == pytest.approx(1.0)
 
 
 def test_apply_deltas_respects_freeze():
-    conf = Conformation(np.array([10.0, 10.0]), np.array([True, False]), 1)
+    conf = Conformation(np.array([10.0, 10.0]), np.array([True, False]))
     out = apply_deltas(conf, np.array([90.0, 90.0]))
     assert out.theta[0] == pytest.approx(10.0)
     assert out.theta[1] == pytest.approx(100.0)
+
+
+def test_freeze_rejects_out_of_range_dofs(ala2):
+    conf = ala2.conf_zp()
+    assert conf.freeze([0, ala2.n_dof - 1]).frozen.sum() == 2
+    for dof in (-1, ala2.n_dof):
+        with pytest.raises(ConfigurationError, match=f"cannot freeze dof {dof}"):
+            conf.freeze([0, dof])
 
 
 def test_apply_deltas_length_mismatch(ala2):
@@ -344,7 +355,7 @@ def test_index_map_round_trip(mixed_chain, rng):
     for link in mixed_chain.links:
         if link.kind == "chi":
             chi[(link.residue, link.chi_index)] = float(rng.uniform(-180, 179.9))
-    conf = mixed_chain.theta_from_dihedrals(phi, psi, chi)
+    conf = theta_from_dihedrals(mixed_chain, phi, psi, chi)
     phi2, psi2, chi2 = mixed_chain.dihedrals_from_theta(conf)
     assert np.abs(phi2 - phi).max() < 1e-9
     assert np.abs(psi2 - psi).max() < 1e-9

@@ -135,18 +135,6 @@ def test_sasa_rejects_short_cavity_cutoff(tmp_path, capsys):
     assert "cavity cutoff" in capsys.readouterr().err
 
 
-def test_bench_rows_and_trend(tmp_path):
-    out = tmp_path / "b"
-    rc = main(["bench", "--sizes", "20,40,80", "--repeat", "2", "--out", str(out)])
-    assert rc == 0
-    rows = read_csv(out / "bench.csv")
-    assert len(rows) == 4
-    largest = rows[-1]
-    t_hashed = float(largest[3])
-    t_brute = float(largest[4])
-    assert t_hashed <= t_brute
-
-
 def test_scan_rama_outputs_grid(tmp_path):
     out = tmp_path / "r"
     rc = main(["scan-rama", "--seq", "AA", "--residue", "1", "--grid", "2",
@@ -174,6 +162,31 @@ def test_error_exit_code(tmp_path, capsys):
 def test_missing_input_rejected(tmp_path, capsys):
     rc = main(["fold", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fold", "--seq", "AA", "--cutoffs", "a,b,c"], "error: --cutoffs: "),
+    (["fold", "--seq", "AA", "--dielectric", "x"], "error: --dielectric: "),
+    (["fold", "--seq", "AA", "--init", "uniform:-60,-45,10"], "error: --init: "),
+    (["fold", "--seq", "AAA", "--freeze", "x"], "error: --freeze: "),
+    (["fold", "--seq", "AAA", "--freeze", "-1"], "error: cannot freeze dof -1"),
+    (["fold", "--seq", "AAA", "--freeze", "99"], "error: cannot freeze dof 99"),
+    (["scan-rama", "--seq", "AAA", "--residue", "-1", "--grid", "2"],
+     "error: residue -1 out of range"),
+    (["scan-rama", "--seq", "AA", "--residue", "5", "--grid", "2"],
+     "error: residue 5 out of range"),
+    (["scan-hinge", "--seq", "AAAA", "--hinges", "2:chi"], "error: --hinges: entry '2:chi'"),
+    (["scan-hinge", "--seq", "AAAA", "--hinges", "2-phi"], "error: --hinges: entry '2-phi'"),
+    (["scan-hinge", "--seq", "AAAA", "--hinges", "5:phi"], "error: --hinges: entry '5:phi'"),
+    (["scan-hinge", "--seq", "AAAA", "--hinges", "2:phi,2:phi"],
+     "error: --hinges: entry '2:phi' names a hinge twice"),
+], ids=["cutoffs", "dielectric", "init-uniform", "freeze-text", "freeze-negative",
+        "freeze-past-end", "rama-negative", "rama-past-end", "hinge-chi", "hinge-dash",
+        "hinge-past-end", "hinge-repeated"])
+def test_bad_arguments_exit_cleanly(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_pdb_import_fold(tmp_path):

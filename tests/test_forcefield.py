@@ -8,10 +8,8 @@ from kinefold.forcefield import (
     DielectricModel,
     EnergyBreakdown,
 )
-from kinefold.topology import UniformWeights
-
 from . import oracles
-from .conftest import only, pair_field
+from .conftest import UniformWeights, only, pair_field
 
 
 def cluster_params(n, rng, charged=True):

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from kinefold.errors import ConfigurationError
 from kinefold.geometry import (
     dihedral_angle,
-    rotation_about_axis,
     signed_degrees,
     unit_vector,
     wrap_degrees,
 )
+
+from .oracles import rotation_about_axis
 
 
 def test_zero_angle_is_identity():

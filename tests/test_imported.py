@@ -58,8 +58,8 @@ def test_unmatched_side_chain_rides_rigidly(tmp_path):
 
 def test_missing_backbone_rejected(tmp_path):
     rec = StructureRecord(atoms=[
-        AtomRecord(1, "N", "GLY", 1, "A", (0.0, 0.0, 0.0), "N", False),
-        AtomRecord(2, "CA", "GLY", 1, "A", (1.47, 0.0, 0.0), "C", False),
+        AtomRecord("N", "GLY", 1, "A", (0.0, 0.0, 0.0), "N", False),
+        AtomRecord("CA", "GLY", 1, "A", (1.47, 0.0, 0.0), "C", False),
     ])
     with pytest.raises(ChainBuildError, match="missing backbone"):
         build_chain([], geometry=rec)

@@ -7,7 +7,6 @@ from kinefold.chain import Conformation, build_chain, forward_kinematics, kinema
 from kinefold.errors import ConfigurationError, NonFiniteTorqueError
 from kinefold.kcm import (
     FieldConfig,
-    JointTorques,
     StepConfig,
     fold,
     hinge_scan,
@@ -24,7 +23,7 @@ from .oracles import quadratic_joint_torques
 
 def random_conf(chain, rng, lo=0.0, hi=360.0):
     return Conformation(rng.uniform(lo, hi, chain.n_dof),
-                        np.zeros(chain.n_dof, bool), chain.n_residues)
+                        np.zeros(chain.n_dof, bool))
 
 
 # ---- wrenches -------------------------------------------------------------
@@ -50,7 +49,7 @@ def test_wrenches_match_direct_sums(mixed_chain, rng):
     forces = rng.normal(size=pos.shape)
     w = link_wrenches(mixed_chain, pos, forces)
     for link in mixed_chain.links:
-        idx = link.atom_indices
+        idx = np.flatnonzero(mixed_chain.atom_link == link.index)
         assert np.allclose(w.force[link.index], forces[idx].sum(0), atol=1e-12)
         assert np.allclose(w.torque[link.index],
                            np.cross(pos[idx], forces[idx]).sum(0), atol=1e-12)
@@ -58,12 +57,22 @@ def test_wrenches_match_direct_sums(mixed_chain, rng):
 
 # ---- joint torques --------------------------------------------------------
 
+def test_joint_torques_leave_wrenches_unchanged(mixed_chain, rng):
+    conf = random_conf(mixed_chain, rng)
+    state = kinematic_state(mixed_chain, conf)
+    w = link_wrenches(mixed_chain, state.positions,
+                      rng.normal(size=(mixed_chain.n_atoms, 3)))
+    force, torque = w.force.copy(), w.torque.copy()
+    joint_torques(mixed_chain, conf, w, state)
+    assert np.array_equal(w.force, force) and np.array_equal(w.torque, torque)
+
+
 def test_zero_wrenches_zero_torques(ala2):
     conf = ala2.conf_zp()
     pos = forward_kinematics(ala2, conf)
     w = link_wrenches(ala2, pos, np.zeros_like(pos))
     tau = joint_torques(ala2, conf, w)
-    assert np.all(tau.tau == 0.0)
+    assert np.all(tau == 0.0)
 
 
 def test_single_joint_hand_value():
@@ -81,7 +90,7 @@ def test_single_joint_hand_value():
     u = state.axes[li.index]
     p = state.joint_points[li.index]
     expect = float(u @ np.cross(pos[target] - p, forces[target]))
-    assert tau.tau[li.dof] == pytest.approx(expect, rel=1e-12)
+    assert tau[li.dof] == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("length", [10, 20])
@@ -92,7 +101,7 @@ def test_suffix_matches_quadratic_scan(rng, length):
         state = kinematic_state(ch, conf)
         forces = rng.normal(size=(ch.n_atoms, 3))
         w = link_wrenches(ch, state.positions, forces)
-        fast = joint_torques(ch, conf, w, state).tau
+        fast = joint_torques(ch, conf, w, state)
         slow = quadratic_joint_torques(ch, state, w)
         scale = np.abs(slow).max()
         assert np.abs(fast - slow).max() < 1e-10 * max(scale, 1.0)
@@ -105,7 +114,7 @@ def test_reverse_pass_matches_quadratic_scan_on_random_chains(sequence, seed):
     chain, conf, forces = random_case(sequence, seed)
     state = kinematic_state(chain, conf)
     w = link_wrenches(chain, state.positions, forces)
-    fast = joint_torques(chain, conf, w, state).tau
+    fast = joint_torques(chain, conf, w, state)
     slow = quadratic_joint_torques(chain, state, w)
     assert np.abs(fast - slow).max() < 1e-10 * max(np.abs(slow).max(), 1.0)
 
@@ -120,13 +129,13 @@ def test_torque_is_energy_gradient(ala2, param_set, rng):
     state = kinematic_state(ala2, conf)
     res = field.evaluate(state.positions)
     w = link_wrenches(ala2, state.positions, res.forces)
-    tau = joint_torques(ala2, conf, w, state).tau
+    tau = joint_torques(ala2, conf, w, state)
     h = 1e-5  # degrees
     for dof in rng.choice(ala2.n_dof, size=4, replace=False):
         plus = conf.theta.copy(); plus[dof] += h
         minus = conf.theta.copy(); minus[dof] -= h
-        gp = single_point(ala2, Conformation(plus, conf.frozen, 2), field).g_total
-        gm = single_point(ala2, Conformation(minus, conf.frozen, 2), field).g_total
+        gp = single_point(ala2, Conformation(plus, conf.frozen), field).g_total
+        gm = single_point(ala2, Conformation(minus, conf.frozen), field).g_total
         grad = (gp - gm) / (2 * h) * 180.0 / np.pi  # per radian
         assert -grad == pytest.approx(tau[dof], rel=2e-4, abs=1e-5)
 
@@ -134,12 +143,12 @@ def test_torque_is_energy_gradient(ala2, param_set, rng):
 # ---- stepping -------------------------------------------------------------
 
 def _conf(n):
-    return Conformation(np.zeros(n), np.zeros(n, bool), 1)
+    return Conformation(np.zeros(n), np.zeros(n, bool))
 
 
 def test_step_normalization():
     conf = _conf(3)
-    tau = JointTorques(np.array([4.0, -2.0, 1.0]))
+    tau = np.array([4.0, -2.0, 1.0])
     out, deltas = kcm_step(tau, conf, StepConfig(kappa=0.5))
     assert deltas[0] == pytest.approx(0.5)
     assert deltas[1] == pytest.approx(-0.25)
@@ -149,16 +158,16 @@ def test_step_normalization():
 
 def test_step_scale_invariance():
     conf = _conf(3)
-    t1 = JointTorques(np.array([4.0, -2.0, 1.0]))
-    t2 = JointTorques(np.array([4.0, -2.0, 1.0]) * 137.0)
+    t1 = np.array([4.0, -2.0, 1.0])
+    t2 = np.array([4.0, -2.0, 1.0]) * 137.0
     _, d1 = kcm_step(t1, conf, StepConfig(kappa=0.5))
     _, d2 = kcm_step(t2, conf, StepConfig(kappa=0.5))
     assert np.allclose(d1, d2, atol=1e-15)
 
 
 def test_step_skips_frozen_and_excludes_from_max():
-    conf = Conformation(np.zeros(2), np.array([True, False]), 1)
-    tau = JointTorques(np.array([100.0, 1.0]))
+    conf = Conformation(np.zeros(2), np.array([True, False]))
+    tau = np.array([100.0, 1.0])
     out, deltas = kcm_step(tau, conf, StepConfig(kappa=0.5))
     assert deltas[0] == 0.0
     assert deltas[1] == pytest.approx(0.5)  # max over unfrozen joints only
@@ -166,19 +175,19 @@ def test_step_skips_frozen_and_excludes_from_max():
 
 def test_step_zero_torques_no_motion():
     conf = _conf(2)
-    out, deltas = kcm_step(JointTorques(np.zeros(2)), conf, StepConfig())
+    out, deltas = kcm_step(np.zeros(2), conf, StepConfig())
     assert np.all(deltas == 0.0)
     assert np.array_equal(out.theta, conf.theta)
 
 
 def test_step_all_frozen_rejected():
-    conf = Conformation(np.zeros(2), np.ones(2, bool), 1)
+    conf = Conformation(np.zeros(2), np.ones(2, bool))
     with pytest.raises(ConfigurationError):
-        kcm_step(JointTorques(np.ones(2)), conf, StepConfig())
+        kcm_step(np.ones(2), conf, StepConfig())
 
 
 def test_step_rejects_non_finite_torque():
-    tau = JointTorques(np.array([1.0, np.nan, np.inf]))
+    tau = np.array([1.0, np.nan, np.inf])
     with pytest.raises(NonFiniteTorqueError, match="torque nan on dof 1 "):
         kcm_step(tau, _conf(3), StepConfig())
 
@@ -273,7 +282,7 @@ def test_polyglycine_mirror_symmetry(param_set, rng):
     done = 0
     while done < 20:
         conf = random_conf(ch, rng)
-        mirror = Conformation((360.0 - conf.theta) % 360.0, conf.frozen, 6)
+        mirror = Conformation((360.0 - conf.theta) % 360.0, conf.frozen)
         try:
             g1 = single_point(ch, conf, field).g_total
             g2 = single_point(ch, mirror, field).g_total
@@ -301,7 +310,7 @@ def test_rama_matches_single_point(ala2, param_set, rng):
     theta = conf.theta.copy()
     theta[ala2.dof_phi(1)] = grid.axes[0][i] + 180.0
     theta[ala2.dof_psi(1)] = grid.axes[1][j] + 180.0
-    e = single_point(ala2, Conformation(theta, conf.frozen, 2), field)
+    e = single_point(ala2, Conformation(theta, conf.frozen), field)
     assert grid.g_total[i, j] == pytest.approx(e.g_total, rel=1e-12)
 
 
@@ -335,7 +344,7 @@ def test_hinge_grid_matches_single_point(param_set):
     for k, off in enumerate(grid.axes[0]):
         theta = base.theta.copy()
         theta[dof] = base.theta[dof] + off
-        e = single_point(ch, Conformation(theta, base.frozen, 4), field)
+        e = single_point(ch, Conformation(theta, base.frozen), field)
         assert grid.g_total[k] == pytest.approx(e.g_total, rel=1e-12)
 
 
@@ -343,3 +352,9 @@ def test_hinge_out_of_range_rejected(ala2, param_set):
     field = make_field(ala2, param_set)
     with pytest.raises(ConfigurationError):
         hinge_scan(ala2, [99], 5.0, 3, field, ala2.conf_zp())
+
+
+def test_hinge_repeated_joint_rejected(ala2, param_set):
+    field = make_field(ala2, param_set)
+    with pytest.raises(ConfigurationError, match="repeat"):
+        hinge_scan(ala2, [2, 2], 5.0, 3, field, ala2.conf_zp())

@@ -55,7 +55,7 @@ def test_single_atom_coordinates(tmp_path):
     p = tmp_path / "one.pdb"
     p.write_text(ONE_ATOM)
     rec = read_pdb(p)
-    assert len(rec) == 1
+    assert len(rec.atoms) == 1
     a = rec.atoms[0]
     assert a.name == "N" and a.res_name == "GLY" and not a.hetero
     assert a.xyz == pytest.approx((11.104, 13.207, -2.251))
@@ -76,7 +76,7 @@ def test_first_model_only(tmp_path):
     p = tmp_path / "nmr.pdb"
     p.write_text(MULTI_MODEL)
     rec = read_pdb(p)
-    assert len(rec) == 1
+    assert len(rec.atoms) == 1
     assert rec.atoms[0].xyz == pytest.approx((0.0, 0.0, 0.0))
 
 
@@ -92,7 +92,7 @@ def test_round_trip(tmp_path, mixed_chain):
     p = tmp_path / "chain.pdb"
     write_pdb(mixed_chain, pos, p)
     rec = read_pdb(p)
-    assert len(rec) == mixed_chain.n_atoms
+    assert len(rec.atoms) == mixed_chain.n_atoms
     for i, a in enumerate(rec.atoms):
         assert a.name == mixed_chain.atom_names[i]
         assert a.res_seq == int(mixed_chain.atom_residue[i]) + 1

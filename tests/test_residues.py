@@ -8,7 +8,7 @@ from kinefold.residues import default_templates, parse_templates
 def test_shipped_templates_cover_test_residues():
     reg = default_templates()
     for code in ("GLY", "ALA", "SER", "CYS"):
-        assert code in reg
+        assert code in reg.specs
     assert reg.get("GLY").side_links == 0
     assert reg.get("ALA").side_links == 1
     assert reg.get("SER").side_links == 2

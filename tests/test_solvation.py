@@ -87,14 +87,6 @@ def test_octant_uniformity():
     assert np.abs(counts - 4096 / 8).max() <= 0.05 * (4096 / 8)
 
 
-def test_random_mode_seeded():
-    a = generate_samples(128, mode="random", seed=4)
-    b = generate_samples(128, mode="random", seed=4)
-    c = generate_samples(128, mode="random", seed=5)
-    assert np.array_equal(a.points, b.points)
-    assert not np.array_equal(a.points, c.points)
-
-
 # ---- exposure counting ----------------------------------------------------
 
 def test_isolated_atom_fully_exposed():

@@ -19,9 +19,7 @@ from kinefold.spatial import (
     filtered_lists,
     filtered_pairs,
 )
-from kinefold.topology import UniformWeights
-
-from .conftest import cutoff_lists, table_rows
+from .conftest import UniformWeights, cutoff_lists, table_rows
 from .oracles import brute_neighbor_sets
 
 
@@ -83,7 +81,7 @@ def test_nonfinite_rejected():
 
 def test_far_pair_empty_lists():
     pos = np.array([[0.0, 0.0, 0.0], [20.0, 0.0, 0.0]])
-    grid = build_grid(pos, GridConfig(min_cell=1.0))
+    grid = build_grid(pos, GridConfig())
     rows = table_rows(build_neighbor_table(grid, 9.0))
     assert rows[0].size == 0
     assert rows[1].size == 0

