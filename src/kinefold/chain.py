@@ -8,6 +8,10 @@ by chi joints.  All dihedrals are measured from the reference build
 conformation with coplanar peptide groups; for imported chains it is the
 geometry as read.
 
+The canonical build only generates reference atoms; they go through the
+same named-atom assembly as an imported structure, which derives links,
+atom ownership, chi joints and bonds from atom names and templates.
+
 Atom positions follow from prefix products of joint rotations about the
 reference axes and prefix sums of rotated body vectors; each rigid link
 carries its member atoms as fixed offsets from its joint point.  Links
@@ -18,6 +22,7 @@ one reverse pass over it aggregates any per-link quantity onto ancestors.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -29,6 +34,7 @@ from .geometry import (
     AXIS_UNIT_TOL,
     dihedral_angle,
     frame_from_backbone,
+    norms,
     signed_degrees,
     unit_vector,
     wrap_degrees,
@@ -171,7 +177,7 @@ class Chain:
     hetero_mask: np.ndarray
     source: str = "canonical"
 
-    # ---- counts and lookups -------------------------------------------------
+    # ---- counts -------------------------------------------------------------
     @property
     def n_atoms(self) -> int:
         return len(self.atom_names)
@@ -185,13 +191,7 @@ class Chain:
         return len(self.links) - 1  # every non-ground link has one joint
 
     def __post_init__(self):
-        self._lookup = {}
-        for i, (r, nm) in enumerate(zip(self.atom_residue, self.atom_names)):
-            self._lookup.setdefault((int(r), nm), i)
         self.link_arrays = LinkArrays.of(self)
-
-    def atom_index(self, residue: int, name: str) -> int:
-        return self._lookup[(residue, name)]
 
     def dof_phi(self, i: int) -> int:
         return 2 * i
@@ -314,6 +314,95 @@ def _walk_backbone(m: int, cis: bool):
     return npos, capos, ctmp, direction, turn
 
 
+def _combo(key, b2, b3):
+    c1, c2 = PLANE_CONSTANTS[key]
+    return c1 * b2 + c2 * b3
+
+
+def build_chain(sequence, geometry=None, *, omega="trans") -> Chain:
+    """Build the linkage from a residue-code list.
+
+    ``geometry`` is None for the canonical build (extended reference with
+    the shipped plane coefficients) or a parsed structure record to
+    retain imported geometry as-read.  ``omega`` ("trans" or "cis") sets
+    every peptide bond of a canonical build.  Either way the named atoms
+    go through one assembly, which derives links, ownership and bonds.
+    """
+    if geometry is not None:
+        return _assemble(*_imported_residues(geometry), "imported")
+
+    seq = [str(c).upper() for c in sequence]
+    if not seq:
+        raise ChainBuildError("zero-length sequence")
+    specs = [default_templates().get(code) for code in seq]
+    if omega not in ("trans", "cis"):
+        raise ChainBuildError(f"omega must be trans or cis, got {omega!r}")
+    cis = omega == "cis"
+
+    m = len(seq)
+    npos, capos, ctmp, direction, turn = _walk_backbone(m, cis)
+
+    # peptide-group atoms from the coefficient rows; the rows encode the
+    # trans plane, so cis planes (on request) fall back to internal coords
+    cpos: list[np.ndarray] = []
+    opos: list[np.ndarray] = []
+    hpos = [npos[0] + BOND_N_H_TERM * _plane_dir(-ANGLE_H_N_CA)]  # amino-terminal H
+    for i in range(m - 1):
+        b2 = npos[i + 1] - capos[i]
+        b3 = capos[i + 1] - npos[i + 1]
+        if not cis:
+            cpos.append(capos[i] + _combo("CA_C", b2, b3))
+            opos.append(cpos[i] + _combo("C_O", b2, b3))
+            hpos.append(npos[i + 1] + _combo("N_H", b2, b3))
+        else:
+            c = ctmp[i]
+            cpos.append(c)
+            o_dir = unit_vector(-(unit_vector(capos[i] - c)
+                                  + unit_vector(npos[i + 1] - c)))
+            opos.append(c + BOND_C_O_TERM * o_dir)
+            h_dir = unit_vector(-(unit_vector(c - npos[i + 1])
+                                  + unit_vector(capos[i + 1] - npos[i + 1])))
+            hpos.append(npos[i + 1] + BOND_N_H_TERM * h_dir)
+    # terminal carboxylate from internal coordinates; direction still points
+    # along CA_m -> C_m, so both oxygens sit at +/-(180 - angle) off it
+    c_term = ctmp[m - 1]
+    split = 180.0 - ANGLE_CA_C_O_TERM
+    oxt = c_term + BOND_C_O_TERM * _plane_dir(direction + turn * split)
+    o_term = c_term + BOND_C_O_TERM * _plane_dir(direction - turn * split)
+    cpos.append(c_term)
+    opos.append(o_term)
+
+    # template atoms hang off each residue frame at CA
+    frames = frame_from_backbone(np.array(npos), np.array(capos), np.array(cpos))
+    residues = []
+    for i, (code, spec) in enumerate(zip(seq, specs)):
+        local = np.array([ta.local for ta in spec.atoms])
+        side = capos[i] + np.matmul(frames[i], local[:, :, None])[:, :, 0]
+        names = ["N", "H", "CA", *(ta.name for ta in spec.atoms), "C", "O"]
+        elements = ["N", "H", "C", *(ta.element for ta in spec.atoms), "C", "O"]
+        rows = [npos[i], hpos[i], capos[i], *side, cpos[i], opos[i]]
+        if i + 1 == m:
+            names.append("OXT")
+            elements.append("O")
+            rows.append(oxt)
+        residues.append(_ResidueAtoms(code, names, elements, np.array(rows)))
+    return _assemble(residues, [], "canonical")
+
+
+# --------------------------------------------------------------------------
+# assembly: named atoms -> links, ownership, bonds
+# --------------------------------------------------------------------------
+
+@dataclass
+class _ResidueAtoms:
+    """One residue's atoms in order, as the assembly takes them."""
+
+    code: str                  # three-letter residue code
+    names: list[str]
+    elements: list[str]
+    xyz: np.ndarray            # (n, 3)
+
+
 class _Builder:
     """Accumulates atoms/links/bonds, then produces a Chain."""
 
@@ -352,12 +441,6 @@ class _Builder:
                     f"link {i} has parent {parent}; every link must follow its "
                     f"parent and only link 0 may be the root"
                 )
-        # flat dof order: backbone 0..2m-1, then chi joints grouped by residue
-        next_dof = 2 * len(residues)
-        for rec in self.links:
-            if rec["kind"] == "chi":
-                rec["dof"] = next_dof
-                next_dof += 1
         return Chain(
             residues=residues,
             links=[LinkRecord(**rec) for rec in self.links],
@@ -373,178 +456,131 @@ class _Builder:
         )
 
 
-def _backbone_links(b: _Builder, npos, capos, cpos, last_tip):
-    """The ground link and each residue's phi (N-CA) and psi (CA-C) links.
-
-    A psi link's body runs from CA to the next residue's N; the last one
-    ends at ``last_tip``.  Returns (ground, phi link ids, psi link ids).
-    """
-    m = len(npos)
-    ground = b.add_link(kind="ground", residue=-1, chi_index=0, dof=-1, parent=-1,
-                        axis0=None, body0=np.zeros(3), point0=np.zeros(3))
-    link_phi = [0] * m
-    link_psi = [0] * m
-    for i in range(m):
-        link_phi[i] = b.add_link(
-            kind="phi", residue=i, chi_index=0, dof=2 * i,
-            parent=link_psi[i - 1] if i else ground,
-            axis0=unit_vector(capos[i] - npos[i]),
-            body0=capos[i] - npos[i],
-            point0=npos[i].copy(),
-        )
-        link_psi[i] = b.add_link(
-            kind="psi", residue=i, chi_index=0, dof=2 * i + 1,
-            parent=link_phi[i],
-            axis0=unit_vector(cpos[i] - capos[i]),
-            body0=(npos[i + 1] if i + 1 < m else last_tip) - capos[i],
-            point0=capos[i].copy(),
-        )
-    return ground, link_phi, link_psi
-
-
-def _combo(key, b2, b3):
-    c1, c2 = PLANE_CONSTANTS[key]
-    return c1 * b2 + c2 * b3
-
-
-def build_chain(sequence, geometry=None, *, omega="trans") -> Chain:
-    """Build the linkage from a residue-code list.
-
-    ``geometry`` is None for the canonical build (extended reference with
-    the shipped plane coefficients) or a parsed structure record to
-    retain imported geometry as-read.  ``omega`` ("trans" or "cis") sets
-    every peptide bond of a canonical build.
-    """
-    if geometry is not None:
-        return _build_imported(geometry)
-
-    seq = [str(c).upper() for c in sequence]
-    if not seq:
-        raise ChainBuildError("zero-length sequence")
-    specs = [default_templates().get(code) for code in seq]
-    if omega not in ("trans", "cis"):
-        raise ChainBuildError(f"omega must be trans or cis, got {omega!r}")
-    cis = omega == "cis"
-
-    m = len(seq)
-    npos, capos, ctmp, direction, turn = _walk_backbone(m, cis)
-
-    # peptide-group atoms from the coefficient rows; the rows encode the
-    # trans plane, so cis planes (on request) fall back to internal coords
-    cpos: list[np.ndarray] = []
-    opos: list[np.ndarray] = []
-    hpos: list = [None] * m  # amide H of residue i (i >= 1)
-    for i in range(m - 1):
-        b2 = npos[i + 1] - capos[i]
-        b3 = capos[i + 1] - npos[i + 1]
-        if not cis:
-            c = capos[i] + _combo("CA_C", b2, b3)
-            cpos.append(c)
-            opos.append(c + _combo("C_O", b2, b3))
-            hpos[i + 1] = npos[i + 1] + _combo("N_H", b2, b3)
-        else:
-            c = ctmp[i]
-            cpos.append(c)
-            o_dir = unit_vector(-(unit_vector(capos[i] - c)
-                                  + unit_vector(npos[i + 1] - c)))
-            opos.append(c + BOND_C_O_TERM * o_dir)
-            h_dir = unit_vector(-(unit_vector(c - npos[i + 1])
-                                  + unit_vector(capos[i + 1] - npos[i + 1])))
-            hpos[i + 1] = npos[i + 1] + BOND_N_H_TERM * h_dir
-    # terminal carboxylate from internal coordinates; direction still points
-    # along CA_m -> C_m, so both oxygens sit at +/-(180 - angle) off it
-    c_term = ctmp[m - 1]
-    split = 180.0 - ANGLE_CA_C_O_TERM
-    oxt = c_term + BOND_C_O_TERM * _plane_dir(direction + turn * split)
-    o_term = c_term + BOND_C_O_TERM * _plane_dir(direction - turn * split)
-    cpos.append(c_term)
-    opos.append(o_term)
-    # amino-terminal H
-    h1 = npos[0] + BOND_N_H_TERM * _plane_dir(-ANGLE_H_N_CA)
-
-    b = _Builder()
-    ground, link_phi, link_psi = _backbone_links(b, npos, capos, cpos, oxt)
-
-    # atoms, residue by residue
-    idx_n = [0] * m
-    idx_ca = [0] * m
-    idx_c = [0] * m
-    for i in range(m):
-        spec = specs[i]
-        owner_n = ground if i == 0 else link_psi[i - 1]
-        idx_n[i] = b.add_atom("N", "N", "N", i, owner_n, npos[i])
-        hp = h1 if i == 0 else hpos[i]
-        b.add_atom("H", "H", "H", i, owner_n, hp)
-        idx_ca[i] = b.add_atom("CA", "C", f"CA_{seq[i]}", i, link_phi[i], capos[i])
-        b.bonds.append((idx_n[i], idx_ca[i]))
-        b.bonds.append((idx_n[i], idx_n[i] + 1))  # N-H
-        frame = frame_from_backbone(npos[i], capos[i], cpos[i])
-        local_index = {"N": idx_n[i], "CA": idx_ca[i]}
-        side_link_ids = _add_side_links(b, spec, i, link_phi[i])
-        for ta in spec.atoms:
-            link_id = link_phi[i] if ta.link == 0 else side_link_ids[ta.link]
-            ai = b.add_atom(ta.name, ta.element, ta.param_class, i, link_id,
-                            capos[i] + frame @ ta.local)
-            local_index[ta.name] = ai
-        idx_c[i] = b.add_atom("C", "C", "C", i, link_psi[i], cpos[i])
-        local_index["C"] = idx_c[i]
-        for ta in spec.atoms:
-            b.bonds.append((local_index[ta.parent], local_index[ta.name]))
-        oi = b.add_atom("O", "O", "O", i, link_psi[i], opos[i])
-        b.bonds.append((idx_ca[i], idx_c[i]))
-        b.bonds.append((idx_c[i], oi))
-        if i + 1 == m:
-            xi = b.add_atom("OXT", "O", "O2", i, link_psi[i], oxt)
-            b.bonds.append((idx_c[i], xi))
-        # point side joints at their resolved atoms and set chi0
-        _finalize_side_links(b, spec, side_link_ids, local_index)
-    for i in range(m - 1):
-        b.bonds.append((idx_c[i], idx_n[i + 1]))
-
-    return b.finish(list(seq), "canonical")
-
-
-def _add_side_links(b, spec: ResidueSpec, residue, phi_link):
-    """Create side-link records; axes/bodies are filled once atoms exist."""
-    ids = {}
-    parent = phi_link
-    for k in range(1, spec.side_links + 1):
-        ids[k] = b.add_link(
-            kind="chi", residue=residue, chi_index=k, dof=-2,  # assigned in finish
-            parent=parent,
-            axis0=None, body0=np.zeros(3), point0=np.zeros(3),
-        )
-        parent = ids[k]
-    return ids
-
-
-def _finalize_side_links(b, spec: ResidueSpec, ids, local_index):
-    for k in range(1, spec.side_links + 1):
-        rec = b.links[ids[k]]
-        src, dst = spec.joints[k - 1]
-        p_src = b.pos[local_index[src]]
-        p_dst = b.pos[local_index[dst]]
-        rec["axis0"] = unit_vector(p_dst - p_src)
-        rec["point0"] = p_src.copy()
-        rec["body0"] = p_dst - p_src
-        if spec.chi_refs and len(spec.chi_refs[k - 1]) == 4:
-            quad = [b.pos[local_index[nm]] for nm in spec.chi_refs[k - 1]]
-            rec["chi0"] = dihedral_angle(*quad)
-        else:
-            rec["chi0"] = float(spec.rotamer_defaults[k - 1]) if spec.rotamer_defaults else 0.0
-
-
-# --------------------------------------------------------------------------
-# imported geometry
-# --------------------------------------------------------------------------
-
 _COVALENT_RADII = {"H": 0.31, "C": 0.76, "N": 0.71, "O": 0.66, "S": 1.05, "P": 1.07}
 _BOND_SLACK = 0.4
 
 _N_TERM_H_NAMES = ("H", "H1", "H2", "H3", "HN")
+_BACKBONE_NAMES = frozenset(("N", "CA", "C", "O", "OXT", *_N_TERM_H_NAMES))
+_NAMED_BONDS = (("N", "CA"), ("CA", "C"), ("C", "O"), ("C", "OXT"),
+                *(("N", h) for h in _N_TERM_H_NAMES))
 
 
-def _build_imported(record) -> Chain:
+def _assemble(residues: list[_ResidueAtoms], hetero, source: str) -> Chain:
+    """The linkage over named atoms grouped by residue.  A residue whose
+    atoms cover its template's side-link atoms gets the template's chi
+    joints; any other rides rigidly on its CA link.  ``hetero`` atoms
+    stay fixed on the ground link."""
+    where = [{name: k for k, name in enumerate(r.names)} for r in residues]
+    m = len(residues)
+    n, ca, c = np.array([[r.xyz[at[nm]] for nm in ("N", "CA", "C")]
+                         for r, at in zip(residues, where)]).transpose(1, 0, 2)
+    last = where[-1]
+    tip = residues[-1].xyz[last["OXT" if "OXT" in last else "O" if "O" in last else "C"]]
+
+    # the ground link, then per residue a phi (N-CA) and a psi (CA-C) link;
+    # a psi body runs from CA to the next N, the last one to the chain tip
+    b = _Builder()
+    ground = b.add_link(kind="ground", residue=-1, chi_index=0, dof=-1, parent=-1,
+                        axis0=None, body0=np.zeros(3), point0=np.zeros(3))
+    phi_axis, psi_axis = unit_vector(ca - n), unit_vector(c - ca)
+    psi_body = np.vstack([n[1:], tip]) - ca
+    link_phi, link_psi = [], []
+    for i in range(m):
+        link_phi.append(b.add_link(
+            kind="phi", residue=i, chi_index=0, dof=2 * i,
+            parent=link_psi[i - 1] if i else ground,
+            axis0=phi_axis[i], body0=ca[i] - n[i], point0=n[i],
+        ))
+        link_psi.append(b.add_link(
+            kind="psi", residue=i, chi_index=0, dof=2 * i + 1, parent=link_phi[i],
+            axis0=psi_axis[i], body0=psi_body[i], point0=ca[i],
+        ))
+
+    templates = default_templates()
+    next_dof = 2 * m  # chi joints follow the backbone, grouped by residue
+    for i, (r, at) in enumerate(zip(residues, where)):
+        spec = templates.specs.get(r.code)
+        if spec is not None and not all(ta.name in at for ta in spec.atoms if ta.link):
+            spec = None  # incomplete match: ride rigidly on the CA link
+        owner = {}
+        if spec is not None:
+            side = [link_phi[i]]
+            for k, (src, dst) in enumerate(spec.joints, start=1):
+                p_src, p_dst = r.xyz[at[src]], r.xyz[at[dst]]
+                refs = spec.chi_refs[k - 1] if spec.chi_refs else ()
+                if len(refs) == 4:
+                    chi0 = dihedral_angle(*(r.xyz[at[nm]] for nm in refs))
+                else:
+                    chi0 = float(spec.rotamer_defaults[k - 1]) if spec.rotamer_defaults else 0.0
+                side.append(b.add_link(
+                    kind="chi", residue=i, chi_index=k, dof=next_dof, parent=side[-1],
+                    axis0=unit_vector(p_dst - p_src), body0=p_dst - p_src,
+                    point0=p_src, chi0=chi0,
+                ))
+                next_dof += 1
+            owner = {ta.name: side[ta.link] for ta in spec.atoms if ta.link}
+        n_owner = link_psi[i - 1] if i else ground
+        owner.update(dict.fromkeys(("N", *(_N_TERM_H_NAMES if i == 0 else ("H",))),
+                                   n_owner))
+        owner.update(dict.fromkeys(("C", "O", "OXT"), link_psi[i]))
+        base = len(b.names)
+        for name, element, xyz in zip(r.names, r.elements, r.xyz):
+            b.add_atom(name, element, _atom_class(name, element, r.code, spec), i,
+                       owner.get(name, link_phi[i]), xyz)
+        _residue_bonds(b, r, at, base)
+        if i:
+            b.bonds.append((prev_c, base + at["N"]))
+        prev_c = base + at["C"]
+
+    for a in hetero:
+        b.add_atom(a.name, a.element, f"EL_{a.element}", m + a.res_seq % 10_000,
+                   ground, a.xyz, hetero=True)
+    return b.finish([r.code for r in residues], source)
+
+
+def _atom_class(name: str, element: str, code: str, spec: ResidueSpec | None) -> str:
+    if name in BACKBONE_CLASSES:
+        return BACKBONE_CLASSES[name]
+    if name == "CA":
+        return f"CA_{code}"
+    if spec is not None:
+        try:
+            return spec.atom(name).param_class
+        except KeyError:
+            pass
+    return f"EL_{element}"
+
+
+def _residue_bonds(b: _Builder, r: _ResidueAtoms, at: dict, base: int) -> None:
+    """Backbone bonds by name, remaining bonds by covalent radii; an atom
+    within no radius sum bonds to its nearest neighbor, which keeps the
+    graph connected.  ``base`` is the residue's first atom index."""
+    have = set()
+
+    def bond(x, y):
+        key = (base + min(x, y), base + max(x, y))
+        if key not in have:
+            have.add(key)
+            b.bonds.append(key)
+
+    for x, y in _NAMED_BONDS:
+        if x in at and y in at:
+            bond(at[x], at[y])
+    rest = [k for k, name in enumerate(r.names) if name not in _BACKBONE_NAMES]
+    if not rest:
+        return
+    dist = norms(r.xyz[rest][:, None] - r.xyz[None])
+    dist[np.arange(len(rest)), rest] = np.inf
+    radius = np.array([_COVALENT_RADII.get(e, 1.2) for e in r.elements])
+    near = dist <= radius[rest][:, None] + radius + _BOND_SLACK
+    for row, ai in enumerate(rest):
+        for aj in np.flatnonzero(near[row]).tolist() or [int(np.argmin(dist[row]))]:
+            bond(ai, aj)
+
+
+def _imported_residues(record) -> tuple[list[_ResidueAtoms], list]:
+    """Protein atoms of the first chain grouped into residues by sequence
+    number and insertion code, plus the hetero atoms."""
     protein = [a for a in record.atoms if not a.hetero]
     hetero = [a for a in record.atoms if a.hetero]
     if not protein:
@@ -554,133 +590,17 @@ def _build_imported(record) -> Chain:
         warnings.warn("multiple chains in structure; keeping the first", stacklevel=2)
         protein = [a for a in protein if a.chain_id == first_chain]
 
-    groups: list[tuple[int, str, list]] = []
-    for a in protein:
-        if groups and groups[-1][0] == a.res_seq:
-            groups[-1][2].append(a)
-        else:
-            groups.append((a.res_seq, a.res_name, [a]))
-    m = len(groups)
-
-    def res_atom(atoms, name):
-        for a in atoms:
-            if a.name == name:
-                return a
-        return None
-
-    for seq_no, res_name, atoms in groups:
+    residues = []
+    for (seq_no, i_code), group in itertools.groupby(protein, lambda a: (a.res_seq, a.i_code)):
+        atoms = list(group)
+        names = [a.name for a in atoms]
         for needed in ("N", "CA", "C"):
-            if res_atom(atoms, needed) is None:
-                raise ChainBuildError(
-                    f"imported geometry missing backbone atom {needed} in "
-                    f"{res_name} {seq_no}"
-                )
-    if not any(res_atom(g[2], "H") for g in groups[1:]) and m > 1:
+            if needed not in names:
+                raise ChainBuildError(f"imported geometry missing backbone atom {needed} "
+                                      f"in {atoms[0].res_name} {seq_no}{i_code}")
+        residues.append(_ResidueAtoms(atoms[0].res_name, names, [a.element for a in atoms],
+                                      np.array([a.xyz for a in atoms], float)))
+    if len(residues) > 1 and not any("H" in r.names for r in residues[1:]):
         warnings.warn("structure carries no amide hydrogens; building without them",
                       stacklevel=2)
-
-    npos = [np.asarray(res_atom(g[2], "N").xyz, float) for g in groups]
-    capos = [np.asarray(res_atom(g[2], "CA").xyz, float) for g in groups]
-    cpos = [np.asarray(res_atom(g[2], "C").xyz, float) for g in groups]
-    tip_atom = res_atom(groups[-1][2], "OXT") or res_atom(groups[-1][2], "O")
-    last_tip = np.asarray(tip_atom.xyz, float) if tip_atom is not None else cpos[-1]
-
-    b = _Builder()
-    ground, link_phi, link_psi = _backbone_links(b, npos, capos, cpos, last_tip)
-
-    templates = default_templates()
-    residues = [g[1] for g in groups]
-    for i, (seq_no, res_name, atoms) in enumerate(groups):
-        spec = templates.specs.get(res_name)
-        side_names = set()
-        if spec is not None:
-            side_names = {ta.name for ta in spec.atoms if ta.link > 0}
-            present = {a.name for a in atoms}
-            if not side_names <= present:
-                spec = None  # incomplete match: ride rigidly on the CA link
-                side_names = set()
-        side_link_ids = {}
-        if spec is not None and spec.side_links:
-            side_link_ids = _add_side_links(b, spec, i, link_phi[i])
-        local_index = {}
-        res_indices = []
-        for a in atoms:
-            owner = link_phi[i]
-            if a.name == "N":
-                owner = ground if i == 0 else link_psi[i - 1]
-            elif a.name in _N_TERM_H_NAMES and i == 0:
-                owner = ground
-            elif a.name == "H" and i > 0:
-                owner = link_psi[i - 1]
-            elif a.name in ("C", "O", "OXT"):
-                owner = link_psi[i]
-            elif spec is not None and a.name in side_names:
-                owner = side_link_ids[spec.atom(a.name).link]
-            cls = _imported_class(a, res_name, spec)
-            ai = b.add_atom(a.name, a.element, cls, i, owner, a.xyz)
-            local_index[a.name] = ai
-            res_indices.append(ai)
-        _imported_bonds(b, atoms, local_index, res_indices)
-        if i > 0:
-            b.bonds.append((prev_c, local_index["N"]))
-        prev_c = local_index["C"]
-        if spec is not None and spec.side_links:
-            _finalize_side_links(b, spec, side_link_ids, local_index)
-
-    for a in hetero:
-        b.add_atom(a.name, a.element, f"EL_{a.element}", m + a.res_seq % 10_000,
-                   ground, a.xyz, hetero=True)
-
-    return b.finish(residues, "imported")
-
-
-def _imported_class(a, res_name: str, spec: ResidueSpec | None) -> str:
-    if a.name in BACKBONE_CLASSES:
-        return BACKBONE_CLASSES[a.name]
-    if a.name == "CA":
-        return f"CA_{res_name}"
-    if spec is not None:
-        try:
-            return spec.atom(a.name).param_class
-        except KeyError:
-            pass
-    return f"EL_{a.element}"
-
-
-def _imported_bonds(b, atoms, local_index, res_indices) -> None:
-    """Backbone bonds by name, remaining bonds by covalent radii."""
-    have = set()
-
-    def bond(x, y):
-        if x is not None and y is not None:
-            key = (min(x, y), max(x, y))
-            if key not in have:
-                have.add(key)
-                b.bonds.append(key)
-
-    g = local_index.get
-    bond(g("N"), g("CA"))
-    bond(g("CA"), g("C"))
-    bond(g("C"), g("O"))
-    bond(g("C"), g("OXT"))
-    for hn in _N_TERM_H_NAMES:
-        if g(hn) is not None:
-            bond(g("N"), g(hn))
-    done = {g(x) for x in ("N", "CA", "C", "O", "OXT", *_N_TERM_H_NAMES) if g(x) is not None}
-    rest = [ai for ai in res_indices if ai not in done]
-    for ai in rest:
-        ri = _COVALENT_RADII.get(b.elements[ai], 1.2)
-        best, best_d = None, np.inf
-        bonded = False
-        for aj in res_indices:
-            if aj == ai:
-                continue
-            rj = _COVALENT_RADII.get(b.elements[aj], 1.2)
-            d = float(np.linalg.norm(b.pos[ai] - b.pos[aj]))
-            if d <= ri + rj + _BOND_SLACK:
-                bond(ai, aj)
-                bonded = True
-            if d < best_d:
-                best, best_d = aj, d
-        if not bonded and best is not None:
-            bond(ai, best)  # keep the graph connected
+    return residues, hetero

@@ -144,6 +144,11 @@ def _initial_conformation(chain: Chain, args, rng) -> Conformation:
 # --------------------------------------------------------------------------
 
 def cmd_fold(args) -> int:
+    if args.batch < 1:
+        raise KinefoldError(f"--batch: expected at least 1 run, got {args.batch}")
+    if not (math.isfinite(args.angle_range) and args.angle_range >= 0):
+        raise KinefoldError(f"--angle-range: expected a finite non-negative half-range, "
+                            f"got {args.angle_range}")
     chain, field = _build_system(args)
     rng = np.random.default_rng(args.seed)
     step = StepConfig(
@@ -153,7 +158,7 @@ def cmd_fold(args) -> int:
         snapshot_every=args.snapshot_every,
     )
     out = Path(args.out)
-    runs = max(args.batch, 1)
+    runs = args.batch
     summary_rows = []
     failed = []
     for run in range(runs):

@@ -198,13 +198,12 @@ def link_wrenches(chain: Chain, positions, forces) -> LinkWrenches:
     return LinkWrenches(force=f_out, torque=t_out)
 
 
-def joint_torques(chain: Chain, conf: Conformation, wrenches: LinkWrenches,
-                  state: KinematicState | None = None) -> np.ndarray:
-    """Torque per dof (kcal/mol per radian of joint rotation): subtree
-    wrenches by one reverse parent-pointer pass, then projected onto every
-    joint at once; O(l) total.  ``wrenches`` is left as given."""
-    if state is None:
-        state = kinematic_state(chain, conf)
+def joint_torques(chain: Chain, state: KinematicState,
+                  wrenches: LinkWrenches) -> np.ndarray:
+    """Torque per dof (kcal/mol per radian of joint rotation) at the
+    kinematic ``state``: subtree wrenches by one reverse parent-pointer
+    pass, then projected onto every joint at once; O(l) total.
+    ``wrenches`` is left as given."""
     arr = chain.link_arrays
     # a new array: columns 0-2 force, 3-5 moment about the origin
     total = np.concatenate([wrenches.force, wrenches.torque], axis=1)
@@ -239,6 +238,12 @@ class StepConfig:
     def __post_init__(self):
         if self.kappa <= 0:
             raise ConfigurationError("kappa must be positive")
+        if self.max_iters < 1:
+            raise ConfigurationError(f"max_iters must be at least 1, got {self.max_iters}")
+        for name in ("energy_window", "snapshot_every"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be non-negative, got {getattr(self, name)}")
         if min(self.torque_tol, self.torque_tol_rel, self.energy_tol) < 0:
             raise ConfigurationError("tolerances must be non-negative")
 
@@ -313,7 +318,7 @@ def fold(chain: Chain, conf: Conformation, fld: Field,
             raise type(exc)(f"aborted at iteration {it}: {exc}") from exc
         t0 = time.perf_counter()
         wr = link_wrenches(chain, state.positions, result.forces)
-        tau = joint_torques(chain, conf, wr, state)
+        tau = joint_torques(chain, state, wr)
         t_torque = time.perf_counter() - t0
         check_finite_torques(tau, f"aborted at iteration {it}: ")
 

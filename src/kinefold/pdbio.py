@@ -44,6 +44,7 @@ class AtomRecord:
     xyz: tuple[float, float, float]
     element: str
     hetero: bool
+    i_code: str = ""       # insertion code: residue 2A follows residue 2
 
 
 @dataclass
@@ -64,7 +65,7 @@ def _element_of(name: str, raw: str) -> str:
 def read_pdb(path) -> StructureRecord:
     """Parse ATOM/HETATM records; waters removed, first model only."""
     atoms: list[AtomRecord] = []
-    seen_alt: set[tuple[str, int, str]] = set()
+    seen_alt: set[tuple[str, int, str, str]] = set()
     stripped_water = False
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -78,13 +79,14 @@ def read_pdb(path) -> StructureRecord:
                 res_name = line[17:20].strip()
                 chain_id = line[21].strip() if len(line) > 21 else ""
                 res_seq = int(line[22:26])
+                i_code = line[26].strip() if len(line) > 26 else ""
                 xyz = (float(line[30:38]), float(line[38:46]), float(line[46:54]))
             except (ValueError, IndexError) as exc:
                 raise PDBFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
             if res_name in WATER_RESIDUES:
                 stripped_water = True
                 continue
-            key = (chain_id, res_seq, name)
+            key = (chain_id, res_seq, i_code, name)
             if key in seen_alt:
                 continue  # alternate locations: first occurrence wins
             seen_alt.add(key)
@@ -96,6 +98,7 @@ def read_pdb(path) -> StructureRecord:
                 xyz=xyz,
                 element=_element_of(name, line[76:78] if len(line) >= 78 else ""),
                 hetero=(rec == "HETATM"),
+                i_code=i_code,
             ))
     if not atoms:
         detail = " after stripping water" if stripped_water else ""

@@ -72,6 +72,14 @@ def cutoff_lists(table, positions, d_cut):
     return filtered_lists(table.n_atoms, i, j)
 
 
+def atom_index(chain, residue, name):
+    """Index of the first atom called ``name`` in residue ``residue``."""
+    for i in np.flatnonzero(chain.atom_residue == residue):
+        if chain.atom_names[i] == name:
+            return int(i)
+    raise KeyError((residue, name))
+
+
 def table_rows(table):
     """The half table's rows: row i holds the candidates j > i."""
     return np.split(table.neighbors, table.offsets[1:-1])

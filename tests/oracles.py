@@ -15,6 +15,8 @@ from kinefold.geometry import AXIS_UNIT_TOL, dihedral_angle, wrap_degrees
 from kinefold.solvation import _force_quantum, offset_radii
 from kinefold.topology import InteractionClass, classify_pairs
 
+from .conftest import atom_index
+
 
 def rotation_about_axis(axis: np.ndarray, angle_deg: float) -> np.ndarray:
     """Rodrigues rotation matrix about a unit ``axis`` by ``angle_deg``.
@@ -40,16 +42,35 @@ def measure_backbone_dihedrals(chain, positions: np.ndarray):
     phi = np.full(m, np.nan)
     psi = np.full(m, np.nan)
     for i in range(m):
-        n_i = positions[chain.atom_index(i, "N")]
-        ca_i = positions[chain.atom_index(i, "CA")]
-        c_i = positions[chain.atom_index(i, "C")]
+        n_i = positions[atom_index(chain, i, "N")]
+        ca_i = positions[atom_index(chain, i, "CA")]
+        c_i = positions[atom_index(chain, i, "C")]
         if i > 0:
-            c_prev = positions[chain.atom_index(i - 1, "C")]
+            c_prev = positions[atom_index(chain, i - 1, "C")]
             phi[i] = dihedral_angle(c_prev, n_i, ca_i, c_i)
         if i + 1 < m:
-            n_next = positions[chain.atom_index(i + 1, "N")]
+            n_next = positions[atom_index(chain, i + 1, "N")]
             psi[i] = dihedral_angle(n_i, ca_i, c_i, n_next)
     return phi, psi
+
+
+def template_bonds(chain) -> set[tuple[int, int]]:
+    """The bonds of a canonical chain by declaration: every template
+    atom's bond to its ``parent``, plus N-CA, CA-C, N-H, C-O, the
+    terminal C-OXT and the peptide bonds, as (low, high) index pairs."""
+    from kinefold.residues import default_templates
+
+    bonds = set()
+    for i, code in enumerate(chain.residues):
+        pairs = [("N", "CA"), ("CA", "C"), ("N", "H"), ("C", "O")]
+        pairs += [(ta.parent, ta.name) for ta in default_templates().get(code).atoms]
+        if i + 1 == chain.n_residues:
+            pairs.append(("C", "OXT"))
+        ends = [(atom_index(chain, i, x), atom_index(chain, i, y)) for x, y in pairs]
+        if i:
+            ends.append((atom_index(chain, i - 1, "C"), atom_index(chain, i, "N")))
+        bonds.update((min(a, b), max(a, b)) for a, b in ends)
+    return bonds
 
 
 def theta_from_dihedrals(chain, phi, psi, chi=None):
@@ -292,16 +313,16 @@ def _axis_atoms(chain, li, positions):
     link = chain.links[li]
     res = link.residue
     if link.kind == "phi":
-        return positions[chain.atom_index(res, "N")], positions[chain.atom_index(res, "CA")]
+        return positions[atom_index(chain, res, "N")], positions[atom_index(chain, res, "CA")]
     if link.kind == "psi":
-        return positions[chain.atom_index(res, "CA")], positions[chain.atom_index(res, "C")]
+        return positions[atom_index(chain, res, "CA")], positions[atom_index(chain, res, "C")]
     # chi joints: recover endpoint names from the template joint table
     from kinefold.residues import default_templates
 
     spec = default_templates().get(chain.residues[res])
     src_name, dst_name = spec.joints[link.chi_index - 1]
-    return (positions[chain.atom_index(res, src_name)],
-            positions[chain.atom_index(res, dst_name)])
+    return (positions[atom_index(chain, res, src_name)],
+            positions[atom_index(chain, res, dst_name)])
 
 
 def bfs_tree_distance(parent, i, j, cap=5):

@@ -169,7 +169,7 @@ def test_criterion_5_torque_equivalence():
         state = kinematic_state(ch, conf)
         forces = rng.normal(size=(ch.n_atoms, 3))
         w = link_wrenches(ch, state.positions, forces)
-        fast = joint_torques(ch, conf, w, state)
+        fast = joint_torques(ch, state, w)
         slow = quadratic_joint_torques(ch, state, w)
         worst = max(worst, np.abs(fast - slow).max() / max(np.abs(slow).max(), 1.0))
     report(5, worst < 1e-10, f"20 conformations, worst relative gap {worst:.2e}")

@@ -16,11 +16,13 @@ from kinefold.chain import (
 )
 from kinefold.errors import ChainBuildError, ConfigurationError, UnknownResidueError
 from kinefold.pdbio import read_pdb, write_pdb
+from kinefold.residues import default_templates
 
-from .conftest import random_case, random_sequences
+from .conftest import atom_index, random_case, random_sequences
 from .oracles import (
     measure_backbone_dihedrals,
     rotation_about_axis,
+    template_bonds,
     theta_from_dihedrals,
     twist_fk,
 )
@@ -64,6 +66,16 @@ def test_unknown_residue_rejected():
 def test_empty_sequence_rejected():
     with pytest.raises(ChainBuildError):
         build_chain([])
+
+
+@pytest.mark.parametrize("omega", ["trans", "cis"])
+@pytest.mark.parametrize("code", sorted(default_templates().specs))
+def test_radius_bonds_match_template_bonds(code, omega):
+    # canonical bonds come from the covalent-radius rule; a template whose
+    # geometry that rule misreads must fail here
+    ch = build_chain([code] * 3, omega=omega)
+    assert len(set(ch.bonds)) == len(ch.bonds)
+    assert set(ch.bonds) == template_bonds(ch)
 
 
 def test_every_atom_has_one_link(mixed_chain):
@@ -148,8 +160,8 @@ def test_cis_chain_builds_planar():
     bb = backbone_indices(ch)
     assert np.abs(pos[bb, 2]).max() < 1e-9
     from kinefold.geometry import dihedral_angle
-    omega = dihedral_angle(pos[ch.atom_index(0, "CA")], pos[ch.atom_index(0, "C")],
-                           pos[ch.atom_index(1, "N")], pos[ch.atom_index(1, "CA")])
+    omega = dihedral_angle(pos[atom_index(ch, 0, "CA")], pos[atom_index(ch, 0, "C")],
+                           pos[atom_index(ch, 1, "N")], pos[atom_index(ch, 1, "CA")])
     assert abs(omega) < 1e-6  # cis
 
 
@@ -157,8 +169,8 @@ def test_trans_omega_measured():
     ch = build_chain(["GLY", "GLY"])
     pos = forward_kinematics(ch, ch.conf_zp())
     from kinefold.geometry import dihedral_angle
-    omega = dihedral_angle(pos[ch.atom_index(0, "CA")], pos[ch.atom_index(0, "C")],
-                           pos[ch.atom_index(1, "N")], pos[ch.atom_index(1, "CA")])
+    omega = dihedral_angle(pos[atom_index(ch, 0, "CA")], pos[atom_index(ch, 0, "C")],
+                           pos[atom_index(ch, 1, "N")], pos[atom_index(ch, 1, "CA")])
     assert abs(abs(omega) - 180.0) < 1e-6
 
 
@@ -167,10 +179,10 @@ def test_l_chirality_of_templates(mixed_chain):
     for i, res in enumerate(mixed_chain.residues):
         if res == "GLY":
             continue
-        n = pos[mixed_chain.atom_index(i, "N")]
-        ca = pos[mixed_chain.atom_index(i, "CA")]
-        c = pos[mixed_chain.atom_index(i, "C")]
-        cb = pos[mixed_chain.atom_index(i, "CB")]
+        n = pos[atom_index(mixed_chain, i, "N")]
+        ca = pos[atom_index(mixed_chain, i, "CA")]
+        c = pos[atom_index(mixed_chain, i, "C")]
+        cb = pos[atom_index(mixed_chain, i, "CB")]
         det = np.dot(n - ca, np.cross(c - ca, cb - ca))
         assert det > 0.5  # L-amino acid
 
@@ -276,11 +288,11 @@ def test_peptide_atoms_match_plane_combination(ala2, rng):
     m_phi_next = state.transforms[links[("phi", i + 1)].index]
     b2 = m_psi @ links[("psi", i)].body0
     b3 = m_phi_next @ links[("phi", i + 1)].body0
-    ca = pos[ala2.atom_index(i, "CA")]
-    c = pos[ala2.atom_index(i, "C")]
-    o = pos[ala2.atom_index(i, "O")]
-    h = pos[ala2.atom_index(i + 1, "H")]
-    n_next = pos[ala2.atom_index(i + 1, "N")]
+    ca = pos[atom_index(ala2, i, "CA")]
+    c = pos[atom_index(ala2, i, "C")]
+    o = pos[atom_index(ala2, i, "O")]
+    h = pos[atom_index(ala2, i + 1, "H")]
+    n_next = pos[atom_index(ala2, i + 1, "N")]
     c1, c2 = pc["CA_C"]
     assert np.abs(ca + c1 * b2 + c2 * b3 - c).max() < 1e-9
     c1, c2 = pc["C_O"]

@@ -180,9 +180,18 @@ def test_missing_input_rejected(tmp_path, capsys):
     (["scan-hinge", "--seq", "AAAA", "--hinges", "5:phi"], "error: --hinges: entry '5:phi'"),
     (["scan-hinge", "--seq", "AAAA", "--hinges", "2:phi,2:phi"],
      "error: --hinges: entry '2:phi' names a hinge twice"),
+    (["fold", "--seq", "AA", "--max-iters", "0"], "error: max_iters must be at least 1"),
+    (["fold", "--seq", "AA", "--energy-window", "-1"],
+     "error: energy_window must be non-negative"),
+    (["fold", "--seq", "AA", "--snapshot-every", "-1"],
+     "error: snapshot_every must be non-negative"),
+    (["fold", "--seq", "AA", "--batch", "0"], "error: --batch: "),
+    (["fold", "--seq", "AA", "--init", "random", "--angle-range", "-5"],
+     "error: --angle-range: "),
 ], ids=["cutoffs", "dielectric", "init-uniform", "freeze-text", "freeze-negative",
         "freeze-past-end", "rama-negative", "rama-past-end", "hinge-chi", "hinge-dash",
-        "hinge-past-end", "hinge-repeated"])
+        "hinge-past-end", "hinge-repeated", "max-iters-zero", "energy-window-negative",
+        "snapshot-every-negative", "batch-zero", "angle-range-negative"])
 def test_bad_arguments_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err

@@ -99,3 +99,20 @@ def test_hydrogen_free_structure_warns(tmp_path):
     with pytest.warns(UserWarning, match="hydrogen"):
         ch2 = build_chain([], geometry=read_pdb(path))
     assert ch2.n_atoms < ch.n_atoms
+
+
+def test_insertion_code_starts_a_residue(tmp_path):
+    ch = build_chain(["GLY", "ALA", "SER"])
+    path = tmp_path / "icode.pdb"
+    write_pdb(ch, forward_kinematics(ch, ch.conf_zp()), path)
+    # renumber residue 3 as 2A: same sequence number, insertion code A
+    lines = [l[:22] + "   2A" + l[27:] if l.startswith("ATOM") and l[22:26] == "   3" else l
+             for l in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    rec = read_pdb(path)
+    assert len(rec.atoms) == 29
+    ch2 = build_chain([], geometry=rec)
+    assert ch2.residues == ["GLY", "ALA", "SER"]
+    assert ch2.n_atoms == 29
+    got = forward_kinematics(ch2, ch2.conf_zp())
+    assert np.abs(got - np.array([a.xyz for a in rec.atoms])).max() < 1e-9

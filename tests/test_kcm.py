@@ -17,7 +17,7 @@ from kinefold.kcm import (
     single_point,
 )
 
-from .conftest import make_field, random_case, random_sequences
+from .conftest import atom_index, make_field, random_case, random_sequences
 from .oracles import quadratic_joint_torques
 
 
@@ -63,7 +63,7 @@ def test_joint_torques_leave_wrenches_unchanged(mixed_chain, rng):
     w = link_wrenches(mixed_chain, state.positions,
                       rng.normal(size=(mixed_chain.n_atoms, 3)))
     force, torque = w.force.copy(), w.torque.copy()
-    joint_torques(mixed_chain, conf, w, state)
+    joint_torques(mixed_chain, state, w)
     assert np.array_equal(w.force, force) and np.array_equal(w.torque, torque)
 
 
@@ -71,7 +71,7 @@ def test_zero_wrenches_zero_torques(ala2):
     conf = ala2.conf_zp()
     pos = forward_kinematics(ala2, conf)
     w = link_wrenches(ala2, pos, np.zeros_like(pos))
-    tau = joint_torques(ala2, conf, w)
+    tau = joint_torques(ala2, kinematic_state(ala2, conf), w)
     assert np.all(tau == 0.0)
 
 
@@ -81,10 +81,10 @@ def test_single_joint_hand_value():
     state = kinematic_state(ch, conf)
     pos = state.positions
     forces = np.zeros_like(pos)
-    target = ch.atom_index(0, "O")
+    target = atom_index(ch, 0, "O")
     forces[target] = [0.0, 0.0, 2.0]
     w = link_wrenches(ch, pos, forces)
-    tau = joint_torques(ch, conf, w)
+    tau = joint_torques(ch, state, w)
     # psi joint: axis through CA along CA->C
     li = next(l for l in ch.links if l.kind == "psi")
     u = state.axes[li.index]
@@ -101,7 +101,7 @@ def test_suffix_matches_quadratic_scan(rng, length):
         state = kinematic_state(ch, conf)
         forces = rng.normal(size=(ch.n_atoms, 3))
         w = link_wrenches(ch, state.positions, forces)
-        fast = joint_torques(ch, conf, w, state)
+        fast = joint_torques(ch, state, w)
         slow = quadratic_joint_torques(ch, state, w)
         scale = np.abs(slow).max()
         assert np.abs(fast - slow).max() < 1e-10 * max(scale, 1.0)
@@ -114,7 +114,7 @@ def test_reverse_pass_matches_quadratic_scan_on_random_chains(sequence, seed):
     chain, conf, forces = random_case(sequence, seed)
     state = kinematic_state(chain, conf)
     w = link_wrenches(chain, state.positions, forces)
-    fast = joint_torques(chain, conf, w, state)
+    fast = joint_torques(chain, state, w)
     slow = quadratic_joint_torques(chain, state, w)
     assert np.abs(fast - slow).max() < 1e-10 * max(np.abs(slow).max(), 1.0)
 
@@ -129,7 +129,7 @@ def test_torque_is_energy_gradient(ala2, param_set, rng):
     state = kinematic_state(ala2, conf)
     res = field.evaluate(state.positions)
     w = link_wrenches(ala2, state.positions, res.forces)
-    tau = joint_torques(ala2, conf, w, state)
+    tau = joint_torques(ala2, state, w)
     h = 1e-5  # degrees
     for dof in rng.choice(ala2.n_dof, size=4, replace=False):
         plus = conf.theta.copy(); plus[dof] += h
@@ -190,6 +190,16 @@ def test_step_rejects_non_finite_torque():
     tau = np.array([1.0, np.nan, np.inf])
     with pytest.raises(NonFiniteTorqueError, match="torque nan on dof 1 "):
         kcm_step(tau, _conf(3), StepConfig())
+
+
+def test_step_config_rejects_out_of_range_counts():
+    # each would end a fold with an IndexError or silently change its meaning
+    for kwargs, message in (({"max_iters": 0}, "max_iters must be at least 1"),
+                            ({"energy_window": -1}, "energy_window must be non-negative"),
+                            ({"snapshot_every": -1}, "snapshot_every must be non-negative")):
+        with pytest.raises(ConfigurationError, match=message):
+            StepConfig(**kwargs)
+    assert StepConfig(max_iters=1, energy_window=0, snapshot_every=0).max_iters == 1
 
 
 # ---- fold -----------------------------------------------------------------

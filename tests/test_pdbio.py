@@ -11,6 +11,8 @@ from kinefold.pdbio import (
     write_pdb,
 )
 
+from .conftest import atom_index
+
 WATER_ONLY = """\
 ATOM      1  O   HOH A   1       0.000   0.000   0.000  1.00  0.00           O
 ATOM      2  H1  HOH A   1       0.960   0.000   0.000  1.00  0.00           H
@@ -166,7 +168,7 @@ def test_resolve_matches_solvation_class(param_set, mixed_chain):
 def test_gamma_set_selection(param_set, ala2):
     a = param_set.resolve(ala2, "sharp")
     b = param_set.resolve(ala2, "kyte")
-    ca = ala2.atom_index(0, "CA")
+    ca = atom_index(ala2, 0, "CA")
     assert a.gamma[ca] == pytest.approx(0.012)
     assert b.gamma[ca] == pytest.approx(0.004)
 

@@ -11,6 +11,7 @@ from kinefold.topology import (
     classify_pairs,
 )
 
+from .conftest import atom_index
 from .oracles import bfs_tree_distance, classify
 
 
@@ -32,7 +33,7 @@ def test_gly_gly_depth_matches_backbone_path():
     tree = build_tree(ch)
     assert not tree.ring_exclusions
     # walk from OXT back to the root: exactly the backbone bond count
-    i = ch.atom_index(1, "OXT")
+    i = atom_index(ch, 1, "OXT")
     hops = 0
     while tree.parent[i] != -1:
         i = tree.parent[i]
@@ -64,16 +65,16 @@ def test_disconnected_graph_rejected():
 
 def test_backbone_bonded_pair(ala2):
     tree = build_tree(ala2)
-    n0 = ala2.atom_index(0, "N")
-    ca0 = ala2.atom_index(0, "CA")
+    n0 = atom_index(ala2, 0, "N")
+    ca0 = atom_index(ala2, 0, "CA")
     assert classify(tree, n0, ca0) is InteractionClass.BONDED12
 
 
 def test_distant_residues_full():
     ch = build_chain(["ALA"] * 5)
     tree = build_tree(ch)
-    i = ch.atom_index(0, "CA")
-    j = ch.atom_index(4, "CA")
+    i = atom_index(ch, 0, "CA")
+    j = atom_index(ch, 4, "CA")
     assert classify(tree, i, j) is InteractionClass.FULL
 
 
@@ -129,10 +130,10 @@ def test_weight_table_pins_ends():
 def test_tree_weights_vectorized(ala2, param_set):
     tree = build_tree(ala2)
     tw = TreeWeights(tree, param_set.weights)
-    n0 = ala2.atom_index(0, "N")
-    ca0 = ala2.atom_index(0, "CA")
-    c0 = ala2.atom_index(0, "C")
-    o0 = ala2.atom_index(0, "O")
+    n0 = atom_index(ala2, 0, "N")
+    ca0 = atom_index(ala2, 0, "CA")
+    c0 = atom_index(ala2, 0, "C")
+    o0 = atom_index(ala2, 0, "O")
     i = np.array([n0, n0, n0])
     j = np.array([ca0, c0, o0])  # 1-2, 1-3, 1-4
     w = tw.weights_for(i, j)[:, 0]
