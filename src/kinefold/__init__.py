@@ -55,13 +55,11 @@ from .solvation import (
 )
 from .spatial import (
     Cutoffs,
-    GridConfig,
     HashGrid,
     NeighborTable,
     build_grid,
     build_neighbor_table,
     filtered_lists,
-    filtered_pairs,
 )
 from .topology import (
     BondTree,

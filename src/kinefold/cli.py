@@ -29,7 +29,7 @@ from .kcm import (
 )
 from .pdbio import RunLog, load_params, read_pdb, read_sequence, write_manifest, write_pdb
 from .solvation import SolvationConfig
-from .spatial import Cutoffs, GridConfig
+from .spatial import Cutoffs
 from .topology import TreeWeights, build_tree
 
 
@@ -88,8 +88,8 @@ def _build_system(args):
     config = FieldConfig(
         solvation=bool(args.water),
         dielectric=dielectric,
-        grid=GridConfig(alpha=args.alpha,
-                        cutoffs=Cutoffs(elec=cut[0], vdw=cut[1], cav=cut[2])),
+        cutoffs=Cutoffs(elec=cut[0], vdw=cut[1], cav=cut[2]),
+        alpha=args.alpha,
         solvation_cfg=SolvationConfig(
             probe_radius=args.probe_radius, delta_r=args.delta_r,
             samples=args.samples),

@@ -12,12 +12,13 @@ radius sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, StericClashError
-from .spatial import NeighborTable, filtered_pairs
+from .spatial import NeighborTable
 
 COULOMB_K = 332.06          # kcal A / (mol e^2)
 MIN_DISTANCE = 1e-6         # A; closer pairs abort as steric clashes
@@ -58,8 +59,8 @@ class DielectricModel:
     def __post_init__(self):
         if self.mode not in ("distance", "constant"):
             raise ConfigurationError(f"unknown dielectric mode {self.mode!r}")
-        if self.kappa <= 0:
-            raise ConfigurationError("kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ConfigurationError(f"kappa must be positive and finite, got {self.kappa}")
 
     def of(self, d: np.ndarray) -> np.ndarray:
         if self.mode == "distance":
@@ -79,9 +80,14 @@ class EnergyBreakdown:
 
 
 def extract_pairs(positions, table: NeighborTable, d_cut: float):
-    """Exact cut-off pairs (i < j, sorted by (i, j)) with squared
-    distances and distances, after the steric-clash guard."""
-    i, j, d2 = filtered_pairs(table, positions, d_cut)
+    """Exact cut-off pairs (i < j, sorted by (i, j)) from the superset
+    half ``table``, with squared distances and distances, after the
+    steric-clash guard."""
+    i, j = table.pairs()
+    diff = positions[i] - positions[j]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    keep = d2 <= d_cut * d_cut
+    i, j, d2 = i[keep], j[keep], d2[keep]
     d = np.sqrt(d2)
     if len(d) and float(d.min()) < MIN_DISTANCE:
         k = int(np.argmin(d))

@@ -16,6 +16,7 @@ kappa degrees.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -42,11 +43,9 @@ from .solvation import (
 )
 from .spatial import (
     Cutoffs,
-    GridConfig,
     NeighborTable,
     build_grid,
     build_neighbor_table,
-    brute_force_pairs,
     filtered_lists,
 )
 
@@ -59,13 +58,13 @@ from .spatial import (
 class FieldConfig:
     solvation: bool = False
     dielectric: DielectricModel = field(default_factory=DielectricModel)
-    grid: GridConfig = field(default_factory=GridConfig)
+    cutoffs: Cutoffs = field(default_factory=Cutoffs)
+    alpha: float = 1.0              # hash-grid cells per atom
     solvation_cfg: SolvationConfig = field(default_factory=SolvationConfig)
-    use_hash: bool = True
 
-    @property
-    def cutoffs(self) -> Cutoffs:
-        return self.grid.cutoffs
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
 
     def active_cutoff(self) -> float:
         c = self.cutoffs
@@ -82,12 +81,18 @@ class FieldResult:
 
 @dataclass
 class Field:
-    """Bundles parameters, pair weights, and options for one system."""
+    """Bundles parameters, pair weights, and options for one system.  A
+    solvated field checks its cavity cutoff once, here."""
 
     params: AtomParams
     weights: object
     config: FieldConfig = field(default_factory=FieldConfig)
     _sphere: SampleSphere | None = None
+
+    def __post_init__(self):
+        if self.config.solvation:
+            check_cav_cutoff(self.params, self.config.solvation_cfg,
+                             self.config.cutoffs.cav)
 
     def sphere(self) -> SampleSphere:
         if self._sphere is None or self._sphere.n != self.config.solvation_cfg.samples:
@@ -95,20 +100,17 @@ class Field:
             self._sphere = generate_samples(cfg.samples)
         return self._sphere
 
-    def _neighbor_table(self, positions) -> tuple[NeighborTable, float]:
-        """Superset table at the largest active cutoff; returns build time."""
-        t0 = time.perf_counter()
-        if self.config.use_hash:
-            grid = build_grid(positions, self.config.grid)
-            table = build_neighbor_table(grid, self.config.active_cutoff())
-        else:
-            table = _brute_table(positions, self.config.active_cutoff())
-        return table, time.perf_counter() - t0
+    def _neighbor_table(self, positions) -> NeighborTable:
+        """Superset half table at the largest active cutoff."""
+        grid = build_grid(positions, self.config.alpha)
+        return build_neighbor_table(grid, self.config.active_cutoff())
 
     def evaluate(self, positions, *, energy_only: bool = False) -> FieldResult:
         cfg = self.config
         cut = cfg.cutoffs
-        table, t_hash = self._neighbor_table(positions)
+        t0 = time.perf_counter()
+        table = self._neighbor_table(positions)
+        t_hash = time.perf_counter() - t0
         n = len(positions)
 
         # one pass over the table's pairs: one distance pass at the largest
@@ -144,7 +146,6 @@ class Field:
         t_solv = 0.0
         if cfg.solvation:
             t0 = time.perf_counter()
-            check_cav_cutoff(self.params, cfg.solvation_cfg, cut.cav)
             kc = d2 <= cut.cav * cut.cav
             cav_lists = filtered_lists(n, i[kc], j[kc])
             sasa, states = sasa_pass(positions, self.params, cav_lists,
@@ -162,14 +163,6 @@ class Field:
             timings={"hash": t_hash, "force": t_force, "solvation": t_solv},
             sasa=sasa,
         )
-
-
-def _brute_table(positions, d_cut: float) -> NeighborTable:
-    """All-pairs half table: the quadratic baseline (no hashing).  The
-    brute-force pairs are already sorted by (i, j)."""
-    i, j, _ = brute_force_pairs(positions, d_cut)
-    offsets = np.searchsorted(i, np.arange(len(positions) + 1))
-    return NeighborTable(offsets=offsets, neighbors=j)
 
 
 # --------------------------------------------------------------------------
@@ -236,16 +229,19 @@ class StepConfig:
     snapshot_every: int = 50
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ConfigurationError("kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ConfigurationError(f"kappa must be positive and finite, got {self.kappa}")
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be at least 1, got {self.max_iters}")
         for name in ("energy_window", "snapshot_every"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(
                     f"{name} must be non-negative, got {getattr(self, name)}")
-        if min(self.torque_tol, self.torque_tol_rel, self.energy_tol) < 0:
-            raise ConfigurationError("tolerances must be non-negative")
+        for name in ("torque_tol", "torque_tol_rel", "energy_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be non-negative and finite, got {value}")
 
 
 def check_finite_torques(tau: np.ndarray, context: str = "") -> None:

@@ -65,7 +65,7 @@ def _element_of(name: str, raw: str) -> str:
 def read_pdb(path) -> StructureRecord:
     """Parse ATOM/HETATM records; waters removed, first model only."""
     atoms: list[AtomRecord] = []
-    seen_alt: set[tuple[str, int, str, str]] = set()
+    seen_alt: set[tuple[str, str, int, str, str]] = set()
     stripped_water = False
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -86,7 +86,7 @@ def read_pdb(path) -> StructureRecord:
             if res_name in WATER_RESIDUES:
                 stripped_water = True
                 continue
-            key = (chain_id, res_seq, i_code, name)
+            key = (rec, chain_id, res_seq, i_code, name)
             if key in seen_alt:
                 continue  # alternate locations: first occurrence wins
             seen_alt.add(key)
@@ -118,11 +118,14 @@ def write_pdb(chain, positions, path) -> None:
         name = chain.atom_names[i]
         field_name = name if len(name) >= 4 else f" {name:<3s}"
         res = int(chain.atom_residue[i])
-        res_name = chain.residues[res] if res < chain.n_residues else "LIG"
+        if res < chain.n_residues:
+            res_name, res_seq = chain.residues[res], res + 1
+        else:  # hetero atoms keep their own number, as read (mod 10000)
+            res_name, res_seq = "LIG", res - chain.n_residues
         rec = "HETATM" if chain.hetero_mask[i] else "ATOM  "
         x, y, z = positions[i]
         lines.append(
-            f"{rec}{i + 1:5d} {field_name}{'':1s}{res_name:>3s} A{res + 1:4d}"
+            f"{rec}{i + 1:5d} {field_name}{'':1s}{res_name:>3s} A{res_seq:4d}"
             f"    {x:8.3f}{y:8.3f}{z:8.3f}{1.0:6.2f}{0.0:6.2f}"
             f"          {chain.atom_elements[i]:>2s}"
         )

@@ -21,6 +21,9 @@ is exactly zero and results are independent of accumulation order
 Coverage of a sample by a neighbor is tested as a dot product against a
 per-neighbor threshold (see ``_coverage``); samples near the threshold
 fall back to the distance test, so the states equal that test's.
+
+Both passes take the cavity-cutoff rows as one ``spatial.NeighborTable``
+(CSR) and gather the rows of each atom block by slicing its offsets.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .spatial import NeighborTable
 
 MIN_SAMPLES = 12
 _FIXED_POINT_BITS = 36
@@ -52,9 +56,11 @@ class SolvationConfig:
     samples: int = 1024
 
     def __post_init__(self):
-        if min(self.probe_radius, self.delta_r) <= 0 or self.samples < MIN_SAMPLES:
+        lengths_ok = all(math.isfinite(x) and x > 0 for x in (self.probe_radius, self.delta_r))
+        if not lengths_ok or self.samples < MIN_SAMPLES:
             raise ConfigurationError(
-                "probe radius and delta_r must be positive, samples >= 12"
+                "probe radius and delta_r must be positive and finite, samples >= 12,"
+                f" got {self.probe_radius}, {self.delta_r}, {self.samples}"
             )
 
 
@@ -140,15 +146,14 @@ def _sample_columns(points: np.ndarray) -> np.ndarray:
     return np.vstack([points.T, np.ones(len(points))])
 
 
-def _pair_rows(positions, neighbors, r_off: np.ndarray, atoms: np.ndarray,
-               slack: float):
+def _pair_rows(positions, neighbors: NeighborTable, r_off: np.ndarray,
+               atoms: np.ndarray, slack: float):
     """Neighbor pairs (i, j), i in ``atoms``, whose offset spheres can meet
-    once j moves by up to ``slack``, in neighbor-list order: per-atom
-    starts into the pair arrays, the neighbor j, and D = x_j - x_i."""
-    nbs = [neighbors[i] for i in atoms]
-    row = np.repeat(np.arange(len(atoms)), [len(nb) for nb in nbs])
+    once j moves by up to ``slack``, in row order: per-atom starts into
+    the pair arrays, the neighbor j, and D = x_j - x_i."""
+    lengths, j = neighbors.take(atoms)
+    row = np.repeat(np.arange(len(atoms)), lengths)
     i = atoms[row]
-    j = np.concatenate(nbs or [[]]).astype(np.intp, copy=False)
     d = positions[j] - positions[i]
     reach = r_off[i] + r_off[j] + slack + _REACH_EPS
     keep = np.einsum("ij,ij->i", d, d) <= reach * reach
@@ -194,13 +199,14 @@ def _covers(origin, r_i: float, u: np.ndarray, centers: np.ndarray,
     return (diff * diff).sum(-1) <= r_j2
 
 
-def sasa_pass(positions, params, neighbors, sphere: SampleSphere,
+def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
               config: SolvationConfig = SolvationConfig()):
     """Exposure counting: returns (SasaResult, ExposureStates).
 
-    ``neighbors`` holds one ascending index array per atom (cavity-cutoff
-    filtered); the order makes the recorded critical neighbor the lowest
-    overlapping index, deterministically.
+    ``neighbors`` holds one ascending row per atom (the cavity-cutoff
+    ``NeighborTable`` of ``spatial.filtered_lists``); the order makes the
+    recorded critical neighbor the lowest overlapping index,
+    deterministically.
     """
     positions = np.asarray(positions, float)
     n = len(positions)
@@ -266,7 +272,7 @@ def check_accumulator(nq: int, max_nb: int, w_max: int) -> None:
         )
 
 
-def solvation_forces(positions, params, neighbors, sphere: SampleSphere,
+def solvation_forces(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
                      states: ExposureStates,
                      config: SolvationConfig = SolvationConfig()) -> np.ndarray:
     """Forward-difference solvation forces from precomputed exposure states.
@@ -281,7 +287,7 @@ def solvation_forces(positions, params, neighbors, sphere: SampleSphere,
     nq = sphere.n
     r_off = offset_radii(params, config)
     w_int, quantum = _force_quantum(params, r_off, nq, config.delta_r)
-    check_accumulator(nq, max((len(nb) for nb in neighbors), default=0),
+    check_accumulator(nq, int(np.diff(neighbors.offsets).max(initial=0)),
                       int(np.max(np.abs(w_int), initial=0)))
     r_off2 = r_off * r_off
     dr = config.delta_r

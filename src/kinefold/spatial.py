@@ -1,4 +1,4 @@
-"""Uniform-grid spatial hash and cut-off neighbor tables.
+"""Uniform-grid spatial hash and cut-off neighbor rows.
 
 Atom centers are bucketed on a cubic grid whose cell edge is chosen so
 the bucket count tracks the atom count (~alpha * n cells).  A neighbor
@@ -7,17 +7,21 @@ query gathers every bucket whose center lies within
 diagonal covers the worst-case offset between atom and cell centers, so
 the gathered set is a strict superset of the true cut-off neighborhood.
 
-The table is a half table: each candidate pair is stored once, as
-j > i in row i, and rows ascend, so the pairs come out sorted by (i, j)
-just as ``brute_force_pairs`` lists them.  Exact distance filtering
-happens at use time, once per evaluation at the largest active cut-off
-(``filtered_pairs``), which keeps downstream force sums identical to
-their brute-force definitions; ``filtered_lists`` turns such pairs into
-symmetric per-atom rows without another distance pass.
+Every per-atom neighbor row lives in one CSR type, ``NeighborTable``:
+one ``offsets`` array and one flat ``neighbors`` array.  The hashed
+table is a half table: each candidate pair is stored once, as j > i in
+row i, and rows ascend, so the pairs come out sorted by (i, j).  Exact
+distance filtering happens at use time, once per evaluation at the
+largest active cut-off (``forcefield.extract_pairs``), which keeps
+downstream force sums identical to their brute-force definitions;
+``filtered_lists`` turns such pairs into a table of symmetric rows
+without another distance pass.  The all-pairs scans these are checked
+against live with the other references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,18 +41,8 @@ class Cutoffs:
     cav: float = 8.0
 
     def __post_init__(self):
-        if min(self.elec, self.vdw, self.cav) <= 0:
-            raise ConfigurationError("cutoff distances must be positive")
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    alpha: float = 1.0
-    cutoffs: Cutoffs = field(default_factory=Cutoffs)
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
+        if not all(math.isfinite(c) and c > 0 for c in (self.elec, self.vdw, self.cav)):
+            raise ConfigurationError("cutoff distances must be positive and finite")
 
 
 @dataclass
@@ -66,7 +60,8 @@ class HashGrid:
         return len(self._atom_order)
 
 
-def build_grid(positions: np.ndarray, config: GridConfig = GridConfig()) -> HashGrid:
+def build_grid(positions: np.ndarray, alpha: float = 1.0) -> HashGrid:
+    """Buckets for ``positions``, about ``alpha`` cells per atom."""
     positions = np.asarray(positions, float)
     if positions.ndim != 2 or positions.shape[1] != 3 or len(positions) < 1:
         raise ConfigurationError("positions must be a non-empty (n, 3) array")
@@ -77,7 +72,7 @@ def build_grid(positions: np.ndarray, config: GridConfig = GridConfig()) -> Hash
     r_max = positions.max(axis=0)
     extent = r_max - r_min
     v_bb = float(np.prod(extent))
-    cell = (v_bb / (config.alpha * n)) ** (1.0 / 3.0) if v_bb > 0 else 0.0
+    cell = (v_bb / (alpha * n)) ** (1.0 / 3.0) if v_bb > 0 else 0.0
     cell = max(cell, MIN_CELL)
     dims = np.maximum(np.ceil(extent / cell).astype(np.int64), 1)
     cells = np.floor((positions - r_min) / cell).astype(np.int64)
@@ -100,21 +95,37 @@ def build_grid(positions: np.ndarray, config: GridConfig = GridConfig()) -> Hash
 
 @dataclass
 class NeighborTable:
-    """Half table of superset candidate pairs: row i holds the candidates
-    j > i, ascending, so every unordered pair is stored once and
-    ``pairs()`` comes out sorted by (i, j)."""
+    """Per-atom neighbor rows in CSR form, a sequence of rows: row i,
+    ``table[i]``, is ``neighbors[offsets[i]:offsets[i + 1]]``, ascending.
+
+    ``build_neighbor_table`` fills it as a half table (row i holds the
+    candidates j > i, so ``pairs()`` lists every unordered pair once,
+    sorted by (i, j)); ``filtered_lists`` fills it with symmetric rows.
+    """
 
     offsets: np.ndarray    # CSR offsets, length n+1
-    neighbors: np.ndarray  # concatenated neighbor indices
+    neighbors: np.ndarray  # concatenated rows
 
-    @property
-    def n_atoms(self) -> int:
+    def __len__(self) -> int:
         return len(self.offsets) - 1
 
+    def __getitem__(self, i) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.neighbors[self.offsets[i]:self.offsets[i + 1]]
+
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unordered candidate pairs (i < j), each once, sorted by (i, j)."""
-        i = np.repeat(np.arange(self.n_atoms), np.diff(self.offsets))
+        """(row, entry) for every entry, sorted by row: for a half table,
+        the unordered candidate pairs (i < j), each once, sorted by (i, j)."""
+        i = np.repeat(np.arange(len(self)), np.diff(self.offsets))
         return i, self.neighbors
+
+    def take(self, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``atoms``, in that order: their lengths and their
+        entries concatenated."""
+        begin = self.offsets[atoms]
+        lengths = self.offsets[atoms + 1] - begin
+        at = np.repeat(begin, lengths) + _segment_arange(lengths)
+        return lengths, self.neighbors[at]
 
 
 def _stencil(cell: float, d_cut: float) -> np.ndarray:
@@ -199,20 +210,8 @@ def build_neighbor_table(grid: HashGrid, d_cut: float) -> NeighborTable:
     return NeighborTable(offsets=offsets, neighbors=neighbors)
 
 
-def filtered_pairs(
-    table: NeighborTable, positions: np.ndarray, d_cut: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact cut-off pairs (i < j, sorted by (i, j)) from the superset
-    table, with squared distances."""
-    i, j = table.pairs()
-    diff = positions[i] - positions[j]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    keep = d2 <= d_cut * d_cut
-    return i[keep], j[keep], d2[keep]
-
-
-def filtered_lists(n: int, i: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
-    """Per-atom neighbor lists of the pairs (i < j, sorted by (i, j)).
+def filtered_lists(n: int, i: np.ndarray, j: np.ndarray) -> NeighborTable:
+    """Symmetric per-atom rows of the pairs (i < j, sorted by (i, j)).
 
     A stable sort of the rows ``[j, i]`` symmetrises the pairs: row a
     first gets the partners i < a of the pairs (i, a), in ascending i,
@@ -220,18 +219,6 @@ def filtered_lists(n: int, i: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
     row comes out ascending."""
     rows = np.concatenate([j, i])
     order = np.argsort(rows, kind="stable")
-    row_ends = np.cumsum(np.bincount(rows, minlength=n))
-    return np.split(np.concatenate([i, j])[order], row_ends[:-1])
-
-
-def brute_force_pairs(
-    positions: np.ndarray, d_cut: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All-pairs cut-off scan (no hashing); the benchmarking baseline."""
-    positions = np.asarray(positions, float)
-    n = len(positions)
-    iu, ju = np.triu_indices(n, k=1)
-    diff = positions[iu] - positions[ju]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    keep = d2 <= d_cut * d_cut
-    return iu[keep], ju[keep], np.sqrt(d2[keep])
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return NeighborTable(offsets=offsets, neighbors=np.concatenate([i, j])[order])

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import strategies as st
 
 from kinefold.chain import Conformation, build_chain
-from kinefold.forcefield import DielectricModel
+from kinefold.forcefield import DielectricModel, extract_pairs
 from kinefold.kcm import Field, FieldConfig
 from kinefold.pdbio import load_params
-from kinefold.spatial import Cutoffs, GridConfig, filtered_lists, filtered_pairs
+from kinefold.spatial import Cutoffs, NeighborTable, filtered_lists
 from kinefold.topology import TreeWeights, build_tree
 
 
@@ -53,8 +53,8 @@ def pair_field(params, weights=UniformWeights(), dielectric=DielectricModel(),
                **cutoffs):
     """Vacuum field (elec and vdW terms) for a free cluster at
     ``Cutoffs(**cutoffs)``."""
-    grid = GridConfig(cutoffs=Cutoffs(**cutoffs))
-    return Field(params, weights, FieldConfig(dielectric=dielectric, grid=grid))
+    return Field(params, weights,
+                 FieldConfig(dielectric=dielectric, cutoffs=Cutoffs(**cutoffs)))
 
 
 def only(params, term: str):
@@ -68,8 +68,16 @@ def cutoff_lists(table, positions, d_cut):
     """Ascending per-atom neighbor lists at ``d_cut``: the table's pairs
     with ``d2 <= d_cut**2``, symmetrised as ``Field.evaluate`` builds the
     cavity lists."""
-    i, j, _ = filtered_pairs(table, positions, d_cut)
-    return filtered_lists(table.n_atoms, i, j)
+    i, j, _, _ = extract_pairs(positions, table, d_cut)
+    return filtered_lists(len(table), i, j)
+
+
+def neighbor_table(rows) -> NeighborTable:
+    """A ``NeighborTable`` holding ``rows``, one index sequence per atom."""
+    offsets = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum([len(row) for row in rows], out=offsets[1:])
+    entries = [np.asarray(row, np.int64) for row in rows]
+    return NeighborTable(offsets=offsets, neighbors=np.concatenate(entries))
 
 
 def atom_index(chain, residue, name):
@@ -78,11 +86,6 @@ def atom_index(chain, residue, name):
         if chain.atom_names[i] == name:
             return int(i)
     raise KeyError((residue, name))
-
-
-def table_rows(table):
-    """The half table's rows: row i holds the candidates j > i."""
-    return np.split(table.neighbors, table.offsets[1:-1])
 
 
 @pytest.fixture

@@ -12,7 +12,9 @@ import numpy as np
 
 from kinefold.errors import ConfigurationError
 from kinefold.geometry import AXIS_UNIT_TOL, dihedral_angle, wrap_degrees
+from kinefold.kcm import Field
 from kinefold.solvation import _force_quantum, offset_radii
+from kinefold.spatial import NeighborTable
 from kinefold.topology import InteractionClass, classify_pairs
 
 from .conftest import atom_index
@@ -96,6 +98,34 @@ def _chi_link_index(chain, i: int, k: int) -> int:
 def classify(tree, i: int, j: int) -> InteractionClass:
     """Interaction class of one pair; symmetric, O(1)."""
     return InteractionClass(int(classify_pairs(tree, np.array([i]), np.array([j]))[0]))
+
+
+def brute_force_pairs(positions, d_cut):
+    """All-pairs cut-off scan (no hashing): the pairs (i < j, sorted by
+    (i, j)) within ``d_cut`` and their distances."""
+    positions = np.asarray(positions, float)
+    n = len(positions)
+    iu, ju = np.triu_indices(n, k=1)
+    diff = positions[iu] - positions[ju]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    keep = d2 <= d_cut * d_cut
+    return iu[keep], ju[keep], np.sqrt(d2[keep])
+
+
+def brute_table(positions, d_cut) -> NeighborTable:
+    """All-pairs half table: the quadratic scan in the hashed table's
+    format.  The brute-force pairs are already sorted by (i, j)."""
+    i, j, _ = brute_force_pairs(positions, d_cut)
+    offsets = np.searchsorted(i, np.arange(len(positions) + 1))
+    return NeighborTable(offsets=offsets, neighbors=j)
+
+
+class BruteField(Field):
+    """A ``Field`` whose neighbor table is the all-pairs scan instead of
+    the spatial hash; everything after the table is the library's."""
+
+    def _neighbor_table(self, positions):
+        return brute_table(positions, self.config.active_cutoff())
 
 
 def brute_neighbor_sets(positions, d_cut):

@@ -30,8 +30,13 @@ from kinefold.solvation import (
 )
 from kinefold.spatial import build_grid, build_neighbor_table
 
-from .conftest import cutoff_lists, make_field, only, pair_field
-from .oracles import naive_solvation_forces, quadratic_joint_torques, two_sphere_exposed_area
+from .conftest import cutoff_lists, make_field, neighbor_table, only, pair_field
+from .oracles import (
+    BruteField,
+    naive_solvation_forces,
+    quadratic_joint_torques,
+    two_sphere_exposed_area,
+)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -86,11 +91,11 @@ def test_criterion_2_sasa_analytic():
     pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     cfg = SolvationConfig(samples=10_000)
     sphere = generate_samples(10_000)
-    nbrs = [np.array([1]), np.array([0])]
+    nbrs = neighbor_table([[1], [0]])
     res, _ = sasa_pass(pos, params, nbrs, sphere, cfg)
     want = two_sphere_exposed_area(3.0, 3.0)
     rel = np.abs(res.a_exp - want).max() / want
-    iso, _ = sasa_pass(pos[:1], params, [np.array([], int)], sphere, cfg)
+    iso, _ = sasa_pass(pos[:1], params, neighbor_table([[]]), sphere, cfg)
     exact = iso.a_exp[0] == 4.0 * math.pi * 3.0**2
     ok = rel < 0.01 and want == pytest.approx(27 * math.pi) and exact
     report(2, ok, f"two-sphere a_exp within {rel:.4%} of 27*pi; isolated exact")
@@ -111,7 +116,7 @@ def test_criterion_3_solvation_gradient():
         params = AtomParams(q=np.zeros(5), R=rng.uniform(1.2, 2.0, 5),
                             eps=np.full(5, 0.1), gamma=rng.uniform(-0.2, 0.05, 5),
                             solv_class=("C",) * 5)
-        nbrs = [np.array([j for j in range(5) if j != i]) for i in range(5)]
+        nbrs = neighbor_table([[j for j in range(5) if j != i] for i in range(5)])
         _, states = sasa_pass(pos, params, nbrs, sphere, cfg)
         f = solvation_forces(pos, params, nbrs, sphere, states, cfg)
         momentum_exact &= bool(np.all(f.sum(axis=0) == 0.0))
@@ -146,7 +151,7 @@ def test_criterion_4_step2_soundness():
         params = AtomParams(q=np.zeros(n), R=rng.uniform(1.0, 2.0, n),
                             eps=np.full(n, 0.1), gamma=rng.uniform(-0.2, 0.05, n),
                             solv_class=("C",) * n)
-        nbrs = [np.array([j for j in range(n) if j != i]) for i in range(n)]
+        nbrs = neighbor_table([[j for j in range(n) if j != i] for i in range(n)])
         _, states = sasa_pass(pos, params, nbrs, sphere, cfg)
         fast = solvation_forces(pos, params, nbrs, sphere, states, cfg)
         slow = naive_solvation_forces(pos, params, nbrs, sphere, cfg)
@@ -284,7 +289,7 @@ def test_criterion_10_scaling(param_set):
 
     ch = build_chain(["ALA"] * 60)
     f_hash = make_field(ch, param_set)
-    f_brute = make_field(ch, param_set, use_hash=False)
+    f_brute = BruteField(f_hash.params, f_hash.weights, f_hash.config)
     pos = forward_kinematics(ch, ch.conf_zp())
     t_h = t_b = np.inf
     for _ in range(5):

@@ -188,10 +188,24 @@ def test_missing_input_rejected(tmp_path, capsys):
     (["fold", "--seq", "AA", "--batch", "0"], "error: --batch: "),
     (["fold", "--seq", "AA", "--init", "random", "--angle-range", "-5"],
      "error: --angle-range: "),
+    (["fold", "--seq", "AA", "--torque-tol", "nan"],
+     "error: torque_tol must be non-negative and finite, got nan"),
+    (["fold", "--seq", "AA", "--energy-tol", "nan"],
+     "error: energy_tol must be non-negative and finite, got nan"),
+    (["fold", "--seq", "AA", "--kappa", "nan"], "error: kappa must be positive and finite"),
+    (["fold", "--seq", "AA", "--water", "--delta-r", "nan"],
+     "error: probe radius and delta_r must be positive and finite"),
+    (["fold", "--seq", "AA", "--water", "--probe-radius", "nan"],
+     "error: probe radius and delta_r must be positive and finite"),
+    (["fold", "--seq", "AA", "--alpha", "nan"], "error: alpha must be positive and finite"),
+    (["fold", "--seq", "AA", "--water", "--cutoffs", "9,5,3", "--init", "random",
+      "--batch", "3"], "error: cavity cutoff 3.0 A below"),
 ], ids=["cutoffs", "dielectric", "init-uniform", "freeze-text", "freeze-negative",
         "freeze-past-end", "rama-negative", "rama-past-end", "hinge-chi", "hinge-dash",
         "hinge-past-end", "hinge-repeated", "max-iters-zero", "energy-window-negative",
-        "snapshot-every-negative", "batch-zero", "angle-range-negative"])
+        "snapshot-every-negative", "batch-zero", "angle-range-negative", "torque-tol-nan",
+        "energy-tol-nan", "kappa-nan", "delta-r-nan", "probe-radius-nan", "alpha-nan",
+        "cavity-cutoff-batch"])
 def test_bad_arguments_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err

@@ -194,3 +194,6 @@ def test_param_validation():
                    gamma=np.zeros(2), solv_class=("C", "C"))
     with pytest.raises(ConfigurationError):
         DielectricModel(mode="weird")
+    for kappa in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="kappa must be positive and finite"):
+            DielectricModel(mode="constant", kappa=kappa)

@@ -121,6 +121,26 @@ def test_hetero_emitted_as_hetatm(tmp_path):
     assert fe_lines and fe_lines[0].startswith("HETATM")
 
 
+def test_hetero_numbers_round_trip(tmp_path):
+    """A hetero atom keeps its own residue number (mod 10000) on export,
+    so a ligand numbered 9999 still fits the four-column field, and one
+    numbered like a protein residue is not taken for its alternate
+    location."""
+    src = tmp_path / "lig.pdb"
+    src.write_text(HETERO_MIX.replace("HEM A   2", "HEM A9999")
+                   .replace("HOH A   3", "LIG A   1"))
+    ch = build_chain([], geometry=read_pdb(src))
+    assert ch.hetero_mask.sum() == 2
+    out = tmp_path / "out.pdb"
+    write_pdb(ch, forward_kinematics(ch, ch.conf_zp()), out)
+    rec = read_pdb(out)
+    assert sorted(a.res_seq for a in rec.atoms if a.hetero) == [1, 9999]
+    again = tmp_path / "again.pdb"
+    ch2 = build_chain([], geometry=rec)
+    write_pdb(ch2, forward_kinematics(ch2, ch2.conf_zp()), again)
+    assert again.read_text() == out.read_text()
+
+
 # ---- sequences ------------------------------------------------------------
 
 def test_one_letter_sequence():

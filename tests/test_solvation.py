@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kinefold import solvation
 from kinefold.errors import ConfigurationError
 from kinefold.forcefield import AtomParams
-from kinefold.kcm import _brute_table
 from kinefold.solvation import (
     SampleSphere,
     SolvationConfig,
@@ -23,7 +22,7 @@ from kinefold.solvation import (
 from kinefold.spatial import build_grid, build_neighbor_table
 
 from . import oracles
-from .conftest import cutoff_lists
+from .conftest import cutoff_lists, neighbor_table
 
 
 def make_params(n, rng=None, gamma=None, radius=None):
@@ -38,7 +37,7 @@ def make_params(n, rng=None, gamma=None, radius=None):
 
 
 def all_neighbors(n):
-    return [np.array([j for j in range(n) if j != i]) for i in range(n)]
+    return neighbor_table([[j for j in range(n) if j != i] for i in range(n)])
 
 
 # ---- sampling -------------------------------------------------------------
@@ -93,7 +92,7 @@ def test_isolated_atom_fully_exposed():
     params = make_params(1)
     cfg = SolvationConfig(samples=256)
     sp = generate_samples(256)
-    res, states = sasa_pass(np.zeros((1, 3)), params, [np.array([], int)], sp, cfg)
+    res, states = sasa_pass(np.zeros((1, 3)), params, neighbor_table([[]]), sp, cfg)
     assert res.f_exp[0] == 1.0
     r_off = 1.6 + cfg.probe_radius
     assert res.a_exp[0] == pytest.approx(4 * math.pi * r_off**2, rel=1e-12)
@@ -179,7 +178,7 @@ def test_far_apart_no_forces():
     pos = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0]])
     cfg = SolvationConfig(samples=256)
     sp = generate_samples(256)
-    nbrs = [np.array([], int), np.array([], int)]  # beyond the cavity cutoff
+    nbrs = neighbor_table([[], []])  # beyond the cavity cutoff
     res, states = sasa_pass(pos, params, nbrs, sp, cfg)
     f = solvation_forces(pos, params, nbrs, sp, states, cfg)
     assert np.all(f == 0.0)
@@ -251,9 +250,9 @@ def test_block_partition_identical(rng, monkeypatch):
     n = 24
     pos = rng.uniform(0, 9, (n, 3))
     params = make_params(n, rng)
-    nbrs = [np.sort(rng.choice([j for j in range(n) if j != i],
-                               size=min(10, n - 1), replace=False))
-            for i in range(n)]
+    nbrs = neighbor_table([np.sort(rng.choice([j for j in range(n) if j != i],
+                                              size=min(10, n - 1), replace=False))
+                           for i in range(n)])
     sp = generate_samples(512)
     cfg = SolvationConfig(samples=512)
     res1, st1 = sasa_pass(pos, params, nbrs, sp, cfg)
@@ -366,12 +365,35 @@ def test_neighbor_at_exact_cutoff_matches_oracle():
     cfg = SolvationConfig()
     check_cav_cutoff(params, cfg, 8.0)
     for table in (build_neighbor_table(build_grid(pos), 8.0),
-                  _brute_table(pos, 8.0)):
+                  oracles.brute_table(pos, 8.0)):
         nbrs = cutoff_lists(table, pos, 8.0)
         assert nbrs[0].tolist() == [1, 2]
         states = assert_matches_distance_oracle(pos, params, nbrs, axis_sphere(),
                                                 cfg)
         assert states.critical[0, 0] == 1 and states.critical[0, 2] == 2
+
+
+@pytest.mark.parametrize("block", [solvation._BLOCK_ATOMS, 5])
+def test_sparse_rows_and_zero_gamma_match_oracle(monkeypatch, block):
+    """Atoms with gamma = 0 and atoms with empty rows interleave with the
+    active ones, so the force pass gathers the rows of a non-contiguous
+    atom subset out of the table (within and across blocks)."""
+    monkeypatch.setattr(solvation, "_BLOCK_ATOMS", block)
+    rng = np.random.default_rng(11)
+    n = 12
+    lone = [2, 7, 8]
+    pos = rng.uniform(0, 5.0, (n, 3))
+    pos[lone] = [[40.0, 0.0, 0.0], [0.0, 40.0, 0.0], [0.0, 0.0, 40.0]]
+    gamma = rng.uniform(-0.2, 0.05, n)
+    gamma[[1, 4, 10]] = 0.0
+    params = make_params(n, radius=rng.uniform(1.2, 2.0, n), gamma=gamma)
+    rows = [[] if i in lone else [j for j in range(n) if j != i and j not in lone]
+            for i in range(n)]
+    nbrs = neighbor_table(rows)
+    active = np.flatnonzero((np.diff(nbrs.offsets) > 0) & (gamma != 0))
+    assert np.any(np.diff(active) > 1)
+    assert_matches_distance_oracle(pos, params, nbrs, generate_samples(512),
+                                   SolvationConfig(samples=512))
 
 
 def test_neighbor_reaching_only_when_displaced():
@@ -420,3 +442,5 @@ def test_config_validation():
         SolvationConfig(delta_r=0.0)
     with pytest.raises(ConfigurationError):
         SolvationConfig(samples=4)
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        SolvationConfig(probe_radius=float("inf"))

@@ -7,20 +7,12 @@ from hypothesis import strategies as st
 
 from kinefold import kcm
 from kinefold.errors import ConfigurationError
-from kinefold.forcefield import AtomParams
-from kinefold.kcm import Field, FieldConfig, _brute_table
+from kinefold.forcefield import AtomParams, extract_pairs
+from kinefold.kcm import Field, FieldConfig
 from kinefold.solvation import SolvationConfig
-from kinefold.spatial import (
-    Cutoffs,
-    GridConfig,
-    build_grid,
-    build_neighbor_table,
-    brute_force_pairs,
-    filtered_lists,
-    filtered_pairs,
-)
-from .conftest import UniformWeights, cutoff_lists, table_rows
-from .oracles import brute_neighbor_sets
+from kinefold.spatial import Cutoffs, build_grid, build_neighbor_table, filtered_lists
+from .conftest import UniformWeights, cutoff_lists
+from .oracles import BruteField, brute_force_pairs, brute_neighbor_sets, brute_table
 
 
 def buckets(grid) -> dict[tuple[int, int, int], list[int]]:
@@ -42,7 +34,7 @@ def test_separated_atoms_get_distinct_buckets():
     # a 2 A cube with alpha = 1 gives 1 A cells: corners land apart
     corners = np.array([[x, y, z] for x in (0.0, 2.0)
                         for y in (0.0, 2.0) for z in (0.0, 2.0)])
-    grid = build_grid(corners, GridConfig(alpha=1.0))
+    grid = build_grid(corners, alpha=1.0)
     assert grid.cell_size < 2.0
     assert len(buckets(grid)) == 8
 
@@ -50,8 +42,8 @@ def test_separated_atoms_get_distinct_buckets():
 def test_cell_size_formula():
     rng = np.random.default_rng(1)
     pos = rng.uniform(0, 30, (400, 3))
-    cfg = GridConfig(alpha=1.0)
-    grid = build_grid(pos, cfg)
+    cfg = FieldConfig(alpha=1.0)
+    grid = build_grid(pos, cfg.alpha)
     v_bb = float(np.prod(pos.max(0) - pos.min(0)))
     assert grid.cell_size == pytest.approx((v_bb / (cfg.alpha * 400)) ** (1 / 3),
                                            abs=1e-12)
@@ -81,8 +73,8 @@ def test_nonfinite_rejected():
 
 def test_far_pair_empty_lists():
     pos = np.array([[0.0, 0.0, 0.0], [20.0, 0.0, 0.0]])
-    grid = build_grid(pos, GridConfig())
-    rows = table_rows(build_neighbor_table(grid, 9.0))
+    grid = build_grid(pos, FieldConfig().alpha)
+    rows = list(build_neighbor_table(grid, 9.0))
     assert rows[0].size == 0
     assert rows[1].size == 0
 
@@ -112,9 +104,9 @@ def test_table_rows_ascending(rng):
     before and after exact filtering."""
     pos = rng.uniform(0, 22, (300, 3))
     hashed = build_neighbor_table(build_grid(pos), 8.0)
-    brute = _brute_table(pos, 8.0)
+    brute = brute_table(pos, 8.0)
     for table in (hashed, brute):
-        for row in table_rows(table) + cutoff_lists(table, pos, 6.0):
+        for row in list(table) + list(cutoff_lists(table, pos, 6.0)):
             assert np.all(np.diff(row) > 0)
 
 
@@ -141,7 +133,7 @@ def test_filtered_symmetry(rng):
 def test_pairs_unordered_once(rng):
     pos = rng.uniform(0, 18, (150, 3))
     table = build_neighbor_table(build_grid(pos), 6.0)
-    i, j, d = filtered_pairs(table, pos, 6.0)
+    i, j, d, _ = extract_pairs(pos, table, 6.0)
     assert np.all(i < j)
     keys = set(zip(i.tolist(), j.tolist()))
     assert len(keys) == len(i)
@@ -153,7 +145,11 @@ def test_cutoffs_validate():
     with pytest.raises(ConfigurationError):
         Cutoffs(elec=-1.0)
     with pytest.raises(ConfigurationError):
-        GridConfig(alpha=0.0)
+        FieldConfig(alpha=0.0)
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        Cutoffs(cav=float("inf"))
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        FieldConfig(alpha=float("nan"))
 
 
 def test_build_and_query_scale_subquadratically():
@@ -169,7 +165,7 @@ def test_build_and_query_scale_subquadratically():
         for _ in range(3):
             t0 = time.perf_counter()
             table = build_neighbor_table(build_grid(pos), 5.0)
-            filtered_pairs(table, pos, 5.0)
+            extract_pairs(pos, table, 5.0)
             best = min(best, time.perf_counter() - t0)
         times.append(best)
     exponent = np.polyfit(np.log(sizes), np.log(times), 1)[0]
@@ -207,14 +203,14 @@ def test_half_table_pairs_equal_brute_force(pos):
     cut-off pairs, element for element and in the same (i, j) order."""
     for d_cut in CUTOFFS:
         bi, bj, bd = brute_force_pairs(pos, d_cut)
-        brute = _brute_table(pos, d_cut)
+        brute = brute_table(pos, d_cut)
         i, j = brute.pairs()
         assert np.array_equal(i, bi) and np.array_equal(j, bj), d_cut
         for table in (build_neighbor_table(build_grid(pos), d_cut), brute):
             i, j = table.pairs()
             assert np.all(i < j)
             assert np.all(np.lexsort((j, i)) == np.arange(len(i)))
-            i, j, d2 = filtered_pairs(table, pos, d_cut)
+            i, j, d2, _ = extract_pairs(pos, table, d_cut)
             assert np.array_equal(i, bi) and np.array_equal(j, bj), d_cut
             assert np.array_equal(np.sqrt(d2), bd)
 
@@ -225,9 +221,9 @@ def cavity_lists(pos, cutoffs, use_hash=True):
     n = len(pos)
     params = AtomParams(q=np.zeros(n), R=np.ones(n), eps=np.zeros(n),
                         gamma=np.zeros(n), solv_class=("C",) * n)
-    cfg = FieldConfig(solvation=True, use_hash=use_hash,
-                      grid=GridConfig(cutoffs=Cutoffs(*cutoffs)),
+    cfg = FieldConfig(solvation=True, cutoffs=Cutoffs(*cutoffs),
                       solvation_cfg=SolvationConfig(samples=12))
+    field_type = Field if use_hash else BruteField
     seen = []
 
     def spy(*args):
@@ -236,7 +232,7 @@ def cavity_lists(pos, cutoffs, use_hash=True):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kcm, "filtered_lists", spy)
-        Field(params, UniformWeights(), cfg).evaluate(pos, energy_only=True)
+        field_type(params, UniformWeights(), cfg).evaluate(pos, energy_only=True)
     (lists,) = seen
     return lists
 
