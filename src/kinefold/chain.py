@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -176,6 +176,7 @@ class Chain:
     bonds: list[tuple[int, int]]
     hetero_mask: np.ndarray
     source: str = "canonical"
+    hetero_res_names: dict[int, str] = field(default_factory=dict)  # atom -> as read
 
     # ---- counts -------------------------------------------------------------
     @property
@@ -415,6 +416,7 @@ class _Builder:
         self.pos: list[np.ndarray] = []
         self.bonds: list[tuple[int, int]] = []
         self.hetero: list[bool] = []
+        self.hetero_res_names: dict[int, str] = {}
         self.links: list[dict] = []
 
     def add_atom(self, name, element, cls, residue, link, xyz, hetero=False) -> int:
@@ -453,6 +455,7 @@ class _Builder:
             bonds=self.bonds,
             hetero_mask=np.asarray(self.hetero, bool),
             source=source,
+            hetero_res_names=self.hetero_res_names,
         )
 
 
@@ -533,8 +536,9 @@ def _assemble(residues: list[_ResidueAtoms], hetero, source: str) -> Chain:
         prev_c = base + at["C"]
 
     for a in hetero:
-        b.add_atom(a.name, a.element, f"EL_{a.element}", m + a.res_seq % 10_000,
-                   ground, a.xyz, hetero=True)
+        k = b.add_atom(a.name, a.element, f"EL_{a.element}", m + a.res_seq % 10_000,
+                       ground, a.xyz, hetero=True)
+        b.hetero_res_names[k] = a.res_name
     return b.finish([r.code for r in residues], source)
 
 

@@ -1,7 +1,8 @@
 """Command-line driver: fold, Ramachandran/hinge scans, SASA.
 
 Every run writes a manifest.json recording the effective configuration
-(including the seed), so any artifact can be reproduced bit for bit.
+(for ``fold``, the only command that draws random numbers, including the
+seed), so any artifact can be reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -44,14 +45,12 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     field.add_argument("--water", action="store_true", help="include solvation term")
     p.add_argument("--dielectric", default="distance",
                    help="'distance' or a constant kappa value")
-    p.add_argument("--cutoffs", default="9.0,5.0,8.0",
-                   help="elec,vdw,cav cut-off distances in Angstroms")
-    p.add_argument("--alpha", type=float, default=1.0, help="grid buckets per atom")
+    p.add_argument("--cutoffs", default="9.0,5.0",
+                   help="elec,vdw cut-off distances in Angstroms")
     p.add_argument("--samples", type=int, default=1024, help="sphere sample count")
     p.add_argument("--delta-r", type=float, default=1e-2,
                    help="forward-difference step for solvation forces")
     p.add_argument("--probe-radius", type=float, default=1.4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--omega", default="trans", choices=("trans", "cis"))
 
 
@@ -78,7 +77,7 @@ def _build_system(args):
         raise KinefoldError("need --seq or --pdb")
     atom_params = params_set.resolve(chain, args.gamma_set)
     weights = TreeWeights(build_tree(chain), params_set.weights)
-    cut = _numbers("cutoffs", args.cutoffs, (3,), "three numbers ELEC,VDW,CAV")
+    elec, vdw = _numbers("cutoffs", args.cutoffs, (2,), "two numbers ELEC,VDW")
     if args.dielectric == "distance":
         dielectric = DielectricModel()
     else:
@@ -88,8 +87,7 @@ def _build_system(args):
     config = FieldConfig(
         solvation=bool(args.water),
         dielectric=dielectric,
-        cutoffs=Cutoffs(elec=cut[0], vdw=cut[1], cav=cut[2]),
-        alpha=args.alpha,
+        cutoffs=Cutoffs(elec=elec, vdw=vdw),
         solvation_cfg=SolvationConfig(
             probe_radius=args.probe_radius, delta_r=args.delta_r,
             samples=args.samples),
@@ -105,7 +103,6 @@ def _manifest_payload(args, chain: Chain, extra: dict) -> dict:
         "n_atoms": chain.n_atoms,
         "n_residues": chain.n_residues,
         "n_dof": chain.n_dof,
-        "seed": args.seed,
     }
     payload.update(extra)
     return payload
@@ -194,8 +191,8 @@ def cmd_fold(args) -> int:
             w.writerow(["run", "iterations", "converged", "reason",
                         "g_total", "mean_phi", "mean_psi"])
             w.writerows(summary_rows)
-    write_manifest(out, _manifest_payload(args, chain,
-                                          {"runs": runs, "failed_runs": failed}))
+    write_manifest(out, _manifest_payload(
+        args, chain, {"seed": args.seed, "runs": runs, "failed_runs": failed}))
     return 2 if failed else 0
 
 
@@ -232,9 +229,7 @@ def cmd_scan_hinge(args) -> int:
         if dof in dofs:
             raise KinefoldError(f"--hinges: entry {part!r} names a hinge twice")
         dofs.append(dof)
-    base = chain.conf_zp()
-    base = base.freeze([d for d in range(chain.n_dof) if d not in dofs])
-    grid = hinge_scan(chain, dofs, args.range, args.steps, field, base)
+    grid = hinge_scan(chain, dofs, args.range, args.steps, field, chain.conf_zp())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "hinge.csv", "w", newline="") as fh:
@@ -296,6 +291,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--freeze", help="comma-separated dof indices to freeze")
     p.add_argument("--batch", type=int, default=1,
                    help="number of independent runs (random inits)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random inits")
     p.set_defaults(func=cmd_fold)
 
     p = sub.add_parser("scan-rama", help="phi/psi energy grid for one residue")

@@ -1,5 +1,11 @@
 """Kinetostatic compliance: forces -> link wrenches -> joint torques -> step.
 
+``Field.evaluate`` gives the atom forces of one conformation: one hashed
+neighbor table at a cut-off covering the elec and vdW cut-offs and, when
+solvated, the reach of the two largest offset spheres; one pass over its
+pairs; and the SASA passes on the pairs whose offset spheres can meet
+(``solvation.reach``).
+
 Per iteration, atom forces are summed into per-link wrenches (force plus
 moment about the amino-terminus anchor, which sits at the global
 origin).  Joint torques need the total wrench of the subtree each joint
@@ -36,8 +42,9 @@ from .forcefield import (
 from .solvation import (
     SampleSphere,
     SolvationConfig,
-    check_cav_cutoff,
     generate_samples,
+    offset_radii,
+    reach,
     sasa_pass,
     solvation_forces,
 )
@@ -59,16 +66,7 @@ class FieldConfig:
     solvation: bool = False
     dielectric: DielectricModel = field(default_factory=DielectricModel)
     cutoffs: Cutoffs = field(default_factory=Cutoffs)
-    alpha: float = 1.0              # hash-grid cells per atom
     solvation_cfg: SolvationConfig = field(default_factory=SolvationConfig)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
-
-    def active_cutoff(self) -> float:
-        c = self.cutoffs
-        return max(c.elec, c.vdw, c.cav) if self.solvation else max(c.elec, c.vdw)
 
 
 @dataclass
@@ -81,18 +79,22 @@ class FieldResult:
 
 @dataclass
 class Field:
-    """Bundles parameters, pair weights, and options for one system.  A
-    solvated field checks its cavity cutoff once, here."""
+    """Bundles parameters, pair weights, and options for one system.  The
+    table cut-off, worked out once here, also covers every pair in reach."""
 
     params: AtomParams
     weights: object
     config: FieldConfig = field(default_factory=FieldConfig)
     _sphere: SampleSphere | None = None
+    table_cutoff: float = field(init=False)
 
     def __post_init__(self):
+        cut, solv = self.config.cutoffs, self.config.solvation_cfg
+        self.table_cutoff = max(cut.elec, cut.vdw)
         if self.config.solvation:
-            check_cav_cutoff(self.params, self.config.solvation_cfg,
-                             self.config.cutoffs.cav)
+            r_max = float(np.max(offset_radii(self.params, solv)))
+            self.table_cutoff = max(self.table_cutoff,
+                                    reach(r_max, r_max, solv.delta_r))
 
     def sphere(self) -> SampleSphere:
         if self._sphere is None or self._sphere.n != self.config.solvation_cfg.samples:
@@ -101,9 +103,8 @@ class Field:
         return self._sphere
 
     def _neighbor_table(self, positions) -> NeighborTable:
-        """Superset half table at the largest active cutoff."""
-        grid = build_grid(positions, self.config.alpha)
-        return build_neighbor_table(grid, self.config.active_cutoff())
+        """Superset half table at the table cut-off."""
+        return build_neighbor_table(build_grid(positions), self.table_cutoff)
 
     def evaluate(self, positions, *, energy_only: bool = False) -> FieldResult:
         cfg = self.config
@@ -113,14 +114,14 @@ class Field:
         t_hash = time.perf_counter() - t0
         n = len(positions)
 
-        # one pass over the table's pairs: one distance pass at the largest
-        # active cutoff, one classification, one force scatter of the
-        # summed elec and vdW magnitudes, and the cavity lists below from
-        # the same arrays.  Each term masks its own cutoff; the elec and
-        # vdW masks also require d2 <= max(elec, vdw)^2, so both terms see
-        # the same pairs whether or not the cavity cutoff is the largest.
+        # one pass over the table's pairs: one distance pass at the table
+        # cut-off, one classification, one force scatter of the summed
+        # elec and vdW magnitudes, and the cavity rows below from the same
+        # arrays.  Each term masks its own cutoff; the elec and vdW masks
+        # also require d2 <= max(elec, vdw)^2, so both terms see the same
+        # pairs whether or not the reach sets the table cut-off.
         t0 = time.perf_counter()
-        i, j, d2, d = extract_pairs(positions, table, cfg.active_cutoff())
+        i, j, d2, d = extract_pairs(positions, table, self.table_cutoff)
         r = max(cut.elec, cut.vdw)
         kf = d2 <= r * r
         ke = kf & (d <= cut.elec)
@@ -146,14 +147,17 @@ class Field:
         t_solv = 0.0
         if cfg.solvation:
             t0 = time.perf_counter()
-            kc = d2 <= cut.cav * cut.cav
+            solv = cfg.solvation_cfg
+            r_off = offset_radii(self.params, solv)
+            rc = reach(r_off[i], r_off[j], solv.delta_r)
+            kc = d2 <= rc * rc
             cav_lists = filtered_lists(n, i[kc], j[kc])
             sasa, states = sasa_pass(positions, self.params, cav_lists,
-                                     self.sphere(), cfg.solvation_cfg)
+                                     self.sphere(), solv)
             g_cav = sasa.g_cav
             if not energy_only:
                 forces += solvation_forces(positions, self.params, cav_lists,
-                                           self.sphere(), states, cfg.solvation_cfg)
+                                           self.sphere(), states, solv)
             t_solv = time.perf_counter() - t0
 
         energy = EnergyBreakdown(g_elec=g_elec, g_vdw=g_vdw, g_cav=g_cav)
@@ -388,7 +392,8 @@ def ramachandran_scan(chain: Chain, residue: int, resolution: int,
 
 def hinge_scan(chain: Chain, hinge_dofs: list[int], half_range: float,
                steps: int, fld: Field, base: Conformation) -> ScanGrid:
-    """Sweep hinge dihedrals about their base values, everything else frozen."""
+    """Sweep hinge dihedrals about their base values, everything else
+    held at its base value."""
     for dof in hinge_dofs:
         if not 0 <= dof < chain.n_dof:
             raise ConfigurationError(f"hinge joint {dof} out of range")

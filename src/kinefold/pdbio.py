@@ -107,7 +107,8 @@ def read_pdb(path) -> StructureRecord:
 
 
 def write_pdb(chain, positions, path) -> None:
-    """Fixed-column export; hetero atoms emitted as HETATM records."""
+    """Fixed-column export; hetero atoms emitted as HETATM records under
+    their residue names and numbers as read."""
     positions = np.asarray(positions, float)
     if chain.n_atoms == 0:
         raise PDBFormatError("refusing to write a structure with no atoms")
@@ -115,19 +116,20 @@ def write_pdb(chain, positions, path) -> None:
         raise PDBFormatError("positions do not match the chain's atom count")
     lines = []
     for i in range(chain.n_atoms):
-        name = chain.atom_names[i]
-        field_name = name if len(name) >= 4 else f" {name:<3s}"
+        name, element = chain.atom_names[i], chain.atom_elements[i]
+        # names of two-letter elements (FE) start in column 13, others in 14
+        field_name = f"{name:<4s}" if len(name) >= 4 or len(element) == 2 else f" {name:<3s}"
         res = int(chain.atom_residue[i])
         if res < chain.n_residues:
             res_name, res_seq = chain.residues[res], res + 1
         else:  # hetero atoms keep their own number, as read (mod 10000)
-            res_name, res_seq = "LIG", res - chain.n_residues
+            res_name, res_seq = chain.hetero_res_names[i], res - chain.n_residues
         rec = "HETATM" if chain.hetero_mask[i] else "ATOM  "
         x, y, z = positions[i]
         lines.append(
             f"{rec}{i + 1:5d} {field_name}{'':1s}{res_name:>3s} A{res_seq:4d}"
             f"    {x:8.3f}{y:8.3f}{z:8.3f}{1.0:6.2f}{0.0:6.2f}"
-            f"          {chain.atom_elements[i]:>2s}"
+            f"          {element:>2s}"
         )
     lines.append("END")
     Path(path).write_text("\n".join(lines) + "\n")

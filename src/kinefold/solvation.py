@@ -22,8 +22,9 @@ Coverage of a sample by a neighbor is tested as a dot product against a
 per-neighbor threshold (see ``_coverage``); samples near the threshold
 fall back to the distance test, so the states equal that test's.
 
-Both passes take the cavity-cutoff rows as one ``spatial.NeighborTable``
-(CSR) and gather the rows of each atom block by slicing its offsets.
+Both passes take the pairs within ``reach`` as one symmetric
+``spatial.NeighborTable`` (CSR) and gather the rows of each atom block
+by slicing its offsets; rows holding more pairs give the same result.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _FIXED_POINT_BITS = 36
 # distance test within this many Angstroms of the threshold.  Both forms
 # round at ~1e-13 A for coordinates below 1e3 A, far inside the margin.
 _SCREEN_MARGIN = 1e-6
-# Slack on the reach test r_i + r_j: tangent spheres stay in the lists.
+# Slack on the reach r_i + r_j + delta_r: tangent spheres stay in the rows.
 _REACH_EPS = 1e-6
 _AXES = np.arange(3)
 # Atoms per vectorized block; bounds the pair and sample temporaries.
@@ -124,14 +125,11 @@ def offset_radii(params, config: SolvationConfig) -> np.ndarray:
     return params.R + config.probe_radius
 
 
-def check_cav_cutoff(params, config: SolvationConfig, d_cut_cav: float) -> None:
-    """Truncation at d_cut_cav is exact only if no two offset spheres that
-    intersect are farther apart; violating the bound is a setup error."""
-    needed = 2.0 * (float(np.max(params.R)) + config.probe_radius)
-    if needed > d_cut_cav:
-        raise ConfigurationError(
-            f"cavity cutoff {d_cut_cav} A below 2(R_max + probe) = {needed:.2f} A"
-        )
+def reach(r_a, r_b, delta_r: float):
+    """The center distance within which offset spheres of radii ``r_a``
+    and ``r_b`` can meet once one of them moves by up to ``delta_r``:
+    the pairs the SASA and force passes need, no more."""
+    return r_a + r_b + delta_r + _REACH_EPS
 
 
 def _over_blocks(work, n: int) -> list:
@@ -146,19 +144,13 @@ def _sample_columns(points: np.ndarray) -> np.ndarray:
     return np.vstack([points.T, np.ones(len(points))])
 
 
-def _pair_rows(positions, neighbors: NeighborTable, r_off: np.ndarray,
-               atoms: np.ndarray, slack: float):
-    """Neighbor pairs (i, j), i in ``atoms``, whose offset spheres can meet
-    once j moves by up to ``slack``, in row order: per-atom starts into
-    the pair arrays, the neighbor j, and D = x_j - x_i."""
+def _pair_rows(positions, neighbors: NeighborTable, atoms: np.ndarray):
+    """The rows of ``atoms`` as pairs (i, j) in row order: per-atom starts
+    into the pair arrays, the neighbor j, and D = x_j - x_i."""
     lengths, j = neighbors.take(atoms)
-    row = np.repeat(np.arange(len(atoms)), lengths)
-    i = atoms[row]
-    d = positions[j] - positions[i]
-    reach = r_off[i] + r_off[j] + slack + _REACH_EPS
-    keep = np.einsum("ij,ij->i", d, d) <= reach * reach
-    starts = np.searchsorted(row[keep], np.arange(len(atoms) + 1))
-    return starts, j[keep], d[keep]
+    starts = np.zeros(len(atoms) + 1, np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    return starts, j, positions[j] - np.repeat(positions[atoms], lengths, axis=0)
 
 
 def _screen_rows(d: np.ndarray, r_i: np.ndarray, r_j2: np.ndarray) -> np.ndarray:
@@ -203,9 +195,9 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
               config: SolvationConfig = SolvationConfig()):
     """Exposure counting: returns (SasaResult, ExposureStates).
 
-    ``neighbors`` holds one ascending row per atom (the cavity-cutoff
-    ``NeighborTable`` of ``spatial.filtered_lists``); the order makes the
-    recorded critical neighbor the lowest overlapping index,
+    ``neighbors`` holds one ascending row per atom (the pairs within
+    ``reach``, symmetrised by ``spatial.filtered_lists``); the order makes
+    the recorded critical neighbor the lowest overlapping index,
     deterministically.
     """
     positions = np.asarray(positions, float)
@@ -219,8 +211,7 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
     columns = _sample_columns(sphere.points)
 
     def work(lo: int, hi: int) -> None:
-        starts, nbr, d = _pair_rows(positions, neighbors, r_off,
-                                    np.arange(lo, hi), 0.0)
+        starts, nbr, d = _pair_rows(positions, neighbors, np.arange(lo, hi))
         rows = _screen_rows(d, np.repeat(r_off[lo:hi], np.diff(starts)),
                             r_off2[nbr])
         for i in range(lo, hi):
@@ -268,7 +259,7 @@ def check_accumulator(nq: int, max_nb: int, w_max: int) -> None:
         raise ConfigurationError(
             f"solvation force accumulator could overflow int64: {nq} samples "
             f"x (2 x {max_nb} neighbors + 1) x {w_max} quanta >= 2**63; "
-            "use fewer samples or a shorter cavity cutoff"
+            "use fewer samples or a smaller probe radius"
         )
 
 
@@ -277,9 +268,9 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
                      config: SolvationConfig = SolvationConfig()) -> np.ndarray:
     """Forward-difference solvation forces from precomputed exposure states.
 
-    Exposed samples test every neighbor that can reach them once displaced
-    by +delta_r along each axis; critically overlapped samples test only
-    their recorded coverer.  Multiply overlapped samples cannot change
+    Exposed samples test every neighbor in the row, displaced by +delta_r
+    along each axis; critically overlapped samples test only their
+    recorded coverer.  Multiply overlapped samples cannot change
     exposure under a single displacement and are skipped.
     """
     positions = np.asarray(positions, float)
@@ -297,10 +288,10 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
         acc = np.zeros((n, 3), np.int64)
         counts = states.counts[lo:hi]
         weighted = w_int[lo:hi, None] != 0
-        # exposed samples: every neighbor that reaches them, displaced;
-        # pair p displaced along axis s is row 3p + s
+        # exposed samples: every neighbor, displaced; pair p displaced
+        # along axis s is row 3p + s
         atoms = lo + np.flatnonzero((weighted & (counts == 0)).any(1))
-        starts, nbr, d = _pair_rows(positions, neighbors, r_off, atoms, dr)
+        starts, nbr, d = _pair_rows(positions, neighbors, atoms)
         d3 = np.repeat(d[:, None], 3, axis=1)
         d3[:, _AXES, _AXES] += dr
         rows = _screen_rows(d3.reshape(-1, 3),

@@ -1,7 +1,7 @@
 """Uniform-grid spatial hash and cut-off neighbor rows.
 
 Atom centers are bucketed on a cubic grid whose cell edge is chosen so
-the bucket count tracks the atom count (~alpha * n cells).  A neighbor
+the bucket count tracks the atom count (~ALPHA * n cells).  A neighbor
 query gathers every bucket whose center lies within
 ``d_cut + sqrt(3) * cell`` of the query cell center; the extra cell
 diagonal covers the worst-case offset between atom and cell centers, so
@@ -12,8 +12,8 @@ one ``offsets`` array and one flat ``neighbors`` array.  The hashed
 table is a half table: each candidate pair is stored once, as j > i in
 row i, and rows ascend, so the pairs come out sorted by (i, j).  Exact
 distance filtering happens at use time, once per evaluation at the
-largest active cut-off (``forcefield.extract_pairs``), which keeps
-downstream force sums identical to their brute-force definitions;
+table cut-off (``forcefield.extract_pairs``), which keeps downstream
+force sums identical to their brute-force definitions;
 ``filtered_lists`` turns such pairs into a table of symmetric rows
 without another distance pass.  The all-pairs scans these are checked
 against live with the other references in ``tests/oracles.py``.
@@ -32,16 +32,16 @@ SQRT3 = float(np.sqrt(3.0))
 # Floor on the cell edge (A): a near-flat or tiny bounding box would
 # otherwise give a vanishing cell and an unbounded stencil.
 MIN_CELL = 1.0
+ALPHA = 1.0  # grid cells per atom: any density gives a superset, so only speed
 
 
 @dataclass(frozen=True)
 class Cutoffs:
     elec: float = 9.0
     vdw: float = 5.0
-    cav: float = 8.0
 
     def __post_init__(self):
-        if not all(math.isfinite(c) and c > 0 for c in (self.elec, self.vdw, self.cav)):
+        if not all(math.isfinite(c) and c > 0 for c in (self.elec, self.vdw)):
             raise ConfigurationError("cutoff distances must be positive and finite")
 
 
@@ -60,8 +60,8 @@ class HashGrid:
         return len(self._atom_order)
 
 
-def build_grid(positions: np.ndarray, alpha: float = 1.0) -> HashGrid:
-    """Buckets for ``positions``, about ``alpha`` cells per atom."""
+def build_grid(positions: np.ndarray) -> HashGrid:
+    """Buckets for ``positions``, about ``ALPHA`` cells per atom."""
     positions = np.asarray(positions, float)
     if positions.ndim != 2 or positions.shape[1] != 3 or len(positions) < 1:
         raise ConfigurationError("positions must be a non-empty (n, 3) array")
@@ -72,7 +72,7 @@ def build_grid(positions: np.ndarray, alpha: float = 1.0) -> HashGrid:
     r_max = positions.max(axis=0)
     extent = r_max - r_min
     v_bb = float(np.prod(extent))
-    cell = (v_bb / (alpha * n)) ** (1.0 / 3.0) if v_bb > 0 else 0.0
+    cell = (v_bb / (ALPHA * n)) ** (1.0 / 3.0) if v_bb > 0 else 0.0
     cell = max(cell, MIN_CELL)
     dims = np.maximum(np.ceil(extent / cell).astype(np.int64), 1)
     cells = np.floor((positions - r_min) / cell).astype(np.int64)

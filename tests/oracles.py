@@ -125,7 +125,7 @@ class BruteField(Field):
     the spatial hash; everything after the table is the library's."""
 
     def _neighbor_table(self, positions):
-        return brute_table(positions, self.config.active_cutoff())
+        return brute_table(positions, self.table_cutoff)
 
 
 def brute_neighbor_sets(positions, d_cut):

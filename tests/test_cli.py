@@ -126,22 +126,46 @@ def test_sasa_matches_module(tmp_path):
     assert table_total == pytest.approx(res.a_exp.sum(), rel=1e-9)
 
 
-def test_sasa_rejects_short_cavity_cutoff(tmp_path, capsys):
-    # the same guard as fold --water: a cutoff below 2(R_max + probe) would
-    # silently drop overlapping offset spheres
-    rc = main(["sasa", "--seq", "GSAG", "--samples", "256", "--cutoffs", "9,5,3",
-               "--out", str(tmp_path / "s")])
-    assert rc == 2
-    assert "cavity cutoff" in capsys.readouterr().err
+def test_sasa_large_probe_matches_all_pairs(tmp_path):
+    """With a 3 A probe, 2 (R_max + probe) exceeds the 9 A elec cutoff; the
+    table cutoff grows to the reach and the areas equal the all-pairs
+    pass."""
+    out = tmp_path / "s"
+    rc = main(["sasa", "--seq", "GSAG", "--samples", "256", "--probe-radius", "3.0",
+               "--out", str(out)])
+    assert rc == 0
+    areas = [r[4] for r in read_csv(out / "sasa.csv")[1:]]
+
+    from kinefold.chain import build_chain, forward_kinematics
+    from kinefold.pdbio import load_params, read_sequence
+    from kinefold.solvation import SolvationConfig, generate_samples, sasa_pass
+
+    from .conftest import neighbor_table
+
+    ch = build_chain(read_sequence("GSAG"))
+    params = load_params().resolve(ch)
+    pos = forward_kinematics(ch, ch.conf_zp())
+    n = ch.n_atoms
+    rows = neighbor_table([[j for j in range(n) if j != i] for i in range(n)])
+    res, _ = sasa_pass(pos, params, rows, generate_samples(256),
+                       SolvationConfig(probe_radius=3.0, samples=256))
+    assert areas == [f"{a:.10g}" for a in res.a_exp]
 
 
-def test_scan_rama_outputs_grid(tmp_path):
+def test_scan_rama_outputs_grid(tmp_path, capsys):
     out = tmp_path / "r"
     rc = main(["scan-rama", "--seq", "AA", "--residue", "1", "--grid", "2",
                "--out", str(out)])
     assert rc == 0
     rows = read_csv(out / "rama.csv")
     assert len(rows) == 5  # header + 2x2
+    # only fold draws random numbers, so only fold takes and records a seed
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "seed" not in manifest and "seed" not in manifest["arguments"]
+    for command in (["scan-rama"], ["scan-hinge", "--hinges", "2:phi"], ["sasa"]):
+        with pytest.raises(SystemExit):
+            main(command + ["--seq", "AA", "--seed", "1", "--out", str(tmp_path / "x")])
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_scan_hinge_runs(tmp_path):
@@ -166,6 +190,7 @@ def test_missing_input_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["fold", "--seq", "AA", "--cutoffs", "a,b,c"], "error: --cutoffs: "),
+    (["fold", "--seq", "AA", "--cutoffs", "9,5,8"], "error: --cutoffs: expected two numbers"),
     (["fold", "--seq", "AA", "--dielectric", "x"], "error: --dielectric: "),
     (["fold", "--seq", "AA", "--init", "uniform:-60,-45,10"], "error: --init: "),
     (["fold", "--seq", "AAA", "--freeze", "x"], "error: --freeze: "),
@@ -197,15 +222,11 @@ def test_missing_input_rejected(tmp_path, capsys):
      "error: probe radius and delta_r must be positive and finite"),
     (["fold", "--seq", "AA", "--water", "--probe-radius", "nan"],
      "error: probe radius and delta_r must be positive and finite"),
-    (["fold", "--seq", "AA", "--alpha", "nan"], "error: alpha must be positive and finite"),
-    (["fold", "--seq", "AA", "--water", "--cutoffs", "9,5,3", "--init", "random",
-      "--batch", "3"], "error: cavity cutoff 3.0 A below"),
-], ids=["cutoffs", "dielectric", "init-uniform", "freeze-text", "freeze-negative",
+], ids=["cutoffs", "cutoffs-three", "dielectric", "init-uniform", "freeze-text", "freeze-negative",
         "freeze-past-end", "rama-negative", "rama-past-end", "hinge-chi", "hinge-dash",
         "hinge-past-end", "hinge-repeated", "max-iters-zero", "energy-window-negative",
         "snapshot-every-negative", "batch-zero", "angle-range-negative", "torque-tol-nan",
-        "energy-tol-nan", "kappa-nan", "delta-r-nan", "probe-radius-nan", "alpha-nan",
-        "cavity-cutoff-batch"])
+        "energy-tol-nan", "kappa-nan", "delta-r-nan", "probe-radius-nan"])
 def test_bad_arguments_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err

@@ -121,6 +121,27 @@ def test_hetero_emitted_as_hetatm(tmp_path):
     assert fe_lines and fe_lines[0].startswith("HETATM")
 
 
+def test_hetero_names_round_trip(tmp_path):
+    """Read -> write -> read keeps each hetero atom's name, residue name and
+    element, also for two ligands sharing a number, and writes the records
+    in the columns they were read from: a two-letter element's name starts
+    in column 13."""
+    src = tmp_path / "mix.pdb"
+    zinc = "HETATM    6 ZN    ZN A   2       8.000   0.000   0.000  1.00  0.00          ZN"
+    src.write_text(HETERO_MIX.replace(HETERO_MIX.splitlines()[5], zinc))
+    ch = build_chain([], geometry=read_pdb(src))
+    out = tmp_path / "out.pdb"
+    write_pdb(ch, forward_kinematics(ch, ch.conf_zp()), out)
+    got = [(a.name, a.res_name, a.element, a.res_seq)
+           for a in read_pdb(out).atoms if a.hetero]
+    assert got == [("FE", "HEM", "Fe", 2), ("ZN", "ZN", "Zn", 2)]
+    lines = [l for l in out.read_text().splitlines() if l.startswith("HETATM")]
+    want = [l for l in src.read_text().splitlines() if l.startswith("HETATM")]
+    assert [l[12:27] for l in lines] == [l[12:27] for l in want]
+    assert lines[0][12:27] == "FE   HEM A   2 "
+    assert [l[76:78] for l in lines] == ["Fe", "Zn"]
+
+
 def test_hetero_numbers_round_trip(tmp_path):
     """A hetero atom keeps its own residue number (mod 10000) on export,
     so a ligand numbered 9999 still fits the four-column field, and one

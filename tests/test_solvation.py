@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,20 +10,21 @@ from hypothesis import strategies as st
 from kinefold import solvation
 from kinefold.errors import ConfigurationError
 from kinefold.forcefield import AtomParams
+from kinefold.kcm import Field, FieldConfig
 from kinefold.solvation import (
     SampleSphere,
     SolvationConfig,
     check_accumulator,
-    check_cav_cutoff,
     generate_samples,
     offset_radii,
+    reach,
     sasa_pass,
     solvation_forces,
 )
-from kinefold.spatial import build_grid, build_neighbor_table
+from kinefold.spatial import Cutoffs, build_grid, build_neighbor_table
 
 from . import oracles
-from .conftest import cutoff_lists, neighbor_table
+from .conftest import UniformWeights, cutoff_lists, neighbor_table
 
 
 def make_params(n, rng=None, gamma=None, radius=None):
@@ -359,11 +361,10 @@ def test_degenerate_overlaps_match_oracle(radius, pos):
 
 def test_neighbor_at_exact_cutoff_matches_oracle():
     """Offset radius 4.0 on both atoms of a pair 8.0 A apart: the pair sits
-    on the 8.0 A cavity cutoff and its spheres touch at one sample."""
+    on an 8.0 A table cutoff and its spheres touch at one sample."""
     params = make_params(3, radius=np.full(3, 2.6))
     pos = np.array([[0.0, 0.0, 0.0], [8.0, 0.0, 0.0], [0.0, 0.0, 8.0]])
     cfg = SolvationConfig()
-    check_cav_cutoff(params, cfg, 8.0)
     for table in (build_neighbor_table(build_grid(pos), 8.0),
                   oracles.brute_table(pos, 8.0)):
         nbrs = cutoff_lists(table, pos, 8.0)
@@ -410,6 +411,58 @@ def test_neighbor_reaching_only_when_displaced():
     assert f[0, 0] != 0 and f[1, 0] == -f[0, 0]
 
 
+# ---- the reach rule at the Field level ------------------------------------
+
+def reach_case(name):
+    """(positions, params without pair terms, probe, cutoffs, sphere) for
+    one reach case."""
+    rng = np.random.default_rng(5)
+    if name == "displaced-only":
+        # test_neighbor_reaching_only_when_displaced, through a Field
+        pos = np.array([[0.0, 0.0, 0.0], [-6.0 - SolvationConfig().delta_r / 2, 0.0, 0.0]])
+        params = make_params(2, radius=np.full(2, 1.6))
+        probe, cutoffs, sphere = 1.4, {}, axis_sphere()
+    else:
+        pos = rng.uniform(0.0, 12.0, (40, 3))
+        params = make_params(40, rng)
+        sphere = generate_samples(256)
+        # probe 3.0: 2 (R_max + probe) is about 9.8 A, past the default
+        # cutoffs; cutoffs 3 and 2 A sit below the reach at probe 1.4
+        probe, cutoffs = {"probe-3": (3.0, {}),
+                          "short-cutoffs": (1.4, {"elec": 3.0, "vdw": 2.0})}[name]
+    zero = np.zeros(len(pos))
+    return pos, replace(params, q=zero, eps=zero), probe, cutoffs, sphere
+
+
+@pytest.mark.parametrize("field_type", [Field, oracles.BruteField],
+                         ids=["hashed", "brute"])
+@pytest.mark.parametrize("name", ["probe-3", "short-cutoffs", "displaced-only"])
+def test_field_reach_rows_match_all_pairs(field_type, name):
+    """A solvated ``evaluate`` keeps only the pairs within reach, which
+    sets the table cutoff whenever it exceeds the pair-term cutoffs, and
+    gives bitwise the SASA, G_cav and forces of both passes run on
+    all-pairs rows."""
+    pos, params, probe, cutoffs, sp = reach_case(name)
+    cfg = SolvationConfig(probe_radius=probe, samples=sp.n)
+    cut = Cutoffs(**cutoffs)
+    fld = field_type(params, UniformWeights(),
+                     FieldConfig(solvation=True, cutoffs=cut, solvation_cfg=cfg),
+                     _sphere=sp)
+    r_max = float(np.max(offset_radii(params, cfg)))
+    rc = reach(r_max, r_max, cfg.delta_r)
+    assert fld.table_cutoff == max(cut.elec, cut.vdw, rc)
+    assert (fld.table_cutoff == rc) == (name != "displaced-only")
+    got = fld.evaluate(pos)
+    nbrs = all_neighbors(len(pos))
+    want, states = sasa_pass(pos, params, nbrs, sp, cfg)
+    assert np.array_equal(got.sasa.f_exp, want.f_exp)
+    assert np.array_equal(got.sasa.a_exp, want.a_exp)
+    assert got.energy.g_cav == want.g_cav
+    forces = solvation_forces(pos, params, nbrs, sp, states, cfg)
+    assert np.any(forces != 0)
+    assert np.array_equal(got.forces, forces)
+
+
 def test_accumulator_bound():
     check_accumulator(1024, 2000, 2**37)
     with pytest.raises(ConfigurationError,
@@ -428,13 +481,6 @@ def test_forces_refuse_overflowing_accumulator():
     with pytest.raises(ConfigurationError, match=f"{2**30} samples"):
         solvation_forces(pos, params, all_neighbors(2), huge, states,
                          SolvationConfig(samples=12))
-
-
-def test_cav_cutoff_guard():
-    params = make_params(2, radius=np.full(2, 2.0))
-    check_cav_cutoff(params, SolvationConfig(), 8.0)  # 2*(2.0+1.4) = 6.8
-    with pytest.raises(ConfigurationError):
-        check_cav_cutoff(params, SolvationConfig(probe_radius=2.2), 8.0)
 
 
 def test_config_validation():

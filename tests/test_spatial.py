@@ -9,8 +9,8 @@ from kinefold import kcm
 from kinefold.errors import ConfigurationError
 from kinefold.forcefield import AtomParams, extract_pairs
 from kinefold.kcm import Field, FieldConfig
-from kinefold.solvation import SolvationConfig
-from kinefold.spatial import Cutoffs, build_grid, build_neighbor_table, filtered_lists
+from kinefold.solvation import SolvationConfig, reach
+from kinefold.spatial import ALPHA, Cutoffs, build_grid, build_neighbor_table, filtered_lists
 from .conftest import UniformWeights, cutoff_lists
 from .oracles import BruteField, brute_force_pairs, brute_neighbor_sets, brute_table
 
@@ -31,10 +31,10 @@ def test_single_atom_single_bucket():
 
 
 def test_separated_atoms_get_distinct_buckets():
-    # a 2 A cube with alpha = 1 gives 1 A cells: corners land apart
+    # a 2 A cube with one cell per atom gives 1 A cells: corners land apart
     corners = np.array([[x, y, z] for x in (0.0, 2.0)
                         for y in (0.0, 2.0) for z in (0.0, 2.0)])
-    grid = build_grid(corners, alpha=1.0)
+    grid = build_grid(corners)
     assert grid.cell_size < 2.0
     assert len(buckets(grid)) == 8
 
@@ -42,11 +42,9 @@ def test_separated_atoms_get_distinct_buckets():
 def test_cell_size_formula():
     rng = np.random.default_rng(1)
     pos = rng.uniform(0, 30, (400, 3))
-    cfg = FieldConfig(alpha=1.0)
-    grid = build_grid(pos, cfg.alpha)
+    grid = build_grid(pos)
     v_bb = float(np.prod(pos.max(0) - pos.min(0)))
-    assert grid.cell_size == pytest.approx((v_bb / (cfg.alpha * 400)) ** (1 / 3),
-                                           abs=1e-12)
+    assert grid.cell_size == pytest.approx((v_bb / (ALPHA * 400)) ** (1 / 3), abs=1e-12)
 
 
 def test_min_cell_floor():
@@ -73,7 +71,7 @@ def test_nonfinite_rejected():
 
 def test_far_pair_empty_lists():
     pos = np.array([[0.0, 0.0, 0.0], [20.0, 0.0, 0.0]])
-    grid = build_grid(pos, FieldConfig().alpha)
+    grid = build_grid(pos)
     rows = list(build_neighbor_table(grid, 9.0))
     assert rows[0].size == 0
     assert rows[1].size == 0
@@ -144,12 +142,10 @@ def test_pairs_unordered_once(rng):
 def test_cutoffs_validate():
     with pytest.raises(ConfigurationError):
         Cutoffs(elec=-1.0)
-    with pytest.raises(ConfigurationError):
-        FieldConfig(alpha=0.0)
     with pytest.raises(ConfigurationError, match="positive and finite"):
-        Cutoffs(cav=float("inf"))
+        Cutoffs(vdw=float("inf"))
     with pytest.raises(ConfigurationError, match="positive and finite"):
-        FieldConfig(alpha=float("nan"))
+        Cutoffs(elec=float("nan"))
 
 
 def test_build_and_query_scale_subquadratically():
@@ -177,9 +173,14 @@ def test_build_and_query_scale_subquadratically():
 # brute force
 # --------------------------------------------------------------------------
 
-# (elec, vdw, cav): the default, vdW above elec, and cavity above elec
-CUTOFF_SETS = [(9.0, 5.0, 8.0), (4.0, 6.0, 8.0), (9.0, 5.0, 10.0)]
-CUTOFFS = sorted({c for cs in CUTOFF_SETS for c in cs})
+# (elec, vdw): the default and vdW above elec
+CUTOFF_SETS = [(9.0, 5.0), (4.0, 6.0)]
+CUTOFFS = [4.0, 5.0, 6.0, 8.0, 9.0, 10.0]
+# probe radii of the unit-radius cavity tests: the reach 2 (1 + probe) +
+# delta_r stays below both cutoff sets, lies between them, or exceeds both
+PROBES = [1.4, 3.0, 4.0]
+DELTA_R = SolvationConfig().delta_r
+REACHES = [reach(1.0 + p, 1.0 + p, DELTA_R) for p in PROBES]
 
 
 @st.composite
@@ -190,7 +191,7 @@ def clouds(draw):
     if draw(st.booleans()):
         n = draw(st.integers(1, 150))
         return rng.uniform(0.0, draw(st.floats(1.0, 30.0)), (n, 3))
-    cut = draw(st.sampled_from(CUTOFFS))
+    cut = draw(st.sampled_from(CUTOFFS + REACHES))
     pts = 0.5 * rng.integers(0, 25, (draw(st.integers(0, 120)), 3))
     pts = np.concatenate([[[0.0, 0.0, 0.0], [cut, 0.0, 0.0]], pts])
     return np.unique(pts, axis=0)
@@ -215,14 +216,14 @@ def test_half_table_pairs_equal_brute_force(pos):
             assert np.array_equal(np.sqrt(d2), bd)
 
 
-def cavity_lists(pos, cutoffs, use_hash=True):
-    """The cavity lists one solvated ``Field.evaluate`` hands to the SASA
+def cavity_lists(pos, cutoffs, probe=1.4, use_hash=True):
+    """The cavity rows one solvated ``Field.evaluate`` hands to the SASA
     pass, for unit-radius atoms at ``Cutoffs(*cutoffs)``."""
     n = len(pos)
     params = AtomParams(q=np.zeros(n), R=np.ones(n), eps=np.zeros(n),
                         gamma=np.zeros(n), solv_class=("C",) * n)
     cfg = FieldConfig(solvation=True, cutoffs=Cutoffs(*cutoffs),
-                      solvation_cfg=SolvationConfig(samples=12))
+                      solvation_cfg=SolvationConfig(probe_radius=probe, samples=12))
     field_type = Field if use_hash else BruteField
     seen = []
 
@@ -237,33 +238,46 @@ def cavity_lists(pos, cutoffs, use_hash=True):
     return lists
 
 
-def d2_oracle_lists(pos, d_cut):
-    """Per atom, every other atom with d2 <= d_cut**2, ascending."""
+def reach_oracle_lists(pos, probe):
+    """Per unit-radius atom, every other atom within the reach of the
+    offset spheres, ``d2 <= reach**2``, ascending."""
     diff = pos[:, None, :] - pos[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(d2, np.inf)
-    return [np.flatnonzero(row <= d_cut * d_cut) for row in d2]
+    rc = reach(1.0 + probe, 1.0 + probe, DELTA_R)
+    return [np.flatnonzero(row <= rc * rc) for row in d2]
 
 
 @settings(max_examples=40, deadline=None)
-@given(clouds(), st.sampled_from(CUTOFF_SETS), st.booleans())
-def test_shared_pass_cavity_lists_match_d2_oracle(pos, cutoffs, use_hash):
-    got = cavity_lists(pos, cutoffs, use_hash)
-    want = d2_oracle_lists(pos, cutoffs[2])
+@given(clouds(), st.sampled_from(CUTOFF_SETS), st.sampled_from(PROBES), st.booleans())
+def test_shared_pass_cavity_rows_match_reach_oracle(pos, cutoffs, probe, use_hash):
+    got = cavity_lists(pos, cutoffs, probe, use_hash)
+    want = reach_oracle_lists(pos, probe)
     assert len(got) == len(want)
     for a, (g, w) in enumerate(zip(got, want)):
         assert np.array_equal(g, w), (a, g, w)
 
 
-def test_cavity_membership_is_the_d2_test():
-    """A pair whose d2 is one ulp above 64 has sqrt(d2) == 8.0 exactly;
-    the cavity list at 8 A must still leave it out, while a pair at
-    exactly 8 A stays in."""
-    d2_edge = np.nextafter(64.0, np.inf)
-    edge = np.array([np.sqrt(d2_edge - 0.01), 0.1, 0.0])
-    assert np.einsum("i,i->", edge, edge) == d2_edge
-    assert np.sqrt(d2_edge) == 8.0
-    pos = np.array([[0.0, 0.0, 0.0], edge, [0.0, 0.0, 8.0]])
-    for cutoffs in CUTOFF_SETS[:2]:
-        lists = cavity_lists(pos, cutoffs)
-        assert [row.tolist() for row in lists] == [[2], [], [0]]
+def with_d2(target):
+    """A vector in the xy plane whose squared norm, summed as
+    ``extract_pairs`` sums it, is exactly ``target``."""
+    for y in np.linspace(0.05, 0.5, 451):
+        v = np.array([np.sqrt(target - y * y), y, 0.0])
+        if np.einsum("i,i->", v, v) == target:
+            return v
+    raise AssertionError(f"no vector with squared norm {target!r}")
+
+
+@pytest.mark.parametrize("cutoffs", CUTOFF_SETS + [(3.0, 2.0)],
+                         ids=["9-5", "4-6", "3-2"])
+@pytest.mark.parametrize("use_hash", [True, False], ids=["hashed", "brute"])
+def test_cavity_membership_is_the_reach_test(cutoffs, use_hash):
+    """A pair whose d2 is one ulp past the squared reach stays out of the
+    cavity rows, while a pair at exactly the reach stays in, also when the
+    reach sets the table cutoff (elec 3, vdw 2)."""
+    rc = reach(2.4, 2.4, DELTA_R)
+    edge = with_d2(np.nextafter(rc * rc, np.inf))
+    at = with_d2(rc * rc)[[2, 1, 0]]
+    pos = np.array([[0.0, 0.0, 0.0], edge, at])
+    lists = cavity_lists(pos, cutoffs, use_hash=use_hash)
+    assert [row.tolist() for row in lists] == [[2], [], [0]]
