@@ -177,6 +177,8 @@ class Chain:
     hetero_mask: np.ndarray
     source: str = "canonical"
     hetero_res_names: dict[int, str] = field(default_factory=dict)  # atom -> as read
+    chain_id: str = "A"   # of the protein atoms: as read when imported
+    hetero_chain_ids: dict[int, str] = field(default_factory=dict)  # atom -> as read
 
     # ---- counts -------------------------------------------------------------
     @property
@@ -330,7 +332,8 @@ def build_chain(sequence, geometry=None, *, omega="trans") -> Chain:
     go through one assembly, which derives links, ownership and bonds.
     """
     if geometry is not None:
-        return _assemble(*_imported_residues(geometry), "imported")
+        residues, hetero, chain_id = _imported_residues(geometry)
+        return _assemble(residues, hetero, "imported", chain_id)
 
     seq = [str(c).upper() for c in sequence]
     if not seq:
@@ -417,6 +420,7 @@ class _Builder:
         self.bonds: list[tuple[int, int]] = []
         self.hetero: list[bool] = []
         self.hetero_res_names: dict[int, str] = {}
+        self.hetero_chain_ids: dict[int, str] = {}
         self.links: list[dict] = []
 
     def add_atom(self, name, element, cls, residue, link, xyz, hetero=False) -> int:
@@ -434,7 +438,7 @@ class _Builder:
         self.links.append(kw)
         return kw["index"]
 
-    def finish(self, residues, source) -> Chain:
+    def finish(self, residues, source, chain_id="A") -> Chain:
         # the forward and reverse link passes rely on parents coming first
         for rec in self.links:
             i, parent = rec["index"], rec["parent"]
@@ -456,6 +460,8 @@ class _Builder:
             hetero_mask=np.asarray(self.hetero, bool),
             source=source,
             hetero_res_names=self.hetero_res_names,
+            chain_id=chain_id,
+            hetero_chain_ids=self.hetero_chain_ids,
         )
 
 
@@ -468,7 +474,8 @@ _NAMED_BONDS = (("N", "CA"), ("CA", "C"), ("C", "O"), ("C", "OXT"),
                 *(("N", h) for h in _N_TERM_H_NAMES))
 
 
-def _assemble(residues: list[_ResidueAtoms], hetero, source: str) -> Chain:
+def _assemble(residues: list[_ResidueAtoms], hetero, source: str,
+              chain_id: str = "A") -> Chain:
     """The linkage over named atoms grouped by residue.  A residue whose
     atoms cover its template's side-link atoms gets the template's chi
     joints; any other rides rigidly on its CA link.  ``hetero`` atoms
@@ -539,7 +546,8 @@ def _assemble(residues: list[_ResidueAtoms], hetero, source: str) -> Chain:
         k = b.add_atom(a.name, a.element, f"EL_{a.element}", m + a.res_seq % 10_000,
                        ground, a.xyz, hetero=True)
         b.hetero_res_names[k] = a.res_name
-    return b.finish([r.code for r in residues], source)
+        b.hetero_chain_ids[k] = a.chain_id
+    return b.finish([r.code for r in residues], source, chain_id)
 
 
 def _atom_class(name: str, element: str, code: str, spec: ResidueSpec | None) -> str:
@@ -582,9 +590,9 @@ def _residue_bonds(b: _Builder, r: _ResidueAtoms, at: dict, base: int) -> None:
             bond(ai, aj)
 
 
-def _imported_residues(record) -> tuple[list[_ResidueAtoms], list]:
+def _imported_residues(record) -> tuple[list[_ResidueAtoms], list, str]:
     """Protein atoms of the first chain grouped into residues by sequence
-    number and insertion code, plus the hetero atoms."""
+    number and insertion code, the hetero atoms, and that chain's ID."""
     protein = [a for a in record.atoms if not a.hetero]
     hetero = [a for a in record.atoms if a.hetero]
     if not protein:
@@ -607,4 +615,4 @@ def _imported_residues(record) -> tuple[list[_ResidueAtoms], list]:
     if len(residues) > 1 and not any("H" in r.names for r in residues[1:]):
         warnings.warn("structure carries no amide hydrogens; building without them",
                       stacklevel=2)
-    return residues, hetero
+    return residues, hetero, first_chain

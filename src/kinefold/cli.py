@@ -2,7 +2,10 @@
 
 Every run writes a manifest.json recording the effective configuration
 (for ``fold``, the only command that draws random numbers, including the
-seed), so any artifact can be reproduced bit for bit.
+seed), so any artifact can be reproduced bit for bit, and the
+environment it ran in: Python and numpy versions, platform, CPU count,
+the git revision of the source when it has one, and for solvated runs
+the SASA kernel's source hash and compiler.
 """
 
 from __future__ import annotations
@@ -11,12 +14,15 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sasa_kernel
 from .chain import Chain, Conformation, build_chain, forward_kinematics
 from .errors import KinefoldError
 from .forcefield import DielectricModel
@@ -95,7 +101,34 @@ def _build_system(args):
     return chain, Field(atom_params, weights, config)
 
 
-def _manifest_payload(args, chain: Chain, extra: dict) -> dict:
+def _git_revision() -> str | None:
+    """HEAD of the git checkout holding this source, if it is one."""
+    try:
+        done = subprocess.run(["git", "-C", str(Path(__file__).parent), "rev-parse",
+                               "HEAD"], capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _environment(field: Field) -> dict:
+    env = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+    }
+    revision = _git_revision()
+    if revision:
+        env["git_revision"] = revision
+    if field.config.solvation:
+        kernel = sasa_kernel.load()
+        env["sasa_kernel"] = {"source_sha256": kernel.source_sha256,
+                              "compiler": kernel.compiler}
+    return env
+
+
+def _manifest_payload(args, chain: Chain, field: Field, extra: dict) -> dict:
     payload = {
         "version": __version__,
         "command": args.command,
@@ -103,6 +136,7 @@ def _manifest_payload(args, chain: Chain, extra: dict) -> dict:
         "n_atoms": chain.n_atoms,
         "n_residues": chain.n_residues,
         "n_dof": chain.n_dof,
+        "environment": _environment(field),
     }
     payload.update(extra)
     return payload
@@ -192,7 +226,7 @@ def cmd_fold(args) -> int:
                         "g_total", "mean_phi", "mean_psi"])
             w.writerows(summary_rows)
     write_manifest(out, _manifest_payload(
-        args, chain, {"seed": args.seed, "runs": runs, "failed_runs": failed}))
+        args, chain, field, {"seed": args.seed, "runs": runs, "failed_runs": failed}))
     return 2 if failed else 0
 
 
@@ -212,7 +246,7 @@ def cmd_scan_rama(args) -> int:
     k = np.unravel_index(np.argmin(grid.g_total), grid.g_total.shape)
     print(f"grid {args.grid}x{args.grid}; minimum {grid.g_total[k]:.3f} kcal/mol "
           f"at phi={grid.axes[0][k[0]]:.1f}, psi={grid.axes[1][k[1]]:.1f}")
-    write_manifest(out, _manifest_payload(args, chain, {"residue": args.residue}))
+    write_manifest(out, _manifest_payload(args, chain, field, {"residue": args.residue}))
     return 0
 
 
@@ -243,7 +277,7 @@ def cmd_scan_hinge(args) -> int:
     k = np.unravel_index(np.argmin(grid.g_total), grid.g_total.shape)
     offs = ", ".join(f"{float(grid.axes[d][k[d]]):+.2f}" for d in range(len(dofs)))
     print(f"hinge grid minimum {grid.g_total[k]:.3f} kcal/mol at offsets [{offs}] deg")
-    write_manifest(out, _manifest_payload(args, chain, {"hinge_dofs": dofs}))
+    write_manifest(out, _manifest_payload(args, chain, field, {"hinge_dofs": dofs}))
     return 0
 
 
@@ -263,7 +297,7 @@ def cmd_sasa(args) -> int:
                         f"{result.f_exp[i]:.10g}", f"{result.a_exp[i]:.10g}"])
     print(f"total exposed area {result.a_exp.sum():.3f} A^2, "
           f"G_cav {result.g_cav:.4f} kcal/mol over {chain.n_atoms} atoms")
-    write_manifest(out, _manifest_payload(args, chain, {"samples": field.sphere().n}))
+    write_manifest(out, _manifest_payload(args, chain, field, {"samples": field.sphere().n}))
     return 0
 
 

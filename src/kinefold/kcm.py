@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import sasa_kernel
 from .chain import Chain, Conformation, KinematicState, apply_deltas, kinematic_state
 from .errors import ConfigurationError, KinefoldError, NonFiniteTorqueError
 from .forcefield import (
@@ -92,6 +93,7 @@ class Field:
         cut, solv = self.config.cutoffs, self.config.solvation_cfg
         self.table_cutoff = max(cut.elec, cut.vdw)
         if self.config.solvation:
+            sasa_kernel.load()  # a missing compiler fails here, not mid-fold
             r_max = float(np.max(offset_radii(self.params, solv)))
             self.table_cutoff = max(self.table_cutoff,
                                     reach(r_max, r_max, solv.delta_r))

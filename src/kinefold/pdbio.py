@@ -108,7 +108,7 @@ def read_pdb(path) -> StructureRecord:
 
 def write_pdb(chain, positions, path) -> None:
     """Fixed-column export; hetero atoms emitted as HETATM records under
-    their residue names and numbers as read."""
+    their residue names, chain IDs and numbers as read."""
     positions = np.asarray(positions, float)
     if chain.n_atoms == 0:
         raise PDBFormatError("refusing to write a structure with no atoms")
@@ -121,13 +121,14 @@ def write_pdb(chain, positions, path) -> None:
         field_name = f"{name:<4s}" if len(name) >= 4 or len(element) == 2 else f" {name:<3s}"
         res = int(chain.atom_residue[i])
         if res < chain.n_residues:
-            res_name, res_seq = chain.residues[res], res + 1
+            res_name, res_seq, chain_id = chain.residues[res], res + 1, chain.chain_id
         else:  # hetero atoms keep their own number, as read (mod 10000)
             res_name, res_seq = chain.hetero_res_names[i], res - chain.n_residues
+            chain_id = chain.hetero_chain_ids[i]
         rec = "HETATM" if chain.hetero_mask[i] else "ATOM  "
         x, y, z = positions[i]
         lines.append(
-            f"{rec}{i + 1:5d} {field_name}{'':1s}{res_name:>3s} A{res_seq:4d}"
+            f"{rec}{i + 1:5d} {field_name}{'':1s}{res_name:>3s} {chain_id:1s}{res_seq:4d}"
             f"    {x:8.3f}{y:8.3f}{z:8.3f}{1.0:6.2f}{0.0:6.2f}"
             f"          {element:>2s}"
         )

@@ -18,13 +18,19 @@ power-of-two quantum, so the pair writes cancel bitwise: total momentum
 is exactly zero and results are independent of accumulation order
 (and therefore of how the atoms are split into blocks).
 
-Coverage of a sample by a neighbor is tested as a dot product against a
-per-neighbor threshold (see ``_coverage``); samples near the threshold
-fall back to the distance test, so the states equal that test's.
+Both passes run in one small compiled kernel (``sasa_kernel.c``, built
+and loaded by ``sasa_kernel``), called per contiguous atom block.  A
+sample ``x_i + r_i u`` is covered by neighbor j when
+``((x_i + r_i u) - x_j)`` has ``(dx^2 + dy^2) + dz^2 <= r_j^2``, evaluated
+in that order with no fused multiply-add, which is the distance test of
+the references in ``tests/oracles.py`` bit for bit.  Exposure counting
+scans each row nearest center first and stops at a sample's second
+coverer (the per-sample neighbor pruning of Le Grand & Merz, J. Comput.
+Chem. 14:349, 1993, on the Shrake & Rupley sample test).
 
 Both passes take the pairs within ``reach`` as one symmetric
-``spatial.NeighborTable`` (CSR) and gather the rows of each atom block
-by slicing its offsets; rows holding more pairs give the same result.
+``spatial.NeighborTable`` (CSR); rows holding more pairs give the same
+result.
 """
 
 from __future__ import annotations
@@ -34,19 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sasa_kernel
 from .errors import ConfigurationError
 from .spatial import NeighborTable
 
 MIN_SAMPLES = 12
 _FIXED_POINT_BITS = 36
-# Coverage is screened by a dot product and re-decided by the exact
-# distance test within this many Angstroms of the threshold.  Both forms
-# round at ~1e-13 A for coordinates below 1e3 A, far inside the margin.
-_SCREEN_MARGIN = 1e-6
 # Slack on the reach r_i + r_j + delta_r: tangent spheres stay in the rows.
 _REACH_EPS = 1e-6
-_AXES = np.arange(3)
-# Atoms per vectorized block; bounds the pair and sample temporaries.
+# Atoms per kernel call; any partition gives the same result.
 _BLOCK_ATOMS = 256
 
 
@@ -139,97 +141,50 @@ def _over_blocks(work, n: int) -> list:
     return [work(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _sample_columns(points: np.ndarray) -> np.ndarray:
-    """(4, nq): unit sample directions as columns over a row of ones."""
-    return np.vstack([points.T, np.ones(len(points))])
-
-
-def _pair_rows(positions, neighbors: NeighborTable, atoms: np.ndarray):
-    """The rows of ``atoms`` as pairs (i, j) in row order: per-atom starts
-    into the pair arrays, the neighbor j, and D = x_j - x_i."""
-    lengths, j = neighbors.take(atoms)
-    starts = np.zeros(len(atoms) + 1, np.int64)
-    np.cumsum(lengths, out=starts[1:])
-    return starts, j, positions[j] - np.repeat(positions[atoms], lengths, axis=0)
-
-
-def _screen_rows(d: np.ndarray, r_i: np.ndarray, r_j2: np.ndarray) -> np.ndarray:
-    """Rows [D, -(|D|^2 + r_i^2 - r_j^2) / (2 r_i)]: a row times a sample
-    column [u, 1] is how far u.D lies past the coverage threshold."""
-    rows = np.empty((len(d), 4))
-    rows[:, :3] = d
-    rows[:, 3] = (np.einsum("ij,ij->i", d, d) + r_i * r_i - r_j2) / (-2.0 * r_i)
-    return rows
-
-
-def _coverage(rows: np.ndarray, columns: np.ndarray, exact) -> np.ndarray:
-    """(len(rows), columns.shape[1]) mask: the sample of column k lies in
-    the offset sphere of the neighbor of row j.
-
-    Sample ``x_i + r_i u`` lies in neighbor j's sphere iff
-    ``u.D >= (|D|^2 + r_i^2 - r_j^2) / (2 r_i)``, ``D = x_j - x_i``: one
-    product of the ``_screen_rows`` with the sample ``columns``.  Every
-    entry farther than _SCREEN_MARGIN from the threshold is decided by its
-    sign; the rest go to ``exact(j, k)``, the caller's distance test
-    ``|x_i + r_i u - x_j|^2 <= r_j^2``, so the mask equals that test's
-    bit for bit.
-    """
-    gap = rows @ columns
-    cov = gap > _SCREEN_MARGIN
-    near = gap >= -_SCREEN_MARGIN
-    if np.count_nonzero(near) != np.count_nonzero(cov):
-        j, k = np.nonzero(near ^ cov)
-        cov[j, k] = exact(j, k)
-    return cov
-
-
-def _covers(origin, r_i: float, u: np.ndarray, centers: np.ndarray,
-            r_j2: np.ndarray) -> np.ndarray:
-    """The distance test: sample ``origin + r_i u`` within sqrt(r_j2) of
-    its center."""
-    diff = (origin + r_i * u) - centers
-    return (diff * diff).sum(-1) <= r_j2
+def _kernel_inputs(positions, params, neighbors: NeighborTable, sphere, config):
+    """Positions, offset radii and their squares, the CSR rows and the
+    sample directions as the kernel reads them, checked so that no index
+    leaves the arrays."""
+    positions = np.ascontiguousarray(positions, float)
+    n = len(positions)
+    r_off = np.ascontiguousarray(offset_radii(params, config), float)
+    offsets = np.ascontiguousarray(neighbors.offsets, np.int64)
+    nbrs = np.ascontiguousarray(neighbors.neighbors, np.int64)
+    points = np.ascontiguousarray(sphere.points, float)
+    if (positions.shape != (n, 3) or r_off.ndim != 1 or len(r_off) < n
+            or points.shape != (sphere.n, 3)):
+        raise ConfigurationError(
+            f"positions {positions.shape}, offset radii {r_off.shape} and samples "
+            f"{points.shape} do not cover {n} atoms and {sphere.n} samples")
+    if (len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(nbrs)
+            or np.any(np.diff(offsets) < 0)
+            or (len(nbrs) and not 0 <= nbrs.min() <= nbrs.max() < n)):
+        raise ConfigurationError(f"neighbor rows do not index the {n} atoms")
+    return positions, r_off, r_off * r_off, offsets, nbrs, points
 
 
 def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
               config: SolvationConfig = SolvationConfig()):
     """Exposure counting: returns (SasaResult, ExposureStates).
 
-    ``neighbors`` holds one ascending row per atom (the pairs within
-    ``reach``, symmetrised by ``spatial.filtered_lists``); the order makes
-    the recorded critical neighbor the lowest overlapping index,
-    deterministically.
+    ``neighbors`` holds one row per atom, the pairs within ``reach``
+    (symmetrised by ``spatial.filtered_lists``).  The compiled kernel
+    scans each row nearest center first and stops at a sample's second
+    coverer, since only the clamped counts 0/1/2 matter; a count of 1 has
+    exactly one coverer, which is the recorded critical neighbor whatever
+    the scan order.
     """
-    positions = np.asarray(positions, float)
+    positions, r_off, r_off2, offsets, nbrs, points = _kernel_inputs(
+        positions, params, neighbors, sphere, config)
     n = len(positions)
     nq = sphere.n
-    r_off = offset_radii(params, config)
-    r_off2 = r_off * r_off
     counts = np.zeros((n, nq), np.uint8)
     critical = np.full((n, nq), -1, np.int32)
     covered = np.zeros(n, np.int64)
-    columns = _sample_columns(sphere.points)
-
-    def work(lo: int, hi: int) -> None:
-        starts, nbr, d = _pair_rows(positions, neighbors, np.arange(lo, hi))
-        rows = _screen_rows(d, np.repeat(r_off[lo:hi], np.diff(starts)),
-                            r_off2[nbr])
-        for i in range(lo, hi):
-            a, b = starts[i - lo], starts[i - lo + 1]
-            if a == b:
-                continue
-            nb = nbr[a:b]
-            cov = _coverage(rows[a:b], columns, lambda j, k: _covers(
-                positions[i], r_off[i], sphere.points[k], positions[nb[j]],
-                r_off2[nb[j]]))
-            cnt = cov.sum(0, dtype=np.int32)
-            np.minimum(cnt, 2, out=cnt)
-            counts[i] = cnt
-            hit = np.flatnonzero(cnt == 1)
-            critical[i, hit] = nb[np.argmax(cov[:, hit], axis=0)]
-            covered[i] = np.count_nonzero(cnt)
-
-    _over_blocks(work, n)
+    kernel = sasa_kernel.load()
+    _over_blocks(lambda lo, hi: kernel.exposure(
+        lo, hi, positions, r_off, r_off2, offsets, nbrs, points, nq,
+        counts, critical, covered), n)
     f_exp = (nq - covered) / float(nq)
     a0 = 4.0 * math.pi * r_off2
     a_exp = f_exp * a0
@@ -266,69 +221,29 @@ def check_accumulator(nq: int, max_nb: int, w_max: int) -> None:
 def solvation_forces(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
                      states: ExposureStates,
                      config: SolvationConfig = SolvationConfig()) -> np.ndarray:
-    """Forward-difference solvation forces from precomputed exposure states.
+    """Forward-difference solvation forces from the exposure ``states``
+    ``sasa_pass`` gave for the same inputs.
 
     Exposed samples test every neighbor in the row, displaced by +delta_r
     along each axis; critically overlapped samples test only their
     recorded coverer.  Multiply overlapped samples cannot change
     exposure under a single displacement and are skipped.
     """
-    positions = np.asarray(positions, float)
-    n = len(positions)
     nq = sphere.n
-    r_off = offset_radii(params, config)
-    w_int, quantum = _force_quantum(params, r_off, nq, config.delta_r)
+    w_int, quantum = _force_quantum(params, offset_radii(params, config), nq,
+                                    config.delta_r)
     check_accumulator(nq, int(np.diff(neighbors.offsets).max(initial=0)),
                       int(np.max(np.abs(w_int), initial=0)))
-    r_off2 = r_off * r_off
-    dr = config.delta_r
-    columns = _sample_columns(sphere.points)
-
-    def work(lo: int, hi: int) -> np.ndarray:
-        acc = np.zeros((n, 3), np.int64)
-        counts = states.counts[lo:hi]
-        weighted = w_int[lo:hi, None] != 0
-        # exposed samples: every neighbor, displaced; pair p displaced
-        # along axis s is row 3p + s
-        atoms = lo + np.flatnonzero((weighted & (counts == 0)).any(1))
-        starts, nbr, d = _pair_rows(positions, neighbors, atoms)
-        d3 = np.repeat(d[:, None], 3, axis=1)
-        d3[:, _AXES, _AXES] += dr
-        rows = _screen_rows(d3.reshape(-1, 3),
-                            np.repeat(r_off[atoms], 3 * np.diff(starts)),
-                            np.repeat(r_off2[nbr], 3))
-        for t, i in enumerate(atoms):
-            a, b = starts[t], starts[t + 1]
-            if a == b:
-                continue
-            w = w_int[i]
-            k0 = np.flatnonzero(states.counts[i] == 0)
-            nb = nbr[a:b]
-
-            def exact(row, k):
-                jx, axis = nb[row // 3], row % 3
-                shifted = positions[jx]  # fancy index: already a copy
-                shifted[np.arange(len(jx)), axis] += dr
-                return _covers(positions[i], r_off[i], sphere.points[k0[k]],
-                               shifted, r_off2[jx])
-
-            cov = _coverage(rows[3 * a:3 * b], columns[:, k0], exact)
-            gained = cov.sum(1).reshape(-1, 3)
-            acc[i] -= gained.sum(0) * w
-            acc[nb] += gained * w  # rows of nb are distinct
-        # critically overlapped samples of the whole block: the recorded
-        # coverer alone, displaced
-        i, k = np.nonzero(weighted & (counts == 1))
-        i += lo
-        jo = states.critical[i, k]
-        shifted = np.repeat(positions[jo][:, None], 3, axis=1)
-        shifted[:, _AXES, _AXES] += dr
-        freed = ~_covers(positions[i, None], r_off[i, None, None],
-                         sphere.points[k, None], shifted, r_off2[jo, None])
-        e, axis = np.nonzero(freed)
-        np.add.at(acc, (i[e], axis), w_int[i[e]])
-        np.subtract.at(acc, (jo[e], axis), w_int[i[e]])
-        return acc
-
-    acc = sum(_over_blocks(work, n), np.zeros((n, 3), np.int64))
+    positions, r_off, r_off2, offsets, nbrs, points = _kernel_inputs(
+        positions, params, neighbors, sphere, config)
+    n = len(positions)
+    if states.counts.shape != (n, nq) or states.critical.shape != (n, nq):
+        raise ConfigurationError(
+            f"exposure states of shape {states.counts.shape} do not match "
+            f"{n} atoms and {nq} samples")
+    acc = np.zeros((n, 3), np.int64)
+    kernel = sasa_kernel.load()
+    _over_blocks(lambda lo, hi: kernel.force_events(
+        lo, hi, positions, r_off, r_off2, offsets, nbrs, points, nq,
+        states.counts, states.critical, w_int, config.delta_r, n, acc), n)
     return acc.astype(float) * quantum

@@ -119,14 +119,6 @@ class NeighborTable:
         i = np.repeat(np.arange(len(self)), np.diff(self.offsets))
         return i, self.neighbors
 
-    def take(self, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of ``atoms``, in that order: their lengths and their
-        entries concatenated."""
-        begin = self.offsets[atoms]
-        lengths = self.offsets[atoms + 1] - begin
-        at = np.repeat(begin, lengths) + _segment_arange(lengths)
-        return lengths, self.neighbors[at]
-
 
 def _stencil(cell: float, d_cut: float) -> np.ndarray:
     """Integer cell offsets whose centers lie within d_cut + sqrt(3)*cell."""

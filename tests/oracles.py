@@ -196,8 +196,9 @@ def two_sphere_exposed_area(r_off, d):
 
 
 def distance_exposure_states(positions, params, neighbors, sphere, config):
-    """Unscreened exposure pass: the (N, nb, 3) distance test on every
-    (sample, neighbor) pair.  Returns (counts, critical, f_exp)."""
+    """Reference exposure pass: the (N, nb, 3) distance test on every
+    (sample, neighbor) pair, with no early exit.  Returns (counts,
+    critical, f_exp)."""
     positions = np.asarray(positions, float)
     n = len(positions)
     nq = sphere.n

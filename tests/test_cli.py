@@ -34,6 +34,21 @@ def test_fold_emits_manifest_with_parameters(tmp_path):
     assert data["n_dof"] == 5
 
 
+def test_water_fold_manifest_records_environment(tmp_path):
+    out = tmp_path / "run"
+    assert main(["fold", "--seq", "GA", "--water", "--samples", "64", "--max-iters",
+                 "1", "--out", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert {"python", "numpy", "platform", "cpu_count"} <= env.keys()
+    assert env["cpu_count"] >= 1
+    kernel = env["sasa_kernel"]
+    assert len(kernel["source_sha256"]) == 64 and kernel["compiler"]
+    vacuum = tmp_path / "vacuum"
+    main(["fold", "--seq", "GA", "--max-iters", "1", "--out", str(vacuum)])
+    assert "sasa_kernel" not in json.loads((vacuum / "manifest.json").read_text())[
+        "environment"]
+
+
 def test_fold_deterministic_logs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["fold", "--seq", "AAA", "--init", "random", "--seed", "11",

@@ -142,6 +142,26 @@ def test_hetero_names_round_trip(tmp_path):
     assert [l[76:78] for l in lines] == ["Fe", "Zn"]
 
 
+def test_chain_ids_round_trip(tmp_path):
+    """Imported atoms keep the chain IDs they were read with: a zinc of
+    chain B stays in chain B next to a protein read as chain C, and a
+    canonical chain is written as chain A."""
+    src = tmp_path / "mix.pdb"
+    zinc = "HETATM    6 ZN    ZN B   2       8.000   0.000   0.000  1.00  0.00          ZN"
+    src.write_text(HETERO_MIX.replace(HETERO_MIX.splitlines()[5], zinc)
+                   .replace("GLY A", "GLY C"))
+    ch = build_chain([], geometry=read_pdb(src))
+    out = tmp_path / "out.pdb"
+    write_pdb(ch, forward_kinematics(ch, ch.conf_zp()), out)
+    got = [(a.name, a.res_name, a.chain_id) for a in read_pdb(out).atoms]
+    assert got == [("N", "GLY", "C"), ("CA", "GLY", "C"), ("C", "GLY", "C"),
+                   ("O", "GLY", "C"), ("FE", "HEM", "A"), ("ZN", "ZN", "B")]
+    assert out.read_text().splitlines()[5][12:27] == "ZN    ZN B   2 "
+    canonical = build_chain(["GLY"])
+    write_pdb(canonical, forward_kinematics(canonical, canonical.conf_zp()), out)
+    assert {a.chain_id for a in read_pdb(out).atoms} == {"A"}
+
+
 def test_hetero_numbers_round_trip(tmp_path):
     """A hetero atom keeps its own residue number (mod 10000) on export,
     so a ligand numbered 9999 still fits the four-column field, and one

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinefold import solvation
+from kinefold.chain import build_chain, forward_kinematics
 from kinefold.errors import ConfigurationError
 from kinefold.forcefield import AtomParams
 from kinefold.kcm import Field, FieldConfig
@@ -269,7 +270,7 @@ def test_block_partition_identical(rng, monkeypatch):
         assert np.array_equal(f1, f_b)  # fixed point: order independent
 
 
-# ---- screened coverage vs the distance test ------------------------------
+# ---- the compiled passes vs the distance test -----------------------------
 
 def assert_matches_distance_oracle(pos, params, nbrs, sp, cfg):
     res, states = sasa_pass(pos, params, nbrs, sp, cfg)
@@ -319,8 +320,8 @@ def test_screened_coverage_matches_distance_oracle(atoms, jitter_seed):
 def test_boundary_samples_match_distance_oracle(seed, displaced):
     """Each neighbor's offset sphere passes through one sample of atom 0,
     as placed or, when ``displaced``, after its +delta_r move along one
-    axis.  Rounding decides those samples, so the screen must hand every
-    one of them to the distance test."""
+    axis.  Rounding decides those samples, so the kernel must round each
+    test exactly as the distance oracle does."""
     rng = np.random.default_rng(seed)
     n = 7
     sp = generate_samples(128)
@@ -335,6 +336,107 @@ def test_boundary_samples_match_distance_oracle(seed, displaced):
         if displaced:
             pos[a, rng.integers(3)] -= cfg.delta_r
     assert_matches_distance_oracle(pos, params, all_neighbors(n), sp, cfg)
+
+
+# ---- nearest-first early exit --------------------------------------------
+# Atom 0 has offset radius 2.0 at the origin; axis_sphere's sample 0 is its
+# +x point (2, 0, 0), sample 1 its +y point (0, 2, 0).
+
+def early_exit_states(neighbors, radii):
+    """States of atom 0 among ``neighbors`` (centers), checked bitwise
+    against the distance oracle."""
+    pos = np.vstack([np.zeros(3), neighbors])
+    params = make_params(len(pos), radius=np.array([0.6, *radii]))
+    return assert_matches_distance_oracle(pos, params, all_neighbors(len(pos)),
+                                          axis_sphere(), SolvationConfig())
+
+
+def test_far_coverer_is_critical_when_nearer_neighbors_miss():
+    """Two near neighbors miss the +x sample and the farthest one, last in
+    both index and distance order, covers it: the scan must go past the
+    misses and record that far neighbor."""
+    states = early_exit_states([[-1.0, 0.0, 0.0], [0.0, -1.5, 0.0], [4.5, 0.0, 0.0]],
+                               [0.6, 0.6, 1.6])
+    assert states.counts[0, 0] == 1 and states.critical[0, 0] == 3
+
+
+def test_three_coverers_count_two_without_critical():
+    states = early_exit_states([[3.5, 0.0, 0.0], [3.0, 0.5, 0.0], [3.0, 0.0, 0.5]],
+                               [0.6, 0.6, 0.6])
+    assert states.counts[0, 0] == 2 and states.critical[0, 0] == -1
+
+
+def test_neighbors_at_equal_distance():
+    """Neighbors 1 and 2, mirror images 3 A from atom 0, each alone cover
+    the +y or the -y sample; neighbors 3 and 4, mirror images too, both
+    cover the +x sample.  Whichever of a tied pair the scan takes first,
+    the states are the same."""
+    states = early_exit_states([[0.0, 3.0, 0.0], [0.0, -3.0, 0.0],
+                                [2.9, 0.0, 0.768], [2.9, 0.0, -0.768]],
+                               [0.6] * 4)
+    assert states.counts[0, 1] == 1 and states.critical[0, 1] == 1  # +y
+    assert states.counts[0, 4] == 1 and states.critical[0, 4] == 2  # -y
+    assert states.counts[0, 0] == 2 and states.critical[0, 0] == -1  # +x
+
+
+def helix_rows(positions, params, cfg):
+    """Ascending rows of every pair within the largest reach."""
+    r_max = float(np.max(offset_radii(params, cfg)))
+    cut = reach(r_max, r_max, cfg.delta_r)
+    return cutoff_lists(build_neighbor_table(build_grid(positions), cut), positions, cut)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 30.0])
+def test_helix_states_match_distance_oracle(param_set, jitter):
+    """A 30-ALA helix, as built and with every phi/psi moved by up to
+    +-30 degrees: bitwise the states of the unpruned distance pass."""
+    chain = build_chain(["ALA"] * 30)
+    rng = np.random.default_rng(30)
+    phi = -57.0 + rng.uniform(-jitter, jitter, 30)
+    psi = -47.0 + rng.uniform(-jitter, jitter, 30)
+    pos = forward_kinematics(chain, chain.conf_from_backbone(phi, psi))
+    params = param_set.resolve(chain)
+    cfg = SolvationConfig()
+    rows = helix_rows(pos, params, cfg)
+    res, states = sasa_pass(pos, params, rows, generate_samples(cfg.samples), cfg)
+    counts, critical, f_exp = oracles.distance_exposure_states(
+        pos, params, rows, generate_samples(cfg.samples), cfg)
+    assert np.array_equal(states.counts, counts)
+    assert np.array_equal(states.critical, critical)
+    assert np.array_equal(res.f_exp, f_exp)
+    assert (counts == 2).any() and (counts == 1).any() and (counts == 0).any()
+
+
+def test_chain_forces_match_naive_recount(param_set):
+    chain = build_chain(["ALA"] * 4)
+    pos = forward_kinematics(chain, chain.conf_from_backbone(-60.0, -40.0))
+    params = param_set.resolve(chain)
+    cfg = SolvationConfig(samples=256)
+    sp = generate_samples(256)
+    rows = helix_rows(pos, params, cfg)
+    _, states = sasa_pass(pos, params, rows, sp, cfg)
+    got = solvation_forces(pos, params, rows, sp, states, cfg)
+    assert np.any(got != 0)
+    assert np.array_equal(got, oracles.naive_solvation_forces(pos, params, rows, sp, cfg))
+
+
+def test_states_naming_no_atom_are_refused():
+    params = make_params(2)
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    sp = generate_samples(12)
+    cfg = SolvationConfig(samples=12)
+    _, states = sasa_pass(pos, params, all_neighbors(2), sp, cfg)
+    states.critical[states.counts == 1] = 2
+    with pytest.raises(ConfigurationError, match="critical neighbor outside"):
+        solvation_forces(pos, params, all_neighbors(2), sp, states, cfg)
+
+
+def test_rows_outside_the_atoms_are_refused():
+    params = make_params(2)
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    with pytest.raises(ConfigurationError, match="do not index the 2 atoms"):
+        sasa_pass(pos, params, neighbor_table([[1], [2]]), generate_samples(12),
+                  SolvationConfig(samples=12))
 
 
 def test_tangent_spheres_tie_is_covered():
