@@ -3,7 +3,7 @@
 The protein is an open kinematic linkage whose dihedral joints comply
 under torques derived from electrostatic, van der Waals, and
 SASA-based implicit-solvation forces.  Per-iteration work stays
-expected-linear through spatial hashing, a bond-tree interaction
+expected-linear through a cell list, a bond-tree interaction
 classifier, offset-sphere surface enumeration, and one reverse
 parent-pointer pass that aggregates torques over the linkage tree.
 """

@@ -32,7 +32,6 @@ class AtomParams:
     R: np.ndarray          # van der Waals radius, A
     eps: np.ndarray        # well depth, kcal/mol
     gamma: np.ndarray      # solvation parameter, kcal/(mol A^2)
-    solv_class: tuple[str, ...]
 
     def __post_init__(self):
         n = len(self.q)

@@ -1,9 +1,10 @@
 """Kinetostatic compliance: forces -> link wrenches -> joint torques -> step.
 
-``Field.evaluate`` gives the atom forces of one conformation: one hashed
-neighbor table at a cut-off covering the elec and vdW cut-offs and, when
-solvated, the reach of the two largest offset spheres; one pass over its
-pairs; and the SASA passes on the pairs whose offset spheres can meet
+``Field.evaluate`` gives the atom forces of one conformation: one
+cell-list neighbor table, binned once at a cut-off covering the elec and
+vdW cut-offs and, when solvated, the reach of the two largest offset
+spheres; one pass over its pairs, filtered exactly at that cut-off; and
+the SASA passes on the pairs whose offset spheres can meet
 (``solvation.reach``).
 
 Per iteration, atom forces are summed into per-link wrenches (force plus
@@ -105,8 +106,8 @@ class Field:
         return self._sphere
 
     def _neighbor_table(self, positions) -> NeighborTable:
-        """Superset half table at the table cut-off."""
-        return build_neighbor_table(build_grid(positions), self.table_cutoff)
+        """Superset half table from a cell list binned at the table cut-off."""
+        return build_neighbor_table(build_grid(positions, self.table_cutoff))
 
     def evaluate(self, positions, *, energy_only: bool = False) -> FieldResult:
         cfg = self.config

@@ -183,7 +183,6 @@ class ParamSet:
         r = np.zeros(n)
         eps = np.zeros(n)
         gamma = np.zeros(n)
-        solv: list[str] = []
         for i in range(n):
             cls = chain.atom_classes[i]
             row = self.classes.get(cls)
@@ -193,8 +192,7 @@ class ParamSet:
             if sc not in gam:
                 raise ParameterFileError(f"solvation class {sc!r} missing from table")
             gamma[i] = gam[sc]
-            solv.append(sc)
-        return AtomParams(q=q, R=r, eps=eps, gamma=gamma, solv_class=tuple(solv))
+        return AtomParams(q=q, R=r, eps=eps, gamma=gamma)
 
 
 def load_params(path=None) -> ParamSet:

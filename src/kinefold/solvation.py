@@ -36,6 +36,7 @@ result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,12 +194,24 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
 
 
 def _force_quantum(params, r_off: np.ndarray, nq: int, delta_r: float):
-    """Per-atom event magnitudes as integer multiples of a binary quantum."""
+    """Per-atom event magnitudes as integer multiples of a binary quantum:
+    ``2**-_FIXED_POINT_BITS`` times the largest power of two not above the
+    largest magnitude (``frexp`` is exact where ``floor(log2)`` can round).
+
+    The quantum must be a normal float: a subnormal or zero one would make
+    ``delta / quantum`` lose bits or overflow the int64 weights."""
     delta = 4.0 * math.pi * params.gamma * r_off * r_off / (nq * delta_r)
-    peak = float(np.max(np.abs(delta))) if len(delta) else 0.0
-    if peak == 0.0:
+    if not np.any(params.gamma):
         return np.zeros(len(delta), np.int64), 1.0
-    quantum = 2.0 ** (math.floor(math.log2(peak)) - _FIXED_POINT_BITS)
+    peak = float(np.max(np.abs(delta)))
+    quantum = math.ldexp(1.0, math.frexp(peak)[1] - 1 - _FIXED_POINT_BITS)
+    if not (0.0 < peak < math.inf and quantum >= sys.float_info.min):
+        smallest = math.ldexp(sys.float_info.min, _FIXED_POINT_BITS) * nq * delta_r / (
+            4.0 * math.pi * float(np.max(r_off)) ** 2)
+        raise ConfigurationError(
+            f"surface tensions give a largest solvation event of {peak:.3g}, "
+            "whose fixed-point quantum is not a normal float; gamma must be "
+            f"finite and, on the largest offset sphere, |gamma| >= {smallest:.3g}")
     return np.round(delta / quantum).astype(np.int64), quantum
 
 
@@ -233,7 +246,7 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
     w_int, quantum = _force_quantum(params, offset_radii(params, config), nq,
                                     config.delta_r)
     check_accumulator(nq, int(np.diff(neighbors.offsets).max(initial=0)),
-                      int(np.max(np.abs(w_int), initial=0)))
+                      max(-int(w_int.min(initial=0)), int(w_int.max(initial=0))))
     positions, r_off, r_off2, offsets, nbrs, points = _kernel_inputs(
         positions, params, neighbors, sphere, config)
     n = len(positions)

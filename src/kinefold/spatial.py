@@ -1,14 +1,16 @@
-"""Uniform-grid spatial hash and cut-off neighbor rows.
+"""Fixed-edge cell list and cut-off neighbor rows.
 
-Atom centers are bucketed on a cubic grid whose cell edge is chosen so
-the bucket count tracks the atom count (~ALPHA * n cells).  A neighbor
-query gathers every bucket whose center lies within
-``d_cut + sqrt(3) * cell`` of the query cell center; the extra cell
-diagonal covers the worst-case offset between atom and cell centers, so
-the gathered set is a strict superset of the true cut-off neighborhood.
+Atom centers are binned into cubic cells of edge just over half the
+cut-off, so two atoms within it are at most two cells apart on every
+axis, and a cell's neighbors lie in its 5x5x5 block (all of it: even
+the corner cells come within ``edge * sqrt(3) ~ 0.87 * d_cut``).  Each
+pair of cells is visited once: a cell with itself, and with the occupied
+cells at its 62 forward offsets, those lexicographically above
+(0, 0, 0) (Allen & Tildesley, *Computer Simulation of Liquids*, 2nd ed.,
+2017, ch. 5).  The candidates are a superset of the cut-off pairs.
 
 Every per-atom neighbor row lives in one CSR type, ``NeighborTable``:
-one ``offsets`` array and one flat ``neighbors`` array.  The hashed
+one ``offsets`` array and one flat ``neighbors`` array.  The cell-list
 table is a half table: each candidate pair is stored once, as j > i in
 row i, and rows ascend, so the pairs come out sorted by (i, j).  Exact
 distance filtering happens at use time, once per evaluation at the
@@ -22,17 +24,19 @@ against live with the other references in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-SQRT3 = float(np.sqrt(3.0))
-# Floor on the cell edge (A): a near-flat or tiny bounding box would
-# otherwise give a vanishing cell and an unbounded stencil.
-MIN_CELL = 1.0
-ALPHA = 1.0  # grid cells per atom: any density gives a superset, so only speed
+# Cell edge over the cut-off: half, plus a slack far above the rounding
+# of the binning (see ``build_grid``).
+EDGE_PER_CUTOFF = 0.5 * (1.0 + 1e-9)
+# Widest coordinate span, in cut-offs per axis, that can be binned.
+MAX_SPAN = 1e5
+# the 62 offsets in [-2, 2]^3 lexicographically above (0, 0, 0)
+FORWARD = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij"), -1).reshape(-1, 3)[63:]
 
 
 @dataclass(frozen=True)
@@ -47,50 +51,47 @@ class Cutoffs:
 
 @dataclass
 class HashGrid:
-    cell_size: float
-    r_min: np.ndarray
-    dims: np.ndarray                  # cells per axis
-    cell_index: np.ndarray            # (n, 3) integer cell of each atom
-    _occupied: np.ndarray = field(repr=False)      # sorted linear ids
-    _starts: np.ndarray = field(repr=False)        # CSR starts into _atom_order
-    _atom_order: np.ndarray = field(repr=False)    # atoms sorted by cell id
+    """Atoms binned into cells of edge ``EDGE_PER_CUTOFF * cutoff``; cell
+    (x, y, z) has the id ``(x * dims[1] + y) * dims[2] + z``.  ``dims``
+    runs two empty cells past the last occupied one on every axis, so a
+    cell moved by an offset in [-2, 2]^3 that leaves the box gets an empty
+    or negative id, never another occupied cell's."""
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self._atom_order)
+    cutoff: float
+    dims: np.ndarray       # cells per axis of the id box
+    order: np.ndarray      # atoms sorted by linear cell id
+    occupied: np.ndarray   # sorted linear ids of the occupied cells
+    starts: np.ndarray     # where each occupied cell begins in ``order``
+    counts: np.ndarray     # atoms per occupied cell
 
 
-def build_grid(positions: np.ndarray) -> HashGrid:
-    """Buckets for ``positions``, about ``ALPHA`` cells per atom."""
+def build_grid(positions: np.ndarray, d_cut: float) -> HashGrid:
+    """Bin ``positions`` for neighbor queries at cut-off ``d_cut``.
+
+    Rounding moves ``(x - min) / edge`` by at most ``2**-52 * span / edge``
+    cells, under 5e-11 within ``MAX_SPAN``.  Atoms at most ``d_cut`` apart
+    are at most ``2 / (1 + 1e-9)`` cells apart before rounding, so the
+    slack is over 10x the rounding: a pair at exactly ``d_cut`` cannot
+    fall three cells apart.  The bound also keeps linear ids, about
+    ``(2 * MAX_SPAN)**3``, far inside int64."""
+    if not (math.isfinite(d_cut) and d_cut > 0):
+        raise ConfigurationError(f"cutoff must be positive and finite, got {d_cut}")
     positions = np.asarray(positions, float)
     if positions.ndim != 2 or positions.shape[1] != 3 or len(positions) < 1:
         raise ConfigurationError("positions must be a non-empty (n, 3) array")
     if not np.isfinite(positions).all():
         raise ConfigurationError("non-finite coordinates cannot be hashed")
-    n = len(positions)
     r_min = positions.min(axis=0)
-    r_max = positions.max(axis=0)
-    extent = r_max - r_min
-    v_bb = float(np.prod(extent))
-    cell = (v_bb / (ALPHA * n)) ** (1.0 / 3.0) if v_bb > 0 else 0.0
-    cell = max(cell, MIN_CELL)
-    dims = np.maximum(np.ceil(extent / cell).astype(np.int64), 1)
-    cells = np.floor((positions - r_min) / cell).astype(np.int64)
-    np.clip(cells, 0, dims - 1, out=cells)  # atoms exactly on the max face
+    if np.any(positions.max(axis=0) - r_min > MAX_SPAN * d_cut):
+        raise ConfigurationError(
+            f"coordinates span more than {MAX_SPAN:g} cutoffs of {d_cut} A on an axis")
+    cells = np.floor((positions - r_min) / (EDGE_PER_CUTOFF * d_cut)).astype(np.int64)
+    dims = cells.max(axis=0) + 3
     lin = (cells[:, 0] * dims[1] + cells[:, 1]) * dims[2] + cells[:, 2]
     order = np.argsort(lin, kind="stable")
-    sorted_lin = lin[order]
-    occupied, starts = np.unique(sorted_lin, return_index=True)
-    starts = np.append(starts, n)
-    return HashGrid(
-        cell_size=float(cell),
-        r_min=r_min,
-        dims=dims,
-        cell_index=cells,
-        _occupied=occupied,
-        _starts=starts,
-        _atom_order=order,
-    )
+    occupied, starts, counts = np.unique(lin[order], return_index=True, return_counts=True)
+    return HashGrid(cutoff=float(d_cut), dims=dims, order=order,
+                    occupied=occupied, starts=starts, counts=counts)
 
 
 @dataclass
@@ -120,17 +121,6 @@ class NeighborTable:
         return i, self.neighbors
 
 
-def _stencil(cell: float, d_cut: float) -> np.ndarray:
-    """Integer cell offsets whose centers lie within d_cut + sqrt(3)*cell."""
-    r_c = d_cut + SQRT3 * cell
-    reach = int(np.floor(r_c / cell))
-    rng = np.arange(-reach, reach + 1)
-    ox, oy, oz = np.meshgrid(rng, rng, rng, indexing="ij")
-    offs = np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=1)
-    keep = (offs.astype(float) ** 2).sum(axis=1) * cell * cell <= r_c * r_c
-    return offs[keep]
-
-
 def _segment_arange(lengths: np.ndarray) -> np.ndarray:
     """[0..l0-1, 0..l1-1, ...] for consecutive segment lengths."""
     total = int(lengths.sum())
@@ -140,66 +130,36 @@ def _segment_arange(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
 
 
-def build_neighbor_table(grid: HashGrid, d_cut: float) -> NeighborTable:
-    """Half table of superset candidate pairs for one cut-off; expected
-    O(n) overall."""
-    if d_cut <= 0:
-        raise ConfigurationError("cutoff must be positive")
-    n = grid.n_atoms
-    offs = _stencil(grid.cell_size, d_cut)
-    # offsets larger than the grid box can never land inside it
-    offs = offs[(np.abs(offs) < grid.dims).all(axis=1)]
-    occ = grid._occupied
-    n_occ = len(occ)
-    d1, d2_, = int(grid.dims[1]), int(grid.dims[2])
-    oz = occ % d2_
-    oy = (occ // d2_) % d1
-    ox = occ // (d1 * d2_)
+def build_neighbor_table(grid: HashGrid) -> NeighborTable:
+    """Half table of superset candidate pairs at the grid's cut-off;
+    expected O(n) overall."""
+    order, occ, starts, counts = grid.order, grid.occupied, grid.starts, grid.counts
+    n = len(order)
+    # pairs inside one cell: each sorted position with the rest of its cell
+    rest = np.repeat(starts + counts, counts) - np.arange(1, n + 1)
+    i_in = np.repeat(order, rest)
+    j_in = order[np.repeat(np.arange(1, n + 1), rest) + _segment_arange(rest)]
 
-    # in-box candidates, checked per axis; linear arithmetic is then exact
-    inside = (
-        ((ox[:, None] + offs[None, :, 0]) >= 0)
-        & ((ox[:, None] + offs[None, :, 0]) < grid.dims[0])
-        & ((oy[:, None] + offs[None, :, 1]) >= 0)
-        & ((oy[:, None] + offs[None, :, 1]) < d1)
-        & ((oz[:, None] + offs[None, :, 2]) >= 0)
-        & ((oz[:, None] + offs[None, :, 2]) < d2_)
-    )
-    src_cell, off_idx = np.nonzero(inside)  # row-major: sorted by src_cell
-    off_lin = (offs[:, 0] * d1 + offs[:, 1]) * d2_ + offs[:, 2]
-    cand_lin = occ[src_cell] + off_lin[off_idx]
-    hit_pos = np.searchsorted(occ, cand_lin)
-    hit_pos = np.minimum(hit_pos, n_occ - 1)
-    found = occ[hit_pos] == cand_lin
-    src_cell = src_cell[found]
-    dst_cell = hit_pos[found]
+    # pairs between a cell and its occupied forward neighbors
+    d1, d2 = int(grid.dims[1]), int(grid.dims[2])
+    off = (FORWARD[:, 0] * d1 + FORWARD[:, 1]) * d2 + FORWARD[:, 2]
+    target = (occ[:, None] + off).ravel()
+    hit = np.minimum(np.searchsorted(occ, target), len(occ) - 1)
+    found = occ[hit] == target
+    a_cell = np.repeat(np.arange(len(occ)), len(off))[found]
+    b_cell = hit[found]
+    la = counts[a_cell]
+    b_rows = np.repeat(b_cell, la)
+    lb = counts[b_rows]
+    i_x = np.repeat(order[np.repeat(starts[a_cell], la) + _segment_arange(la)], lb)
+    j_x = order[np.repeat(starts[b_rows], lb) + _segment_arange(lb)]
 
-    starts = grid._starts
-    counts = starts[1:] - starts[:-1]
-    atom_order = grid._atom_order
-
-    # flat gather: members of every found destination cell, grouped by
-    # source cell, then sorted within each source segment by one sort of
-    # the key (segment, atom)
-    dst_len = counts[dst_cell]
-    flat_gather = atom_order[np.repeat(starts[dst_cell], dst_len) + _segment_arange(dst_len)]
-    gather_per_src = np.bincount(src_cell, weights=dst_len, minlength=n_occ).astype(np.int64)
-    seg_key = np.repeat(np.arange(n_occ) * n, gather_per_src)
-    keys = np.sort(seg_key + flat_gather)
-    flat_gather = keys - seg_key
-    seg_end = np.cumsum(gather_per_src)
-
-    # atom i's row is the part of its cell's segment above i: a suffix,
-    # found by one search for the key (cell of i, i)
-    cell_of = np.empty(n, np.int64)
-    cell_of[atom_order] = np.repeat(np.arange(n_occ), counts)
-    row_begin = np.searchsorted(keys, cell_of * n + np.arange(n), side="right")
-    lengths = seg_end[cell_of] - row_begin
+    i = np.concatenate([i_in, i_x])
+    j = np.concatenate([j_in, j_x])
+    i, j = np.divmod(np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n)
     offsets = np.zeros(n + 1, np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    neighbors = flat_gather[np.repeat(row_begin - offsets[:-1], lengths)
-                            + np.arange(offsets[-1], dtype=np.int64)]
-    return NeighborTable(offsets=offsets, neighbors=neighbors)
+    np.cumsum(np.bincount(i, minlength=n), out=offsets[1:])
+    return NeighborTable(offsets=offsets, neighbors=j)
 
 
 def filtered_lists(n: int, i: np.ndarray, j: np.ndarray) -> NeighborTable:

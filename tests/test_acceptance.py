@@ -54,7 +54,7 @@ def cluster(rng, n, side, min_d=1.5):
 
 
 # --------------------------------------------------------------------------
-# 1. hash-grid neighbor sets == brute force, three cutoffs, 50 configs, <10 s
+# 1. cell-list neighbor sets == brute force, three cutoffs, 50 configs, <10 s
 # --------------------------------------------------------------------------
 
 def test_criterion_1_neighbor_oracle():
@@ -67,9 +67,8 @@ def test_criterion_1_neighbor_oracle():
         diff = pos[:, None, :] - pos[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         np.fill_diagonal(d2, np.inf)
-        grid = build_grid(pos)
         for d_cut in cutoffs:
-            table = build_neighbor_table(grid, d_cut)
+            table = build_neighbor_table(build_grid(pos, d_cut))
             got = cutoff_lists(table, pos, d_cut)
             want_mask = d2 <= d_cut * d_cut
             for i in range(500):
@@ -87,7 +86,7 @@ def test_criterion_1_neighbor_oracle():
 
 def test_criterion_2_sasa_analytic():
     params = AtomParams(q=np.zeros(2), R=np.full(2, 1.6), eps=np.full(2, 0.1),
-                        gamma=np.ones(2), solv_class=("C", "C"))
+                        gamma=np.ones(2))
     pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     cfg = SolvationConfig(samples=10_000)
     sphere = generate_samples(10_000)
@@ -114,8 +113,7 @@ def test_criterion_3_solvation_gradient():
     for _ in range(10):
         pos = cluster(rng, 5, 4.2, min_d=1.0)
         params = AtomParams(q=np.zeros(5), R=rng.uniform(1.2, 2.0, 5),
-                            eps=np.full(5, 0.1), gamma=rng.uniform(-0.2, 0.05, 5),
-                            solv_class=("C",) * 5)
+                            eps=np.full(5, 0.1), gamma=rng.uniform(-0.2, 0.05, 5))
         nbrs = neighbor_table([[j for j in range(5) if j != i] for i in range(5)])
         _, states = sasa_pass(pos, params, nbrs, sphere, cfg)
         f = solvation_forces(pos, params, nbrs, sphere, states, cfg)
@@ -149,8 +147,7 @@ def test_criterion_4_step2_soundness():
         n = int(rng.integers(2, 7))
         pos = rng.uniform(0, 4.5, (n, 3))
         params = AtomParams(q=np.zeros(n), R=rng.uniform(1.0, 2.0, n),
-                            eps=np.full(n, 0.1), gamma=rng.uniform(-0.2, 0.05, n),
-                            solv_class=("C",) * n)
+                            eps=np.full(n, 0.1), gamma=rng.uniform(-0.2, 0.05, n))
         nbrs = neighbor_table([[j for j in range(n) if j != i] for i in range(n)])
         _, states = sasa_pass(pos, params, nbrs, sphere, cfg)
         fast = solvation_forces(pos, params, nbrs, sphere, states, cfg)
@@ -192,7 +189,7 @@ def test_criterion_6_force_equilibrium():
         params = AtomParams(q=rng.uniform(-0.8, 0.8, 200),
                             R=rng.uniform(1.2, 2.0, 200),
                             eps=rng.uniform(0.02, 0.25, 200),
-                            gamma=np.zeros(200), solv_class=("C",) * 200)
+                            gamma=np.zeros(200))
         fe = pair_field(only(params, "elec"), elec=9.0).evaluate(pos).forces
         fv = pair_field(only(params, "vdw"), vdw=5.0).evaluate(pos).forces
         for f in (fe, fv):
@@ -312,7 +309,7 @@ def test_criterion_11_block_partition_invariance(param_set, monkeypatch):
     ch = build_chain(["SER", "ALA", "CYS"] * 6)
     params = param_set.resolve(ch)
     pos = forward_kinematics(ch, ch.conf_zp())
-    lists = cutoff_lists(build_neighbor_table(build_grid(pos), 8.0), pos, 8.0)
+    lists = cutoff_lists(build_neighbor_table(build_grid(pos, 8.0)), pos, 8.0)
     sphere = generate_samples(1024)
     cfg = SolvationConfig(samples=1024)
     n = len(pos)

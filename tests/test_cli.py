@@ -135,7 +135,7 @@ def test_sasa_matches_module(tmp_path):
     ch = build_chain(read_sequence("GSA"))
     params = load_params().resolve(ch)
     pos = forward_kinematics(ch, ch.conf_zp())
-    lists = cutoff_lists(build_neighbor_table(build_grid(pos), 8.0), pos, 8.0)
+    lists = cutoff_lists(build_neighbor_table(build_grid(pos, 8.0)), pos, 8.0)
     res, _ = sasa_pass(pos, params, lists, generate_samples(1024),
                        SolvationConfig(samples=1024))
     assert table_total == pytest.approx(res.a_exp.sum(), rel=1e-9)

@@ -19,7 +19,6 @@ def cluster_params(n, rng, charged=True):
         R=rng.uniform(1.2, 2.0, n),
         eps=rng.uniform(0.02, 0.25, n),
         gamma=np.zeros(n),
-        solv_class=("C",) * n,
     )
 
 
@@ -45,8 +44,7 @@ def forces(pos, params, term, weights=UniformWeights(), **kw):
 def test_zero_charge_no_contribution(rng):
     pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     params = AtomParams(q=np.array([0.0, 1.0]), R=np.ones(2) * 1.5,
-                        eps=np.ones(2) * 0.1, gamma=np.zeros(2),
-                        solv_class=("C", "C"))
+                        eps=np.ones(2) * 0.1, gamma=np.zeros(2))
     f = forces(pos, params, "elec")
     assert np.allclose(f, 0.0)
     assert energy(pos, params).g_elec == 0.0
@@ -55,7 +53,7 @@ def test_zero_charge_no_contribution(rng):
 def test_beyond_cutoff_zero():
     pos = np.array([[0.0, 0.0, 0.0], [9.5, 0.0, 0.0]])
     params = AtomParams(q=np.ones(2), R=np.ones(2) * 1.5, eps=np.ones(2) * 0.1,
-                        gamma=np.zeros(2), solv_class=("C", "C"))
+                        gamma=np.zeros(2))
     assert energy(pos, params, elec=9.0).g_elec == 0.0
     assert np.allclose(forces(pos, params, "elec", elec=9.0), 0.0)
 
@@ -63,7 +61,7 @@ def test_beyond_cutoff_zero():
 def test_unit_charges_hand_value():
     pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     params = AtomParams(q=np.ones(2), R=np.ones(2) * 1.5, eps=np.ones(2) * 0.1,
-                        gamma=np.zeros(2), solv_class=("C", "C"))
+                        gamma=np.zeros(2))
     f = forces(pos, params, "elec")
     want = oracles.pair_elec_force(1.0, 1.0, 3.0, kappa=3.0)
     assert f[0, 0] == pytest.approx(-want, rel=1e-12)
@@ -76,8 +74,7 @@ def test_unit_charges_hand_value():
 def test_opposite_charges_negative_energy():
     pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     params = AtomParams(q=np.array([1.0, -1.0]), R=np.ones(2) * 1.5,
-                        eps=np.ones(2) * 0.1, gamma=np.zeros(2),
-                        solv_class=("C", "C"))
+                        eps=np.ones(2) * 0.1, gamma=np.zeros(2))
     assert energy(pos, params).g_elec < 0
 
 
@@ -92,8 +89,7 @@ def test_elec_energy_matches_brute(rng):
 def test_vdw_zero_force_at_minimum():
     pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     params = AtomParams(q=np.zeros(2), R=np.array([1.5, 1.5]),
-                        eps=np.array([0.2, 0.2]), gamma=np.zeros(2),
-                        solv_class=("C", "C"))
+                        eps=np.array([0.2, 0.2]), gamma=np.zeros(2))
     f = forces(pos, params, "vdw")
     assert np.abs(f).max() < 1e-12
     e = energy(pos, params).g_vdw
@@ -103,8 +99,7 @@ def test_vdw_zero_force_at_minimum():
 def test_vdw_repulsive_inside_minimum():
     pos = np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0]])
     params = AtomParams(q=np.zeros(2), R=np.array([1.5, 1.5]),
-                        eps=np.array([0.2, 0.2]), gamma=np.zeros(2),
-                        solv_class=("C", "C"))
+                        eps=np.array([0.2, 0.2]), gamma=np.zeros(2))
     f = forces(pos, params, "vdw")
     assert f[0, 0] < 0 and f[1, 0] > 0  # pushed apart
 
@@ -120,7 +115,7 @@ def test_vdw_energy_matches_brute(rng):
 def test_vdw_beyond_cutoff_zero():
     pos = np.array([[0.0, 0.0, 0.0], [5.5, 0.0, 0.0]])
     params = AtomParams(q=np.zeros(2), R=np.ones(2), eps=np.ones(2) * 0.1,
-                        gamma=np.zeros(2), solv_class=("C", "C"))
+                        gamma=np.zeros(2))
     assert energy(pos, params, vdw=5.0).g_vdw == 0.0
 
 
@@ -178,7 +173,7 @@ def test_truncation_reaches_untruncated_limit(rng):
 def test_coincident_atoms_raise():
     pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-9]])
     params = AtomParams(q=np.ones(2), R=np.ones(2), eps=np.ones(2) * 0.1,
-                        gamma=np.zeros(2), solv_class=("C", "C"))
+                        gamma=np.zeros(2))
     with pytest.raises(StericClashError):
         forces(pos, params, "elec")
 
@@ -191,7 +186,7 @@ def test_energy_breakdown_sums():
 def test_param_validation():
     with pytest.raises(ConfigurationError):
         AtomParams(q=np.zeros(2), R=np.array([0.0, 1.0]), eps=np.zeros(2),
-                   gamma=np.zeros(2), solv_class=("C", "C"))
+                   gamma=np.zeros(2))
     with pytest.raises(ConfigurationError):
         DielectricModel(mode="weird")
     for kappa in (float("nan"), float("inf")):

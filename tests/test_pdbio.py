@@ -221,8 +221,8 @@ def test_default_gamma_values(param_set):
 def test_resolve_matches_solvation_class(param_set, mixed_chain):
     params = param_set.resolve(mixed_chain, "sharp")
     table = param_set.gamma_table("sharp")
-    for i in range(mixed_chain.n_atoms):
-        assert params.gamma[i] == table[params.solv_class[i]]
+    for i, cls in enumerate(mixed_chain.atom_classes):
+        assert params.gamma[i] == table[param_set.classes[cls][3]]
     assert np.all(params.R > 0)
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -35,8 +37,7 @@ def make_params(n, rng=None, gamma=None, radius=None):
     else:
         r = rng.uniform(1.2, 2.0, n) if radius is None else radius
         g = rng.uniform(-0.2, 0.05, n) if gamma is None else gamma
-    return AtomParams(q=np.zeros(n), R=r, eps=np.full(n, 0.1), gamma=g,
-                      solv_class=("C",) * n)
+    return AtomParams(q=np.zeros(n), R=r, eps=np.full(n, 0.1), gamma=g)
 
 
 def all_neighbors(n):
@@ -104,8 +105,7 @@ def test_isolated_atom_fully_exposed():
 
 def test_engulfed_atom_fully_buried():
     params = AtomParams(q=np.zeros(2), R=np.array([0.4, 3.0]),
-                        eps=np.full(2, 0.1), gamma=np.ones(2),
-                        solv_class=("C", "C"))
+                        eps=np.full(2, 0.1), gamma=np.ones(2))
     pos = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
     cfg = SolvationConfig(samples=256)
     sp = generate_samples(256)
@@ -279,9 +279,13 @@ def assert_matches_distance_oracle(pos, params, nbrs, sp, cfg):
     assert np.array_equal(states.counts, counts)
     assert np.array_equal(states.critical, critical)
     assert np.array_equal(res.f_exp, f_exp)
-    f = solvation_forces(pos, params, nbrs, sp, states, cfg)
-    want = oracles.naive_solvation_forces(pos, params, nbrs, sp, cfg)
-    assert np.array_equal(f, want)
+    try:
+        want = oracles.naive_solvation_forces(pos, params, nbrs, sp, cfg)
+    except ConfigurationError as refused:  # an unusable gamma: both refuse it
+        with pytest.raises(ConfigurationError, match=re.escape(str(refused))):
+            solvation_forces(pos, params, nbrs, sp, states, cfg)
+    else:
+        assert np.array_equal(solvation_forces(pos, params, nbrs, sp, states, cfg), want)
     return states
 
 
@@ -383,7 +387,7 @@ def helix_rows(positions, params, cfg):
     """Ascending rows of every pair within the largest reach."""
     r_max = float(np.max(offset_radii(params, cfg)))
     cut = reach(r_max, r_max, cfg.delta_r)
-    return cutoff_lists(build_neighbor_table(build_grid(positions), cut), positions, cut)
+    return cutoff_lists(build_neighbor_table(build_grid(positions, cut)), positions, cut)
 
 
 @pytest.mark.parametrize("jitter", [0.0, 30.0])
@@ -467,7 +471,7 @@ def test_neighbor_at_exact_cutoff_matches_oracle():
     params = make_params(3, radius=np.full(3, 2.6))
     pos = np.array([[0.0, 0.0, 0.0], [8.0, 0.0, 0.0], [0.0, 0.0, 8.0]])
     cfg = SolvationConfig()
-    for table in (build_neighbor_table(build_grid(pos), 8.0),
+    for table in (build_neighbor_table(build_grid(pos, 8.0)),
                   oracles.brute_table(pos, 8.0)):
         nbrs = cutoff_lists(table, pos, 8.0)
         assert nbrs[0].tolist() == [1, 2]
@@ -583,6 +587,55 @@ def test_forces_refuse_overflowing_accumulator():
     with pytest.raises(ConfigurationError, match=f"{2**30} samples"):
         solvation_forces(pos, params, all_neighbors(2), huge, states,
                          SolvationConfig(samples=12))
+
+
+@pytest.mark.parametrize("gamma", [5e-324, 2.2250738585072014e-308, float("nan"), -math.inf])
+def test_unusable_surface_tension_refused(gamma):
+    """A subnormal gamma gives a subnormal or zero fixed-point quantum, and
+    a non-finite one none at all: the weights would wrap to INT64_MIN, so
+    the compiled and the naive force passes both refuse."""
+    params = make_params(4, gamma=np.full(4, gamma))
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0]])
+    cfg = SolvationConfig(samples=64)
+    sp = generate_samples(64)
+    _, states = sasa_pass(pos, params, all_neighbors(4), sp, cfg)
+    with pytest.raises(ConfigurationError, match="not a normal float"):
+        solvation_forces(pos, params, all_neighbors(4), sp, states, cfg)
+    with pytest.raises(ConfigurationError, match="not a normal float"):
+        oracles.naive_solvation_forces(pos, params, all_neighbors(4), sp, cfg)
+
+
+def test_smallest_normal_quantum_agrees_bitwise(rng):
+    """The smallest gamma with a normal quantum still gives the naive
+    recount's forces bit for bit."""
+    cfg = SolvationConfig(samples=512)
+    sp = generate_samples(512)
+    r_off = 1.6 + cfg.probe_radius
+    gamma = 1.5 * 2.0**-986 * sp.n * cfg.delta_r / (4.0 * math.pi * r_off * r_off)
+    params = make_params(5, gamma=np.full(5, gamma))
+    _, quantum = solvation._force_quantum(params, offset_radii(params, cfg), sp.n,
+                                          cfg.delta_r)
+    assert quantum == sys.float_info.min
+    pos = rng.uniform(0, 4.5, (5, 3))
+    _, states = sasa_pass(pos, params, all_neighbors(5), sp, cfg)
+    fast = solvation_forces(pos, params, all_neighbors(5), sp, states, cfg)
+    slow = oracles.naive_solvation_forces(pos, params, all_neighbors(5), sp, cfg)
+    assert np.any(fast != 0)
+    assert np.array_equal(fast, slow)
+
+
+def test_accumulator_bound_sees_int64_min(monkeypatch):
+    """The weight bound is taken with Python ints: ``np.abs`` of INT64_MIN
+    is still negative and would pass."""
+    params = make_params(2)
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    sp = generate_samples(12)
+    cfg = SolvationConfig(samples=12)
+    _, states = sasa_pass(pos, params, all_neighbors(2), sp, cfg)
+    wrapped = np.array([np.iinfo(np.int64).min, 1])
+    monkeypatch.setattr(solvation, "_force_quantum", lambda *args: (wrapped, 1.0))
+    with pytest.raises(ConfigurationError, match=f"{2**63} quanta"):
+        solvation_forces(pos, params, all_neighbors(2), sp, states, cfg)
 
 
 def test_config_validation():

@@ -10,76 +10,83 @@ from kinefold.errors import ConfigurationError
 from kinefold.forcefield import AtomParams, extract_pairs
 from kinefold.kcm import Field, FieldConfig
 from kinefold.solvation import SolvationConfig, reach
-from kinefold.spatial import ALPHA, Cutoffs, build_grid, build_neighbor_table, filtered_lists
+from kinefold.spatial import (
+    EDGE_PER_CUTOFF,
+    MAX_SPAN,
+    Cutoffs,
+    build_grid,
+    build_neighbor_table,
+    filtered_lists,
+)
 from .conftest import UniformWeights, cutoff_lists
 from .oracles import BruteField, brute_force_pairs, brute_neighbor_sets, brute_table
 
 
 def buckets(grid) -> dict[tuple[int, int, int], list[int]]:
-    """Occupied cells -> atom indices, from each atom's ``cell_index``."""
-    out = {}
-    for i, cell in enumerate(grid.cell_index.tolist()):
-        out.setdefault(tuple(cell), []).append(i)
-    return out
+    """Occupied cells -> atom indices, decoded from the grid's linear ids."""
+    cells = np.stack(np.unravel_index(grid.occupied, grid.dims), axis=1)
+    return {tuple(cell): sorted(grid.order[s:s + c].tolist())
+            for cell, s, c in zip(cells.tolist(), grid.starts, grid.counts)}
 
 
 def test_single_atom_single_bucket():
-    grid = build_grid(np.zeros((1, 3)))
-    assert len(buckets(grid)) == 1
-    ((cell, members),) = buckets(grid).items()
-    assert members == [0]
+    grid = build_grid(np.zeros((1, 3)), 9.0)
+    assert buckets(grid) == {(0, 0, 0): [0]}
+    table = build_neighbor_table(grid)
+    assert table.offsets.tolist() == [0, 0] and table.neighbors.size == 0
 
 
 def test_separated_atoms_get_distinct_buckets():
-    # a 2 A cube with one cell per atom gives 1 A cells: corners land apart
+    # a 2 A cube at a 2 A cutoff gives cells just over 1 A: corners land apart
     corners = np.array([[x, y, z] for x in (0.0, 2.0)
                         for y in (0.0, 2.0) for z in (0.0, 2.0)])
-    grid = build_grid(corners)
-    assert grid.cell_size < 2.0
-    assert len(buckets(grid)) == 8
-
-
-def test_cell_size_formula():
-    rng = np.random.default_rng(1)
-    pos = rng.uniform(0, 30, (400, 3))
-    grid = build_grid(pos)
-    v_bb = float(np.prod(pos.max(0) - pos.min(0)))
-    assert grid.cell_size == pytest.approx((v_bb / (ALPHA * 400)) ** (1 / 3), abs=1e-12)
-
-
-def test_min_cell_floor():
-    pos = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.1]])
-    grid = build_grid(pos)
-    assert grid.cell_size == 1.0
+    grid = build_grid(corners, 2.0)
+    assert sorted(buckets(grid)) == [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 
 
 def test_rehash_recovers_every_atom(rng):
+    """Each atom is in exactly one occupied cell, at floor((x - min) / edge)."""
     pos = rng.uniform(-10, 40, (500, 3))
-    grid = build_grid(pos)
+    grid = build_grid(pos, 5.0)
     cells = buckets(grid)
+    assert sorted(sum(cells.values(), [])) == list(range(500))
+    want = np.floor((pos - pos.min(axis=0)) / (EDGE_PER_CUTOFF * 5.0)).astype(int)
     for i in range(500):
-        cell = np.floor((pos[i] - grid.r_min) / grid.cell_size).astype(int)
-        cell = np.minimum(cell, grid.dims - 1)
-        assert i in cells[tuple(cell.tolist())]
+        assert i in cells[tuple(want[i].tolist())]
 
 
 def test_nonfinite_rejected():
     bad = np.array([[0.0, 0.0, np.nan]])
     with pytest.raises(ConfigurationError):
-        build_grid(bad)
+        build_grid(bad, 9.0)
+
+
+@pytest.mark.parametrize("d_cut", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_cutoff_rejected(d_cut):
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        build_grid(np.zeros((2, 3)), d_cut)
+
+
+def test_overwide_extent_rejected():
+    """Spans up to ``MAX_SPAN`` cut-offs are binned; wider ones are refused."""
+    pos = np.zeros((2, 3))
+    pos[1, 1] = MAX_SPAN * 2.0
+    assert len(buckets(build_grid(pos, 2.0))) == 2
+    pos[1, 1] = np.nextafter(MAX_SPAN * 2.0, np.inf)
+    with pytest.raises(ConfigurationError, match="span"):
+        build_grid(pos, 2.0)
 
 
 def test_far_pair_empty_lists():
     pos = np.array([[0.0, 0.0, 0.0], [20.0, 0.0, 0.0]])
-    grid = build_grid(pos)
-    rows = list(build_neighbor_table(grid, 9.0))
+    rows = list(build_neighbor_table(build_grid(pos, 9.0)))
     assert rows[0].size == 0
     assert rows[1].size == 0
 
 
 def test_close_pair_mutual():
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    table = build_neighbor_table(build_grid(pos), 9.0)
+    table = build_neighbor_table(build_grid(pos, 9.0))
     lists = filtered_lists(2, *table.pairs())
     assert lists[0].tolist() == [1]
     assert lists[1].tolist() == [0]
@@ -88,7 +95,7 @@ def test_close_pair_mutual():
 @pytest.mark.parametrize("d_cut", [9.0, 5.0, 8.0])
 def test_filtered_table_matches_brute_force(rng, d_cut):
     pos = rng.uniform(0, 28, (500, 3))
-    table = build_neighbor_table(build_grid(pos), d_cut)
+    table = build_neighbor_table(build_grid(pos, d_cut))
     got = cutoff_lists(table, pos, d_cut)
     want = brute_neighbor_sets(pos, d_cut)
     for i in range(500):
@@ -101,7 +108,7 @@ def test_table_rows_ascending(rng):
     as the critical one, so hashed and brute rows must both be ascending,
     before and after exact filtering."""
     pos = rng.uniform(0, 22, (300, 3))
-    hashed = build_neighbor_table(build_grid(pos), 8.0)
+    hashed = build_neighbor_table(build_grid(pos, 8.0))
     brute = brute_table(pos, 8.0)
     for table in (hashed, brute):
         for row in list(table) + list(cutoff_lists(table, pos, 6.0)):
@@ -110,7 +117,7 @@ def test_table_rows_ascending(rng):
 
 def test_superset_and_self_exclusion(rng):
     pos = rng.uniform(0, 22, (300, 3))
-    table = build_neighbor_table(build_grid(pos), 8.0)
+    table = build_neighbor_table(build_grid(pos, 8.0))
     lists = filtered_lists(300, *table.pairs())
     want = brute_neighbor_sets(pos, 8.0)
     for i in range(300):
@@ -121,7 +128,7 @@ def test_superset_and_self_exclusion(rng):
 
 def test_filtered_symmetry(rng):
     pos = rng.uniform(0, 25, (250, 3))
-    table = build_neighbor_table(build_grid(pos), 7.0)
+    table = build_neighbor_table(build_grid(pos, 7.0))
     lists = cutoff_lists(table, pos, 7.0)
     for i in range(250):
         for j in lists[i]:
@@ -130,7 +137,7 @@ def test_filtered_symmetry(rng):
 
 def test_pairs_unordered_once(rng):
     pos = rng.uniform(0, 18, (150, 3))
-    table = build_neighbor_table(build_grid(pos), 6.0)
+    table = build_neighbor_table(build_grid(pos, 6.0))
     i, j, d, _ = extract_pairs(pos, table, 6.0)
     assert np.all(i < j)
     keys = set(zip(i.tolist(), j.tolist()))
@@ -160,7 +167,7 @@ def test_build_and_query_scale_subquadratically():
         best = np.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            table = build_neighbor_table(build_grid(pos), 5.0)
+            table = build_neighbor_table(build_grid(pos, 5.0))
             extract_pairs(pos, table, 5.0)
             best = min(best, time.perf_counter() - t0)
         times.append(best)
@@ -183,37 +190,100 @@ DELTA_R = SolvationConfig().delta_r
 REACHES = [reach(1.0 + p, 1.0 + p, DELTA_R) for p in PROBES]
 
 
+def face_diagonal(cut):
+    """(v, v, 0) whose squared norm, summed as ``extract_pairs`` sums it,
+    is at most ``cut**2`` and within a few ulps of it."""
+    v = cut / np.sqrt(2.0)
+    while np.einsum("i,i->", [v, v, 0.0], [v, v, 0.0]) > cut * cut:
+        v = np.nextafter(v, 0.0)
+    return np.array([v, v, 0.0])
+
+
 @st.composite
 def clouds(draw):
-    """A random cluster, or a random patch of a 0.5 A lattice holding a
-    pair exactly at one of the cutoffs."""
+    """A random cluster, or a random lattice patch holding a pair exactly
+    at one of the cutoffs along an axis and one at it along a face
+    diagonal.  The lattice step is 0.5 A or that cutoff's cell edge, so
+    atoms also sit on exact multiples of the edge."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         n = draw(st.integers(1, 150))
         return rng.uniform(0.0, draw(st.floats(1.0, 30.0)), (n, 3))
     cut = draw(st.sampled_from(CUTOFFS + REACHES))
-    pts = 0.5 * rng.integers(0, 25, (draw(st.integers(0, 120)), 3))
-    pts = np.concatenate([[[0.0, 0.0, 0.0], [cut, 0.0, 0.0]], pts])
+    step = draw(st.sampled_from([0.5, EDGE_PER_CUTOFF * cut]))
+    pts = step * rng.integers(0, 25, (draw(st.integers(0, 120)), 3))
+    pts = np.concatenate([[[0.0, 0.0, 0.0], [cut, 0.0, 0.0], face_diagonal(cut)], pts])
     return np.unique(pts, axis=0)
+
+
+def assert_same_pairs(table, pos, d_cut, want):
+    """``table`` gives exactly the pairs ``want`` = (i, j, d), in order."""
+    i, j = table.pairs()
+    assert np.all(i < j)
+    assert np.all(np.lexsort((j, i)) == np.arange(len(i)))
+    i, j, d2, _ = extract_pairs(pos, table, d_cut)
+    assert np.array_equal(i, want[0]) and np.array_equal(j, want[1]), d_cut
+    assert np.array_equal(np.sqrt(d2), want[2])
 
 
 @settings(max_examples=60, deadline=None)
 @given(clouds())
 def test_half_table_pairs_equal_brute_force(pos):
-    """Hashed and brute-force half tables give exactly the brute-force
+    """Cell-list and brute-force half tables give exactly the brute-force
     cut-off pairs, element for element and in the same (i, j) order."""
     for d_cut in CUTOFFS:
-        bi, bj, bd = brute_force_pairs(pos, d_cut)
+        want = brute_force_pairs(pos, d_cut)
         brute = brute_table(pos, d_cut)
         i, j = brute.pairs()
-        assert np.array_equal(i, bi) and np.array_equal(j, bj), d_cut
-        for table in (build_neighbor_table(build_grid(pos), d_cut), brute):
-            i, j = table.pairs()
-            assert np.all(i < j)
-            assert np.all(np.lexsort((j, i)) == np.arange(len(i)))
-            i, j, d2, _ = extract_pairs(pos, table, d_cut)
-            assert np.array_equal(i, bi) and np.array_equal(j, bj), d_cut
-            assert np.array_equal(np.sqrt(d2), bd)
+        assert np.array_equal(i, want[0]) and np.array_equal(j, want[1]), d_cut
+        for table in (build_neighbor_table(build_grid(pos, d_cut)), brute):
+            assert_same_pairs(table, pos, d_cut, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(clouds())
+def test_shifted_cloud_gives_the_same_pairs(pos):
+    """1e4 A from the origin the binning rounds coarser, yet the pairs are
+    those of the cloud at the origin.  ``near`` is the cloud on the grid
+    of the shifted coordinates, so ``far - near`` is exactly 1e4 and both
+    give the same differences, bit for bit."""
+    far = pos + 1e4
+    near = far - 1e4
+    for d_cut in CUTOFFS:
+        want = brute_force_pairs(near, d_cut)
+        assert_same_pairs(build_neighbor_table(build_grid(near, d_cut)), near, d_cut, want)
+        assert_same_pairs(build_neighbor_table(build_grid(far, d_cut)), far, d_cut, want)
+
+
+@pytest.mark.parametrize("d_cut", [5.0, 9.0])
+def test_dense_cluster_matches_brute_table(d_cut):
+    """Protein packing, 0.116 atoms per cubic Angstrom: about 10 atoms per
+    cell at 9 A."""
+    n = 2000
+    pos = np.random.default_rng(11).uniform(0.0, (n / 0.116) ** (1 / 3), (n, 3))
+    want = extract_pairs(pos, brute_table(pos, d_cut), d_cut)
+    got = extract_pairs(pos, build_neighbor_table(build_grid(pos, d_cut)), d_cut)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_pair_at_cutoff_is_never_three_cells_apart():
+    """Atoms 1 and 2 are exactly 4 A apart as ``extract_pairs`` computes it.
+    At an edge of exactly 2 A, x1 / edge rounds just below 1 and x2 / edge
+    is 3, three cells apart; the edge slack keeps them two apart."""
+    pos = np.array([[0.0, 0.0, 0.0], [np.nextafter(2.0, 0.0), 0.0, 0.0], [6.0, 0.0, 0.0]])
+    assert (pos[2] - pos[1]) @ (pos[2] - pos[1]) == 16.0
+    assert_same_pairs(build_neighbor_table(build_grid(pos, 4.0)), pos, 4.0,
+                      brute_force_pairs(pos, 4.0))
+
+
+def test_one_cell_holds_every_pair(rng):
+    pos = rng.uniform(0.0, 0.4 * 9.0, (40, 3))
+    grid = build_grid(pos, 9.0)
+    assert len(grid.occupied) == 1
+    i, j = build_neighbor_table(grid).pairs()
+    bi, bj = np.triu_indices(40, k=1)
+    assert np.array_equal(i, bi) and np.array_equal(j, bj)
 
 
 def cavity_lists(pos, cutoffs, probe=1.4, use_hash=True):
@@ -221,7 +291,7 @@ def cavity_lists(pos, cutoffs, probe=1.4, use_hash=True):
     pass, for unit-radius atoms at ``Cutoffs(*cutoffs)``."""
     n = len(pos)
     params = AtomParams(q=np.zeros(n), R=np.ones(n), eps=np.zeros(n),
-                        gamma=np.zeros(n), solv_class=("C",) * n)
+                        gamma=np.zeros(n))
     cfg = FieldConfig(solvation=True, cutoffs=Cutoffs(*cutoffs),
                       solvation_cfg=SolvationConfig(probe_radius=probe, samples=12))
     field_type = Field if use_hash else BruteField
