@@ -36,13 +36,13 @@ from .kcm import (
 )
 from .pdbio import (
     ParamSet,
-    RunLog,
     StructureRecord,
     load_params,
     read_pdb,
     read_sequence,
     write_manifest,
     write_pdb,
+    write_run,
 )
 from .residues import ResidueSpec, default_templates
 from .solvation import (

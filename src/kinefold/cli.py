@@ -4,14 +4,14 @@ Every run writes a manifest.json recording the effective configuration
 (for ``fold``, the only command that draws random numbers, including the
 seed), so any artifact can be reproduced bit for bit, and the
 environment it ran in: Python and numpy versions, platform, CPU count,
-the git revision of the source when it has one, and for solvated runs
-the SASA kernel's source hash and compiler.
+the git revision of the source when a work tree tracks it, and for
+solvated runs the SASA kernel's source hash and compiler.  Commands parse
+flags and call the library; ``pdbio`` writes every file they leave.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import os
@@ -34,7 +34,8 @@ from .kcm import (
     hinge_scan,
     ramachandran_scan,
 )
-from .pdbio import RunLog, load_params, read_pdb, read_sequence, write_manifest, write_pdb
+from .pdbio import (SUMMARY_HEADER, _num, load_params, read_pdb, read_sequence,
+                    summary_row, write_csv, write_manifest, write_run)
 from .solvation import SolvationConfig
 from .spatial import Cutoffs
 from .topology import TreeWeights, build_tree
@@ -51,12 +52,13 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     field.add_argument("--water", action="store_true", help="include solvation term")
     p.add_argument("--dielectric", default="distance",
                    help="'distance' or a constant kappa value")
-    p.add_argument("--cutoffs", default="9.0,5.0",
+    p.add_argument("--cutoffs", default=f"{Cutoffs.elec},{Cutoffs.vdw}",
                    help="elec,vdw cut-off distances in Angstroms")
-    p.add_argument("--samples", type=int, default=1024, help="sphere sample count")
-    p.add_argument("--delta-r", type=float, default=1e-2,
+    p.add_argument("--samples", type=int, default=SolvationConfig.samples,
+                   help="sphere sample count")
+    p.add_argument("--delta-r", type=float, default=SolvationConfig.delta_r,
                    help="forward-difference step for solvation forces")
-    p.add_argument("--probe-radius", type=float, default=1.4)
+    p.add_argument("--probe-radius", type=float, default=SolvationConfig.probe_radius)
     p.add_argument("--omega", default="trans", choices=("trans", "cis"))
 
 
@@ -72,7 +74,7 @@ def _numbers(flag: str, text: str, counts: tuple[int, ...], usage: str) -> list[
     return values
 
 
-def _build_system(args):
+def _build_system(args, solvation: bool):
     params_set = load_params(args.params)
     if args.pdb:
         record = read_pdb(args.pdb)
@@ -84,15 +86,11 @@ def _build_system(args):
     atom_params = params_set.resolve(chain, args.gamma_set)
     weights = TreeWeights(build_tree(chain), params_set.weights)
     elec, vdw = _numbers("cutoffs", args.cutoffs, (2,), "two numbers ELEC,VDW")
-    if args.dielectric == "distance":
-        dielectric = DielectricModel()
-    else:
-        (kappa,) = _numbers("dielectric", args.dielectric, (1,),
-                            "'distance' or a number")
-        dielectric = DielectricModel(mode="constant", kappa=kappa)
+    kappa = None if args.dielectric == "distance" else _numbers(
+        "dielectric", args.dielectric, (1,), "'distance' or a number")[0]
     config = FieldConfig(
-        solvation=bool(args.water),
-        dielectric=dielectric,
+        solvation=solvation,
+        dielectric=DielectricModel(kappa),
         cutoffs=Cutoffs(elec=elec, vdw=vdw),
         solvation_cfg=SolvationConfig(
             probe_radius=args.probe_radius, delta_r=args.delta_r,
@@ -102,13 +100,18 @@ def _build_system(args):
 
 
 def _git_revision() -> str | None:
-    """HEAD of the git checkout holding this source, if it is one."""
-    try:
-        done = subprocess.run(["git", "-C", str(Path(__file__).parent), "rev-parse",
-                               "HEAD"], capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return done.stdout.strip() if done.returncode == 0 else None
+    """HEAD of the git work tree that tracks this source, if one does; an
+    untracked copy inside another project's tree (a venv) records none."""
+    here = Path(__file__)
+    for argv in (["ls-files", "--error-unmatch", here.name], ["rev-parse", "HEAD"]):
+        try:
+            done = subprocess.run(["git", "-C", str(here.parent), *argv],
+                                  capture_output=True, text=True, timeout=10)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        if done.returncode != 0:
+            return None
+    return done.stdout.strip()
 
 
 def _environment(field: Field) -> dict:
@@ -180,18 +183,12 @@ def cmd_fold(args) -> int:
     if not (math.isfinite(args.angle_range) and args.angle_range >= 0):
         raise KinefoldError(f"--angle-range: expected a finite non-negative half-range, "
                             f"got {args.angle_range}")
-    chain, field = _build_system(args)
+    chain, field = _build_system(args, args.water)
     rng = np.random.default_rng(args.seed)
-    step = StepConfig(
-        kappa=args.kappa, max_iters=args.max_iters,
-        torque_tol=args.torque_tol, torque_tol_rel=args.torque_tol_rel,
-        energy_window=args.energy_window, energy_tol=args.energy_tol,
-        snapshot_every=args.snapshot_every,
-    )
-    out = Path(args.out)
-    runs = args.batch
-    summary_rows = []
-    failed = []
+    step = StepConfig(**{f.name: getattr(args, f.name)
+                         for f in dataclasses.fields(StepConfig)})
+    out, runs = Path(args.out), args.batch
+    summary_rows, failed = [], []
     for run in range(runs):
         conf = _initial_conformation(chain, args, rng)
         try:
@@ -200,49 +197,34 @@ def cmd_fold(args) -> int:
             # one bad start (a clash, a non-finite torque) must not cost
             # the other runs their results or the batch its summary
             failed.append(run)
-            summary_rows.append([run, "", False, f"error: {exc}", "", "", ""])
+            summary_rows.append(summary_row(run, chain, exc))
             print(f"error: run {run}: {exc}", file=sys.stderr)
             continue
-        run_dir = out if runs == 1 else out / f"run_{run:04d}"
-        log = RunLog(run_dir)
-        log.write_trajectory(chain, traj)
-        for it, snap in traj.snapshots:
-            log.snapshot(chain, forward_kinematics(chain, snap), f"{it:06d}")
-        write_pdb(chain, forward_kinematics(chain, traj.final), run_dir / "final.pdb")
-        phi, psi, _ = chain.dihedrals_from_theta(traj.final)
-        summary_rows.append([
-            run, traj.iterations, traj.converged, traj.reason,
-            f"{traj.records[-1].energy.g_total:.6g}",
-            f"{np.mean(phi[1:]):.2f}", f"{np.mean(psi[:-1]):.2f}",
-        ])
+        write_run(out if runs == 1 else out / f"run_{run:04d}", chain, traj)
+        summary_rows.append(summary_row(run, chain, traj))
         print(f"run {run}: {traj.iterations} iterations, "
               f"converged={traj.converged} ({traj.reason}), "
               f"G_total={traj.records[-1].energy.g_total:.3f} kcal/mol")
     if runs > 1:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "summary.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["run", "iterations", "converged", "reason",
-                        "g_total", "mean_phi", "mean_psi"])
-            w.writerows(summary_rows)
+        write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows)
     write_manifest(out, _manifest_payload(
         args, chain, field, {"seed": args.seed, "runs": runs, "failed_runs": failed}))
     return 2 if failed else 0
 
 
+def _write_grid(path, axis_columns: list[str], grid) -> None:
+    """One row per grid point: the axis values, then the four energies."""
+    energies = (grid.g_elec, grid.g_vdw, grid.g_cav, grid.g_total)
+    write_csv(path, axis_columns + ["g_elec", "g_vdw", "g_cav", "g_total"], (
+        [axis[k] for axis, k in zip(grid.axes, idx)] + [_num(g[idx]) for g in energies]
+        for idx in np.ndindex(*grid.g_total.shape)))
+
+
 def cmd_scan_rama(args) -> int:
-    chain, field = _build_system(args)
+    chain, field = _build_system(args, args.water)
     grid = ramachandran_scan(chain, args.residue, args.grid, field)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "rama.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["phi", "psi", "g_elec", "g_vdw", "g_cav", "g_total"])
-        for i, phi in enumerate(grid.axes[0]):
-            for j, psi in enumerate(grid.axes[1]):
-                w.writerow([phi, psi, f"{grid.g_elec[i, j]:.10g}",
-                            f"{grid.g_vdw[i, j]:.10g}", f"{grid.g_cav[i, j]:.10g}",
-                            f"{grid.g_total[i, j]:.10g}"])
+    _write_grid(out / "rama.csv", ["phi", "psi"], grid)
     k = np.unravel_index(np.argmin(grid.g_total), grid.g_total.shape)
     print(f"grid {args.grid}x{args.grid}; minimum {grid.g_total[k]:.3f} kcal/mol "
           f"at phi={grid.axes[0][k[0]]:.1f}, psi={grid.axes[1][k[1]]:.1f}")
@@ -251,7 +233,7 @@ def cmd_scan_rama(args) -> int:
 
 
 def cmd_scan_hinge(args) -> int:
-    chain, field = _build_system(args)
+    chain, field = _build_system(args, args.water)
     dofs = []
     for part in args.hinges.split(","):
         res_s, _, kind = part.partition(":")
@@ -265,15 +247,7 @@ def cmd_scan_hinge(args) -> int:
         dofs.append(dof)
     grid = hinge_scan(chain, dofs, args.range, args.steps, field, chain.conf_zp())
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "hinge.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"offset_{d}" for d in dofs]
-                   + ["g_elec", "g_vdw", "g_cav", "g_total"])
-        for idx in np.ndindex(*grid.g_total.shape):
-            row = [grid.axes[k][idx[k]] for k in range(len(dofs))]
-            w.writerow(row + [f"{grid.g_elec[idx]:.10g}", f"{grid.g_vdw[idx]:.10g}",
-                              f"{grid.g_cav[idx]:.10g}", f"{grid.g_total[idx]:.10g}"])
+    _write_grid(out / "hinge.csv", [f"offset_{d}" for d in dofs], grid)
     k = np.unravel_index(np.argmin(grid.g_total), grid.g_total.shape)
     offs = ", ".join(f"{float(grid.axes[d][k[d]]):+.2f}" for d in range(len(dofs)))
     print(f"hinge grid minimum {grid.g_total[k]:.3f} kcal/mol at offsets [{offs}] deg")
@@ -282,19 +256,13 @@ def cmd_scan_hinge(args) -> int:
 
 
 def cmd_sasa(args) -> int:
-    chain, field = _build_system(args)
-    field = Field(field.params, field.weights,
-                  dataclasses.replace(field.config, solvation=True))
+    chain, field = _build_system(args, solvation=True)
     positions = forward_kinematics(chain, chain.conf_zp())
     result = field.evaluate(positions, energy_only=True).sasa
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sasa.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["atom", "name", "residue", "f_exp", "a_exp"])
-        for i in range(chain.n_atoms):
-            w.writerow([i, chain.atom_names[i], int(chain.atom_residue[i]),
-                        f"{result.f_exp[i]:.10g}", f"{result.a_exp[i]:.10g}"])
+    write_csv(out / "sasa.csv", ["atom", "name", "residue", "f_exp", "a_exp"], (
+        [i, chain.atom_names[i], int(chain.atom_residue[i]),
+         _num(result.f_exp[i]), _num(result.a_exp[i])] for i in range(chain.n_atoms)))
     print(f"total exposed area {result.a_exp.sum():.3f} A^2, "
           f"G_cav {result.g_cav:.4f} kcal/mol over {chain.n_atoms} atoms")
     write_manifest(out, _manifest_payload(args, chain, field, {"samples": field.sphere().n}))
@@ -311,13 +279,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fold", help="run the compliance folding loop")
     _common_flags(p)
-    p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--torque-tol", type=float, default=0.0)
-    p.add_argument("--torque-tol-rel", type=float, default=1e-4)
-    p.add_argument("--energy-window", type=int, default=20)
-    p.add_argument("--energy-tol", type=float, default=0.02)
-    p.add_argument("--snapshot-every", type=int, default=50)
+    for f in dataclasses.fields(StepConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                       default=f.default)
     p.add_argument("--init", default="zp",
                    help="zp | uniform:PHI,PSI | random | native")
     p.add_argument("--angle-range", type=float, default=90.0,

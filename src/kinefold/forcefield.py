@@ -50,21 +50,17 @@ class AtomParams:
 
 @dataclass(frozen=True)
 class DielectricModel:
-    """kappa(d): ``distance`` mode uses d/1A, ``constant`` a fixed value."""
+    """The relative permittivity of a pair at distance d.
 
-    mode: str = "distance"
-    kappa: float = 1.0
+    ``kappa`` is its one setting: ``None`` (the default) gives the
+    distance-dependent eps(d) = d / 1 A, a number gives that constant.
+    """
+
+    kappa: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("distance", "constant"):
-            raise ConfigurationError(f"unknown dielectric mode {self.mode!r}")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
+        if self.kappa is not None and not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ConfigurationError(f"kappa must be positive and finite, got {self.kappa}")
-
-    def of(self, d: np.ndarray) -> np.ndarray:
-        if self.mode == "distance":
-            return np.asarray(d, float)
-        return np.full(np.shape(d), self.kappa)
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,7 @@ def extract_pairs(positions, table: NeighborTable, d_cut: float):
 
 def elec_pair_quantities(params, i, j, d, w, dielectric):
     """Energy and force magnitude per pair for the Coulomb term."""
-    kap = dielectric.of(d)
+    kap = d if dielectric.kappa is None else dielectric.kappa
     e = COULOMB_K * w * params.q[i] * params.q[j] / (kap * d)
     mag = COULOMB_K * w * params.q[i] * params.q[j] / (kap * d * d)
     return e, mag

@@ -98,11 +98,13 @@ class Field:
             r_max = float(np.max(offset_radii(self.params, solv)))
             self.table_cutoff = max(self.table_cutoff,
                                     reach(r_max, r_max, solv.delta_r))
+        if self._sphere is not None and self._sphere.n != solv.samples:
+            raise ConfigurationError(f"sample sphere has {self._sphere.n} points, "
+                                     f"the solvation config asks for {solv.samples}")
 
     def sphere(self) -> SampleSphere:
-        if self._sphere is None or self._sphere.n != self.config.solvation_cfg.samples:
-            cfg = self.config.solvation_cfg
-            self._sphere = generate_samples(cfg.samples)
+        if self._sphere is None:
+            self._sphere = generate_samples(self.config.solvation_cfg.samples)
         return self._sphere
 
     def _neighbor_table(self, positions) -> NeighborTable:

@@ -1,4 +1,10 @@
-"""Structure and parameter I/O: PDB files, sequences, parameter tables, logs.
+"""Structure and parameter I/O: PDB files, sequences, parameter tables,
+and every file a command leaves in its run directory.
+
+``write_csv`` is the one CSV writer (floats as ``.10g`` through ``_num``),
+``write_run`` writes the logs, snapshots and final structure of one fold
+and ``write_manifest`` the run's ``manifest.json``; the command line only
+parses flags, calls the library and hands the results here.
 
 PDB handling is deliberately narrow: fixed-column ATOM/HETATM records,
 first model of multi-model files, waters dropped on read (their effect
@@ -11,12 +17,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from .chain import forward_kinematics
 from .errors import ParameterFileError, PDBFormatError
 from .forcefield import AtomParams
 from .topology import WeightTable
@@ -205,7 +212,7 @@ def load_params(path=None) -> ParamSet:
         source = str(path)
     classes: dict[str, tuple[float, float, float, str]] = {}
     gamma_sets: dict[str, dict[str, float]] = {}
-    wt = {"w13_elec": 0.0, "w13_vdw": 0.0, "w14_elec": 1.0 / 1.2, "w14_vdw": 0.5}
+    wt = {f.name: f.default for f in fields(WeightTable)}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -244,68 +251,72 @@ def load_params(path=None) -> ParamSet:
 
 
 # --------------------------------------------------------------------------
-# run logs
+# run directories
 # --------------------------------------------------------------------------
 
 LOG_HEADER = ["iteration", "g_elec", "g_vdw", "g_cav", "g_total", "tau_max"]
 LOG_VERSION = "kinefold run log v1"
-
-
-@dataclass
-class RunLog:
-    """Per-iteration CSV logs plus snapshot PDBs.
-
-    Deterministic quantities (energies, torque norm, dihedrals) go to
-    ``log.csv`` and ``dihedrals.csv``; wall-clock phase timings go to
-    ``timings.csv`` so reruns with one seed produce byte-identical logs.
-    """
-
-    out_dir: Path
-
-    def __post_init__(self):
-        self.out_dir = Path(self.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-
-    def write_trajectory(self, chain, trajectory) -> None:
-        with open(self.out_dir / "log.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"# {LOG_VERSION}"])
-            w.writerow(LOG_HEADER)
-            for r in trajectory.records:
-                e = r.energy
-                w.writerow([r.index, _num(e.g_elec), _num(e.g_vdw), _num(e.g_cav),
-                            _num(e.g_total), _num(r.tau_max)])
-        with open(self.out_dir / "dihedrals.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"# {LOG_VERSION}"])
-            w.writerow(["iteration"] + [f"theta_{k}" for k in range(chain.n_dof)])
-            for r in trajectory.records:
-                w.writerow([r.index] + [_num(v) for v in r.theta])
-        with open(self.out_dir / "timings.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"# {LOG_VERSION}"])
-            phases = ["fk", "hash", "force", "solvation", "torque"]
-            w.writerow(["iteration"] + [f"t_{p}" for p in phases])
-            for r in trajectory.records:
-                w.writerow([r.index] + [f"{r.timings.get(p, 0.0):.6f}" for p in phases])
-
-    def snapshot(self, chain, positions, tag) -> Path:
-        path = self.out_dir / f"snap_{tag}.pdb"
-        write_pdb(chain, positions, path)
-        return path
+SUMMARY_HEADER = ["run", "iterations", "converged", "reason", "g_total", "mean_phi",
+                  "mean_psi"]
 
 
 def _num(x: float) -> str:
     return f"{x:.10g}"
 
 
+def write_csv(path, header, rows, *, versioned=False) -> None:
+    """The one CSV writer: the parent directory made, ``# kinefold run log
+    v1`` first when ``versioned``, then the header and the rows."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        if versioned:
+            w.writerow([f"# {LOG_VERSION}"])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_run(run_dir, chain, trajectory) -> None:
+    """Everything one fold leaves in ``run_dir``.
+
+    Deterministic quantities (energies, torque norm, dihedrals) go to
+    ``log.csv`` and ``dihedrals.csv``; wall-clock phase timings go to
+    ``timings.csv`` so reruns with one seed produce byte-identical logs.
+    Then come ``snap_<iteration>.pdb`` per snapshot and ``final.pdb``.
+    """
+    run_dir, records = Path(run_dir), trajectory.records
+    phases = ["fk", "hash", "force", "solvation", "torque"]
+    write_csv(run_dir / "log.csv", LOG_HEADER, (
+        [r.index] + [_num(v) for v in (r.energy.g_elec, r.energy.g_vdw, r.energy.g_cav,
+                                       r.energy.g_total, r.tau_max)]
+        for r in records), versioned=True)
+    write_csv(run_dir / "dihedrals.csv",
+              ["iteration"] + [f"theta_{k}" for k in range(chain.n_dof)],
+              ([r.index] + [_num(v) for v in r.theta] for r in records), versioned=True)
+    write_csv(run_dir / "timings.csv", ["iteration"] + [f"t_{p}" for p in phases],
+              ([r.index] + [f"{r.timings.get(p, 0.0):.6f}" for p in phases]
+               for r in records), versioned=True)
+    for it, snap in trajectory.snapshots:
+        write_pdb(chain, forward_kinematics(chain, snap), run_dir / f"snap_{it:06d}.pdb")
+    write_pdb(chain, forward_kinematics(chain, trajectory.final), run_dir / "final.pdb")
+
+
+def summary_row(run: int, chain, outcome) -> list:
+    """One ``summary.csv`` row: a finished trajectory, or the error that
+    ended the run."""
+    if isinstance(outcome, Exception):
+        return [run, "", False, f"error: {outcome}", "", "", ""]
+    phi, psi, _ = chain.dihedrals_from_theta(outcome.final)
+    return [run, outcome.iterations, outcome.converged, outcome.reason,
+            f"{outcome.records[-1].energy.g_total:.6g}",
+            f"{np.mean(phi[1:]):.2f}", f"{np.mean(psi[:-1]):.2f}"]
+
+
 def write_manifest(out_dir, payload: dict) -> Path:
     """Machine-readable record of every effective parameter of a run."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+    path = Path(out_dir) / "manifest.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_jsonable))
     return path
 
 

@@ -48,14 +48,13 @@ class TemplateAtom:
 class ResidueSpec:
     """Template for one residue type.
 
-    ``side_links`` is the number of rotatable side-chain joints;
+    ``joints`` are the rotatable side-chain joints, one per side link;
     ``rotamer_defaults`` are the chi values (degrees) baked into the
     template coordinates, and ``chi_refs`` the four atom names whose
     torsion measures each chi.
     """
 
     aa_type: str
-    side_links: int
     atoms: tuple[TemplateAtom, ...]
     joints: tuple[tuple[str, str], ...]
     chi_refs: tuple[tuple[str, str, str, str], ...] = ()
@@ -68,12 +67,10 @@ class ResidueSpec:
         raise KeyError(name)
 
     def validate(self) -> None:
-        if self.side_links > MAX_SIDE_LINKS:
+        if len(self.joints) > MAX_SIDE_LINKS:
             raise TemplateError(
-                f"{self.aa_type}: {self.side_links} side links exceeds {MAX_SIDE_LINKS}"
+                f"{self.aa_type}: {len(self.joints)} side links exceeds {MAX_SIDE_LINKS}"
             )
-        if len(self.joints) != self.side_links:
-            raise TemplateError(f"{self.aa_type}: joint count != side_links")
         names = {a.name for a in self.atoms}
         if len(names) != len(self.atoms):
             raise TemplateError(f"{self.aa_type}: duplicate atom name")
@@ -129,7 +126,6 @@ def parse_templates(text: str) -> TemplateRegistry:
             raise TemplateError(f"{cur}: joint indices must be 1..k contiguous")
         spec = ResidueSpec(
             aa_type=cur,
-            side_links=len(ks),
             atoms=tuple(atoms),
             joints=tuple(joints[k] for k in ks),
             chi_refs=tuple(chi_refs.get(k, ()) for k in ks),

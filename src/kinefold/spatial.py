@@ -51,13 +51,12 @@ class Cutoffs:
 
 @dataclass
 class HashGrid:
-    """Atoms binned into cells of edge ``EDGE_PER_CUTOFF * cutoff``; cell
-    (x, y, z) has the id ``(x * dims[1] + y) * dims[2] + z``.  ``dims``
+    """Atoms binned by ``build_grid`` into cells of edge ``EDGE_PER_CUTOFF *
+    d_cut``; cell (x, y, z) has the id ``(x * dims[1] + y) * dims[2] + z``.  ``dims``
     runs two empty cells past the last occupied one on every axis, so a
     cell moved by an offset in [-2, 2]^3 that leaves the box gets an empty
     or negative id, never another occupied cell's."""
 
-    cutoff: float
     dims: np.ndarray       # cells per axis of the id box
     order: np.ndarray      # atoms sorted by linear cell id
     occupied: np.ndarray   # sorted linear ids of the occupied cells
@@ -90,8 +89,8 @@ def build_grid(positions: np.ndarray, d_cut: float) -> HashGrid:
     lin = (cells[:, 0] * dims[1] + cells[:, 1]) * dims[2] + cells[:, 2]
     order = np.argsort(lin, kind="stable")
     occupied, starts, counts = np.unique(lin[order], return_index=True, return_counts=True)
-    return HashGrid(cutoff=float(d_cut), dims=dims, order=order,
-                    occupied=occupied, starts=starts, counts=counts)
+    return HashGrid(dims=dims, order=order, occupied=occupied, starts=starts,
+                    counts=counts)
 
 
 @dataclass

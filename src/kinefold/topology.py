@@ -64,7 +64,6 @@ class BondTree:
 
     parent: np.ndarray           # -1 at the root and for hetero atoms
     residue_of: np.ndarray
-    ring_exclusions: list[tuple[int, int]]
     chain_mask: np.ndarray       # False for hetero atoms (outside the tree)
     grandparent: np.ndarray = field(init=False)
     greatgrand: np.ndarray = field(init=False)
@@ -97,11 +96,9 @@ def build_tree(chain) -> BondTree:
         return x
 
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    exclusions: list[tuple[int, int]] = []
     for i, j in chain.bonds:
         ri, rj = find(i), find(j)
         if ri == rj:
-            exclusions.append((min(i, j), max(i, j)))
             continue
         uf[ri] = rj
         adjacency[i].append(j)
@@ -126,7 +123,6 @@ def build_tree(chain) -> BondTree:
     return BondTree(
         parent=parent,
         residue_of=chain.atom_residue.copy(),
-        ring_exclusions=exclusions,
         chain_mask=chain_atoms,
     )
 

@@ -1,9 +1,17 @@
 import csv
+import dataclasses
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kinefold.cli import main
+from kinefold.cli import main, make_parser
+from kinefold.kcm import StepConfig
 
 
 def read_csv(path):
@@ -261,3 +269,64 @@ def test_pdb_import_fold(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert (out / "log.csv").exists()
+
+
+def test_fold_step_flags_are_the_step_config_fields(capsys):
+    """One flag per ``StepConfig`` field, with that field's type and default."""
+    with pytest.raises(SystemExit):
+        main(["fold", "--help"])
+    offered = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+    args = vars(make_parser().parse_args(["fold"]))
+    for f in dataclasses.fields(StepConfig):
+        assert offered.count(f"--{f.name.replace('_', '-')}") == 1
+        assert args[f.name] == f.default and type(args[f.name]) is type(f.default)
+
+
+def test_fold_run_directory_files(tmp_path):
+    out = tmp_path / "batch"
+    assert main(["fold", "--seq", "AAA", "--init", "random", "--batch", "2",
+                 "--snapshot-every", "1", "--max-iters", "2", "--out", str(out)]) == 0
+    per_run = ["dihedrals.csv", "final.pdb", "log.csv", "snap_000000.pdb",
+               "snap_000001.pdb", "timings.csv"]
+    want = {"manifest.json", "summary.csv"} | {f"run_{run:04d}/{name}" for run in (0, 1)
+                                               for name in per_run}
+    assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == want
+    for run in ("run_0000", "run_0001"):
+        for name in ("log.csv", "dihedrals.csv", "timings.csv"):
+            assert read_csv(out / run / name)[0] == ["# kinefold run log v1"]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_manifest_revision_comes_from_a_tree_tracking_the_source(tmp_path):
+    """An untracked copy of the package inside another work tree (a venv
+    in a project) records no git revision; committed there, it records
+    that commit."""
+    import kinefold
+
+    project = tmp_path / "project"
+    copy = project / ".venv" / "kinefold"
+    shutil.copytree(Path(kinefold.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(project), "-c", "user.name=kinefold", "-c",
+           "user.email=kinefold@example.org", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", str(project)], check=True)
+    (project / ".gitignore").write_text(".venv/\n")
+    subprocess.run(git + ["add", ".gitignore"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "project"], check=True)
+
+    def recorded():
+        code = ("import kinefold.cli as c; "
+                "print(c.__file__); print(c._git_revision())")
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(copy.parent)})
+        where, revision = done.stdout.split()
+        assert Path(where).parent == copy
+        return revision
+
+    assert recorded() == "None"
+    subprocess.run(git + ["add", "-f", ".venv"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "vendor the package"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+    assert recorded() == head

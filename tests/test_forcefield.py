@@ -131,7 +131,7 @@ def test_newton_third_law(rng):
 
 def test_force_energy_consistency_constant_dielectric(rng):
     """Central difference of the energy matches the force (constant kappa)."""
-    dielectric = DielectricModel(mode="constant", kappa=2.0)
+    dielectric = DielectricModel(kappa=2.0)
     pos = spread_cluster(rng, 8, 6.5, min_d=2.0)
     params = cluster_params(8, rng)
     cut = {"elec": 50.0, "vdw": 50.0}  # everything well inside the cutoffs
@@ -170,6 +170,19 @@ def test_truncation_reaches_untruncated_limit(rng):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [None, 4.0])
+def test_dielectric_kappa_is_the_permittivity(rng, kappa):
+    """``kappa=None`` is eps(d) = d; a number is used as the constant
+    permittivity, never dropped for the distance model."""
+    pos = spread_cluster(rng, 12, 7.0)
+    params = cluster_params(12, rng)
+    diameter = np.linalg.norm(pos.max(0) - pos.min(0)) + 1.0
+    got = energy(pos, params, dielectric=DielectricModel(kappa=kappa), elec=diameter)
+    want = oracles.brute_elec_energy(pos, params.q, np.inf,
+                                     lambda d: d if kappa is None else kappa)
+    assert got.g_elec == pytest.approx(want, rel=1e-12)
+
+
 def test_coincident_atoms_raise():
     pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-9]])
     params = AtomParams(q=np.ones(2), R=np.ones(2), eps=np.ones(2) * 0.1,
@@ -187,8 +200,6 @@ def test_param_validation():
     with pytest.raises(ConfigurationError):
         AtomParams(q=np.zeros(2), R=np.array([0.0, 1.0]), eps=np.zeros(2),
                    gamma=np.zeros(2))
-    with pytest.raises(ConfigurationError):
-        DielectricModel(mode="weird")
     for kappa in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="kappa must be positive and finite"):
-            DielectricModel(mode="constant", kappa=kappa)
+            DielectricModel(kappa=kappa)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from kinefold.chain import Conformation, build_chain, forward_kinematics, kinematic_state
 from kinefold.errors import ConfigurationError, NonFiniteTorqueError
 from kinefold.kcm import (
+    Field,
     FieldConfig,
     StepConfig,
     fold,
@@ -16,6 +17,8 @@ from kinefold.kcm import (
     ramachandran_scan,
     single_point,
 )
+
+from kinefold.solvation import SolvationConfig, generate_samples
 
 from .conftest import atom_index, make_field, random_case, random_sequences
 from .oracles import quadratic_joint_torques
@@ -124,7 +127,7 @@ def test_torque_is_energy_gradient(ala2, param_set, rng):
     the electrostatic force is the exact energy gradient."""
     from kinefold.forcefield import DielectricModel
     field = make_field(ala2, param_set,
-                       dielectric=DielectricModel(mode="constant", kappa=4.0))
+                       dielectric=DielectricModel(kappa=4.0))
     conf = ala2.conf_from_backbone(-50.0, -40.0)
     state = kinematic_state(ala2, conf)
     res = field.evaluate(state.positions)
@@ -368,3 +371,15 @@ def test_hinge_repeated_joint_rejected(ala2, param_set):
     field = make_field(ala2, param_set)
     with pytest.raises(ConfigurationError, match="repeat"):
         hinge_scan(ala2, [2, 2], 5.0, 3, field, ala2.conf_zp())
+
+
+def test_sample_sphere_must_match_the_config(ala2, param_set):
+    """A sphere handed to the field is used as given or refused; it is
+    never swapped for a fresh one of the configured size."""
+    base = make_field(ala2, param_set)
+    sphere = generate_samples(64)
+    with pytest.raises(ConfigurationError, match="64 points.*asks for 1024"):
+        Field(base.params, base.weights, FieldConfig(), _sphere=sphere)
+    fld = Field(base.params, base.weights,
+                FieldConfig(solvation_cfg=SolvationConfig(samples=64)), _sphere=sphere)
+    assert fld.sphere() is sphere

@@ -9,10 +9,10 @@ def test_shipped_templates_cover_test_residues():
     reg = default_templates()
     for code in ("GLY", "ALA", "SER", "CYS"):
         assert code in reg.specs
-    assert reg.get("GLY").side_links == 0
-    assert reg.get("ALA").side_links == 1
-    assert reg.get("SER").side_links == 2
-    assert reg.get("CYS").side_links == 2
+    assert len(reg.get("GLY").joints) == 0
+    assert len(reg.get("ALA").joints) == 1
+    assert len(reg.get("SER").joints) == 2
+    assert len(reg.get("CYS").joints) == 2
 
 
 def test_unknown_code_raises():

@@ -28,10 +28,18 @@ class FakeChain:
         self.atom_names = names or [f"A{i}" for i in range(n)]
 
 
+def edge_set(pairs):
+    return {(min(i, int(j)), max(i, int(j))) for i, j in pairs}
+
+
+def tree_edges(tree):
+    return edge_set((i, p) for i, p in enumerate(tree.parent) if p >= 0)
+
+
 def test_gly_gly_depth_matches_backbone_path():
     ch = build_chain(["GLY", "GLY"])
     tree = build_tree(ch)
-    assert not tree.ring_exclusions
+    assert tree_edges(tree) == edge_set(ch.bonds)  # no ring, no bond dropped
     # walk from OXT back to the root: exactly the backbone bond count
     i = atom_index(ch, 1, "OXT")
     hops = 0
@@ -46,16 +54,13 @@ def test_gly_gly_depth_matches_backbone_path():
 def test_five_cycle_drops_exactly_one_edge():
     bonds = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
     tree = build_tree(FakeChain(5, bonds))
-    assert len(tree.ring_exclusions) == 1
-    assert tree.ring_exclusions[0] == (0, 4)  # last edge in bond order
+    assert tree_edges(tree) <= edge_set(bonds)
+    assert edge_set(bonds) - tree_edges(tree) == {(0, 4)}  # last edge in bond order
 
 
 def test_parent_pointers_reproduce_bond_set(mixed_chain):
     tree = build_tree(mixed_chain)
-    from_tree = {(min(i, int(p)), max(i, int(p)))
-                 for i, p in enumerate(tree.parent) if p >= 0}
-    declared = {(min(i, j), max(i, j)) for i, j in mixed_chain.bonds}
-    assert from_tree == declared - set(tree.ring_exclusions)
+    assert tree_edges(tree) == edge_set(mixed_chain.bonds)
 
 
 def test_disconnected_graph_rejected():
