@@ -4,8 +4,8 @@ Every run writes a manifest.json recording the effective configuration
 (for ``fold``, the only command that draws random numbers, including the
 seed), so any artifact can be reproduced bit for bit, and the
 environment it ran in: Python and numpy versions, platform, CPU count,
-the git revision of the source when a work tree tracks it, and for
-solvated runs the SASA kernel's source hash and compiler.  Commands parse
+the git revision of the source when a work tree tracks it, and the
+native library's source hash and compiler.  Commands parse
 flags and call the library; ``pdbio`` writes every file they leave.
 """
 
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, sasa_kernel
+from . import __version__, native
 from .chain import Chain, Conformation, build_chain, forward_kinematics
 from .errors import KinefoldError
 from .forcefield import DielectricModel
@@ -114,7 +114,7 @@ def _git_revision() -> str | None:
     return done.stdout.strip()
 
 
-def _environment(field: Field) -> dict:
+def _environment() -> dict:
     env = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -124,14 +124,15 @@ def _environment(field: Field) -> dict:
     revision = _git_revision()
     if revision:
         env["git_revision"] = revision
-    if field.config.solvation:
-        kernel = sasa_kernel.load()
-        env["sasa_kernel"] = {"source_sha256": kernel.source_sha256,
-                              "compiler": kernel.compiler}
+    import hashlib  # maps OpenSSL: only a command writing a manifest needs it
+
+    lib = native.load()
+    env["native"] = {"source_sha256": hashlib.sha256(lib.sources).hexdigest(),
+                     "compiler": lib.compiler}
     return env
 
 
-def _manifest_payload(args, chain: Chain, field: Field, extra: dict) -> dict:
+def _manifest_payload(args, chain: Chain, extra: dict) -> dict:
     payload = {
         "version": __version__,
         "command": args.command,
@@ -139,7 +140,7 @@ def _manifest_payload(args, chain: Chain, field: Field, extra: dict) -> dict:
         "n_atoms": chain.n_atoms,
         "n_residues": chain.n_residues,
         "n_dof": chain.n_dof,
-        "environment": _environment(field),
+        "environment": _environment(),
     }
     payload.update(extra)
     return payload
@@ -208,7 +209,7 @@ def cmd_fold(args) -> int:
     if runs > 1:
         write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows)
     write_manifest(out, _manifest_payload(
-        args, chain, field, {"seed": args.seed, "runs": runs, "failed_runs": failed}))
+        args, chain, {"seed": args.seed, "runs": runs, "failed_runs": failed}))
     return 2 if failed else 0
 
 
@@ -228,7 +229,7 @@ def cmd_scan_rama(args) -> int:
     k = np.unravel_index(np.argmin(grid.g_total), grid.g_total.shape)
     print(f"grid {args.grid}x{args.grid}; minimum {grid.g_total[k]:.3f} kcal/mol "
           f"at phi={grid.axes[0][k[0]]:.1f}, psi={grid.axes[1][k[1]]:.1f}")
-    write_manifest(out, _manifest_payload(args, chain, field, {"residue": args.residue}))
+    write_manifest(out, _manifest_payload(args, chain, {"residue": args.residue}))
     return 0
 
 
@@ -251,7 +252,7 @@ def cmd_scan_hinge(args) -> int:
     k = np.unravel_index(np.argmin(grid.g_total), grid.g_total.shape)
     offs = ", ".join(f"{float(grid.axes[d][k[d]]):+.2f}" for d in range(len(dofs)))
     print(f"hinge grid minimum {grid.g_total[k]:.3f} kcal/mol at offsets [{offs}] deg")
-    write_manifest(out, _manifest_payload(args, chain, field, {"hinge_dofs": dofs}))
+    write_manifest(out, _manifest_payload(args, chain, {"hinge_dofs": dofs}))
     return 0
 
 
@@ -265,7 +266,7 @@ def cmd_sasa(args) -> int:
          _num(result.f_exp[i]), _num(result.a_exp[i])] for i in range(chain.n_atoms)))
     print(f"total exposed area {result.a_exp.sum():.3f} A^2, "
           f"G_cav {result.g_cav:.4f} kcal/mol over {chain.n_atoms} atoms")
-    write_manifest(out, _manifest_payload(args, chain, field, {"samples": field.sphere().n}))
+    write_manifest(out, _manifest_payload(args, chain, {"samples": field.sphere().n}))
     return 0
 
 

@@ -8,17 +8,26 @@ the dielectric frozen at the instantaneous distance (the conventional
 form for a distance-dependent dielectric).  Van der Waals interactions
 use the 6-12 form with well depth sqrt(eps_i eps_j) and minimum at the
 radius sum.
+
+The pair stages are native (``pairs.c``, loaded by ``native``), one C
+call each: ``extract_pairs`` is ``cutoff_pairs``,
+``elec_pair_quantities`` and ``vdw_pair_quantities`` are ``elec_terms``
+and ``vdw_terms`` over the whole pair arrays, and
+``accumulate_pair_forces`` is ``scatter_forces``.  Their numpy
+references, with the same operation order, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .errors import ConfigurationError, StericClashError
-from .spatial import NeighborTable
+from .spatial import Cutoffs, NeighborTable
 
 COULOMB_K = 332.06          # kcal A / (mol e^2)
 MIN_DISTANCE = 1e-6         # A; closer pairs abort as steric clashes
@@ -26,7 +35,8 @@ MIN_DISTANCE = 1e-6         # A; closer pairs abort as steric clashes
 
 @dataclass(frozen=True)
 class AtomParams:
-    """Per-atom nonbonded parameters (struct of arrays)."""
+    """Per-atom nonbonded parameters (struct of arrays), held as the
+    C-contiguous float64 arrays the native pair terms read."""
 
     q: np.ndarray          # charge, e
     R: np.ndarray          # van der Waals radius, A
@@ -34,9 +44,11 @@ class AtomParams:
     gamma: np.ndarray      # solvation parameter, kcal/(mol A^2)
 
     def __post_init__(self):
+        for name in ("q", "R", "eps", "gamma"):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), float))
         n = len(self.q)
         for name in ("R", "eps", "gamma"):
-            if len(getattr(self, name)) != n:
+            if getattr(self, name).shape != (n,):
                 raise ConfigurationError("parameter arrays must share one length")
         if np.any(self.R <= 0):
             raise ConfigurationError("van der Waals radii must be positive")
@@ -77,47 +89,75 @@ class EnergyBreakdown:
 def extract_pairs(positions, table: NeighborTable, d_cut: float):
     """Exact cut-off pairs (i < j, sorted by (i, j)) from the superset
     half ``table``, with squared distances and distances, after the
-    steric-clash guard."""
-    i, j = table.pairs()
-    diff = positions[i] - positions[j]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    keep = d2 <= d_cut * d_cut
-    i, j, d2 = i[keep], j[keep], d2[keep]
-    d = np.sqrt(d2)
-    if len(d) and float(d.min()) < MIN_DISTANCE:
-        k = int(np.argmin(d))
+    steric-clash guard.  The outputs are sized by the table's candidate
+    count, an exact bound."""
+    n = len(table)
+    positions = np.ascontiguousarray(positions, float)
+    offsets = np.ascontiguousarray(table.offsets, np.int64)
+    neighbors = np.ascontiguousarray(table.neighbors, np.int64)
+    if positions.shape != (n, 3):
+        raise ConfigurationError(
+            f"positions of shape {positions.shape} do not match a table of {n} rows")
+    m = len(neighbors)
+    ij = np.empty((2, m), np.int64)
+    dd = np.empty((2, m))
+    closest = ctypes.c_int64()
+    kept = native.load().call("cutoff_pairs", n, positions, offsets, neighbors, m,
+                              d_cut * d_cut, ij, dd, ctypes.byref(closest))
+    if kept == native.REFUSED:
+        raise ConfigurationError(f"neighbor rows do not index the {n} atoms")
+    (i, j), (d2, d) = ij[:, :kept], dd[:, :kept]
+    k = closest.value
+    if kept and d[k] < MIN_DISTANCE:
         raise StericClashError(
             f"atoms {i[k]} and {j[k]} closer than {MIN_DISTANCE} A (d={d[k]:.3e})"
         )
     return i, j, d2, d
 
 
-def elec_pair_quantities(params, i, j, d, w, dielectric):
-    """Energy and force magnitude per pair for the Coulomb term."""
-    kap = d if dielectric.kappa is None else dielectric.kappa
-    e = COULOMB_K * w * params.q[i] * params.q[j] / (kap * d)
-    mag = COULOMB_K * w * params.q[i] * params.q[j] / (kap * d * d)
-    return e, mag
+def _pair_terms(name, n, i, j, d2, d, w, per_atom, cutoffs: Cutoffs, cut: float):
+    """One native pair-term pass: (energy, force magnitude) per pair, 0
+    for the pairs outside ``d2 <= max(elec, vdw)**2`` and ``d <= cut``."""
+    i, j = (np.ascontiguousarray(a, np.int64) for a in (i, j))
+    d2, d, w = (np.ascontiguousarray(a, float) for a in (d2, d, w))
+    m = len(i)
+    if any(a.shape != (m,) for a in (i, j, d2, d)) or w.shape != (m, 2):
+        raise ConfigurationError("pair arrays must share one length, weights (m, 2)")
+    bound = max(cutoffs.elec, cutoffs.vdw)
+    out = np.empty((2, m))
+    if native.load().call(name, m, i, j, d2, d, w, n, *per_atom, bound * bound, cut,
+                          out) == native.REFUSED:
+        raise ConfigurationError(f"pairs name atoms outside the {n} atoms")
+    return out[0], out[1]
 
 
-def vdw_pair_quantities(params, i, j, d, w):
-    """Energy and force magnitude per pair for the 6-12 term."""
-    eps = np.sqrt(params.eps[i] * params.eps[j])
-    dd = params.R[i] + params.R[j]
-    ratio6 = dd**6 / d**6
-    e = w * eps * (ratio6 * ratio6 - 2.0 * ratio6)
-    mag = 12.0 * w * eps * (dd**12 / d**13 - dd**6 / d**7)
-    return e, mag
+def elec_pair_quantities(params, i, j, d2, d, w, dielectric, cutoffs: Cutoffs):
+    """Energy and force magnitude per pair for the Coulomb term, weights
+    ``w[:, 0]``.  A pair counts when ``d <= cutoffs.elec`` and ``d2 <=
+    max(elec, vdw)**2`` (so both terms see the same pairs whatever sets
+    the table cut-off); the others get 0."""
+    return _pair_terms("elec_terms", params.n_atoms, i, j, d2, d, w,
+                       (params.q, dielectric.kappa or 0.0), cutoffs, cutoffs.elec)
+
+
+def vdw_pair_quantities(params, i, j, d2, d, w, cutoffs: Cutoffs):
+    """Energy and force magnitude per pair for the 6-12 term, weights
+    ``w[:, 1]``, on the pairs with ``d <= cutoffs.vdw`` and ``d2 <=
+    max(elec, vdw)**2``; the others get 0."""
+    return _pair_terms("vdw_terms", params.n_atoms, i, j, d2, d, w,
+                       (params.R, params.eps), cutoffs, cutoffs.vdw)
 
 
 def accumulate_pair_forces(n, positions, i, j, d, mag) -> np.ndarray:
     """Scatter +/- mag * e_ij onto atoms i and j (action equals reaction)."""
+    positions = np.ascontiguousarray(positions, float)
+    i, j = (np.ascontiguousarray(a, np.int64) for a in (i, j))
+    d, mag = (np.ascontiguousarray(a, float) for a in (d, mag))
+    m = len(i)
+    if positions.shape != (n, 3) or any(a.shape != (m,) for a in (i, j, d, mag)):
+        raise ConfigurationError("positions must be (n, 3) and pair arrays one length")
     out = np.zeros((n, 3))
-    if len(d) == 0:
-        return out
-    e = (positions[i] - positions[j]) / d[:, None]
-    f = mag[:, None] * e
-    for axis in range(3):
-        out[:, axis] += np.bincount(i, weights=f[:, axis], minlength=n)
-        out[:, axis] -= np.bincount(j, weights=f[:, axis], minlength=n)
+    if native.load().call("scatter_forces", n, positions, m, i, j, d, mag,
+                          out) == native.REFUSED:
+        raise ConfigurationError(f"pairs name atoms outside the {n} atoms")
     return out

@@ -5,7 +5,12 @@ cell-list neighbor table, binned once at a cut-off covering the elec and
 vdW cut-offs and, when solvated, the reach of the two largest offset
 spheres; one pass over its pairs, filtered exactly at that cut-off; and
 the SASA passes on the pairs whose offset spheres can meet
-(``solvation.reach``).
+(``solvation.reach``).  Every pair stage is one call into the native
+library (``native``): ``build_grid`` and ``build_neighbor_table``,
+``extract_pairs``, ``TreeWeights.weights_for``, ``elec_pair_quantities``
+and ``vdw_pair_quantities`` over the whole pair arrays, and
+``accumulate_pair_forces``; ``evaluate`` itself only sums the energies
+and the two force magnitudes.
 
 Per iteration, atom forces are summed into per-link wrenches (force plus
 moment about the amino-terminus anchor, which sits at the global
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import sasa_kernel
+from . import native
 from .chain import Chain, Conformation, KinematicState, apply_deltas, kinematic_state
 from .errors import ConfigurationError, KinefoldError, NonFiniteTorqueError
 from .forcefield import (
@@ -93,8 +98,8 @@ class Field:
     def __post_init__(self):
         cut, solv = self.config.cutoffs, self.config.solvation_cfg
         self.table_cutoff = max(cut.elec, cut.vdw)
+        native.load()  # a missing compiler fails here, not mid-fold
         if self.config.solvation:
-            sasa_kernel.load()  # a missing compiler fails here, not mid-fold
             r_max = float(np.max(offset_radii(self.params, solv)))
             self.table_cutoff = max(self.table_cutoff,
                                     reach(r_max, r_max, solv.delta_r))
@@ -120,31 +125,23 @@ class Field:
         n = len(positions)
 
         # one pass over the table's pairs: one distance pass at the table
-        # cut-off, one classification, one force scatter of the summed
-        # elec and vdW magnitudes, and the cavity rows below from the same
-        # arrays.  Each term masks its own cutoff; the elec and vdW masks
-        # also require d2 <= max(elec, vdw)^2, so both terms see the same
-        # pairs whether or not the reach sets the table cut-off.
+        # cut-off, one classification, both pair terms over every pair
+        # (each keeps d <= its cut-off and d2 <= max(elec, vdw)^2, so both
+        # see the same pairs whether or not the reach sets the table
+        # cut-off), one force scatter of the summed magnitudes, and the
+        # cavity rows below from the same arrays
         t0 = time.perf_counter()
         i, j, d2, d = extract_pairs(positions, table, self.table_cutoff)
-        r = max(cut.elec, cut.vdw)
-        kf = d2 <= r * r
-        ke = kf & (d <= cut.elec)
-        kv = kf & (d <= cut.vdw)
         w = self.weights.weights_for(i, j)
-        e_elec, mag_e = elec_pair_quantities(self.params, i[ke], j[ke], d[ke],
-                                             w[ke, 0], cfg.dielectric)
+        e_elec, mag_e = elec_pair_quantities(self.params, i, j, d2, d, w,
+                                             cfg.dielectric, cut)
+        e_vdw, mag_v = vdw_pair_quantities(self.params, i, j, d2, d, w, cut)
         g_elec = float(e_elec.sum())
-        e_vdw, mag_v = vdw_pair_quantities(self.params, i[kv], j[kv], d[kv],
-                                           w[kv, 1])
         g_vdw = float(e_vdw.sum())
         if energy_only:
             forces = np.zeros((n, 3))
         else:
-            mag = np.zeros(len(d))
-            mag[ke] = mag_e
-            mag[kv] += mag_v
-            forces = accumulate_pair_forces(n, positions, i, j, d, mag)
+            forces = accumulate_pair_forces(n, positions, i, j, d, mag_e + mag_v)
         t_force = time.perf_counter() - t0
 
         g_cav = 0.0

@@ -1,0 +1,193 @@
+"""Build, cache and load the package's one native library.
+
+Every C source next to this file goes into it: ``pairs.c``, the pair
+stages of ``Field.evaluate`` (grid, neighbor table, cut-off pairs, pair
+weights, elec and vdW terms, force scatter), and ``sasa.c``, the two SASA
+passes.  They are compiled on first use with the system ``cc`` and fixed
+flags (no ``-march``, no fast-math, no contraction into fused
+multiply-adds, so every stage rounds like its numpy reference in
+``tests/oracles.py``).  The library is cached under
+``$XDG_CACHE_HOME/kinefold/`` (default ``~/.cache/kinefold/``) as
+``native-<key>.so``, keyed by the CRC-32 of the sources and the flags,
+next to ``native-<key>.src``, a copy of the sources it was built from.
+It is loaded only when that copy equals the current sources byte for
+byte, so a CRC collision rebuilds instead of loading other code.  Both
+files are written to temporary files and moved into place, the library
+first, so concurrent first runs never load a partial or mismatched
+build.  The key is a CRC (``zlib``) and not a hash from ``hashlib``,
+which maps OpenSSL (about 3.5 MB resident) into every run; the run
+manifest's sha256 of the sources is computed by the CLI.
+
+The library is loaded with ``ctypes``, and every entry point is declared
+once in ``_SIGNATURES``.  An array argument must be a C-contiguous numpy
+array of the declared dtype (and writeable for an output), so a wrong
+dtype or layout raises ``ctypes.ArgumentError`` instead of being read as
+something else.  Arrays an object holds for its whole life (atom
+parameters, bond-tree pointers, weight tables) are converted to that
+form once, when it is built.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import shutil
+import tempfile
+import zlib
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ConfigurationError
+
+SOURCES = tuple(sorted(Path(__file__).parent.glob("*.c")))
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+LIBS = ("-lm",)
+
+# status codes the entry points return besides counts (see pairs.c)
+NO_MEMORY, REFUSED, WIDE = -1, -2, -3
+
+
+def _array(dtype, writeable=False):
+    dtype = np.dtype(dtype)
+    byref, from_buffer = ctypes.byref, ctypes.c_char.from_buffer
+
+    class Array:
+        @classmethod
+        def from_param(cls, a):
+            if not (type(a) is np.ndarray and a.dtype == dtype and a.flags.c_contiguous):
+                raise TypeError(f"expected a C-contiguous {dtype} array, got "
+                                f"{type(a).__name__} {getattr(a, 'dtype', '')}")
+            if a.flags.writeable and a.nbytes:
+                return byref(from_buffer(a))  # the quickest way to the address
+            if writeable and a.nbytes:
+                raise TypeError("expected a writeable array")
+            return ctypes.c_void_p(a.ctypes.data)
+
+    return Array
+
+
+_F64, _I64, _U8, _I32 = (_array(t) for t in (np.float64, np.int64, np.uint8, np.int32))
+_F64_OUT, _I64_OUT = _array(np.float64, True), _array(np.int64, True)
+_INT, _DBL = ctypes.c_int64, ctypes.c_double
+_SIGNATURES = {
+    # n, positions, edge, max_span -> dims, order, cells (3 x n)
+    "grid_cells": [_INT, _F64, _DBL, _DBL, _I64_OUT, _I64_OUT, _I64_OUT],
+    # n, dims, order, occupied, starts, counts, k -> offsets, neighbors, capacity
+    "neighbor_table": [_INT, _I64, _I64, _I64, _I64, _I64, _INT, _I64_OUT, _I64_OUT,
+                       _INT],
+    # n, positions, offsets, neighbors, m, cut2 -> ij (2 x m), dd (2 x m), closest
+    "cutoff_pairs": [_INT, _F64, _I64, _I64, _INT, _DBL, _I64_OUT, _F64_OUT,
+                     ctypes.POINTER(ctypes.c_int64)],
+    # m, i, j, n, parent, grandparent, great-grandparent, residue, in_tree,
+    # by_class -> w (m x 2)
+    "pair_weights": [_INT, _I64, _I64, _INT, _I64, _I64, _I64, _I64, _U8, _F64,
+                     _F64_OUT],
+    # m, i, j, d2, d, w, n, q, kappa, r2, cut -> out (2 x m)
+    "elec_terms": [_INT, _I64, _I64, _F64, _F64, _F64, _INT, _F64, _DBL, _DBL, _DBL,
+                   _F64_OUT],
+    # m, i, j, d2, d, w, n, R, eps, r2, cut -> out (2 x m)
+    "vdw_terms": [_INT, _I64, _I64, _F64, _F64, _F64, _INT, _F64, _F64, _DBL, _DBL,
+                  _F64_OUT],
+    # n, positions, m, i, j, d, mag -> forces (n x 3)
+    "scatter_forces": [_INT, _F64, _INT, _I64, _I64, _F64, _F64, _F64_OUT],
+    # lo, hi, positions, r_off, r_off2, offsets, neighbors, points, nq
+    # -> counts, critical, covered
+    "exposure": [_INT, _INT, _F64, _F64, _F64, _I64, _I64, _F64, _INT,
+                 _array(np.uint8, True), _array(np.int32, True), _I64_OUT],
+    # ... nq, counts, critical, w_int, delta_r, n -> acc
+    "force_events": [_INT, _INT, _F64, _F64, _F64, _I64, _I64, _F64, _INT, _U8, _I32,
+                     _I64, _DBL, _INT, _I64_OUT],
+}
+
+
+@dataclass(frozen=True)
+class Native:
+    """The loaded library, and what a run manifest records of it."""
+
+    library: ctypes.CDLL
+    sources: bytes          # the sources it was built from (``source_bytes``)
+    compiler: str | None    # the ``cc`` on PATH at load time
+
+    def call(self, name: str, *args) -> int:
+        """Runs entry point ``name``; returns its count or status code,
+        raising ``MemoryError`` when it could not allocate its buffers."""
+        status = getattr(self.library, name)(*args)
+        if status == NO_MEMORY:
+            raise MemoryError(f"the native {name} pass could not allocate its buffers")
+        return status
+
+
+def source_bytes() -> bytes:
+    """Every source, with its name and length, in one byte string."""
+    parts = []
+    for path in SOURCES:
+        data = path.read_bytes()
+        parts.append(b"%s\0%d\0%s" % (path.name.encode(), len(data), data))
+    return b"".join(parts)
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    root = Path(base) if os.path.isabs(base) else Path.home() / ".cache"
+    return root / "kinefold"
+
+
+@functools.cache
+def load() -> Native:
+    """The library, compiled into the cache first when it is not there.
+
+    Raises ``ConfigurationError`` when no ``cc`` is on PATH and the cache
+    has no build of these sources, or when the compiler fails (with its
+    error output)."""
+    sources = source_bytes()
+    compiler = shutil.which("cc")
+    key = zlib.crc32(sources + "\0".join(FLAGS + LIBS).encode())
+    target = _cache_dir() / f"native-{key:08x}.so"
+    copy = target.with_suffix(".src")
+    if not (target.is_file() and copy.is_file() and copy.read_bytes() == sources):
+        if compiler is None:
+            raise ConfigurationError(
+                "kinefold compiles its native library on first use, but no C "
+                "compiler `cc` is on PATH")
+        _compile(compiler, target, copy, sources)
+    try:
+        library = ctypes.CDLL(str(target))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot load the native library {target}: {exc}") from exc
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(library, name)
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int64
+    return Native(library, sources, compiler)
+
+
+def _compile(compiler: str, target: Path, copy: Path, sources: bytes) -> None:
+    import subprocess  # only a first build starts a process
+
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        temps = []
+        for suffix in (".so", ".src"):
+            fd, tmp = tempfile.mkstemp(suffix=suffix, dir=target.parent)
+            os.close(fd)
+            temps.append(tmp)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write the native library cache {target.parent}: {exc}") from exc
+    try:
+        done = subprocess.run([compiler, *FLAGS, "-o", temps[0], *map(str, SOURCES), *LIBS],
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            names = ", ".join(path.name for path in SOURCES)
+            raise ConfigurationError(
+                f"`cc` ({compiler}) failed to compile {names}:\n{done.stderr}")
+        Path(temps[1]).write_bytes(sources)
+        os.replace(temps[0], target)
+        os.replace(temps[1], copy)
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

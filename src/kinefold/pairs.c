@@ -1,0 +1,431 @@
+/* The pair stages of Field.evaluate, one entry point each: the cell-list
+ * grid and the half neighbor table (spatial.py), the exact cut-off pairs,
+ * the Coulomb and 6-12 pair terms and the force scatter (forcefield.py),
+ * and the bond-tree pair weights (topology.py).
+ *
+ * Each stage computes what its numpy reference in tests/oracles.py
+ * computes, in the same floating-point order, and the library is built
+ * with -ffp-contract=off, so no step is fused: squared distances are
+ * (dx*dx + dy*dy) + dz*dz of d = x_i - x_j, van der Waals powers are
+ * products (no pow, whose vectorised and libm versions round
+ * differently), and forces are scattered in pair order, every i-side
+ * contribution before the j-side ones, as numpy's bincount adds them.
+ *
+ * Every entry point returns a count (or 0), NO_MEMORY when scratch memory
+ * cannot be allocated, and REFUSED or WIDE when its input cannot be used.
+ * The caller sizes the outputs: by the atom count, by the candidate
+ * count, or by a count pass (neighbor_table).
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+#define NO_MEMORY (-1)
+#define REFUSED (-2)
+#define WIDE (-3)
+
+/* ---------------------------------------------------------------------
+ * cell-list grid
+ * ------------------------------------------------------------------- */
+
+/* Stable LSD radix sort of 0..n-1 by key in [0, bound), 8 bits a pass:
+ * order gets the indices sorted by (key, index), numpy's stable argsort. */
+static int64_t radix_order(int64_t n, const int64_t *key, int64_t bound,
+                           int64_t *order)
+{
+    int64_t *tmp = malloc((size_t)(n ? n : 1) * sizeof *tmp);
+    if (!tmp)
+        return NO_MEMORY;
+    int64_t *src = order, *dst = tmp;
+    for (int64_t k = 0; k < n; k++)
+        src[k] = k;
+    for (int shift = 0; shift < 63 && ((bound - 1) >> shift) > 0; shift += 8) {
+        int64_t count[257] = {0};
+        for (int64_t k = 0; k < n; k++)
+            count[((key[src[k]] >> shift) & 255) + 1]++;
+        for (int b = 0; b < 256; b++)
+            count[b + 1] += count[b];
+        for (int64_t k = 0; k < n; k++)
+            dst[count[(key[src[k]] >> shift) & 255]++] = src[k];
+        int64_t *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != order)
+        for (int64_t k = 0; k < n; k++)
+            order[k] = src[k];
+    free(tmp);
+    return 0;
+}
+
+/* Bin the n positions into cubic cells of edge `edge`: cell
+ * floor((p - min) / edge) per axis, dims = the largest cell + 3 per axis,
+ * linear id (x * dims[1] + y) * dims[2] + z.  order gets the atoms stably
+ * sorted by id; cells gets, in three rows of n, the occupied ids
+ * ascending, where each begins in order and how many atoms it holds.
+ * Returns the number of occupied cells, REFUSED for a non-finite
+ * coordinate, WIDE when an axis spans more than max_span. */
+int64_t grid_cells(int64_t n, const double *pos, double edge, double max_span,
+                   int64_t *dims, int64_t *order, int64_t *cells)
+{
+    for (int64_t k = 0; k < 3 * n; k++)
+        if (!isfinite(pos[k]))
+            return REFUSED;
+    double lo[3] = {pos[0], pos[1], pos[2]}, hi[3] = {pos[0], pos[1], pos[2]};
+    for (int64_t k = 0; k < n; k++)
+        for (int s = 0; s < 3; s++) {
+            double x = pos[3 * k + s];
+            lo[s] = x < lo[s] ? x : lo[s];
+            hi[s] = x > hi[s] ? x : hi[s];
+        }
+    for (int s = 0; s < 3; s++)
+        if (hi[s] - lo[s] > max_span)
+            return WIDE;
+    int64_t *cell = malloc((size_t)(3 * n) * sizeof *cell);
+    int64_t *lin = malloc((size_t)n * sizeof *lin);
+    if (!cell || !lin) {
+        free(cell);
+        free(lin);
+        return NO_MEMORY;
+    }
+    int64_t top[3] = {0, 0, 0};
+    for (int64_t k = 0; k < n; k++)
+        for (int s = 0; s < 3; s++) {
+            int64_t c = (int64_t)floor((pos[3 * k + s] - lo[s]) / edge);
+            cell[3 * k + s] = c;
+            top[s] = c > top[s] ? c : top[s];
+        }
+    for (int s = 0; s < 3; s++)
+        dims[s] = top[s] + 3;
+    for (int64_t k = 0; k < n; k++)
+        lin[k] = (cell[3 * k] * dims[1] + cell[3 * k + 1]) * dims[2] + cell[3 * k + 2];
+    free(cell);
+    int64_t status = radix_order(n, lin, dims[0] * dims[1] * dims[2], order);
+    if (status) {
+        free(lin);
+        return status;
+    }
+    int64_t *occupied = cells, *starts = cells + n, *counts = cells + 2 * n;
+    int64_t m = 0;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t id = lin[order[k]];
+        if (m == 0 || id != occupied[m - 1]) {
+            occupied[m] = id;
+            starts[m] = k;
+            counts[m] = 0;
+            m++;
+        }
+        counts[m - 1]++;
+    }
+    free(lin);
+    return m;
+}
+
+/* ---------------------------------------------------------------------
+ * half neighbor table
+ * ------------------------------------------------------------------- */
+
+/* One walk over the candidate pairs (lo < hi): it counts them (total),
+ * counts them per row and per hi bucket (rows, buckets), or files each lo
+ * into its hi bucket (by_hi at cursor[hi]), whichever pointers are set. */
+typedef struct {
+    const int64_t *order, *starts, *counts;
+    int64_t total;
+    int64_t *rows, *buckets;
+    int64_t *by_hi, *cursor;
+} Pairs;
+
+static void cell_pairs(Pairs *p, int64_t a, int64_t b)
+{
+    int64_t sa = p->starts[a], ca = p->counts[a];
+    int64_t sb = p->starts[b], cb = p->counts[b];
+    if (!p->rows && !p->by_hi) {
+        p->total += a == b ? ca * (ca - 1) / 2 : ca * cb;
+        return;
+    }
+    for (int64_t x = 0; x < ca; x++) {
+        int64_t u = p->order[sa + x];
+        for (int64_t y = a == b ? x + 1 : 0; y < cb; y++) {
+            int64_t v = p->order[sb + y];
+            int64_t lo = u < v ? u : v, hi = u < v ? v : u;
+            if (p->rows) {
+                p->rows[lo]++;
+                p->buckets[hi]++;
+            } else {
+                p->by_hi[p->cursor[hi]++] = lo;
+            }
+        }
+    }
+}
+
+/* Every occupied cell with itself, and with the occupied cells at its 62
+ * forward offsets in [-2, 2]^3 (those lexicographically above (0, 0, 0)).
+ * For one offset the targets occupied[a] + offset ascend with a, so one
+ * merge walk over the sorted ids finds them all. */
+static void visit_cells(Pairs *p, const int64_t *dims, const int64_t *occupied,
+                        int64_t k)
+{
+    for (int64_t a = 0; a < k; a++)
+        cell_pairs(p, a, a);
+    for (int dx = 0; dx <= 2; dx++)
+        for (int dy = -2; dy <= 2; dy++)
+            for (int dz = -2; dz <= 2; dz++) {
+                if (dx == 0 && (dy < 0 || (dy == 0 && dz <= 0)))
+                    continue;
+                int64_t off = ((int64_t)dx * dims[1] + dy) * dims[2] + dz;
+                int64_t b = 0;
+                for (int64_t a = 0; a < k; a++) {
+                    int64_t target = occupied[a] + off;
+                    while (b < k && occupied[b] < target)
+                        b++;
+                    if (b == k)
+                        break;
+                    if (occupied[b] == target)
+                        cell_pairs(p, a, b);
+                }
+            }
+}
+
+/* The half table of the grid's candidate pairs: row i holds, ascending,
+ * every j > i in a cell the table joins to i's.  Returns the number of
+ * pairs.  offsets (n + 1) and neighbors are filled only when capacity
+ * holds every pair, so a call with capacity 0 is the count pass.
+ * REFUSED when the grid does not partition the n atoms. */
+int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
+                       const int64_t *occupied, const int64_t *starts,
+                       const int64_t *counts, int64_t k, int64_t *offsets,
+                       int64_t *neighbors, int64_t capacity)
+{
+    int64_t seen = 0;
+    for (int64_t a = 0; a < k; a++) {
+        if (counts[a] < 1 || starts[a] != seen || (a && occupied[a] <= occupied[a - 1]))
+            return REFUSED;
+        seen += counts[a];
+    }
+    if (seen != n)
+        return REFUSED;
+    for (int64_t x = 0; x < n; x++)
+        if (order[x] < 0 || order[x] >= n)
+            return REFUSED;
+    Pairs p = {order, starts, counts, 0, NULL, NULL, NULL, NULL};
+    visit_cells(&p, dims, occupied, k);
+    int64_t total = p.total;
+    if (capacity < total)
+        return total;
+
+    /* bucket the pairs by hi, then deal the buckets, hi ascending, into
+     * the rows of their lo: every row comes out ascending.  The pairs are
+     * enumerated again for each pass instead of being stored. */
+    int64_t *by_hi = malloc((size_t)(total ? total : 1) * sizeof *by_hi);
+    int64_t *bucket = calloc((size_t)n + 1, sizeof *bucket);
+    int64_t *cursor = malloc(((size_t)n + 1) * sizeof *cursor);
+    if (!by_hi || !bucket || !cursor) {
+        free(by_hi);
+        free(bucket);
+        free(cursor);
+        return NO_MEMORY;
+    }
+    for (int64_t x = 0; x <= n; x++)
+        offsets[x] = 0;
+    p.rows = offsets + 1;
+    p.buckets = bucket + 1;
+    visit_cells(&p, dims, occupied, k);
+    for (int64_t x = 0; x < n; x++) {
+        offsets[x + 1] += offsets[x];
+        bucket[x + 1] += bucket[x];
+    }
+    for (int64_t x = 0; x <= n; x++)
+        cursor[x] = bucket[x];
+    p.rows = p.buckets = NULL;
+    p.by_hi = by_hi;
+    p.cursor = cursor;
+    visit_cells(&p, dims, occupied, k);
+    for (int64_t x = 0; x <= n; x++)
+        cursor[x] = offsets[x];
+    for (int64_t h = 0; h < n; h++)
+        for (int64_t t = bucket[h]; t < bucket[h + 1]; t++)
+            neighbors[cursor[by_hi[t]]++] = h;
+    free(by_hi);
+    free(bucket);
+    free(cursor);
+    return total;
+}
+
+/* ---------------------------------------------------------------------
+ * exact cut-off pairs
+ * ------------------------------------------------------------------- */
+
+/* The pairs (i, j) of a half table (CSR offsets and neighbors of n rows,
+ * m entries) with d2 <= cut2, in table order: i and j in the two rows of
+ * ij (2 x m), d2 and d = sqrt(d2) in those of dd (2 x m).  *closest gets
+ * the first kept pair of least d (numpy's argmin), or -1 when none is
+ * kept.  Returns the number kept, REFUSED when the table does not index
+ * the n atoms. */
+int64_t cutoff_pairs(int64_t n, const double *pos, const int64_t *offsets,
+                     const int64_t *neighbors, int64_t m, double cut2,
+                     int64_t *ij, double *dd, int64_t *closest)
+{
+    int64_t *i_out = ij, *j_out = ij + m;
+    double *d2_out = dd, *d_out = dd + m;
+    if (offsets[0] != 0 || offsets[n] != m)
+        return REFUSED;
+    for (int64_t i = 0; i < n; i++)
+        if (offsets[i + 1] < offsets[i])
+            return REFUSED;
+    for (int64_t t = 0; t < m; t++)
+        if (neighbors[t] < 0 || neighbors[t] >= n)
+            return REFUSED;
+    int64_t kept = 0, best = -1;
+    for (int64_t i = 0; i < n; i++) {
+        const double *xi = pos + 3 * i;
+        for (int64_t t = offsets[i]; t < offsets[i + 1]; t++) {
+            int64_t j = neighbors[t];
+            const double *xj = pos + 3 * j;
+            double dx = xi[0] - xj[0], dy = xi[1] - xj[1], dz = xi[2] - xj[2];
+            double d2 = (dx * dx + dy * dy) + dz * dz;
+            if (!(d2 <= cut2))
+                continue;
+            double d = sqrt(d2);
+            if (best < 0 || d < d_out[best])
+                best = kept;
+            i_out[kept] = i;
+            j_out[kept] = j;
+            d2_out[kept] = d2;
+            d_out[kept] = d;
+            kept++;
+        }
+    }
+    *closest = best;
+    return kept;
+}
+
+/* ---------------------------------------------------------------------
+ * bond-tree weights
+ * ------------------------------------------------------------------- */
+
+static int same(int64_t a, int64_t b)
+{
+    return a == b && a >= 0;
+}
+
+/* The (m, 2) elec/vdW weights of the pairs: by_class (5 x 2) at the
+ * pair's interaction class from the parent, grandparent and
+ * great-grandparent pointers (topology.py).  Pairs with an atom outside
+ * the tree, or residues more than one apart, are full (class 4).
+ * REFUSED when a pair leaves the n atoms. */
+int64_t pair_weights(int64_t m, const int64_t *i, const int64_t *j, int64_t n,
+                     const int64_t *parent, const int64_t *grand,
+                     const int64_t *great, const int64_t *residue,
+                     const uint8_t *in_tree, const double *by_class, double *w)
+{
+    for (int64_t k = 0; k < m; k++)
+        if (i[k] < 0 || i[k] >= n || j[k] < 0 || j[k] >= n)
+            return REFUSED;
+    for (int64_t k = 0; k < m; k++) {
+        int64_t a = i[k], b = j[k], cls = 4;
+        int64_t apart = residue[a] - residue[b];
+        if (in_tree[a] && in_tree[b] && apart <= 1 && apart >= -1) {
+            if (same(parent[a], b) || same(parent[b], a))
+                cls = 1;
+            else if (same(grand[a], b) || same(grand[b], a) || same(parent[a], parent[b]))
+                cls = 2;
+            else if (same(great[a], b) || same(great[b], a) || same(grand[a], parent[b]) ||
+                     same(grand[b], parent[a]))
+                cls = 3;
+        }
+        w[2 * k] = by_class[2 * cls];
+        w[2 * k + 1] = by_class[2 * cls + 1];
+    }
+    return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * pair terms and the force scatter
+ * ------------------------------------------------------------------- */
+
+#define COULOMB_K 332.06
+
+static int indexes_atoms(int64_t m, const int64_t *i, const int64_t *j, int64_t n)
+{
+    for (int64_t k = 0; k < m; k++)
+        if (i[k] < 0 || i[k] >= n || j[k] < 0 || j[k] >= n)
+            return 0;
+    return 1;
+}
+
+/* Coulomb energy and force magnitude, in the two rows of out (2 x m), of
+ * the pairs with d2 <= r2 and d <= cut (0 for the rest), weight column 0
+ * of w (m x 2); kappa is the constant permittivity, or 0 for eps(d) = d. */
+int64_t elec_terms(int64_t m, const int64_t *i, const int64_t *j,
+                   const double *d2, const double *d, const double *w,
+                   int64_t n, const double *q, double kappa, double r2,
+                   double cut, double *out)
+{
+    double *e = out, *mag = out + m;
+    if (!indexes_atoms(m, i, j, n))
+        return REFUSED;
+    for (int64_t k = 0; k < m; k++) {
+        if (!(d2[k] <= r2 && d[k] <= cut)) {
+            e[k] = mag[k] = 0.0;
+            continue;
+        }
+        double kap = kappa > 0.0 ? kappa : d[k];
+        double qq = COULOMB_K * w[2 * k] * q[i[k]] * q[j[k]];
+        e[k] = qq / (kap * d[k]);
+        mag[k] = qq / (kap * d[k] * d[k]);
+    }
+    return 0;
+}
+
+/* 6-12 energy and force magnitude, in the two rows of out (2 x m), of
+ * the pairs with d2 <= r2 and d <= cut (0 for the rest), weight column 1
+ * of w (m x 2): well depth sqrt(eps_i eps_j), minimum at R_i + R_j. */
+int64_t vdw_terms(int64_t m, const int64_t *i, const int64_t *j,
+                  const double *d2, const double *d, const double *w,
+                  int64_t n, const double *radius, const double *eps,
+                  double r2, double cut, double *out)
+{
+    double *e = out, *mag = out + m;
+    if (!indexes_atoms(m, i, j, n))
+        return REFUSED;
+    for (int64_t k = 0; k < m; k++) {
+        if (!(d2[k] <= r2 && d[k] <= cut)) {
+            e[k] = mag[k] = 0.0;
+            continue;
+        }
+        double depth = sqrt(eps[i[k]] * eps[j[k]]);
+        double dd = radius[i[k]] + radius[j[k]], x = d[k];
+        double dd2 = dd * dd, dd6 = dd2 * dd2 * dd2, dd12 = dd6 * dd6;
+        double x2 = x * x, x6 = x2 * x2 * x2, x7 = x6 * x, x13 = x6 * x6 * x;
+        double ratio6 = dd6 / x6;
+        e[k] = w[2 * k + 1] * depth * (ratio6 * ratio6 - 2.0 * ratio6);
+        mag[k] = 12.0 * w[2 * k + 1] * depth * (dd12 / x13 - dd6 / x7);
+    }
+    return 0;
+}
+
+/* forces (n x 3, zeroed by the caller) = sum over pairs of +mag e_ij on i
+ * and -mag e_ij on j, e_ij = (x_i - x_j) / d: the i-side sums first, in
+ * pair order, then the j-side sums subtracted. */
+int64_t scatter_forces(int64_t n, const double *pos, int64_t m, const int64_t *i,
+                       const int64_t *j, const double *d, const double *mag,
+                       double *forces)
+{
+    if (!indexes_atoms(m, i, j, n))
+        return REFUSED;
+    double *on_j = calloc((size_t)(3 * n) + 1, sizeof *on_j);
+    if (!on_j)
+        return NO_MEMORY;
+    for (int64_t k = 0; k < m; k++) {
+        const double *xi = pos + 3 * i[k], *xj = pos + 3 * j[k];
+        for (int s = 0; s < 3; s++) {
+            double f = mag[k] * ((xi[s] - xj[s]) / d[k]);
+            forces[3 * i[k] + s] += f;
+            on_j[3 * j[k] + s] += f;
+        }
+    }
+    for (int64_t x = 0; x < 3 * n; x++)
+        forces[x] -= on_j[x];
+    free(on_j);
+    return 0;
+}

@@ -41,10 +41,10 @@ static int64_t longest_row(int64_t lo, int64_t hi, const int64_t *offsets)
  * otherwise), and the number of covered samples per atom.  The row is
  * scanned nearest center first and the scan stops at the second coverer;
  * a count of 1 has exactly one coverer, so the order cannot change it. */
-int exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
-             const double *r_off2, const int64_t *offsets,
-             const int64_t *neighbors, const double *points, int64_t nq,
-             uint8_t *counts, int32_t *critical, int64_t *covered)
+int64_t exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
+                 const double *r_off2, const int64_t *offsets,
+                 const int64_t *neighbors, const double *points, int64_t nq,
+                 uint8_t *counts, int32_t *critical, int64_t *covered)
 {
     int64_t cap = longest_row(lo, hi, offsets);
     Near *row = malloc((size_t)(cap ? cap : 1) * sizeof *row);
@@ -109,12 +109,12 @@ int exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
  * atom i to the neighbor on that axis.  A critical sample (count 1) tests
  * only its coverer moved: each coverage lost moves w from the coverer to
  * atom i.  Multiply covered samples stay covered under one move. */
-int force_events(int64_t lo, int64_t hi, const double *pos,
-                 const double *r_off, const double *r_off2,
-                 const int64_t *offsets, const int64_t *neighbors,
-                 const double *points, int64_t nq, const uint8_t *counts,
-                 const int32_t *critical, const int64_t *w_int, double dr,
-                 int64_t n, int64_t *acc)
+int64_t force_events(int64_t lo, int64_t hi, const double *pos,
+                     const double *r_off, const double *r_off2,
+                     const int64_t *offsets, const int64_t *neighbors,
+                     const double *points, int64_t nq, const uint8_t *counts,
+                     const int32_t *critical, const int64_t *w_int, double dr,
+                     int64_t n, int64_t *acc)
 {
     int64_t cap = longest_row(lo, hi, offsets);
     /* per neighbor: center, moved center (x + dr, y + dr, z + dr), r^2 */

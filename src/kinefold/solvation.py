@@ -18,8 +18,8 @@ power-of-two quantum, so the pair writes cancel bitwise: total momentum
 is exactly zero and results are independent of accumulation order
 (and therefore of how the atoms are split into blocks).
 
-Both passes run in one small compiled kernel (``sasa_kernel.c``, built
-and loaded by ``sasa_kernel``), called per contiguous atom block.  A
+Both passes run in the native library (``sasa.c``, built and loaded by
+``native``), one call per contiguous atom block.  A
 sample ``x_i + r_i u`` is covered by neighbor j when
 ``((x_i + r_i u) - x_j)`` has ``(dx^2 + dy^2) + dz^2 <= r_j^2``, evaluated
 in that order with no fused multiply-add, which is the distance test of
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sasa_kernel
+from . import native
 from .errors import ConfigurationError
 from .spatial import NeighborTable
 
@@ -182,9 +182,9 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
     counts = np.zeros((n, nq), np.uint8)
     critical = np.full((n, nq), -1, np.int32)
     covered = np.zeros(n, np.int64)
-    kernel = sasa_kernel.load()
-    _over_blocks(lambda lo, hi: kernel.exposure(
-        lo, hi, positions, r_off, r_off2, offsets, nbrs, points, nq,
+    lib = native.load()
+    _over_blocks(lambda lo, hi: lib.call(
+        "exposure", lo, hi, positions, r_off, r_off2, offsets, nbrs, points, nq,
         counts, critical, covered), n)
     f_exp = (nq - covered) / float(nq)
     a0 = 4.0 * math.pi * r_off2
@@ -255,8 +255,12 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
             f"exposure states of shape {states.counts.shape} do not match "
             f"{n} atoms and {nq} samples")
     acc = np.zeros((n, 3), np.int64)
-    kernel = sasa_kernel.load()
-    _over_blocks(lambda lo, hi: kernel.force_events(
-        lo, hi, positions, r_off, r_off2, offsets, nbrs, points, nq,
+    lib = native.load()
+    statuses = _over_blocks(lambda lo, hi: lib.call(
+        "force_events", lo, hi, positions, r_off, r_off2, offsets, nbrs, points, nq,
         states.counts, states.critical, w_int, config.delta_r, n, acc), n)
+    if native.REFUSED in statuses:
+        raise ConfigurationError(
+            "exposure states name a critical neighbor outside the atoms; pass the "
+            "states sasa_pass gave for the same positions and rows")
     return acc.astype(float) * quantum

@@ -9,6 +9,12 @@ cells at its 62 forward offsets, those lexicographically above
 (0, 0, 0) (Allen & Tildesley, *Computer Simulation of Liquids*, 2nd ed.,
 2017, ch. 5).  The candidates are a superset of the cut-off pairs.
 
+Both stages are native (``pairs.c``, loaded by ``native``):
+``build_grid`` is one call of ``grid_cells``, which bins and stably sorts
+the atoms by cell; ``build_neighbor_table`` calls ``neighbor_table``
+twice, a count pass that sizes the table and the pass that fills it.
+Their numpy references live in ``tests/oracles.py``.
+
 Every per-atom neighbor row lives in one CSR type, ``NeighborTable``:
 one ``offsets`` array and one flat ``neighbors`` array.  The cell-list
 table is a half table: each candidate pair is stored once, as j > i in
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .errors import ConfigurationError
 
 # Cell edge over the cut-off: half, plus a slack far above the rounding
@@ -35,8 +42,6 @@ from .errors import ConfigurationError
 EDGE_PER_CUTOFF = 0.5 * (1.0 + 1e-9)
 # Widest coordinate span, in cut-offs per axis, that can be binned.
 MAX_SPAN = 1e5
-# the 62 offsets in [-2, 2]^3 lexicographically above (0, 0, 0)
-FORWARD = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij"), -1).reshape(-1, 3)[63:]
 
 
 @dataclass(frozen=True)
@@ -75,20 +80,21 @@ def build_grid(positions: np.ndarray, d_cut: float) -> HashGrid:
     ``(2 * MAX_SPAN)**3``, far inside int64."""
     if not (math.isfinite(d_cut) and d_cut > 0):
         raise ConfigurationError(f"cutoff must be positive and finite, got {d_cut}")
-    positions = np.asarray(positions, float)
+    positions = np.ascontiguousarray(positions, float)
     if positions.ndim != 2 or positions.shape[1] != 3 or len(positions) < 1:
         raise ConfigurationError("positions must be a non-empty (n, 3) array")
-    if not np.isfinite(positions).all():
+    n = len(positions)
+    dims = np.empty(3, np.int64)
+    order = np.empty(n, np.int64)
+    cells = np.empty((3, n), np.int64)
+    k = native.load().call("grid_cells", n, positions, EDGE_PER_CUTOFF * d_cut,
+                           MAX_SPAN * d_cut, dims, order, cells)
+    if k == native.REFUSED:
         raise ConfigurationError("non-finite coordinates cannot be hashed")
-    r_min = positions.min(axis=0)
-    if np.any(positions.max(axis=0) - r_min > MAX_SPAN * d_cut):
+    if k == native.WIDE:
         raise ConfigurationError(
             f"coordinates span more than {MAX_SPAN:g} cutoffs of {d_cut} A on an axis")
-    cells = np.floor((positions - r_min) / (EDGE_PER_CUTOFF * d_cut)).astype(np.int64)
-    dims = cells.max(axis=0) + 3
-    lin = (cells[:, 0] * dims[1] + cells[:, 1]) * dims[2] + cells[:, 2]
-    order = np.argsort(lin, kind="stable")
-    occupied, starts, counts = np.unique(lin[order], return_index=True, return_counts=True)
+    occupied, starts, counts = cells[:, :k]
     return HashGrid(dims=dims, order=order, occupied=occupied, starts=starts,
                     counts=counts)
 
@@ -99,8 +105,8 @@ class NeighborTable:
     ``table[i]``, is ``neighbors[offsets[i]:offsets[i + 1]]``, ascending.
 
     ``build_neighbor_table`` fills it as a half table (row i holds the
-    candidates j > i, so ``pairs()`` lists every unordered pair once,
-    sorted by (i, j)); ``filtered_lists`` fills it with symmetric rows.
+    candidates j > i, so its rows list every unordered pair once, sorted
+    by (i, j)); ``filtered_lists`` fills it with symmetric rows.
     """
 
     offsets: np.ndarray    # CSR offsets, length n+1
@@ -113,52 +119,22 @@ class NeighborTable:
         i = range(len(self))[i]
         return self.neighbors[self.offsets[i]:self.offsets[i + 1]]
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, entry) for every entry, sorted by row: for a half table,
-        the unordered candidate pairs (i < j), each once, sorted by (i, j)."""
-        i = np.repeat(np.arange(len(self)), np.diff(self.offsets))
-        return i, self.neighbors
-
-
-def _segment_arange(lengths: np.ndarray) -> np.ndarray:
-    """[0..l0-1, 0..l1-1, ...] for consecutive segment lengths."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    ends = np.cumsum(lengths)
-    return np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
-
 
 def build_neighbor_table(grid: HashGrid) -> NeighborTable:
     """Half table of superset candidate pairs at the grid's cut-off;
-    expected O(n) overall."""
-    order, occ, starts, counts = grid.order, grid.occupied, grid.starts, grid.counts
-    n = len(order)
-    # pairs inside one cell: each sorted position with the rest of its cell
-    rest = np.repeat(starts + counts, counts) - np.arange(1, n + 1)
-    i_in = np.repeat(order, rest)
-    j_in = order[np.repeat(np.arange(1, n + 1), rest) + _segment_arange(rest)]
-
-    # pairs between a cell and its occupied forward neighbors
-    d1, d2 = int(grid.dims[1]), int(grid.dims[2])
-    off = (FORWARD[:, 0] * d1 + FORWARD[:, 1]) * d2 + FORWARD[:, 2]
-    target = (occ[:, None] + off).ravel()
-    hit = np.minimum(np.searchsorted(occ, target), len(occ) - 1)
-    found = occ[hit] == target
-    a_cell = np.repeat(np.arange(len(occ)), len(off))[found]
-    b_cell = hit[found]
-    la = counts[a_cell]
-    b_rows = np.repeat(b_cell, la)
-    lb = counts[b_rows]
-    i_x = np.repeat(order[np.repeat(starts[a_cell], la) + _segment_arange(la)], lb)
-    j_x = order[np.repeat(starts[b_rows], lb) + _segment_arange(lb)]
-
-    i = np.concatenate([i_in, i_x])
-    j = np.concatenate([j_in, j_x])
-    i, j = np.divmod(np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n)
-    offsets = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(i, minlength=n), out=offsets[1:])
-    return NeighborTable(offsets=offsets, neighbors=j)
+    expected O(n) overall.  A count pass sizes the table, then one pass
+    fills it, each row ascending."""
+    n = len(grid.order)
+    lib = native.load()
+    cells = (n, grid.dims, grid.order, grid.occupied, grid.starts, grid.counts,
+             len(grid.occupied))
+    offsets = np.empty(n + 1, np.int64)
+    total = lib.call("neighbor_table", *cells, offsets, offsets[:0], 0)
+    if total == native.REFUSED:
+        raise ConfigurationError(f"the grid does not partition its {n} atoms")
+    neighbors = np.empty(total, np.int64)
+    lib.call("neighbor_table", *cells, offsets, neighbors, total)
+    return NeighborTable(offsets=offsets, neighbors=neighbors)
 
 
 def filtered_lists(n: int, i: np.ndarray, j: np.ndarray) -> NeighborTable:

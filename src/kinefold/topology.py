@@ -10,6 +10,12 @@ query from parent/grandparent/great-grandparent pointers in O(1).
 Ring closures (aromatic side chains) drop one edge per independent
 cycle; path lengths across a dropped edge are then measured along the
 tree, which deliberately over-counts -- queries stay O(1).
+
+``TreeWeights.weights_for`` is native (``pair_weights`` in ``pairs.c``,
+loaded by ``native``): one C call classifies every pair and looks up its
+elec and vdW weights.  The numpy classification it is checked against,
+``classify_pairs``, lives with the other references in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from . import native
 from .errors import ConfigurationError, DisconnectedBondGraphError
 
 
@@ -127,45 +134,36 @@ def build_tree(chain) -> BondTree:
     )
 
 
-def classify_pairs(tree: BondTree, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Vectorized classification; returns InteractionClass values."""
-    i = np.asarray(i, np.int64)
-    j = np.asarray(j, np.int64)
-    out = np.full(i.shape, int(InteractionClass.FULL), np.int64)
-    near = (
-        tree.chain_mask[i]
-        & tree.chain_mask[j]
-        & (np.abs(tree.residue_of[i] - tree.residue_of[j]) <= 1)
-    )
-    if not near.any():
-        return out
-    ii, jj = i[near], j[near]
-    p, gp, gg = tree.parent, tree.grandparent, tree.greatgrand
-    is14 = (
-        _eq(gg[ii], jj) | _eq(gg[jj], ii)
-        | _eq(gp[ii], p[jj]) | _eq(gp[jj], p[ii])
-    )
-    is13 = _eq(gp[ii], jj) | _eq(gp[jj], ii) | _eq(p[ii], p[jj])
-    is12 = _eq(p[ii], jj) | _eq(p[jj], ii)
-    cls = np.full(ii.shape, int(InteractionClass.FULL), np.int64)
-    cls[is14] = int(InteractionClass.PAIR14)
-    cls[is13] = int(InteractionClass.PAIR13)
-    cls[is12] = int(InteractionClass.BONDED12)
-    out[near] = cls
-    return out
-
-
-def _eq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a == b) & (a >= 0)
-
-
 @dataclass(frozen=True)
 class TreeWeights:
-    """Pair-weight provider backed by a bond tree and a weight table."""
+    """Pair-weight provider backed by a bond tree and a weight table.
+
+    The tree's pointer arrays and the table are converted once, when the
+    provider is built, into the arrays the native classifier reads."""
 
     tree: BondTree
     table: WeightTable = WeightTable()
+    _arrays: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tree = self.tree
+        n = len(tree.parent)
+        arrays = [np.ascontiguousarray(a, np.int64) for a in (
+            tree.parent, tree.grandparent, tree.greatgrand, tree.residue_of)]
+        arrays.append(np.ascontiguousarray(tree.chain_mask, np.uint8))
+        if any(a.shape != (n,) for a in arrays):
+            raise ConfigurationError("bond tree arrays must share one length")
+        arrays.append(np.ascontiguousarray(self.table.by_class()))
+        object.__setattr__(self, "_arrays", arrays)
 
     def weights_for(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """(m, 2) elec/vdW weights of the pairs, from one classification."""
-        return self.table.by_class()[classify_pairs(self.tree, i, j)]
+        i, j = (np.ascontiguousarray(a, np.int64) for a in (i, j))
+        if i.ndim != 1 or j.shape != i.shape:
+            raise ConfigurationError("pair index arrays must be 1-d and one length")
+        n = len(self._arrays[0])
+        w = np.empty((len(i), 2))
+        if native.load().call("pair_weights", len(i), i, j, n, *self._arrays,
+                              w) == native.REFUSED:
+            raise ConfigurationError(f"pairs name atoms outside the {n} of the bond tree")
+        return w

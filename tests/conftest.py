@@ -10,7 +10,7 @@ from kinefold.forcefield import DielectricModel, extract_pairs
 from kinefold.kcm import Field, FieldConfig
 from kinefold.pdbio import load_params
 from kinefold.spatial import Cutoffs, NeighborTable, filtered_lists
-from kinefold.topology import TreeWeights, build_tree
+from kinefold.topology import InteractionClass, TreeWeights, WeightTable, build_tree
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,22 @@ def neighbor_table(rows) -> NeighborTable:
     np.cumsum([len(row) for row in rows], out=offsets[1:])
     entries = [np.asarray(row, np.int64) for row in rows]
     return NeighborTable(offsets=offsets, neighbors=np.concatenate(entries))
+
+
+# elec weights that tell the four interaction classes apart
+CLASS_WEIGHTS = WeightTable(w13_elec=0.25, w14_elec=0.5)
+
+
+def native_classes(tree, i, j) -> np.ndarray:
+    """Interaction classes as the native classifier assigns them, read
+    back from the weights it looks up in ``CLASS_WEIGHTS``."""
+    w = TreeWeights(tree, CLASS_WEIGHTS).weights_for(i, j)[:, 0]
+    return np.searchsorted([0.0, 0.25, 0.5, 1.0], w) + 1
+
+
+def classify(tree, i: int, j: int) -> InteractionClass:
+    """Native interaction class of one pair."""
+    return InteractionClass(int(native_classes(tree, [i], [j])[0]))
 
 
 def atom_index(chain, residue, name):

@@ -10,12 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from kinefold.errors import ConfigurationError
+from kinefold.errors import ConfigurationError, StericClashError
+from kinefold.forcefield import COULOMB_K, MIN_DISTANCE
 from kinefold.geometry import AXIS_UNIT_TOL, dihedral_angle, wrap_degrees
 from kinefold.kcm import Field
 from kinefold.solvation import _force_quantum, offset_radii
-from kinefold.spatial import NeighborTable
-from kinefold.topology import InteractionClass, classify_pairs
+from kinefold.spatial import EDGE_PER_CUTOFF, MAX_SPAN, HashGrid, NeighborTable
+from kinefold.topology import InteractionClass
 
 from .conftest import atom_index
 
@@ -95,10 +96,187 @@ def _chi_link_index(chain, i: int, k: int) -> int:
     raise KeyError((i, k))
 
 
-def classify(tree, i: int, j: int) -> InteractionClass:
-    """Interaction class of one pair; symmetric, O(1)."""
-    return InteractionClass(int(classify_pairs(tree, np.array([i]), np.array([j]))[0]))
+# --------------------------------------------------------------------------
+# numpy references of the native pair stages (pairs.c), in the same
+# operation order: grid, table, pairs, squared distances and classes are
+# bitwise equal to the native ones, pair terms and forces equal to
+# rounding
+# --------------------------------------------------------------------------
 
+# the 62 offsets in [-2, 2]^3 lexicographically above (0, 0, 0)
+FORWARD = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij"), -1).reshape(-1, 3)[63:]
+
+
+def squared_norms(diff):
+    """``(dx*dx + dy*dy) + dz*dz`` per row, the one order of the native
+    stages; ``einsum`` sums in an order that varies with the numpy build."""
+    return (diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]) + diff[:, 2] * diff[:, 2]
+
+
+def build_grid(positions, d_cut) -> HashGrid:
+    """``spatial.build_grid``: cells by ``floor``, ids by a stable argsort."""
+    if not (math.isfinite(d_cut) and d_cut > 0):
+        raise ConfigurationError(f"cutoff must be positive and finite, got {d_cut}")
+    positions = np.asarray(positions, float)
+    if positions.ndim != 2 or positions.shape[1] != 3 or len(positions) < 1:
+        raise ConfigurationError("positions must be a non-empty (n, 3) array")
+    if not np.isfinite(positions).all():
+        raise ConfigurationError("non-finite coordinates cannot be hashed")
+    r_min = positions.min(axis=0)
+    if np.any(positions.max(axis=0) - r_min > MAX_SPAN * d_cut):
+        raise ConfigurationError(
+            f"coordinates span more than {MAX_SPAN:g} cutoffs of {d_cut} A on an axis")
+    cells = np.floor((positions - r_min) / (EDGE_PER_CUTOFF * d_cut)).astype(np.int64)
+    dims = cells.max(axis=0) + 3
+    lin = (cells[:, 0] * dims[1] + cells[:, 1]) * dims[2] + cells[:, 2]
+    order = np.argsort(lin, kind="stable")
+    occupied, starts, counts = np.unique(lin[order], return_index=True, return_counts=True)
+    return HashGrid(dims=dims, order=order, occupied=occupied, starts=starts,
+                    counts=counts)
+
+
+def _segment_arange(lengths):
+    """[0..l0-1, 0..l1-1, ...] for consecutive segment lengths."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, np.int64)
+    ends = np.cumsum(lengths)
+    return np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
+
+
+def build_neighbor_table(grid: HashGrid) -> NeighborTable:
+    """``spatial.build_neighbor_table``: the pairs inside each cell and
+    between a cell and its occupied forward neighbors, sorted as keys
+    ``i * n + j`` into a half table."""
+    order, occ, starts, counts = grid.order, grid.occupied, grid.starts, grid.counts
+    n = len(order)
+    rest = np.repeat(starts + counts, counts) - np.arange(1, n + 1)
+    i_in = np.repeat(order, rest)
+    j_in = order[np.repeat(np.arange(1, n + 1), rest) + _segment_arange(rest)]
+    d1, d2 = int(grid.dims[1]), int(grid.dims[2])
+    off = (FORWARD[:, 0] * d1 + FORWARD[:, 1]) * d2 + FORWARD[:, 2]
+    target = (occ[:, None] + off).ravel()
+    hit = np.minimum(np.searchsorted(occ, target), len(occ) - 1)
+    found = occ[hit] == target
+    a_cell = np.repeat(np.arange(len(occ)), len(off))[found]
+    b_cell = hit[found]
+    la = counts[a_cell]
+    b_rows = np.repeat(b_cell, la)
+    lb = counts[b_rows]
+    i_x = np.repeat(order[np.repeat(starts[a_cell], la) + _segment_arange(la)], lb)
+    j_x = order[np.repeat(starts[b_rows], lb) + _segment_arange(lb)]
+    i = np.concatenate([i_in, i_x])
+    j = np.concatenate([j_in, j_x])
+    i, j = np.divmod(np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n)
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(i, minlength=n), out=offsets[1:])
+    return NeighborTable(offsets=offsets, neighbors=j)
+
+
+def table_pairs(table: NeighborTable):
+    """(row, entry) for every entry of ``table``, sorted by row: for a half
+    table the unordered pairs (i < j), each once, sorted by (i, j)."""
+    return np.repeat(np.arange(len(table)), np.diff(table.offsets)), table.neighbors
+
+
+def extract_pairs(positions, table: NeighborTable, d_cut):
+    """``forcefield.extract_pairs``: (i, j, d2, d) of the pairs within
+    ``d_cut``, after the clash guard on the first pair of least d."""
+    i, j = table_pairs(table)
+    d2 = squared_norms(positions[i] - positions[j])
+    keep = d2 <= d_cut * d_cut
+    i, j, d2 = i[keep], j[keep], d2[keep]
+    d = np.sqrt(d2)
+    if len(d) and float(d.min()) < MIN_DISTANCE:
+        k = int(np.argmin(d))
+        raise StericClashError(
+            f"atoms {i[k]} and {j[k]} closer than {MIN_DISTANCE} A (d={d[k]:.3e})")
+    return i, j, d2, d
+
+
+def _eq(a, b):
+    return (a == b) & (a >= 0)
+
+
+def classify_pairs(tree, i, j):
+    """Interaction classes of the pairs from the parent, grandparent and
+    great-grandparent pointers; 1-2 overrides 1-3 overrides 1-4."""
+    i = np.asarray(i, np.int64)
+    j = np.asarray(j, np.int64)
+    out = np.full(i.shape, int(InteractionClass.FULL), np.int64)
+    near = (tree.chain_mask[i] & tree.chain_mask[j]
+            & (np.abs(tree.residue_of[i] - tree.residue_of[j]) <= 1))
+    ii, jj = i[near], j[near]
+    p, gp, gg = tree.parent, tree.grandparent, tree.greatgrand
+    is14 = (_eq(gg[ii], jj) | _eq(gg[jj], ii)
+            | _eq(gp[ii], p[jj]) | _eq(gp[jj], p[ii]))
+    is13 = _eq(gp[ii], jj) | _eq(gp[jj], ii) | _eq(p[ii], p[jj])
+    is12 = _eq(p[ii], jj) | _eq(p[jj], ii)
+    cls = np.full(ii.shape, int(InteractionClass.FULL), np.int64)
+    cls[is14] = int(InteractionClass.PAIR14)
+    cls[is13] = int(InteractionClass.PAIR13)
+    cls[is12] = int(InteractionClass.BONDED12)
+    out[near] = cls
+    return out
+
+
+def weights_for(tree, table, i, j):
+    """``TreeWeights.weights_for``: (m, 2) weights by interaction class."""
+    return table.by_class()[classify_pairs(tree, i, j)]
+
+
+def _term_pairs(i, j, d2, d, cutoffs, cut):
+    r = max(cutoffs.elec, cutoffs.vdw)
+    keep = (d2 <= r * r) & (d <= cut)
+    return keep, i[keep], j[keep], d[keep]
+
+
+def elec_pair_quantities(params, i, j, d2, d, w, dielectric, cutoffs):
+    """``forcefield.elec_pair_quantities``: 0 outside the term's pairs."""
+    keep, i, j, d = _term_pairs(i, j, d2, d, cutoffs, cutoffs.elec)
+    kap = d if dielectric.kappa is None else dielectric.kappa
+    qq = COULOMB_K * w[keep, 0] * params.q[i] * params.q[j]
+    e, mag = np.zeros(len(keep)), np.zeros(len(keep))
+    e[keep] = qq / (kap * d)
+    mag[keep] = qq / (kap * d * d)
+    return e, mag
+
+
+def vdw_pair_quantities(params, i, j, d2, d, w, cutoffs):
+    """``forcefield.vdw_pair_quantities``, powers by multiplication as in
+    the native term (numpy's vectorised ``pow`` rounds differently)."""
+    keep, i, j, d = _term_pairs(i, j, d2, d, cutoffs, cutoffs.vdw)
+    depth = np.sqrt(params.eps[i] * params.eps[j])
+    dd = params.R[i] + params.R[j]
+    dd2 = dd * dd
+    dd6 = dd2 * dd2 * dd2
+    dd12 = dd6 * dd6
+    x2 = d * d
+    x6 = x2 * x2 * x2
+    x7 = x6 * d
+    x13 = x6 * x6 * d
+    ratio6 = dd6 / x6
+    e, mag = np.zeros(len(keep)), np.zeros(len(keep))
+    e[keep] = w[keep, 1] * depth * (ratio6 * ratio6 - 2.0 * ratio6)
+    mag[keep] = 12.0 * w[keep, 1] * depth * (dd12 / x13 - dd6 / x7)
+    return e, mag
+
+
+def accumulate_pair_forces(n, positions, i, j, d, mag):
+    """``forcefield.accumulate_pair_forces`` by ``bincount``."""
+    out = np.zeros((n, 3))
+    if len(d) == 0:
+        return out
+    f = mag[:, None] * ((positions[i] - positions[j]) / d[:, None])
+    for axis in range(3):
+        out[:, axis] += np.bincount(i, weights=f[:, axis], minlength=n)
+        out[:, axis] -= np.bincount(j, weights=f[:, axis], minlength=n)
+    return out
+
+
+# --------------------------------------------------------------------------
+# brute-force neighbors
+# --------------------------------------------------------------------------
 
 def brute_force_pairs(positions, d_cut):
     """All-pairs cut-off scan (no hashing): the pairs (i < j, sorted by
@@ -106,8 +284,7 @@ def brute_force_pairs(positions, d_cut):
     positions = np.asarray(positions, float)
     n = len(positions)
     iu, ju = np.triu_indices(n, k=1)
-    diff = positions[iu] - positions[ju]
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = squared_norms(positions[iu] - positions[ju])
     keep = d2 <= d_cut * d_cut
     return iu[keep], ju[keep], np.sqrt(d2[keep])
 

@@ -49,12 +49,12 @@ def test_water_fold_manifest_records_environment(tmp_path):
     env = json.loads((out / "manifest.json").read_text())["environment"]
     assert {"python", "numpy", "platform", "cpu_count"} <= env.keys()
     assert env["cpu_count"] >= 1
-    kernel = env["sasa_kernel"]
-    assert len(kernel["source_sha256"]) == 64 and kernel["compiler"]
+    library = env["native"]
+    assert len(library["source_sha256"]) == 64 and library["compiler"]
     vacuum = tmp_path / "vacuum"
     main(["fold", "--seq", "GA", "--max-iters", "1", "--out", str(vacuum)])
-    assert "sasa_kernel" not in json.loads((vacuum / "manifest.json").read_text())[
-        "environment"]
+    assert json.loads((vacuum / "manifest.json").read_text())["environment"][
+        "native"] == library
 
 
 def test_fold_deterministic_logs(tmp_path):

@@ -19,7 +19,14 @@ from kinefold.spatial import (
     filtered_lists,
 )
 from .conftest import UniformWeights, cutoff_lists
-from .oracles import BruteField, brute_force_pairs, brute_neighbor_sets, brute_table
+from .oracles import (
+    BruteField,
+    brute_force_pairs,
+    brute_neighbor_sets,
+    brute_table,
+    squared_norms,
+    table_pairs,
+)
 
 
 def buckets(grid) -> dict[tuple[int, int, int], list[int]]:
@@ -87,7 +94,7 @@ def test_far_pair_empty_lists():
 def test_close_pair_mutual():
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     table = build_neighbor_table(build_grid(pos, 9.0))
-    lists = filtered_lists(2, *table.pairs())
+    lists = filtered_lists(2, *table_pairs(table))
     assert lists[0].tolist() == [1]
     assert lists[1].tolist() == [0]
 
@@ -118,7 +125,7 @@ def test_table_rows_ascending(rng):
 def test_superset_and_self_exclusion(rng):
     pos = rng.uniform(0, 22, (300, 3))
     table = build_neighbor_table(build_grid(pos, 8.0))
-    lists = filtered_lists(300, *table.pairs())
+    lists = filtered_lists(300, *table_pairs(table))
     want = brute_neighbor_sets(pos, 8.0)
     for i in range(300):
         row = set(lists[i].tolist())
@@ -194,7 +201,7 @@ def face_diagonal(cut):
     """(v, v, 0) whose squared norm, summed as ``extract_pairs`` sums it,
     is at most ``cut**2`` and within a few ulps of it."""
     v = cut / np.sqrt(2.0)
-    while np.einsum("i,i->", [v, v, 0.0], [v, v, 0.0]) > cut * cut:
+    while squared_norms(np.array([[v, v, 0.0]]))[0] > cut * cut:
         v = np.nextafter(v, 0.0)
     return np.array([v, v, 0.0])
 
@@ -218,7 +225,7 @@ def clouds(draw):
 
 def assert_same_pairs(table, pos, d_cut, want):
     """``table`` gives exactly the pairs ``want`` = (i, j, d), in order."""
-    i, j = table.pairs()
+    i, j = table_pairs(table)
     assert np.all(i < j)
     assert np.all(np.lexsort((j, i)) == np.arange(len(i)))
     i, j, d2, _ = extract_pairs(pos, table, d_cut)
@@ -234,7 +241,7 @@ def test_half_table_pairs_equal_brute_force(pos):
     for d_cut in CUTOFFS:
         want = brute_force_pairs(pos, d_cut)
         brute = brute_table(pos, d_cut)
-        i, j = brute.pairs()
+        i, j = table_pairs(brute)
         assert np.array_equal(i, want[0]) and np.array_equal(j, want[1]), d_cut
         for table in (build_neighbor_table(build_grid(pos, d_cut)), brute):
             assert_same_pairs(table, pos, d_cut, want)
@@ -281,7 +288,7 @@ def test_one_cell_holds_every_pair(rng):
     pos = rng.uniform(0.0, 0.4 * 9.0, (40, 3))
     grid = build_grid(pos, 9.0)
     assert len(grid.occupied) == 1
-    i, j = build_neighbor_table(grid).pairs()
+    i, j = table_pairs(build_neighbor_table(grid))
     bi, bj = np.triu_indices(40, k=1)
     assert np.array_equal(i, bi) and np.array_equal(j, bj)
 
@@ -311,8 +318,8 @@ def cavity_lists(pos, cutoffs, probe=1.4, use_hash=True):
 def reach_oracle_lists(pos, probe):
     """Per unit-radius atom, every other atom within the reach of the
     offset spheres, ``d2 <= reach**2``, ascending."""
-    diff = pos[:, None, :] - pos[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    n = len(pos)
+    d2 = squared_norms((pos[:, None, :] - pos[None, :, :]).reshape(-1, 3)).reshape(n, n)
     np.fill_diagonal(d2, np.inf)
     rc = reach(1.0 + probe, 1.0 + probe, DELTA_R)
     return [np.flatnonzero(row <= rc * rc) for row in d2]
@@ -333,7 +340,7 @@ def with_d2(target):
     ``extract_pairs`` sums it, is exactly ``target``."""
     for y in np.linspace(0.05, 0.5, 451):
         v = np.array([np.sqrt(target - y * y), y, 0.0])
-        if np.einsum("i,i->", v, v) == target:
+        if squared_norms(v[None])[0] == target:
             return v
     raise AssertionError(f"no vector with squared norm {target!r}")
 

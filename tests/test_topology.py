@@ -8,11 +8,10 @@ from kinefold.topology import (
     TreeWeights,
     WeightTable,
     build_tree,
-    classify_pairs,
 )
 
-from .conftest import atom_index
-from .oracles import bfs_tree_distance, classify
+from .conftest import atom_index, classify, native_classes
+from .oracles import bfs_tree_distance
 
 
 class FakeChain:
@@ -110,7 +109,7 @@ def test_classification_symmetric(mixed_chain, rng):
     j = rng.integers(0, n, 300)
     keep = i != j
     i, j = i[keep], j[keep]
-    assert np.array_equal(classify_pairs(tree, i, j), classify_pairs(tree, j, i))
+    assert np.array_equal(native_classes(tree, i, j), native_classes(tree, j, i))
 
 
 def test_build_allocates_linearly():
