@@ -12,12 +12,17 @@ The canonical build only generates reference atoms; they go through the
 same named-atom assembly as an imported structure, which derives links,
 atom ownership, chi joints and bonds from atom names and templates.
 
-Atom positions follow from prefix products of joint rotations about the
-reference axes and prefix sums of rotated body vectors; each rigid link
-carries its member atoms as fixed offsets from its joint point.  Links
-are stored in topological order (every link's parent has a lower index),
-so one forward pass over a parent-index array places the whole tree and
-one reverse pass over it aggregates any per-link quantity onto ancestors.
+The links live in one table, ``Chain.links`` (a ``LinkArrays``): one
+row per link and one column per field (kind, residue, chi index and
+reference chi, dof, parent, reference axis, body vector and joint
+point), stacked once by the builder.  Atom positions follow from prefix
+products of joint rotations about the reference axes and prefix sums of
+rotated body vectors; each rigid link carries its member atoms as fixed
+offsets from its joint point.  Rows are in topological order (every
+link's parent has a lower index), so one forward pass over the parent
+column places the whole tree and one reverse pass over it aggregates any
+per-link quantity onto ancestors.  The table refuses any other order,
+and non-unit axes, whoever builds it.
 """
 
 from __future__ import annotations
@@ -103,62 +108,55 @@ def apply_deltas(conf: Conformation, deltas) -> Conformation:
 
 
 @dataclass(frozen=True)
-class LinkRecord:
-    index: int
-    kind: str              # ground | phi | psi | chi
-    residue: int           # 0-based, -1 for ground
-    chi_index: int         # 1..4 for chi links, else 0
-    dof: int               # flat dof index, -1 for ground
-    parent: int            # index of kinematic parent link
-    axis0: np.ndarray | None
-    body0: np.ndarray
-    point0: np.ndarray
-    chi0: float = 0.0      # reference chi (deg) for the index map
-
-
-@dataclass(frozen=True)
 class LinkArrays:
-    """Per-link constants of a chain stacked for the array passes.
+    """The links of a chain, one row per link in every column.
 
-    Row ``li`` belongs to ``chain.links[li]``; the ground row (0) has a
-    zero axis and dof -1.  ``k`` is each axis's cross-product matrix, so
-    a joint's Rodrigues rotation is ``I + sin(t) k + (1 - cos(t)) k2``.
+    Rows are parent-first: row 0 is the ground link (kind "ground", zero
+    axis, dof and parent -1) and every other row's parent has a lower
+    index, so one forward pass places the tree and one reverse pass sums
+    it.  That order and unit joint axes are checked here, so every chain
+    has them, however its table was made.  ``k`` is each axis's
+    cross-product matrix, so a joint's Rodrigues rotation is
+    ``I + sin(t) k + (1 - cos(t)) k2``.
     """
 
-    parent: list[int]         # parent link index, -1 for ground (a list:
-                              # the per-link loops index it element-wise)
+    kind: list[str]           # ground | phi | psi | chi
+    residue: np.ndarray       # (n_links,) 0-based residue, -1 for ground
+    chi_index: np.ndarray     # (n_links,) 1..4 for chi links, else 0
+    chi0: np.ndarray          # (n_links,) reference chi (deg) for the index map
     dof: np.ndarray           # (n_links,) flat dof index
+    parent: list[int]         # parent link index (a list: the per-link
+                              # loops index it element-wise)
     axis0: np.ndarray         # (n_links, 3) reference unit axes
     body0: np.ndarray         # (n_links, 3) reference body vectors
-    k: np.ndarray             # (n_links, 3, 3)
-    k2: np.ndarray            # (n_links, 3, 3), k @ k
     point0: np.ndarray        # (n_links, 3) reference joint points
+    k: np.ndarray = field(init=False, repr=False)    # (n_links, 3, 3)
+    k2: np.ndarray = field(init=False, repr=False)   # (n_links, 3, 3), k @ k
 
-    @classmethod
-    def of(cls, chain: "Chain") -> "LinkArrays":
-        links = chain.links
-        axis0 = np.array([np.zeros(3) if l.axis0 is None else l.axis0 for l in links])
-        norms = np.linalg.norm(axis0[1:], axis=1)
+    def __post_init__(self):
+        for li, pa in enumerate(self.parent):
+            if not (0 <= pa < li if li else pa == -1):
+                raise ChainBuildError(
+                    f"link {li} has parent {pa}; every link must follow its "
+                    f"parent and only link 0 may be the root"
+                )
+        norms = np.linalg.norm(self.axis0[1:], axis=1)
         bad = np.flatnonzero(np.abs(norms - 1.0) > AXIS_UNIT_TOL)
         if bad.size:
             raise ConfigurationError(
                 f"rotation axis must be unit length, got norm {norms[bad[0]]:.3e}"
                 f" on link {bad[0] + 1}"
             )
-        x, y, z = axis0.T
-        k = np.zeros((len(links), 3, 3))
+        x, y, z = self.axis0.T
+        k = np.zeros((len(self), 3, 3))
         k[:, 0, 1], k[:, 0, 2] = -z, y
         k[:, 1, 0], k[:, 1, 2] = z, -x
         k[:, 2, 0], k[:, 2, 1] = -y, x
-        return cls(
-            parent=[l.parent for l in links],
-            dof=np.array([l.dof for l in links], int),
-            axis0=axis0,
-            body0=np.array([l.body0 for l in links]),
-            k=k,
-            k2=k @ k,
-            point0=np.array([l.point0 for l in links]),
-        )
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k2", k @ k)
+
+    def __len__(self) -> int:
+        return len(self.parent)
 
 
 @dataclass
@@ -166,7 +164,7 @@ class Chain:
     """Immutable-by-convention linkage over a fixed atom set."""
 
     residues: list[str]
-    links: list[LinkRecord]
+    links: LinkArrays
     atom_names: list[str]
     atom_elements: list[str]
     atom_classes: list[str]
@@ -193,9 +191,6 @@ class Chain:
     def n_dof(self) -> int:
         return len(self.links) - 1  # every non-ground link has one joint
 
-    def __post_init__(self):
-        self.link_arrays = LinkArrays.of(self)
-
     def dof_phi(self, i: int) -> int:
         return 2 * i
 
@@ -221,12 +216,12 @@ class Chain:
         m = self.n_residues
         phi = signed_degrees(conf.theta[0 : 2 * m : 2] - 180.0)
         psi = signed_degrees(conf.theta[1 : 2 * m : 2] - 180.0)
+        links = self.links
         chi = {}
-        for link in self.links:
-            if link.kind == "chi":
-                chi[(link.residue, link.chi_index)] = float(
-                    signed_degrees(conf.theta[link.dof] + link.chi0)
-                )
+        for li in np.flatnonzero(links.chi_index):
+            chi[(int(links.residue[li]), int(links.chi_index[li]))] = float(
+                signed_degrees(conf.theta[links.dof[li]] + links.chi0[li])
+            )
         return phi, psi, chi
 
     def validate_conformation(self, conf: Conformation) -> None:
@@ -255,7 +250,7 @@ def kinematic_state(chain: Chain, conf: Conformation) -> KinematicState:
     ``M[li] = M[parent] @ R[li]`` and ``P[li] = P[parent] + M[parent] @
     body0[parent]``, valid because every parent precedes its child."""
     chain.validate_conformation(conf)
-    arr = chain.link_arrays
+    arr = chain.links
     t = np.radians(conf.theta[arr.dof[1:]])[:, None, None]
     rot = np.eye(3) + np.sin(t) * arr.k[1:] + (1.0 - np.cos(t)) * arr.k2[1:]
     parent = arr.parent
@@ -421,7 +416,7 @@ class _Builder:
         self.hetero: list[bool] = []
         self.hetero_res_names: dict[int, str] = {}
         self.hetero_chain_ids: dict[int, str] = {}
-        self.links: list[dict] = []
+        self.links: list[dict] = []   # per link, its LinkArrays columns
 
     def add_atom(self, name, element, cls, residue, link, xyz, hetero=False) -> int:
         self.names.append(name)
@@ -433,23 +428,18 @@ class _Builder:
         self.hetero.append(hetero)
         return len(self.names) - 1
 
-    def add_link(self, **kw) -> int:
-        kw["index"] = len(self.links)
-        self.links.append(kw)
-        return kw["index"]
+    def add_link(self, *, chi0=0.0, **kw) -> int:
+        self.links.append(dict(kw, chi0=chi0))
+        return len(self.links) - 1
 
     def finish(self, residues, source, chain_id="A") -> Chain:
-        # the forward and reverse link passes rely on parents coming first
-        for rec in self.links:
-            i, parent = rec["index"], rec["parent"]
-            if not (0 <= parent < i if i else parent == -1):
-                raise ChainBuildError(
-                    f"link {i} has parent {parent}; every link must follow its "
-                    f"parent and only link 0 may be the root"
-                )
+        # the rows are stacked once; kind and parent stay lists
+        columns = {name: [rec[name] for rec in self.links] for name in self.links[0]}
+        links = LinkArrays(**{name: col if name in ("kind", "parent") else np.array(col)
+                              for name, col in columns.items()})
         return Chain(
             residues=residues,
-            links=[LinkRecord(**rec) for rec in self.links],
+            links=links,
             atom_names=self.names,
             atom_elements=self.elements,
             atom_classes=self.classes,
@@ -491,7 +481,7 @@ def _assemble(residues: list[_ResidueAtoms], hetero, source: str,
     # a psi body runs from CA to the next N, the last one to the chain tip
     b = _Builder()
     ground = b.add_link(kind="ground", residue=-1, chi_index=0, dof=-1, parent=-1,
-                        axis0=None, body0=np.zeros(3), point0=np.zeros(3))
+                        axis0=np.zeros(3), body0=np.zeros(3), point0=np.zeros(3))
     phi_axis, psi_axis = unit_vector(ca - n), unit_vector(c - ca)
     psi_body = np.vstack([n[1:], tip]) - ca
     link_phi, link_psi = [], []

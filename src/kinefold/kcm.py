@@ -12,18 +12,19 @@ and ``vdw_pair_quantities`` over the whole pair arrays, and
 ``accumulate_pair_forces``; ``evaluate`` itself only sums the energies
 and the two force magnitudes.
 
-Per iteration, atom forces are summed into per-link wrenches (force plus
-moment about the amino-terminus anchor, which sits at the global
-origin).  Joint torques need the total wrench of the subtree each joint
-drives.  Links are stored parent-first, so one reverse pass over the
-parent indices, adding each link's wrench into its parent's, leaves
-every link holding its subtree total; backbone and side branches need
-no separate cases.  One vectorized projection ``u.T - (u x p).F`` onto
-the current axes and joint points of the array kinematic state then
-gives every torque.  That turns the quadratic contribution scan into a
-linear pass.  The compliance step moves every unfrozen joint
-proportionally to its torque, normalized so the largest step is exactly
-kappa degrees.
+Per iteration, atom forces are summed into per-link wrenches, one
+(n_links, 6) array: columns 0-2 the force, 3-5 the moment about the
+amino-terminus anchor, which sits at the global origin.  Joint torques
+need the total wrench of the subtree each joint drives.  The rows of
+``Chain.links`` are parent-first, so one reverse pass over its parent
+column, adding each link's wrench row into its parent's (in a copy, so
+the caller's array is left as given), leaves every link holding its
+subtree total; backbone and side branches need no separate cases.  One
+vectorized projection ``u.T - (u x p).F`` onto the current axes and
+joint points of the array kinematic state then gives every torque.
+That turns the quadratic contribution scan into a linear pass.  The
+compliance step moves every unfrozen joint proportionally to its
+torque, normalized so the largest step is exactly kappa degrees.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class Field:
     params: AtomParams
     weights: object
     config: FieldConfig = field(default_factory=FieldConfig)
-    _sphere: SampleSphere | None = None
     table_cutoff: float = field(init=False)
+    _sphere: SampleSphere | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         cut, solv = self.config.cutoffs, self.config.solvation_cfg
@@ -103,9 +104,6 @@ class Field:
             r_max = float(np.max(offset_radii(self.params, solv)))
             self.table_cutoff = max(self.table_cutoff,
                                     reach(r_max, r_max, solv.delta_r))
-        if self._sphere is not None and self._sphere.n != solv.samples:
-            raise ConfigurationError(f"sample sphere has {self._sphere.n} points, "
-                                     f"the solvation config asks for {solv.samples}")
 
     def sphere(self) -> SampleSphere:
         if self._sphere is None:
@@ -175,37 +173,30 @@ class Field:
 # wrenches and joint torques
 # --------------------------------------------------------------------------
 
-@dataclass
-class LinkWrenches:
-    """Net force and moment-about-origin per link (ground included)."""
-
-    force: np.ndarray    # (n_links, 3)
-    torque: np.ndarray   # (n_links, 3)
-
-
-def link_wrenches(chain: Chain, positions, forces) -> LinkWrenches:
+def link_wrenches(chain: Chain, positions, forces) -> np.ndarray:
+    """Net wrench per link (ground included) as one (n_links, 6) array:
+    columns 0-2 the force, 3-5 the moment about the origin."""
     positions = np.asarray(positions, float)
     forces = np.asarray(forces, float)
     n_links = len(chain.links)
     moments = np.cross(positions, forces)
-    f_out = np.zeros((n_links, 3))
-    t_out = np.zeros((n_links, 3))
+    out = np.zeros((n_links, 6))
     link_of = chain.atom_link
     for axis in range(3):
-        f_out[:, axis] = np.bincount(link_of, weights=forces[:, axis], minlength=n_links)
-        t_out[:, axis] = np.bincount(link_of, weights=moments[:, axis], minlength=n_links)
-    return LinkWrenches(force=f_out, torque=t_out)
+        out[:, axis] = np.bincount(link_of, weights=forces[:, axis], minlength=n_links)
+        out[:, 3 + axis] = np.bincount(link_of, weights=moments[:, axis],
+                                       minlength=n_links)
+    return out
 
 
 def joint_torques(chain: Chain, state: KinematicState,
-                  wrenches: LinkWrenches) -> np.ndarray:
+                  wrenches: np.ndarray) -> np.ndarray:
     """Torque per dof (kcal/mol per radian of joint rotation) at the
-    kinematic ``state``: subtree wrenches by one reverse parent-pointer
-    pass, then projected onto every joint at once; O(l) total.
-    ``wrenches`` is left as given."""
-    arr = chain.link_arrays
-    # a new array: columns 0-2 force, 3-5 moment about the origin
-    total = np.concatenate([wrenches.force, wrenches.torque], axis=1)
+    kinematic ``state`` from the (n_links, 6) ``link_wrenches``: subtree
+    wrenches by one reverse parent-pointer pass, then projected onto
+    every joint at once; O(l) total.  ``wrenches`` is left as given."""
+    arr = chain.links
+    total = np.array(wrenches, float)
     parent = arr.parent
     rows = list(total)
     for li in range(len(parent) - 1, 0, -1):
@@ -405,6 +396,8 @@ def hinge_scan(chain: Chain, hinge_dofs: list[int], half_range: float,
         raise ConfigurationError(f"hinge joints {list(hinge_dofs)} repeat a joint")
     if steps < 1:
         raise ConfigurationError("steps must be positive")
+    if not math.isfinite(half_range):
+        raise ConfigurationError(f"hinge half range must be finite, got {half_range}")
     offsets = (np.linspace(-half_range, half_range, steps)
                if steps > 1 else np.zeros(1))
     thetas = [base.theta[d] + offsets for d in hinge_dofs]

@@ -46,7 +46,7 @@ SOURCES = tuple(sorted(Path(__file__).parent.glob("*.c")))
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
-# status codes the entry points return besides counts (see pairs.c)
+# status codes the entry points return besides counts (see pairs.c, sasa.c)
 NO_MEMORY, REFUSED, WIDE = -1, -2, -3
 
 

@@ -74,7 +74,11 @@ def read_pdb(path) -> StructureRecord:
     atoms: list[AtomRecord] = []
     seen_alt: set[tuple[str, str, int, str, str]] = set()
     stripped_water = False
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise PDBFormatError(f"{path}: cannot read: {exc.strerror}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             rec = line[:6].strip()
             if rec == "ENDMDL":
@@ -208,7 +212,10 @@ def load_params(path=None) -> ParamSet:
         text = resources.files("kinefold.data").joinpath("params.ff").read_text()
         source = "<default>"
     else:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ParameterFileError(f"{path}: cannot read: {exc.strerror}") from exc
         source = str(path)
     classes: dict[str, tuple[float, float, float, str]] = {}
     gamma_sets: dict[str, dict[str, float]] = {}

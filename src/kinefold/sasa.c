@@ -8,11 +8,15 @@
  *
  * Rows are CSR: the neighbors of atom i are neighbors[offsets[i]] up to
  * neighbors[offsets[i + 1]].  Both passes work on the atoms [lo, hi).
- * They return 0, -1 when scratch memory cannot be allocated, or -2 when
- * a critical neighbor is not one of the n atoms.
+ * They return 0, NO_MEMORY when scratch memory cannot be allocated, or
+ * REFUSED when a critical neighbor is not one of the n atoms (the codes
+ * of pairs.c and native.py).
  */
 #include <stdint.h>
 #include <stdlib.h>
+
+#define NO_MEMORY (-1)
+#define REFUSED (-2)
 
 typedef struct {
     double d2;
@@ -52,7 +56,7 @@ int64_t exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
     if (!row || !c) {
         free(row);
         free(c);
-        return -1;
+        return NO_MEMORY;
     }
     for (int64_t i = lo; i < hi; i++) {
         int64_t a = offsets[i], m = offsets[i + 1] - a;
@@ -123,7 +127,7 @@ int64_t force_events(int64_t lo, int64_t hi, const double *pos,
     if (!c || !gained) {
         free(c);
         free(gained);
-        return -1;
+        return NO_MEMORY;
     }
     for (int64_t i = lo; i < hi; i++) {
         int64_t w = w_int[i], a = offsets[i], m = offsets[i + 1] - a;
@@ -154,7 +158,7 @@ int64_t force_events(int64_t lo, int64_t hi, const double *pos,
                 if (j < 0 || j >= n) {
                     free(c);
                     free(gained);
-                    return -2;
+                    return REFUSED;
                 }
                 const double *x = pos + 3 * j;
                 double dx = px - x[0], dy = py - x[1], dz = pz - x[2];

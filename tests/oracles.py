@@ -83,15 +83,16 @@ def theta_from_dihedrals(chain, phi, psi, chi=None):
     if chi:
         theta = conf.theta.copy()
         for (i, k), value in chi.items():
-            link = chain.links[_chi_link_index(chain, i, k)]
-            theta[link.dof] = wrap_degrees(value - link.chi0)
+            li = _chi_link_index(chain, i, k)
+            theta[chain.links.dof[li]] = wrap_degrees(value - chain.links.chi0[li])
         conf = replace(conf, theta=theta)
     return conf
 
 
 def _chi_link_index(chain, i: int, k: int) -> int:
-    for li, link in enumerate(chain.links):
-        if link.kind == "chi" and link.residue == i and link.chi_index == k:
+    links = chain.links
+    for li, kind in enumerate(links.kind):
+        if kind == "chi" and links.residue[li] == i and links.chi_index[li] == k:
             return li
     raise KeyError((i, k))
 
@@ -459,32 +460,34 @@ def recounted_g_cav(positions, params, neighbors, sphere, config):
 
 def quadratic_joint_torques(chain, state, wrenches):
     """Column-scan torque aggregation: one (joint, link) product per pair."""
-    n_links = len(chain.links)
+    links = chain.links
+    n_links = len(links)
     subtree = _subtree_links(chain)
     tau = np.zeros(chain.n_dof)
-    for li, link in enumerate(chain.links):
-        if link.kind == "ground":
+    for li, kind in enumerate(links.kind):
+        if kind == "ground":
             continue
         u = state.axes[li]
         p = state.joint_points[li]
         total = 0.0
         for h in range(n_links):
             if li in subtree[h]:
-                total += float(u @ wrenches.torque[h]
-                               - np.cross(u, p) @ wrenches.force[h])
-        tau[link.dof] = total
+                total += float(u @ wrenches[h, 3:]
+                               - np.cross(u, p) @ wrenches[h, :3])
+        tau[links.dof[li]] = total
     return tau
 
 
 def _subtree_links(chain):
     """For each link h: the set of joints (link ids) on its path to ground."""
+    links = chain.links
     ancestors = []
-    for li, link in enumerate(chain.links):
+    for li in range(len(links)):
         path = set()
         cur = li
-        while cur != -1 and chain.links[cur].kind != "ground":
+        while cur != -1 and links.kind[cur] != "ground":
             path.add(cur)
-            cur = chain.links[cur].parent
+            cur = links.parent[cur]
         ancestors.append(path)
     return ancestors
 
@@ -493,9 +496,10 @@ def twist_fk(chain, conf):
     """Moving-axis forward kinematics: rotate each joint's whole subtree
     about its current axis, root to leaf."""
     positions = chain.zp_pos.copy()
+    links = chain.links
     children: dict[int, list[int]] = {}
-    for li, link in enumerate(chain.links):
-        children.setdefault(link.parent, []).append(li)
+    for li, pa in enumerate(links.parent):
+        children.setdefault(pa, []).append(li)
 
     def descend(li):
         out = list(np.flatnonzero(chain.atom_link == li))
@@ -503,10 +507,10 @@ def twist_fk(chain, conf):
             out.extend(descend(ch))
         return out
 
-    for li, link in enumerate(chain.links):
-        if link.kind == "ground":
+    for li, kind in enumerate(links.kind):
+        if kind == "ground":
             continue
-        theta = float(conf.theta[link.dof])
+        theta = float(conf.theta[links.dof[li]])
         src, dst = _axis_atoms(chain, li, positions)
         axis = dst - src
         axis = axis / np.linalg.norm(axis)
@@ -518,17 +522,16 @@ def twist_fk(chain, conf):
 
 def _axis_atoms(chain, li, positions):
     """Current axis endpoints of a joint, looked up by atom name."""
-    link = chain.links[li]
-    res = link.residue
-    if link.kind == "phi":
+    kind, res = chain.links.kind[li], int(chain.links.residue[li])
+    if kind == "phi":
         return positions[atom_index(chain, res, "N")], positions[atom_index(chain, res, "CA")]
-    if link.kind == "psi":
+    if kind == "psi":
         return positions[atom_index(chain, res, "CA")], positions[atom_index(chain, res, "C")]
     # chi joints: recover endpoint names from the template joint table
     from kinefold.residues import default_templates
 
     spec = default_templates().get(chain.residues[res])
-    src_name, dst_name = spec.joints[link.chi_index - 1]
+    src_name, dst_name = spec.joints[chain.links.chi_index[li] - 1]
     return (positions[atom_index(chain, res, src_name)],
             positions[atom_index(chain, res, dst_name)])
 

@@ -42,7 +42,7 @@ def random_conf(chain, rng, span=360.0):
 
 def test_single_gly_link_count():
     ch = build_chain(["GLY"])
-    kinds = [l.kind for l in ch.links]
+    kinds = ch.links.kind
     assert kinds.count("phi") == 1 and kinds.count("psi") == 1
     assert kinds.count("chi") == 0
     assert ch.n_dof == 2
@@ -51,7 +51,7 @@ def test_single_gly_link_count():
 def test_polyalanine_15_links():
     ch = build_chain(["ALA"] * 15)
     assert ch.n_residues == 15
-    kinds = [l.kind for l in ch.links]
+    kinds = ch.links.kind
     assert kinds.count("phi") + kinds.count("psi") == 30
     assert kinds.count("chi") == 15  # one methyl rotor per template
     assert ch.n_dof == 45
@@ -79,8 +79,8 @@ def test_radius_bonds_match_template_bonds(code, omega):
 
 
 def test_every_atom_has_one_link(mixed_chain):
-    counted = sum(len(np.flatnonzero(mixed_chain.atom_link == l.index))
-                  for l in mixed_chain.links)
+    counted = sum(len(np.flatnonzero(mixed_chain.atom_link == li))
+                  for li in range(len(mixed_chain.links)))
     assert counted == mixed_chain.n_atoms
     assert mixed_chain.atom_residue.tolist() == sorted(mixed_chain.atom_residue.tolist())
 
@@ -90,7 +90,7 @@ def test_links_follow_their_parents(mixed_chain, tmp_path):
     write_pdb(mixed_chain, forward_kinematics(mixed_chain, mixed_chain.conf_zp()), path)
     imported = build_chain([], geometry=read_pdb(path))
     for chain in (mixed_chain, imported):
-        parents = [link.parent for link in chain.links]
+        parents = chain.links.parent
         assert parents[0] == -1
         assert all(0 <= p < i for i, p in enumerate(parents) if i)
 
@@ -100,12 +100,13 @@ def relinked_builder(chain, order):
     listed in ``order`` and every link reference renumbered to match."""
     new = {old: k for k, old in enumerate(order)}
     new[-1] = -1
-    b = _Builder()
+    b, links = _Builder(), chain.links
     for old in order:
-        rec = chain.links[old]
-        b.add_link(kind=rec.kind, residue=rec.residue, chi_index=rec.chi_index,
-                   dof=rec.dof, parent=new[rec.parent], axis0=rec.axis0,
-                   body0=rec.body0, point0=rec.point0, chi0=rec.chi0)
+        b.add_link(kind=links.kind[old], residue=links.residue[old],
+                   chi_index=links.chi_index[old], dof=links.dof[old],
+                   parent=new[links.parent[old]], axis0=links.axis0[old],
+                   body0=links.body0[old], point0=links.point0[old],
+                   chi0=links.chi0[old])
     for a in range(chain.n_atoms):
         b.add_atom(chain.atom_names[a], chain.atom_elements[a], chain.atom_classes[a],
                    int(chain.atom_residue[a]), new[int(chain.atom_link[a])],
@@ -127,11 +128,23 @@ def test_reordered_links_rejected(mixed_chain, rng):
             relinked_builder(mixed_chain, order).finish(mixed_chain.residues, "canonical")
 
 
+def test_directly_built_links_must_follow_their_parents(ala2, rng):
+    """The link table refuses a child ahead of its parent however it is
+    built, so the forward pass never reads a transform it has not set."""
+    same = dataclasses.replace(ala2, links=dataclasses.replace(ala2.links))
+    conf = random_conf(ala2, rng)
+    assert np.array_equal(forward_kinematics(same, conf), forward_kinematics(ala2, conf))
+    parent = list(ala2.links.parent)
+    parent[1] = 2
+    with pytest.raises(ChainBuildError, match="link 1 has parent 2"):
+        dataclasses.replace(ala2, links=dataclasses.replace(ala2.links, parent=parent))
+
+
 def test_non_unit_axis_rejected(ala2):
-    links = list(ala2.links)
-    links[3] = dataclasses.replace(links[3], axis0=1.001 * links[3].axis0)
+    axis0 = ala2.links.axis0.copy()
+    axis0[3] = 1.001 * axis0[3]
     with pytest.raises(ConfigurationError, match="unit length"):
-        dataclasses.replace(ala2, links=links)
+        dataclasses.replace(ala2, links=dataclasses.replace(ala2.links, axis0=axis0))
 
 
 def test_plane_constants_rows():
@@ -149,9 +162,10 @@ def test_zp_backbone_planar(mixed_chain):
 
 
 def test_zp_axes_unit_length(mixed_chain):
-    for link in mixed_chain.links:
-        if link.kind != "ground":
-            assert abs(np.linalg.norm(link.axis0) - 1.0) < 1e-12
+    links = mixed_chain.links
+    for li, kind in enumerate(links.kind):
+        if kind != "ground":
+            assert abs(np.linalg.norm(links.axis0[li]) - 1.0) < 1e-12
 
 
 def test_cis_chain_builds_planar():
@@ -190,9 +204,9 @@ def test_l_chirality_of_templates(mixed_chain):
 # ---- transforms -----------------------------------------------------------
 
 def joint_transforms(chain, conf):
-    """Prefix rotation of every joint link (ground excluded)."""
+    """Dof and prefix rotation of every joint link (ground excluded)."""
     transforms = kinematic_state(chain, conf).transforms
-    return [(link, transforms[link.index]) for link in chain.links[1:]]
+    return list(zip(chain.links.dof[1:], transforms[1:]))
 
 
 def test_all_zero_gives_identity(ala2):
@@ -204,8 +218,8 @@ def test_single_joint_prefix(ala2):
     theta = np.zeros(ala2.n_dof)
     theta[0] = 30.0
     conf = Conformation(theta, np.zeros(ala2.n_dof, bool))
-    mats = {link.dof: m for link, m in joint_transforms(ala2, conf)}
-    first = rotation_about_axis(ala2.links[1].axis0, 30.0)
+    mats = dict(joint_transforms(ala2, conf))
+    first = rotation_about_axis(ala2.links.axis0[1], 30.0)
     for dof in range(4):  # every backbone joint downstream of joint 1
         assert np.allclose(mats[dof], first, atol=1e-12)
 
@@ -214,13 +228,15 @@ def test_prefix_matches_naive_products(ala2, rng):
     conf = random_conf(ala2, rng)
     transforms = kinematic_state(ala2, conf).transforms
     # naive: recompute each backbone prefix from scratch
-    backbone = [l for l in ala2.links if l.kind in ("phi", "psi")]
-    backbone.sort(key=lambda l: l.dof)
+    links = ala2.links
+    backbone = [li for li, kind in enumerate(links.kind) if kind in ("phi", "psi")]
+    backbone.sort(key=lambda li: links.dof[li])
     for j in range(len(backbone)):
         m = np.eye(3)
         for r in range(j + 1):
-            m = m @ rotation_about_axis(backbone[r].axis0, conf.theta[backbone[r].dof])
-        assert np.abs(m - transforms[backbone[j].index]).max() < 1e-12
+            li = backbone[r]
+            m = m @ rotation_about_axis(links.axis0[li], conf.theta[links.dof[li]])
+        assert np.abs(m - transforms[backbone[j]]).max() < 1e-12
 
 
 def test_transforms_orthonormal(mixed_chain, rng):
@@ -243,8 +259,8 @@ def test_bond_lengths_invariant(mixed_chain, rng):
 def test_intralink_rigidity(mixed_chain, rng):
     zp = forward_kinematics(mixed_chain, mixed_chain.conf_zp())
     pos = forward_kinematics(mixed_chain, random_conf(mixed_chain, rng))
-    for link in mixed_chain.links:
-        idx = np.flatnonzero(mixed_chain.atom_link == link.index)
+    for li in range(len(mixed_chain.links)):
+        idx = np.flatnonzero(mixed_chain.atom_link == li)
         for a in range(len(idx)):
             for b in range(a + 1, len(idx)):
                 d0 = np.linalg.norm(zp[idx[a]] - zp[idx[b]])
@@ -282,12 +298,14 @@ def test_peptide_atoms_match_plane_combination(ala2, rng):
     state = kinematic_state(ala2, conf)
     pos = state.positions
     pc = PLANE_CONSTANTS
-    links = {(l.kind, l.residue): l for l in ala2.links if l.kind != "ground"}
+    links = ala2.links
+    row = {(kind, int(res)): li for li, (kind, res) in enumerate(zip(links.kind, links.residue))
+           if kind != "ground"}
     i = 0
-    m_psi = state.transforms[links[("psi", i)].index]
-    m_phi_next = state.transforms[links[("phi", i + 1)].index]
-    b2 = m_psi @ links[("psi", i)].body0
-    b3 = m_phi_next @ links[("phi", i + 1)].body0
+    m_psi = state.transforms[row[("psi", i)]]
+    m_phi_next = state.transforms[row[("phi", i + 1)]]
+    b2 = m_psi @ links.body0[row[("psi", i)]]
+    b3 = m_phi_next @ links.body0[row[("phi", i + 1)]]
     ca = pos[atom_index(ala2, i, "CA")]
     c = pos[atom_index(ala2, i, "C")]
     o = pos[atom_index(ala2, i, "O")]
@@ -364,9 +382,11 @@ def test_index_map_round_trip(mixed_chain, rng):
     phi = rng.uniform(-180, 179.9, mixed_chain.n_residues)
     psi = rng.uniform(-180, 179.9, mixed_chain.n_residues)
     chi = {}
-    for link in mixed_chain.links:
-        if link.kind == "chi":
-            chi[(link.residue, link.chi_index)] = float(rng.uniform(-180, 179.9))
+    links = mixed_chain.links
+    for li, kind in enumerate(links.kind):
+        if kind == "chi":
+            chi[(int(links.residue[li]), int(links.chi_index[li]))] = float(
+                rng.uniform(-180, 179.9))
     conf = theta_from_dihedrals(mixed_chain, phi, psi, chi)
     phi2, psi2, chi2 = mixed_chain.dihedrals_from_theta(conf)
     assert np.abs(phi2 - phi).max() < 1e-9

@@ -245,11 +245,18 @@ def test_missing_input_rejected(tmp_path, capsys):
      "error: probe radius and delta_r must be positive and finite"),
     (["fold", "--seq", "AA", "--water", "--probe-radius", "nan"],
      "error: probe radius and delta_r must be positive and finite"),
+    (["scan-hinge", "--seq", "AAA", "--hinges", "2:phi", "--range", "nan"],
+     "error: hinge half range must be finite, got nan"),
+    (["fold", "--seq", "AA", "--params", "/nonexistent.ff"],
+     "error: /nonexistent.ff: cannot read: "),
+    (["fold", "--pdb", "/nonexistent.pdb"], "error: /nonexistent.pdb: cannot read: "),
+    (["sasa", "--pdb", "."], "error: .: cannot read: "),
 ], ids=["cutoffs", "cutoffs-three", "dielectric", "init-uniform", "freeze-text", "freeze-negative",
         "freeze-past-end", "rama-negative", "rama-past-end", "hinge-chi", "hinge-dash",
         "hinge-past-end", "hinge-repeated", "max-iters-zero", "energy-window-negative",
         "snapshot-every-negative", "batch-zero", "angle-range-negative", "torque-tol-nan",
-        "energy-tol-nan", "kappa-nan", "delta-r-nan", "probe-radius-nan"])
+        "energy-tol-nan", "kappa-nan", "delta-r-nan", "probe-radius-nan", "range-nan",
+        "params-missing", "pdb-missing", "pdb-directory"])
 def test_bad_arguments_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err

@@ -39,7 +39,7 @@ def test_templated_side_chains_keep_joints(tmp_path):
     ch = build_chain(["SER", "ALA"])
     ch2, _ = reimport(ch, tmp_path)
     assert ch2.n_dof == ch.n_dof  # full atom-name match keeps every chi joint
-    kinds = [l.kind for l in ch2.links]
+    kinds = ch2.links.kind
     assert kinds.count("chi") == 3
 
 

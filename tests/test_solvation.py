@@ -552,8 +552,8 @@ def test_field_reach_rows_match_all_pairs(field_type, name):
     cfg = SolvationConfig(probe_radius=probe, samples=sp.n)
     cut = Cutoffs(**cutoffs)
     fld = field_type(params, UniformWeights(),
-                     FieldConfig(solvation=True, cutoffs=cut, solvation_cfg=cfg),
-                     _sphere=sp)
+                     FieldConfig(solvation=True, cutoffs=cut, solvation_cfg=cfg))
+    fld._sphere = sp  # the lazily built sphere, set ahead of its first use
     r_max = float(np.max(offset_radii(params, cfg)))
     rc = reach(r_max, r_max, cfg.delta_r)
     assert fld.table_cutoff == max(cut.elec, cut.vdw, rc)
