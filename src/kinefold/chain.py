@@ -18,11 +18,15 @@ reference chi, dof, parent, reference axis, body vector and joint
 point), stacked once by the builder.  Atom positions follow from prefix
 products of joint rotations about the reference axes and prefix sums of
 rotated body vectors; each rigid link carries its member atoms as fixed
-offsets from its joint point.  Rows are in topological order (every
-link's parent has a lower index), so one forward pass over the parent
-column places the whole tree and one reverse pass over it aggregates any
-per-link quantity onto ancestors.  The table refuses any other order,
-and non-unit axes, whoever builds it.
+offsets from its joint point, worked out once when the chain is built.
+Rows are in topological order (every link's parent has a lower index),
+so one forward pass over the parent column places the whole tree and one
+reverse pass over it aggregates any per-link quantity onto ancestors.
+The table refuses any other order, and non-unit axes, whoever builds it.
+
+The forward pass is one call into the native library (``links.c``,
+loaded by ``native``); its numpy reference is ``tests/oracles.py``'s
+``kinematic_state``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import native
 from .errors import ChainBuildError, ConfigurationError
 from .geometry import (
     AXIS_UNIT_TOL,
@@ -73,13 +78,23 @@ BACKBONE_CLASSES = {"N": "N", "H": "H", "C": "C", "O": "O", "OXT": "O2"}
 
 @dataclass(frozen=True)
 class Conformation:
-    """Dihedral state: theta per joint in degrees, wrapped to [0, 360)."""
+    """Dihedral state: theta per joint in degrees, wrapped to [0, 360).
+    Every theta must be finite."""
 
     theta: np.ndarray
     frozen: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", wrap_degrees(np.asarray(self.theta, float)))
+        theta = np.asarray(self.theta, float)
+        # a NaN or infinity makes the sum non-finite; so can an overflow,
+        # which the exact test then lets pass
+        if not math.isfinite(np.add.reduce(theta, axis=None)):
+            bad = np.flatnonzero(~np.isfinite(theta))
+            if bad.size:
+                raise ConfigurationError(
+                    f"theta of dof {bad[0]} is {theta.flat[bad[0]]}: "
+                    f"dihedrals must be finite")
+        object.__setattr__(self, "theta", wrap_degrees(theta))
         object.__setattr__(self, "frozen", np.asarray(self.frozen, bool).copy())
         if self.theta.shape != self.frozen.shape:
             raise ConfigurationError("theta and frozen mask must have equal length")
@@ -117,7 +132,8 @@ class LinkArrays:
     it.  That order and unit joint axes are checked here, so every chain
     has them, however its table was made.  ``k`` is each axis's
     cross-product matrix, so a joint's Rodrigues rotation is
-    ``I + sin(t) k + (1 - cos(t)) k2``.
+    ``I + sin(t) k + (1 - cos(t)) k2``.  The numeric columns are held as
+    the C-contiguous int64 and float64 arrays the native passes read.
     """
 
     kind: list[str]           # ground | phi | psi | chi
@@ -125,8 +141,7 @@ class LinkArrays:
     chi_index: np.ndarray     # (n_links,) 1..4 for chi links, else 0
     chi0: np.ndarray          # (n_links,) reference chi (deg) for the index map
     dof: np.ndarray           # (n_links,) flat dof index
-    parent: list[int]         # parent link index (a list: the per-link
-                              # loops index it element-wise)
+    parent: np.ndarray        # (n_links,) parent link index
     axis0: np.ndarray         # (n_links, 3) reference unit axes
     body0: np.ndarray         # (n_links, 3) reference body vectors
     point0: np.ndarray        # (n_links, 3) reference joint points
@@ -134,12 +149,20 @@ class LinkArrays:
     k2: np.ndarray = field(init=False, repr=False)   # (n_links, 3, 3), k @ k
 
     def __post_init__(self):
-        for li, pa in enumerate(self.parent):
-            if not (0 <= pa < li if li else pa == -1):
-                raise ChainBuildError(
-                    f"link {li} has parent {pa}; every link must follow its "
-                    f"parent and only link 0 may be the root"
-                )
+        for name, dtype in (("residue", np.int64), ("chi_index", np.int64),
+                            ("chi0", float), ("dof", np.int64), ("parent", np.int64),
+                            ("axis0", float), ("body0", float), ("point0", float)):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype))
+        parent = self.parent
+        row = np.arange(len(parent))
+        misplaced = np.where(row == 0, parent != -1, (parent < 0) | (parent >= row))
+        bad = np.flatnonzero(misplaced)
+        if bad.size:
+            li = bad[0]
+            raise ChainBuildError(
+                f"link {li} has parent {parent[li]}; every link must follow its "
+                f"parent and only link 0 may be the root"
+            )
         norms = np.linalg.norm(self.axis0[1:], axis=1)
         bad = np.flatnonzero(np.abs(norms - 1.0) > AXIS_UNIT_TOL)
         if bad.size:
@@ -161,7 +184,10 @@ class LinkArrays:
 
 @dataclass
 class Chain:
-    """Immutable-by-convention linkage over a fixed atom set."""
+    """Immutable-by-convention linkage over a fixed atom set.  Each
+    atom's offset from its link's joint point is worked out once, when
+    the chain is built, so the reference positions and atom owners are
+    read-only; ``dataclasses.replace`` builds a chain with others."""
 
     residues: list[str]
     links: LinkArrays
@@ -177,6 +203,14 @@ class Chain:
     hetero_res_names: dict[int, str] = field(default_factory=dict)  # atom -> as read
     chain_id: str = "A"   # of the protein atoms: as read when imported
     hetero_chain_ids: dict[int, str] = field(default_factory=dict)  # atom -> as read
+    offsets: np.ndarray = field(init=False, repr=False)  # (n_atoms, 3), from joint points
+
+    def __post_init__(self):
+        self.atom_link = np.array(self.atom_link, np.int64)
+        self.zp_pos = np.array(self.zp_pos, float)
+        self.offsets = self.zp_pos - self.links.point0[self.atom_link]
+        for column in (self.atom_link, self.zp_pos):
+            column.flags.writeable = False
 
     # ---- counts -------------------------------------------------------------
     @property
@@ -246,33 +280,31 @@ class KinematicState:
 
 
 def kinematic_state(chain: Chain, conf: Conformation) -> KinematicState:
-    """Batched Rodrigues rotations, then one forward pass over the links:
-    ``M[li] = M[parent] @ R[li]`` and ``P[li] = P[parent] + M[parent] @
-    body0[parent]``, valid because every parent precedes its child."""
+    """One native forward pass over the links: each joint's Rodrigues
+    rotation, then ``M[li] = M[parent] @ R[li]`` and ``P[li] = P[parent]
+    + M[parent] @ body0[parent]`` (valid because every parent precedes
+    its child), the axes ``M[li] @ axis0[li]``, and every atom at
+    ``P[owner] + M[owner] @ offset``."""
     chain.validate_conformation(conf)
-    arr = chain.links
-    t = np.radians(conf.theta[arr.dof[1:]])[:, None, None]
-    rot = np.eye(3) + np.sin(t) * arr.k[1:] + (1.0 - np.cos(t)) * arr.k2[1:]
-    parent = arr.parent
-    n_links = len(parent)
-    # the loops write through lists of per-link row views, which costs
-    # about half of indexing the stacked arrays on every step
+    links = chain.links
+    n_links, n = len(links), chain.n_atoms
     M = np.empty((n_links, 3, 3))
-    M[0] = np.eye(3)
-    m_rows = list(M)
-    for li, r in enumerate(rot, 1):
-        np.matmul(m_rows[parent[li]], r, out=m_rows[li])
-    body = list(np.einsum("lij,lj->li", M, arr.body0))
-    P = np.zeros((n_links, 3))
-    p_rows = list(P)
-    for li in range(1, n_links):
-        pa = parent[li]
-        np.add(p_rows[pa], body[pa], out=p_rows[li])
-    axes = np.einsum("lij,lj->li", M, arr.axis0)
-    owner = chain.atom_link
-    offset = chain.zp_pos - arr.point0[owner]
-    pos = P[owner] + np.einsum("aij,aj->ai", M[owner], offset)
+    P = np.empty((n_links, 3))
+    axes = np.empty((n_links, 3))
+    pos = np.empty((n, 3))
+    if native.load().call("forward_links", n_links, links.parent, links.dof,
+                          chain.n_dof, conf.theta, links.k, links.k2, links.axis0,
+                          links.body0, n, chain.atom_link, chain.offsets, M, P, axes,
+                          pos) == native.REFUSED:
+        raise link_index_error(chain)
     return KinematicState(transforms=M, joint_points=P, axes=axes, positions=pos)
+
+
+def link_index_error(chain: Chain) -> ChainBuildError:
+    """What a native link pass's refusal means: its index columns are
+    out of range."""
+    return ChainBuildError(f"link parents, dofs or atom owners out of range for "
+                           f"{len(chain.links)} links and {chain.n_dof} dofs")
 
 
 def forward_kinematics(chain: Chain, conf: Conformation) -> np.ndarray:
@@ -433,9 +465,9 @@ class _Builder:
         return len(self.links) - 1
 
     def finish(self, residues, source, chain_id="A") -> Chain:
-        # the rows are stacked once; kind and parent stay lists
+        # the rows are stacked once; kind stays a list
         columns = {name: [rec[name] for rec in self.links] for name in self.links[0]}
-        links = LinkArrays(**{name: col if name in ("kind", "parent") else np.array(col)
+        links = LinkArrays(**{name: col if name == "kind" else np.array(col)
                               for name, col in columns.items()})
         return Chain(
             residues=residues,

@@ -19,24 +19,33 @@ need the total wrench of the subtree each joint drives.  The rows of
 ``Chain.links`` are parent-first, so one reverse pass over its parent
 column, adding each link's wrench row into its parent's (in a copy, so
 the caller's array is left as given), leaves every link holding its
-subtree total; backbone and side branches need no separate cases.  One
-vectorized projection ``u.T - (u x p).F`` onto the current axes and
-joint points of the array kinematic state then gives every torque.
-That turns the quadratic contribution scan into a linear pass.  The
-compliance step moves every unfrozen joint proportionally to its
-torque, normalized so the largest step is exactly kappa degrees.
+subtree total; backbone and side branches need no separate cases.  The
+projection ``u.T - (u x p).F`` onto each joint's current axis and joint
+point then gives its torque.  That turns the quadratic contribution scan
+into a linear pass.  Like the forward kinematics, ``link_wrenches`` and
+``joint_torques`` are one native call each (``links.c``); their numpy
+references are in ``tests/oracles.py``.  The compliance step moves every
+unfrozen joint proportionally to its torque, normalized so the largest
+step is exactly kappa degrees.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import native
-from .chain import Chain, Conformation, KinematicState, apply_deltas, kinematic_state
+from .chain import (
+    Chain,
+    Conformation,
+    KinematicState,
+    apply_deltas,
+    kinematic_state,
+    link_index_error,
+)
 from .errors import ConfigurationError, KinefoldError, NonFiniteTorqueError
 from .forcefield import (
     AtomParams,
@@ -134,12 +143,14 @@ class Field:
         e_elec, mag_e = elec_pair_quantities(self.params, i, j, d2, d, w,
                                              cfg.dielectric, cut)
         e_vdw, mag_v = vdw_pair_quantities(self.params, i, j, d2, d, w, cut)
-        g_elec = float(e_elec.sum())
-        g_vdw = float(e_vdw.sum())
+        # np.add.reduce is ndarray.sum without its Python-level wrapper
+        g_elec = float(np.add.reduce(e_elec))
+        g_vdw = float(np.add.reduce(e_vdw))
         if energy_only:
             forces = np.zeros((n, 3))
         else:
-            forces = accumulate_pair_forces(n, positions, i, j, d, mag_e + mag_v)
+            forces = accumulate_pair_forces(n, positions, i, j, d,
+                                            np.add(mag_e, mag_v, out=mag_e))
         t_force = time.perf_counter() - t0
 
         g_cav = 0.0
@@ -175,17 +186,16 @@ class Field:
 
 def link_wrenches(chain: Chain, positions, forces) -> np.ndarray:
     """Net wrench per link (ground included) as one (n_links, 6) array:
-    columns 0-2 the force, 3-5 the moment about the origin."""
-    positions = np.asarray(positions, float)
-    forces = np.asarray(forces, float)
-    n_links = len(chain.links)
-    moments = np.cross(positions, forces)
-    out = np.zeros((n_links, 6))
-    link_of = chain.atom_link
-    for axis in range(3):
-        out[:, axis] = np.bincount(link_of, weights=forces[:, axis], minlength=n_links)
-        out[:, 3 + axis] = np.bincount(link_of, weights=moments[:, axis],
-                                       minlength=n_links)
+    columns 0-2 the force, 3-5 the moment about the origin, each summed
+    over the link's atoms in atom order."""
+    positions, forces = (np.ascontiguousarray(a, float) for a in (positions, forces))
+    n, n_links = chain.n_atoms, len(chain.links)
+    if positions.shape != (n, 3) or forces.shape != (n, 3):
+        raise ConfigurationError(f"positions and forces must be ({n}, 3) arrays")
+    out = np.empty((n_links, 6))
+    if native.load().call("link_wrenches", n_links, n, chain.atom_link, positions,
+                          forces, out) == native.REFUSED:
+        raise link_index_error(chain)
     return out
 
 
@@ -194,20 +204,19 @@ def joint_torques(chain: Chain, state: KinematicState,
     """Torque per dof (kcal/mol per radian of joint rotation) at the
     kinematic ``state`` from the (n_links, 6) ``link_wrenches``: subtree
     wrenches by one reverse parent-pointer pass, then projected onto
-    every joint at once; O(l) total.  ``wrenches`` is left as given."""
-    arr = chain.links
-    total = np.array(wrenches, float)
-    parent = arr.parent
-    rows = list(total)
-    for li in range(len(parent) - 1, 0, -1):
-        pa = parent[li]
-        np.add(rows[pa], rows[li], out=rows[pa])
-    u = state.axes[1:]
-    arm = np.cross(u, state.joint_points[1:])
-    proj = (np.einsum("li,li->l", u, total[1:, 3:])
-            - np.einsum("li,li->l", arm, total[1:, :3]))
-    tau = np.zeros(chain.n_dof)
-    tau[arr.dof[1:]] = proj
+    every joint; O(l) total.  ``wrenches`` is left as given."""
+    links = chain.links
+    n_links = len(links)
+    wrenches, axes, points = (np.ascontiguousarray(a, float)
+                              for a in (wrenches, state.axes, state.joint_points))
+    if (wrenches.shape != (n_links, 6) or axes.shape != (n_links, 3)
+            or points.shape != (n_links, 3)):
+        raise ConfigurationError(
+            f"wrenches must be ({n_links}, 6), state axes and joint points ({n_links}, 3)")
+    tau = np.empty(chain.n_dof)
+    if native.load().call("joint_torques", n_links, links.parent, links.dof, chain.n_dof,
+                          wrenches, axes, points, tau) == native.REFUSED:
+        raise link_index_error(chain)
     return tau
 
 
@@ -301,6 +310,8 @@ def fold(chain: Chain, conf: Conformation, fld: Field,
     tau0 = None
     converged = False
     reason = "max_iters"
+    free = ~conf.frozen  # the compliance step keeps the mask
+    partly_frozen = not free.all()
     for it in range(step.max_iters):
         t0 = time.perf_counter()
         state = kinematic_state(chain, conf)
@@ -313,10 +324,15 @@ def fold(chain: Chain, conf: Conformation, fld: Field,
         wr = link_wrenches(chain, state.positions, result.forces)
         tau = joint_torques(chain, state, wr)
         t_torque = time.perf_counter() - t0
-        check_finite_torques(tau, f"aborted at iteration {it}: ")
-
-        free = ~conf.frozen
-        tau_max = float(np.max(np.abs(tau[free]))) if free.any() else 0.0
+        # one reduction gives the peak torque; a NaN or infinite one aborts
+        # naming the first non-finite dof
+        magnitude = np.abs(tau)
+        peak = float(np.maximum.reduce(magnitude))
+        if not math.isfinite(peak):
+            check_finite_torques(tau, f"aborted at iteration {it}: ")
+        tau_max = peak
+        if partly_frozen:
+            tau_max = float(np.maximum.reduce(magnitude[free], initial=0.0))
         timings = dict(result.timings, fk=t_fk, torque=t_torque)
         records.append(IterationRecord(it, result.energy, tau_max, timings,
                                        conf.theta.copy()))
@@ -414,7 +430,6 @@ def _sweep(chain, fld, base, dofs, theta_axes, label_axes) -> ScanGrid:
         theta = base.theta.copy()
         for d, ax, k in zip(dofs, theta_axes, idx):
             theta[d] = ax[k]
-        conf = replace(base, theta=theta)
-        e = single_point(chain, conf, fld)
+        e = single_point(chain, Conformation(theta, base.frozen), fld)
         g_e[idx], g_v[idx], g_c[idx] = e.g_elec, e.g_vdw, e.g_cav
     return ScanGrid(axes=list(label_axes), g_elec=g_e, g_vdw=g_v, g_cav=g_c)

@@ -1,13 +1,15 @@
 """Build, cache and load the package's one native library.
 
-Every C source next to this file goes into it: ``pairs.c``, the pair
-stages of ``Field.evaluate`` (grid, neighbor table, cut-off pairs, pair
-weights, elec and vdW terms, force scatter), and ``sasa.c``, the two SASA
-passes.  They are compiled on first use with the system ``cc`` and fixed
-flags (no ``-march``, no fast-math, no contraction into fused
-multiply-adds, so every stage rounds like its numpy reference in
-``tests/oracles.py``).  The library is cached under
-``$XDG_CACHE_HOME/kinefold/`` (default ``~/.cache/kinefold/``) as
+Every C source next to this file goes into it: ``links.c``, the
+per-link passes of the folding loop (forward kinematics, link wrenches,
+joint torques), ``pairs.c``, the pair stages of ``Field.evaluate`` (grid,
+neighbor table, cut-off pairs, pair weights, elec and vdW terms, force
+scatter), and ``sasa.c``, the two SASA passes.  They are compiled on
+first use with the system ``cc`` and fixed flags (no ``-march``, no
+fast-math, no contraction into fused multiply-adds, so every stage
+rounds like its numpy reference in ``tests/oracles.py``).  The library
+is cached under ``$XDG_CACHE_HOME/kinefold/`` (default
+``~/.cache/kinefold/``) as
 ``native-<key>.so``, keyed by the CRC-32 of the sources and the flags,
 next to ``native-<key>.src``, a copy of the sources it was built from.
 It is loaded only when that copy equals the current sources byte for
@@ -23,8 +25,9 @@ once in ``_SIGNATURES``.  An array argument must be a C-contiguous numpy
 array of the declared dtype (and writeable for an output), so a wrong
 dtype or layout raises ``ctypes.ArgumentError`` instead of being read as
 something else.  Arrays an object holds for its whole life (atom
-parameters, bond-tree pointers, weight tables) are converted to that
-form once, when it is built.
+parameters, bond-tree pointers, weight tables, a chain's link table,
+atom owners and atom offsets) are converted to that form once, when it
+is built.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ SOURCES = tuple(sorted(Path(__file__).parent.glob("*.c")))
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
-# status codes the entry points return besides counts (see pairs.c, sasa.c)
+# status codes the entry points return besides counts (see links.c, pairs.c, sasa.c)
 NO_MEMORY, REFUSED, WIDE = -1, -2, -3
 
 
@@ -73,6 +76,14 @@ _F64, _I64, _U8, _I32 = (_array(t) for t in (np.float64, np.int64, np.uint8, np.
 _F64_OUT, _I64_OUT = _array(np.float64, True), _array(np.int64, True)
 _INT, _DBL = ctypes.c_int64, ctypes.c_double
 _SIGNATURES = {
+    # n_links, parent, dof, n_dof, theta, k, k2, axis0, body0, n, owner, offsets
+    # -> transforms, joint points, axes, positions
+    "forward_links": [_INT, _I64, _I64, _INT, _F64, _F64, _F64, _F64, _F64, _INT, _I64,
+                      _F64, _F64_OUT, _F64_OUT, _F64_OUT, _F64_OUT],
+    # n_links, n, owner, positions, forces -> wrenches (n_links x 6)
+    "link_wrenches": [_INT, _INT, _I64, _F64, _F64, _F64_OUT],
+    # n_links, parent, dof, n_dof, wrenches, axes, joint points -> tau
+    "joint_torques": [_INT, _I64, _I64, _INT, _F64, _F64, _F64, _F64_OUT],
     # n, positions, edge, max_span -> dims, order, cells (3 x n)
     "grid_cells": [_INT, _F64, _DBL, _DBL, _I64_OUT, _I64_OUT, _I64_OUT],
     # n, dims, order, occupied, starts, counts, k -> offsets, neighbors, capacity

@@ -63,11 +63,13 @@ static int64_t radix_order(int64_t n, const int64_t *key, int64_t bound,
  * linear id (x * dims[1] + y) * dims[2] + z.  order gets the atoms stably
  * sorted by id; cells gets, in three rows of n, the occupied ids
  * ascending, where each begins in order and how many atoms it holds.
- * Returns the number of occupied cells, REFUSED for a non-finite
- * coordinate, WIDE when an axis spans more than max_span. */
+ * Returns the number of occupied cells, REFUSED for no atoms or a
+ * non-finite coordinate, WIDE when an axis spans more than max_span. */
 int64_t grid_cells(int64_t n, const double *pos, double edge, double max_span,
                    int64_t *dims, int64_t *order, int64_t *cells)
 {
+    if (n < 1)
+        return REFUSED;
     for (int64_t k = 0; k < 3 * n; k++)
         if (!isfinite(pos[k]))
             return REFUSED;

@@ -16,6 +16,7 @@ with a warning.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -69,16 +70,26 @@ def _element_of(name: str, raw: str) -> str:
     return "X"
 
 
+def _read_text(path, error: type[Exception]) -> str:
+    """The file at ``path`` as UTF-8 text; ``error`` names the path (and
+    the line of the first byte that is not UTF-8) when it cannot be."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
+
+
 def read_pdb(path) -> StructureRecord:
     """Parse ATOM/HETATM records; waters removed, first model only."""
     atoms: list[AtomRecord] = []
     seen_alt: set[tuple[str, str, int, str, str]] = set()
     stripped_water = False
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise PDBFormatError(f"{path}: cannot read: {exc.strerror}") from exc
-    with fh:
+    with io.StringIO(_read_text(path, PDBFormatError), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             rec = line[:6].strip()
             if rec == "ENDMDL":
@@ -209,13 +220,10 @@ class ParamSet:
 def load_params(path=None) -> ParamSet:
     """Parse the parameter file; defaults to the shipped table."""
     if path is None:
-        text = resources.files("kinefold.data").joinpath("params.ff").read_text()
+        text = resources.files("kinefold.data").joinpath("params.ff").read_text("utf-8")
         source = "<default>"
     else:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ParameterFileError(f"{path}: cannot read: {exc.strerror}") from exc
+        text = _read_text(path, ParameterFileError)
         source = str(path)
     classes: dict[str, tuple[float, float, float, str]] = {}
     gamma_sets: dict[str, dict[str, float]] = {}

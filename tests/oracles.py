@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from kinefold.chain import KinematicState
 from kinefold.errors import ConfigurationError, StericClashError
 from kinefold.forcefield import COULOMB_K, MIN_DISTANCE
 from kinefold.geometry import AXIS_UNIT_TOL, dihedral_angle, wrap_degrees
@@ -273,6 +274,67 @@ def accumulate_pair_forces(n, positions, i, j, d, mag):
         out[:, axis] += np.bincount(i, weights=f[:, axis], minlength=n)
         out[:, axis] -= np.bincount(j, weights=f[:, axis], minlength=n)
     return out
+
+
+# --------------------------------------------------------------------------
+# numpy references of the native link passes (links.c): wrenches are
+# bitwise equal to the native ones, transforms, positions and torques
+# equal to rounding
+# --------------------------------------------------------------------------
+
+def kinematic_state(chain, conf) -> KinematicState:
+    """``chain.kinematic_state``: batched Rodrigues rotations, then one
+    forward pass over the links, ``M[li] = M[parent] @ R[li]`` and
+    ``P[li] = P[parent] + M[parent] @ body0[parent]``."""
+    chain.validate_conformation(conf)
+    arr = chain.links
+    t = np.radians(conf.theta[arr.dof[1:]])[:, None, None]
+    rot = np.eye(3) + np.sin(t) * arr.k[1:] + (1.0 - np.cos(t)) * arr.k2[1:]
+    parent = arr.parent
+    n_links = len(parent)
+    M = np.empty((n_links, 3, 3))
+    M[0] = np.eye(3)
+    for li in range(1, n_links):
+        M[li] = M[parent[li]] @ rot[li - 1]
+    body = np.einsum("lij,lj->li", M, arr.body0)
+    P = np.zeros((n_links, 3))
+    for li in range(1, n_links):
+        P[li] = P[parent[li]] + body[parent[li]]
+    axes = np.einsum("lij,lj->li", M, arr.axis0)
+    owner = chain.atom_link
+    offset = chain.zp_pos - arr.point0[owner]
+    pos = P[owner] + np.einsum("aij,aj->ai", M[owner], offset)
+    return KinematicState(transforms=M, joint_points=P, axes=axes, positions=pos)
+
+
+def link_wrenches(chain, positions, forces):
+    """``kcm.link_wrenches`` by ``bincount`` of the forces and of
+    ``np.cross(positions, forces)``."""
+    n_links = len(chain.links)
+    moments = np.cross(positions, forces)
+    out = np.zeros((n_links, 6))
+    for axis in range(3):
+        out[:, axis] = np.bincount(chain.atom_link, weights=forces[:, axis],
+                                   minlength=n_links)
+        out[:, 3 + axis] = np.bincount(chain.atom_link, weights=moments[:, axis],
+                                       minlength=n_links)
+    return out
+
+
+def joint_torques(chain, state, wrenches):
+    """``kcm.joint_torques``: the reverse parent-pointer pass over a copy
+    of the wrenches, then one vectorized projection."""
+    arr = chain.links
+    total = np.array(wrenches, float)
+    for li in range(len(arr) - 1, 0, -1):
+        total[arr.parent[li]] += total[li]
+    u = state.axes[1:]
+    arm = np.cross(u, state.joint_points[1:])
+    proj = (np.einsum("li,li->l", u, total[1:, 3:])
+            - np.einsum("li,li->l", arm, total[1:, :3]))
+    tau = np.zeros(chain.n_dof)
+    tau[arr.dof[1:]] = proj
+    return tau
 
 
 # --------------------------------------------------------------------------

@@ -378,6 +378,24 @@ def test_apply_deltas_length_mismatch(ala2):
         apply_deltas(ala2.conf_zp(), np.zeros(ala2.n_dof + 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_dihedral_names_its_dof(ala2, bad):
+    """A non-finite theta is refused where the conformation is made,
+    naming the first such dof and its value, instead of reaching the
+    neighbor grid as unhashable coordinates."""
+    theta = np.zeros(ala2.n_dof)
+    theta[[2, 3]] = bad
+    with pytest.raises(ConfigurationError, match=f"theta of dof 2 is {bad}: "):
+        Conformation(theta, np.zeros(ala2.n_dof, bool))
+
+
+def test_non_finite_step_names_its_dof(ala2):
+    deltas = np.zeros(ala2.n_dof)
+    deltas[1] = np.nan
+    with pytest.raises(ConfigurationError, match="theta of dof 1 is nan"):
+        apply_deltas(ala2.conf_zp(), deltas)
+
+
 def test_index_map_round_trip(mixed_chain, rng):
     phi = rng.uniform(-180, 179.9, mixed_chain.n_residues)
     psi = rng.uniform(-180, 179.9, mixed_chain.n_residues)

@@ -251,13 +251,20 @@ def test_missing_input_rejected(tmp_path, capsys):
      "error: /nonexistent.ff: cannot read: "),
     (["fold", "--pdb", "/nonexistent.pdb"], "error: /nonexistent.pdb: cannot read: "),
     (["sasa", "--pdb", "."], "error: .: cannot read: "),
+    (["fold", "--seq", "AA", "--params", "{binary}"], "error: {binary}:2: not UTF-8 text: "),
+    (["sasa", "--pdb", "{binary}"], "error: {binary}:2: not UTF-8 text: "),
 ], ids=["cutoffs", "cutoffs-three", "dielectric", "init-uniform", "freeze-text", "freeze-negative",
         "freeze-past-end", "rama-negative", "rama-past-end", "hinge-chi", "hinge-dash",
         "hinge-past-end", "hinge-repeated", "max-iters-zero", "energy-window-negative",
         "snapshot-every-negative", "batch-zero", "angle-range-negative", "torque-tol-nan",
         "energy-tol-nan", "kappa-nan", "delta-r-nan", "probe-radius-nan", "range-nan",
-        "params-missing", "pdb-missing", "pdb-directory"])
+        "params-missing", "pdb-missing", "pdb-directory", "params-not-utf8",
+        "pdb-not-utf8"])
 def test_bad_arguments_exit_cleanly(tmp_path, capsys, argv, message):
+    binary = tmp_path / "binary.bin"  # {binary}: a byte on line 2 is not UTF-8
+    binary.write_bytes(b"# kinefold\n" + bytes(range(128, 256)))
+    argv = [arg.replace("{binary}", str(binary)) for arg in argv]
+    message = message.replace("{binary}", str(binary))
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -246,8 +248,9 @@ def test_fold_reports_offending_iteration(param_set):
     ch = build_chain(["ALA", "ALA"])
     field = make_field(ch, param_set)
     # collapse two atoms: the clash error must carry the iteration index
-    ch_bad = build_chain(["ALA", "ALA"])
-    ch_bad.zp_pos[3] = ch_bad.zp_pos[2] + 1e-9
+    zp = ch.zp_pos.copy()
+    zp[3] = zp[2] + 1e-9
+    ch_bad = replace(ch, zp_pos=zp)
     from kinefold.errors import StericClashError
     with pytest.raises(StericClashError, match="iteration 0"):
         fold(ch_bad, ch_bad.conf_zp(), field, StepConfig(max_iters=3))

@@ -1,12 +1,15 @@
-"""The native pair stages against their numpy references in ``oracles``.
+"""The native pair stages and link passes against their numpy references
+in ``oracles``.
 
-Each stage of ``Field.evaluate`` is one call into the native library;
-``tests/oracles.py`` holds the numpy bodies they replaced, spelled in the
-same operation order.  Grid, table, pairs, squared distances, classes
-and cavity rows must be bitwise equal; pair terms and forces equal to
-rel 1e-12; errors must read the same.
+Each stage of ``Field.evaluate``, and each per-link pass of the folding
+loop, is one call into the native library; ``tests/oracles.py`` holds
+the numpy bodies they replaced, spelled in the same operation order.
+Grid, table, pairs, squared distances, classes, cavity rows and link
+wrenches must be bitwise equal; pair terms, forces, kinematics and
+torques equal to rel 1e-12; errors must read the same.
 """
 
+import ctypes
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinefold import kcm, native
-from kinefold.chain import build_chain, forward_kinematics
-from kinefold.errors import ConfigurationError, StericClashError
+from kinefold.chain import Conformation, build_chain, forward_kinematics, kinematic_state
+from kinefold.errors import ChainBuildError, ConfigurationError, StericClashError
 from kinefold.forcefield import (
     AtomParams,
     DielectricModel,
@@ -25,7 +28,8 @@ from kinefold.forcefield import (
     extract_pairs,
     vdw_pair_quantities,
 )
-from kinefold.kcm import Field, FieldConfig, StepConfig, fold
+from kinefold.kcm import Field, FieldConfig, StepConfig, fold, joint_torques, link_wrenches
+from kinefold.pdbio import AtomRecord, read_pdb, write_pdb
 from kinefold.solvation import SolvationConfig, sasa_pass, solvation_forces
 from kinefold.spatial import (
     EDGE_PER_CUTOFF,
@@ -40,7 +44,8 @@ from . import oracles
 from .conftest import UniformWeights, make_field, neighbor_table
 
 STAGES = ("build_grid", "build_neighbor_table", "extract_pairs", "elec_pair_quantities",
-          "vdw_pair_quantities", "accumulate_pair_forces")
+          "vdw_pair_quantities", "accumulate_pair_forces", "kinematic_state",
+          "link_wrenches", "joint_torques")
 # (elec, vdw): the default and vdW above elec
 CUTOFF_SETS = [Cutoffs(9.0, 5.0), Cutoffs(4.0, 6.0)]
 
@@ -50,7 +55,8 @@ def oracle_weights(self, i, j):
 
 
 def with_oracle_stages(mp):
-    """Swap every pair stage ``kcm`` calls for its numpy reference."""
+    """Swap every pair stage and link pass ``kcm`` calls for its numpy
+    reference."""
     for name in STAGES:
         mp.setattr(kcm, name, getattr(oracles, name))
     mp.setattr(TreeWeights, "weights_for", oracle_weights)
@@ -181,6 +187,124 @@ def test_vacuum_fold_matches_the_oracle_pipeline(mixed_chain, param_set):
 
 
 # --------------------------------------------------------------------------
+# the link passes (links.c)
+# --------------------------------------------------------------------------
+
+def imported_with_hetero(tmp_path):
+    """A SER/ALA/GLY/CYS/ALA chain read back from a PDB file, with two
+    hetero atoms on the ground link."""
+    ch = build_chain(["SER", "ALA", "GLY", "CYS", "ALA"])
+    path = tmp_path / "in.pdb"
+    write_pdb(ch, forward_kinematics(ch, ch.conf_zp()), path)
+    record = read_pdb(path)
+    record.atoms += [AtomRecord("FE", "HEM", 9, "A", (3.0, 4.0, 1.0), "Fe", True),
+                     AtomRecord("ZN", "ZN", 10, "B", (-2.5, 5.0, -3.25), "Zn", True)]
+    return build_chain([], geometry=record)
+
+
+LINK_CHAINS = {
+    "ala15-trans": lambda tmp_path: build_chain(["ALA"] * 15),
+    "ala15-cis": lambda tmp_path: build_chain(["ALA"] * 15, omega="cis"),
+    "mixed100": lambda tmp_path: build_chain(
+        list(np.random.default_rng(100).choice(["SER", "ALA", "CYS", "GLY"], 100))),
+    "imported-hetero": imported_with_hetero,
+}
+
+
+@pytest.fixture(params=list(LINK_CHAINS))
+def link_case(request, tmp_path):
+    """A chain, three random conformations and random atom forces."""
+    chain = LINK_CHAINS[request.param](tmp_path)
+    rng = np.random.default_rng(len(request.param))
+    confs = [Conformation(rng.uniform(-720.0, 720.0, chain.n_dof),
+                          np.zeros(chain.n_dof, bool)) for _ in range(3)]
+    return chain, confs, rng.normal(size=(chain.n_atoms, 3))
+
+
+def test_forward_links_match_the_oracle(link_case):
+    chain, confs, _ = link_case
+    hetero = chain.hetero_mask
+    for conf in confs:
+        got, want = kinematic_state(chain, conf), oracles.kinematic_state(chain, conf)
+        scale = 1e-12 * float(np.abs(want.positions).max())
+        assert np.abs(got.positions - want.positions).max() <= scale
+        assert np.abs(got.joint_points - want.joint_points).max() <= scale
+        assert np.abs(got.transforms - want.transforms).max() <= 1e-12
+        assert np.abs(got.axes - want.axes).max() <= 1e-12
+        assert np.array_equal(got.positions[hetero], chain.zp_pos[hetero])
+    assert hetero.sum() == (2 if chain.source == "imported" else 0)
+
+
+def test_link_wrenches_are_the_oracles_bitwise(link_case):
+    chain, confs, forces = link_case
+    for conf in confs:
+        pos = kinematic_state(chain, conf).positions
+        assert np.array_equal(link_wrenches(chain, pos, forces),
+                              oracles.link_wrenches(chain, pos, forces))
+
+
+def test_joint_torques_match_the_oracle(link_case):
+    chain, confs, forces = link_case
+    for conf in confs:
+        state = kinematic_state(chain, conf)
+        wrenches = link_wrenches(chain, state.positions, forces)
+        given = wrenches.copy()
+        assert_close(joint_torques(chain, state, wrenches),
+                     oracles.joint_torques(chain, state, wrenches))
+        assert np.array_equal(wrenches, given)  # left as given
+
+
+def test_link_passes_refuse_out_of_range_indices(ala2, rng):
+    """A dof or atom owner outside the table is refused, not read."""
+    conf = Conformation(rng.uniform(0.0, 360.0, ala2.n_dof), np.zeros(ala2.n_dof, bool))
+    state = kinematic_state(ala2, conf)
+    forces = np.ones((ala2.n_atoms, 3))
+    wrenches = link_wrenches(ala2, state.positions, forces)
+    far_dof = replace(ala2, links=replace(ala2.links, dof=ala2.links.dof + ala2.n_dof))
+    owner = ala2.atom_link.copy()
+    owner[-1] = -1
+    negative_owner = replace(ala2, atom_link=owner)
+    calls = [lambda: kinematic_state(far_dof, conf),
+             lambda: joint_torques(far_dof, state, wrenches),
+             lambda: kinematic_state(negative_owner, conf),
+             lambda: link_wrenches(negative_owner, state.positions, forces)]
+    for call in calls:
+        with pytest.raises(ChainBuildError, match="out of range"):
+            call()
+
+
+def test_link_passes_refuse_wrong_dtype_or_layout(ala2):
+    """The declared argument types reject an array of another dtype, a
+    strided view and a read-only output instead of misreading them."""
+    lib = native.load()
+    links, n_links, n_dof, n = ala2.links, len(ala2.links), ala2.n_dof, ala2.n_atoms
+    out = {"M": np.empty((n_links, 3, 3)), "P": np.empty((n_links, 3)),
+           "axes": np.empty((n_links, 3)), "pos": np.empty((n, 3))}
+
+    def forward(theta=np.zeros(n_dof), owner=ala2.atom_link, pos=out["pos"]):
+        return lib.call("forward_links", n_links, links.parent, links.dof, n_dof, theta,
+                        links.k, links.k2, links.axis0, links.body0, n, owner,
+                        ala2.offsets, out["M"], out["P"], out["axes"], pos)
+
+    assert forward() == 0
+    read_only = np.empty((n, 3))
+    read_only.flags.writeable = False
+    bad = [lambda: forward(theta=np.zeros(n_dof, np.float32)),
+           lambda: forward(theta=np.zeros(2 * n_dof)[::2]),
+           lambda: forward(owner=ala2.atom_link.astype(np.int32)),
+           lambda: forward(pos=read_only),
+           lambda: lib.call("link_wrenches", n_links, n, ala2.atom_link,
+                            np.zeros((n, 3), np.float32), np.zeros((n, 3)),
+                            np.empty((n_links, 6))),
+           lambda: lib.call("joint_torques", n_links, links.parent, links.dof, n_dof,
+                            np.zeros((n_links, 6)).T, out["axes"], out["P"],
+                            np.empty(n_dof))]
+    for call in bad:
+        with pytest.raises(ctypes.ArgumentError):
+            call()
+
+
+# --------------------------------------------------------------------------
 # errors keep their meaning
 # --------------------------------------------------------------------------
 
@@ -204,7 +328,9 @@ def test_clash_names_the_pair_argmin_picks(gaps):
 
 def test_fold_abort_text_is_the_oracles(param_set):
     ch = build_chain(["ALA", "ALA"])
-    ch.zp_pos[3] = ch.zp_pos[2] + 1e-9
+    zp = ch.zp_pos.copy()
+    zp[3] = zp[2] + 1e-9
+    ch = replace(ch, zp_pos=zp)
     field = make_field(ch, param_set)
 
     def message():
@@ -279,7 +405,8 @@ class Exhausted:
 
 
 def test_allocation_failure_is_memory_error(monkeypatch, ala2, param_set):
-    pos = forward_kinematics(ala2, ala2.conf_zp())
+    state = kinematic_state(ala2, ala2.conf_zp())
+    pos = state.positions
     field = make_field(ala2, param_set, solvation=True,
                        solvation_cfg=SolvationConfig(samples=16))
     grid = build_grid(pos, 9.0)
@@ -302,6 +429,7 @@ def test_allocation_failure_is_memory_error(monkeypatch, ala2, param_set):
         "exposure": lambda: sasa_pass(pos, field.params, lists, sphere, solv),
         "force_events": lambda: solvation_forces(pos, field.params, lists, sphere, states,
                                                  solv),
+        "joint_torques": lambda: kcm.joint_torques(ala2, state, np.zeros((len(ala2.links), 6))),
     }
     exhausted = replace(native.load(), library=Exhausted())
     monkeypatch.setattr(native, "load", lambda: exhausted)

@@ -1,6 +1,7 @@
 """The native library loader (``kinefold.native``): one build of every C
-source (the SASA passes of ``sasa.c`` and the pair stages of
-``pairs.c``), cached and loaded with checked signatures."""
+source (the link passes of ``links.c``, the pair stages of ``pairs.c``
+and the SASA passes of ``sasa.c``), cached and loaded with checked
+signatures."""
 
 import ctypes
 import fnmatch
@@ -93,7 +94,7 @@ def test_package_data_ships_the_kernel_source():
     config = tomllib.loads((ROOT / "pyproject.toml").read_text())
     globs = config["tool"]["setuptools"]["package-data"]["kinefold"]
     names = sorted(path.name for path in native.SOURCES)
-    assert names == ["pairs.c", "sasa.c"]
+    assert names == ["links.c", "pairs.c", "sasa.c"]
     for name in names:
         assert any(fnmatch.fnmatch(name, g) for g in globs), name
     assert {path.parent for path in native.SOURCES} == {ROOT / "src" / "kinefold"}
