@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kinefold import kcm
 from kinefold.errors import ConfigurationError
-from kinefold.forcefield import AtomParams, extract_pairs
+from kinefold.forcefield import MIN_DISTANCE, AtomParams, extract_pairs
 from kinefold.kcm import Field, FieldConfig
 from kinefold.solvation import SolvationConfig, reach
 from kinefold.spatial import (
@@ -219,8 +219,11 @@ def clouds(draw):
     cut = draw(st.sampled_from(CUTOFFS + REACHES))
     step = draw(st.sampled_from([0.5, EDGE_PER_CUTOFF * cut]))
     pts = step * rng.integers(0, 25, (draw(st.integers(0, 120)), 3))
-    pts = np.concatenate([[[0.0, 0.0, 0.0], [cut, 0.0, 0.0], face_diagonal(cut)], pts])
-    return np.unique(pts, axis=0)
+    fixed = np.array([[0.0, 0.0, 0.0], [cut, 0.0, 0.0], face_diagonal(cut)])
+    # with the cell edge as step, 2 * step is cut * (1 + 1e-9): a lattice
+    # atom there would clash with the pair atom at cut, so it is left out
+    gap = np.linalg.norm(pts[:, None, :] - fixed[None], axis=2).min(axis=1)
+    return np.unique(np.concatenate([fixed, pts[gap >= MIN_DISTANCE]]), axis=0)
 
 
 def assert_same_pairs(table, pos, d_cut, want):
