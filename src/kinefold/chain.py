@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,8 +78,9 @@ BACKBONE_CLASSES = {"N": "N", "H": "H", "C": "C", "O": "O", "OXT": "O2"}
 
 @dataclass(frozen=True)
 class Conformation:
-    """Dihedral state: theta per joint in degrees, wrapped to [0, 360).
-    Every theta must be finite."""
+    """Dihedral state: theta per joint in degrees and the frozen-joint mask,
+    both read-only.  Only this constructor checks (every theta finite) and
+    wraps theta to [0, 360); a read-only bool mask of its own is shared."""
 
     theta: np.ndarray
     frozen: np.ndarray
@@ -94,8 +95,12 @@ class Conformation:
                 raise ConfigurationError(
                     f"theta of dof {bad[0]} is {theta.flat[bad[0]]}: "
                     f"dihedrals must be finite")
-        object.__setattr__(self, "theta", wrap_degrees(theta))
-        object.__setattr__(self, "frozen", np.asarray(self.frozen, bool).copy())
+        frozen = np.asarray(self.frozen, bool)
+        if frozen.flags.writeable or frozen.base is not None:
+            frozen = frozen.copy()
+        for name, array in (("theta", wrap_degrees(theta)), ("frozen", frozen)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.theta.shape != self.frozen.shape:
             raise ConfigurationError("theta and frozen mask must have equal length")
 
@@ -108,18 +113,15 @@ class Conformation:
             )
         mask = self.frozen.copy()
         mask[dofs] = True
-        return replace(self, frozen=mask)
+        return Conformation(self.theta, mask)
 
 
 def apply_deltas(conf: Conformation, deltas) -> Conformation:
     """Add per-joint increments (degrees); frozen joints stay put."""
     deltas = np.asarray(deltas, float)
     if deltas.shape != conf.theta.shape:
-        raise ConfigurationError(
-            f"delta length {deltas.shape} != dof count {conf.theta.shape}"
-        )
-    step = np.where(conf.frozen, 0.0, deltas)
-    return replace(conf, theta=wrap_degrees(conf.theta + step))
+        raise ConfigurationError(f"delta length {deltas.shape} != dof count {conf.theta.shape}")
+    return Conformation(conf.theta + np.where(conf.frozen, 0.0, deltas), conf.frozen)
 
 
 @dataclass(frozen=True)
@@ -241,8 +243,8 @@ class Chain:
         phi = np.broadcast_to(np.asarray(phi, float), (m,))
         psi = np.broadcast_to(np.asarray(psi, float), (m,))
         theta = np.zeros(self.n_dof)
-        theta[0 : 2 * m : 2] = wrap_degrees(phi + 180.0)
-        theta[1 : 2 * m : 2] = wrap_degrees(psi + 180.0)
+        theta[0 : 2 * m : 2] = phi + 180.0
+        theta[1 : 2 * m : 2] = psi + 180.0
         return Conformation(theta, np.zeros(self.n_dof, bool))
 
     def dihedrals_from_theta(self, conf: Conformation):

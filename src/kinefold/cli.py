@@ -181,9 +181,9 @@ def _initial_conformation(chain: Chain, args, rng) -> Conformation:
 def cmd_fold(args) -> int:
     if args.batch < 1:
         raise KinefoldError(f"--batch: expected at least 1 run, got {args.batch}")
-    if not (math.isfinite(args.angle_range) and args.angle_range >= 0):
-        raise KinefoldError(f"--angle-range: expected a finite non-negative half-range, "
-                            f"got {args.angle_range}")
+    if not (args.angle_range >= 0 and math.isfinite(2 * args.angle_range)):
+        raise KinefoldError(f"--angle-range: expected a non-negative half-range whose "
+                            f"span 2R is finite, got {args.angle_range}")
     chain, field = _build_system(args, args.water)
     rng = np.random.default_rng(args.seed)
     step = StepConfig(**{f.name: getattr(args, f.name)
@@ -238,7 +238,8 @@ def cmd_scan_hinge(args) -> int:
     dofs = []
     for part in args.hinges.split(","):
         res_s, _, kind = part.partition(":")
-        res = int(res_s) - 1 if res_s.strip().isdigit() else -1
+        # isdecimal, not isdigit: int() refuses superscript digits such as '²'
+        res = int(res_s) - 1 if res_s.strip().isdecimal() else -1
         if kind not in ("phi", "psi") or not 0 <= res < chain.n_residues:
             raise KinefoldError(f"--hinges: entry {part!r} is not RES:phi or RES:psi "
                                 f"with RES in 1..{chain.n_residues}")

@@ -34,13 +34,14 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
 
 
 def wrap_degrees(theta) -> np.ndarray:
-    """Wrap angle(s) into [0, 360)."""
-    return np.mod(theta, 360.0)
+    """Wrap angle(s) into [0, 360); a tiny negative goes to 0, not 360."""
+    wrapped = np.mod(theta, 360.0)
+    return np.where(wrapped == 360.0, 0.0, wrapped)
 
 
 def signed_degrees(theta) -> np.ndarray:
     """Wrap angle(s) into [-180, 180)."""
-    return np.mod(np.asarray(theta, dtype=float) + 180.0, 360.0) - 180.0
+    return wrap_degrees(np.asarray(theta, dtype=float) + 180.0) - 180.0
 
 
 def dihedral_angle(p1, p2, p3, p4) -> float:

@@ -26,7 +26,8 @@ into a linear pass.  Like the forward kinematics, ``link_wrenches`` and
 ``joint_torques`` are one native call each (``links.c``); their numpy
 references are in ``tests/oracles.py``.  The compliance step moves every
 unfrozen joint proportionally to its torque, normalized so the largest
-step is exactly kappa degrees.
+step is exactly kappa degrees: ``peak_torque`` alone tests the torques
+and takes that peak, and ``Conformation`` alone checks and wraps theta.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .chain import (
     Chain,
     Conformation,
     KinematicState,
-    apply_deltas,
     kinematic_state,
     link_index_error,
 )
@@ -250,29 +250,35 @@ class StepConfig:
                     f"{name} must be non-negative and finite, got {value}")
 
 
-def check_finite_torques(tau: np.ndarray, context: str = "") -> None:
-    """Raise naming the first non-finite dof instead of stepping on it."""
-    bad = np.flatnonzero(~np.isfinite(tau))
-    if bad.size:
-        raise NonFiniteTorqueError(
-            f"{context}non-finite torque {tau[bad[0]]} on dof {bad[0]}"
-            f" ({bad.size} of {tau.size} dofs non-finite)"
-        )
+def peak_torque(tau: np.ndarray, frozen: np.ndarray) -> float:
+    """The largest |torque| over the unfrozen dofs, 0 when every dof is
+    frozen.  A NaN or infinite torque on any dof, frozen or not, raises
+    naming the first such dof instead of being stepped on."""
+    if tau.shape != frozen.shape:
+        raise ConfigurationError(f"torque shape {tau.shape} != mask shape {frozen.shape}")
+    magnitude = np.abs(tau)
+    peak = float(np.maximum.reduce(magnitude))  # NaN propagates; inf stays
+    if not math.isfinite(peak):
+        bad = np.flatnonzero(~np.isfinite(tau))
+        raise NonFiniteTorqueError(f"non-finite torque {tau[bad[0]]} on dof {bad[0]}"
+                                   f" ({bad.size} of {tau.size} dofs non-finite)")
+    if frozen.any():
+        peak = float(np.maximum.reduce(magnitude[~frozen], initial=0.0))
+    return peak
 
 
 def kcm_step(tau: np.ndarray, conf: Conformation,
              config: StepConfig) -> tuple[Conformation, np.ndarray]:
     """One normalized compliance step on the per-dof torques ``tau``;
     frozen joints and zero fields stay."""
-    check_finite_torques(tau)
-    free = ~conf.frozen
-    if not free.any():
-        raise ConfigurationError("cannot step with every joint frozen")
-    tau_max = float(np.max(np.abs(tau[free])))
+    tau_max = peak_torque(tau, conf.frozen)
     if tau_max == 0.0:
+        if conf.frozen.all():
+            raise ConfigurationError("cannot step with every joint frozen")
         return conf, np.zeros_like(tau)
-    deltas = np.where(free, config.kappa * tau / tau_max, 0.0)
-    return apply_deltas(conf, deltas), deltas
+    # mask first: a frozen dof's torque over a tiny free peak can overflow
+    deltas = config.kappa * np.where(conf.frozen, 0.0, tau) / tau_max
+    return Conformation(conf.theta + deltas, conf.frozen), deltas
 
 
 @dataclass
@@ -310,32 +316,22 @@ def fold(chain: Chain, conf: Conformation, fld: Field,
     tau0 = None
     converged = False
     reason = "max_iters"
-    free = ~conf.frozen  # the compliance step keeps the mask
-    partly_frozen = not free.all()
     for it in range(step.max_iters):
         t0 = time.perf_counter()
         state = kinematic_state(chain, conf)
         t_fk = time.perf_counter() - t0
         try:
             result = fld.evaluate(state.positions)
+            t0 = time.perf_counter()
+            wr = link_wrenches(chain, state.positions, result.forces)
+            tau = joint_torques(chain, state, wr)
+            t_torque = time.perf_counter() - t0
+            tau_max = peak_torque(tau, conf.frozen)
         except KinefoldError as exc:
             raise type(exc)(f"aborted at iteration {it}: {exc}") from exc
-        t0 = time.perf_counter()
-        wr = link_wrenches(chain, state.positions, result.forces)
-        tau = joint_torques(chain, state, wr)
-        t_torque = time.perf_counter() - t0
-        # one reduction gives the peak torque; a NaN or infinite one aborts
-        # naming the first non-finite dof
-        magnitude = np.abs(tau)
-        peak = float(np.maximum.reduce(magnitude))
-        if not math.isfinite(peak):
-            check_finite_torques(tau, f"aborted at iteration {it}: ")
-        tau_max = peak
-        if partly_frozen:
-            tau_max = float(np.maximum.reduce(magnitude[free], initial=0.0))
         timings = dict(result.timings, fk=t_fk, torque=t_torque)
         records.append(IterationRecord(it, result.energy, tau_max, timings,
-                                       conf.theta.copy()))
+                                       conf.theta))
         if step.snapshot_every and it % step.snapshot_every == 0:
             snapshots.append((it, conf))
 

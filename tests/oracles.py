@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from kinefold.chain import KinematicState
-from kinefold.errors import ConfigurationError, StericClashError
+from kinefold.errors import ConfigurationError, NonFiniteTorqueError, StericClashError
 from kinefold.forcefield import COULOMB_K, MIN_DISTANCE
 from kinefold.geometry import AXIS_UNIT_TOL, dihedral_angle, wrap_degrees
 from kinefold.kcm import Field
@@ -538,6 +538,28 @@ def quadratic_joint_torques(chain, state, wrenches):
                                - np.cross(u, p) @ wrenches[h, :3])
         tau[links.dof[li]] = total
     return tau
+
+
+def reference_kcm_step(tau, conf, kappa):
+    """The compliance step as first written, returning (theta, deltas).
+
+    It tests the torques for NaN/inf and takes the peak over the free
+    dofs itself, masks the deltas, and then, as ``apply_deltas`` did,
+    masks them again and wraps theta with ``np.mod`` before the new
+    conformation wrapped it a second time."""
+    bad = np.flatnonzero(~np.isfinite(tau))
+    if bad.size:
+        raise NonFiniteTorqueError(f"non-finite torque {tau[bad[0]]} on dof {bad[0]}")
+    free = ~conf.frozen
+    if not free.any():
+        raise ConfigurationError("cannot step with every joint frozen")
+    tau_max = float(np.max(np.abs(tau[free])))
+    if tau_max == 0.0:
+        return conf.theta, np.zeros_like(tau)
+    with np.errstate(over="ignore"):  # a frozen dof's quotient may overflow
+        deltas = np.where(free, kappa * tau / tau_max, 0.0)
+    step = np.where(conf.frozen, 0.0, deltas)
+    return np.mod(np.mod(conf.theta + step, 360.0), 360.0), deltas
 
 
 def _subtree_links(chain):

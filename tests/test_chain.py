@@ -365,6 +365,19 @@ def test_apply_deltas_respects_freeze():
     assert out.theta[1] == pytest.approx(100.0)
 
 
+def test_conformation_arrays_are_read_only(ala2):
+    """Nothing can write into a conformation, so the step shares its
+    mask and the fold records its theta without copies."""
+    conf = ala2.conf_zp()
+    for array in (conf.theta, conf.frozen):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert apply_deltas(conf, np.ones(ala2.n_dof)).frozen is conf.frozen
+    mask = np.zeros(ala2.n_dof, bool)
+    kept = Conformation(conf.theta, mask)
+    assert kept.frozen is not mask and mask.flags.writeable  # the caller's mask is copied
+
+
 def test_freeze_rejects_out_of_range_dofs(ala2):
     conf = ala2.conf_zp()
     assert conf.freeze([0, ala2.n_dof - 1]).frozen.sum() == 2

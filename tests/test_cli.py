@@ -226,6 +226,8 @@ def test_missing_input_rejected(tmp_path, capsys):
     (["scan-hinge", "--seq", "AAAA", "--hinges", "2:chi"], "error: --hinges: entry '2:chi'"),
     (["scan-hinge", "--seq", "AAAA", "--hinges", "2-phi"], "error: --hinges: entry '2-phi'"),
     (["scan-hinge", "--seq", "AAAA", "--hinges", "5:phi"], "error: --hinges: entry '5:phi'"),
+    (["scan-hinge", "--seq", "AAAA", "--hinges", "\u00b2:phi"],
+     "error: --hinges: entry '\u00b2:phi'"),
     (["scan-hinge", "--seq", "AAAA", "--hinges", "2:phi,2:phi"],
      "error: --hinges: entry '2:phi' names a hinge twice"),
     (["fold", "--seq", "AA", "--max-iters", "0"], "error: max_iters must be at least 1"),
@@ -236,6 +238,8 @@ def test_missing_input_rejected(tmp_path, capsys):
     (["fold", "--seq", "AA", "--batch", "0"], "error: --batch: "),
     (["fold", "--seq", "AA", "--init", "random", "--angle-range", "-5"],
      "error: --angle-range: "),
+    (["fold", "--seq", "AA", "--init", "random", "--angle-range", "1e308"],
+     "error: --angle-range: expected a non-negative half-range whose span 2R is finite"),
     (["fold", "--seq", "AA", "--torque-tol", "nan"],
      "error: torque_tol must be non-negative and finite, got nan"),
     (["fold", "--seq", "AA", "--energy-tol", "nan"],
@@ -255,8 +259,9 @@ def test_missing_input_rejected(tmp_path, capsys):
     (["sasa", "--pdb", "{binary}"], "error: {binary}:2: not UTF-8 text: "),
 ], ids=["cutoffs", "cutoffs-three", "dielectric", "init-uniform", "freeze-text", "freeze-negative",
         "freeze-past-end", "rama-negative", "rama-past-end", "hinge-chi", "hinge-dash",
-        "hinge-past-end", "hinge-repeated", "max-iters-zero", "energy-window-negative",
-        "snapshot-every-negative", "batch-zero", "angle-range-negative", "torque-tol-nan",
+        "hinge-past-end", "hinge-superscript", "hinge-repeated", "max-iters-zero",
+        "energy-window-negative", "snapshot-every-negative", "batch-zero",
+        "angle-range-negative", "angle-range-overflow", "torque-tol-nan",
         "energy-tol-nan", "kappa-nan", "delta-r-nan", "probe-radius-nan", "range-nan",
         "params-missing", "pdb-missing", "pdb-directory", "params-not-utf8",
         "pdb-not-utf8"])

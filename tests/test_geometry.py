@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kinefold.chain import Conformation
 from kinefold.errors import ConfigurationError
 from kinefold.geometry import (
     dihedral_angle,
@@ -51,6 +52,26 @@ def test_wrap_conventions():
     assert wrap_degrees(-1.0) == pytest.approx(359.0)
     assert signed_degrees(180.0) == pytest.approx(-180.0)
     assert signed_degrees(179.0) == pytest.approx(179.0)
+    # np.mod rounds a tiny negative up to the divisor itself; the upper
+    # bound is mapped to the lower one, a positive zero
+    for x in (-1e-20, -5e-324, -0.0, 720.0):
+        assert wrap_degrees(x) == 0.0 and not np.signbit(wrap_degrees(x))
+    assert signed_degrees(np.nextafter(-180.0, -np.inf)) == -180.0
+    assert Conformation(np.array([-1e-20]), np.zeros(1, bool)).theta[0] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-1e-20)
+@example(-5e-324)
+@example(-0.0)
+@example(720.0)
+@example(float(np.nextafter(-180.0, -np.inf)))
+def test_wrappers_stay_in_range_and_wrap_idempotent(x):
+    wrapped = wrap_degrees(x)
+    assert 0.0 <= wrapped < 360.0
+    assert wrap_degrees(wrapped) == wrapped
+    assert -180.0 <= signed_degrees(x) < 180.0
 
 
 def test_dihedral_sign_follows_right_hand_rotation():

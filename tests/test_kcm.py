@@ -22,7 +22,7 @@ from kinefold.kcm import (
 
 
 from .conftest import atom_index, make_field, random_case, random_sequences
-from .oracles import quadratic_joint_torques
+from .oracles import quadratic_joint_torques, reference_kcm_step
 
 
 def random_conf(chain, rng, lo=0.0, hi=360.0):
@@ -169,6 +169,41 @@ def test_step_scale_invariance():
     assert np.allclose(d1, d2, atol=1e-15)
 
 
+@st.composite
+def step_cases(draw):
+    """Torques, a mask that leaves some joint free, thetas near the wrap
+    points 0 and 360 as well as anywhere, and a kappa that can make steps
+    small enough to land a hair below zero."""
+    n = draw(st.integers(1, 10))
+    tau = draw(st.one_of(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n),
+        st.just([0.0] * n)))
+    frozen = draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                  .filter(lambda mask: not all(mask)))
+    theta = draw(st.lists(st.one_of(st.floats(-1e-12, 1e-12),
+                                    st.floats(360.0 - 1e-12, 360.0 + 1e-12),
+                                    st.floats(0.0, 360.0)), min_size=n, max_size=n))
+    kappa = draw(st.one_of(st.just(0.5), st.floats(1e-30, 10.0)))
+    return np.array(tau), np.array(frozen), np.array(theta), kappa
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_cases())
+@example((np.array([-1.0, 0.5]), np.zeros(2, bool), np.array([0.0, 5.0]), 1e-20))
+@example((np.array([3.0, -1.0, 2.0]), np.array([False, True, False]),
+          np.array([1e-13, 359.9999999999999, 0.0]), 0.5))
+@example((np.array([1.0, 2.2e-311]), np.array([True, False]), np.zeros(2), 0.5))
+def test_step_matches_reference_bitwise(case):
+    """``kcm_step`` (one peak, one mask, one wrap) gives the theta and
+    deltas of the step as first written, to the bit."""
+    tau, frozen, theta, kappa = case
+    conf = Conformation(theta, frozen)
+    out, deltas = kcm_step(tau, conf, StepConfig(kappa=kappa))
+    ref_theta, ref_deltas = reference_kcm_step(tau, conf, kappa)
+    assert out.theta.tobytes() == ref_theta.tobytes()
+    assert deltas.tobytes() == ref_deltas.tobytes()
+
+
 def test_step_skips_frozen_and_excludes_from_max():
     conf = Conformation(np.zeros(2), np.array([True, False]))
     tau = np.array([100.0, 1.0])
@@ -209,18 +244,21 @@ def test_step_config_rejects_out_of_range_counts():
 # ---- fold -----------------------------------------------------------------
 
 def test_torque_free_start_converges_immediately(param_set):
+    """A null field, or a real one with every joint frozen, leaves no free
+    torque: the fold stops at iteration 0 with one record."""
     ch = build_chain(["GLY", "GLY"])
     params = param_set.resolve(ch)
     # null field: no charges, no well depths, no surface energy
-    from dataclasses import replace
     null = replace(params, q=np.zeros(ch.n_atoms), eps=np.zeros(ch.n_atoms))
-    from kinefold.kcm import Field
     from kinefold.topology import TreeWeights, build_tree
-    field = Field(null, TreeWeights(build_tree(ch), param_set.weights), FieldConfig())
-    traj = fold(ch, ch.conf_zp(), field, StepConfig(max_iters=10))
-    assert traj.converged and traj.reason == "torque-free"
-    assert traj.iterations == 1
-    assert np.array_equal(traj.final.theta, ch.conf_zp().theta)
+    weights = TreeWeights(build_tree(ch), param_set.weights)
+    for atom_params, start in ((null, ch.conf_zp()),
+                               (params, ch.conf_zp().freeze(range(ch.n_dof)))):
+        field = Field(atom_params, weights, FieldConfig())
+        traj = fold(ch, start, field, StepConfig(max_iters=10))
+        assert traj.converged and traj.reason == "torque-free"
+        assert traj.iterations == 1 and traj.records[0].tau_max == 0.0
+        assert np.array_equal(traj.final.theta, ch.conf_zp().theta)
 
 
 def test_fold_respects_freeze(param_set):
@@ -258,8 +296,18 @@ def test_fold_reports_offending_iteration(param_set):
 
 
 def test_fold_names_iteration_of_non_finite_torque(param_set):
+    """The abort names the iteration and the first non-finite dof, also
+    when every dof carrying the NaN is frozen: the peak covers only the
+    free dofs, but the finiteness test covers them all."""
     ch = build_chain(["ALA"] * 3)
     field = make_field(ch, param_set)
+    # the dofs upstream of the last atom carry its NaN force; the chi
+    # joints of the three residues stay free to step on iteration 0
+    li, nan_dofs = int(ch.atom_link[-1]), []
+    while li > 0:
+        nan_dofs.append(int(ch.links.dof[li]))
+        li = int(ch.links.parent[li])
+    start = ch.conf_from_backbone(-30.0, -30.0)
 
     class NaNAfterFirst:
         """Finite forces on iteration 0, a NaN force on the last atom after."""
@@ -273,10 +321,11 @@ def test_fold_names_iteration_of_non_finite_torque(param_set):
             return result
 
     # the NaN reaches every joint upstream of the last atom: dof 0 first
-    with pytest.raises(NonFiniteTorqueError,
-                       match="iteration 1: non-finite torque nan on dof 0 "):
-        fold(ch, ch.conf_from_backbone(-30.0, -30.0), NaNAfterFirst(),
-             StepConfig(max_iters=5, torque_tol_rel=0.0))
+    for conf in (start, start.freeze(nan_dofs)):
+        assert not conf.frozen.all()
+        with pytest.raises(NonFiniteTorqueError,
+                           match="iteration 1: non-finite torque nan on dof 0 "):
+            fold(ch, conf, NaNAfterFirst(), StepConfig(max_iters=5, torque_tol_rel=0.0))
 
 
 def test_fold_water_mode_runs(param_set):
