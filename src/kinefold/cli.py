@@ -234,6 +234,11 @@ def cmd_scan_rama(args) -> int:
 
 
 def cmd_scan_hinge(args) -> int:
+    # a NaN or infinite R is hinge_scan's to refuse; a finite R can still
+    # overflow the span of the sweep
+    if math.isfinite(args.range) and not math.isfinite(2 * args.range):
+        raise KinefoldError(f"--range: expected a half range whose span 2R is finite, "
+                            f"got {args.range}")
     chain, field = _build_system(args, args.water)
     dofs = []
     for part in args.hinges.split(","):

@@ -15,6 +15,13 @@ call each: ``extract_pairs`` is ``cutoff_pairs``,
 and ``vdw_terms`` over the whole pair arrays, and
 ``accumulate_pair_forces`` is ``scatter_forces``.  Their numpy
 references, with the same operation order, live in ``tests/oracles.py``.
+
+``extract_pairs`` and the two pair terms write their outputs into the
+``spatial.Workspace`` they are given as ``work`` (``kcm.Field`` passes
+its own), so their results are views that the next call on the same
+workspace overwrites; without one they get fresh arrays.
+``accumulate_pair_forces`` always returns a fresh ``(n, 3)`` array, so
+the forces an evaluation hands out never alias a workspace.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from . import native
 from .errors import ConfigurationError, StericClashError
-from .spatial import Cutoffs, NeighborTable
+from .spatial import Cutoffs, NeighborTable, Workspace
 
 COULOMB_K = 332.06          # kcal A / (mol e^2)
 MIN_DISTANCE = 1e-6         # A; closer pairs abort as steric clashes
@@ -86,11 +93,14 @@ class EnergyBreakdown:
         return self.g_elec + self.g_vdw + self.g_cav
 
 
-def extract_pairs(positions, table: NeighborTable, d_cut: float):
+def extract_pairs(positions, table: NeighborTable, d_cut: float,
+                  work: Workspace | None = None):
     """Exact cut-off pairs (i < j, sorted by (i, j)) from the superset
     half ``table``, with squared distances and distances, after the
-    steric-clash guard.  The outputs are sized by the table's candidate
+    steric-clash guard.  The outputs are views of ``work``'s ``ij`` and
+    ``dd`` (a new workspace when None), sized by the table's candidate
     count, an exact bound."""
+    work = Workspace() if work is None else work
     n = len(table)
     positions = np.ascontiguousarray(positions, float)
     offsets = np.ascontiguousarray(table.offsets, np.int64)
@@ -99,8 +109,8 @@ def extract_pairs(positions, table: NeighborTable, d_cut: float):
         raise ConfigurationError(
             f"positions of shape {positions.shape} do not match a table of {n} rows")
     m = len(neighbors)
-    ij = np.empty((2, m), np.int64)
-    dd = np.empty((2, m))
+    ij = work.take("ij", (2, m), np.int64)
+    dd = work.take("dd", (2, m))
     closest = ctypes.c_int64()
     kept = native.load().call("cutoff_pairs", n, positions, offsets, neighbors, m,
                               d_cut * d_cut, ij, dd, ctypes.byref(closest))
@@ -115,37 +125,43 @@ def extract_pairs(positions, table: NeighborTable, d_cut: float):
     return i, j, d2, d
 
 
-def _pair_terms(name, n, i, j, d2, d, w, per_atom, cutoffs: Cutoffs, cut: float):
+def _pair_terms(name, n, i, j, d2, d, w, per_atom, cutoffs: Cutoffs, cut: float,
+                work: Workspace | None):
     """One native pair-term pass: (energy, force magnitude) per pair, 0
-    for the pairs outside ``d2 <= max(elec, vdw)**2`` and ``d <= cut``."""
+    for the pairs outside ``d2 <= max(elec, vdw)**2`` and ``d <= cut``,
+    the two rows of ``work``'s buffer ``name`` (a new workspace when
+    None)."""
+    work = Workspace() if work is None else work
     i, j = (np.ascontiguousarray(a, np.int64) for a in (i, j))
     d2, d, w = (np.ascontiguousarray(a, float) for a in (d2, d, w))
     m = len(i)
     if any(a.shape != (m,) for a in (i, j, d2, d)) or w.shape != (m, 2):
         raise ConfigurationError("pair arrays must share one length, weights (m, 2)")
     bound = max(cutoffs.elec, cutoffs.vdw)
-    out = np.empty((2, m))
+    out = work.take(name, (2, m))
     if native.load().call(name, m, i, j, d2, d, w, n, *per_atom, bound * bound, cut,
                           out) == native.REFUSED:
         raise ConfigurationError(f"pairs name atoms outside the {n} atoms")
     return out[0], out[1]
 
 
-def elec_pair_quantities(params, i, j, d2, d, w, dielectric, cutoffs: Cutoffs):
+def elec_pair_quantities(params, i, j, d2, d, w, dielectric, cutoffs: Cutoffs,
+                         work: Workspace | None = None):
     """Energy and force magnitude per pair for the Coulomb term, weights
     ``w[:, 0]``.  A pair counts when ``d <= cutoffs.elec`` and ``d2 <=
     max(elec, vdw)**2`` (so both terms see the same pairs whatever sets
     the table cut-off); the others get 0."""
     return _pair_terms("elec_terms", params.n_atoms, i, j, d2, d, w,
-                       (params.q, dielectric.kappa or 0.0), cutoffs, cutoffs.elec)
+                       (params.q, dielectric.kappa or 0.0), cutoffs, cutoffs.elec, work)
 
 
-def vdw_pair_quantities(params, i, j, d2, d, w, cutoffs: Cutoffs):
+def vdw_pair_quantities(params, i, j, d2, d, w, cutoffs: Cutoffs,
+                        work: Workspace | None = None):
     """Energy and force magnitude per pair for the 6-12 term, weights
     ``w[:, 1]``, on the pairs with ``d <= cutoffs.vdw`` and ``d2 <=
     max(elec, vdw)**2``; the others get 0."""
     return _pair_terms("vdw_terms", params.n_atoms, i, j, d2, d, w,
-                       (params.R, params.eps), cutoffs, cutoffs.vdw)
+                       (params.R, params.eps), cutoffs, cutoffs.vdw, work)
 
 
 def accumulate_pair_forces(n, positions, i, j, d, mag) -> np.ndarray:

@@ -10,7 +10,12 @@ library (``native``): ``build_grid`` and ``build_neighbor_table``,
 ``extract_pairs``, ``TreeWeights.weights_for``, ``elec_pair_quantities``
 and ``vdw_pair_quantities`` over the whole pair arrays, and
 ``accumulate_pair_forces``; ``evaluate`` itself only sums the energies
-and the two force magnitudes.
+and the two force magnitudes.  The candidate-sized arrays of those
+stages live in the ``Field``'s one ``spatial.Workspace``, which grows to
+the largest evaluation it has seen and is reused by every later one, so
+an evaluation allocates only atom-sized arrays, the pair weights and,
+when solvated, the reach test and the cavity rows.  Everything a
+``FieldResult`` holds is its own.
 
 Per iteration, atom forces are summed into per-link wrenches, one
 (n_links, 6) array: columns 0-2 the force, 3-5 the moment about the
@@ -68,6 +73,7 @@ from .solvation import (
 from .spatial import (
     Cutoffs,
     NeighborTable,
+    Workspace,
     build_grid,
     build_neighbor_table,
     filtered_lists,
@@ -97,12 +103,19 @@ class FieldResult:
 @dataclass
 class Field:
     """Bundles parameters, pair weights, and options for one system.  The
-    table cut-off, worked out once here, also covers every pair in reach."""
+    table cut-off, worked out once here, also covers every pair in reach.
+
+    A Field owns one workspace, ``work``, for the pair arrays of its
+    evaluations (empty until the first ``evaluate``), so it is not
+    thread-safe: concurrent ``evaluate`` calls on one Field are
+    unsupported.  Use one Field per thread."""
 
     params: AtomParams
     weights: object
     config: FieldConfig = field(default_factory=FieldConfig)
     table_cutoff: float = field(init=False)
+    work: Workspace = field(default_factory=Workspace, init=False, repr=False,
+                            compare=False)
     _sphere: SampleSphere | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -121,7 +134,7 @@ class Field:
 
     def _neighbor_table(self, positions) -> NeighborTable:
         """Superset half table from a cell list binned at the table cut-off."""
-        return build_neighbor_table(build_grid(positions, self.table_cutoff))
+        return build_neighbor_table(build_grid(positions, self.table_cutoff), self.work)
 
     def evaluate(self, positions, *, energy_only: bool = False) -> FieldResult:
         cfg = self.config
@@ -138,11 +151,12 @@ class Field:
         # cut-off), one force scatter of the summed magnitudes, and the
         # cavity rows below from the same arrays
         t0 = time.perf_counter()
-        i, j, d2, d = extract_pairs(positions, table, self.table_cutoff)
+        work = self.work
+        i, j, d2, d = extract_pairs(positions, table, self.table_cutoff, work)
         w = self.weights.weights_for(i, j)
         e_elec, mag_e = elec_pair_quantities(self.params, i, j, d2, d, w,
-                                             cfg.dielectric, cut)
-        e_vdw, mag_v = vdw_pair_quantities(self.params, i, j, d2, d, w, cut)
+                                             cfg.dielectric, cut, work)
+        e_vdw, mag_v = vdw_pair_quantities(self.params, i, j, d2, d, w, cut, work)
         # np.add.reduce is ndarray.sum without its Python-level wrapper
         g_elec = float(np.add.reduce(e_elec))
         g_vdw = float(np.add.reduce(e_vdw))

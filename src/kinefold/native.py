@@ -86,9 +86,10 @@ _SIGNATURES = {
     "joint_torques": [_INT, _I64, _I64, _INT, _F64, _F64, _F64, _F64_OUT],
     # n, positions, edge, max_span -> dims, order, cells (3 x n)
     "grid_cells": [_INT, _F64, _DBL, _DBL, _I64_OUT, _I64_OUT, _I64_OUT],
-    # n, dims, order, occupied, starts, counts, k -> offsets, neighbors, capacity
+    # n, dims, order, occupied, starts, counts, k -> offsets, neighbors, by_hi
+    # (scratch), capacity
     "neighbor_table": [_INT, _I64, _I64, _I64, _I64, _I64, _INT, _I64_OUT, _I64_OUT,
-                       _INT],
+                       _I64_OUT, _INT],
     # n, positions, offsets, neighbors, m, cut2 -> ij (2 x m), dd (2 x m), closest
     "cutoff_pairs": [_INT, _F64, _I64, _I64, _INT, _DBL, _I64_OUT, _F64_OUT,
                      ctypes.POINTER(ctypes.c_int64)],

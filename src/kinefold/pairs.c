@@ -14,7 +14,10 @@
  * Every entry point returns a count (or 0), NO_MEMORY when scratch memory
  * cannot be allocated, and REFUSED or WIDE when its input cannot be used.
  * The caller sizes the outputs: by the atom count, by the candidate
- * count, or by a count pass (neighbor_table).
+ * count, or by a count pass (neighbor_table).  It also passes in the one
+ * candidate-sized scratch array (neighbor_table's by_hi), so that it can
+ * reuse every candidate-sized array from call to call; only atom-sized
+ * scratch is allocated here.
  */
 #include <math.h>
 #include <stdint.h>
@@ -191,12 +194,13 @@ static void visit_cells(Pairs *p, const int64_t *dims, const int64_t *occupied,
 /* The half table of the grid's candidate pairs: row i holds, ascending,
  * every j > i in a cell the table joins to i's.  Returns the number of
  * pairs.  offsets (n + 1) and neighbors are filled only when capacity
- * holds every pair, so a call with capacity 0 is the count pass.
- * REFUSED when the grid does not partition the n atoms. */
+ * holds every pair, so a call with capacity 0 is the count pass; by_hi,
+ * of the same capacity, is the fill pass's scratch.  REFUSED when the
+ * grid does not partition the n atoms. */
 int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
                        const int64_t *occupied, const int64_t *starts,
                        const int64_t *counts, int64_t k, int64_t *offsets,
-                       int64_t *neighbors, int64_t capacity)
+                       int64_t *neighbors, int64_t *by_hi, int64_t capacity)
 {
     int64_t seen = 0;
     for (int64_t a = 0; a < k; a++) {
@@ -218,11 +222,9 @@ int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
     /* bucket the pairs by hi, then deal the buckets, hi ascending, into
      * the rows of their lo: every row comes out ascending.  The pairs are
      * enumerated again for each pass instead of being stored. */
-    int64_t *by_hi = malloc((size_t)(total ? total : 1) * sizeof *by_hi);
     int64_t *bucket = calloc((size_t)n + 1, sizeof *bucket);
     int64_t *cursor = malloc(((size_t)n + 1) * sizeof *cursor);
-    if (!by_hi || !bucket || !cursor) {
-        free(by_hi);
+    if (!bucket || !cursor) {
         free(bucket);
         free(cursor);
         return NO_MEMORY;
@@ -247,7 +249,6 @@ int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
     for (int64_t h = 0; h < n; h++)
         for (int64_t t = bucket[h]; t < bucket[h + 1]; t++)
             neighbors[cursor[by_hi[t]]++] = h;
-    free(by_hi);
     free(bucket);
     free(cursor);
     return total;

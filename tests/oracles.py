@@ -146,10 +146,11 @@ def _segment_arange(lengths):
     return np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
 
 
-def build_neighbor_table(grid: HashGrid) -> NeighborTable:
+def build_neighbor_table(grid: HashGrid, work=None) -> NeighborTable:
     """``spatial.build_neighbor_table``: the pairs inside each cell and
     between a cell and its occupied forward neighbors, sorted as keys
-    ``i * n + j`` into a half table."""
+    ``i * n + j`` into a half table.  ``work`` is ignored, as in every
+    stage reference here: the outputs are fresh arrays."""
     order, occ, starts, counts = grid.order, grid.occupied, grid.starts, grid.counts
     n = len(order)
     rest = np.repeat(starts + counts, counts) - np.arange(1, n + 1)
@@ -181,7 +182,7 @@ def table_pairs(table: NeighborTable):
     return np.repeat(np.arange(len(table)), np.diff(table.offsets)), table.neighbors
 
 
-def extract_pairs(positions, table: NeighborTable, d_cut):
+def extract_pairs(positions, table: NeighborTable, d_cut, work=None):
     """``forcefield.extract_pairs``: (i, j, d2, d) of the pairs within
     ``d_cut``, after the clash guard on the first pair of least d."""
     i, j = table_pairs(table)
@@ -233,7 +234,7 @@ def _term_pairs(i, j, d2, d, cutoffs, cut):
     return keep, i[keep], j[keep], d[keep]
 
 
-def elec_pair_quantities(params, i, j, d2, d, w, dielectric, cutoffs):
+def elec_pair_quantities(params, i, j, d2, d, w, dielectric, cutoffs, work=None):
     """``forcefield.elec_pair_quantities``: 0 outside the term's pairs."""
     keep, i, j, d = _term_pairs(i, j, d2, d, cutoffs, cutoffs.elec)
     kap = d if dielectric.kappa is None else dielectric.kappa
@@ -244,7 +245,7 @@ def elec_pair_quantities(params, i, j, d2, d, w, dielectric, cutoffs):
     return e, mag
 
 
-def vdw_pair_quantities(params, i, j, d2, d, w, cutoffs):
+def vdw_pair_quantities(params, i, j, d2, d, w, cutoffs, work=None):
     """``forcefield.vdw_pair_quantities``, powers by multiplication as in
     the native term (numpy's vectorised ``pow`` rounds differently)."""
     keep, i, j, d = _term_pairs(i, j, d2, d, cutoffs, cutoffs.vdw)

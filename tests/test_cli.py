@@ -251,6 +251,8 @@ def test_missing_input_rejected(tmp_path, capsys):
      "error: probe radius and delta_r must be positive and finite"),
     (["scan-hinge", "--seq", "AAA", "--hinges", "2:phi", "--range", "nan"],
      "error: hinge half range must be finite, got nan"),
+    (["scan-hinge", "--seq", "AAAA", "--hinges", "2:phi", "--range", "1e308", "--steps", "3"],
+     "error: --range: expected a half range whose span 2R is finite, got 1e+308"),
     (["fold", "--seq", "AA", "--params", "/nonexistent.ff"],
      "error: /nonexistent.ff: cannot read: "),
     (["fold", "--pdb", "/nonexistent.pdb"], "error: /nonexistent.pdb: cannot read: "),
@@ -263,8 +265,8 @@ def test_missing_input_rejected(tmp_path, capsys):
         "energy-window-negative", "snapshot-every-negative", "batch-zero",
         "angle-range-negative", "angle-range-overflow", "torque-tol-nan",
         "energy-tol-nan", "kappa-nan", "delta-r-nan", "probe-radius-nan", "range-nan",
-        "params-missing", "pdb-missing", "pdb-directory", "params-not-utf8",
-        "pdb-not-utf8"])
+        "range-overflow", "params-missing", "pdb-missing", "pdb-directory",
+        "params-not-utf8", "pdb-not-utf8"])
 def test_bad_arguments_exit_cleanly(tmp_path, capsys, argv, message):
     binary = tmp_path / "binary.bin"  # {binary}: a byte on line 2 is not UTF-8
     binary.write_bytes(b"# kinefold\n" + bytes(range(128, 256)))

@@ -19,7 +19,7 @@ from kinefold.kcm import (
     ramachandran_scan,
     single_point,
 )
-
+from kinefold.solvation import SolvationConfig
 
 from .conftest import atom_index, make_field, random_case, random_sequences
 from .oracles import quadratic_joint_torques, reference_kcm_step
@@ -239,6 +239,72 @@ def test_step_config_rejects_out_of_range_counts():
         with pytest.raises(ConfigurationError, match=message):
             StepConfig(**kwargs)
     assert StepConfig(max_iters=1, energy_window=0, snapshot_every=0).max_iters == 1
+
+
+# ---- the Field's workspace ------------------------------------------------
+
+FIELD_MODES = pytest.mark.parametrize("solvation, energy_only", [
+    (False, False), (True, False), (True, True)], ids=["vacuum", "solvated", "energy-only"])
+
+
+def workspace_case(param_set, solvation):
+    """A 12-residue chain, its Field, and its extended and helical
+    positions: the helix has more candidate and kept pairs."""
+    chain = build_chain(["SER", "ALA", "GLY", "CYS"] * 3)
+    cfg = dict(solvation=True, solvation_cfg=SolvationConfig(samples=64)) if solvation else {}
+    m = chain.n_residues
+    compact = chain.conf_from_backbone(np.full(m, -57.0), np.full(m, -47.0))
+    positions = [forward_kinematics(chain, c) for c in (chain.conf_zp(), compact)]
+    return chain, cfg, make_field(chain, param_set, **cfg), positions
+
+
+def result_arrays(result):
+    """Every number of a FieldResult but its timings, as arrays (copies)."""
+    e = result.energy
+    out = [result.forces.copy(), np.array([e.g_elec, e.g_vdw, e.g_cav])]
+    if result.sasa is not None:
+        out += [result.sasa.f_exp.copy(), result.sasa.a_exp.copy()]
+    return out
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@FIELD_MODES
+def test_reused_workspace_matches_a_fresh_field(param_set, solvation, energy_only):
+    """Extended and helical positions in turn on one Field: its buffers grow
+    at the first helix and are only partly used by the extended positions
+    after it.  Every result is bitwise a fresh Field's, and no later
+    evaluation changes an earlier result."""
+    chain, cfg, fld, (extended, compact) = workspace_case(param_set, solvation)
+    results, copies, sizes = [], [], []
+    for pos in (extended, compact, extended, compact, extended):
+        results.append(fld.evaluate(pos, energy_only=energy_only))
+        copies.append(result_arrays(results[-1]))
+        sizes.append({name: buf.size for name, buf in fld.work.buffers.items()})
+        fresh = make_field(chain, param_set, **cfg).evaluate(pos, energy_only=energy_only)
+        assert_same_arrays(copies[-1], result_arrays(fresh))
+    assert all(sizes[1][name] > size for name, size in sizes[0].items())
+    assert sizes[2:] == [sizes[1]] * 3
+    for result, copy in zip(results, copies):
+        assert_same_arrays(result_arrays(result), copy)
+
+
+@FIELD_MODES
+def test_repeat_evaluation_reuses_every_buffer(param_set, solvation, energy_only):
+    """The same positions again: every buffer at the same address, none
+    grown, and the candidate-sized arrays of every pair stage among them."""
+    _, _, fld, (_, compact) = workspace_case(param_set, solvation)
+    assert fld.work.buffers == {}
+    fld.evaluate(compact, energy_only=energy_only)
+    before = {name: (buf.ctypes.data, buf.size) for name, buf in fld.work.buffers.items()}
+    fld.evaluate(compact, energy_only=energy_only)
+    after = {name: (buf.ctypes.data, buf.size) for name, buf in fld.work.buffers.items()}
+    assert after == before
+    assert set(before) == {"neighbors", "by_hi", "ij", "dd", "elec_terms", "vdw_terms"}
 
 
 # ---- fold -----------------------------------------------------------------

@@ -369,12 +369,12 @@ def test_table_is_sized_by_its_count_pass():
     assert len(table.neighbors) == 300 * 299 // 2
     assert np.array_equal(table.neighbors, oracles.build_neighbor_table(grid).neighbors)
     offsets = np.full(301, -7, np.int64)
-    short = np.full(10, -7, np.int64)
+    short, short_scratch = np.full(10, -7, np.int64), np.full(10, -7, np.int64)
     total = native.load().call("neighbor_table", 300, grid.dims, grid.order, grid.occupied,
                                grid.starts, grid.counts, len(grid.occupied), offsets,
-                               short, len(short))
+                               short, short_scratch, len(short))
     assert total == len(table.neighbors)
-    assert (offsets == -7).all() and (short == -7).all()
+    assert (offsets == -7).all() and (short == -7).all() and (short_scratch == -7).all()
 
 
 def test_stages_refuse_indices_outside_the_atoms(param_set, ala2):

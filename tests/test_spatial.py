@@ -14,6 +14,7 @@ from kinefold.spatial import (
     EDGE_PER_CUTOFF,
     MAX_SPAN,
     Cutoffs,
+    Workspace,
     build_grid,
     build_neighbor_table,
     filtered_lists,
@@ -361,3 +362,20 @@ def test_cavity_membership_is_the_reach_test(cutoffs, use_hash):
     pos = np.array([[0.0, 0.0, 0.0], edge, at])
     lists = cavity_lists(pos, cutoffs, use_hash=use_hash)
     assert [row.tolist() for row in lists] == [[2], [], [0]]
+
+
+def test_workspace_grows_only_for_a_larger_request():
+    """The same memory for the same or a smaller size; a larger request
+    replaces the buffer, with an eighth of headroom once it has grown."""
+    work = Workspace()
+    first = work.take("ij", (2, 40), np.int64)
+    assert first.shape == (2, 40) and first.flags.c_contiguous and first.flags.writeable
+    assert work.buffers["ij"].size == 80
+    smaller = work.take("ij", (2, 10), np.int64)
+    assert smaller.ctypes.data == first.ctypes.data and smaller.flags.c_contiguous
+    assert work.buffers["ij"].size == 80
+    assert work.take("ij", (2, 48), np.int64).shape == (2, 48)
+    assert work.buffers["ij"].size == 96 + 12
+    assert work.take("ij", (3,), np.float64).dtype == np.float64
+    assert work.buffers["ij"].dtype == np.float64
+    assert list(work.buffers) == ["ij"]
