@@ -13,15 +13,17 @@
  *
  * Every entry point returns a count (or 0), NO_MEMORY when scratch memory
  * cannot be allocated, and REFUSED or WIDE when its input cannot be used.
- * The caller sizes the outputs: by the atom count, by the candidate
- * count, or by a count pass (neighbor_table).  It also passes in the one
- * candidate-sized scratch array (neighbor_table's by_hi), so that it can
- * reuse every candidate-sized array from call to call; only atom-sized
- * scratch is allocated here.
+ * The caller sizes the outputs: by the atom count or by the candidate
+ * count; neighbor_table fills the capacity it is given and reports what
+ * it needs when that is short.  It also passes in the one candidate-sized
+ * scratch array (neighbor_table's unions), so that it can reuse every
+ * candidate-sized array from call to call; only atom-sized scratch is
+ * allocated here.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define NO_MEMORY (-1)
 #define REFUSED (-2)
@@ -130,77 +132,65 @@ int64_t grid_cells(int64_t n, const double *pos, double edge, double max_span,
  * half neighbor table
  * ------------------------------------------------------------------- */
 
-/* One walk over the candidate pairs (lo < hi): it counts them (total),
- * counts them per row and per hi bucket (rows, buckets), or files each lo
- * into its hi bucket (by_hi at cursor[hi]), whichever pointers are set. */
-typedef struct {
-    const int64_t *order, *starts, *counts;
-    int64_t total;
-    int64_t *rows, *buckets;
-    int64_t *by_hi, *cursor;
-} Pairs;
-
-static void cell_pairs(Pairs *p, int64_t a, int64_t b)
+static int64_t drain_word(uint64_t *bits, int64_t x, int64_t *out, int64_t m)
 {
-    int64_t sa = p->starts[a], ca = p->counts[a];
-    int64_t sb = p->starts[b], cb = p->counts[b];
-    if (!p->rows && !p->by_hi) {
-        p->total += a == b ? ca * (ca - 1) / 2 : ca * cb;
-        return;
-    }
-    for (int64_t x = 0; x < ca; x++) {
-        int64_t u = p->order[sa + x];
-        for (int64_t y = a == b ? x + 1 : 0; y < cb; y++) {
-            int64_t v = p->order[sb + y];
-            int64_t lo = u < v ? u : v, hi = u < v ? v : u;
-            if (p->rows) {
-                p->rows[lo]++;
-                p->buckets[hi]++;
-            } else {
-                p->by_hi[p->cursor[hi]++] = lo;
-            }
-        }
-    }
+    uint64_t word = bits[x];
+    bits[x] = 0;
+    for (; word; word &= word - 1)
+        out[m++] = 64 * x + __builtin_ctzll(word);
+    return m;
 }
 
-/* Every occupied cell with itself, and with the occupied cells at its 62
- * forward offsets in [-2, 2]^3 (those lexicographically above (0, 0, 0)).
- * For one offset the targets occupied[a] + offset ascend with a, so one
- * merge walk over the sorted ids finds them all. */
-static void visit_cells(Pairs *p, const int64_t *dims, const int64_t *occupied,
-                        int64_t k)
+static int by_value(const void *a, const void *b)
 {
-    for (int64_t a = 0; a < k; a++)
-        cell_pairs(p, a, a);
-    for (int dx = 0; dx <= 2; dx++)
-        for (int dy = -2; dy <= 2; dy++)
-            for (int dz = -2; dz <= 2; dz++) {
-                if (dx == 0 && (dy < 0 || (dy == 0 && dz <= 0)))
-                    continue;
-                int64_t off = ((int64_t)dx * dims[1] + dy) * dims[2] + dz;
-                int64_t b = 0;
-                for (int64_t a = 0; a < k; a++) {
-                    int64_t target = occupied[a] + off;
-                    while (b < k && occupied[b] < target)
-                        b++;
-                    if (b == k)
-                        break;
-                    if (occupied[b] == target)
-                        cell_pairs(p, a, b);
-                }
-            }
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Writes the atoms marked in bits to out, ascending, clears their bits
+ * and returns how many there were; words lists, unordered, the w > 0
+ * words that hold them.  The words between the lowest and the highest
+ * listed are scanned when they are fewer than 4 w, and the list is
+ * sorted otherwise, so the cost follows the marks, not the bitmap. */
+static int64_t read_marks(uint64_t *bits, int64_t *words, int64_t w, int64_t *out)
+{
+    int64_t lo = words[0], hi = words[0], m = 0;
+    for (int64_t t = 1; t < w; t++) {
+        lo = words[t] < lo ? words[t] : lo;
+        hi = words[t] > hi ? words[t] : hi;
+    }
+    if (hi - lo < 4 * w) {
+        for (int64_t x = lo; x <= hi; x++)
+            m = drain_word(bits, x, out, m);
+    } else {
+        qsort(words, (size_t)w, sizeof *words, by_value);
+        for (int64_t t = 0; t < w; t++)
+            m = drain_word(bits, words[t], out, m);
+    }
+    return m;
 }
 
 /* The half table of the grid's candidate pairs: row i holds, ascending,
- * every j > i in a cell the table joins to i's.  Returns the number of
- * pairs.  offsets (n + 1) and neighbors are filled only when capacity
- * holds every pair, so a call with capacity 0 is the count pass; by_hi,
- * of the same capacity, is the fill pass's scratch.  REFUSED when the
- * grid does not partition the n atoms. */
+ * every j > i in a cell within [-2, 2]^3 of i's.  One sweep over the
+ * occupied cells a, in id order:
+ *   - a's 5x5x5 stencil is 25 columns (dx, dy) of five ids,
+ *     occupied[a] + (dx * dims[1] + dy) * dims[2] + [-2, 2]; one cursor
+ *     per column finds them, and since the ids ascend with a the cursors
+ *     only move forward;
+ *   - the atoms of those cells, the union U_a, are marked in a bitmap and
+ *     read back ascending into unions;
+ *   - each atom u of a gets the suffix of U_a above u as its row, so its
+ *     row length is |U_a| minus u's rank in U_a, minus one.
+ * The sweep sums the pairs.  When capacity holds them and union_capacity
+ * the stored unions, the offsets (n + 1) are summed from the lengths and
+ * each row is copied from its union; otherwise nothing is written but
+ * *union_size, the union capacity a fill needs.  Returns the number of
+ * pairs, REFUSED when the grid does not partition the n atoms. */
 int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
                        const int64_t *occupied, const int64_t *starts,
                        const int64_t *counts, int64_t k, int64_t *offsets,
-                       int64_t *neighbors, int64_t *by_hi, int64_t capacity)
+                       int64_t *neighbors, int64_t capacity, int64_t *unions,
+                       int64_t union_capacity, int64_t *union_size)
 {
     int64_t seen = 0;
     for (int64_t a = 0; a < k; a++) {
@@ -213,44 +203,89 @@ int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
     for (int64_t x = 0; x < n; x++)
         if (order[x] < 0 || order[x] >= n)
             return REFUSED;
-    Pairs p = {order, starts, counts, 0, NULL, NULL, NULL, NULL};
-    visit_cells(&p, dims, occupied, k);
-    int64_t total = p.total;
-    if (capacity < total)
-        return total;
-
-    /* bucket the pairs by hi, then deal the buckets, hi ascending, into
-     * the rows of their lo: every row comes out ascending.  The pairs are
-     * enumerated again for each pass instead of being stored. */
-    int64_t *bucket = calloc((size_t)n + 1, sizeof *bucket);
-    int64_t *cursor = malloc(((size_t)n + 1) * sizeof *cursor);
-    if (!bucket || !cursor) {
-        free(bucket);
-        free(cursor);
+    /* atom-sized scratch: the bitmap and its marked words (one more, as
+     * every mark stores its word before it knows whether the word is
+     * new), a union that does not fit in unions, the row lengths, the end
+     * of each union */
+    int64_t n_words = n / 64 + 1;
+    uint64_t *bits = calloc((size_t)n_words, sizeof *bits);
+    int64_t *scratch = malloc((size_t)(n_words + 1 + 2 * n + k) * sizeof *scratch);
+    if (!bits || !scratch) {
+        free(bits);
+        free(scratch);
         return NO_MEMORY;
     }
-    for (int64_t x = 0; x <= n; x++)
-        offsets[x] = 0;
-    p.rows = offsets + 1;
-    p.buckets = bucket + 1;
-    visit_cells(&p, dims, occupied, k);
+    int64_t *words = scratch, *spill = words + n_words + 1, *length = spill + n;
+    int64_t *end = length + n, total = 0, used = 0, need = 0;
     for (int64_t x = 0; x < n; x++) {
-        offsets[x + 1] += offsets[x];
-        bucket[x + 1] += bucket[x];
+        uint64_t bit = (uint64_t)1 << (order[x] & 63);
+        if (bits[order[x] >> 6] & bit) {  /* an atom twice */
+            free(bits);
+            free(scratch);
+            return REFUSED;
+        }
+        bits[order[x] >> 6] |= bit;
     }
-    for (int64_t x = 0; x <= n; x++)
-        cursor[x] = bucket[x];
-    p.rows = p.buckets = NULL;
-    p.by_hi = by_hi;
-    p.cursor = cursor;
-    visit_cells(&p, dims, occupied, k);
-    for (int64_t x = 0; x <= n; x++)
-        cursor[x] = offsets[x];
-    for (int64_t h = 0; h < n; h++)
-        for (int64_t t = bucket[h]; t < bucket[h + 1]; t++)
-            neighbors[cursor[by_hi[t]]++] = h;
-    free(bucket);
-    free(cursor);
+    memset(bits, 0, (size_t)n_words * sizeof *bits);
+
+    /* column c's five ids are occupied[a] + column[c] + [0, 4]: the cells
+     * first[c] up to after[c], and their atoms order[starts[first[c]]]
+     * up to order[starts[after[c]]] */
+    int64_t column[25], first[25], after[25];
+    for (int c = 0; c < 25; c++) {
+        column[c] = ((int64_t)(c / 5 - 2) * dims[1] + (c % 5 - 2)) * dims[2] - 2;
+        first[c] = after[c] = 0;
+    }
+    for (int64_t a = 0; a < k; a++) {
+        int64_t w = 0, bound = 0;
+        for (int c = 0; c < 25; c++) {
+            int64_t lo = occupied[a] + column[c], b = first[c], e = after[c];
+            while (b < k && occupied[b] < lo)
+                b++;
+            for (e = e > b ? e : b; e < k && occupied[e] <= lo + 4; e++)
+                ;
+            first[c] = b;
+            after[c] = e;
+            int64_t x = b < k ? starts[b] : n, stop = e < k ? starts[e] : n;
+            for (bound += stop - x; x < stop; x++) {
+                int64_t v = order[x];
+                words[w] = v >> 6;  /* kept only when the word was empty */
+                w += !bits[v >> 6];
+                bits[v >> 6] |= (uint64_t)1 << (v & 63);
+            }
+        }
+        need = used + bound > need ? used + bound : need;
+        int64_t *u_a = used + bound <= union_capacity ? unions + used : spill;
+        int64_t size = read_marks(bits, words, w, u_a);
+        for (int64_t x = starts[a]; x < starts[a] + counts[a]; x++) {
+            int64_t u = order[x], lo = 0, hi = size - 1;
+            while (lo < hi) {  /* u's rank: a's own cell is in its stencil */
+                int64_t mid = lo + (hi - lo) / 2;
+                if (u_a[mid] < u)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            length[u] = size - lo - 1;
+            total += length[u];
+        }
+        used += size;
+        end[a] = used;
+    }
+    *union_size = need;
+    if (total <= capacity && need <= union_capacity) {
+        offsets[0] = 0;
+        for (int64_t u = 0; u < n; u++)
+            offsets[u + 1] = offsets[u] + length[u];
+        for (int64_t a = 0; a < k; a++)
+            for (int64_t x = starts[a]; x < starts[a] + counts[a]; x++) {
+                int64_t u = order[x];
+                memcpy(neighbors + offsets[u], unions + end[a] - length[u],
+                       (size_t)length[u] * sizeof *neighbors);
+            }
+    }
+    free(bits);
+    free(scratch);
     return total;
 }
 

@@ -3,20 +3,23 @@
 Atom centers are binned into cubic cells of edge just over half the
 cut-off, so two atoms within it are at most two cells apart on every
 axis, and a cell's neighbors lie in its 5x5x5 block (all of it: even
-the corner cells come within ``edge * sqrt(3) ~ 0.87 * d_cut``).  Each
-pair of cells is visited once: a cell with itself, and with the occupied
-cells at its 62 forward offsets, those lexicographically above
-(0, 0, 0) (Allen & Tildesley, *Computer Simulation of Liquids*, 2nd ed.,
-2017, ch. 5).  The candidates are a superset of the cut-off pairs.
+the corner cells come within ``edge * sqrt(3) ~ 0.87 * d_cut``).  An
+atom's candidates are the other atoms of its cell's block (Allen &
+Tildesley, *Computer Simulation of Liquids*, 2nd ed., 2017, ch. 5), a
+superset of its cut-off pairs.
 
 Both stages are native (``pairs.c``, loaded by ``native``):
 ``build_grid`` is one call of ``grid_cells``, which bins and stably sorts
-the atoms by cell; ``build_neighbor_table`` calls ``neighbor_table``
-twice, a count pass that sizes the table and the pass that fills it.
-Their numpy references live in ``tests/oracles.py``.
+the atoms by cell; ``build_neighbor_table`` is one call of
+``neighbor_table``, which sweeps the occupied cells once: the atoms of a
+cell's block form one union, sorted once, and each atom of the cell gets
+the union's suffix above it as its row.  That call fills the table into
+the workspace's buffers when they hold it; a second call fills it only
+after they have had to grow.  Their numpy references live in
+``tests/oracles.py``.
 
 The candidate-sized arrays of an evaluation (the table's ``neighbors``
-and the native pass's bucket scratch here, the kept pairs and both pair
+and the native pass's stored unions here, the kept pairs and both pair
 terms' outputs in ``forcefield``) are views of a ``Workspace``: named
 numpy buffers that only grow.  ``kcm.Field`` owns one, so from its
 second evaluation on the pair stages allocate nothing candidate-sized.
@@ -42,6 +45,7 @@ against live with the other references in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 from dataclasses import dataclass
@@ -120,17 +124,19 @@ class Workspace:
     items of the buffer ``name``, uninitialised: the same memory again for
     the same or a smaller size, so a caller that asks for the sizes of
     its last call allocates nothing.  A buffer that is too small is
-    dropped before the larger one is made, with an eighth of headroom
-    once it has had to grow, so slowly growing sizes reallocate rarely
-    and the peak holds one copy.  ``buffers`` maps each name to its whole
-    buffer.  A view is valid until the next ``take`` of its name.
+    dropped before the larger one is made, and every buffer is made with
+    an eighth of headroom, so slowly growing sizes reallocate rarely and
+    the peak holds one copy; pages of the headroom that are never written
+    cost no memory.  ``buffers`` maps each name to its whole buffer, and
+    ``whole`` returns it.  A view is valid until the next ``take`` of
+    its name.
 
     Each buffer is an anonymous memory map of its own, outside the malloc
     heap, and is unmapped when its last view goes.  So where the buffers
     land does not depend on glibc's dynamic mmap threshold, and they
     neither pin the heap nor leave a hole in it when they go."""
 
-    HEADROOM = 8   # a regrown buffer holds size + size // HEADROOM items
+    HEADROOM = 8   # a buffer holds size + size // HEADROOM items
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -140,13 +146,19 @@ class Workspace:
         size = math.prod(shape)
         buf = self.buffers.get(name)
         if buf is None or buf.dtype != dtype or buf.size < size:
-            regrown = self.buffers.pop(name, None) is not None
+            self.buffers.pop(name, None)
             del buf  # freed before the larger one is made
-            headroom = size // self.HEADROOM if regrown else 0
-            count = size + headroom
+            count = size + size // self.HEADROOM
             pages = mmap.mmap(-1, max(count * dtype.itemsize, 1))
             buf = self.buffers[name] = np.frombuffer(pages, dtype, count)
         return buf[:size].reshape(shape)
+
+    def whole(self, name: str, dtype=np.float64) -> np.ndarray:
+        """The whole buffer ``name``, or an empty array when there is none
+        of ``dtype``: for a caller that learns the size it needs only
+        while it fills."""
+        buf = self.buffers.get(name)
+        return buf if buf is not None and buf.dtype == dtype else np.empty(0, dtype)
 
 
 @dataclass
@@ -171,23 +183,31 @@ class NeighborTable:
 
 
 def build_neighbor_table(grid: HashGrid, work: Workspace | None = None) -> NeighborTable:
-    """Half table of superset candidate pairs at the grid's cut-off;
-    expected O(n) overall.  A count pass sizes the table, then one pass
-    fills it, each row ascending.  ``neighbors`` and the fill pass's
-    scratch come from ``work`` (a new workspace when None)."""
+    """Half table of superset candidate pairs at the grid's cut-off, each
+    row ascending; expected O(n) overall.  ``neighbors`` and the native
+    pass's stored unions are filled into the whole buffers of ``work`` (a
+    new workspace when None); only when those are short is the table
+    filled by a second call, after they grow to the sizes the first one
+    reported."""
     work = Workspace() if work is None else work
     n = len(grid.order)
-    lib = native.load()
-    cells = (n, grid.dims, grid.order, grid.occupied, grid.starts, grid.counts,
-             len(grid.occupied))
     offsets = np.empty(n + 1, np.int64)
-    total = lib.call("neighbor_table", *cells, offsets, offsets[:0], offsets[:0], 0)
+    union_size = ctypes.c_int64()
+
+    def fill(neighbors, unions):
+        return native.load().call(
+            "neighbor_table", n, grid.dims, grid.order, grid.occupied, grid.starts,
+            grid.counts, len(grid.occupied), offsets, neighbors, len(neighbors), unions,
+            len(unions), ctypes.byref(union_size))
+
+    neighbors, unions = work.whole("neighbors", np.int64), work.whole("unions", np.int64)
+    total = fill(neighbors, unions)
     if total == native.REFUSED:
         raise ConfigurationError(f"the grid does not partition its {n} atoms")
-    neighbors = work.take("neighbors", (total,), np.int64)
-    lib.call("neighbor_table", *cells, offsets, neighbors,
-             work.take("by_hi", (total,), np.int64), total)
-    return NeighborTable(offsets=offsets, neighbors=neighbors)
+    if total > len(neighbors) or union_size.value > len(unions):
+        neighbors = work.take("neighbors", (total,), np.int64)
+        fill(neighbors, work.take("unions", (union_size.value,), np.int64))
+    return NeighborTable(offsets=offsets, neighbors=neighbors[:total])
 
 
 def filtered_lists(n: int, i: np.ndarray, j: np.ndarray) -> NeighborTable:

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kinefold import native
 from kinefold.chain import Conformation, build_chain, forward_kinematics, kinematic_state
 from kinefold.errors import ConfigurationError, NonFiniteTorqueError
 from kinefold.kcm import (
@@ -304,7 +306,34 @@ def test_repeat_evaluation_reuses_every_buffer(param_set, solvation, energy_only
     fld.evaluate(compact, energy_only=energy_only)
     after = {name: (buf.ctypes.data, buf.size) for name, buf in fld.work.buffers.items()}
     assert after == before
-    assert set(before) == {"neighbors", "by_hi", "ij", "dd", "elec_terms", "vdw_terms"}
+    assert set(before) == {"neighbors", "unions", "ij", "dd", "elec_terms", "vdw_terms"}
+
+
+class CountingLibrary:
+    """The native library, counting the calls of each entry point."""
+
+    def __init__(self, library):
+        self.library, self.calls = library, Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.library, name)
+
+
+@FIELD_MODES
+def test_repeat_evaluation_builds_the_table_in_one_call(param_set, solvation, energy_only,
+                                                       monkeypatch):
+    """A fresh Field's first evaluation sizes the table with one native
+    call and fills it with a second; the same positions again fit the
+    workspace, so one call sizes and fills it."""
+    _, _, fld, (_, compact) = workspace_case(param_set, solvation)
+    counting = CountingLibrary(native.load().library)
+    counted = replace(native.load(), library=counting)
+    monkeypatch.setattr(native, "load", lambda: counted)
+    fld.evaluate(compact, energy_only=energy_only)
+    assert counting.calls["neighbor_table"] == 2
+    fld.evaluate(compact, energy_only=energy_only)
+    assert counting.calls["neighbor_table"] == 3
 
 
 # ---- fold -----------------------------------------------------------------

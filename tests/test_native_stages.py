@@ -34,6 +34,8 @@ from kinefold.solvation import SolvationConfig, sasa_pass, solvation_forces
 from kinefold.spatial import (
     EDGE_PER_CUTOFF,
     Cutoffs,
+    HashGrid,
+    Workspace,
     build_grid,
     build_neighbor_table,
     filtered_lists,
@@ -362,19 +364,110 @@ def test_build_grid_refuses_like_the_oracle(bad):
 
 def test_table_is_sized_by_its_count_pass():
     """300 atoms in one cell: every pair a candidate, no fixed capacity.
-    A call whose capacity is short of the count only returns the count."""
+    A call whose capacity is short of the pairs, or whose union capacity
+    is short of the size it reports, only returns the count and that
+    size and writes nothing of the table; a call with enough of both
+    fills the table in the same call."""
     pos = np.random.default_rng(3).uniform(0.0, 1.0, (300, 3))
     grid = build_grid(pos, 9.0)
+    want = oracles.build_neighbor_table(grid)
+    total = 300 * 299 // 2
+    assert len(want.neighbors) == total
+    union_size = ctypes.c_int64(-1)
+
+    def call(capacity, union_capacity):
+        offsets, neighbors = np.full(301, -7, np.int64), np.full(capacity, -7, np.int64)
+        got = native.load().call(
+            "neighbor_table", 300, grid.dims, grid.order, grid.occupied, grid.starts,
+            grid.counts, len(grid.occupied), offsets, neighbors, capacity,
+            np.empty(union_capacity, np.int64), union_capacity, ctypes.byref(union_size))
+        assert got == total and union_size.value == 300
+        return offsets, neighbors
+
+    for short in ((0, 0), (10, 300), (total - 1, 300), (total, 299)):
+        offsets, neighbors = call(*short)
+        assert (offsets == -7).all() and (neighbors == -7).all(), short
+    offsets, neighbors = call(total + 5, 300)
+    assert np.array_equal(offsets, want.offsets)
+    assert np.array_equal(neighbors[:total], want.neighbors)
+    assert (neighbors[total:] == -7).all()
     table = build_neighbor_table(grid)
-    assert len(table.neighbors) == 300 * 299 // 2
-    assert np.array_equal(table.neighbors, oracles.build_neighbor_table(grid).neighbors)
-    offsets = np.full(301, -7, np.int64)
-    short, short_scratch = np.full(10, -7, np.int64), np.full(10, -7, np.int64)
-    total = native.load().call("neighbor_table", 300, grid.dims, grid.order, grid.occupied,
-                               grid.starts, grid.counts, len(grid.occupied), offsets,
-                               short, short_scratch, len(short))
-    assert total == len(table.neighbors)
-    assert (offsets == -7).all() and (short == -7).all() and (short_scratch == -7).all()
+    assert np.array_equal(table.offsets, want.offsets)
+    assert np.array_equal(table.neighbors, want.neighbors)
+
+
+def lattice(shape, cut, rng=None):
+    """One atom in each cell of a block of the given shape at ``cut``, the
+    cells on the low faces included: on the low face of its cell for the
+    cells at 0 of an axis, a quarter edge inside for the rest.  Atom
+    indices are shuffled when ``rng`` is given."""
+    points = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"), -1).reshape(-1, 3)
+    pos = EDGE_PER_CUTOFF * cut * (points + np.where(points == 0, 0.0, 0.25))
+    return pos if rng is None else pos[rng.permutation(len(pos))]
+
+
+def folded_back(cut):
+    """1120 atoms whose first and last 60 lie in two adjacent cells, the
+    last ones in the cell of lower id, while the rest run off along a
+    line: the unions there hold two runs of atom indices far apart, with
+    many empty bitmap words between them, met high run first."""
+    rng = np.random.default_rng(11)
+    edge = EDGE_PER_CUTOFF * cut
+    pos = np.zeros((1120, 3))
+    pos[60:1060, 0] = 3.0 * cut + 0.6 * np.arange(1000)
+    pos[:60] = rng.uniform(0.1, 0.9, (60, 3)) * edge + [edge, 0.0, 0.0]
+    pos[1060:] = rng.uniform(0.1, 0.9, (60, 3)) * edge
+    return pos
+
+
+TABLE_LAYOUTS = {
+    "n=1": lambda: np.zeros((1, 3)),
+    "one-cell": lambda: np.random.default_rng(5).uniform(0.0, 0.4 * 9.0, (80, 3)),
+    "low-faces": lambda: lattice((3, 4, 5), 9.0),
+    "flat": lambda: lattice((7, 6, 1), 9.0),
+    "line": lambda: lattice((1, 1, 9), 9.0),
+    "one-per-cell-shuffled": lambda: lattice((12, 12, 12), 9.0, np.random.default_rng(7)),
+    "folded-back": lambda: folded_back(9.0),
+    "dense-2000": lambda: np.random.default_rng(9).uniform(0.0, 14.0, (2000, 3)),
+}
+
+
+@pytest.mark.parametrize("layout", list(TABLE_LAYOUTS))
+def test_table_is_the_oracles_on_hard_layouts(layout):
+    """Bitwise the oracle's table: filled by a fresh workspace (a count
+    call, then a fill call), by the same workspace again (one call), and
+    by one whose buffers hold a larger table's stale entries."""
+    pos = TABLE_LAYOUTS[layout]()
+    grid = build_grid(pos, 9.0)
+    if layout in ("low-faces", "flat", "line", "one-per-cell-shuffled"):
+        assert len(grid.occupied) == len(pos)
+    want = oracles.build_neighbor_table(grid)
+    work, stale = Workspace(), Workspace()
+    build_neighbor_table(build_grid(np.random.default_rng(1).uniform(0.0, 3.0, (400, 3)),
+                                    9.0), stale)
+    for table in (build_neighbor_table(grid), build_neighbor_table(grid, work),
+                  build_neighbor_table(grid, work), build_neighbor_table(grid, stale)):
+        assert np.array_equal(table.offsets, want.offsets)
+        assert np.array_equal(table.neighbors, want.neighbors)
+
+
+@pytest.mark.parametrize("broken", ["empty cell", "gap", "descending", "outside", "twice"])
+def test_table_refuses_a_grid_that_does_not_partition_the_atoms(broken):
+    grid = build_grid(lattice((2, 2, 2), 9.0), 9.0)
+    bad = {name: getattr(grid, name).copy()
+           for name in ("dims", "order", "occupied", "starts", "counts")}
+    if broken == "empty cell":
+        bad["counts"][1], bad["counts"][2] = 0, 2
+    elif broken == "gap":
+        bad["starts"][3] += 1
+    elif broken == "descending":
+        bad["occupied"][[2, 3]] = bad["occupied"][[3, 2]]
+    elif broken == "outside":
+        bad["order"][4] = 8
+    else:
+        bad["order"][4] = bad["order"][5]
+    with pytest.raises(ConfigurationError, match="does not partition its 8 atoms"):
+        build_neighbor_table(HashGrid(**bad))
 
 
 def test_stages_refuse_indices_outside_the_atoms(param_set, ala2):

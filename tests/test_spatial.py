@@ -365,15 +365,23 @@ def test_cavity_membership_is_the_reach_test(cutoffs, use_hash):
 
 
 def test_workspace_grows_only_for_a_larger_request():
-    """The same memory for the same or a smaller size; a larger request
-    replaces the buffer, with an eighth of headroom once it has grown."""
+    """The same memory for the same or a smaller size, also within the
+    eighth of headroom every buffer is made with; a larger request
+    replaces the buffer.  ``whole`` is the buffer, or empty when there is
+    none of the dtype."""
     work = Workspace()
+    assert work.whole("ij", np.int64).shape == (0,)
     first = work.take("ij", (2, 40), np.int64)
     assert first.shape == (2, 40) and first.flags.c_contiguous and first.flags.writeable
-    assert work.buffers["ij"].size == 80
+    assert work.buffers["ij"].size == 80 + 10
     smaller = work.take("ij", (2, 10), np.int64)
     assert smaller.ctypes.data == first.ctypes.data and smaller.flags.c_contiguous
-    assert work.buffers["ij"].size == 80
+    within = work.take("ij", (2, 45), np.int64)
+    assert within.ctypes.data == first.ctypes.data
+    assert work.buffers["ij"].size == 90
+    whole = work.whole("ij", np.int64)
+    assert whole.size == 90 and whole.ctypes.data == first.ctypes.data
+    assert work.whole("ij", np.float64).shape == (0,)
     assert work.take("ij", (2, 48), np.int64).shape == (2, 48)
     assert work.buffers["ij"].size == 96 + 12
     assert work.take("ij", (3,), np.float64).dtype == np.float64
