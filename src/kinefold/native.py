@@ -7,7 +7,10 @@ neighbor table, cut-off pairs, pair weights, elec and vdW terms, force
 scatter), and ``sasa.c``, the two SASA passes.  They are compiled on
 first use with the system ``cc`` and fixed flags (no ``-march``, no
 fast-math, no contraction into fused multiply-adds, so every stage
-rounds like its numpy reference in ``tests/oracles.py``).  Every
+rounds like its numpy reference in ``tests/oracles.py``).  ``sasa.c``
+uses GCC/Clang vector extensions (``vector_size(16)`` double pairs),
+which the baseline instruction sets carry: SSE2 on x86-64, NEON on
+aarch64; the flags never name a ``-march``.  Every
 function starts on a 64-byte line, so an edit to one entry point does
 not move another's loops across cache lines and fetch windows: at the
 default 16 bytes, rewriting the neighbor table moved the unchanged SASA

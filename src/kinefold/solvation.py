@@ -24,9 +24,11 @@ sample ``x_i + r_i u`` is covered by neighbor j when
 ``((x_i + r_i u) - x_j)`` has ``(dx^2 + dy^2) + dz^2 <= r_j^2``, evaluated
 in that order with no fused multiply-add, which is the distance test of
 the references in ``tests/oracles.py`` bit for bit.  Exposure counting
-scans each row nearest center first and stops at a sample's second
-coverer (the per-sample neighbor pruning of Le Grand & Merz, J. Comput.
-Chem. 14:349, 1993, on the Shrake & Rupley sample test).
+stops at a sample's second coverer (the per-sample neighbor pruning of
+Le Grand & Merz, J. Comput. Chem. 14:349, 1993, on the Shrake & Rupley
+sample test).  So each sample first tests the two neighbors that covered
+the last sample to reach count 2, and only when they do not both cover
+scans its row nearest center first, four neighbors per step.
 
 Both passes take the pairs within ``reach`` as one symmetric
 ``spatial.NeighborTable`` (CSR); rows holding more pairs give the same
@@ -111,10 +113,11 @@ def generate_samples(n: int) -> SampleSphere:
 
 @dataclass
 class ExposureStates:
-    """Per (atom, sample) clamped overlap count and critical neighbor."""
+    """Per (atom, sample) clamped overlap count and critical neighbor;
+    ``sasa_pass`` sets every entry."""
 
     counts: np.ndarray    # uint8, values 0/1/2
-    critical: np.ndarray  # int32 neighbor index, -1 unless count == 1
+    critical: np.ndarray  # int32 neighbor index where count == 1, else -1
 
 
 @dataclass(frozen=True)
@@ -169,19 +172,23 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
     """Exposure counting: returns (SasaResult, ExposureStates).
 
     ``neighbors`` holds one row per atom, the pairs within ``reach``
-    (symmetrised by ``spatial.filtered_lists``).  The compiled kernel
-    scans each row nearest center first and stops at a sample's second
-    coverer, since only the clamped counts 0/1/2 matter; a count of 1 has
-    exactly one coverer, which is the recorded critical neighbor whatever
-    the scan order.
+    (symmetrised by ``spatial.filtered_lists``).  Only the clamped counts
+    0/1/2 matter, so the compiled kernel stops at a sample's second
+    coverer.  It first tests the two neighbors that covered the last
+    sample to reach count 2; if both cover, the count is 2.  Otherwise it
+    scans the row nearest center first, four neighbors per step.  A count
+    of 1 has exactly one coverer, which is the recorded critical neighbor
+    whatever the order of the tests.  The kernel writes every count and
+    critical entry (-1 where the count is not 1), so neither array is
+    filled in advance.
     """
     positions, r_off, r_off2, offsets, nbrs, points = _kernel_inputs(
         positions, params, neighbors, sphere, config)
     n = len(positions)
     nq = sphere.n
-    counts = np.zeros((n, nq), np.uint8)
-    critical = np.full((n, nq), -1, np.int32)
-    covered = np.zeros(n, np.int64)
+    counts = np.empty((n, nq), np.uint8)
+    critical = np.empty((n, nq), np.int32)
+    covered = np.empty(n, np.int64)
     lib = native.load()
     _over_blocks(lambda lo, hi: lib.call(
         "exposure", lo, hi, positions, r_off, r_off2, offsets, nbrs, points, nq,

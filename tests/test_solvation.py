@@ -383,6 +383,57 @@ def test_neighbors_at_equal_distance():
     assert states.counts[0, 0] == 2 and states.critical[0, 0] == -1  # +x
 
 
+# ---- previous coverers and four-slot steps --------------------------------
+
+@pytest.mark.parametrize("length", range(10))
+def test_rows_of_every_length_match_distance_oracle(length):
+    """Atom 1's row holds ``length`` neighbors, so every remainder of the
+    row's padding to four slots occurs.  They lie nearer the farther their
+    index, so row slots and atom indices differ.  Atom 0, outside that
+    row, engulfs atom 1: a padding slot that copies atom 0's center but
+    kept its radius would cover every sample of atom 1."""
+    n = 11
+    pos = np.zeros((n, 3))
+    pos[1] = [0.5, 0.0, 0.0]
+    directions = generate_samples(12).points[:9]
+    pos[2:] = pos[1] + (3.4 - 0.1 * np.arange(9))[:, None] * directions
+    params = make_params(n, radius=np.array([3.0] + [0.6] * 10))
+    rows = [[j for j in range(n) if j != i] for i in range(n)]
+    rows[1] = list(range(2, 2 + length))
+    states = assert_matches_distance_oracle(pos, params, neighbor_table(rows),
+                                            generate_samples(256),
+                                            SolvationConfig(samples=256))
+    assert set(states.counts[1]) == set(range(min(length, 2) + 1))
+
+
+def test_previous_coverers_each_outcome():
+    """Samples of atom 0 in the xy plane, in an order that gives the test
+    of the two previous coverers every outcome.  Neighbors 1-5 lie 3 A out
+    at 0, 10, 60, 180 and 190 degrees; each covers the samples within
+    41.4 degrees of its direction."""
+    angles = np.radians([0, 10, 60, 180, 190])
+    neighbors = 3.0 * np.stack([np.cos(angles), np.sin(angles), 0 * angles], 1)
+    pos = np.vstack([np.zeros(3), neighbors])
+    params = make_params(6, radius=np.full(6, 0.6))
+    theta = np.radians([
+        120,  # count 0: no coverer at all
+        5,    # count 2 (1, 2) after a count-0 sample
+        -35,  # count 1 (1): only one previous coverer covers
+        0,    # count 2: both previous coverers (of two samples back) cover
+        30,   # 3 coverers: both previous cover
+        50,   # count 2 (2, 3): only previous coverer 2 covers
+        180,  # count 2 (4, 5): neither previous coverer covers
+        200,  # count 2: both previous cover
+        100,  # count 1 (3): neither previous coverer covers
+        40,   # count 2 (1, 2, 3): the previous pair (4, 5) misses
+    ])
+    sphere = SampleSphere(np.stack([np.cos(theta), np.sin(theta), 0 * theta], 1))
+    states = assert_matches_distance_oracle(pos, params, all_neighbors(6), sphere,
+                                            SolvationConfig())
+    assert list(states.counts[0]) == [0, 2, 1, 2, 2, 2, 2, 2, 1, 2]
+    assert list(states.critical[0]) == [-1, -1, 1, -1, -1, -1, -1, -1, 3, -1]
+
+
 def helix_rows(positions, params, cfg):
     """Ascending rows of every pair within the largest reach."""
     r_max = float(np.max(offset_radii(params, cfg)))
