@@ -5,7 +5,11 @@ cell-list neighbor table, binned once at a cut-off covering the elec and
 vdW cut-offs and, when solvated, the reach of the two largest offset
 spheres; one pass over its pairs, filtered exactly at that cut-off; and
 the SASA passes on the pairs whose offset spheres can meet
-(``solvation.reach``).  Every pair stage is one call into the native
+(``solvation.reach``).  An energy-only evaluation (the scans,
+``single_point``, ``kinefold sasa``) needs G_cav and no forces, so its
+exposure pass stops each sample at its first coverer
+(``sasa_pass(..., area_only=True)``); its energies and areas are bitwise
+those of a force evaluation.  Every pair stage is one call into the native
 library (``native``): ``build_grid`` and ``build_neighbor_table``,
 ``extract_pairs``, ``TreeWeights.weights_for``, ``elec_pair_quantities``
 and ``vdw_pair_quantities`` over the whole pair arrays, and
@@ -178,7 +182,7 @@ class Field:
             kc = d2 <= rc * rc
             cav_lists = filtered_lists(n, i[kc], j[kc])
             sasa, states = sasa_pass(positions, self.params, cav_lists,
-                                     self.sphere(), solv)
+                                     self.sphere(), solv, area_only=energy_only)
             g_cav = sasa.g_cav
             if not energy_only:
                 forces += solvation_forces(positions, self.params, cav_lists,

@@ -6,14 +6,17 @@
  * (dx*dx + dy*dy) + dz*dz.  Built with -ffp-contract=off, so no step is
  * fused and the test rounds like the numpy reference in tests/oracles.py.
  *
- * Exposure counting needs only the clamped count 0/1/2, so one sample
- * needs at most two coverers (Le Grand & Merz, J. Comput. Chem. 14:349,
- * 1993).  It first tests the two neighbors that covered the last sample
- * to reach count 2; on the water folds about 75% of samples end there.
- * The other samples scan the row nearest center first, four neighbors per
- * step as two GCC/Clang vector_size(16) double pairs (SSE2 on x86-64,
- * NEON on aarch64).  Each lane does the scalar test's operations in its
- * order, so the vector test rounds like the scalar one.
+ * The force pass needs only the clamped count 0/1/2, so one sample needs
+ * at most two coverers (Le Grand & Merz, J. Comput. Chem. 14:349, 1993).
+ * It first tests the two neighbors that covered the last sample to reach
+ * count 2; on the water folds about 75% of samples end there.  The other
+ * samples scan the row nearest center first, four neighbors per step as
+ * two GCC/Clang vector_size(16) double pairs (SSE2 on x86-64, NEON on
+ * aarch64).  Each lane does the scalar test's operations in its order, so
+ * the vector test rounds like the scalar one.  The area alone needs one
+ * coverer (Shrake & Rupley, J. Mol. Biol. 79:351, 1973): with need = 1 a
+ * sample tests the last coverer found, then scans only up to its first
+ * coverer, and the covered samples are the same.
  *
  * Rows are CSR: the neighbors of atom i are neighbors[offsets[i]] up to
  * neighbors[offsets[i + 1]].  Both passes work on the atoms [lo, hi).
@@ -33,12 +36,19 @@ typedef struct {
     int64_t j;
 } Near;
 
-static int nearest_first(const void *a, const void *b)
+/* Sorts a row nearest center first: by d2, then by atom index.  That key
+ * is a strict total order on a row's distinct atoms, so any correct sort
+ * gives this order.  Insertion sort, inlined: rows are tens of neighbors. */
+static void sort_nearest_first(Near *row, int64_t m)
 {
-    const Near *x = a, *y = b;
-    if (x->d2 != y->d2)
-        return x->d2 < y->d2 ? -1 : 1;
-    return (x->j > y->j) - (x->j < y->j);
+    for (int64_t t = 1; t < m; t++) {
+        Near x = row[t];
+        int64_t s = t;
+        for (; s > 0 && (row[s - 1].d2 > x.d2
+                         || (row[s - 1].d2 == x.d2 && row[s - 1].j > x.j)); s--)
+            row[s] = row[s - 1];
+        row[s] = x;
+    }
 }
 
 static int64_t longest_row(int64_t lo, int64_t hi, const int64_t *offsets)
@@ -79,27 +89,102 @@ static inline unsigned covers4(double px, double py, double pz, const double *cx
     return (unsigned)(bits[0] | bits[1]);
 }
 
-/* Clamped coverage counts (0, 1, 2) of every sample of the atoms [lo, hi),
- * the one coverer of each count-1 sample in critical (-1 for every other
- * sample), and the number of covered samples per atom.  Every entry of
- * the atoms [lo, hi) is written, those of atoms with an empty row too.  A
- * count of 1 has exactly one coverer and a count of 2 needs any two, so
- * the order of the tests cannot change them.
+/* The samples of one atom, centered at xi with offset radius ri, against
+ * its sorted row (cx, cy, cz, r2: m4 slots, padding slots with r2 = -1
+ * cover nothing).  Writes each sample's count, clamped at need, and with
+ * need = 2 its critical neighbor (the coverer of a count-1 sample, else
+ * -1); returns the number of covered samples.
+ *
+ * need = 2: s1 and s2 are the slots of the two coverers of the last
+ * sample that reached count 2 (the two nearest at the first sample).  A
+ * sample tests both: if both cover, its count is 2 after two tests.
+ * Otherwise it scans the row four slots per step and visits each step's
+ * coverers lowest slot first, so it finds the same first and second
+ * coverer as a one-slot scan, and stops at the second.
+ *
+ * need = 1 (area only): s1 is the slot of the last coverer found (the
+ * nearest at the first sample).  A sample tests it; if it misses, the
+ * sample scans the row four slots per step up to its first coverer.  Any
+ * coverer settles the count, so critical is not written (may be NULL).
+ *
+ * Every caller passes need as a constant and the body is inlined, so
+ * each mode is its own loop with no test of need per sample. */
+static inline __attribute__((always_inline)) int64_t
+atom_samples(const int need, const double *xi, double ri, const double *points,
+             int64_t nq, const double *cx, const double *cy, const double *cz,
+             const double *r2, int64_t m4, const Near *row, uint8_t *cnt,
+             int32_t *crit)
+{
+    int64_t hit = 0, s1 = 0, s2 = 1; /* m4 >= 4: both are slots */
+    for (int64_t k = 0; k < nq; k++) {
+        const double *u = points + 3 * k;
+        double px = xi[0] + ri * u[0], py = xi[1] + ri * u[1],
+               pz = xi[2] + ri * u[2];
+        double dx1 = px - cx[s1], dy1 = py - cy[s1], dz1 = pz - cz[s1];
+        int n = 0;
+        int64_t first = -1;
+        if (need == 1) {
+            if ((dx1 * dx1 + dy1 * dy1) + dz1 * dz1 <= r2[s1])
+                n = 1;
+        } else {
+            double dx2 = px - cx[s2], dy2 = py - cy[s2], dz2 = pz - cz[s2];
+            if (((dx1 * dx1 + dy1 * dy1) + dz1 * dz1 <= r2[s1])
+                & ((dx2 * dx2 + dy2 * dy2) + dz2 * dz2 <= r2[s2]))
+                n = 2;
+        }
+        if (n == 0) {
+            for (int64_t t = 0; t < m4; t += 4) {
+                unsigned bits = covers4(px, py, pz, cx + t, cy + t, cz + t, r2 + t);
+                if (!bits)
+                    continue;
+                int64_t slot = t + __builtin_ctz(bits);
+                if (need == 1) {
+                    n = 1;
+                    s1 = slot;
+                    break;
+                }
+                bits &= bits - 1;
+                if (n == 0) {
+                    n = 1;
+                    first = slot;
+                    if (!bits)
+                        continue;
+                    slot = t + __builtin_ctz(bits);
+                }
+                n = 2;
+                s1 = first;
+                s2 = slot;
+                break;
+            }
+        }
+        cnt[k] = (uint8_t)n;
+        if (need == 2)
+            crit[k] = n == 1 ? (int32_t)row[first].j : -1;
+        hit += n > 0;
+    }
+    return hit;
+}
+
+/* Coverage counts of every sample of the atoms [lo, hi), clamped at need
+ * (1 or 2; REFUSED otherwise), and the number of covered samples per atom.
+ * With need = 2 (the states the force pass reads) critical holds the one
+ * coverer of each count-1 sample and -1 for every other sample; with
+ * need = 1 (the area alone) critical is not read or written.  Every entry
+ * of the atoms [lo, hi) is written, those of atoms with an empty row too.
+ * A count of 1 has exactly one coverer and a count of 2 needs any two, so
+ * the order of the tests cannot change them, and covered is the same for
+ * either need.
  *
  * Each atom's row is sorted nearest center first and copied as structures
  * of arrays (cx, cy, cz, r2), padded to a multiple of four slots; a
- * padding slot has r2 = -1 and covers nothing.  s1 and s2 are the slots of
- * the two coverers of the last sample that reached count 2 (the two
- * nearest at the atom's first sample).  A sample tests both: if both
- * cover, its count is 2 after two tests.  Otherwise it scans the row four
- * slots per step and visits each step's coverers lowest slot first, so it
- * finds the same first and second coverer as a one-slot scan, and stops
- * at the second. */
+ * padding slot has r2 = -1 and covers nothing (see atom_samples). */
 int64_t exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
                  const double *r_off2, const int64_t *offsets,
                  const int64_t *neighbors, const double *points, int64_t nq,
-                 uint8_t *counts, int32_t *critical, int64_t *covered)
+                 int64_t need, uint8_t *counts, int32_t *critical, int64_t *covered)
 {
+    if (need != 1 && need != 2)
+        return REFUSED;
     int64_t cap = longest_row(lo, hi, offsets), cap4 = (cap + 3) / 4 * 4;
     Near *row = malloc((size_t)(cap ? cap : 1) * sizeof *row);
     double *soa = malloc((size_t)(cap4 ? cap4 : 4) * 4 * sizeof *soa);
@@ -111,11 +196,11 @@ int64_t exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
     for (int64_t i = lo; i < hi; i++) {
         int64_t a = offsets[i], m = offsets[i + 1] - a, m4 = (m + 3) / 4 * 4;
         uint8_t *cnt = counts + i * nq;
-        int32_t *crit = critical + i * nq;
         if (m == 0) {
             memset(cnt, 0, (size_t)nq);
-            for (int64_t k = 0; k < nq; k++)
-                crit[k] = -1;
+            if (need == 2)
+                for (int64_t k = 0; k < nq; k++)
+                    critical[i * nq + k] = -1;
             covered[i] = 0;
             continue;
         }
@@ -127,7 +212,7 @@ int64_t exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
             row[t].d2 = (dx * dx + dy * dy) + dz * dz;
             row[t].j = j;
         }
-        qsort(row, (size_t)m, sizeof *row, nearest_first);
+        sort_nearest_first(row, m);
         double *cx = soa, *cy = soa + m4, *cz = soa + 2 * m4, *r2 = soa + 3 * m4;
         for (int64_t t = 0; t < m4; t++) {
             int64_t j = t < m ? row[t].j : 0;
@@ -136,44 +221,11 @@ int64_t exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
             cz[t] = pos[3 * j + 2];
             r2[t] = t < m ? r_off2[j] : -1.0;
         }
-        double ri = r_off[i];
-        int64_t hit = 0, s1 = 0, s2 = 1; /* m4 >= 4: both are slots */
-        for (int64_t k = 0; k < nq; k++) {
-            const double *u = points + 3 * k;
-            double px = xi[0] + ri * u[0], py = xi[1] + ri * u[1],
-                   pz = xi[2] + ri * u[2];
-            double dx1 = px - cx[s1], dy1 = py - cy[s1], dz1 = pz - cz[s1];
-            double dx2 = px - cx[s2], dy2 = py - cy[s2], dz2 = pz - cz[s2];
-            int n = 0;
-            int64_t first = -1;
-            if (((dx1 * dx1 + dy1 * dy1) + dz1 * dz1 <= r2[s1])
-                & ((dx2 * dx2 + dy2 * dy2) + dz2 * dz2 <= r2[s2])) {
-                n = 2;
-            } else {
-                for (int64_t t = 0; t < m4; t += 4) {
-                    unsigned bits = covers4(px, py, pz, cx + t, cy + t, cz + t, r2 + t);
-                    if (!bits)
-                        continue;
-                    int64_t slot = t + __builtin_ctz(bits);
-                    bits &= bits - 1;
-                    if (n == 0) {
-                        n = 1;
-                        first = slot;
-                        if (!bits)
-                            continue;
-                        slot = t + __builtin_ctz(bits);
-                    }
-                    n = 2;
-                    s1 = first;
-                    s2 = slot;
-                    break;
-                }
-            }
-            cnt[k] = (uint8_t)n;
-            crit[k] = n == 1 ? (int32_t)row[first].j : -1;
-            hit += n > 0;
-        }
-        covered[i] = hit;
+        covered[i] = need == 1
+            ? atom_samples(1, xi, r_off[i], points, nq, cx, cy, cz, r2, m4, row,
+                           cnt, NULL)
+            : atom_samples(2, xi, r_off[i], points, nq, cx, cy, cz, r2, m4, row,
+                           cnt, critical + i * nq);
     }
     free(row);
     free(soa);

@@ -28,7 +28,13 @@ stops at a sample's second coverer (the per-sample neighbor pruning of
 Le Grand & Merz, J. Comput. Chem. 14:349, 1993, on the Shrake & Rupley
 sample test).  So each sample first tests the two neighbors that covered
 the last sample to reach count 2, and only when they do not both cover
-scans its row nearest center first, four neighbors per step.
+scans its row nearest center first, four neighbors per step.  The area
+alone needs less: a sample is buried once one neighbor covers it (Shrake
+& Rupley, J. Mol. Biol. 79:351, 1973).  So ``sasa_pass(...,
+area_only=True)``, which energy-only evaluations use, tests the last
+coverer found first and otherwise scans only up to the first coverer;
+its areas are bitwise those of the full pass, and its states cannot
+drive the force pass.
 
 Both passes take the pairs within ``reach`` as one symmetric
 ``spatial.NeighborTable`` (CSR); rows holding more pairs give the same
@@ -114,10 +120,13 @@ def generate_samples(n: int) -> SampleSphere:
 @dataclass
 class ExposureStates:
     """Per (atom, sample) clamped overlap count and critical neighbor;
-    ``sasa_pass`` sets every entry."""
+    ``sasa_pass`` sets every entry.  Area-only states count to 1 (covered
+    or not) and have no critical neighbors, so ``solvation_forces``
+    refuses them."""
 
-    counts: np.ndarray    # uint8, values 0/1/2
-    critical: np.ndarray  # int32 neighbor index where count == 1, else -1
+    counts: np.ndarray            # uint8, values 0/1/2 (0/1 when area only)
+    critical: np.ndarray | None   # int32 neighbor index where count == 1, else
+                                  # -1; None when area only
 
 
 @dataclass(frozen=True)
@@ -168,7 +177,7 @@ def _kernel_inputs(positions, params, neighbors: NeighborTable, sphere, config):
 
 
 def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
-              config: SolvationConfig = SolvationConfig()):
+              config: SolvationConfig = SolvationConfig(), *, area_only: bool = False):
     """Exposure counting: returns (SasaResult, ExposureStates).
 
     ``neighbors`` holds one row per atom, the pairs within ``reach``
@@ -181,23 +190,29 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
     whatever the order of the tests.  The kernel writes every count and
     critical entry (-1 where the count is not 1), so neither array is
     filled in advance.
+
+    With ``area_only`` the kernel stops at a sample's first coverer,
+    testing the last coverer found first.  The result is bitwise the
+    same; the states' counts are clamped at 1 and they hold no critical
+    neighbors, so only the area can be taken from them.
     """
     positions, r_off, r_off2, offsets, nbrs, points = _kernel_inputs(
         positions, params, neighbors, sphere, config)
     n = len(positions)
     nq = sphere.n
     counts = np.empty((n, nq), np.uint8)
-    critical = np.empty((n, nq), np.int32)
+    critical = np.empty((0, nq) if area_only else (n, nq), np.int32)
     covered = np.empty(n, np.int64)
     lib = native.load()
     _over_blocks(lambda lo, hi: lib.call(
         "exposure", lo, hi, positions, r_off, r_off2, offsets, nbrs, points, nq,
-        counts, critical, covered), n)
+        1 if area_only else 2, counts, critical, covered), n)
     f_exp = (nq - covered) / float(nq)
     a0 = 4.0 * math.pi * r_off2
     a_exp = f_exp * a0
     g_cav = float(np.sum(params.gamma * a_exp))
-    return SasaResult(f_exp, a_exp, g_cav), ExposureStates(counts, critical)
+    return SasaResult(f_exp, a_exp, g_cav), ExposureStates(
+        counts, None if area_only else critical)
 
 
 def _force_quantum(params, r_off: np.ndarray, nq: int, delta_r: float):
@@ -247,8 +262,14 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
     Exposed samples test every neighbor in the row, displaced by +delta_r
     along each axis; critically overlapped samples test only their
     recorded coverer.  Multiply overlapped samples cannot change
-    exposure under a single displacement and are skipped.
+    exposure under a single displacement and are skipped.  Area-only
+    states are refused: they do not tell critical samples from multiply
+    overlapped ones, nor name the coverer.
     """
+    if states.critical is None:
+        raise ConfigurationError(
+            "area-only exposure states (sasa_pass(..., area_only=True)) hold no "
+            "critical neighbors; the force pass needs the states of a full sasa_pass")
     nq = sphere.n
     w_int, quantum = _force_quantum(params, offset_radii(params, config), nq,
                                     config.delta_r)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from kinefold.cli import main, make_parser
-from kinefold.kcm import StepConfig
+from kinefold.kcm import Field, StepConfig
 
 
 def read_csv(path):
@@ -127,11 +127,12 @@ def test_fold_freeze_flag(tmp_path):
 
 
 def test_sasa_matches_module(tmp_path):
+    """``kinefold sasa`` takes the area-only pass; every atom's f_exp and
+    a_exp is written exactly as the full-state pass gives it."""
     out = tmp_path / "s"
     rc = main(["sasa", "--seq", "GSA", "--samples", "1024", "--out", str(out)])
     assert rc == 0
-    rows = read_csv(out / "sasa.csv")
-    table_total = sum(float(r[4]) for r in rows[1:])
+    rows = read_csv(out / "sasa.csv")[1:]
 
     from kinefold.chain import build_chain, forward_kinematics
     from kinefold.pdbio import load_params, read_sequence
@@ -144,9 +145,11 @@ def test_sasa_matches_module(tmp_path):
     params = load_params().resolve(ch)
     pos = forward_kinematics(ch, ch.conf_zp())
     lists = cutoff_lists(build_neighbor_table(build_grid(pos, 8.0)), pos, 8.0)
-    res, _ = sasa_pass(pos, params, lists, generate_samples(1024),
-                       SolvationConfig(samples=1024))
-    assert table_total == pytest.approx(res.a_exp.sum(), rel=1e-9)
+    res, states = sasa_pass(pos, params, lists, generate_samples(1024),
+                            SolvationConfig(samples=1024))
+    assert states.critical is not None  # the full states
+    assert [r[3] for r in rows] == [f"{f:.10g}" for f in res.f_exp]
+    assert [r[4] for r in rows] == [f"{a:.10g}" for a in res.a_exp]
 
 
 def test_sasa_large_probe_matches_all_pairs(tmp_path):
@@ -189,6 +192,21 @@ def test_scan_rama_outputs_grid(tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(command + ["--seq", "AA", "--seed", "1", "--out", str(tmp_path / "x")])
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_water_scan_rama_equals_full_state_passes(tmp_path, monkeypatch):
+    """Scans take the area-only pass; ``rama.csv`` is byte for byte the one
+    full-state evaluations (exposure counts 0/1/2) give."""
+    argv = ["scan-rama", "--seq", "AAA", "--water", "--samples", "64", "--grid", "2"]
+    assert main(argv + ["--out", str(tmp_path / "area")]) == 0
+    full = Field.evaluate
+    monkeypatch.setattr(Field, "evaluate",
+                        lambda self, positions, *, energy_only=False: full(self, positions))
+    assert main(argv + ["--out", str(tmp_path / "full")]) == 0
+    rows = read_csv(tmp_path / "area" / "rama.csv")
+    assert len(rows) == 5 and len({r[4] for r in rows[1:]}) > 1  # g_cav varies
+    assert ((tmp_path / "area" / "rama.csv").read_bytes()
+            == (tmp_path / "full" / "rama.csv").read_bytes())
 
 
 def test_scan_hinge_runs(tmp_path):

@@ -510,22 +510,25 @@ def test_allocation_failure_is_memory_error(monkeypatch, ala2, param_set):
     lists = filtered_lists(len(pos), i, j)
     sphere, solv = field.sphere(), field.config.solvation_cfg
     _, states = sasa_pass(pos, field.params, lists, sphere, solv)
-    calls = {
-        "grid_cells": lambda: build_grid(pos, 9.0),
-        "neighbor_table": lambda: build_neighbor_table(grid),
-        "cutoff_pairs": lambda: extract_pairs(pos, table, 9.0),
-        "pair_weights": lambda: field.weights.weights_for(i, j),
-        "elec_terms": lambda: elec_pair_quantities(field.params, i, j, d2, d, w,
-                                                   DielectricModel(), cut),
-        "vdw_terms": lambda: vdw_pair_quantities(field.params, i, j, d2, d, w, cut),
-        "scatter_forces": lambda: accumulate_pair_forces(len(pos), pos, i, j, d, d),
-        "exposure": lambda: sasa_pass(pos, field.params, lists, sphere, solv),
-        "force_events": lambda: solvation_forces(pos, field.params, lists, sphere, states,
-                                                 solv),
-        "joint_torques": lambda: kcm.joint_torques(ala2, state, np.zeros((len(ala2.links), 6))),
-    }
+    calls = [
+        ("grid_cells", lambda: build_grid(pos, 9.0)),
+        ("neighbor_table", lambda: build_neighbor_table(grid)),
+        ("cutoff_pairs", lambda: extract_pairs(pos, table, 9.0)),
+        ("pair_weights", lambda: field.weights.weights_for(i, j)),
+        ("elec_terms", lambda: elec_pair_quantities(field.params, i, j, d2, d, w,
+                                                    DielectricModel(), cut)),
+        ("vdw_terms", lambda: vdw_pair_quantities(field.params, i, j, d2, d, w, cut)),
+        ("scatter_forces", lambda: accumulate_pair_forces(len(pos), pos, i, j, d, d)),
+        ("exposure", lambda: sasa_pass(pos, field.params, lists, sphere, solv)),
+        ("exposure", lambda: sasa_pass(pos, field.params, lists, sphere, solv,
+                                       area_only=True)),
+        ("force_events", lambda: solvation_forces(pos, field.params, lists, sphere,
+                                                  states, solv)),
+        ("joint_torques",
+         lambda: kcm.joint_torques(ala2, state, np.zeros((len(ala2.links), 6)))),
+    ]
     exhausted = replace(native.load(), library=Exhausted())
     monkeypatch.setattr(native, "load", lambda: exhausted)
-    for name, call in calls.items():
+    for name, call in calls:
         with pytest.raises(MemoryError, match=f"native {name} pass could not allocate"):
             call()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinefold import solvation
+from kinefold import kcm, native, solvation
 from kinefold.chain import build_chain, forward_kinematics
 from kinefold.errors import ConfigurationError
 from kinefold.forcefield import AtomParams
@@ -260,6 +260,7 @@ def test_block_partition_identical(rng, monkeypatch):
     cfg = SolvationConfig(samples=512)
     res1, st1 = sasa_pass(pos, params, nbrs, sp, cfg)
     f1 = solvation_forces(pos, params, nbrs, sp, st1, cfg)
+    area1, clamped1 = sasa_pass(pos, params, nbrs, sp, cfg, area_only=True)
     for size in (12, 6, 4, 1):  # 2, 4, 6 and 24 blocks against one
         monkeypatch.setattr(solvation, "_BLOCK_ATOMS", size)
         res_b, st_b = sasa_pass(pos, params, nbrs, sp, cfg)
@@ -268,17 +269,37 @@ def test_block_partition_identical(rng, monkeypatch):
         assert np.array_equal(res1.f_exp, res_b.f_exp)
         f_b = solvation_forces(pos, params, nbrs, sp, st_b, cfg)
         assert np.array_equal(f1, f_b)  # fixed point: order independent
+        area_b, clamped_b = sasa_pass(pos, params, nbrs, sp, cfg, area_only=True)
+        assert np.array_equal(clamped1.counts, clamped_b.counts)
+        assert np.array_equal(area1.f_exp, area_b.f_exp)
+        assert area1.g_cav == area_b.g_cav
 
 
 # ---- the compiled passes vs the distance test -----------------------------
 
+def assert_area_only_agrees(pos, params, nbrs, sp, cfg):
+    """The area-only pass against the full one: bitwise the same f_exp,
+    a_exp and g_cav, the counts clamped at 1 and no critical neighbors.
+    Returns the area-only states."""
+    full, states = sasa_pass(pos, params, nbrs, sp, cfg)
+    area, clamped = sasa_pass(pos, params, nbrs, sp, cfg, area_only=True)
+    assert np.array_equal(area.f_exp, full.f_exp)
+    assert np.array_equal(area.a_exp, full.a_exp)
+    assert area.g_cav == full.g_cav
+    assert np.array_equal(clamped.counts, np.minimum(states.counts, 1))
+    assert clamped.critical is None
+    return clamped
+
+
 def assert_matches_distance_oracle(pos, params, nbrs, sp, cfg):
+    """Both passes and both kinds of states against the distance oracle."""
     res, states = sasa_pass(pos, params, nbrs, sp, cfg)
     counts, critical, f_exp = oracles.distance_exposure_states(pos, params, nbrs,
                                                                sp, cfg)
     assert np.array_equal(states.counts, counts)
     assert np.array_equal(states.critical, critical)
     assert np.array_equal(res.f_exp, f_exp)
+    assert_area_only_agrees(pos, params, nbrs, sp, cfg)
     try:
         want = oracles.naive_solvation_forces(pos, params, nbrs, sp, cfg)
     except ConfigurationError as refused:  # an unusable gamma: both refuse it
@@ -434,6 +455,52 @@ def test_previous_coverers_each_outcome():
     assert list(states.critical[0]) == [-1, -1, 1, -1, -1, -1, -1, -1, 3, -1]
 
 
+def test_last_coverer_each_outcome():
+    """Area-only samples of atom 0 in the xy plane, in an order that gives
+    the test of the last coverer every outcome.  The neighbors lie 2.6,
+    2.8, 3.0, 3.2 and 3.4 A out (row slots 0-4, atoms 5 down to 1) at 180,
+    90, 0, 270 and 45 degrees; each covers the samples within 49.5, 45.6,
+    41.4, 36.9 and 31.8 degrees of its direction.  Slot 4 is in the second
+    four-slot step of the row."""
+    distance = np.array([3.4, 3.2, 3.0, 2.8, 2.6])
+    angles = np.radians([45, 270, 0, 90, 180])
+    neighbors = distance[:, None] * np.stack([np.cos(angles), np.sin(angles),
+                                              0 * angles], 1)
+    pos = np.vstack([np.zeros(3), neighbors])
+    params = make_params(6, radius=np.full(6, 0.6))
+    theta = np.radians([
+        180,  # the first sample's last coverer, slot 0, covers
+        0,    # slot 0 misses: the scan finds slot 2
+        10,   # the last coverer (slot 2) covers again
+        135,  # slot 2 misses: the scan stops at slot 0, before slot 1
+        43,   # slot 0 misses: only slot 4, in the second step, covers
+        30,   # the last coverer (slot 4) covers; slot 2 does too
+        300,  # slot 4 misses: the scan finds slot 3
+        310,  # no coverer: count 0, the last coverer stays slot 3
+        240,  # after that count-0 sample, slot 3 covers
+        170,  # slot 3 misses: the scan finds slot 0
+    ])
+    sphere = SampleSphere(np.stack([np.cos(theta), np.sin(theta), 0 * theta], 1))
+    cfg = SolvationConfig()
+    states = assert_matches_distance_oracle(pos, params, all_neighbors(6), sphere, cfg)
+    assert list(states.counts[0]) == [1, 1, 1, 2, 1, 2, 1, 0, 1, 1]
+    _, clamped = sasa_pass(pos, params, all_neighbors(6), sphere, cfg, area_only=True)
+    assert list(clamped.counts[0]) == [1, 1, 1, 1, 1, 1, 1, 0, 1, 1]
+
+
+def test_exposure_refuses_a_count_other_than_one_or_two():
+    """``need`` is the number of coverers that settles a sample: 1 or 2."""
+    lib = native.load()
+    pos = np.zeros((1, 3))
+    for need in (0, 3):
+        status = lib.call("exposure", 0, 1, pos, np.ones(1), np.ones(1),
+                          np.zeros(2, np.int64), np.zeros(0, np.int64),
+                          generate_samples(12).points, 12, need,
+                          np.zeros((1, 12), np.uint8), np.zeros((1, 12), np.int32),
+                          np.zeros(1, np.int64))
+        assert status == native.REFUSED
+
+
 def helix_rows(positions, params, cfg):
     """Ascending rows of every pair within the largest reach."""
     r_max = float(np.max(offset_radii(params, cfg)))
@@ -460,6 +527,7 @@ def test_helix_states_match_distance_oracle(param_set, jitter):
     assert np.array_equal(states.critical, critical)
     assert np.array_equal(res.f_exp, f_exp)
     assert (counts == 2).any() and (counts == 1).any() and (counts == 0).any()
+    assert_area_only_agrees(pos, params, rows, generate_samples(cfg.samples), cfg)
 
 
 def test_chain_forces_match_naive_recount(param_set):
@@ -483,6 +551,16 @@ def test_states_naming_no_atom_are_refused():
     _, states = sasa_pass(pos, params, all_neighbors(2), sp, cfg)
     states.critical[states.counts == 1] = 2
     with pytest.raises(ConfigurationError, match="critical neighbor outside"):
+        solvation_forces(pos, params, all_neighbors(2), sp, states, cfg)
+
+
+def test_area_only_states_are_refused_by_the_force_pass():
+    params = make_params(2)
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    sp = generate_samples(12)
+    cfg = SolvationConfig(samples=12)
+    _, states = sasa_pass(pos, params, all_neighbors(2), sp, cfg, area_only=True)
+    with pytest.raises(ConfigurationError, match="area-only exposure states"):
         solvation_forces(pos, params, all_neighbors(2), sp, states, cfg)
 
 
@@ -615,9 +693,33 @@ def test_field_reach_rows_match_all_pairs(field_type, name):
     assert np.array_equal(got.sasa.f_exp, want.f_exp)
     assert np.array_equal(got.sasa.a_exp, want.a_exp)
     assert got.energy.g_cav == want.g_cav
+    area = fld.evaluate(pos, energy_only=True)
+    assert np.array_equal(area.sasa.f_exp, want.f_exp)
+    assert np.array_equal(area.sasa.a_exp, want.a_exp)
+    assert area.energy.g_cav == want.g_cav
     forces = solvation_forces(pos, params, nbrs, sp, states, cfg)
     assert np.any(forces != 0)
     assert np.array_equal(got.forces, forces)
+
+
+def test_energy_only_evaluations_pass_area_only(param_set, monkeypatch):
+    """Energy-only evaluations (scans, ``single_point``, ``kinefold sasa``)
+    ask ``sasa_pass`` for the area alone; force evaluations for the full
+    states."""
+    chain = build_chain(["ALA"] * 3)
+    fld = Field(param_set.resolve(chain), UniformWeights(),
+                FieldConfig(solvation=True, solvation_cfg=SolvationConfig(samples=64)))
+    seen = []
+
+    def spy(*args, area_only=False):
+        seen.append(area_only)
+        return sasa_pass(*args, area_only=area_only)
+
+    monkeypatch.setattr(kcm, "sasa_pass", spy)
+    pos = forward_kinematics(chain, chain.conf_zp())
+    fld.evaluate(pos, energy_only=True)
+    fld.evaluate(pos)
+    assert seen == [True, False]
 
 
 def test_accumulator_bound():
