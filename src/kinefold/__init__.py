@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .chain import (
     Chain,
     Conformation,
-    apply_deltas,
     build_chain,
     forward_kinematics,
     kinematic_state,

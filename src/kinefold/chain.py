@@ -116,14 +116,6 @@ class Conformation:
         return Conformation(self.theta, mask)
 
 
-def apply_deltas(conf: Conformation, deltas) -> Conformation:
-    """Add per-joint increments (degrees); frozen joints stay put."""
-    deltas = np.asarray(deltas, float)
-    if deltas.shape != conf.theta.shape:
-        raise ConfigurationError(f"delta length {deltas.shape} != dof count {conf.theta.shape}")
-    return Conformation(conf.theta + np.where(conf.frozen, 0.0, deltas), conf.frozen)
-
-
 @dataclass(frozen=True)
 class LinkArrays:
     """The links of a chain, one row per link in every column.

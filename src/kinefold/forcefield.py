@@ -1,8 +1,9 @@
 """Electrostatic and van der Waals energies and forces.
 
 Truncated, weighted pairwise sums in kcal/mol, Angstroms, and elementary
-charges.  The Coulomb prefactor (332.06 kcal A mol^-1 e^-2) folds the
-1/(4 pi eps0) conversion; the default dielectric grows linearly with
+charges.  The Coulomb prefactor ``COULOMB_K`` (332.06 kcal A mol^-1 e^-2)
+folds the 1/(4 pi eps0) conversion, and the native ``elec_terms`` is
+passed this one value; the default dielectric grows linearly with
 separation to mimic solvent screening, and the force expression keeps
 the dielectric frozen at the instantaneous distance (the conventional
 form for a distance-dependent dielectric).  Van der Waals interactions
@@ -152,7 +153,8 @@ def elec_pair_quantities(params, i, j, d2, d, w, dielectric, cutoffs: Cutoffs,
     max(elec, vdw)**2`` (so both terms see the same pairs whatever sets
     the table cut-off); the others get 0."""
     return _pair_terms("elec_terms", params.n_atoms, i, j, d2, d, w,
-                       (params.q, dielectric.kappa or 0.0), cutoffs, cutoffs.elec, work)
+                       (params.q, COULOMB_K, dielectric.kappa or 0.0), cutoffs,
+                       cutoffs.elec, work)
 
 
 def vdw_pair_quantities(params, i, j, d2, d, w, cutoffs: Cutoffs,

@@ -61,6 +61,15 @@ static int valid_links(int64_t n_links, const int64_t *parent, const int64_t *do
     return 1;
 }
 
+/* Whether each of the n_atoms atoms is owned by one of the n_links links. */
+static int valid_owners(int64_t n_links, int64_t n_atoms, const int64_t *owner)
+{
+    for (int64_t a = 0; a < n_atoms; a++)
+        if (owner[a] < 0 || owner[a] >= n_links)
+            return 0;
+    return 1;
+}
+
 /* Forward kinematics.  Per link l >= 1, the joint rotation by theta[dof[l]]
  * degrees about the reference axis, R = (I + sin(t) k) + (1 - cos(t)) k2
  * (k the axis's cross-product matrix, k2 = k k), then
@@ -74,11 +83,9 @@ int64_t forward_links(int64_t n_links, const int64_t *parent, const int64_t *dof
                       int64_t n_atoms, const int64_t *owner, const double *offset,
                       double *M, double *P, double *axes, double *pos)
 {
-    if (n_links < 1 || !valid_links(n_links, parent, dof, n_dof))
+    if (n_links < 1 || !valid_links(n_links, parent, dof, n_dof)
+        || !valid_owners(n_links, n_atoms, owner))
         return REFUSED;
-    for (int64_t a = 0; a < n_atoms; a++)
-        if (owner[a] < 0 || owner[a] >= n_links)
-            return REFUSED;
     memset(M, 0, 9 * sizeof *M);
     M[0] = M[4] = M[8] = 1.0;
     P[0] = P[1] = P[2] = 0.0;
@@ -114,9 +121,8 @@ int64_t forward_links(int64_t n_links, const int64_t *parent, const int64_t *dof
 int64_t link_wrenches(int64_t n_links, int64_t n_atoms, const int64_t *owner,
                       const double *pos, const double *force, double *out)
 {
-    for (int64_t a = 0; a < n_atoms; a++)
-        if (owner[a] < 0 || owner[a] >= n_links)
-            return REFUSED;
+    if (!valid_owners(n_links, n_atoms, owner))
+        return REFUSED;
     memset(out, 0, (size_t)(6 * n_links) * sizeof *out);
     for (int64_t a = 0; a < n_atoms; a++) {
         const double *f = force + 3 * a;

@@ -106,9 +106,9 @@ _SIGNATURES = {
     # by_class -> w (m x 2)
     "pair_weights": [_INT, _I64, _I64, _INT, _I64, _I64, _I64, _I64, _U8, _F64,
                      _F64_OUT],
-    # m, i, j, d2, d, w, n, q, kappa, r2, cut -> out (2 x m)
+    # m, i, j, d2, d, w, n, q, Coulomb constant, kappa, r2, cut -> out (2 x m)
     "elec_terms": [_INT, _I64, _I64, _F64, _F64, _F64, _INT, _F64, _DBL, _DBL, _DBL,
-                   _F64_OUT],
+                   _DBL, _F64_OUT],
     # m, i, j, d2, d, w, n, R, eps, r2, cut -> out (2 x m)
     "vdw_terms": [_INT, _I64, _I64, _F64, _F64, _F64, _INT, _F64, _F64, _DBL, _DBL,
                   _F64_OUT],

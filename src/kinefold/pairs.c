@@ -18,7 +18,8 @@
  * it needs when that is short.  It also passes in the one candidate-sized
  * scratch array (neighbor_table's unions), so that it can reuse every
  * candidate-sized array from call to call; only atom-sized scratch is
- * allocated here.
+ * allocated here.  Nothing here sorts by comparison: the grid is radix
+ * sorted, and the table reads its unions back from two-level bitmaps.
  */
 #include <math.h>
 #include <stdint.h>
@@ -132,40 +133,23 @@ int64_t grid_cells(int64_t n, const double *pos, double edge, double max_span,
  * half neighbor table
  * ------------------------------------------------------------------- */
 
-static int64_t drain_word(uint64_t *bits, int64_t x, int64_t *out, int64_t m)
-{
-    uint64_t word = bits[x];
-    bits[x] = 0;
-    for (; word; word &= word - 1)
-        out[m++] = 64 * x + __builtin_ctzll(word);
-    return m;
-}
-
-static int by_value(const void *a, const void *b)
-{
-    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
-}
-
 /* Writes the atoms marked in bits to out, ascending, clears their bits
- * and returns how many there were; words lists, unordered, the w > 0
- * words that hold them.  The words between the lowest and the highest
- * listed are scanned when they are fewer than 4 w, and the list is
- * sorted otherwise, so the cost follows the marks, not the bitmap. */
-static int64_t read_marks(uint64_t *bits, int64_t *words, int64_t w, int64_t *out)
+ * and returns how many there were.  Bit x of summary (n_summary words)
+ * marks word x of bits as touched, and is cleared with it: the read-back
+ * visits the touched words only, in order, with no sort, at a cost of
+ * the marks plus one summary word per 4096 atoms. */
+static int64_t read_marks(uint64_t *bits, uint64_t *summary, int64_t n_summary,
+                          int64_t *out)
 {
-    int64_t lo = words[0], hi = words[0], m = 0;
-    for (int64_t t = 1; t < w; t++) {
-        lo = words[t] < lo ? words[t] : lo;
-        hi = words[t] > hi ? words[t] : hi;
-    }
-    if (hi - lo < 4 * w) {
-        for (int64_t x = lo; x <= hi; x++)
-            m = drain_word(bits, x, out, m);
-    } else {
-        qsort(words, (size_t)w, sizeof *words, by_value);
-        for (int64_t t = 0; t < w; t++)
-            m = drain_word(bits, words[t], out, m);
+    int64_t m = 0;
+    for (int64_t s = 0; s < n_summary; s++) {
+        for (uint64_t touched = summary[s]; touched; touched &= touched - 1) {
+            int64_t x = 64 * s + __builtin_ctzll(touched);
+            for (uint64_t word = bits[x]; word; word &= word - 1)
+                out[m++] = 64 * x + __builtin_ctzll(word);
+            bits[x] = 0;
+        }
+        summary[s] = 0;
     }
     return m;
 }
@@ -177,8 +161,9 @@ static int64_t read_marks(uint64_t *bits, int64_t *words, int64_t w, int64_t *ou
  *     occupied[a] + (dx * dims[1] + dy) * dims[2] + [-2, 2]; one cursor
  *     per column finds them, and since the ids ascend with a the cursors
  *     only move forward;
- *   - the atoms of those cells, the union U_a, are marked in a bitmap and
- *     read back ascending into unions;
+ *   - the atoms of those cells, the union U_a, are marked in a bitmap,
+ *     their words in a summary bitmap, and read back ascending into
+ *     unions;
  *   - each atom u of a gets the suffix of U_a above u as its row, so its
  *     row length is |U_a| minus u's rank in U_a, minus one.
  * The sweep sums the pairs.  When capacity holds them and union_capacity
@@ -203,19 +188,19 @@ int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
     for (int64_t x = 0; x < n; x++)
         if (order[x] < 0 || order[x] >= n)
             return REFUSED;
-    /* atom-sized scratch: the bitmap and its marked words (one more, as
-     * every mark stores its word before it knows whether the word is
-     * new), a union that does not fit in unions, the row lengths, the end
-     * of each union */
+    /* atom-sized scratch: the bitmap and its summary, a union that does
+     * not fit in unions, the row lengths, the end of each union */
     int64_t n_words = n / 64 + 1;
-    uint64_t *bits = calloc((size_t)n_words, sizeof *bits);
-    int64_t *scratch = malloc((size_t)(n_words + 1 + 2 * n + k) * sizeof *scratch);
+    int64_t n_summary = n_words / 64 + 1;
+    uint64_t *bits = calloc((size_t)(n_words + n_summary), sizeof *bits);
+    int64_t *scratch = malloc((size_t)(2 * n + k) * sizeof *scratch);
     if (!bits || !scratch) {
         free(bits);
         free(scratch);
         return NO_MEMORY;
     }
-    int64_t *words = scratch, *spill = words + n_words + 1, *length = spill + n;
+    uint64_t *summary = bits + n_words;
+    int64_t *spill = scratch, *length = spill + n;
     int64_t *end = length + n, total = 0, used = 0, need = 0;
     for (int64_t x = 0; x < n; x++) {
         uint64_t bit = (uint64_t)1 << (order[x] & 63);
@@ -237,7 +222,7 @@ int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
         first[c] = after[c] = 0;
     }
     for (int64_t a = 0; a < k; a++) {
-        int64_t w = 0, bound = 0;
+        int64_t bound = 0;
         for (int c = 0; c < 25; c++) {
             int64_t lo = occupied[a] + column[c], b = first[c], e = after[c];
             while (b < k && occupied[b] < lo)
@@ -249,14 +234,13 @@ int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
             int64_t x = b < k ? starts[b] : n, stop = e < k ? starts[e] : n;
             for (bound += stop - x; x < stop; x++) {
                 int64_t v = order[x];
-                words[w] = v >> 6;  /* kept only when the word was empty */
-                w += !bits[v >> 6];
                 bits[v >> 6] |= (uint64_t)1 << (v & 63);
+                summary[v >> 12] |= (uint64_t)1 << ((v >> 6) & 63);
             }
         }
         need = used + bound > need ? used + bound : need;
         int64_t *u_a = used + bound <= union_capacity ? unions + used : spill;
-        int64_t size = read_marks(bits, words, w, u_a);
+        int64_t size = read_marks(bits, summary, n_summary, u_a);
         for (int64_t x = starts[a]; x < starts[a] + counts[a]; x++) {
             int64_t u = order[x], lo = 0, hi = size - 1;
             while (lo < hi) {  /* u's rank: a's own cell is in its stencil */
@@ -341,6 +325,15 @@ int64_t cutoff_pairs(int64_t n, const double *pos, const int64_t *offsets,
  * bond-tree weights
  * ------------------------------------------------------------------- */
 
+/* Whether every pair (i[k], j[k]) names two of the n atoms. */
+static int indexes_atoms(int64_t m, const int64_t *i, const int64_t *j, int64_t n)
+{
+    for (int64_t k = 0; k < m; k++)
+        if (i[k] < 0 || i[k] >= n || j[k] < 0 || j[k] >= n)
+            return 0;
+    return 1;
+}
+
 static int same(int64_t a, int64_t b)
 {
     return a == b && a >= 0;
@@ -356,9 +349,8 @@ int64_t pair_weights(int64_t m, const int64_t *i, const int64_t *j, int64_t n,
                      const int64_t *great, const int64_t *residue,
                      const uint8_t *in_tree, const double *by_class, double *w)
 {
-    for (int64_t k = 0; k < m; k++)
-        if (i[k] < 0 || i[k] >= n || j[k] < 0 || j[k] >= n)
-            return REFUSED;
+    if (!indexes_atoms(m, i, j, n))
+        return REFUSED;
     for (int64_t k = 0; k < m; k++) {
         int64_t a = i[k], b = j[k], cls = 4;
         int64_t apart = residue[a] - residue[b];
@@ -381,23 +373,14 @@ int64_t pair_weights(int64_t m, const int64_t *i, const int64_t *j, int64_t n,
  * pair terms and the force scatter
  * ------------------------------------------------------------------- */
 
-#define COULOMB_K 332.06
-
-static int indexes_atoms(int64_t m, const int64_t *i, const int64_t *j, int64_t n)
-{
-    for (int64_t k = 0; k < m; k++)
-        if (i[k] < 0 || i[k] >= n || j[k] < 0 || j[k] >= n)
-            return 0;
-    return 1;
-}
-
 /* Coulomb energy and force magnitude, in the two rows of out (2 x m), of
  * the pairs with d2 <= r2 and d <= cut (0 for the rest), weight column 0
- * of w (m x 2); kappa is the constant permittivity, or 0 for eps(d) = d. */
+ * of w (m x 2): energy w coulomb_k q_i q_j / (eps d), with kappa the
+ * constant permittivity eps, or 0 for eps(d) = d. */
 int64_t elec_terms(int64_t m, const int64_t *i, const int64_t *j,
                    const double *d2, const double *d, const double *w,
-                   int64_t n, const double *q, double kappa, double r2,
-                   double cut, double *out)
+                   int64_t n, const double *q, double coulomb_k, double kappa,
+                   double r2, double cut, double *out)
 {
     double *e = out, *mag = out + m;
     if (!indexes_atoms(m, i, j, n))
@@ -408,7 +391,7 @@ int64_t elec_terms(int64_t m, const int64_t *i, const int64_t *j,
             continue;
         }
         double kap = kappa > 0.0 ? kappa : d[k];
-        double qq = COULOMB_K * w[2 * k] * q[i[k]] * q[j[k]];
+        double qq = coulomb_k * w[2 * k] * q[i[k]] * q[j[k]];
         e[k] = qq / (kap * d[k]);
         mag[k] = qq / (kap * d[k] * d[k]);
     }

@@ -328,7 +328,9 @@ def summary_row(run: int, chain, outcome) -> list:
 
 
 def write_manifest(out_dir, payload: dict) -> Path:
-    """Machine-readable record of every effective parameter of a run."""
+    """Machine-readable record of every effective parameter of a run.
+    Arrays and numpy numbers are written as plain values; any other
+    object that JSON cannot hold raises ``TypeError``."""
     path = Path(out_dir) / "manifest.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_jsonable))
@@ -340,6 +342,4 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, (np.integer, np.floating)):
         return obj.item()
-    if hasattr(obj, "__dict__"):
-        return {k: v for k, v in obj.__dict__.items() if not k.startswith("_")}
-    return str(obj)
+    raise TypeError(f"the manifest cannot hold values of type {type(obj).__name__}")

@@ -12,8 +12,9 @@ Both stages are native (``pairs.c``, loaded by ``native``):
 ``build_grid`` is one call of ``grid_cells``, which bins and stably sorts
 the atoms by cell; ``build_neighbor_table`` is one call of
 ``neighbor_table``, which sweeps the occupied cells once: the atoms of a
-cell's block form one union, sorted once, and each atom of the cell gets
-the union's suffix above it as its row.  That call fills the table into
+cell's block form one union, marked in a bitmap and read back ascending
+through a summary bitmap of its touched words (no sort), and each atom of
+the cell gets the union's suffix above it as its row.  That call fills the table into
 the workspace's buffers when they hold it; a second call fills it only
 after they have had to grow.  Their numpy references live in
 ``tests/oracles.py``.

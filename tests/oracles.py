@@ -545,9 +545,9 @@ def reference_kcm_step(tau, conf, kappa):
     """The compliance step as first written, returning (theta, deltas).
 
     It tests the torques for NaN/inf and takes the peak over the free
-    dofs itself, masks the deltas, and then, as ``apply_deltas`` did,
-    masks them again and wraps theta with ``np.mod`` before the new
-    conformation wrapped it a second time."""
+    dofs itself, masks the deltas, and then masks them again and wraps
+    theta with ``np.mod`` before the new conformation wrapped it a second
+    time."""
     bad = np.flatnonzero(~np.isfinite(tau))
     if bad.size:
         raise NonFiniteTorqueError(f"non-finite torque {tau[bad[0]]} on dof {bad[0]}")

@@ -9,7 +9,6 @@ from kinefold.chain import (
     PLANE_CONSTANTS,
     Conformation,
     _Builder,
-    apply_deltas,
     build_chain,
     forward_kinematics,
     kinematic_state,
@@ -336,33 +335,26 @@ def test_measured_dihedrals_match_map(mixed_chain, rng):
     st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=1, max_size=8),
     st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=1, max_size=8),
 )
-def test_apply_deltas_wrap_property(thetas, deltas):
+def test_conformation_wrap_property(thetas, deltas):
     k = min(len(thetas), len(deltas))
     conf = Conformation(np.array(thetas[:k]), np.zeros(k, bool))
-    out = apply_deltas(conf, np.array(deltas[:k]))
+    out = Conformation(conf.theta + np.array(deltas[:k]), conf.frozen)
     assert np.all(out.theta >= 0.0) and np.all(out.theta < 360.0)
     # wrapping preserves the angle modulo a full turn
     diff = (out.theta - conf.theta - np.array(deltas[:k])) % 360.0
     assert np.all((diff < 1e-6) | (diff > 360.0 - 1e-6))
 
 
-def test_apply_deltas_zero_noop(ala2):
+def test_conformation_zero_deltas_noop(ala2):
     conf = ala2.conf_zp()
-    out = apply_deltas(conf, np.zeros(ala2.n_dof))
+    out = Conformation(conf.theta + np.zeros(ala2.n_dof), conf.frozen)
     assert np.array_equal(out.theta, conf.theta)
 
 
-def test_apply_deltas_wraps():
+def test_conformation_wraps():
     conf = Conformation(np.array([359.0]), np.array([False]))
-    out = apply_deltas(conf, np.array([2.0]))
+    out = Conformation(conf.theta + np.array([2.0]), conf.frozen)
     assert out.theta[0] == pytest.approx(1.0)
-
-
-def test_apply_deltas_respects_freeze():
-    conf = Conformation(np.array([10.0, 10.0]), np.array([True, False]))
-    out = apply_deltas(conf, np.array([90.0, 90.0]))
-    assert out.theta[0] == pytest.approx(10.0)
-    assert out.theta[1] == pytest.approx(100.0)
 
 
 def test_conformation_arrays_are_read_only(ala2):
@@ -372,7 +364,7 @@ def test_conformation_arrays_are_read_only(ala2):
     for array in (conf.theta, conf.frozen):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
-    assert apply_deltas(conf, np.ones(ala2.n_dof)).frozen is conf.frozen
+    assert Conformation(conf.theta + 1.0, conf.frozen).frozen is conf.frozen
     mask = np.zeros(ala2.n_dof, bool)
     kept = Conformation(conf.theta, mask)
     assert kept.frozen is not mask and mask.flags.writeable  # the caller's mask is copied
@@ -384,11 +376,6 @@ def test_freeze_rejects_out_of_range_dofs(ala2):
     for dof in (-1, ala2.n_dof):
         with pytest.raises(ConfigurationError, match=f"cannot freeze dof {dof}"):
             conf.freeze([0, dof])
-
-
-def test_apply_deltas_length_mismatch(ala2):
-    with pytest.raises(ConfigurationError):
-        apply_deltas(ala2.conf_zp(), np.zeros(ala2.n_dof + 1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -403,10 +390,11 @@ def test_non_finite_dihedral_names_its_dof(ala2, bad):
 
 
 def test_non_finite_step_names_its_dof(ala2):
+    conf = ala2.conf_zp()
     deltas = np.zeros(ala2.n_dof)
     deltas[1] = np.nan
     with pytest.raises(ConfigurationError, match="theta of dof 1 is nan"):
-        apply_deltas(ala2.conf_zp(), deltas)
+        Conformation(conf.theta + deltas, conf.frozen)
 
 
 def test_index_map_round_trip(mixed_chain, rng):

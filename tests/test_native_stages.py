@@ -406,17 +406,18 @@ def lattice(shape, cut, rng=None):
     return pos if rng is None else pos[rng.permutation(len(pos))]
 
 
-def folded_back(cut):
-    """1120 atoms whose first and last 60 lie in two adjacent cells, the
-    last ones in the cell of lower id, while the rest run off along a
+def folded_back(cut, line=1000):
+    """line + 120 atoms whose first and last 60 lie in two adjacent cells,
+    the last ones in the cell of lower id, while the rest run off along a
     line: the unions there hold two runs of atom indices far apart, with
-    many empty bitmap words between them, met high run first."""
+    many empty bitmap words between them, met high run first.  Past 4096
+    atoms the two runs also fall under different summary words."""
     rng = np.random.default_rng(11)
     edge = EDGE_PER_CUTOFF * cut
-    pos = np.zeros((1120, 3))
-    pos[60:1060, 0] = 3.0 * cut + 0.6 * np.arange(1000)
+    pos = np.zeros((line + 120, 3))
+    pos[60:line + 60, 0] = 3.0 * cut + 0.6 * np.arange(line)
     pos[:60] = rng.uniform(0.1, 0.9, (60, 3)) * edge + [edge, 0.0, 0.0]
-    pos[1060:] = rng.uniform(0.1, 0.9, (60, 3)) * edge
+    pos[line + 60:] = rng.uniform(0.1, 0.9, (60, 3)) * edge
     return pos
 
 
@@ -428,6 +429,7 @@ TABLE_LAYOUTS = {
     "line": lambda: lattice((1, 1, 9), 9.0),
     "one-per-cell-shuffled": lambda: lattice((12, 12, 12), 9.0, np.random.default_rng(7)),
     "folded-back": lambda: folded_back(9.0),
+    "folded-back-5120": lambda: folded_back(9.0, 5000),
     "dense-2000": lambda: np.random.default_rng(9).uniform(0.0, 14.0, (2000, 3)),
 }
 

@@ -273,3 +273,11 @@ def test_manifest_round_trip(tmp_path):
     data = json.loads(path.read_text())
     assert data["seed"] == 7
     assert data["arr"] == [0, 1, 2]
+
+
+def test_manifest_refuses_unknown_objects(tmp_path):
+    """An object JSON cannot hold fails the write, instead of being
+    written as its attributes or its repr."""
+    with pytest.raises(TypeError, match="cannot hold values of type object"):
+        write_manifest(tmp_path, {"seed": 7, "odd": object()})
+    assert not (tmp_path / "manifest.json").exists()
