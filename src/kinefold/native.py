@@ -114,13 +114,14 @@ _SIGNATURES = {
                   _F64_OUT],
     # n, positions, m, i, j, d, mag -> forces (n x 3)
     "scatter_forces": [_INT, _F64, _INT, _I64, _I64, _F64, _F64, _F64_OUT],
-    # lo, hi, positions, r_off, r_off2, offsets, neighbors, points, nq, need
+    # n, positions, r_off, offsets, neighbors, points, nq, need
     # -> counts, critical (with need 2), covered
-    "exposure": [_INT, _INT, _F64, _F64, _F64, _I64, _I64, _F64, _INT, _INT,
+    "exposure": [_INT, _F64, _F64, _I64, _I64, _F64, _INT, _INT,
                  _array(np.uint8, True), _array(np.int32, True), _I64_OUT],
-    # ... nq, counts, critical, w_int, delta_r, n -> acc
-    "force_events": [_INT, _INT, _F64, _F64, _F64, _I64, _I64, _F64, _INT, _U8, _I32,
-                     _I64, _DBL, _INT, _I64_OUT],
+    # n, positions, r_off, offsets, neighbors, points, nq, counts, critical,
+    # w_int, delta_r -> acc
+    "force_events": [_INT, _F64, _F64, _I64, _I64, _F64, _INT, _U8, _I32, _I64, _DBL,
+                     _I64_OUT],
 }
 
 

@@ -19,10 +19,13 @@
  * coverer, and the covered samples are the same.
  *
  * Rows are CSR: the neighbors of atom i are neighbors[offsets[i]] up to
- * neighbors[offsets[i + 1]].  Both passes work on the atoms [lo, hi).
- * They return 0, NO_MEMORY when scratch memory cannot be allocated, or
- * REFUSED when a critical neighbor is not one of the n atoms (the codes
- * of pairs.c and native.py).
+ * neighbors[offsets[i + 1]].  Each pass is one loop over the rows of all
+ * n atoms, so it is one call whatever the table holds; a row may be
+ * empty.  A neighbor's squared offset radius is r_off[j] * r_off[j],
+ * the product numpy forms.  The passes return 0, NO_MEMORY when scratch
+ * memory cannot be allocated, or REFUSED when need is not 1 or 2 or a
+ * critical neighbor is not one of the n atoms (the codes of pairs.c and
+ * native.py).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -51,13 +54,20 @@ static void sort_nearest_first(Near *row, int64_t m)
     }
 }
 
-static int64_t longest_row(int64_t lo, int64_t hi, const int64_t *offsets)
+static int64_t longest_row(int64_t n, const int64_t *offsets)
 {
     int64_t m = 0;
-    for (int64_t i = lo; i < hi; i++)
+    for (int64_t i = 0; i < n; i++)
         if (offsets[i + 1] - offsets[i] > m)
             m = offsets[i + 1] - offsets[i];
     return m;
+}
+
+/* The slots of a row of m neighbors: m rounded up to a multiple of four,
+ * and at least four. */
+static int64_t slots(int64_t m)
+{
+    return m > 4 ? (m + 3) / 4 * 4 : 4;
 }
 
 /* Two neighbors as one 16-byte vector: SSE2 on x86-64, NEON on aarch64. */
@@ -90,10 +100,11 @@ static inline unsigned covers4(double px, double py, double pz, const double *cx
 }
 
 /* The samples of one atom, centered at xi with offset radius ri, against
- * its sorted row (cx, cy, cz, r2: m4 slots, padding slots with r2 = -1
- * cover nothing).  Writes each sample's count, clamped at need, and with
- * need = 2 its critical neighbor (the coverer of a count-1 sample, else
- * -1); returns the number of covered samples.
+ * its sorted row (cx, cy, cz, r2: m4 >= 4 slots; padding slots, r2 = -1,
+ * cover nothing, so an empty row leaves every sample exposed).  Writes
+ * each sample's count, clamped at need, and with need = 2 its critical
+ * neighbor (the coverer of a count-1 sample, else -1); returns the number
+ * of covered samples.
  *
  * need = 2: s1 and s2 are the slots of the two coverers of the last
  * sample that reached count 2 (the two nearest at the first sample).  A
@@ -165,45 +176,38 @@ atom_samples(const int need, const double *xi, double ri, const double *points,
     return hit;
 }
 
-/* Coverage counts of every sample of the atoms [lo, hi), clamped at need
- * (1 or 2; REFUSED otherwise), and the number of covered samples per atom.
+/* Coverage counts of every sample of the n atoms, clamped at need (1 or
+ * 2; REFUSED otherwise), and the number of covered samples per atom.
  * With need = 2 (the states the force pass reads) critical holds the one
  * coverer of each count-1 sample and -1 for every other sample; with
  * need = 1 (the area alone) critical is not read or written.  Every entry
- * of the atoms [lo, hi) is written, those of atoms with an empty row too.
+ * is written, those of atoms with an empty row too.
  * A count of 1 has exactly one coverer and a count of 2 needs any two, so
  * the order of the tests cannot change them, and covered is the same for
  * either need.
  *
  * Each atom's row is sorted nearest center first and copied as structures
- * of arrays (cx, cy, cz, r2), padded to a multiple of four slots; a
- * padding slot has r2 = -1 and covers nothing (see atom_samples). */
-int64_t exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
-                 const double *r_off2, const int64_t *offsets,
-                 const int64_t *neighbors, const double *points, int64_t nq,
-                 int64_t need, uint8_t *counts, int32_t *critical, int64_t *covered)
+ * of arrays (cx, cy, cz, r2), padded to a multiple of four slots and to
+ * at least four; a padding slot has r2 = -1 and covers nothing (see
+ * atom_samples). */
+int64_t exposure(int64_t n, const double *pos, const double *r_off,
+                 const int64_t *offsets, const int64_t *neighbors,
+                 const double *points, int64_t nq, int64_t need,
+                 uint8_t *counts, int32_t *critical, int64_t *covered)
 {
     if (need != 1 && need != 2)
         return REFUSED;
-    int64_t cap = longest_row(lo, hi, offsets), cap4 = (cap + 3) / 4 * 4;
-    Near *row = malloc((size_t)(cap ? cap : 1) * sizeof *row);
-    double *soa = malloc((size_t)(cap4 ? cap4 : 4) * 4 * sizeof *soa);
+    int64_t cap4 = slots(longest_row(n, offsets));
+    Near *row = malloc((size_t)cap4 * sizeof *row);
+    double *soa = malloc((size_t)cap4 * 4 * sizeof *soa);
     if (!row || !soa) {
         free(row);
         free(soa);
         return NO_MEMORY;
     }
-    for (int64_t i = lo; i < hi; i++) {
-        int64_t a = offsets[i], m = offsets[i + 1] - a, m4 = (m + 3) / 4 * 4;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = offsets[i], m = offsets[i + 1] - a, m4 = slots(m);
         uint8_t *cnt = counts + i * nq;
-        if (m == 0) {
-            memset(cnt, 0, (size_t)nq);
-            if (need == 2)
-                for (int64_t k = 0; k < nq; k++)
-                    critical[i * nq + k] = -1;
-            covered[i] = 0;
-            continue;
-        }
         const double *xi = pos + 3 * i;
         for (int64_t t = 0; t < m; t++) {
             int64_t j = neighbors[a + t];
@@ -219,7 +223,7 @@ int64_t exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
             cx[t] = pos[3 * j];
             cy[t] = pos[3 * j + 1];
             cz[t] = pos[3 * j + 2];
-            r2[t] = t < m ? r_off2[j] : -1.0;
+            r2[t] = t < m ? r_off[j] * r_off[j] : -1.0;
         }
         covered[i] = need == 1
             ? atom_samples(1, xi, r_off[i], points, nq, cx, cy, cz, r2, m4, row,
@@ -232,20 +236,19 @@ int64_t exposure(int64_t lo, int64_t hi, const double *pos, const double *r_off,
     return 0;
 }
 
-/* Force events of the atoms [lo, hi) with a nonzero weight w_int[i], added
- * into acc (n x 3, int64).  An exposed sample (count 0) tests every
+/* Force events of the n atoms with a nonzero weight w_int[i], added into
+ * acc (n x 3, int64).  An exposed sample (count 0) tests every
  * neighbor moved by +dr along each axis: each coverage gained moves w from
  * atom i to the neighbor on that axis.  A critical sample (count 1) tests
  * only its coverer moved: each coverage lost moves w from the coverer to
  * atom i.  Multiply covered samples stay covered under one move. */
-int64_t force_events(int64_t lo, int64_t hi, const double *pos,
-                     const double *r_off, const double *r_off2,
+int64_t force_events(int64_t n, const double *pos, const double *r_off,
                      const int64_t *offsets, const int64_t *neighbors,
                      const double *points, int64_t nq, const uint8_t *counts,
                      const int32_t *critical, const int64_t *w_int, double dr,
-                     int64_t n, int64_t *acc)
+                     int64_t *acc)
 {
-    int64_t cap = longest_row(lo, hi, offsets);
+    int64_t cap = longest_row(n, offsets);
     /* per neighbor: center, moved center (x + dr, y + dr, z + dr), r^2 */
     double *c = malloc((size_t)(cap ? cap : 1) * 7 * sizeof *c);
     int64_t *gained = malloc((size_t)(cap ? cap : 1) * 3 * sizeof *gained);
@@ -254,9 +257,9 @@ int64_t force_events(int64_t lo, int64_t hi, const double *pos,
         free(gained);
         return NO_MEMORY;
     }
-    for (int64_t i = lo; i < hi; i++) {
+    for (int64_t i = 0; i < n; i++) {
         int64_t w = w_int[i], a = offsets[i], m = offsets[i + 1] - a;
-        if (w == 0 || m == 0)
+        if (w == 0)
             continue;
         const double *xi = pos + 3 * i;
         const uint8_t *cnt = counts + i * nq;
@@ -268,7 +271,7 @@ int64_t force_events(int64_t lo, int64_t hi, const double *pos,
                 cj[s] = pos[3 * j + s];
                 cj[3 + s] = pos[3 * j + s] + dr;
             }
-            cj[6] = r_off2[j];
+            cj[6] = r_off[j] * r_off[j];
             gained[3 * t] = gained[3 * t + 1] = gained[3 * t + 2] = 0;
         }
         int64_t freed[3] = {0, 0, 0};
@@ -288,7 +291,7 @@ int64_t force_events(int64_t lo, int64_t hi, const double *pos,
                 const double *x = pos + 3 * j;
                 double dx = px - x[0], dy = py - x[1], dz = pz - x[2];
                 double mx = px - (x[0] + dr), my = py - (x[1] + dr),
-                       mz = pz - (x[2] + dr), r2 = r_off2[j];
+                       mz = pz - (x[2] + dr), r2 = r_off[j] * r_off[j];
                 int lost[3] = {
                     !((mx * mx + dy * dy) + dz * dz <= r2),
                     !((dx * dx + my * my) + dz * dz <= r2),

@@ -16,10 +16,10 @@ opposite force contributions of magnitude ``4 pi gamma_i R_off_i^2 /
 (N delta_r)``.  Contributions accumulate in 64-bit fixed point with a
 power-of-two quantum, so the pair writes cancel bitwise: total momentum
 is exactly zero and results are independent of accumulation order
-(and therefore of how the atoms are split into blocks).
+(and therefore of how the rows are split between passes).
 
 Both passes run in the native library (``sasa.c``, built and loaded by
-``native``), one call per contiguous atom block.  A
+``native``), one call each over the rows of every atom.  A
 sample ``x_i + r_i u`` is covered by neighbor j when
 ``((x_i + r_i u) - x_j)`` has ``(dx^2 + dy^2) + dz^2 <= r_j^2``, evaluated
 in that order with no fused multiply-add, which is the distance test of
@@ -57,8 +57,6 @@ MIN_SAMPLES = 12
 _FIXED_POINT_BITS = 36
 # Slack on the reach r_i + r_j + delta_r: tangent spheres stay in the rows.
 _REACH_EPS = 1e-6
-# Atoms per kernel call; any partition gives the same result.
-_BLOCK_ATOMS = 256
 
 
 @dataclass(frozen=True)
@@ -147,17 +145,10 @@ def reach(r_a, r_b, delta_r: float):
     return r_a + r_b + delta_r + _REACH_EPS
 
 
-def _over_blocks(work, n: int) -> list:
-    """``work(lo, hi)`` over the fewest contiguous, near-equal atom blocks
-    of at most _BLOCK_ATOMS; results in order."""
-    bounds = np.linspace(0, n, -(-n // _BLOCK_ATOMS) + 1).astype(int)
-    return [work(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
 def _kernel_inputs(positions, params, neighbors: NeighborTable, sphere, config):
-    """Positions, offset radii and their squares, the CSR rows and the
-    sample directions as the kernel reads them, checked so that no index
-    leaves the arrays."""
+    """Positions, offset radii, the CSR rows and the sample directions as
+    the kernels read them, checked so that no index leaves the arrays.
+    The kernels square the radii themselves."""
     positions = np.ascontiguousarray(positions, float)
     n = len(positions)
     r_off = np.ascontiguousarray(offset_radii(params, config), float)
@@ -173,7 +164,7 @@ def _kernel_inputs(positions, params, neighbors: NeighborTable, sphere, config):
             or np.any(np.diff(offsets) < 0)
             or (len(nbrs) and not 0 <= nbrs.min() <= nbrs.max() < n)):
         raise ConfigurationError(f"neighbor rows do not index the {n} atoms")
-    return positions, r_off, r_off * r_off, offsets, nbrs, points
+    return positions, r_off, offsets, nbrs, points
 
 
 def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
@@ -196,19 +187,17 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
     same; the states' counts are clamped at 1 and they hold no critical
     neighbors, so only the area can be taken from them.
     """
-    positions, r_off, r_off2, offsets, nbrs, points = _kernel_inputs(
+    positions, r_off, offsets, nbrs, points = _kernel_inputs(
         positions, params, neighbors, sphere, config)
     n = len(positions)
     nq = sphere.n
     counts = np.empty((n, nq), np.uint8)
     critical = np.empty((0, nq) if area_only else (n, nq), np.int32)
     covered = np.empty(n, np.int64)
-    lib = native.load()
-    _over_blocks(lambda lo, hi: lib.call(
-        "exposure", lo, hi, positions, r_off, r_off2, offsets, nbrs, points, nq,
-        1 if area_only else 2, counts, critical, covered), n)
+    native.load().call("exposure", n, positions, r_off, offsets, nbrs, points, nq,
+                       1 if area_only else 2, counts, critical, covered)
     f_exp = (nq - covered) / float(nq)
-    a0 = 4.0 * math.pi * r_off2
+    a0 = 4.0 * math.pi * (r_off * r_off)
     a_exp = f_exp * a0
     g_cav = float(np.sum(params.gamma * a_exp))
     return SasaResult(f_exp, a_exp, g_cav), ExposureStates(
@@ -275,7 +264,7 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
                                     config.delta_r)
     check_accumulator(nq, int(np.diff(neighbors.offsets).max(initial=0)),
                       max(-int(w_int.min(initial=0)), int(w_int.max(initial=0))))
-    positions, r_off, r_off2, offsets, nbrs, points = _kernel_inputs(
+    positions, r_off, offsets, nbrs, points = _kernel_inputs(
         positions, params, neighbors, sphere, config)
     n = len(positions)
     if states.counts.shape != (n, nq) or states.critical.shape != (n, nq):
@@ -283,11 +272,10 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
             f"exposure states of shape {states.counts.shape} do not match "
             f"{n} atoms and {nq} samples")
     acc = np.zeros((n, 3), np.int64)
-    lib = native.load()
-    statuses = _over_blocks(lambda lo, hi: lib.call(
-        "force_events", lo, hi, positions, r_off, r_off2, offsets, nbrs, points, nq,
-        states.counts, states.critical, w_int, config.delta_r, n, acc), n)
-    if native.REFUSED in statuses:
+    status = native.load().call(
+        "force_events", n, positions, r_off, offsets, nbrs, points, nq,
+        states.counts, states.critical, w_int, config.delta_r, acc)
+    if status == native.REFUSED:
         raise ConfigurationError(
             "exposure states name a critical neighbor outside the atoms; pass the "
             "states sasa_pass gave for the same positions and rows")

@@ -9,6 +9,7 @@ from kinefold.chain import Conformation, build_chain
 from kinefold.forcefield import DielectricModel, extract_pairs
 from kinefold.kcm import Field, FieldConfig
 from kinefold.pdbio import load_params
+from kinefold.solvation import sasa_pass, solvation_forces
 from kinefold.spatial import Cutoffs, NeighborTable, filtered_lists
 from kinefold.topology import InteractionClass, TreeWeights, WeightTable, build_tree
 
@@ -78,6 +79,36 @@ def neighbor_table(rows) -> NeighborTable:
     np.cumsum([len(row) for row in rows], out=offsets[1:])
     entries = [np.asarray(row, np.int64) for row in rows]
     return NeighborTable(offsets=offsets, neighbors=np.concatenate(entries))
+
+
+def row_parts(table, parts: int) -> list[tuple[int, int, NeighborTable]]:
+    """``table`` split into ``parts`` near-equal contiguous atom runs
+    [lo, hi): each part's table keeps the rows of its run and leaves every
+    other row empty."""
+    bounds = np.linspace(0, len(table), parts + 1).astype(int)
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        a, b = table.offsets[lo], table.offsets[hi]
+        out.append((lo, hi, NeighborTable(offsets=np.clip(table.offsets, a, b) - a,
+                                          neighbors=table.neighbors[a:b])))
+    return out
+
+
+def passes_by_row_parts(pos, params, table, sphere, config, parts: int):
+    """Both SASA passes run once per part of ``row_parts``: each atom's
+    f_exp, full and area-only counts and critical neighbors from the part
+    holding its row, and the forces summed over the parts."""
+    f_exp, counts, critical, clamped, forces = [], [], [], [], 0.0
+    for lo, hi, part in row_parts(table, parts):
+        res, states = sasa_pass(pos, params, part, sphere, config)
+        _, area_states = sasa_pass(pos, params, part, sphere, config, area_only=True)
+        f_exp.append(res.f_exp[lo:hi])
+        counts.append(states.counts[lo:hi])
+        critical.append(states.critical[lo:hi])
+        clamped.append(area_states.counts[lo:hi])
+        forces = forces + solvation_forces(pos, params, part, sphere, states, config)
+    return (np.concatenate(f_exp), np.concatenate(counts), np.concatenate(critical),
+            np.concatenate(clamped), forces)
 
 
 # elec weights that tell the four interaction classes apart

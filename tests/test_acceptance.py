@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from kinefold import solvation
 from kinefold.chain import Conformation, build_chain, forward_kinematics, kinematic_state
 from kinefold.forcefield import AtomParams
 from kinefold.kcm import (
@@ -30,7 +29,14 @@ from kinefold.solvation import (
 )
 from kinefold.spatial import build_grid, build_neighbor_table
 
-from .conftest import cutoff_lists, make_field, neighbor_table, only, pair_field
+from .conftest import (
+    cutoff_lists,
+    make_field,
+    neighbor_table,
+    only,
+    pair_field,
+    passes_by_row_parts,
+)
 from .oracles import (
     BruteField,
     naive_solvation_forces,
@@ -302,10 +308,11 @@ def test_criterion_10_scaling(param_set):
 
 # --------------------------------------------------------------------------
 # 11. the atom-block partition never changes exposure states; forces within
-#     1e-6
+#     1e-6.  A block is one part of a row partition: its table keeps the
+#     rows of one contiguous atom run and leaves the others empty.
 # --------------------------------------------------------------------------
 
-def test_criterion_11_block_partition_invariance(param_set, monkeypatch):
+def test_criterion_11_block_partition_invariance(param_set):
     ch = build_chain(["SER", "ALA", "CYS"] * 6)
     params = param_set.resolve(ch)
     pos = forward_kinematics(ch, ch.conf_zp())
@@ -313,19 +320,15 @@ def test_criterion_11_block_partition_invariance(param_set, monkeypatch):
     sphere = generate_samples(1024)
     cfg = SolvationConfig(samples=1024)
     n = len(pos)
-    monkeypatch.setattr(solvation, "_BLOCK_ATOMS", n)
     res1, st1 = sasa_pass(pos, params, lists, sphere, cfg)
     f1 = solvation_forces(pos, params, lists, sphere, st1, cfg)
     ok = True
     for blocks in (2, 4, 7):
-        size = -(-n // blocks)
-        assert -(-n // size) == blocks
-        monkeypatch.setattr(solvation, "_BLOCK_ATOMS", size)
-        res_t, st_t = sasa_pass(pos, params, lists, sphere, cfg)
-        f_t = solvation_forces(pos, params, lists, sphere, st_t, cfg)
-        ok &= bool(np.array_equal(st1.counts, st_t.counts))
-        ok &= bool(np.array_equal(st1.critical, st_t.critical))
-        ok &= res_t.g_cav == pytest.approx(res1.g_cav, rel=1e-6)
+        f_exp, counts, critical, _, f_t = passes_by_row_parts(pos, params, lists,
+                                                              sphere, cfg, blocks)
+        ok &= bool(np.array_equal(st1.counts, counts))
+        ok &= bool(np.array_equal(st1.critical, critical))
+        ok &= bool(np.array_equal(res1.f_exp, f_exp))
         scale = max(np.abs(f1).max(), 1e-12)
         ok &= bool(np.abs(f_t - f1).max() <= 1e-6 * scale)
     report(11, ok, "exposure states identical and forces within 1e-6 "

@@ -79,7 +79,7 @@ def test_wrong_dtype_is_refused():
     f64 = np.zeros(3)
     i64 = np.zeros(2, np.int64)
     with pytest.raises(ctypes.ArgumentError):
-        lib.call("exposure", 0, 1, np.zeros((1, 3), np.float32), f64, f64, i64, i64[:0],
+        lib.call("exposure", 1, np.zeros((1, 3), np.float32), f64, i64, i64[:0],
                  np.zeros((12, 3)), 12, 2, np.zeros((1, 12), np.uint8),
                  np.zeros((1, 12), np.int32), np.zeros(1, np.int64))
     with pytest.raises(ctypes.ArgumentError):

@@ -27,7 +27,14 @@ from kinefold.solvation import (
 from kinefold.spatial import Cutoffs, build_grid, build_neighbor_table
 
 from . import oracles
-from .conftest import UniformWeights, cutoff_lists, neighbor_table
+from .conftest import (
+    UniformWeights,
+    cutoff_lists,
+    make_field,
+    neighbor_table,
+    passes_by_row_parts,
+    row_parts,
+)
 
 
 def make_params(n, rng=None, gamma=None, radius=None):
@@ -249,7 +256,10 @@ def test_forces_match_energy_forward_difference(rng):
                 assert abs(f[a, s] - fd) <= tol
 
 
-def test_block_partition_identical(rng, monkeypatch):
+def test_block_partition_identical(rng):
+    """Both passes run over row partitions (each part keeps the rows of
+    one contiguous atom run, the others empty) give bitwise the states,
+    f_exp and, summed, the forces of one pass over the whole table."""
     n = 24
     pos = rng.uniform(0, 9, (n, 3))
     params = make_params(n, rng)
@@ -260,19 +270,15 @@ def test_block_partition_identical(rng, monkeypatch):
     cfg = SolvationConfig(samples=512)
     res1, st1 = sasa_pass(pos, params, nbrs, sp, cfg)
     f1 = solvation_forces(pos, params, nbrs, sp, st1, cfg)
-    area1, clamped1 = sasa_pass(pos, params, nbrs, sp, cfg, area_only=True)
-    for size in (12, 6, 4, 1):  # 2, 4, 6 and 24 blocks against one
-        monkeypatch.setattr(solvation, "_BLOCK_ATOMS", size)
-        res_b, st_b = sasa_pass(pos, params, nbrs, sp, cfg)
-        assert np.array_equal(st1.counts, st_b.counts)
-        assert np.array_equal(st1.critical, st_b.critical)
-        assert np.array_equal(res1.f_exp, res_b.f_exp)
-        f_b = solvation_forces(pos, params, nbrs, sp, st_b, cfg)
+    _, clamped1 = sasa_pass(pos, params, nbrs, sp, cfg, area_only=True)
+    for parts in (2, 4, 6, 24):
+        f_exp, counts, critical, clamped, f_b = passes_by_row_parts(
+            pos, params, nbrs, sp, cfg, parts)
+        assert np.array_equal(st1.counts, counts)
+        assert np.array_equal(st1.critical, critical)
+        assert np.array_equal(res1.f_exp, f_exp)
+        assert np.array_equal(clamped1.counts, clamped)
         assert np.array_equal(f1, f_b)  # fixed point: order independent
-        area_b, clamped_b = sasa_pass(pos, params, nbrs, sp, cfg, area_only=True)
-        assert np.array_equal(clamped1.counts, clamped_b.counts)
-        assert np.array_equal(area1.f_exp, area_b.f_exp)
-        assert area1.g_cav == area_b.g_cav
 
 
 # ---- the compiled passes vs the distance test -----------------------------
@@ -493,7 +499,7 @@ def test_exposure_refuses_a_count_other_than_one_or_two():
     lib = native.load()
     pos = np.zeros((1, 3))
     for need in (0, 3):
-        status = lib.call("exposure", 0, 1, pos, np.ones(1), np.ones(1),
+        status = lib.call("exposure", 1, pos, np.ones(1),
                           np.zeros(2, np.int64), np.zeros(0, np.int64),
                           generate_samples(12).points, 12, need,
                           np.zeros((1, 12), np.uint8), np.zeros((1, 12), np.int32),
@@ -609,12 +615,12 @@ def test_neighbor_at_exact_cutoff_matches_oracle():
         assert states.critical[0, 0] == 1 and states.critical[0, 2] == 2
 
 
-@pytest.mark.parametrize("block", [solvation._BLOCK_ATOMS, 5])
-def test_sparse_rows_and_zero_gamma_match_oracle(monkeypatch, block):
+@pytest.mark.parametrize("parts", [1, 2], ids=["whole", "two-parts"])
+def test_sparse_rows_and_zero_gamma_match_oracle(parts):
     """Atoms with gamma = 0 and atoms with empty rows interleave with the
     active ones, so the force pass gathers the rows of a non-contiguous
-    atom subset out of the table (within and across blocks)."""
-    monkeypatch.setattr(solvation, "_BLOCK_ATOMS", block)
+    atom subset out of the table: the whole table, and each part of a row
+    partition, which empties the rows of the other part's atoms too."""
     rng = np.random.default_rng(11)
     n = 12
     lone = [2, 7, 8]
@@ -628,8 +634,9 @@ def test_sparse_rows_and_zero_gamma_match_oracle(monkeypatch, block):
     nbrs = neighbor_table(rows)
     active = np.flatnonzero((np.diff(nbrs.offsets) > 0) & (gamma != 0))
     assert np.any(np.diff(active) > 1)
-    assert_matches_distance_oracle(pos, params, nbrs, generate_samples(512),
-                                   SolvationConfig(samples=512))
+    for _, _, part in row_parts(nbrs, parts):
+        assert_matches_distance_oracle(pos, params, part, generate_samples(512),
+                                       SolvationConfig(samples=512))
 
 
 def test_neighbor_reaching_only_when_displaced():
@@ -720,6 +727,31 @@ def test_energy_only_evaluations_pass_area_only(param_set, monkeypatch):
     fld.evaluate(pos, energy_only=True)
     fld.evaluate(pos)
     assert seen == [True, False]
+
+
+def test_each_pass_is_one_native_call(param_set, monkeypatch):
+    """A solvated evaluation of the 301-atom 30-ALA helix runs each SASA
+    kernel once over every atom; an energy-only one runs exposure once."""
+    chain = build_chain(["ALA"] * 30)
+    assert chain.n_atoms == 301
+    fld = make_field(chain, param_set, solvation=True,
+                     solvation_cfg=SolvationConfig(samples=64))
+    pos = forward_kinematics(chain, chain.conf_from_backbone(-57.0, -47.0))
+    names = []
+    call = native.Native.call
+
+    def spy(self, name, *args):
+        names.append(name)
+        return call(self, name, *args)
+
+    monkeypatch.setattr(native.Native, "call", spy)
+    fld.evaluate(pos)
+    assert [name for name in names if name in ("exposure", "force_events")] == [
+        "exposure", "force_events"]
+    names.clear()
+    fld.evaluate(pos, energy_only=True)
+    assert [name for name in names if name in ("exposure", "force_events")] == [
+        "exposure"]
 
 
 def test_accumulator_bound():
