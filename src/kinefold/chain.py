@@ -25,8 +25,9 @@ reverse pass over it aggregates any per-link quantity onto ancestors.
 The table refuses any other order, and non-unit axes, whoever builds it.
 
 The forward pass is one call into the native library (``links.c``,
-loaded by ``native``); its numpy reference is ``tests/oracles.py``'s
-``kinematic_state``.
+loaded by ``native``), which forms each joint's rotation from its axis
+in a fixed C order; its numpy reference is ``tests/oracles.py``'s
+``kinematic_state``, which it matches to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -124,9 +125,7 @@ class LinkArrays:
     axis, dof and parent -1) and every other row's parent has a lower
     index, so one forward pass places the tree and one reverse pass sums
     it.  That order and unit joint axes are checked here, so every chain
-    has them, however its table was made.  ``k`` is each axis's
-    cross-product matrix, so a joint's Rodrigues rotation is
-    ``I + sin(t) k + (1 - cos(t)) k2``.  The numeric columns are held as
+    has them, however its table was made.  The numeric columns are held as
     the C-contiguous int64 and float64 arrays the native passes read.
     """
 
@@ -139,8 +138,6 @@ class LinkArrays:
     axis0: np.ndarray         # (n_links, 3) reference unit axes
     body0: np.ndarray         # (n_links, 3) reference body vectors
     point0: np.ndarray        # (n_links, 3) reference joint points
-    k: np.ndarray = field(init=False, repr=False)    # (n_links, 3, 3)
-    k2: np.ndarray = field(init=False, repr=False)   # (n_links, 3, 3), k @ k
 
     def __post_init__(self):
         for name, dtype in (("residue", np.int64), ("chi_index", np.int64),
@@ -164,13 +161,6 @@ class LinkArrays:
                 f"rotation axis must be unit length, got norm {norms[bad[0]]:.3e}"
                 f" on link {bad[0] + 1}"
             )
-        x, y, z = self.axis0.T
-        k = np.zeros((len(self), 3, 3))
-        k[:, 0, 1], k[:, 0, 2] = -z, y
-        k[:, 1, 0], k[:, 1, 2] = z, -x
-        k[:, 2, 0], k[:, 2, 1] = -y, x
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "k2", k @ k)
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -287,8 +277,8 @@ def kinematic_state(chain: Chain, conf: Conformation) -> KinematicState:
     axes = np.empty((n_links, 3))
     pos = np.empty((n, 3))
     if native.load().call("forward_links", n_links, links.parent, links.dof,
-                          chain.n_dof, conf.theta, links.k, links.k2, links.axis0,
-                          links.body0, n, chain.atom_link, chain.offsets, M, P, axes,
+                          chain.n_dof, conf.theta, links.axis0, links.body0, n,
+                          chain.atom_link, chain.offsets, M, P, axes,
                           pos) == native.REFUSED:
         raise link_index_error(chain)
     return KinematicState(transforms=M, joint_points=P, axes=axes, positions=pos)

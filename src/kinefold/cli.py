@@ -99,19 +99,14 @@ def _build_system(args, solvation: bool):
     return chain, Field(atom_params, weights, config)
 
 
-def _git_revision() -> str | None:
-    """HEAD of the git work tree that tracks this source, if one does; an
-    untracked copy inside another project's tree (a venv) records none."""
-    here = Path(__file__)
-    for argv in (["ls-files", "--error-unmatch", here.name], ["rev-parse", "HEAD"]):
-        try:
-            done = subprocess.run(["git", "-C", str(here.parent), *argv],
-                                  capture_output=True, text=True, timeout=10)
-        except (OSError, subprocess.SubprocessError):
-            return None
-        if done.returncode != 0:
-            return None
-    return done.stdout.strip()
+def _git(*argv: str) -> str | None:
+    """What git prints run in this package's directory; None if it fails."""
+    try:
+        done = subprocess.run(["git", "-C", str(Path(__file__).parent), *argv],
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout if done.returncode == 0 else None
 
 
 def _environment() -> dict:
@@ -121,9 +116,14 @@ def _environment() -> dict:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
     }
-    revision = _git_revision()
-    if revision:
-        env["git_revision"] = revision
+    # HEAD of the git work tree that tracks this source, and whether the
+    # package's files differ from it (a status that cannot be read does not
+    # vouch for a clean tree); an untracked copy inside another project's
+    # tree (a venv) records neither
+    if (_git("ls-files", "--error-unmatch", Path(__file__).name) is not None
+            and (head := _git("rev-parse", "HEAD"))):
+        env["git_revision"] = head.strip()
+        env["git_dirty"] = _git("status", "--porcelain", "--", ".") != ""
     import hashlib  # maps OpenSSL: only a command writing a manifest needs it
 
     lib = native.load()

@@ -15,7 +15,7 @@ call each: ``extract_pairs`` is ``cutoff_pairs``,
 ``elec_pair_quantities`` and ``vdw_pair_quantities`` are ``elec_terms``
 and ``vdw_terms`` over the whole pair arrays, and
 ``accumulate_pair_forces`` is ``scatter_forces``.  Their numpy
-references, with the same operation order, live in ``tests/oracles.py``.
+references live in ``tests/oracles.py``.
 
 ``extract_pairs`` and the two pair terms write their outputs into the
 ``spatial.Workspace`` they are given as ``work`` (``kcm.Field`` passes

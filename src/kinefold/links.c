@@ -10,12 +10,11 @@
  * (force, then moment about the origin).
  *
  * Each pass computes what its numpy reference in tests/oracles.py
- * computes, built with -ffp-contract=off so no step is fused: a 3-term
- * dot product is (a0*b0 + a1*b1) + a2*b2, a cross product is spelled as
- * numpy's cross spells it, and wrenches are summed in atom order, as
- * bincount sums them.  Dot products in numpy's matmul and einsum may
- * round in another order, so transforms, positions and torques agree
- * with the references to rounding, and wrenches bitwise.
+ * computes, built with -ffp-contract=off so no step is fused.  Wrenches,
+ * summed in atom order with numpy's cross, are bitwise the reference's.
+ * The other passes keep a fixed C order, each 3-term dot product (a0*b0 +
+ * a1*b1) + a2*b2, where numpy's matmul and einsum may round in another:
+ * transforms, positions and torques agree with the references to rounding.
  *
  * Every entry point returns 0, NO_MEMORY when scratch memory cannot be
  * allocated, or REFUSED when a parent, dof or owning link is out of range
@@ -70,18 +69,27 @@ static int valid_owners(int64_t n_links, int64_t n_atoms, const int64_t *owner)
     return 1;
 }
 
+/* out = a b for row-major 3 x 3 a and b */
+static void product(const double *a, const double *b, double *out)
+{
+    for (int r = 0; r < 3; r++)
+        for (int c = 0; c < 3; c++)
+            out[3 * r + c] = (a[3 * r] * b[c] + a[3 * r + 1] * b[3 + c])
+                             + a[3 * r + 2] * b[6 + c];
+}
+
 /* Forward kinematics.  Per link l >= 1, the joint rotation by theta[dof[l]]
- * degrees about the reference axis, R = (I + sin(t) k) + (1 - cos(t)) k2
- * (k the axis's cross-product matrix, k2 = k k), then
+ * degrees about the reference axis u = axis0[l], R = (I + sin(t) K) +
+ * (1 - cos(t)) K K with K v = u x v, then
  *   M[l] = M[parent] R,  P[l] = P[parent] + M[parent] body0[parent],
  * with M[0] = I and P[0] = 0; axes[l] = M[l] axis0[l] for every link.
  * Each of the n_atoms atoms is placed at P[owner] + M[owner] offset, its
  * offset from its link's joint point in the reference build. */
 int64_t forward_links(int64_t n_links, const int64_t *parent, const int64_t *dof,
-                      int64_t n_dof, const double *theta, const double *k,
-                      const double *k2, const double *axis0, const double *body0,
-                      int64_t n_atoms, const int64_t *owner, const double *offset,
-                      double *M, double *P, double *axes, double *pos)
+                      int64_t n_dof, const double *theta, const double *axis0,
+                      const double *body0, int64_t n_atoms, const int64_t *owner,
+                      const double *offset, double *M, double *P, double *axes,
+                      double *pos)
 {
     if (n_links < 1 || !valid_links(n_links, parent, dof, n_dof)
         || !valid_owners(n_links, n_atoms, owner))
@@ -91,21 +99,20 @@ int64_t forward_links(int64_t n_links, const int64_t *parent, const int64_t *dof
     P[0] = P[1] = P[2] = 0.0;
     apply(M, axis0, axes);
     for (int64_t l = 1; l < n_links; l++) {
+        const double *u = axis0 + 3 * l;
+        const double K[9] = {0.0, -u[2], u[1], u[2], 0.0, -u[0], -u[1], u[0], 0.0};
         double t = theta[dof[l]] * RADIANS_PER_DEGREE;
-        double s = sin(t), c = 1.0 - cos(t), R[9];
+        double s = sin(t), c = 1.0 - cos(t), KK[9], R[9];
+        product(K, K, KK);
         for (int e = 0; e < 9; e++)
-            R[e] = ((e % 4 == 0) + s * k[9 * l + e]) + c * k2[9 * l + e];
+            R[e] = ((e % 4 == 0) + s * K[e]) + c * KK[e];
         const double *Mp = M + 9 * parent[l];
-        double *Ml = M + 9 * l;
-        for (int r = 0; r < 3; r++)
-            for (int col = 0; col < 3; col++)
-                Ml[3 * r + col] = (Mp[3 * r] * R[col] + Mp[3 * r + 1] * R[3 + col])
-                                  + Mp[3 * r + 2] * R[6 + col];
+        product(Mp, R, M + 9 * l);
         double body[3];
         apply(Mp, body0 + 3 * parent[l], body);
         for (int x = 0; x < 3; x++)
             P[3 * l + x] = P[3 * parent[l] + x] + body[x];
-        apply(Ml, axis0 + 3 * l, axes + 3 * l);
+        apply(M + 9 * l, u, axes + 3 * l);
     }
     for (int64_t a = 0; a < n_atoms; a++) {
         double rel[3];

@@ -6,8 +6,11 @@ joint torques), ``pairs.c``, the pair stages of ``Field.evaluate`` (grid,
 neighbor table, cut-off pairs, pair weights, elec and vdW terms, force
 scatter), and ``sasa.c``, the two SASA passes.  They are compiled on
 first use with the system ``cc`` and fixed flags (no ``-march``, no
-fast-math, no contraction into fused multiply-adds, so every stage
-rounds like its numpy reference in ``tests/oracles.py``).  ``sasa.c``
+fast-math, no contraction into fused multiply-adds).  Against their numpy
+references in ``tests/oracles.py``, the grid, table, cut-off pairs,
+classes, SASA states, areas and forces, and wrenches are bitwise equal;
+the pair terms, the scatter and the link passes keep a fixed C order,
+within stated tolerances.  ``sasa.c``
 uses GCC/Clang vector extensions (``vector_size(16)`` double pairs),
 which the baseline instruction sets carry: SSE2 on x86-64, NEON on
 aarch64; the flags never name a ``-march``.  Every
@@ -85,10 +88,10 @@ _F64, _I64, _U8, _I32 = (_array(t) for t in (np.float64, np.int64, np.uint8, np.
 _F64_OUT, _I64_OUT = _array(np.float64, True), _array(np.int64, True)
 _INT, _DBL = ctypes.c_int64, ctypes.c_double
 _SIGNATURES = {
-    # n_links, parent, dof, n_dof, theta, k, k2, axis0, body0, n, owner, offsets
+    # n_links, parent, dof, n_dof, theta, axis0, body0, n, owner, offsets
     # -> transforms, joint points, axes, positions
-    "forward_links": [_INT, _I64, _I64, _INT, _F64, _F64, _F64, _F64, _F64, _INT, _I64,
-                      _F64, _F64_OUT, _F64_OUT, _F64_OUT, _F64_OUT],
+    "forward_links": [_INT, _I64, _I64, _INT, _F64, _F64, _F64, _INT, _I64, _F64,
+                      _F64_OUT, _F64_OUT, _F64_OUT, _F64_OUT],
     # n_links, n, owner, positions, forces -> wrenches (n_links x 6)
     "link_wrenches": [_INT, _INT, _I64, _F64, _F64, _F64_OUT],
     # n_links, parent, dof, n_dof, wrenches, axes, joint points -> tau

@@ -4,12 +4,14 @@
  * and the bond-tree pair weights (topology.py).
  *
  * Each stage computes what its numpy reference in tests/oracles.py
- * computes, in the same floating-point order, and the library is built
- * with -ffp-contract=off, so no step is fused: squared distances are
- * (dx*dx + dy*dy) + dz*dz of d = x_i - x_j, van der Waals powers are
- * products (no pow, whose vectorised and libm versions round
- * differently), and forces are scattered in pair order, every i-side
- * contribution before the j-side ones, as numpy's bincount adds them.
+ * computes, and the library is built with -ffp-contract=off, so no step
+ * is fused.  The grid, the table, the cut-off pairs and the classes are
+ * bitwise the references': squared distances are (dx*dx + dy*dy) + dz*dz
+ * of d = x_i - x_j, in numpy's order.  The pair terms and the force
+ * scatter keep a fixed C order and agree with them to rel 1e-12: van der
+ * Waals powers are products (no pow, whose vectorised and libm versions
+ * round differently), and each pair adds its force to atom i and takes
+ * it from atom j before the next pair.
  *
  * Every entry point returns a count (or 0), NO_MEMORY when scratch memory
  * cannot be allocated, and REFUSED or WIDE when its input cannot be used.
@@ -426,27 +428,20 @@ int64_t vdw_terms(int64_t m, const int64_t *i, const int64_t *j,
 }
 
 /* forces (n x 3, zeroed by the caller) = sum over pairs of +mag e_ij on i
- * and -mag e_ij on j, e_ij = (x_i - x_j) / d: the i-side sums first, in
- * pair order, then the j-side sums subtracted. */
+ * and -mag e_ij on j, e_ij = (x_i - x_j) / d, added in pair order. */
 int64_t scatter_forces(int64_t n, const double *pos, int64_t m, const int64_t *i,
                        const int64_t *j, const double *d, const double *mag,
                        double *forces)
 {
     if (!indexes_atoms(m, i, j, n))
         return REFUSED;
-    double *on_j = calloc((size_t)(3 * n) + 1, sizeof *on_j);
-    if (!on_j)
-        return NO_MEMORY;
     for (int64_t k = 0; k < m; k++) {
         const double *xi = pos + 3 * i[k], *xj = pos + 3 * j[k];
         for (int s = 0; s < 3; s++) {
             double f = mag[k] * ((xi[s] - xj[s]) / d[k]);
             forces[3 * i[k] + s] += f;
-            on_j[3 * j[k] + s] += f;
+            forces[3 * j[k] + s] -= f;
         }
     }
-    for (int64_t x = 0; x < 3 * n; x++)
-        forces[x] -= on_j[x];
-    free(on_j);
     return 0;
 }

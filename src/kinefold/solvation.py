@@ -259,14 +259,12 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
         raise ConfigurationError(
             "area-only exposure states (sasa_pass(..., area_only=True)) hold no "
             "critical neighbors; the force pass needs the states of a full sasa_pass")
-    nq = sphere.n
-    w_int, quantum = _force_quantum(params, offset_radii(params, config), nq,
-                                    config.delta_r)
-    check_accumulator(nq, int(np.diff(neighbors.offsets).max(initial=0)),
-                      max(-int(w_int.min(initial=0)), int(w_int.max(initial=0))))
     positions, r_off, offsets, nbrs, points = _kernel_inputs(
         positions, params, neighbors, sphere, config)
-    n = len(positions)
+    n, nq = len(positions), sphere.n
+    w_int, quantum = _force_quantum(params, r_off, nq, config.delta_r)
+    check_accumulator(nq, int(np.diff(offsets).max(initial=0)),
+                      max(-int(w_int.min(initial=0)), int(w_int.max(initial=0))))
     if states.counts.shape != (n, nq) or states.critical.shape != (n, nq):
         raise ConfigurationError(
             f"exposure states of shape {states.counts.shape} do not match "

@@ -99,10 +99,10 @@ def _chi_link_index(chain, i: int, k: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# numpy references of the native pair stages (pairs.c), in the same
-# operation order: grid, table, pairs, squared distances and classes are
-# bitwise equal to the native ones, pair terms and forces equal to
-# rounding
+# numpy references of the native pair stages (pairs.c): grid, table,
+# pairs, squared distances and classes are bitwise equal to the native
+# ones, pair terms and forces (which bincount sums in another order)
+# equal to rounding
 # --------------------------------------------------------------------------
 
 # the 62 offsets in [-2, 2]^3 lexicographically above (0, 0, 0)
@@ -290,7 +290,10 @@ def kinematic_state(chain, conf) -> KinematicState:
     chain.validate_conformation(conf)
     arr = chain.links
     t = np.radians(conf.theta[arr.dof[1:]])[:, None, None]
-    rot = np.eye(3) + np.sin(t) * arr.k[1:] + (1.0 - np.cos(t)) * arr.k2[1:]
+    x, y, z = arr.axis0[1:].T
+    zero = np.zeros_like(x)
+    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    rot = np.eye(3) + np.sin(t) * k + (1.0 - np.cos(t)) * (k @ k)
     parent = arr.parent
     n_links = len(parent)
     M = np.empty((n_links, 3, 3))

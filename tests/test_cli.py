@@ -335,11 +335,11 @@ def test_fold_run_directory_files(tmp_path):
             assert read_csv(out / run / name)[0] == ["# kinefold run log v1"]
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_manifest_revision_comes_from_a_tree_tracking_the_source(tmp_path):
-    """An untracked copy of the package inside another work tree (a venv
-    in a project) records no git revision; committed there, it records
-    that commit."""
+@pytest.fixture
+def vendored(tmp_path):
+    """A copy of the package inside another project's git work tree (a
+    venv in a project), untracked there, and a function returning the git
+    entries of the copy's manifest environment."""
     import kinefold
 
     project = tmp_path / "project"
@@ -353,19 +353,46 @@ def test_manifest_revision_comes_from_a_tree_tracking_the_source(tmp_path):
     subprocess.run(git + ["add", ".gitignore"], check=True)
     subprocess.run(git + ["commit", "-q", "-m", "project"], check=True)
 
-    def recorded():
-        code = ("import kinefold.cli as c; "
-                "print(c.__file__); print(c._git_revision())")
+    def recorded() -> dict:
+        code = ("import json, kinefold.cli as c; env = c._environment(); "
+                "print(c.__file__); "
+                "print(json.dumps({k: v for k, v in env.items() if 'git' in k}))")
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, check=True,
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(copy.parent)})
-        where, revision = done.stdout.split()
+        where, entries = done.stdout.splitlines()
         assert Path(where).parent == copy
-        return revision
+        return json.loads(entries)
 
-    assert recorded() == "None"
-    subprocess.run(git + ["add", "-f", ".venv"], check=True)
-    subprocess.run(git + ["commit", "-q", "-m", "vendor the package"], check=True)
-    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
-                          text=True).stdout.strip()
-    assert recorded() == head
+    def commit():
+        subprocess.run(git + ["add", "-f", ".venv"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "vendor the package"], check=True)
+        return subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    return copy, recorded, commit
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_manifest_revision_comes_from_a_tree_tracking_the_source(vendored):
+    """An untracked copy of the package inside another work tree records
+    no git revision; committed there, it records that commit."""
+    _, recorded, commit = vendored
+    assert recorded() == {}
+    head = commit()
+    assert recorded()["git_revision"] == head
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_manifest_records_whether_the_package_tree_is_dirty(vendored):
+    """``git_dirty`` is false for the committed package, true once one of
+    its files is edited and false again once the edit is undone."""
+    copy, recorded, commit = vendored
+    head = commit()
+    assert recorded() == {"git_revision": head, "git_dirty": False}
+    module = copy / "geometry.py"
+    source = module.read_text()
+    module.write_text(source + "# edited\n")
+    assert recorded() == {"git_revision": head, "git_dirty": True}
+    module.write_text(source)
+    assert recorded() == {"git_revision": head, "git_dirty": False}

@@ -3,7 +3,7 @@ in ``oracles``.
 
 Each stage of ``Field.evaluate``, and each per-link pass of the folding
 loop, is one call into the native library; ``tests/oracles.py`` holds
-the numpy bodies they replaced, spelled in the same operation order.
+the numpy bodies they replaced.
 Grid, table, pairs, squared distances, classes, cavity rows and link
 wrenches must be bitwise equal; pair terms, forces, kinematics and
 torques equal to rel 1e-12; errors must read the same.
@@ -285,8 +285,8 @@ def test_link_passes_refuse_wrong_dtype_or_layout(ala2):
 
     def forward(theta=np.zeros(n_dof), owner=ala2.atom_link, pos=out["pos"]):
         return lib.call("forward_links", n_links, links.parent, links.dof, n_dof, theta,
-                        links.k, links.k2, links.axis0, links.body0, n, owner,
-                        ala2.offsets, out["M"], out["P"], out["axes"], pos)
+                        links.axis0, links.body0, n, owner, ala2.offsets, out["M"],
+                        out["P"], out["axes"], pos)
 
     assert forward() == 0
     read_only = np.empty((n, 3))
@@ -472,6 +472,23 @@ def test_table_refuses_a_grid_that_does_not_partition_the_atoms(broken):
         build_neighbor_table(HashGrid(**bad))
 
 
+def test_scatter_adds_each_pair_in_pair_order(rng):
+    """On pairs that share atoms, the scatter is bitwise a loop that adds
+    +f to atom i and -f to atom j, one pair after another."""
+    n, m = 5, 60
+    pos = rng.normal(scale=3.0, size=(n, 3))
+    i = rng.integers(0, n, m)
+    j = (i + rng.integers(1, n, m)) % n
+    d = np.sqrt(((pos[i] - pos[j]) ** 2).sum(axis=1))
+    mag = rng.normal(size=m)
+    want = np.zeros((n, 3))
+    for k in range(m):
+        f = mag[k] * ((pos[i[k]] - pos[j[k]]) / d[k])
+        want[i[k]] += f
+        want[j[k]] -= f
+    assert np.array_equal(accumulate_pair_forces(n, pos, i, j, d, mag), want)
+
+
 def test_stages_refuse_indices_outside_the_atoms(param_set, ala2):
     pos = forward_kinematics(ala2, ala2.conf_zp())
     n = len(pos)
@@ -520,7 +537,6 @@ def test_allocation_failure_is_memory_error(monkeypatch, ala2, param_set):
         ("elec_terms", lambda: elec_pair_quantities(field.params, i, j, d2, d, w,
                                                     DielectricModel(), cut)),
         ("vdw_terms", lambda: vdw_pair_quantities(field.params, i, j, d2, d, w, cut)),
-        ("scatter_forces", lambda: accumulate_pair_forces(len(pos), pos, i, j, d, d)),
         ("exposure", lambda: sasa_pass(pos, field.params, lists, sphere, solv)),
         ("exposure", lambda: sasa_pass(pos, field.params, lists, sphere, solv,
                                        area_only=True)),

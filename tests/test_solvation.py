@@ -2,7 +2,6 @@ import math
 import re
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from kinefold.solvation import (
     sasa_pass,
     solvation_forces,
 )
-from kinefold.spatial import Cutoffs, build_grid, build_neighbor_table
+from kinefold.spatial import Cutoffs, NeighborTable, build_grid, build_neighbor_table
 
 from . import oracles
 from .conftest import (
@@ -762,16 +761,29 @@ def test_accumulator_bound():
 
 
 def test_forces_refuse_overflowing_accumulator():
-    """The guard fires before any sample is touched: a stand-in sphere
-    claims 2**30 samples but carries only twelve points."""
+    """The guard fires before any sample is touched: one row of 2**16
+    copies of the other atom, over 1024 samples, bounds the accumulator
+    past 2**63."""
     params = make_params(2)
     pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    sp = generate_samples(12)
-    _, states = sasa_pass(pos, params, all_neighbors(2), sp, SolvationConfig(samples=12))
-    huge = SimpleNamespace(n=2**30, points=sp.points)
-    with pytest.raises(ConfigurationError, match=f"{2**30} samples"):
-        solvation_forces(pos, params, all_neighbors(2), huge, states,
-                         SolvationConfig(samples=12))
+    sp, cfg = generate_samples(1024), SolvationConfig(samples=1024)
+    _, states = sasa_pass(pos, params, all_neighbors(2), sp, cfg)
+    long_row = neighbor_table([[1] * 2**16, [0]])
+    with pytest.raises(ConfigurationError,
+                       match=r"1024 samples x \(2 x 65536 neighbors \+ 1\)"):
+        solvation_forces(pos, params, long_row, sp, states, cfg)
+
+
+def test_forces_check_rows_before_bounding_the_accumulator():
+    """A table whose last offset runs far past its neighbor array is
+    refused as a table, not as an accumulator that could overflow."""
+    params = make_params(2)
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    sp, cfg = generate_samples(12), SolvationConfig(samples=12)
+    _, states = sasa_pass(pos, params, all_neighbors(2), sp, cfg)
+    overrun = NeighborTable(offsets=np.array([0, 1, 2**40]), neighbors=np.array([1, 0]))
+    with pytest.raises(ConfigurationError, match="neighbor rows do not index the 2 atoms"):
+        solvation_forces(pos, params, overrun, sp, states, cfg)
 
 
 @pytest.mark.parametrize("gamma", [5e-324, 2.2250738585072014e-308, float("nan"), -math.inf])
