@@ -84,7 +84,7 @@ def _array(dtype, writeable=False):
     return Array
 
 
-_F64, _I64, _U8, _I32 = (_array(t) for t in (np.float64, np.int64, np.uint8, np.int32))
+_F64, _I64, _U8 = (_array(t) for t in (np.float64, np.int64, np.uint8))
 _F64_OUT, _I64_OUT = _array(np.float64, True), _array(np.int64, True)
 _INT, _DBL = ctypes.c_int64, ctypes.c_double
 _SIGNATURES = {
@@ -105,10 +105,8 @@ _SIGNATURES = {
     # n, positions, offsets, neighbors, m, cut2 -> ij (2 x m), dd (2 x m), closest
     "cutoff_pairs": [_INT, _F64, _I64, _I64, _INT, _DBL, _I64_OUT, _F64_OUT,
                      ctypes.POINTER(ctypes.c_int64)],
-    # m, i, j, n, parent, grandparent, great-grandparent, residue, in_tree,
-    # by_class -> w (m x 2)
-    "pair_weights": [_INT, _I64, _I64, _INT, _I64, _I64, _I64, _I64, _U8, _F64,
-                     _F64_OUT],
+    # m, i, j, n, parent, residue, in_tree, by_class -> w (m x 2)
+    "pair_weights": [_INT, _I64, _I64, _INT, _I64, _I64, _U8, _F64, _F64_OUT],
     # m, i, j, d2, d, w, n, q, Coulomb constant, kappa, r2, cut -> out (2 x m)
     "elec_terms": [_INT, _I64, _I64, _F64, _F64, _F64, _INT, _F64, _DBL, _DBL, _DBL,
                    _DBL, _F64_OUT],
@@ -118,12 +116,12 @@ _SIGNATURES = {
     # n, positions, m, i, j, d, mag -> forces (n x 3)
     "scatter_forces": [_INT, _F64, _INT, _I64, _I64, _F64, _F64, _F64_OUT],
     # n, positions, r_off, offsets, neighbors, points, nq, need
-    # -> counts, critical (with need 2), covered
+    # -> counts (clamped at need), covered
     "exposure": [_INT, _F64, _F64, _I64, _I64, _F64, _INT, _INT,
-                 _array(np.uint8, True), _array(np.int32, True), _I64_OUT],
-    # n, positions, r_off, offsets, neighbors, points, nq, counts, critical,
-    # w_int, delta_r -> acc
-    "force_events": [_INT, _F64, _F64, _I64, _I64, _F64, _INT, _U8, _I32, _I64, _DBL,
+                 _array(np.uint8, True), _I64_OUT],
+    # n, positions, r_off, offsets, neighbors, points, nq, counts, w_int,
+    # delta_r -> acc; a count-1 sample's one coverer is found in its row
+    "force_events": [_INT, _F64, _F64, _I64, _I64, _F64, _INT, _U8, _I64, _DBL,
                      _I64_OUT],
 }
 

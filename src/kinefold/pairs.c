@@ -342,13 +342,12 @@ static int same(int64_t a, int64_t b)
 }
 
 /* The (m, 2) elec/vdW weights of the pairs: by_class (5 x 2) at the
- * pair's interaction class from the parent, grandparent and
- * great-grandparent pointers (topology.py).  Pairs with an atom outside
- * the tree, or residues more than one apart, are full (class 4).
- * REFUSED when a pair leaves the n atoms. */
+ * pair's interaction class from the parent pointers (topology.py; each
+ * -1 or one of the n atoms), followed up to the great-grandparent only
+ * for pairs in the tree and at most one residue apart.  Other pairs are
+ * full (class 4).  REFUSED when a pair leaves the n atoms. */
 int64_t pair_weights(int64_t m, const int64_t *i, const int64_t *j, int64_t n,
-                     const int64_t *parent, const int64_t *grand,
-                     const int64_t *great, const int64_t *residue,
+                     const int64_t *parent, const int64_t *residue,
                      const uint8_t *in_tree, const double *by_class, double *w)
 {
     if (!indexes_atoms(m, i, j, n))
@@ -357,12 +356,14 @@ int64_t pair_weights(int64_t m, const int64_t *i, const int64_t *j, int64_t n,
         int64_t a = i[k], b = j[k], cls = 4;
         int64_t apart = residue[a] - residue[b];
         if (in_tree[a] && in_tree[b] && apart <= 1 && apart >= -1) {
-            if (same(parent[a], b) || same(parent[b], a))
+            int64_t pa = parent[a], pb = parent[b];
+            int64_t ga = pa >= 0 ? parent[pa] : -1, gb = pb >= 0 ? parent[pb] : -1;
+            int64_t ha = ga >= 0 ? parent[ga] : -1, hb = gb >= 0 ? parent[gb] : -1;
+            if (same(pa, b) || same(pb, a))
                 cls = 1;
-            else if (same(grand[a], b) || same(grand[b], a) || same(parent[a], parent[b]))
+            else if (same(ga, b) || same(gb, a) || same(pa, pb))
                 cls = 2;
-            else if (same(great[a], b) || same(great[b], a) || same(grand[a], parent[b]) ||
-                     same(grand[b], parent[a]))
+            else if (same(ha, b) || same(hb, a) || same(ga, pb) || same(gb, pa))
                 cls = 3;
         }
         w[2 * k] = by_class[2 * cls];

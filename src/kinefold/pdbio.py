@@ -318,13 +318,14 @@ def write_run(run_dir, chain, trajectory) -> None:
 
 def summary_row(run: int, chain, outcome) -> list:
     """One ``summary.csv`` row: a finished trajectory, or the error that
-    ended the run."""
+    ended the run.  The mean phi and psi leave out the chain ends, where
+    they are undefined, so a one-residue chain leaves them empty."""
     if isinstance(outcome, Exception):
         return [run, "", False, f"error: {outcome}", "", "", ""]
     phi, psi, _ = chain.dihedrals_from_theta(outcome.final)
     return [run, outcome.iterations, outcome.converged, outcome.reason,
             f"{outcome.records[-1].energy.g_total:.6g}",
-            f"{np.mean(phi[1:]):.2f}", f"{np.mean(psi[:-1]):.2f}"]
+            *(f"{np.mean(a):.2f}" if len(a) else "" for a in (phi[1:], psi[:-1]))]
 
 
 def write_manifest(out_dir, payload: dict) -> Path:

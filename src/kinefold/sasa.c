@@ -6,8 +6,9 @@
  * (dx*dx + dy*dy) + dz*dz.  Built with -ffp-contract=off, so no step is
  * fused and the test rounds like the numpy reference in tests/oracles.py.
  *
- * The force pass needs only the clamped count 0/1/2, so one sample needs
- * at most two coverers (Le Grand & Merz, J. Comput. Chem. 14:349, 1993).
+ * The force pass needs only the clamped count 0/1/2 (it finds a count-1
+ * sample's one coverer again in its row), so one sample needs at most two
+ * coverers (Le Grand & Merz, J. Comput. Chem. 14:349, 1993).
  * It first tests the two neighbors that covered the last sample to reach
  * count 2; on the water folds about 75% of samples end there.  The other
  * samples scan the row nearest center first, four neighbors per step as
@@ -24,7 +25,7 @@
  * empty.  A neighbor's squared offset radius is r_off[j] * r_off[j],
  * the product numpy forms.  The passes return 0, NO_MEMORY when scratch
  * memory cannot be allocated, or REFUSED when need is not 1 or 2 or a
- * critical neighbor is not one of the n atoms (the codes of pairs.c and
+ * count-1 sample has no coverer in its row (the codes of pairs.c and
  * native.py).
  */
 #include <stdint.h>
@@ -102,9 +103,8 @@ static inline unsigned covers4(double px, double py, double pz, const double *cx
 /* The samples of one atom, centered at xi with offset radius ri, against
  * its sorted row (cx, cy, cz, r2: m4 >= 4 slots; padding slots, r2 = -1,
  * cover nothing, so an empty row leaves every sample exposed).  Writes
- * each sample's count, clamped at need, and with need = 2 its critical
- * neighbor (the coverer of a count-1 sample, else -1); returns the number
- * of covered samples.
+ * each sample's count, clamped at need; returns the number of covered
+ * samples.
  *
  * need = 2: s1 and s2 are the slots of the two coverers of the last
  * sample that reached count 2 (the two nearest at the first sample).  A
@@ -115,16 +115,14 @@ static inline unsigned covers4(double px, double py, double pz, const double *cx
  *
  * need = 1 (area only): s1 is the slot of the last coverer found (the
  * nearest at the first sample).  A sample tests it; if it misses, the
- * sample scans the row four slots per step up to its first coverer.  Any
- * coverer settles the count, so critical is not written (may be NULL).
+ * sample scans the row four slots per step up to its first coverer.
  *
  * Every caller passes need as a constant and the body is inlined, so
  * each mode is its own loop with no test of need per sample. */
 static inline __attribute__((always_inline)) int64_t
 atom_samples(const int need, const double *xi, double ri, const double *points,
              int64_t nq, const double *cx, const double *cy, const double *cz,
-             const double *r2, int64_t m4, const Near *row, uint8_t *cnt,
-             int32_t *crit)
+             const double *r2, int64_t m4, uint8_t *cnt)
 {
     int64_t hit = 0, s1 = 0, s2 = 1; /* m4 >= 4: both are slots */
     for (int64_t k = 0; k < nq; k++) {
@@ -169,8 +167,6 @@ atom_samples(const int need, const double *xi, double ri, const double *points,
             }
         }
         cnt[k] = (uint8_t)n;
-        if (need == 2)
-            crit[k] = n == 1 ? (int32_t)row[first].j : -1;
         hit += n > 0;
     }
     return hit;
@@ -178,10 +174,8 @@ atom_samples(const int need, const double *xi, double ri, const double *points,
 
 /* Coverage counts of every sample of the n atoms, clamped at need (1 or
  * 2; REFUSED otherwise), and the number of covered samples per atom.
- * With need = 2 (the states the force pass reads) critical holds the one
- * coverer of each count-1 sample and -1 for every other sample; with
- * need = 1 (the area alone) critical is not read or written.  Every entry
- * is written, those of atoms with an empty row too.
+ * need = 2 gives the states the force pass reads, need = 1 the area
+ * alone.  Every count is written, those of atoms with an empty row too.
  * A count of 1 has exactly one coverer and a count of 2 needs any two, so
  * the order of the tests cannot change them, and covered is the same for
  * either need.
@@ -193,7 +187,7 @@ atom_samples(const int need, const double *xi, double ri, const double *points,
 int64_t exposure(int64_t n, const double *pos, const double *r_off,
                  const int64_t *offsets, const int64_t *neighbors,
                  const double *points, int64_t nq, int64_t need,
-                 uint8_t *counts, int32_t *critical, int64_t *covered)
+                 uint8_t *counts, int64_t *covered)
 {
     if (need != 1 && need != 2)
         return REFUSED;
@@ -226,14 +220,26 @@ int64_t exposure(int64_t n, const double *pos, const double *r_off,
             r2[t] = t < m ? r_off[j] * r_off[j] : -1.0;
         }
         covered[i] = need == 1
-            ? atom_samples(1, xi, r_off[i], points, nq, cx, cy, cz, r2, m4, row,
-                           cnt, NULL)
-            : atom_samples(2, xi, r_off[i], points, nq, cx, cy, cz, r2, m4, row,
-                           cnt, critical + i * nq);
+            ? atom_samples(1, xi, r_off[i], points, nq, cx, cy, cz, r2, m4, cnt)
+            : atom_samples(2, xi, r_off[i], points, nq, cx, cy, cz, r2, m4, cnt);
     }
     free(row);
     free(soa);
     return 0;
+}
+
+/* The slot of the neighbor in c (m slots, 7 doubles each) that covers
+ * (px, py, pz), searched from slot t around the row, or -1.  Starting at
+ * the slot of the atom's previous count-1 sample finds most at once. */
+static int64_t coverer(const double *c, int64_t m, int64_t t, double px,
+                       double py, double pz)
+{
+    for (int64_t tried = 0; tried < m; tried++, t = t + 1 < m ? t + 1 : 0) {
+        double dx = px - c[7 * t], dy = py - c[7 * t + 1], dz = pz - c[7 * t + 2];
+        if ((dx * dx + dy * dy) + dz * dz <= c[7 * t + 6])
+            return t;
+    }
+    return -1;
 }
 
 /* Force events of the n atoms with a nonzero weight w_int[i], added into
@@ -241,12 +247,14 @@ int64_t exposure(int64_t n, const double *pos, const double *r_off,
  * neighbor moved by +dr along each axis: each coverage gained moves w from
  * atom i to the neighbor on that axis.  A critical sample (count 1) tests
  * only its coverer moved: each coverage lost moves w from the coverer to
- * atom i.  Multiply covered samples stay covered under one move. */
+ * atom i.  Multiply covered samples stay covered under one move.  The
+ * coverer is found by the exposure test in the gathered row c (see
+ * coverer); REFUSED when none covers, as the counts then belong to other
+ * rows or positions. */
 int64_t force_events(int64_t n, const double *pos, const double *r_off,
                      const int64_t *offsets, const int64_t *neighbors,
                      const double *points, int64_t nq, const uint8_t *counts,
-                     const int32_t *critical, const int64_t *w_int, double dr,
-                     int64_t *acc)
+                     const int64_t *w_int, double dr, int64_t *acc)
 {
     int64_t cap = longest_row(n, offsets);
     /* per neighbor: center, moved center (x + dr, y + dr, z + dr), r^2 */
@@ -274,7 +282,7 @@ int64_t force_events(int64_t n, const double *pos, const double *r_off,
             cj[6] = r_off[j] * r_off[j];
             gained[3 * t] = gained[3 * t + 1] = gained[3 * t + 2] = 0;
         }
-        int64_t freed[3] = {0, 0, 0};
+        int64_t freed[3] = {0, 0, 0}, hint = 0;
         for (int64_t k = 0; k < nq; k++) {
             if (cnt[k] > 1)
                 continue;
@@ -282,20 +290,20 @@ int64_t force_events(int64_t n, const double *pos, const double *r_off,
             double px = xi[0] + ri * u[0], py = xi[1] + ri * u[1],
                    pz = xi[2] + ri * u[2];
             if (cnt[k] == 1) {
-                int64_t j = critical[i * nq + k];
-                if (j < 0 || j >= n) {
+                hint = coverer(c, m, hint, px, py, pz);
+                if (hint < 0) {
                     free(c);
                     free(gained);
                     return REFUSED;
                 }
-                const double *x = pos + 3 * j;
-                double dx = px - x[0], dy = py - x[1], dz = pz - x[2];
-                double mx = px - (x[0] + dr), my = py - (x[1] + dr),
-                       mz = pz - (x[2] + dr), r2 = r_off[j] * r_off[j];
+                const double *cj = c + 7 * hint;
+                int64_t j = neighbors[a + hint];
+                double dx = px - cj[0], dy = py - cj[1], dz = pz - cj[2];
+                double mx = px - cj[3], my = py - cj[4], mz = pz - cj[5];
                 int lost[3] = {
-                    !((mx * mx + dy * dy) + dz * dz <= r2),
-                    !((dx * dx + my * my) + dz * dz <= r2),
-                    !((dx * dx + dy * dy) + mz * mz <= r2),
+                    !((mx * mx + dy * dy) + dz * dz <= cj[6]),
+                    !((dx * dx + my * my) + dz * dz <= cj[6]),
+                    !((dx * dx + dy * dy) + mz * mz <= cj[6]),
                 };
                 for (int s = 0; s < 3; s++) {
                     if (lost[s]) {

@@ -7,7 +7,7 @@ covers it, and the exposure ratio approximates the exposed area
 fraction.  Per sample point we track a clamped overlap count:
 
   0         exposed; displacing any neighbor may cover it
-  1         critically overlapped; only the recorded coverer matters
+  1         critically overlapped; only its one coverer, found in the row, matters
   2 or more multiply overlapped; no single displacement changes exposure
 
 The force pass perturbs neighbors by a forward difference ``delta_r``
@@ -117,14 +117,13 @@ def generate_samples(n: int) -> SampleSphere:
 
 @dataclass
 class ExposureStates:
-    """Per (atom, sample) clamped overlap count and critical neighbor;
-    ``sasa_pass`` sets every entry.  Area-only states count to 1 (covered
-    or not) and have no critical neighbors, so ``solvation_forces``
-    refuses them."""
+    """Per (atom, sample) clamped overlap count, the whole state: the force
+    pass finds a count-1 sample's coverer in its row.  ``sasa_pass`` sets
+    every entry.  Area-only states count to 1 (covered or not), so
+    ``solvation_forces`` refuses them."""
 
-    counts: np.ndarray            # uint8, values 0/1/2 (0/1 when area only)
-    critical: np.ndarray | None   # int32 neighbor index where count == 1, else
-                                  # -1; None when area only
+    counts: np.ndarray   # uint8, values 0/1/2 (0/1 when area only)
+    area_only: bool      # counts clamped at 1, by sasa_pass(..., area_only=True)
 
 
 @dataclass(frozen=True)
@@ -177,31 +176,27 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
     coverer.  It first tests the two neighbors that covered the last
     sample to reach count 2; if both cover, the count is 2.  Otherwise it
     scans the row nearest center first, four neighbors per step.  A count
-    of 1 has exactly one coverer, which is the recorded critical neighbor
-    whatever the order of the tests.  The kernel writes every count and
-    critical entry (-1 where the count is not 1), so neither array is
-    filled in advance.
+    of 1 has exactly one coverer whatever the order of the tests.  The
+    kernel writes every count, so the array is not filled in advance.
 
     With ``area_only`` the kernel stops at a sample's first coverer,
     testing the last coverer found first.  The result is bitwise the
-    same; the states' counts are clamped at 1 and they hold no critical
-    neighbors, so only the area can be taken from them.
+    same; the states' counts are clamped at 1, so only the area can be
+    taken from them.
     """
     positions, r_off, offsets, nbrs, points = _kernel_inputs(
         positions, params, neighbors, sphere, config)
     n = len(positions)
     nq = sphere.n
     counts = np.empty((n, nq), np.uint8)
-    critical = np.empty((0, nq) if area_only else (n, nq), np.int32)
     covered = np.empty(n, np.int64)
     native.load().call("exposure", n, positions, r_off, offsets, nbrs, points, nq,
-                       1 if area_only else 2, counts, critical, covered)
+                       1 if area_only else 2, counts, covered)
     f_exp = (nq - covered) / float(nq)
     a0 = 4.0 * math.pi * (r_off * r_off)
     a_exp = f_exp * a0
     g_cav = float(np.sum(params.gamma * a_exp))
-    return SasaResult(f_exp, a_exp, g_cav), ExposureStates(
-        counts, None if area_only else critical)
+    return SasaResult(f_exp, a_exp, g_cav), ExposureStates(counts, area_only)
 
 
 def _force_quantum(params, r_off: np.ndarray, nq: int, delta_r: float):
@@ -249,32 +244,32 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
     ``sasa_pass`` gave for the same inputs.
 
     Exposed samples test every neighbor in the row, displaced by +delta_r
-    along each axis; critically overlapped samples test only their
-    recorded coverer.  Multiply overlapped samples cannot change
-    exposure under a single displacement and are skipped.  Area-only
-    states are refused: they do not tell critical samples from multiply
-    overlapped ones, nor name the coverer.
+    along each axis; critically overlapped samples test only their one
+    coverer, found again in the row.  Multiply overlapped samples cannot
+    change exposure under a single displacement and are skipped.  Refused:
+    area-only states, which do not tell critical samples from multiply
+    overlapped ones, and a count-1 sample that nothing in its row covers.
     """
-    if states.critical is None:
+    if states.area_only:
         raise ConfigurationError(
-            "area-only exposure states (sasa_pass(..., area_only=True)) hold no "
-            "critical neighbors; the force pass needs the states of a full sasa_pass")
+            "area-only exposure states (sasa_pass(..., area_only=True)) do not tell "
+            "single from multiple coverage; the force pass needs a full sasa_pass")
     positions, r_off, offsets, nbrs, points = _kernel_inputs(
         positions, params, neighbors, sphere, config)
     n, nq = len(positions), sphere.n
     w_int, quantum = _force_quantum(params, r_off, nq, config.delta_r)
     check_accumulator(nq, int(np.diff(offsets).max(initial=0)),
                       max(-int(w_int.min(initial=0)), int(w_int.max(initial=0))))
-    if states.counts.shape != (n, nq) or states.critical.shape != (n, nq):
+    if states.counts.shape != (n, nq):
         raise ConfigurationError(
             f"exposure states of shape {states.counts.shape} do not match "
             f"{n} atoms and {nq} samples")
     acc = np.zeros((n, 3), np.int64)
     status = native.load().call(
         "force_events", n, positions, r_off, offsets, nbrs, points, nq,
-        states.counts, states.critical, w_int, config.delta_r, acc)
+        states.counts, w_int, config.delta_r, acc)
     if status == native.REFUSED:
         raise ConfigurationError(
-            "exposure states name a critical neighbor outside the atoms; pass the "
-            "states sasa_pass gave for the same positions and rows")
+            "exposure states do not belong to these rows and positions: a singly "
+            "covered sample has no coverer in its row")
     return acc.astype(float) * quantum

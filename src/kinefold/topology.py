@@ -5,7 +5,8 @@ chain: directly bonded pairs (1-2) are excluded from the nonbonded
 force field, 1-3 and 1-4 pairs are scaled, everything farther apart
 interacts fully.  Rather than a quadratic lookup table, a spanning tree
 of the bond graph rooted at the amino-terminal nitrogen answers each
-query from parent/grandparent/great-grandparent pointers in O(1).
+query in O(1) from its parent pointers: the classifier follows them up
+to the great-grandparent.
 
 Ring closures (aromatic side chains) drop one edge per independent
 cycle; path lengths across a dropped edge are then measured along the
@@ -72,17 +73,6 @@ class BondTree:
     parent: np.ndarray           # -1 at the root and for hetero atoms
     residue_of: np.ndarray
     chain_mask: np.ndarray       # False for hetero atoms (outside the tree)
-    grandparent: np.ndarray = field(init=False)
-    greatgrand: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        p = self.parent
-        safe = np.where(p >= 0, p, 0)
-        gp = np.where(p >= 0, p[safe], -1)
-        self.grandparent = np.where(gp >= 0, gp, -1)
-        safe2 = np.where(self.grandparent >= 0, self.grandparent, 0)
-        gg = np.where(self.grandparent >= 0, p[safe2], -1)
-        self.greatgrand = np.where(gg >= 0, gg, -1)
 
 
 def build_tree(chain) -> BondTree:
@@ -138,8 +128,10 @@ def build_tree(chain) -> BondTree:
 class TreeWeights:
     """Pair-weight provider backed by a bond tree and a weight table.
 
-    The tree's pointer arrays and the table are converted once, when the
-    provider is built, into the arrays the native classifier reads."""
+    The tree's arrays and the table are converted once, when the provider
+    is built, into the arrays the native classifier reads.  The classifier
+    follows the parent pointers: its read-only copy of them is checked once
+    to hold -1 or one of the atoms, and no later write reaches it."""
 
     tree: BondTree
     table: WeightTable = WeightTable()
@@ -148,11 +140,14 @@ class TreeWeights:
     def __post_init__(self):
         tree = self.tree
         n = len(tree.parent)
-        arrays = [np.ascontiguousarray(a, np.int64) for a in (
-            tree.parent, tree.grandparent, tree.greatgrand, tree.residue_of)]
-        arrays.append(np.ascontiguousarray(tree.chain_mask, np.uint8))
+        parent = np.array(tree.parent, np.int64)
+        parent.flags.writeable = False
+        arrays = [parent, np.ascontiguousarray(tree.residue_of, np.int64),
+                  np.ascontiguousarray(tree.chain_mask, np.uint8)]
         if any(a.shape != (n,) for a in arrays):
             raise ConfigurationError("bond tree arrays must share one length")
+        if n and not -1 <= arrays[0].min() <= arrays[0].max() < n:
+            raise ConfigurationError(f"bond tree parents must be -1 or one of the {n} atoms")
         arrays.append(np.ascontiguousarray(self.table.by_class()))
         object.__setattr__(self, "_arrays", arrays)
 

@@ -96,19 +96,17 @@ def row_parts(table, parts: int) -> list[tuple[int, int, NeighborTable]]:
 
 def passes_by_row_parts(pos, params, table, sphere, config, parts: int):
     """Both SASA passes run once per part of ``row_parts``: each atom's
-    f_exp, full and area-only counts and critical neighbors from the part
-    holding its row, and the forces summed over the parts."""
-    f_exp, counts, critical, clamped, forces = [], [], [], [], 0.0
+    f_exp and full and area-only counts from the part holding its row, and
+    the forces summed over the parts."""
+    f_exp, counts, clamped, forces = [], [], [], 0.0
     for lo, hi, part in row_parts(table, parts):
         res, states = sasa_pass(pos, params, part, sphere, config)
         _, area_states = sasa_pass(pos, params, part, sphere, config, area_only=True)
         f_exp.append(res.f_exp[lo:hi])
         counts.append(states.counts[lo:hi])
-        critical.append(states.critical[lo:hi])
         clamped.append(area_states.counts[lo:hi])
         forces = forces + solvation_forces(pos, params, part, sphere, states, config)
-    return (np.concatenate(f_exp), np.concatenate(counts), np.concatenate(critical),
-            np.concatenate(clamped), forces)
+    return np.concatenate(f_exp), np.concatenate(counts), np.concatenate(clamped), forces
 
 
 # elec weights that tell the four interaction classes apart

@@ -210,7 +210,9 @@ def classify_pairs(tree, i, j):
     near = (tree.chain_mask[i] & tree.chain_mask[j]
             & (np.abs(tree.residue_of[i] - tree.residue_of[j]) <= 1))
     ii, jj = i[near], j[near]
-    p, gp, gg = tree.parent, tree.grandparent, tree.greatgrand
+    p = tree.parent
+    gp = np.where(p >= 0, p[p], -1)
+    gg = np.where(gp >= 0, p[gp], -1)
     is14 = (_eq(gg[ii], jj) | _eq(gg[jj], ii)
             | _eq(gp[ii], p[jj]) | _eq(gp[jj], p[ii]))
     is13 = _eq(gp[ii], jj) | _eq(gp[jj], ii) | _eq(p[ii], p[jj])
@@ -464,6 +466,44 @@ def distance_exposure_states(positions, params, neighbors, sphere, config):
         critical[i, hit] = nb[np.argmax(cov[hit], axis=1)]
         covered[i] = int((cnt > 0).sum())
     return counts, critical, (nq - covered) / float(nq)
+
+
+def critical_neighbor_forces(positions, params, neighbors, sphere, config):
+    """The pruned force pass on the distance oracle's own states: an
+    exposed sample tests every neighbor moved by +delta_r along each axis,
+    a count-1 sample only the critical neighbor the oracle names, each
+    test in the order of the distance test.  The same fixed point as the
+    production path, so agreement can be checked bitwise."""
+    positions = np.asarray(positions, float)
+    n = len(positions)
+    nq = sphere.n
+    r_off = offset_radii(params, config)
+    r_off2 = r_off * r_off
+    counts, critical, _ = distance_exposure_states(positions, params, neighbors,
+                                                   sphere, config)
+    w_int, quantum = _force_quantum(params, r_off, nq, config.delta_r)
+    acc = np.zeros((n, 3), np.int64)
+    for i in range(n):
+        nb = np.asarray(neighbors[i], int)
+        w = w_int[i]
+        if len(nb) == 0 or w == 0:
+            continue
+        pts = positions[i] + r_off[i] * sphere.points
+        exposed = pts[counts[i] == 0]
+        single = pts[counts[i] == 1]
+        j = critical[i, counts[i] == 1].astype(int)
+        for s in range(3):
+            diff = exposed[:, None, :] - positions[nb][None, :, :]
+            diff[..., s] = exposed[:, None, s] - (positions[nb, s] + config.delta_r)
+            gained = ((diff * diff).sum(-1) <= r_off2[nb][None, :]).sum(0)
+            acc[i, s] -= int(gained.sum()) * w
+            np.add.at(acc[:, s], nb, gained * w)
+            diff = single - positions[j]
+            diff[:, s] = single[:, s] - (positions[j, s] + config.delta_r)
+            lost = ~((diff * diff).sum(-1) <= r_off2[j])
+            acc[i, s] += int(lost.sum()) * w
+            np.add.at(acc[:, s], j, lost * -w)
+    return acc.astype(float) * quantum
 
 
 def naive_solvation_forces(positions, params, neighbors, sphere, config):

@@ -324,10 +324,9 @@ def test_criterion_11_block_partition_invariance(param_set):
     f1 = solvation_forces(pos, params, lists, sphere, st1, cfg)
     ok = True
     for blocks in (2, 4, 7):
-        f_exp, counts, critical, _, f_t = passes_by_row_parts(pos, params, lists,
-                                                              sphere, cfg, blocks)
+        f_exp, counts, _, f_t = passes_by_row_parts(pos, params, lists, sphere, cfg,
+                                                    blocks)
         ok &= bool(np.array_equal(st1.counts, counts))
-        ok &= bool(np.array_equal(st1.critical, critical))
         ok &= bool(np.array_equal(res1.f_exp, f_exp))
         scale = max(np.abs(f1).max(), 1e-12)
         ok &= bool(np.abs(f_t - f1).max() <= 1e-6 * scale)

@@ -81,7 +81,7 @@ def test_wrong_dtype_is_refused():
     with pytest.raises(ctypes.ArgumentError):
         lib.call("exposure", 1, np.zeros((1, 3), np.float32), f64, i64, i64[:0],
                  np.zeros((12, 3)), 12, 2, np.zeros((1, 12), np.uint8),
-                 np.zeros((1, 12), np.int32), np.zeros(1, np.int64))
+                 np.zeros(1, np.int64))
     with pytest.raises(ctypes.ArgumentError):
         lib.call("grid_cells", 1, np.zeros((1, 3))[:, ::2], 1.0, 1e5,
                  np.empty(3, np.int64), np.empty(1, np.int64), np.empty((3, 1), np.int64))

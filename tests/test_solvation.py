@@ -158,15 +158,19 @@ def test_exposure_quantized(rng):
 
 
 def test_critical_neighbor_bookkeeping(rng):
+    """The states are the counts alone.  The oracle names one coverer for
+    exactly the count-1 samples, and the force pass, which finds that
+    coverer again in the row, gives the oracle's forces bitwise."""
     n = 5
     pos = rng.uniform(0, 4.5, (n, 3))
     params = make_params(n, rng)
     sp = generate_samples(512)
-    _, states = sasa_pass(pos, params, all_neighbors(n), sp,
-                          SolvationConfig(samples=512))
+    states, critical = assert_matches_distance_oracle(
+        pos, params, all_neighbors(n), sp, SolvationConfig(samples=512))
     singly = states.counts == 1
-    assert (states.critical[singly] >= 0).all()
-    assert (states.critical[~singly] == -1).all()
+    assert singly.any()
+    assert (critical[singly] >= 0).all()
+    assert (critical[~singly] == -1).all()
 
 
 def test_g_cav_matches_direct_recount(rng):
@@ -271,10 +275,9 @@ def test_block_partition_identical(rng):
     f1 = solvation_forces(pos, params, nbrs, sp, st1, cfg)
     _, clamped1 = sasa_pass(pos, params, nbrs, sp, cfg, area_only=True)
     for parts in (2, 4, 6, 24):
-        f_exp, counts, critical, clamped, f_b = passes_by_row_parts(
-            pos, params, nbrs, sp, cfg, parts)
+        f_exp, counts, clamped, f_b = passes_by_row_parts(pos, params, nbrs, sp, cfg,
+                                                          parts)
         assert np.array_equal(st1.counts, counts)
-        assert np.array_equal(st1.critical, critical)
         assert np.array_equal(res1.f_exp, f_exp)
         assert np.array_equal(clamped1.counts, clamped)
         assert np.array_equal(f1, f_b)  # fixed point: order independent
@@ -284,25 +287,28 @@ def test_block_partition_identical(rng):
 
 def assert_area_only_agrees(pos, params, nbrs, sp, cfg):
     """The area-only pass against the full one: bitwise the same f_exp,
-    a_exp and g_cav, the counts clamped at 1 and no critical neighbors.
-    Returns the area-only states."""
+    a_exp and g_cav, and the counts clamped at 1.  Returns the area-only
+    states."""
     full, states = sasa_pass(pos, params, nbrs, sp, cfg)
     area, clamped = sasa_pass(pos, params, nbrs, sp, cfg, area_only=True)
     assert np.array_equal(area.f_exp, full.f_exp)
     assert np.array_equal(area.a_exp, full.a_exp)
     assert area.g_cav == full.g_cav
     assert np.array_equal(clamped.counts, np.minimum(states.counts, 1))
-    assert clamped.critical is None
+    assert clamped.area_only and not states.area_only
     return clamped
 
 
 def assert_matches_distance_oracle(pos, params, nbrs, sp, cfg):
-    """Both passes and both kinds of states against the distance oracle."""
+    """Both passes and both kinds of states against the distance oracle,
+    and the forces against the displaced recount and against the pruned
+    pass on the oracle's critical neighbors.  Returns the states and the
+    oracle's critical neighbors (the one coverer of each count-1 sample,
+    else -1)."""
     res, states = sasa_pass(pos, params, nbrs, sp, cfg)
     counts, critical, f_exp = oracles.distance_exposure_states(pos, params, nbrs,
                                                                sp, cfg)
     assert np.array_equal(states.counts, counts)
-    assert np.array_equal(states.critical, critical)
     assert np.array_equal(res.f_exp, f_exp)
     assert_area_only_agrees(pos, params, nbrs, sp, cfg)
     try:
@@ -311,8 +317,10 @@ def assert_matches_distance_oracle(pos, params, nbrs, sp, cfg):
         with pytest.raises(ConfigurationError, match=re.escape(str(refused))):
             solvation_forces(pos, params, nbrs, sp, states, cfg)
     else:
+        assert np.array_equal(oracles.critical_neighbor_forces(pos, params, nbrs, sp, cfg),
+                              want)
         assert np.array_equal(solvation_forces(pos, params, nbrs, sp, states, cfg), want)
-    return states
+    return states, critical
 
 
 def axis_sphere(n=128):
@@ -374,7 +382,7 @@ def test_boundary_samples_match_distance_oracle(seed, displaced):
 
 def early_exit_states(neighbors, radii):
     """States of atom 0 among ``neighbors`` (centers), checked bitwise
-    against the distance oracle."""
+    against the distance oracle, and the oracle's critical neighbors."""
     pos = np.vstack([np.zeros(3), neighbors])
     params = make_params(len(pos), radius=np.array([0.6, *radii]))
     return assert_matches_distance_oracle(pos, params, all_neighbors(len(pos)),
@@ -383,17 +391,29 @@ def early_exit_states(neighbors, radii):
 
 def test_far_coverer_is_critical_when_nearer_neighbors_miss():
     """Two near neighbors miss the +x sample and the farthest one, last in
-    both index and distance order, covers it: the scan must go past the
-    misses and record that far neighbor."""
-    states = early_exit_states([[-1.0, 0.0, 0.0], [0.0, -1.5, 0.0], [4.5, 0.0, 0.0]],
-                               [0.6, 0.6, 1.6])
-    assert states.counts[0, 0] == 1 and states.critical[0, 0] == 3
+    both index and distance order, covers it alone, tangent to atom 0's
+    offset sphere there: both passes must scan past the misses to that far
+    neighbor.  With only atom 0 solvated, each +delta_r move of the far
+    neighbor uncovers that sample and nothing else, so its force is the
+    one event per axis that the force pass can only find there."""
+    centers = [[-1.0, 0.0, 0.0], [0.0, -1.5, 0.0], [5.0, 0.0, 0.0]]
+    states, critical = early_exit_states(centers, [0.6, 0.6, 1.6])
+    assert states.counts[0, 0] == 1 and critical[0, 0] == 3
+    pos = np.vstack([np.zeros(3), centers])
+    params = make_params(4, radius=np.array([0.6, 0.6, 0.6, 1.6]),
+                         gamma=np.array([1.0, 0.0, 0.0, 0.0]))
+    sp, cfg = axis_sphere(), SolvationConfig()
+    _, states = sasa_pass(pos, params, all_neighbors(4), sp, cfg)
+    f = solvation_forces(pos, params, all_neighbors(4), sp, states, cfg)
+    assert np.array_equal(f, oracles.naive_solvation_forces(pos, params, all_neighbors(4),
+                                                            sp, cfg))
+    assert f[3, 0] < 0 and f[3, 0] == f[3, 1] == f[3, 2]
 
 
 def test_three_coverers_count_two_without_critical():
-    states = early_exit_states([[3.5, 0.0, 0.0], [3.0, 0.5, 0.0], [3.0, 0.0, 0.5]],
-                               [0.6, 0.6, 0.6])
-    assert states.counts[0, 0] == 2 and states.critical[0, 0] == -1
+    states, critical = early_exit_states(
+        [[3.5, 0.0, 0.0], [3.0, 0.5, 0.0], [3.0, 0.0, 0.5]], [0.6, 0.6, 0.6])
+    assert states.counts[0, 0] == 2 and critical[0, 0] == -1
 
 
 def test_neighbors_at_equal_distance():
@@ -401,12 +421,12 @@ def test_neighbors_at_equal_distance():
     the +y or the -y sample; neighbors 3 and 4, mirror images too, both
     cover the +x sample.  Whichever of a tied pair the scan takes first,
     the states are the same."""
-    states = early_exit_states([[0.0, 3.0, 0.0], [0.0, -3.0, 0.0],
-                                [2.9, 0.0, 0.768], [2.9, 0.0, -0.768]],
-                               [0.6] * 4)
-    assert states.counts[0, 1] == 1 and states.critical[0, 1] == 1  # +y
-    assert states.counts[0, 4] == 1 and states.critical[0, 4] == 2  # -y
-    assert states.counts[0, 0] == 2 and states.critical[0, 0] == -1  # +x
+    states, critical = early_exit_states([[0.0, 3.0, 0.0], [0.0, -3.0, 0.0],
+                                          [2.9, 0.0, 0.768], [2.9, 0.0, -0.768]],
+                                         [0.6] * 4)
+    assert states.counts[0, 1] == 1 and critical[0, 1] == 1  # +y
+    assert states.counts[0, 4] == 1 and critical[0, 4] == 2  # -y
+    assert states.counts[0, 0] == 2 and critical[0, 0] == -1  # +x
 
 
 # ---- previous coverers and four-slot steps --------------------------------
@@ -426,9 +446,9 @@ def test_rows_of_every_length_match_distance_oracle(length):
     params = make_params(n, radius=np.array([3.0] + [0.6] * 10))
     rows = [[j for j in range(n) if j != i] for i in range(n)]
     rows[1] = list(range(2, 2 + length))
-    states = assert_matches_distance_oracle(pos, params, neighbor_table(rows),
-                                            generate_samples(256),
-                                            SolvationConfig(samples=256))
+    states, _ = assert_matches_distance_oracle(pos, params, neighbor_table(rows),
+                                               generate_samples(256),
+                                               SolvationConfig(samples=256))
     assert set(states.counts[1]) == set(range(min(length, 2) + 1))
 
 
@@ -454,10 +474,10 @@ def test_previous_coverers_each_outcome():
         40,   # count 2 (1, 2, 3): the previous pair (4, 5) misses
     ])
     sphere = SampleSphere(np.stack([np.cos(theta), np.sin(theta), 0 * theta], 1))
-    states = assert_matches_distance_oracle(pos, params, all_neighbors(6), sphere,
-                                            SolvationConfig())
+    states, critical = assert_matches_distance_oracle(pos, params, all_neighbors(6),
+                                                      sphere, SolvationConfig())
     assert list(states.counts[0]) == [0, 2, 1, 2, 2, 2, 2, 2, 1, 2]
-    assert list(states.critical[0]) == [-1, -1, 1, -1, -1, -1, -1, -1, 3, -1]
+    assert list(critical[0]) == [-1, -1, 1, -1, -1, -1, -1, -1, 3, -1]
 
 
 def test_last_coverer_each_outcome():
@@ -487,7 +507,7 @@ def test_last_coverer_each_outcome():
     ])
     sphere = SampleSphere(np.stack([np.cos(theta), np.sin(theta), 0 * theta], 1))
     cfg = SolvationConfig()
-    states = assert_matches_distance_oracle(pos, params, all_neighbors(6), sphere, cfg)
+    states, _ = assert_matches_distance_oracle(pos, params, all_neighbors(6), sphere, cfg)
     assert list(states.counts[0]) == [1, 1, 1, 2, 1, 2, 1, 0, 1, 1]
     _, clamped = sasa_pass(pos, params, all_neighbors(6), sphere, cfg, area_only=True)
     assert list(clamped.counts[0]) == [1, 1, 1, 1, 1, 1, 1, 0, 1, 1]
@@ -501,8 +521,7 @@ def test_exposure_refuses_a_count_other_than_one_or_two():
         status = lib.call("exposure", 1, pos, np.ones(1),
                           np.zeros(2, np.int64), np.zeros(0, np.int64),
                           generate_samples(12).points, 12, need,
-                          np.zeros((1, 12), np.uint8), np.zeros((1, 12), np.int32),
-                          np.zeros(1, np.int64))
+                          np.zeros((1, 12), np.uint8), np.zeros(1, np.int64))
         assert status == native.REFUSED
 
 
@@ -525,14 +544,15 @@ def test_helix_states_match_distance_oracle(param_set, jitter):
     params = param_set.resolve(chain)
     cfg = SolvationConfig()
     rows = helix_rows(pos, params, cfg)
-    res, states = sasa_pass(pos, params, rows, generate_samples(cfg.samples), cfg)
-    counts, critical, f_exp = oracles.distance_exposure_states(
-        pos, params, rows, generate_samples(cfg.samples), cfg)
+    sp = generate_samples(cfg.samples)
+    res, states = sasa_pass(pos, params, rows, sp, cfg)
+    counts, _, f_exp = oracles.distance_exposure_states(pos, params, rows, sp, cfg)
     assert np.array_equal(states.counts, counts)
-    assert np.array_equal(states.critical, critical)
     assert np.array_equal(res.f_exp, f_exp)
     assert (counts == 2).any() and (counts == 1).any() and (counts == 0).any()
-    assert_area_only_agrees(pos, params, rows, generate_samples(cfg.samples), cfg)
+    assert_area_only_agrees(pos, params, rows, sp, cfg)
+    assert np.array_equal(solvation_forces(pos, params, rows, sp, states, cfg),
+                          oracles.critical_neighbor_forces(pos, params, rows, sp, cfg))
 
 
 def test_chain_forces_match_naive_recount(param_set):
@@ -548,14 +568,18 @@ def test_chain_forces_match_naive_recount(param_set):
     assert np.array_equal(got, oracles.naive_solvation_forces(pos, params, rows, sp, cfg))
 
 
-def test_states_naming_no_atom_are_refused():
+def test_single_sample_without_a_coverer_is_refused():
+    """States whose count-1 sample no neighbor in its row covers do not
+    belong to these rows and positions: one exposed sample's count set to
+    1 sends the force pass's search through the whole row in vain."""
     params = make_params(2)
     pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     sp = generate_samples(12)
     cfg = SolvationConfig(samples=12)
     _, states = sasa_pass(pos, params, all_neighbors(2), sp, cfg)
-    states.critical[states.counts == 1] = 2
-    with pytest.raises(ConfigurationError, match="critical neighbor outside"):
+    exposed = np.flatnonzero(states.counts[0] == 0)
+    states.counts[0, exposed[-1]] = 1
+    with pytest.raises(ConfigurationError, match="singly covered sample has no coverer"):
         solvation_forces(pos, params, all_neighbors(2), sp, states, cfg)
 
 
@@ -580,10 +604,10 @@ def test_rows_outside_the_atoms_are_refused():
 def test_tangent_spheres_tie_is_covered():
     params = make_params(2, radius=np.full(2, 1.6))   # offset radius 3.0
     pos = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0]])
-    states = assert_matches_distance_oracle(pos, params, all_neighbors(2),
-                                            axis_sphere(), SolvationConfig())
-    assert states.counts[0, 0] == 1 and states.critical[0, 0] == 1  # +x
-    assert states.counts[1, 3] == 1 and states.critical[1, 3] == 0  # -x
+    states, critical = assert_matches_distance_oracle(pos, params, all_neighbors(2),
+                                                      axis_sphere(), SolvationConfig())
+    assert states.counts[0, 0] == 1 and critical[0, 0] == 1  # +x
+    assert states.counts[1, 3] == 1 and critical[1, 3] == 0  # -x
     assert states.counts[0, 1:].max() == 0
 
 
@@ -609,9 +633,10 @@ def test_neighbor_at_exact_cutoff_matches_oracle():
                   oracles.brute_table(pos, 8.0)):
         nbrs = cutoff_lists(table, pos, 8.0)
         assert nbrs[0].tolist() == [1, 2]
-        states = assert_matches_distance_oracle(pos, params, nbrs, axis_sphere(),
-                                                cfg)
-        assert states.critical[0, 0] == 1 and states.critical[0, 2] == 2
+        states, critical = assert_matches_distance_oracle(pos, params, nbrs,
+                                                          axis_sphere(), cfg)
+        assert states.counts[0, 0] == states.counts[0, 2] == 1
+        assert critical[0, 0] == 1 and critical[0, 2] == 2
 
 
 @pytest.mark.parametrize("parts", [1, 2], ids=["whole", "two-parts"])
@@ -646,7 +671,7 @@ def test_neighbor_reaching_only_when_displaced():
     cfg = SolvationConfig()
     pos = np.array([[0.0, 0.0, 0.0], [-6.0 - cfg.delta_r / 2, 0.0, 0.0]])
     sp = axis_sphere()
-    states = assert_matches_distance_oracle(pos, params, all_neighbors(2), sp, cfg)
+    states, _ = assert_matches_distance_oracle(pos, params, all_neighbors(2), sp, cfg)
     assert states.counts.max() == 0
     f = solvation_forces(pos, params, all_neighbors(2), sp, states, cfg)
     assert f[0, 0] != 0 and f[1, 0] == -f[0, 0]

@@ -4,6 +4,7 @@ import pytest
 from kinefold.chain import build_chain
 from kinefold.errors import ConfigurationError, DisconnectedBondGraphError
 from kinefold.topology import (
+    BondTree,
     InteractionClass,
     TreeWeights,
     WeightTable,
@@ -116,8 +117,31 @@ def test_build_allocates_linearly():
     ch = build_chain(["ALA"] * 40)
     tree = build_tree(ch)
     n = ch.n_atoms
-    for arr in (tree.parent, tree.residue_of, tree.grandparent, tree.greatgrand):
+    for arr in (tree.parent, tree.residue_of, tree.chain_mask):
         assert arr.shape == (n,)  # no quadratic lookup tables
+
+
+@pytest.mark.parametrize("bad", [-2, 3])
+def test_tree_weights_refuse_parents_outside_the_atoms(bad):
+    """The classifier follows parent pointers into the arrays, so each
+    must be -1 or one of the atoms."""
+    tree = BondTree(parent=np.array([-1, 0, bad]), residue_of=np.zeros(3, int),
+                    chain_mask=np.ones(3, bool))
+    with pytest.raises(ConfigurationError, match="parents must be -1 or one of the 3"):
+        TreeWeights(tree)
+
+
+def test_tree_weights_keep_the_parents_they_checked(ala2, param_set):
+    """The provider reads its own read-only copy of the parents, so a
+    write to the tree's array after the check does not reach the kernel."""
+    tree = build_tree(ala2)
+    tw = TreeWeights(tree, param_set.weights)
+    n = ala2.n_atoms
+    i, j = np.triu_indices(n, 1)
+    before = tw.weights_for(i, j)
+    tree.parent[:] = 10 ** 9  # far outside the atoms
+    assert np.array_equal(tw.weights_for(i, j), before)
+    assert not tw._arrays[0].flags.writeable
 
 
 def test_weight_table_pins_ends():
