@@ -5,21 +5,21 @@ cell-list neighbor table, binned once at a cut-off covering the elec and
 vdW cut-offs and, when solvated, the reach of the two largest offset
 spheres; one pass over its pairs, filtered exactly at that cut-off; and
 the SASA passes on the pairs whose offset spheres can meet
-(``solvation.reach``).  An energy-only evaluation (the scans,
+(``spatial.reach``).  An energy-only evaluation (the scans,
 ``single_point``, ``kinefold sasa``) needs G_cav and no forces, so its
 exposure pass stops each sample at its first coverer
 (``sasa_pass(..., area_only=True)``); its energies and areas are bitwise
 those of a force evaluation.  Every pair stage is one call into the native
 library (``native``): ``build_grid`` and ``build_neighbor_table``,
 ``extract_pairs``, ``TreeWeights.weights_for``, ``elec_pair_quantities``
-and ``vdw_pair_quantities`` over the whole pair arrays, and
-``accumulate_pair_forces``; ``evaluate`` itself only sums the energies
-and the two force magnitudes.  The candidate-sized arrays of those
-stages live in the ``Field``'s one ``spatial.Workspace``, which grows to
-the largest evaluation it has seen and is reused by every later one, so
-an evaluation allocates only atom-sized arrays, the pair weights and,
-when solvated, the reach test and the cavity rows.  Everything a
-``FieldResult`` holds is its own.
+and ``vdw_pair_quantities`` over the whole pair arrays,
+``accumulate_pair_forces`` and, when solvated, ``filtered_lists`` (the
+reach test and the cavity rows); ``evaluate`` itself only sums the
+energies and the two force magnitudes.  The candidate-sized arrays of
+those stages live in the ``Field``'s one ``spatial.Workspace``, which
+grows to the largest evaluation it has seen and is reused by every later
+one, so an evaluation allocates only atom-sized arrays and the pair
+weights.  Everything a ``FieldResult`` holds is its own.
 
 Per iteration, atom forces are summed into per-link wrenches, one
 (n_links, 6) array: columns 0-2 the force, 3-5 the moment about the
@@ -70,7 +70,6 @@ from .solvation import (
     SolvationConfig,
     generate_samples,
     offset_radii,
-    reach,
     sasa_pass,
     solvation_forces,
 )
@@ -81,6 +80,7 @@ from .spatial import (
     build_grid,
     build_neighbor_table,
     filtered_lists,
+    reach,
 )
 
 
@@ -107,7 +107,8 @@ class FieldResult:
 @dataclass
 class Field:
     """Bundles parameters, pair weights, and options for one system.  The
-    table cut-off, worked out once here, also covers every pair in reach.
+    table cut-off and, when solvated, the offset radii are worked out once
+    here; the table cut-off also covers every pair in reach.
 
     A Field owns one workspace, ``work``, for the pair arrays of its
     evaluations (empty until the first ``evaluate``), so it is not
@@ -121,13 +122,16 @@ class Field:
     work: Workspace = field(default_factory=Workspace, init=False, repr=False,
                             compare=False)
     _sphere: SampleSphere | None = field(default=None, init=False, repr=False)
+    _r_off: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         cut, solv = self.config.cutoffs, self.config.solvation_cfg
         self.table_cutoff = max(cut.elec, cut.vdw)
         native.load()  # a missing compiler fails here, not mid-fold
         if self.config.solvation:
-            r_max = float(np.max(offset_radii(self.params, solv)))
+            self._r_off = np.ascontiguousarray(offset_radii(self.params, solv), float)
+            r_max = float(np.max(self._r_off))
             self.table_cutoff = max(self.table_cutoff,
                                     reach(r_max, r_max, solv.delta_r))
 
@@ -177,10 +181,7 @@ class Field:
         if cfg.solvation:
             t0 = time.perf_counter()
             solv = cfg.solvation_cfg
-            r_off = offset_radii(self.params, solv)
-            rc = reach(r_off[i], r_off[j], solv.delta_r)
-            kc = d2 <= rc * rc
-            cav_lists = filtered_lists(n, i[kc], j[kc])
+            cav_lists = filtered_lists(i, j, d2, self._r_off, solv.delta_r, work)
             sasa, states = sasa_pass(positions, self.params, cav_lists,
                                      self.sphere(), solv, area_only=energy_only)
             g_cav = sasa.g_cav

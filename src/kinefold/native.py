@@ -4,11 +4,13 @@ Every C source next to this file goes into it: ``links.c``, the
 per-link passes of the folding loop (forward kinematics, link wrenches,
 joint torques), ``pairs.c``, the pair stages of ``Field.evaluate`` (grid,
 neighbor table, cut-off pairs, pair weights, elec and vdW terms, force
-scatter), and ``sasa.c``, the two SASA passes.  They are compiled on
-first use with the system ``cc`` and fixed flags (no ``-march``, no
-fast-math, no contraction into fused multiply-adds).  Against their numpy
-references in ``tests/oracles.py``, the grid, table, cut-off pairs,
-classes, SASA states, areas and forces, and wrenches are bitwise equal;
+scatter), and ``sasa.c``, the two SASA passes and the cavity rows they
+read (``spatial.filtered_lists``: the reach test and the symmetric rows
+in one pass).  They are compiled on first use with the system ``cc`` and
+fixed flags (no ``-march``, no fast-math, no contraction into fused
+multiply-adds).  Against their numpy references in ``tests/oracles.py``,
+the grid, table, cut-off pairs, classes, cavity rows, SASA states, areas
+and forces, and wrenches are bitwise equal;
 the pair terms, the scatter and the link passes keep a fixed C order,
 within stated tolerances.  ``sasa.c``
 uses GCC/Clang vector extensions (``vector_size(16)`` double pairs),
@@ -123,6 +125,10 @@ _SIGNATURES = {
     # delta_r -> acc; a count-1 sample's one coverer is found in its row
     "force_events": [_INT, _F64, _F64, _I64, _I64, _F64, _INT, _U8, _I64, _DBL,
                      _I64_OUT],
+    # n, m, i, j, d2, r_off, delta_r, reach slack -> offsets (n + 1), neighbors,
+    # capacity; the pairs within reach as symmetric rows (filled when they fit)
+    "cavity_rows": [_INT, _INT, _I64, _I64, _F64, _F64, _DBL, _DBL, _I64_OUT, _I64_OUT,
+                    _INT],
 }
 
 

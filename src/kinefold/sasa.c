@@ -1,4 +1,5 @@
-/* Exposure counting and the displaced-recount force pass of solvation.py.
+/* Exposure counting and the displaced-recount force pass of solvation.py,
+ * and the cavity rows both passes read (spatial.filtered_lists).
  *
  * Sample k of atom i is p = x_i + r_i u_k (r_i the offset radius).  It is
  * covered by neighbor j when |p - x_j|^2 <= r_j^2, evaluated in exactly
@@ -27,6 +28,11 @@
  * memory cannot be allocated, or REFUSED when need is not 1 or 2 or a
  * count-1 sample has no coverer in its row (the codes of pairs.c and
  * native.py).
+ *
+ * The cavity rows are those CSR rows: the cut-off pairs of pairs.c whose
+ * offset spheres are within reach, symmetrised by one count pass and one
+ * fill pass in pair order, with no sort.  cavity_rows comes last in the
+ * last source linked, so adding it moved no other entry point.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -336,4 +342,60 @@ int64_t force_events(int64_t n, const double *pos, const double *r_off,
     free(c);
     free(gained);
     return 0;
+}
+
+/* Whether offset spheres of radii ri and rj, d2 apart squared, are within
+ * reach: d2 <= rc * rc, rc = ((ri + rj) + delta_r) + eps, rounded as
+ * spatial.reach rounds it. */
+static inline int in_reach(double d2, double ri, double rj, double delta_r,
+                           double eps)
+{
+    double rc = ((ri + rj) + delta_r) + eps;
+    return d2 <= rc * rc;
+}
+
+/* The symmetric CSR rows (offsets, n + 1; neighbors) of the m pairs
+ * (i[k], j[k]) within reach.  Row a gets first the partner i[k] of every
+ * such pair with j[k] == a, then the partner j[k] of every one with
+ * i[k] == a, each in pair order, as a stable sort of the rows (j, i)
+ * places them; pairs i < j sorted by (i, j) give ascending rows.  A count
+ * pass sizes the rows and a fill pass writes them, only when the total
+ * fits capacity.  Returns the total (twice the pairs within reach),
+ * REFUSED when a pair names an atom outside the n atoms, or NO_MEMORY. */
+int64_t cavity_rows(int64_t n, int64_t m, const int64_t *i, const int64_t *j,
+                    const double *d2, const double *r_off, double delta_r,
+                    double eps, int64_t *offsets, int64_t *neighbors,
+                    int64_t capacity)
+{
+    /* per atom: its partners below and above, then where the next one
+     * below and the next one above go */
+    int64_t *below = calloc((size_t)(n ? 2 * n : 1), sizeof *below);
+    if (!below)
+        return NO_MEMORY;
+    int64_t *above = below + n;
+    for (int64_t k = 0; k < m; k++) {
+        int64_t a = i[k], b = j[k];
+        if (a < 0 || a >= n || b < 0 || b >= n) {
+            free(below);
+            return REFUSED;
+        }
+        int in = in_reach(d2[k], r_off[a], r_off[b], delta_r, eps);
+        below[b] += in;
+        above[a] += in;
+    }
+    offsets[0] = 0;
+    for (int64_t a = 0; a < n; a++) {
+        offsets[a + 1] = offsets[a] + below[a] + above[a];
+        above[a] = offsets[a] + below[a];
+        below[a] = offsets[a];
+    }
+    int64_t total = offsets[n];
+    if (total <= capacity)
+        for (int64_t k = 0; k < m; k++)
+            if (in_reach(d2[k], r_off[i[k]], r_off[j[k]], delta_r, eps)) {
+                neighbors[below[j[k]]++] = i[k];
+                neighbors[above[i[k]]++] = j[k];
+            }
+    free(below);
+    return total;
 }

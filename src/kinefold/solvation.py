@@ -36,7 +36,7 @@ coverer found first and otherwise scans only up to the first coverer;
 its areas are bitwise those of the full pass, and its states cannot
 drive the force pass.
 
-Both passes take the pairs within ``reach`` as one symmetric
+Both passes take the pairs within ``spatial.reach`` as one symmetric
 ``spatial.NeighborTable`` (CSR); rows holding more pairs give the same
 result.
 """
@@ -55,8 +55,6 @@ from .spatial import NeighborTable
 
 MIN_SAMPLES = 12
 _FIXED_POINT_BITS = 36
-# Slack on the reach r_i + r_j + delta_r: tangent spheres stay in the rows.
-_REACH_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,13 +135,6 @@ def offset_radii(params, config: SolvationConfig) -> np.ndarray:
     return params.R + config.probe_radius
 
 
-def reach(r_a, r_b, delta_r: float):
-    """The center distance within which offset spheres of radii ``r_a``
-    and ``r_b`` can meet once one of them moves by up to ``delta_r``:
-    the pairs the SASA and force passes need, no more."""
-    return r_a + r_b + delta_r + _REACH_EPS
-
-
 def _kernel_inputs(positions, params, neighbors: NeighborTable, sphere, config):
     """Positions, offset radii, the CSR rows and the sample directions as
     the kernels read them, checked so that no index leaves the arrays.
@@ -170,14 +161,15 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
               config: SolvationConfig = SolvationConfig(), *, area_only: bool = False):
     """Exposure counting: returns (SasaResult, ExposureStates).
 
-    ``neighbors`` holds one row per atom, the pairs within ``reach``
-    (symmetrised by ``spatial.filtered_lists``).  Only the clamped counts
-    0/1/2 matter, so the compiled kernel stops at a sample's second
-    coverer.  It first tests the two neighbors that covered the last
-    sample to reach count 2; if both cover, the count is 2.  Otherwise it
-    scans the row nearest center first, four neighbors per step.  A count
-    of 1 has exactly one coverer whatever the order of the tests.  The
-    kernel writes every count, so the array is not filled in advance.
+    ``neighbors`` holds one row per atom, the pairs within
+    ``spatial.reach`` (the cavity rows of ``spatial.filtered_lists``).
+    Only the clamped counts 0/1/2 matter, so the compiled kernel stops at
+    a sample's second coverer.  It first tests the two neighbors that
+    covered the last sample to reach count 2; if both cover, the count is
+    2.  Otherwise it scans the row nearest center first, four neighbors
+    per step.  A count of 1 has exactly one coverer whatever the order of
+    the tests.  The kernel writes every count, so the array is not filled
+    in advance.
 
     With ``area_only`` the kernel stops at a sample's first coverer,
     testing the last coverer found first.  The result is bitwise the

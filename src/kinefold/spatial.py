@@ -19,13 +19,13 @@ the workspace's buffers when they hold it; a second call fills it only
 after they have had to grow.  Their numpy references live in
 ``tests/oracles.py``.
 
-The candidate-sized arrays of an evaluation (the table's ``neighbors``
-and the native pass's stored unions here, the kept pairs and both pair
-terms' outputs in ``forcefield``) are views of a ``Workspace``: named
-numpy buffers that only grow.  ``kcm.Field`` owns one, so from its
-second evaluation on the pair stages allocate nothing candidate-sized.
-Without one, each of those stages draws from a workspace of its own that
-is dropped with its outputs.  On ``extended400-vacuum`` (3901 atoms,
+The candidate-sized arrays of an evaluation (the table's ``neighbors``,
+the native pass's stored unions and the cavity rows here, the kept pairs
+and both pair terms' outputs in ``forcefield``) are views of a
+``Workspace``: named numpy buffers that only grow.  ``kcm.Field`` owns
+one, so from its second evaluation on the pair stages allocate nothing
+candidate-sized.  Without one, each of those stages draws from a
+workspace of its own that is dropped with its outputs.  On ``extended400-vacuum`` (3901 atoms,
 133,399 candidates, 90,650 kept) the ~10 MB of pair arrays used to be
 allocated and freed on every evaluation, and glibc gave the heap top back
 each time: 2,086 minor page faults per evaluation, none with the Field's
@@ -38,10 +38,15 @@ table is a half table: each candidate pair is stored once, as j > i in
 row i, and rows ascend, so the pairs come out sorted by (i, j).  Exact
 distance filtering happens at use time, once per evaluation at the
 table cut-off (``forcefield.extract_pairs``), which keeps downstream
-force sums identical to their brute-force definitions;
-``filtered_lists`` turns such pairs into a table of symmetric rows
-without another distance pass.  The all-pairs scans these are checked
-against live with the other references in ``tests/oracles.py``.
+force sums identical to their brute-force definitions.
+``filtered_lists`` turns such pairs into the cavity rows the SASA passes
+read, without another distance pass: one native call (``cavity_rows`` in
+``sasa.c``) keeps the pairs within ``reach`` of their offset spheres and
+writes them as symmetric rows, a count pass sizing each row and a fill
+pass in pair order writing it, with no sort.  The all-pairs scans these
+are checked against live with the other references in
+``tests/oracles.py``, the numpy reach mask and stable sort the cavity
+rows replaced among them.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ from .errors import ConfigurationError
 EDGE_PER_CUTOFF = 0.5 * (1.0 + 1e-9)
 # Widest coordinate span, in cut-offs per axis, that can be binned.
 MAX_SPAN = 1e5
+# Slack on the reach r_i + r_j + delta_r: tangent spheres stay in the rows.
+_REACH_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -211,15 +218,45 @@ def build_neighbor_table(grid: HashGrid, work: Workspace | None = None) -> Neigh
     return NeighborTable(offsets=offsets, neighbors=neighbors[:total])
 
 
-def filtered_lists(n: int, i: np.ndarray, j: np.ndarray) -> NeighborTable:
-    """Symmetric per-atom rows of the pairs (i < j, sorted by (i, j)).
+def reach(r_a, r_b, delta_r: float):
+    """The center distance within which offset spheres of radii ``r_a``
+    and ``r_b`` can meet once one of them moves by up to ``delta_r``:
+    the pairs the SASA and force passes need, no more."""
+    return r_a + r_b + delta_r + _REACH_EPS
 
-    A stable sort of the rows ``[j, i]`` symmetrises the pairs: row a
-    first gets the partners i < a of the pairs (i, a), in ascending i,
-    then the partners j > a of the pairs (a, j), in ascending j, so every
-    row comes out ascending."""
-    rows = np.concatenate([j, i])
-    order = np.argsort(rows, kind="stable")
-    offsets = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    return NeighborTable(offsets=offsets, neighbors=np.concatenate([i, j])[order])
+
+def filtered_lists(i: np.ndarray, j: np.ndarray, d2: np.ndarray, r_off: np.ndarray,
+                   delta_r: float, work: Workspace | None = None) -> NeighborTable:
+    """The cavity rows: symmetric per-atom rows of the pairs (i < j, sorted
+    by (i, j), squared distances ``d2``) whose offset spheres, of radii
+    ``r_off`` (one per atom), are within ``reach``: ``d2 <= rc * rc``,
+    rounded as ``reach`` rounds ``rc``.
+
+    One native pass (``cavity_rows``) applies that test, counts each row
+    and fills it in pair order: row a holds the partners i < a of the
+    pairs (i, a), ascending, then the partners j > a of the pairs (a, j),
+    ascending.  ``neighbors`` is filled into the whole buffer ``cavity``
+    of ``work`` (a new workspace when None); only when it is short is it
+    filled by a second call, after it grows to the size the first one
+    reported.  Every array must be C-contiguous of the dtype the pairs
+    come in from ``forcefield.extract_pairs`` (int64 indices, float64
+    ``d2`` and radii)."""
+    work = Workspace() if work is None else work
+    n, m = len(r_off), len(i)
+    if len(j) != m or len(d2) != m:
+        raise ConfigurationError(
+            f"pair arrays of lengths {m}, {len(j)} and {len(d2)} do not match")
+    offsets = np.empty(n + 1, np.int64)
+
+    def fill(neighbors):
+        return native.load().call("cavity_rows", n, m, i, j, d2, r_off, delta_r,
+                                  _REACH_EPS, offsets, neighbors, len(neighbors))
+
+    neighbors = work.whole("cavity", np.int64)
+    total = fill(neighbors)
+    if total == native.REFUSED:
+        raise ConfigurationError(f"pairs name atoms outside the {n} atoms")
+    if total > len(neighbors):
+        neighbors = work.take("cavity", (total,), np.int64)
+        fill(neighbors)
+    return NeighborTable(offsets=offsets, neighbors=neighbors[:total])

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import strategies as st
 
 from kinefold.chain import Conformation, build_chain
-from kinefold.forcefield import DielectricModel, extract_pairs
+from kinefold.forcefield import DielectricModel
 from kinefold.kcm import Field, FieldConfig
 from kinefold.pdbio import load_params
 from kinefold.solvation import sasa_pass, solvation_forces
-from kinefold.spatial import Cutoffs, NeighborTable, filtered_lists
+from kinefold.spatial import Cutoffs, NeighborTable
 from kinefold.topology import InteractionClass, TreeWeights, WeightTable, build_tree
 
 
@@ -63,14 +63,6 @@ def only(params, term: str):
     Coulomb term alone, q = 0 the van der Waals term."""
     zero = np.zeros(params.n_atoms)
     return replace(params, eps=zero) if term == "elec" else replace(params, q=zero)
-
-
-def cutoff_lists(table, positions, d_cut):
-    """Ascending per-atom neighbor lists at ``d_cut``: the table's pairs
-    with ``d2 <= d_cut**2``, symmetrised as ``Field.evaluate`` builds the
-    cavity lists."""
-    i, j, _, _ = extract_pairs(positions, table, d_cut)
-    return filtered_lists(len(table), i, j)
 
 
 def neighbor_table(rows) -> NeighborTable:

@@ -16,7 +16,7 @@ from kinefold.forcefield import COULOMB_K, MIN_DISTANCE
 from kinefold.geometry import AXIS_UNIT_TOL, dihedral_angle, wrap_degrees
 from kinefold.kcm import Field
 from kinefold.solvation import _force_quantum, offset_radii
-from kinefold.spatial import EDGE_PER_CUTOFF, MAX_SPAN, HashGrid, NeighborTable
+from kinefold.spatial import EDGE_PER_CUTOFF, MAX_SPAN, HashGrid, NeighborTable, reach
 from kinefold.topology import InteractionClass
 
 from .conftest import atom_index
@@ -195,6 +195,34 @@ def extract_pairs(positions, table: NeighborTable, d_cut, work=None):
         raise StericClashError(
             f"atoms {i[k]} and {j[k]} closer than {MIN_DISTANCE} A (d={d[k]:.3e})")
     return i, j, d2, d
+
+
+def symmetric_rows(n, i, j) -> NeighborTable:
+    """Symmetric per-atom rows of the pairs (i < j, sorted by (i, j)) by a
+    stable sort of the rows ``[j, i]``: row a first gets the partners
+    i < a of the pairs (i, a), in ascending i, then the partners j > a of
+    the pairs (a, j), in ascending j, so every row comes out ascending."""
+    rows = np.concatenate([j, i])
+    order = np.argsort(rows, kind="stable")
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return NeighborTable(offsets=offsets, neighbors=np.concatenate([i, j])[order])
+
+
+def filtered_lists(i, j, d2, r_off, delta_r, work=None) -> NeighborTable:
+    """``spatial.filtered_lists``: the numpy reach mask, then the pairs in
+    reach as ``symmetric_rows``."""
+    rc = reach(r_off[i], r_off[j], delta_r)
+    kc = d2 <= rc * rc
+    return symmetric_rows(len(r_off), i[kc], j[kc])
+
+
+def cutoff_lists(table, positions, d_cut):
+    """Ascending per-atom neighbor rows at ``d_cut``: the table's pairs
+    with ``d2 <= d_cut**2``, symmetrised as ``Field.evaluate`` builds the
+    cavity rows."""
+    i, j, _, _ = extract_pairs(positions, table, d_cut)
+    return symmetric_rows(len(table), i, j)
 
 
 def _eq(a, b):

@@ -30,7 +30,6 @@ from kinefold.solvation import (
 from kinefold.spatial import build_grid, build_neighbor_table
 
 from .conftest import (
-    cutoff_lists,
     make_field,
     neighbor_table,
     only,
@@ -39,6 +38,7 @@ from .conftest import (
 )
 from .oracles import (
     BruteField,
+    cutoff_lists,
     naive_solvation_forces,
     quadratic_joint_torques,
     two_sphere_exposed_area,

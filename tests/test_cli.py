@@ -152,7 +152,7 @@ def test_sasa_matches_module(tmp_path):
     from kinefold.solvation import SolvationConfig, generate_samples, sasa_pass
     from kinefold.spatial import build_grid, build_neighbor_table
 
-    from .conftest import cutoff_lists
+    from .oracles import cutoff_lists
 
     ch = build_chain(read_sequence("GSA"))
     params = load_params().resolve(ch)

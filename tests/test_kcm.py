@@ -298,7 +298,8 @@ def test_reused_workspace_matches_a_fresh_field(param_set, solvation, energy_onl
 @FIELD_MODES
 def test_repeat_evaluation_reuses_every_buffer(param_set, solvation, energy_only):
     """The same positions again: every buffer at the same address, none
-    grown, and the candidate-sized arrays of every pair stage among them."""
+    grown, and the candidate-sized arrays of every pair stage among them,
+    the cavity rows when solvated."""
     _, _, fld, (_, compact) = workspace_case(param_set, solvation)
     assert fld.work.buffers == {}
     fld.evaluate(compact, energy_only=energy_only)
@@ -306,7 +307,9 @@ def test_repeat_evaluation_reuses_every_buffer(param_set, solvation, energy_only
     fld.evaluate(compact, energy_only=energy_only)
     after = {name: (buf.ctypes.data, buf.size) for name, buf in fld.work.buffers.items()}
     assert after == before
-    assert set(before) == {"neighbors", "unions", "ij", "dd", "elec_terms", "vdw_terms"}
+    cavity = {"cavity"} if solvation else set()
+    assert set(before) == {"neighbors", "unions", "ij", "dd", "elec_terms",
+                           "vdw_terms"} | cavity
 
 
 class CountingLibrary:
@@ -323,17 +326,40 @@ class CountingLibrary:
 @FIELD_MODES
 def test_repeat_evaluation_builds_the_table_in_one_call(param_set, solvation, energy_only,
                                                        monkeypatch):
-    """A fresh Field's first evaluation sizes the table with one native
-    call and fills it with a second; the same positions again fit the
-    workspace, so one call sizes and fills it."""
+    """A fresh Field's first evaluation sizes the table, and when
+    solvated the cavity rows, with one native call each and fills them
+    with a second; the same positions again fit the workspace, so one
+    call sizes and fills each."""
     _, _, fld, (_, compact) = workspace_case(param_set, solvation)
     counting = CountingLibrary(native.load().library)
     counted = replace(native.load(), library=counting)
     monkeypatch.setattr(native, "load", lambda: counted)
     fld.evaluate(compact, energy_only=energy_only)
     assert counting.calls["neighbor_table"] == 2
+    assert counting.calls["cavity_rows"] == (2 if solvation else 0)
     fld.evaluate(compact, energy_only=energy_only)
     assert counting.calls["neighbor_table"] == 3
+    assert counting.calls["cavity_rows"] == (3 if solvation else 0)
+
+
+@pytest.mark.parametrize("energy_only", [False, True], ids=["solvated", "energy-only"])
+def test_cavity_rows_outgrow_the_workspace_mid_run(param_set, energy_only, monkeypatch):
+    """Extended positions size the cavity buffer; the helix after them
+    has more pairs within reach, so its rows are sized by one call and
+    filled by a second into the grown buffer, and every result is bitwise
+    a fresh Field's."""
+    chain, cfg, fld, (extended, compact) = workspace_case(param_set, True)
+    counting = CountingLibrary(native.load().library)
+    counted = replace(native.load(), library=counting)
+    calls = []
+    for pos in (extended, compact, compact):
+        with monkeypatch.context() as mp:
+            mp.setattr(native, "load", lambda: counted)
+            got = result_arrays(fld.evaluate(pos, energy_only=energy_only))
+        calls.append(counting.calls["cavity_rows"])
+        fresh = make_field(chain, param_set, **cfg).evaluate(pos, energy_only=energy_only)
+        assert_same_arrays(got, result_arrays(fresh))
+    assert calls == [2, 4, 5]
 
 
 # ---- fold -----------------------------------------------------------------

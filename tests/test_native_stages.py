@@ -30,7 +30,7 @@ from kinefold.forcefield import (
 )
 from kinefold.kcm import Field, FieldConfig, StepConfig, fold, joint_torques, link_wrenches
 from kinefold.pdbio import AtomRecord, read_pdb, write_pdb
-from kinefold.solvation import SolvationConfig, sasa_pass, solvation_forces
+from kinefold.solvation import SolvationConfig, offset_radii, sasa_pass, solvation_forces
 from kinefold.spatial import (
     EDGE_PER_CUTOFF,
     Cutoffs,
@@ -46,8 +46,8 @@ from . import oracles
 from .conftest import UniformWeights, make_field, neighbor_table
 
 STAGES = ("build_grid", "build_neighbor_table", "extract_pairs", "elec_pair_quantities",
-          "vdw_pair_quantities", "accumulate_pair_forces", "kinematic_state",
-          "link_wrenches", "joint_torques")
+          "vdw_pair_quantities", "accumulate_pair_forces", "filtered_lists",
+          "kinematic_state", "link_wrenches", "joint_torques")
 # (elec, vdw): the default and vdW above elec
 CUTOFF_SETS = [Cutoffs(9.0, 5.0), Cutoffs(4.0, 6.0)]
 
@@ -145,13 +145,15 @@ def evaluate(field, pos, oracle: bool):
     and the cavity rows it handed to the SASA pass."""
     rows = []
 
-    def spy(*args):
-        rows.append(filtered_lists(*args))
-        return rows[-1]
-
     with pytest.MonkeyPatch.context() as mp:
         if oracle:
             with_oracle_stages(mp)
+        stage = kcm.filtered_lists
+
+        def spy(*args):
+            rows.append(stage(*args))
+            return rows[-1]
+
         mp.setattr(kcm, "filtered_lists", spy)
         result = field.evaluate(pos)
     return result, rows
@@ -526,8 +528,9 @@ def test_allocation_failure_is_memory_error(monkeypatch, ala2, param_set):
     i, j, d2, d = extract_pairs(pos, table, 9.0)
     w = field.weights.weights_for(i, j)
     cut = Cutoffs()
-    lists = filtered_lists(len(pos), i, j)
     sphere, solv = field.sphere(), field.config.solvation_cfg
+    r_off = offset_radii(field.params, solv)
+    lists = filtered_lists(i, j, d2, r_off, solv.delta_r)
     _, states = sasa_pass(pos, field.params, lists, sphere, solv)
     calls = [
         ("grid_cells", lambda: build_grid(pos, 9.0)),
@@ -537,6 +540,7 @@ def test_allocation_failure_is_memory_error(monkeypatch, ala2, param_set):
         ("elec_terms", lambda: elec_pair_quantities(field.params, i, j, d2, d, w,
                                                     DielectricModel(), cut)),
         ("vdw_terms", lambda: vdw_pair_quantities(field.params, i, j, d2, d, w, cut)),
+        ("cavity_rows", lambda: filtered_lists(i, j, d2, r_off, solv.delta_r)),
         ("exposure", lambda: sasa_pass(pos, field.params, lists, sphere, solv)),
         ("exposure", lambda: sasa_pass(pos, field.params, lists, sphere, solv,
                                        area_only=True)),

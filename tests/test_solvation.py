@@ -19,16 +19,20 @@ from kinefold.solvation import (
     check_accumulator,
     generate_samples,
     offset_radii,
-    reach,
     sasa_pass,
     solvation_forces,
 )
-from kinefold.spatial import Cutoffs, NeighborTable, build_grid, build_neighbor_table
+from kinefold.spatial import (
+    Cutoffs,
+    NeighborTable,
+    build_grid,
+    build_neighbor_table,
+    reach,
+)
 
 from . import oracles
 from .conftest import (
     UniformWeights,
-    cutoff_lists,
     make_field,
     neighbor_table,
     passes_by_row_parts,
@@ -529,7 +533,8 @@ def helix_rows(positions, params, cfg):
     """Ascending rows of every pair within the largest reach."""
     r_max = float(np.max(offset_radii(params, cfg)))
     cut = reach(r_max, r_max, cfg.delta_r)
-    return cutoff_lists(build_neighbor_table(build_grid(positions, cut)), positions, cut)
+    table = build_neighbor_table(build_grid(positions, cut))
+    return oracles.cutoff_lists(table, positions, cut)
 
 
 @pytest.mark.parametrize("jitter", [0.0, 30.0])
@@ -631,7 +636,7 @@ def test_neighbor_at_exact_cutoff_matches_oracle():
     cfg = SolvationConfig()
     for table in (build_neighbor_table(build_grid(pos, 8.0)),
                   oracles.brute_table(pos, 8.0)):
-        nbrs = cutoff_lists(table, pos, 8.0)
+        nbrs = oracles.cutoff_lists(table, pos, 8.0)
         assert nbrs[0].tolist() == [1, 2]
         states, critical = assert_matches_distance_oracle(pos, params, nbrs,
                                                           axis_sphere(), cfg)

@@ -1,3 +1,4 @@
+import ctypes
 import time
 
 import numpy as np
@@ -9,7 +10,7 @@ from kinefold import kcm
 from kinefold.errors import ConfigurationError
 from kinefold.forcefield import MIN_DISTANCE, AtomParams, extract_pairs
 from kinefold.kcm import Field, FieldConfig
-from kinefold.solvation import SolvationConfig, reach
+from kinefold.solvation import SolvationConfig
 from kinefold.spatial import (
     EDGE_PER_CUTOFF,
     MAX_SPAN,
@@ -18,14 +19,18 @@ from kinefold.spatial import (
     build_grid,
     build_neighbor_table,
     filtered_lists,
+    reach,
 )
-from .conftest import UniformWeights, cutoff_lists
+from . import oracles
+from .conftest import UniformWeights
 from .oracles import (
     BruteField,
     brute_force_pairs,
     brute_neighbor_sets,
     brute_table,
+    cutoff_lists,
     squared_norms,
+    symmetric_rows,
     table_pairs,
 )
 
@@ -95,7 +100,7 @@ def test_far_pair_empty_lists():
 def test_close_pair_mutual():
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     table = build_neighbor_table(build_grid(pos, 9.0))
-    lists = filtered_lists(2, *table_pairs(table))
+    lists = symmetric_rows(2, *table_pairs(table))
     assert lists[0].tolist() == [1]
     assert lists[1].tolist() == [0]
 
@@ -126,7 +131,7 @@ def test_table_rows_ascending(rng):
 def test_superset_and_self_exclusion(rng):
     pos = rng.uniform(0, 22, (300, 3))
     table = build_neighbor_table(build_grid(pos, 8.0))
-    lists = filtered_lists(300, *table_pairs(table))
+    lists = symmetric_rows(300, *table_pairs(table))
     want = brute_neighbor_sets(pos, 8.0)
     for i in range(300):
         row = set(lists[i].tolist())
@@ -362,6 +367,56 @@ def test_cavity_membership_is_the_reach_test(cutoffs, use_hash):
     pos = np.array([[0.0, 0.0, 0.0], edge, at])
     lists = cavity_lists(pos, cutoffs, use_hash=use_hash)
     assert [row.tolist() for row in lists] == [[2], [], [0]]
+
+
+def assert_same_rows(got, want):
+    assert np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.neighbors, want.neighbors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds(), st.sampled_from(PROBES), st.booleans(), st.integers(0, 2**32 - 1))
+def test_cavity_rows_equal_the_oracle(pos, probe, use_hash, seed):
+    """The native reach test and rows are bitwise the numpy oracle's on the
+    pairs of a hashed or brute table at the largest reach, with offset
+    radii of 1-2 A plus the probe, so some pairs are out of reach."""
+    r_off = np.random.default_rng(seed).uniform(1.0, 2.0, len(pos)) + probe
+    cut = reach(r_off.max(), r_off.max(), DELTA_R)
+    table = build_neighbor_table(build_grid(pos, cut)) if use_hash else brute_table(pos, cut)
+    pairs = extract_pairs(pos, table, cut)[:3]
+    assert_same_rows(filtered_lists(*pairs, r_off, DELTA_R),
+                     oracles.filtered_lists(*pairs, r_off, DELTA_R))
+
+
+@pytest.mark.parametrize("case", ["no pairs", "isolated atoms", "out of reach"])
+def test_cavity_rows_of_empty_rows(case):
+    """Atoms 0-1 and 2-3 are 3 A apart, atom 4 far from all: no pairs at
+    all, an atom with no pair, and pairs none of which is in reach."""
+    pos = np.array([[0.0, 0, 0], [3.0, 0, 0], [0, 9.0, 0], [3.0, 9.0, 0], [50.0, 0, 0]])
+    i, j, d2, _ = extract_pairs(pos, brute_table(pos, 12.0), 12.0)
+    r_off = np.full(5, 0.5 if case == "out of reach" else 2.0)
+    if case == "no pairs":
+        i, j, d2 = i[:0], j[:0], d2[:0]
+    got = filtered_lists(i, j, d2, r_off, DELTA_R)
+    assert_same_rows(got, oracles.filtered_lists(i, j, d2, r_off, DELTA_R))
+    want = [[1], [0], [3], [2], []] if case == "isolated atoms" else [[]] * 5
+    assert [row.tolist() for row in got] == want
+
+
+def test_cavity_rows_refuse_pairs_outside_the_atoms():
+    """An index past the atoms or below 0 is refused, in reach or not,
+    before anything is read; pair arrays of unequal lengths, and a
+    float32 ``d2``, are refused too."""
+    r_off = np.full(3, 2.0)
+    d2 = np.array([1.0, 100.0])
+    for j in ([1, 5], [1, -1], [2, 3]):
+        with pytest.raises(ConfigurationError, match="pairs name atoms outside the 3 atoms"):
+            filtered_lists(np.array([0, 1]), np.array(j), d2, r_off, DELTA_R)
+    with pytest.raises(ConfigurationError, match="do not match"):
+        filtered_lists(np.array([0, 1]), np.array([1, 2]), d2[:1], r_off, DELTA_R)
+    with pytest.raises(ctypes.ArgumentError):
+        filtered_lists(np.array([0, 1]), np.array([1, 2]), d2.astype(np.float32), r_off,
+                       DELTA_R)
 
 
 def test_workspace_grows_only_for_a_larger_request():
