@@ -11,6 +11,13 @@ geometry as read.
 The canonical build only generates reference atoms; they go through the
 same named-atom assembly as an imported structure, which derives links,
 atom ownership, chi joints and bonds from atom names and templates.
+Set-up runs in array passes, not per residue: the backbone walk is one
+prefix sum of its bond steps, each residue kind's template atoms are
+placed by one batched product, and the assembly takes the residues in
+groups of one kind (code, atom names and elements), one pass per group,
+so the number of numpy calls does not grow with the chain.  Its
+per-residue reference, ``reference_chain`` in ``tests/oracles.py``, gives
+the same chain byte for byte.
 
 The links live in one table, ``Chain.links`` (a ``LinkArrays``): one
 row per link and one column per field (kind, residue, chi index and
@@ -306,26 +313,56 @@ def _plane_dir(angle_deg: float) -> np.ndarray:
 
 
 def _walk_backbone(m: int, cis: bool):
-    """Extended planar walk; returns N, CA, provisional C per residue."""
-    npos = [np.zeros(3)]
-    capos = []
-    ctmp = []
-    direction = 0.0
-    turn = 1.0
-    for i in range(m):
-        capos.append(npos[i] + BOND_N_CA * _plane_dir(direction))
-        direction += turn * (180.0 - ANGLE_N_CA_C)
-        turn = -turn
-        ctmp.append(capos[i] + BOND_CA_C * _plane_dir(direction))
-        if i + 1 < m:
-            direction += turn * (180.0 - ANGLE_CA_C_N)
-            turn = -turn
-            npos.append(ctmp[i] + BOND_C_N * _plane_dir(direction))
-            if cis:
-                turn = -turn
-            direction += turn * (180.0 - ANGLE_C_N_CA)
-            turn = -turn
-    return npos, capos, ctmp, direction, turn
+    """Extended planar walk: the N, CA and provisional C of every residue
+    as (3m, 3) points in walk order, and the direction and turn after the
+    last C.
+
+    Each bond turns the walk by 180 minus its bond angle, to alternate
+    sides except that a cis peptide turns twice to one side.  Directions
+    and points are prefix sums of the turns and of the bond steps, added
+    in walk order; the steps' cosines and sines are libm's (``math``),
+    which numpy's vectorised ones need not round like."""
+    signs = np.ones((m, 3))   # of the N-CA-C, CA-C-N and C-N-CA turns
+    signs[:, 1:] = -1.0
+    if not cis:
+        signs[:, 2] = 1.0
+        signs[1::2] *= -1.0
+    bends = np.array([180.0 - ANGLE_N_CA_C, 180.0 - ANGLE_CA_C_N, 180.0 - ANGLE_C_N_CA])
+    turns = (signs * bends).ravel()[: 3 * m - 2]
+    directions = np.add.accumulate(np.concatenate([[0.0], turns])).tolist()
+    angles = list(map(math.radians, directions))
+    lengths = np.tile([BOND_N_CA, BOND_CA_C, BOND_C_N], m)[:-1]
+    steps = np.zeros((3 * m, 3))
+    steps[1:, 0] = lengths * np.array(list(map(math.cos, angles)))
+    steps[1:, 1] = lengths * np.array(list(map(math.sin, angles)))
+    return np.add.accumulate(steps), directions[-1], -float(signs[-1, 0])
+
+
+def _backbone_atoms(m: int, cis: bool):
+    """N, H, CA, C and O of every residue as (m, 3) arrays, and the OXT."""
+    points, direction, turn = _walk_backbone(m, cis)
+    n, ca, c = points[0::3], points[1::3], points[2::3].copy()
+    h, o = np.empty((m, 3)), np.empty((m, 3))
+    h[0] = n[0] + BOND_N_H_TERM * _plane_dir(-ANGLE_H_N_CA)  # amino-terminal H
+    # peptide-group atoms from the coefficient rows; the rows encode the
+    # trans plane, so cis planes (on request) fall back to internal coords
+    if not cis:
+        b2, b3 = n[1:] - ca[:-1], ca[1:] - n[1:]
+        c[:-1] = ca[:-1] + _combo("CA_C", b2, b3)
+        o[:-1] = c[:-1] + _combo("C_O", b2, b3)
+        h[1:] = n[1:] + _combo("N_H", b2, b3)
+    else:
+        cp = c[:-1]
+        o[:-1] = cp + BOND_C_O_TERM * unit_vector(-(unit_vector(ca[:-1] - cp)
+                                                    + unit_vector(n[1:] - cp)))
+        h[1:] = n[1:] + BOND_N_H_TERM * unit_vector(-(unit_vector(cp - n[1:])
+                                                      + unit_vector(ca[1:] - n[1:])))
+    # terminal carboxylate from internal coordinates; direction still points
+    # along CA_m -> C_m, so both oxygens sit at +/-(180 - angle) off it
+    split = 180.0 - ANGLE_CA_C_O_TERM
+    oxt = c[-1] + BOND_C_O_TERM * _plane_dir(direction + turn * split)
+    o[-1] = c[-1] + BOND_C_O_TERM * _plane_dir(direction - turn * split)
+    return n, h, ca, c, o, oxt
 
 
 def _combo(key, b2, b3):
@@ -343,65 +380,39 @@ def build_chain(sequence, geometry=None, *, omega="trans") -> Chain:
     go through one assembly, which derives links, ownership and bonds.
     """
     if geometry is not None:
-        residues, hetero, chain_id = _imported_residues(geometry)
-        return _assemble(residues, hetero, "imported", chain_id)
+        groups, m, hetero, chain_id = _imported_residues(geometry)
+        return _assemble(groups, m, hetero, "imported", chain_id)
 
     seq = [str(c).upper() for c in sequence]
     if not seq:
         raise ChainBuildError("zero-length sequence")
-    specs = [default_templates().get(code) for code in seq]
+    kinds: dict[str, list[int]] = {}
+    for i, code in enumerate(seq):
+        kinds.setdefault(code, []).append(i)
+    specs = {code: default_templates().get(code) for code in kinds}
     if omega not in ("trans", "cis"):
         raise ChainBuildError(f"omega must be trans or cis, got {omega!r}")
-    cis = omega == "cis"
 
     m = len(seq)
-    npos, capos, ctmp, direction, turn = _walk_backbone(m, cis)
-
-    # peptide-group atoms from the coefficient rows; the rows encode the
-    # trans plane, so cis planes (on request) fall back to internal coords
-    cpos: list[np.ndarray] = []
-    opos: list[np.ndarray] = []
-    hpos = [npos[0] + BOND_N_H_TERM * _plane_dir(-ANGLE_H_N_CA)]  # amino-terminal H
-    for i in range(m - 1):
-        b2 = npos[i + 1] - capos[i]
-        b3 = capos[i + 1] - npos[i + 1]
-        if not cis:
-            cpos.append(capos[i] + _combo("CA_C", b2, b3))
-            opos.append(cpos[i] + _combo("C_O", b2, b3))
-            hpos.append(npos[i + 1] + _combo("N_H", b2, b3))
-        else:
-            c = ctmp[i]
-            cpos.append(c)
-            o_dir = unit_vector(-(unit_vector(capos[i] - c)
-                                  + unit_vector(npos[i + 1] - c)))
-            opos.append(c + BOND_C_O_TERM * o_dir)
-            h_dir = unit_vector(-(unit_vector(c - npos[i + 1])
-                                  + unit_vector(capos[i + 1] - npos[i + 1])))
-            hpos.append(npos[i + 1] + BOND_N_H_TERM * h_dir)
-    # terminal carboxylate from internal coordinates; direction still points
-    # along CA_m -> C_m, so both oxygens sit at +/-(180 - angle) off it
-    c_term = ctmp[m - 1]
-    split = 180.0 - ANGLE_CA_C_O_TERM
-    oxt = c_term + BOND_C_O_TERM * _plane_dir(direction + turn * split)
-    o_term = c_term + BOND_C_O_TERM * _plane_dir(direction - turn * split)
-    cpos.append(c_term)
-    opos.append(o_term)
-
-    # template atoms hang off each residue frame at CA
-    frames = frame_from_backbone(np.array(npos), np.array(capos), np.array(cpos))
-    residues = []
-    for i, (code, spec) in enumerate(zip(seq, specs)):
+    n, h, ca, c, o, oxt = _backbone_atoms(m, omega == "cis")
+    # template atoms hang off each residue frame at CA, one kind at a time
+    frames = frame_from_backbone(n, ca, c)
+    groups = []
+    for code, rows in kinds.items():
+        spec, idx = specs[code], np.array(rows)
         local = np.array([ta.local for ta in spec.atoms])
-        side = capos[i] + np.matmul(frames[i], local[:, :, None])[:, :, 0]
+        side = ca[idx][:, None] + np.matmul(frames[idx][:, None], local[:, :, None])[..., 0]
+        xyz = np.concatenate([n[idx][:, None], h[idx][:, None], ca[idx][:, None], side,
+                              c[idx][:, None], o[idx][:, None]], axis=1)
         names = ["N", "H", "CA", *(ta.name for ta in spec.atoms), "C", "O"]
         elements = ["N", "H", "C", *(ta.element for ta in spec.atoms), "C", "O"]
-        rows = [npos[i], hpos[i], capos[i], *side, cpos[i], opos[i]]
-        if i + 1 == m:
-            names.append("OXT")
-            elements.append("O")
-            rows.append(oxt)
-        residues.append(_ResidueAtoms(code, names, elements, np.array(rows)))
-    return _assemble(residues, [], "canonical")
+        if idx[-1] == m - 1:  # the last residue also carries the OXT
+            groups.append(_ResidueGroup(code, names + ["OXT"], elements + ["O"], idx[-1:],
+                                        np.concatenate([xyz[-1:], oxt[None, None]], axis=1)))
+            idx, xyz = idx[:-1], xyz[:-1]
+        if len(idx):
+            groups.append(_ResidueGroup(code, names, elements, idx, xyz))
+    return _assemble(groups, m, [], "canonical")
 
 
 # --------------------------------------------------------------------------
@@ -409,66 +420,16 @@ def build_chain(sequence, geometry=None, *, omega="trans") -> Chain:
 # --------------------------------------------------------------------------
 
 @dataclass
-class _ResidueAtoms:
-    """One residue's atoms in order, as the assembly takes them."""
+class _ResidueGroup:
+    """Residues with one code and one atom list (names and elements, in
+    order), the assembly's unit of work: residue ``index[r]`` has atoms
+    ``xyz[r]``."""
 
     code: str                  # three-letter residue code
     names: list[str]
     elements: list[str]
-    xyz: np.ndarray            # (n, 3)
-
-
-class _Builder:
-    """Accumulates atoms/links/bonds, then produces a Chain."""
-
-    def __init__(self):
-        self.names: list[str] = []
-        self.elements: list[str] = []
-        self.classes: list[str] = []
-        self.residue_of: list[int] = []
-        self.link_of: list[int] = []
-        self.pos: list[np.ndarray] = []
-        self.bonds: list[tuple[int, int]] = []
-        self.hetero: list[bool] = []
-        self.hetero_res_names: dict[int, str] = {}
-        self.hetero_chain_ids: dict[int, str] = {}
-        self.links: list[dict] = []   # per link, its LinkArrays columns
-
-    def add_atom(self, name, element, cls, residue, link, xyz, hetero=False) -> int:
-        self.names.append(name)
-        self.elements.append(element)
-        self.classes.append(cls)
-        self.residue_of.append(residue)
-        self.link_of.append(link)
-        self.pos.append(np.asarray(xyz, float))
-        self.hetero.append(hetero)
-        return len(self.names) - 1
-
-    def add_link(self, *, chi0=0.0, **kw) -> int:
-        self.links.append(dict(kw, chi0=chi0))
-        return len(self.links) - 1
-
-    def finish(self, residues, source, chain_id="A") -> Chain:
-        # the rows are stacked once; kind stays a list
-        columns = {name: [rec[name] for rec in self.links] for name in self.links[0]}
-        links = LinkArrays(**{name: col if name == "kind" else np.array(col)
-                              for name, col in columns.items()})
-        return Chain(
-            residues=residues,
-            links=links,
-            atom_names=self.names,
-            atom_elements=self.elements,
-            atom_classes=self.classes,
-            atom_residue=np.asarray(self.residue_of, int),
-            atom_link=np.asarray(self.link_of, int),
-            zp_pos=np.array(self.pos),
-            bonds=self.bonds,
-            hetero_mask=np.asarray(self.hetero, bool),
-            source=source,
-            hetero_res_names=self.hetero_res_names,
-            chain_id=chain_id,
-            hetero_chain_ids=self.hetero_chain_ids,
-        )
+    index: np.ndarray          # (k,) residue numbers, ascending
+    xyz: np.ndarray            # (k, n_atoms, 3)
 
 
 _COVALENT_RADII = {"H": 0.31, "C": 0.76, "N": 0.71, "O": 0.66, "S": 1.05, "P": 1.07}
@@ -480,80 +441,180 @@ _NAMED_BONDS = (("N", "CA"), ("CA", "C"), ("C", "O"), ("C", "OXT"),
                 *(("N", h) for h in _N_TERM_H_NAMES))
 
 
-def _assemble(residues: list[_ResidueAtoms], hetero, source: str,
+def _assemble(groups: list[_ResidueGroup], m: int, hetero, source: str,
               chain_id: str = "A") -> Chain:
-    """The linkage over named atoms grouped by residue.  A residue whose
-    atoms cover its template's side-link atoms gets the template's chi
-    joints; any other rides rigidly on its CA link.  ``hetero`` atoms
-    stay fixed on the ground link."""
-    where = [{name: k for k, name in enumerate(r.names)} for r in residues]
-    m = len(residues)
-    n, ca, c = np.array([[r.xyz[at[nm]] for nm in ("N", "CA", "C")]
-                         for r, at in zip(residues, where)]).transpose(1, 0, 2)
-    last = where[-1]
-    tip = residues[-1].xyz[last["OXT" if "OXT" in last else "O" if "O" in last else "C"]]
+    """The linkage over the named atoms of ``m`` residues, one array pass
+    per group.  A residue whose atoms cover its template's side-link
+    atoms gets the template's chi joints; any other rides rigidly on its
+    CA link.  ``hetero`` atoms stay fixed on the ground link.
 
-    # the ground link, then per residue a phi (N-CA) and a psi (CA-C) link;
-    # a psi body runs from CA to the next N, the last one to the chain tip
-    b = _Builder()
-    ground = b.add_link(kind="ground", residue=-1, chi_index=0, dof=-1, parent=-1,
-                        axis0=np.zeros(3), body0=np.zeros(3), point0=np.zeros(3))
-    phi_axis, psi_axis = unit_vector(ca - n), unit_vector(c - ca)
-    psi_body = np.vstack([n[1:], tip]) - ca
-    link_phi, link_psi = [], []
-    for i in range(m):
-        link_phi.append(b.add_link(
-            kind="phi", residue=i, chi_index=0, dof=2 * i,
-            parent=link_psi[i - 1] if i else ground,
-            axis0=phi_axis[i], body0=ca[i] - n[i], point0=n[i],
-        ))
-        link_psi.append(b.add_link(
-            kind="psi", residue=i, chi_index=0, dof=2 * i + 1, parent=link_phi[i],
-            axis0=psi_axis[i], body0=psi_body[i], point0=ca[i],
-        ))
-
+    Atoms are numbered residue by residue.  Links are the ground link,
+    then per residue a phi (N-CA) and a psi (CA-C) link, then the chi
+    links in residue order, and link l drives dof l - 1: residue i's phi
+    link is 2i + 1, its psi link 2i + 2, and 2i (the previous psi, or the
+    ground) holds its N.  A psi body runs from CA to the next N, the last
+    one to the chain tip."""
     templates = default_templates()
-    next_dof = 2 * m  # chi joints follow the backbone, grouped by residue
-    for i, (r, at) in enumerate(zip(residues, where)):
-        spec = templates.specs.get(r.code)
+    matched = []
+    n_atoms, n_chi = np.zeros(m, np.int64), np.zeros(m, np.int64)
+    for g in groups:
+        at = {name: k for k, name in enumerate(g.names)}
+        spec = templates.specs.get(g.code)
         if spec is not None and not all(ta.name in at for ta in spec.atoms if ta.link):
             spec = None  # incomplete match: ride rigidly on the CA link
-        owner = {}
-        if spec is not None:
-            side = [link_phi[i]]
-            for k, (src, dst) in enumerate(spec.joints, start=1):
-                p_src, p_dst = r.xyz[at[src]], r.xyz[at[dst]]
-                refs = spec.chi_refs[k - 1] if spec.chi_refs else ()
-                if len(refs) == 4:
-                    chi0 = dihedral_angle(*(r.xyz[at[nm]] for nm in refs))
-                else:
-                    chi0 = float(spec.rotamer_defaults[k - 1]) if spec.rotamer_defaults else 0.0
-                side.append(b.add_link(
-                    kind="chi", residue=i, chi_index=k, dof=next_dof, parent=side[-1],
-                    axis0=unit_vector(p_dst - p_src), body0=p_dst - p_src,
-                    point0=p_src, chi0=chi0,
-                ))
-                next_dof += 1
-            owner = {ta.name: side[ta.link] for ta in spec.atoms if ta.link}
-        n_owner = link_psi[i - 1] if i else ground
-        owner.update(dict.fromkeys(("N", *(_N_TERM_H_NAMES if i == 0 else ("H",))),
-                                   n_owner))
-        owner.update(dict.fromkeys(("C", "O", "OXT"), link_psi[i]))
-        base = len(b.names)
-        for name, element, xyz in zip(r.names, r.elements, r.xyz):
-            b.add_atom(name, element, _atom_class(name, element, r.code, spec), i,
-                       owner.get(name, link_phi[i]), xyz)
-        _residue_bonds(b, r, at, base)
-        if i:
-            b.bonds.append((prev_c, base + at["N"]))
-        prev_c = base + at["C"]
+        n_atoms[g.index] = len(g.names)
+        n_chi[g.index] = len(spec.joints) if spec is not None else 0
+        matched.append((g, at, spec))
+    first_atom = np.concatenate([[0], np.cumsum(n_atoms)])
+    first_chi = 2 * m + 1 + np.cumsum(n_chi) - n_chi
+    n_links, n_protein = 2 * m + 1 + int(n_chi.sum()), int(first_atom[-1])
+    n_total = n_protein + len(hetero)
 
-    for a in hetero:
-        k = b.add_atom(a.name, a.element, f"EL_{a.element}", m + a.res_seq % 10_000,
-                       ground, a.xyz, hetero=True)
-        b.hetero_res_names[k] = a.res_name
-        b.hetero_chain_ids[k] = a.chain_id
-    return b.finish([r.code for r in residues], source, chain_id)
+    residue = np.full(n_links, -1, np.int64)
+    chi_index = np.zeros(n_links, np.int64)
+    chi0 = np.zeros(n_links)
+    parent = np.full(n_links, -1, np.int64)
+    axis0, body0, point0 = np.zeros((n_links, 3)), np.zeros((n_links, 3)), np.zeros((n_links, 3))
+    zp_pos = np.empty((n_total, 3))
+    atom_link = np.zeros(n_total, np.int64)
+    backbone = np.empty((m, 3, 3))                  # N, CA, C per residue
+    n_atom, c_atom = np.empty(m, np.int64), np.empty(m, np.int64)
+    tables = [None] * m                             # per residue: code, names, ...
+    n_bonds = (np.arange(m) > 0).astype(np.int64)   # per residue, its peptide bond
+    bond_parts = []
+    for g, at, spec in matched:
+        atoms = first_atom[g.index][:, None] + np.arange(len(g.names))
+        zp_pos[atoms] = g.xyz
+        backbone[g.index] = g.xyz[:, [at["N"], at["CA"], at["C"]]]
+        n_atom[g.index], c_atom[g.index] = atoms[:, at["N"]], atoms[:, at["C"]]
+        if g.index[-1] == m - 1:
+            tip = g.xyz[-1, at["OXT" if "OXT" in at else "O" if "O" in at else "C"]]
+        table = (g.code, g.names, g.elements,
+                 [_atom_class(nm, el, g.code, spec) for nm, el in zip(g.names, g.elements)])
+        for i in g.index.tolist():
+            tables[i] = table
+
+        # owners: 2i + 0 (N side), 1 (CA link) or 2 (psi link), or side link -k
+        role = {ta.name: -ta.link for ta in spec.atoms if ta.link} if spec is not None else {}
+        role.update(N=0, H=0, C=2, O=2, OXT=2)
+        role = np.array([role.get(name, 1) for name in g.names])
+        atom_link[atoms] = np.where(role < 0, first_chi[g.index][:, None] - role - 1,
+                                    2 * g.index[:, None] + role)
+        if spec is not None and spec.joints:
+            rows = first_chi[g.index][:, None] + np.arange(len(spec.joints))
+            residue[rows], chi_index[rows] = g.index[:, None], np.arange(1, rows.shape[1] + 1)
+            parent[rows] = rows - 1
+            parent[rows[:, 0]] = 2 * g.index + 1  # joint 1 hangs off the CA link
+            axis0[rows], body0[rows], point0[rows], chi0[rows] = _chi_joints(g, at, spec)
+
+        named = np.array([sorted((at[x], at[y])) for x, y in _NAMED_BONDS
+                          if x in at and y in at])
+        res, pairs = _radius_bonds(g)
+        by_radius = np.bincount(res, minlength=len(g.index))
+        n_bonds[g.index] += len(named) + by_radius
+        bond_parts.append((g.index, first_atom[g.index], named, res, pairs, by_radius))
+    for k, name in enumerate(tables[0][1]):  # the amino-terminal hydrogens
+        if name in _N_TERM_H_NAMES:
+            atom_link[k] = 0
+
+    n, ca, c = backbone.transpose(1, 0, 2)
+    phi, psi = slice(1, 2 * m, 2), slice(2, 2 * m + 1, 2)
+    residue[phi] = residue[psi] = np.arange(m)
+    parent[phi], parent[psi] = 2 * np.arange(m), 2 * np.arange(m) + 1
+    axis0[phi], axis0[psi] = unit_vector(ca - n), unit_vector(c - ca)
+    body0[phi], body0[psi] = ca - n, np.vstack([n[1:], tip]) - ca
+    point0[phi], point0[psi] = n, ca
+    links = LinkArrays(kind=["ground"] + ["phi", "psi"] * m + ["chi"] * (n_links - 2 * m - 1),
+                       residue=residue, chi_index=chi_index, chi0=chi0,
+                       dof=np.arange(n_links) - 1, parent=parent, axis0=axis0,
+                       body0=body0, point0=point0)
+
+    # bonds in residue order: by name, by radius, then the peptide bond
+    # C(i-1)-N(i); the bond tree drops the later edge of a ring, so this
+    # order is part of the chain.  Each is written at its place, no sort.
+    first_bond = np.cumsum(n_bonds) - n_bonds
+    bonds = np.empty((int(n_bonds.sum()), 2), np.int64)
+    for index, base, named, res, pairs, by_radius in bond_parts:
+        start = first_bond[index]
+        bonds[start[:, None] + np.arange(len(named))] = base[:, None, None] + named
+        rank = np.arange(len(res)) - (np.cumsum(by_radius) - by_radius)[res]
+        bonds[start[res] + len(named) + rank] = base[res][:, None] + pairs
+    bonds[first_bond[1:] + n_bonds[1:] - 1] = np.stack([c_atom[:-1], n_atom[1:]], axis=1)
+
+    names, elements, classes = [], [], []
+    for _, t_names, t_elements, t_classes in tables:
+        names += t_names
+        elements += t_elements
+        classes += t_classes
+    hetero_res_names, hetero_chain_ids = {}, {}
+    for k, a in enumerate(hetero, start=n_protein):
+        names.append(a.name)
+        elements.append(a.element)
+        classes.append(f"EL_{a.element}")
+        zp_pos[k] = a.xyz
+        hetero_res_names[k] = a.res_name
+        hetero_chain_ids[k] = a.chain_id
+    atom_residue = np.concatenate([np.repeat(np.arange(m), n_atoms),
+                                   np.array([m + a.res_seq % 10_000 for a in hetero], np.int64)])
+    return Chain(
+        residues=[t[0] for t in tables],
+        links=links,
+        atom_names=names,
+        atom_elements=elements,
+        atom_classes=classes,
+        atom_residue=atom_residue,
+        atom_link=atom_link,
+        zp_pos=zp_pos,
+        bonds=list(map(tuple, bonds.tolist())),
+        hetero_mask=np.arange(n_total) >= n_protein,
+        source=source,
+        hetero_res_names=hetero_res_names,
+        chain_id=chain_id,
+        hetero_chain_ids=hetero_chain_ids,
+    )
+
+
+def _chi_joints(g: _ResidueGroup, at: dict, spec: ResidueSpec):
+    """Unit axis, body vector, joint point and reference chi of every chi
+    joint of the group, each (k, joints, ...): a joint turns about its
+    template bond, and its reference chi is measured from its four
+    reference atoms, else it is the template's rotamer default."""
+    src = g.xyz[:, [at[a] for a, _ in spec.joints]]
+    body = g.xyz[:, [at[b] for _, b in spec.joints]] - src
+    chi0 = np.empty(body.shape[:2])
+    chi0[:] = [float(x) for x in spec.rotamer_defaults] or 0.0
+    measured = [k for k, refs in enumerate(spec.chi_refs) if len(refs) == 4]
+    if measured:
+        refs = [[at[nm] for nm in spec.chi_refs[k]] for k in measured]
+        chi0[:, measured] = dihedral_angle(*g.xyz[:, refs].transpose(2, 0, 1, 3))
+    return unit_vector(body), body, src, chi0
+
+
+def _radius_bonds(g: _ResidueGroup):
+    """The bonds of the group's non-backbone atoms by covalent radii, one
+    distance pass over every residue: (residue row, local pair) per bond,
+    in each residue's atom-row order, each pair once as (low, high).  An
+    atom within no radius sum bonds to its nearest neighbor, which keeps
+    the graph connected."""
+    rest = np.array([k for k, name in enumerate(g.names) if name not in _BACKBONE_NAMES],
+                    np.int64)
+    if not len(rest):
+        return np.empty(0, np.int64), np.empty((0, 2), np.int64)
+    dist = norms(g.xyz[:, rest][:, :, None] - g.xyz[:, None])
+    dist[:, np.arange(len(rest)), rest] = np.inf
+    radius = np.array([_COVALENT_RADII.get(e, 1.2) for e in g.elements])
+    near = dist <= radius[rest][:, None] + radius + _BOND_SLACK
+    lone_res, lone_row = np.nonzero(~near.any(axis=2))
+    near[lone_res, lone_row, np.argmin(dist[lone_res, lone_row], axis=1)] = True
+    res, row, aj = np.nonzero(near)
+    ai = rest[row]
+    # a bond between two side atoms is met from both rows: keep the first,
+    # from the lower atom's row
+    row_of = np.full(len(g.names), -1)
+    row_of[rest] = np.arange(len(rest))
+    twice = (aj < ai) & (row_of[aj] >= 0) & near[res, row_of[aj], ai]
+    keep = ~twice
+    return res[keep], np.stack([np.minimum(ai, aj)[keep], np.maximum(ai, aj)[keep]], axis=1)
 
 
 def _atom_class(name: str, element: str, code: str, spec: ResidueSpec | None) -> str:
@@ -569,36 +630,10 @@ def _atom_class(name: str, element: str, code: str, spec: ResidueSpec | None) ->
     return f"EL_{element}"
 
 
-def _residue_bonds(b: _Builder, r: _ResidueAtoms, at: dict, base: int) -> None:
-    """Backbone bonds by name, remaining bonds by covalent radii; an atom
-    within no radius sum bonds to its nearest neighbor, which keeps the
-    graph connected.  ``base`` is the residue's first atom index."""
-    have = set()
-
-    def bond(x, y):
-        key = (base + min(x, y), base + max(x, y))
-        if key not in have:
-            have.add(key)
-            b.bonds.append(key)
-
-    for x, y in _NAMED_BONDS:
-        if x in at and y in at:
-            bond(at[x], at[y])
-    rest = [k for k, name in enumerate(r.names) if name not in _BACKBONE_NAMES]
-    if not rest:
-        return
-    dist = norms(r.xyz[rest][:, None] - r.xyz[None])
-    dist[np.arange(len(rest)), rest] = np.inf
-    radius = np.array([_COVALENT_RADII.get(e, 1.2) for e in r.elements])
-    near = dist <= radius[rest][:, None] + radius + _BOND_SLACK
-    for row, ai in enumerate(rest):
-        for aj in np.flatnonzero(near[row]).tolist() or [int(np.argmin(dist[row]))]:
-            bond(ai, aj)
-
-
-def _imported_residues(record) -> tuple[list[_ResidueAtoms], list, str]:
+def _imported_residues(record) -> tuple[list[_ResidueGroup], int, list, str]:
     """Protein atoms of the first chain grouped into residues by sequence
-    number and insertion code, the hetero atoms, and that chain's ID."""
+    number and insertion code, and the residues into groups of one kind;
+    the residue count, the hetero atoms, and that chain's ID."""
     protein = [a for a in record.atoms if not a.hetero]
     hetero = [a for a in record.atoms if a.hetero]
     if not protein:
@@ -608,7 +643,8 @@ def _imported_residues(record) -> tuple[list[_ResidueAtoms], list, str]:
         warnings.warn("multiple chains in structure; keeping the first", stacklevel=2)
         protein = [a for a in protein if a.chain_id == first_chain]
 
-    residues = []
+    kinds: dict[tuple, tuple[list, list]] = {}
+    m, amide_h = 0, False
     for (seq_no, i_code), group in itertools.groupby(protein, lambda a: (a.res_seq, a.i_code)):
         atoms = list(group)
         names = [a.name for a in atoms]
@@ -616,9 +652,16 @@ def _imported_residues(record) -> tuple[list[_ResidueAtoms], list, str]:
             if needed not in names:
                 raise ChainBuildError(f"imported geometry missing backbone atom {needed} "
                                       f"in {atoms[0].res_name} {seq_no}{i_code}")
-        residues.append(_ResidueAtoms(atoms[0].res_name, names, [a.element for a in atoms],
-                                      np.array([a.xyz for a in atoms], float)))
-    if len(residues) > 1 and not any("H" in r.names for r in residues[1:]):
+        key = (atoms[0].res_name, tuple(names), tuple(a.element for a in atoms))
+        index, xyz = kinds.setdefault(key, ([], []))
+        index.append(m)
+        xyz.append([a.xyz for a in atoms])
+        amide_h = amide_h or (m > 0 and "H" in names)
+        m += 1
+    if m > 1 and not amide_h:
         warnings.warn("structure carries no amide hydrogens; building without them",
                       stacklevel=2)
-    return residues, hetero, first_chain
+    groups = [_ResidueGroup(code, list(names), list(elements), np.array(index),
+                            np.array(xyz, float))
+              for (code, names, elements), (index, xyz) in kinds.items()]
+    return groups, m, hetero, first_chain

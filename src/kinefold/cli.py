@@ -2,11 +2,12 @@
 
 Every run writes a manifest.json recording the effective configuration
 (for ``fold``, the only command that draws random numbers, including the
-seed), so any artifact can be reproduced bit for bit, and the
-environment it ran in: Python and numpy versions, platform, CPU count,
-the git revision of the source when a work tree tracks it, and the
-native library's source hash and compiler.  Commands parse
-flags and call the library; ``pdbio`` writes every file they leave.
+seed, and each run's outcome: iterations, convergence and stop reason, or
+the error that ended it), so any artifact can be reproduced bit for bit,
+and the environment it ran in: Python and numpy versions, platform, CPU
+count, the git revision of the source when a work tree tracks it, and the
+native library's source hash and compiler.  Commands parse flags and call
+the library; ``pdbio`` writes every file they leave.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def cmd_fold(args) -> int:
     step = StepConfig(**{f.name: getattr(args, f.name)
                          for f in dataclasses.fields(StepConfig)})
     out, runs = Path(args.out), args.batch
-    summary_rows, failed = [], []
+    summary_rows, failed, outcomes = [], [], []
     for run in range(runs):
         conf = _initial_conformation(chain, args, rng)
         try:
@@ -199,17 +200,20 @@ def cmd_fold(args) -> int:
             # the other runs their results or the batch its summary
             failed.append(run)
             summary_rows.append(summary_row(run, chain, exc))
+            outcomes.append({"run": run, "error": str(exc)})
             print(f"error: run {run}: {exc}", file=sys.stderr)
             continue
         write_run(out if runs == 1 else out / f"run_{run:04d}", chain, traj)
         summary_rows.append(summary_row(run, chain, traj))
+        outcomes.append({"run": run, "iterations": traj.iterations,
+                         "converged": traj.converged, "reason": traj.reason})
         print(f"run {run}: {traj.iterations} iterations, "
               f"converged={traj.converged} ({traj.reason}), "
               f"G_total={traj.records[-1].energy.g_total:.3f} kcal/mol")
     if runs > 1:
         write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows)
     write_manifest(out, _manifest_payload(
-        args, chain, {"seed": args.seed, "runs": runs, "failed_runs": failed}))
+        args, chain, {"seed": args.seed, "runs": outcomes, "failed_runs": failed}))
     return 2 if failed else 0
 
 

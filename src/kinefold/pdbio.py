@@ -198,22 +198,22 @@ class ParamSet:
             raise ParameterFileError(f"no solvation parameter set {which!r}") from None
 
     def resolve(self, chain, gamma_set: str = "sharp") -> AtomParams:
-        """Per-atom parameters; unknown classes fall back by element."""
+        """Per-atom parameters; unknown classes fall back by element.  Each
+        distinct class (and element) is looked up once, in atom order."""
         gam = self.gamma_table(gamma_set)
-        n = chain.n_atoms
-        q = np.zeros(n)
-        r = np.zeros(n)
-        eps = np.zeros(n)
-        gamma = np.zeros(n)
-        for i in range(n):
-            cls = chain.atom_classes[i]
+        kinds: dict[tuple[str, str], int] = {}
+        kind = np.array([kinds.setdefault(key, len(kinds))
+                         for key in zip(chain.atom_classes, chain.atom_elements)], np.int64)
+        rows = []
+        for cls, element in kinds:
             row = self.classes.get(cls)
             if row is None:
-                row = _ELEMENT_FALLBACK.get(chain.atom_elements[i], _GENERIC_FALLBACK)
-            q[i], r[i], eps[i], sc = row
+                row = _ELEMENT_FALLBACK.get(element, _GENERIC_FALLBACK)
+            q, r, eps, sc = row
             if sc not in gam:
                 raise ParameterFileError(f"solvation class {sc!r} missing from table")
-            gamma[i] = gam[sc]
+            rows.append((q, r, eps, gam[sc]))
+        q, r, eps, gamma = np.array(rows, float).reshape(-1, 4).T[:, kind]
         return AtomParams(q=q, R=r, eps=eps, gamma=gamma)
 
 

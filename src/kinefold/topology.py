@@ -78,32 +78,32 @@ class BondTree:
 def build_tree(chain) -> BondTree:
     """Spanning tree of ``chain.bonds``, dropping one edge per ring.
 
-    When a bond would close a cycle, the edge encountered later in the
-    chain's bond order is the one dropped, deterministically.
+    A union-find over the bonds in the chain's order keeps each bond that
+    joins two components; when a bond would close a cycle, it is the one
+    dropped, so of a ring's edges the one met last in the bond order goes,
+    deterministically.  A depth-first walk from atom 0 over the kept edges,
+    each atom's neighbors in ascending order, then sets the parents.  Both
+    run over plain Python lists: per-element numpy indexing costs more
+    than the work.
     """
     n = chain.n_atoms
-    chain_atoms = ~chain.hetero_mask
-    # union-find to detect ring-closing edges in bond order
-    uf = np.arange(n)
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
+    uf = list(range(n))
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for i, j in chain.bonds:
-        ri, rj = find(i), find(j)
+        ri, rj = i, j
+        while uf[ri] != ri:  # find with path halving
+            uf[ri] = ri = uf[uf[ri]]
+        while uf[rj] != rj:
+            uf[rj] = rj = uf[uf[rj]]
         if ri == rj:
             continue
         uf[ri] = rj
         adjacency[i].append(j)
         adjacency[j].append(i)
 
-    parent = np.full(n, -1, dtype=np.int64)
+    parent = [-1] * n
+    seen = [False] * n
     order = [0]  # root: amino-terminal N is atom 0 by construction
-    seen = np.zeros(n, bool)
     seen[0] = True
     while order:
         u = order.pop()
@@ -112,13 +112,14 @@ def build_tree(chain) -> BondTree:
                 seen[v] = True
                 parent[v] = u
                 order.append(v)
-    if not np.all(seen[chain_atoms]):
-        missing = int(np.flatnonzero(chain_atoms & ~seen)[0])
+    chain_atoms, reached = ~chain.hetero_mask, np.array(seen, bool)
+    if not np.all(reached[chain_atoms]):
+        missing = int(np.flatnonzero(chain_atoms & ~reached)[0])
         raise DisconnectedBondGraphError(
             f"bond graph does not reach atom {missing} ({chain.atom_names[missing]})"
         )
     return BondTree(
-        parent=parent,
+        parent=np.array(parent, np.int64),
         residue_of=chain.atom_residue.copy(),
         chain_mask=chain_atoms,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -150,3 +151,30 @@ def random_case(sequence, seed):
     conf = Conformation(rng.uniform(0.0, 360.0, chain.n_dof),
                         rng.random(chain.n_dof) < 0.25)
     return chain, conf, rng.normal(size=(chain.n_atoms, 3))
+
+
+def assert_identical(got, want, path: str = "") -> None:
+    """Two dataclass instances field by field: arrays equal in dtype, shape
+    and bytes, nested dataclasses recursively, anything else equal in value,
+    in order and in the Python types it holds (an ``np.int64`` is not an
+    ``int``).  ``path`` prefixes the name of a field that differs."""
+    assert type(got) is type(want), path
+    for f in dataclasses.fields(want):
+        a, b, name = getattr(got, f.name), getattr(want, f.name), path + f.name
+        if dataclasses.is_dataclass(b):
+            assert_identical(a, b, name + ".")
+        elif isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), name
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+            assert _types(a) == _types(b), name
+
+
+def _types(value):
+    if isinstance(value, (list, tuple)):
+        return type(value), [_types(v) for v in value]
+    if isinstance(value, dict):
+        return dict, [(type(k), _types(v)) for k, v in value.items()]
+    return type(value)

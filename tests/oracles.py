@@ -5,19 +5,39 @@ recounts, and per-joint sequential rotations.  The oracles share float
 primitives with the library (same IEEE ops) but not algorithms.
 """
 
+import itertools
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from kinefold.chain import KinematicState
-from kinefold.errors import ConfigurationError, NonFiniteTorqueError, StericClashError
-from kinefold.forcefield import COULOMB_K, MIN_DISTANCE
-from kinefold.geometry import AXIS_UNIT_TOL, dihedral_angle, wrap_degrees
+from kinefold import chain as ch
+from kinefold.chain import Chain, KinematicState, LinkArrays
+from kinefold.errors import (
+    ChainBuildError,
+    ConfigurationError,
+    DisconnectedBondGraphError,
+    NonFiniteTorqueError,
+    ParameterFileError,
+    StericClashError,
+)
+from kinefold.forcefield import COULOMB_K, MIN_DISTANCE, AtomParams
+from kinefold.geometry import (
+    AXIS_UNIT_TOL,
+    dihedral_angle,
+    frame_from_backbone,
+    norms,
+    signed_degrees,
+    unit_vector,
+    wrap_degrees,
+)
 from kinefold.kcm import Field
+from kinefold.pdbio import _ELEMENT_FALLBACK, _GENERIC_FALLBACK
+from kinefold.residues import default_templates
 from kinefold.solvation import _force_quantum, offset_radii
 from kinefold.spatial import EDGE_PER_CUTOFF, MAX_SPAN, HashGrid, NeighborTable, reach
-from kinefold.topology import InteractionClass
+from kinefold.topology import BondTree, InteractionClass
 
 from .conftest import atom_index
 
@@ -62,8 +82,6 @@ def template_bonds(chain) -> set[tuple[int, int]]:
     """The bonds of a canonical chain by declaration: every template
     atom's bond to its ``parent``, plus N-CA, CA-C, N-H, C-O, the
     terminal C-OXT and the peptide bonds, as (low, high) index pairs."""
-    from kinefold.residues import default_templates
-
     bonds = set()
     for i, code in enumerate(chain.residues):
         pairs = [("N", "CA"), ("CA", "C"), ("N", "H"), ("C", "O")]
@@ -684,9 +702,7 @@ def _axis_atoms(chain, li, positions):
     if kind == "psi":
         return positions[atom_index(chain, res, "CA")], positions[atom_index(chain, res, "C")]
     # chi joints: recover endpoint names from the template joint table
-    from kinefold.residues import default_templates
-
-    spec = default_templates().get(chain.residues[res])
+    spec =default_templates().get(chain.residues[res])
     src_name, dst_name = spec.joints[chain.links.chi_index[li] - 1]
     return (positions[atom_index(chain, res, src_name)],
             positions[atom_index(chain, res, dst_name)])
@@ -713,3 +729,354 @@ def _ancestry(parent, x, cap):
             break
         out[int(cur)] = d
     return out
+
+
+# --------------------------------------------------------------------------
+# per-residue references of the set-up passes: the chain builder, the bond
+# tree and the parameter lookup as one loop per residue, link and atom.
+# The library's array passes must equal them byte for byte.
+# --------------------------------------------------------------------------
+
+def scalar_dihedral(p1, p2, p3, p4) -> float:
+    """``geometry.dihedral_angle`` of one quadruple, with 1-d dot products
+    and the cross product written out."""
+    b0 = np.asarray(p1, float) - np.asarray(p2, float)
+    b1 = unit_vector(np.asarray(p3, float) - np.asarray(p2, float))
+    b2 = np.asarray(p4, float) - np.asarray(p3, float)
+    v = b0 - (b0 @ b1) * b1
+    w = b2 - (b2 @ b1) * b1
+    x, y, z = b1
+    vx, vy, vz = v
+    b1_v = np.array([y * vz - z * vy, z * vx - x * vz, x * vy - y * vx])
+    ang = math.degrees(math.atan2(float(b1_v @ w), float(v @ w)))
+    return float(signed_degrees(ang))
+
+
+def _plane_dir(angle_deg: float) -> np.ndarray:
+    a = math.radians(angle_deg)
+    return np.array([math.cos(a), math.sin(a), 0.0])
+
+
+def _walk_backbone(m: int, cis: bool):
+    """Extended planar walk, one bond at a time; returns N, CA,
+    provisional C per residue and the final direction and turn."""
+    npos = [np.zeros(3)]
+    capos = []
+    ctmp = []
+    direction = 0.0
+    turn = 1.0
+    for i in range(m):
+        capos.append(npos[i] + ch.BOND_N_CA * _plane_dir(direction))
+        direction += turn * (180.0 - ch.ANGLE_N_CA_C)
+        turn = -turn
+        ctmp.append(capos[i] + ch.BOND_CA_C * _plane_dir(direction))
+        if i + 1 < m:
+            direction += turn * (180.0 - ch.ANGLE_CA_C_N)
+            turn = -turn
+            npos.append(ctmp[i] + ch.BOND_C_N * _plane_dir(direction))
+            if cis:
+                turn = -turn
+            direction += turn * (180.0 - ch.ANGLE_C_N_CA)
+            turn = -turn
+    return npos, capos, ctmp, direction, turn
+
+
+def _combo(key, b2, b3):
+    c1, c2 = ch.PLANE_CONSTANTS[key]
+    return c1 * b2 + c2 * b3
+
+
+@dataclass
+class ResidueAtoms:
+    """One residue's atoms in order, as the reference assembly takes them."""
+
+    code: str
+    names: list[str]
+    elements: list[str]
+    xyz: np.ndarray            # (n, 3)
+
+
+def reference_chain(sequence, geometry=None, *, omega="trans") -> Chain:
+    """``chain.build_chain`` one residue at a time: the walk bond by bond,
+    the peptide atoms and the template atoms per residue, then
+    ``reference_assemble``."""
+    if geometry is not None:
+        residues, hetero, chain_id = reference_imported_residues(geometry)
+        return reference_assemble(residues, hetero, "imported", chain_id)
+
+    seq = [str(c).upper() for c in sequence]
+    if not seq:
+        raise ChainBuildError("zero-length sequence")
+    specs = [default_templates().get(code) for code in seq]
+    if omega not in ("trans", "cis"):
+        raise ChainBuildError(f"omega must be trans or cis, got {omega!r}")
+    cis = omega == "cis"
+
+    m = len(seq)
+    npos, capos, ctmp, direction, turn = _walk_backbone(m, cis)
+    cpos, opos = [], []
+    hpos = [npos[0] + ch.BOND_N_H_TERM * _plane_dir(-ch.ANGLE_H_N_CA)]
+    for i in range(m - 1):
+        b2 = npos[i + 1] - capos[i]
+        b3 = capos[i + 1] - npos[i + 1]
+        if not cis:
+            cpos.append(capos[i] + _combo("CA_C", b2, b3))
+            opos.append(cpos[i] + _combo("C_O", b2, b3))
+            hpos.append(npos[i + 1] + _combo("N_H", b2, b3))
+        else:
+            c = ctmp[i]
+            cpos.append(c)
+            o_dir = unit_vector(-(unit_vector(capos[i] - c)
+                                  + unit_vector(npos[i + 1] - c)))
+            opos.append(c + ch.BOND_C_O_TERM * o_dir)
+            h_dir = unit_vector(-(unit_vector(c - npos[i + 1])
+                                  + unit_vector(capos[i + 1] - npos[i + 1])))
+            hpos.append(npos[i + 1] + ch.BOND_N_H_TERM * h_dir)
+    c_term = ctmp[m - 1]
+    split = 180.0 - ch.ANGLE_CA_C_O_TERM
+    oxt = c_term + ch.BOND_C_O_TERM * _plane_dir(direction + turn * split)
+    o_term = c_term + ch.BOND_C_O_TERM * _plane_dir(direction - turn * split)
+    cpos.append(c_term)
+    opos.append(o_term)
+
+    frames = frame_from_backbone(np.array(npos), np.array(capos), np.array(cpos))
+    residues = []
+    for i, (code, spec) in enumerate(zip(seq, specs)):
+        local = np.array([ta.local for ta in spec.atoms])
+        side = capos[i] + np.matmul(frames[i], local[:, :, None])[:, :, 0]
+        names = ["N", "H", "CA", *(ta.name for ta in spec.atoms), "C", "O"]
+        elements = ["N", "H", "C", *(ta.element for ta in spec.atoms), "C", "O"]
+        rows = [npos[i], hpos[i], capos[i], *side, cpos[i], opos[i]]
+        if i + 1 == m:
+            names.append("OXT")
+            elements.append("O")
+            rows.append(oxt)
+        residues.append(ResidueAtoms(code, names, elements, np.array(rows)))
+    return reference_assemble(residues, [], "canonical")
+
+
+class Builder:
+    """Accumulates atoms, links and bonds one at a time, then a Chain."""
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.elements: list[str] = []
+        self.classes: list[str] = []
+        self.residue_of: list[int] = []
+        self.link_of: list[int] = []
+        self.pos: list[np.ndarray] = []
+        self.bonds: list[tuple[int, int]] = []
+        self.hetero: list[bool] = []
+        self.hetero_res_names: dict[int, str] = {}
+        self.hetero_chain_ids: dict[int, str] = {}
+        self.links: list[dict] = []
+
+    def add_atom(self, name, element, cls, residue, link, xyz, hetero=False) -> int:
+        self.names.append(name)
+        self.elements.append(element)
+        self.classes.append(cls)
+        self.residue_of.append(residue)
+        self.link_of.append(link)
+        self.pos.append(np.asarray(xyz, float))
+        self.hetero.append(hetero)
+        return len(self.names) - 1
+
+    def add_link(self, *, chi0=0.0, **kw) -> int:
+        self.links.append(dict(kw, chi0=chi0))
+        return len(self.links) - 1
+
+    def finish(self, residues, source, chain_id="A") -> Chain:
+        columns = {name: [rec[name] for rec in self.links] for name in self.links[0]}
+        links = LinkArrays(**{name: col if name == "kind" else np.array(col)
+                              for name, col in columns.items()})
+        return Chain(
+            residues=residues, links=links, atom_names=self.names,
+            atom_elements=self.elements, atom_classes=self.classes,
+            atom_residue=np.asarray(self.residue_of, int),
+            atom_link=np.asarray(self.link_of, int), zp_pos=np.array(self.pos),
+            bonds=self.bonds, hetero_mask=np.asarray(self.hetero, bool),
+            source=source, hetero_res_names=self.hetero_res_names,
+            chain_id=chain_id, hetero_chain_ids=self.hetero_chain_ids,
+        )
+
+
+def reference_assemble(residues: list[ResidueAtoms], hetero, source: str,
+                       chain_id: str = "A") -> Chain:
+    """The linkage over named atoms, one residue, link and atom at a time."""
+    where = [{name: k for k, name in enumerate(r.names)} for r in residues]
+    m = len(residues)
+    n, ca, c = np.array([[r.xyz[at[nm]] for nm in ("N", "CA", "C")]
+                         for r, at in zip(residues, where)]).transpose(1, 0, 2)
+    last = where[-1]
+    tip = residues[-1].xyz[last["OXT" if "OXT" in last else "O" if "O" in last else "C"]]
+
+    b = Builder()
+    ground = b.add_link(kind="ground", residue=-1, chi_index=0, dof=-1, parent=-1,
+                        axis0=np.zeros(3), body0=np.zeros(3), point0=np.zeros(3))
+    phi_axis, psi_axis = unit_vector(ca - n), unit_vector(c - ca)
+    psi_body = np.vstack([n[1:], tip]) - ca
+    link_phi, link_psi = [], []
+    for i in range(m):
+        link_phi.append(b.add_link(
+            kind="phi", residue=i, chi_index=0, dof=2 * i,
+            parent=link_psi[i - 1] if i else ground,
+            axis0=phi_axis[i], body0=ca[i] - n[i], point0=n[i],
+        ))
+        link_psi.append(b.add_link(
+            kind="psi", residue=i, chi_index=0, dof=2 * i + 1, parent=link_phi[i],
+            axis0=psi_axis[i], body0=psi_body[i], point0=ca[i],
+        ))
+
+    templates = default_templates()
+    next_dof = 2 * m
+    for i, (r, at) in enumerate(zip(residues, where)):
+        spec = templates.specs.get(r.code)
+        if spec is not None and not all(ta.name in at for ta in spec.atoms if ta.link):
+            spec = None
+        owner = {}
+        if spec is not None:
+            side = [link_phi[i]]
+            for k, (src, dst) in enumerate(spec.joints, start=1):
+                p_src, p_dst = r.xyz[at[src]], r.xyz[at[dst]]
+                refs = spec.chi_refs[k - 1] if spec.chi_refs else ()
+                if len(refs) == 4:
+                    chi0 = scalar_dihedral(*(r.xyz[at[nm]] for nm in refs))
+                else:
+                    chi0 = float(spec.rotamer_defaults[k - 1]) if spec.rotamer_defaults else 0.0
+                side.append(b.add_link(
+                    kind="chi", residue=i, chi_index=k, dof=next_dof, parent=side[-1],
+                    axis0=unit_vector(p_dst - p_src), body0=p_dst - p_src,
+                    point0=p_src, chi0=chi0,
+                ))
+                next_dof += 1
+            owner = {ta.name: side[ta.link] for ta in spec.atoms if ta.link}
+        n_owner = link_psi[i - 1] if i else ground
+        owner.update(dict.fromkeys(("N", *(ch._N_TERM_H_NAMES if i == 0 else ("H",))),
+                                   n_owner))
+        owner.update(dict.fromkeys(("C", "O", "OXT"), link_psi[i]))
+        base = len(b.names)
+        for name, element, xyz in zip(r.names, r.elements, r.xyz):
+            b.add_atom(name, element, ch._atom_class(name, element, r.code, spec), i,
+                       owner.get(name, link_phi[i]), xyz)
+        reference_residue_bonds(b, r, at, base)
+        if i:
+            b.bonds.append((prev_c, base + at["N"]))
+        prev_c = base + at["C"]
+
+    for a in hetero:
+        k = b.add_atom(a.name, a.element, f"EL_{a.element}", m + a.res_seq % 10_000,
+                       ground, a.xyz, hetero=True)
+        b.hetero_res_names[k] = a.res_name
+        b.hetero_chain_ids[k] = a.chain_id
+    return b.finish([r.code for r in residues], source, chain_id)
+
+
+def reference_residue_bonds(b: Builder, r: ResidueAtoms, at: dict, base: int) -> None:
+    """Backbone bonds by name, the rest by covalent radii row by row, each
+    kept the first time it is met."""
+    have = set()
+
+    def bond(x, y):
+        key = (base + min(x, y), base + max(x, y))
+        if key not in have:
+            have.add(key)
+            b.bonds.append(key)
+
+    for x, y in ch._NAMED_BONDS:
+        if x in at and y in at:
+            bond(at[x], at[y])
+    rest = [k for k, name in enumerate(r.names) if name not in ch._BACKBONE_NAMES]
+    if not rest:
+        return
+    dist = norms(r.xyz[rest][:, None] - r.xyz[None])
+    dist[np.arange(len(rest)), rest] = np.inf
+    radius = np.array([ch._COVALENT_RADII.get(e, 1.2) for e in r.elements])
+    near = dist <= radius[rest][:, None] + radius + ch._BOND_SLACK
+    for row, ai in enumerate(rest):
+        for aj in np.flatnonzero(near[row]).tolist() or [int(np.argmin(dist[row]))]:
+            bond(ai, aj)
+
+
+def reference_imported_residues(record):
+    """Protein atoms of the first chain as one ``ResidueAtoms`` per
+    residue, the hetero atoms, and that chain's ID."""
+    protein = [a for a in record.atoms if not a.hetero]
+    hetero = [a for a in record.atoms if a.hetero]
+    if not protein:
+        raise ChainBuildError("imported structure has no protein atoms")
+    first_chain = protein[0].chain_id
+    if any(a.chain_id != first_chain for a in protein):
+        warnings.warn("multiple chains in structure; keeping the first", stacklevel=2)
+        protein = [a for a in protein if a.chain_id == first_chain]
+    residues = []
+    for (seq_no, i_code), group in itertools.groupby(protein, lambda a: (a.res_seq, a.i_code)):
+        atoms = list(group)
+        names = [a.name for a in atoms]
+        for needed in ("N", "CA", "C"):
+            if needed not in names:
+                raise ChainBuildError(f"imported geometry missing backbone atom {needed} "
+                                      f"in {atoms[0].res_name} {seq_no}{i_code}")
+        residues.append(ResidueAtoms(atoms[0].res_name, names, [a.element for a in atoms],
+                                     np.array([a.xyz for a in atoms], float)))
+    if len(residues) > 1 and not any("H" in r.names for r in residues[1:]):
+        warnings.warn("structure carries no amide hydrogens; building without them",
+                      stacklevel=2)
+    return residues, hetero, first_chain
+
+
+def reference_tree(chain) -> BondTree:
+    """``topology.build_tree`` with numpy arrays indexed one scalar at a
+    time: union-find over the bonds in order, then a depth-first walk."""
+    n = chain.n_atoms
+    chain_atoms = ~chain.hetero_mask
+    uf = np.arange(n)
+
+    def find(x: int) -> int:
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for i, j in chain.bonds:
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            continue
+        uf[ri] = rj
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+
+    parent = np.full(n, -1, dtype=np.int64)
+    order = [0]
+    seen = np.zeros(n, bool)
+    seen[0] = True
+    while order:
+        u = order.pop()
+        for v in sorted(adjacency[u]):
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                order.append(v)
+    if not np.all(seen[chain_atoms]):
+        missing = int(np.flatnonzero(chain_atoms & ~seen)[0])
+        raise DisconnectedBondGraphError(
+            f"bond graph does not reach atom {missing} ({chain.atom_names[missing]})"
+        )
+    return BondTree(parent=parent, residue_of=chain.atom_residue.copy(),
+                    chain_mask=chain_atoms)
+
+
+def reference_params(param_set, chain, gamma_set: str = "sharp") -> AtomParams:
+    """``ParamSet.resolve`` one atom at a time."""
+    gam = param_set.gamma_table(gamma_set)
+    n = chain.n_atoms
+    q, r, eps, gamma = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    for i in range(n):
+        row = param_set.classes.get(chain.atom_classes[i])
+        if row is None:
+            row = _ELEMENT_FALLBACK.get(chain.atom_elements[i], _GENERIC_FALLBACK)
+        q[i], r[i], eps[i], sc = row
+        if sc not in gam:
+            raise ParameterFileError(f"solvation class {sc!r} missing from table")
+        gamma[i] = gam[sc]
+    return AtomParams(q=q, R=r, eps=eps, gamma=gamma)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kinefold import chain as chain_module
+from kinefold import geometry
 from kinefold.chain import (
     PLANE_CONSTANTS,
     Conformation,
-    _Builder,
+    LinkArrays,
     build_chain,
     forward_kinematics,
     kinematic_state,
@@ -17,9 +19,10 @@ from kinefold.errors import ChainBuildError, ConfigurationError, UnknownResidueE
 from kinefold.pdbio import read_pdb, write_pdb
 from kinefold.residues import default_templates
 
-from .conftest import atom_index, random_case, random_sequences
+from .conftest import assert_identical, atom_index, random_case, random_sequences
 from .oracles import (
     measure_backbone_dihedrals,
+    reference_chain,
     rotation_about_axis,
     template_bonds,
     theta_from_dihedrals,
@@ -77,6 +80,55 @@ def test_radius_bonds_match_template_bonds(code, omega):
     assert set(ch.bonds) == template_bonds(ch)
 
 
+@pytest.mark.parametrize("omega", ["trans", "cis"])
+@pytest.mark.parametrize("length", [1, 2, 3, 40])
+@pytest.mark.parametrize("code", sorted(default_templates().specs))
+def test_build_equals_the_per_residue_reference(code, length, omega):
+    """The array passes give the per-residue builder's chain byte for byte:
+    every field, link column, bond in order and Python type."""
+    sequence = [code] * length
+    assert_identical(build_chain(sequence, omega=omega),
+                     reference_chain(sequence, omega=omega))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequence=st.lists(st.sampled_from(sorted(default_templates().specs)),
+                         min_size=1, max_size=30),
+       omega=st.sampled_from(["trans", "cis"]))
+def test_mixed_build_equals_the_per_residue_reference(sequence, omega):
+    assert_identical(build_chain(sequence, omega=omega),
+                     reference_chain(sequence, omega=omega))
+
+
+GEOMETRY_CALLS = ("unit_vector", "norms", "dihedral_angle", "frame_from_backbone")
+
+
+def geometry_calls(monkeypatch, sequence) -> dict[str, int]:
+    """Calls into ``kinefold.geometry`` while ``sequence`` is built, per
+    function, counting the calls geometry makes into itself."""
+    counts = dict.fromkeys(GEOMETRY_CALLS, 0)
+    for name in GEOMETRY_CALLS:
+        def counted(*args, _name=name, _real=getattr(geometry, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(geometry, name, counted)
+        monkeypatch.setattr(chain_module, name, counted)
+    build_chain(sequence)
+    return counts
+
+
+def test_set_up_calls_do_not_grow_with_the_chain(monkeypatch):
+    """The builder makes as many geometry calls for 400 residues as for
+    40: no per-residue numpy call can come back unnoticed, and no clock
+    is read."""
+    counts = []
+    for per_kind in (10, 100):
+        with monkeypatch.context() as patch:
+            counts.append(geometry_calls(patch, ["SER", "ALA", "CYS", "GLY"] * per_kind))
+    assert counts[0] == counts[1]
+    assert all(counts[0].values()), counts[0]  # every watched call is made
+
+
 def test_every_atom_has_one_link(mixed_chain):
     counted = sum(len(np.flatnonzero(mixed_chain.atom_link == li))
                   for li in range(len(mixed_chain.links)))
@@ -94,29 +146,25 @@ def test_links_follow_their_parents(mixed_chain, tmp_path):
         assert all(0 <= p < i for i, p in enumerate(parents) if i)
 
 
-def relinked_builder(chain, order):
-    """A builder holding ``chain``'s atoms and bonds, with its links
-    listed in ``order`` and every link reference renumbered to match."""
+def relinked(chain, order):
+    """``chain`` with its links listed in ``order`` and every link
+    reference renumbered to match."""
     new = {old: k for k, old in enumerate(order)}
     new[-1] = -1
-    b, links = _Builder(), chain.links
-    for old in order:
-        b.add_link(kind=links.kind[old], residue=links.residue[old],
-                   chi_index=links.chi_index[old], dof=links.dof[old],
-                   parent=new[links.parent[old]], axis0=links.axis0[old],
-                   body0=links.body0[old], point0=links.point0[old],
-                   chi0=links.chi0[old])
-    for a in range(chain.n_atoms):
-        b.add_atom(chain.atom_names[a], chain.atom_elements[a], chain.atom_classes[a],
-                   int(chain.atom_residue[a]), new[int(chain.atom_link[a])],
-                   chain.zp_pos[a], bool(chain.hetero_mask[a]))
-    b.bonds = list(chain.bonds)
-    return b
+    links = chain.links
+    table = LinkArrays(kind=[links.kind[old] for old in order],
+                       residue=links.residue[order], chi_index=links.chi_index[order],
+                       chi0=links.chi0[order], dof=links.dof[order],
+                       parent=[new[p] for p in links.parent[order].tolist()],
+                       axis0=links.axis0[order], body0=links.body0[order],
+                       point0=links.point0[order])
+    return dataclasses.replace(chain, links=table,
+                               atom_link=[new[li] for li in chain.atom_link.tolist()])
 
 
 def test_reordered_links_rejected(mixed_chain, rng):
     ids = list(range(len(mixed_chain.links)))
-    same = relinked_builder(mixed_chain, ids).finish(mixed_chain.residues, "canonical")
+    same = relinked(mixed_chain, ids)
     conf = random_conf(mixed_chain, rng)
     assert np.array_equal(forward_kinematics(same, conf),
                           forward_kinematics(mixed_chain, conf))
@@ -124,7 +172,7 @@ def test_reordered_links_rejected(mixed_chain, rng):
     for order, message in (([0, 2, 1] + ids[3:], "link 1 has parent 2"),
                            ([1, 0] + ids[2:], "link 0 has parent 1")):
         with pytest.raises(ChainBuildError, match=message):
-            relinked_builder(mixed_chain, order).finish(mixed_chain.residues, "canonical")
+            relinked(mixed_chain, order)
 
 
 def test_directly_built_links_must_follow_their_parents(ala2, rng):

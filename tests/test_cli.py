@@ -40,6 +40,10 @@ def test_fold_emits_manifest_with_parameters(tmp_path):
     assert data["command"] == "fold"
     assert data["arguments"]["kappa"] == 0.5
     assert data["n_dof"] == 5
+    # the one run's outcome, as log.csv shows it: one iteration, then max_iters
+    assert data["runs"] == [{"run": 0, "iterations": 1, "converged": False,
+                             "reason": "max_iters"}]
+    assert len(read_csv(out / "log.csv")) == 2 + 1
 
 
 def test_water_fold_manifest_records_environment(tmp_path):
@@ -125,7 +129,13 @@ def test_fold_batch_survives_failed_run(tmp_path, monkeypatch, capsys):
     assert (out / "run_0000" / "log.csv").exists()
     assert not (out / "run_0001").exists()
     assert (out / "run_0002" / "log.csv").exists()
-    assert json.loads((out / "manifest.json").read_text())["failed_runs"] == [1]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_runs"] == [1]
+    assert manifest["runs"][1] == {
+        "run": 1, "error": "aborted at iteration 0: atoms 3 and 7 overlap"}
+    for run, row in ((0, rows[1]), (2, rows[3])):
+        assert manifest["runs"][run] == {"run": run, "iterations": int(row[1]),
+                                         "converged": row[2] == "True", "reason": row[3]}
     assert "run 1: aborted at iteration 0" in capsys.readouterr().err
 
 

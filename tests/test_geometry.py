@@ -12,7 +12,7 @@ from kinefold.geometry import (
     wrap_degrees,
 )
 
-from .oracles import rotation_about_axis
+from .oracles import rotation_about_axis, scalar_dihedral
 
 
 def test_zero_angle_is_identity():
@@ -107,3 +107,26 @@ def test_dihedral_additivity_under_axis_rotation(rng):
         moved = dihedral_angle(pts[0], pts[1], pts[2], p4)
         diff = (moved - base - delta + 180.0) % 360.0 - 180.0
         assert abs(diff) < 1e-8
+
+
+def test_stacked_dihedrals_equal_single_calls(rng):
+    """Stacked points give each angle bitwise as its own quadruple does,
+    through the stacked function and the 1-d reference: random points,
+    near-collinear ones, and planar trans ones at exactly -180 from
+    either sign of zero."""
+    random = rng.normal(size=(4, 300, 3)) * rng.uniform(0.1, 10.0, size=(1, 300, 1))
+    line = rng.normal(size=(1, 100, 3))
+    along = np.array([-1.0, 0.0, 1.0, 2.0])[:, None, None] * line
+    wobble = rng.normal(size=(4, 100, 3)) * 10.0 ** rng.uniform(-12, -6, size=(1, 100, 1))
+    trans = np.array([[[0, 1, 0], [0, -1, 0]], [[0, 0, 0], [0, 0, 0]],
+                      [[1, 0, 0], [1, 0, 0]], [[1, -1, 0], [1, 1, 0]]], float)
+    points = np.concatenate([random, along + wobble, trans], axis=1)
+    want = np.array([scalar_dihedral(*points[:, k]) for k in range(points.shape[1])])
+    got = dihedral_angle(*points)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.array_equal(got[-2:], [-180.0, -180.0])
+    singles = [dihedral_angle(*points[:, k]) for k in range(points.shape[1])]
+    assert all(type(a) is float for a in singles)
+    assert np.array(singles).tobytes() == want.tobytes()
+    grid = dihedral_angle(*points[:, :300].reshape(4, 20, 15, 3))
+    assert grid.shape == (20, 15) and grid.tobytes() == want[:300].tobytes()

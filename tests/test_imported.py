@@ -1,14 +1,18 @@
 """Imported-geometry chains: retained coordinates, heteroatoms, side joints."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from kinefold.chain import build_chain, forward_kinematics
+from kinefold.cli import main
 from kinefold.errors import ChainBuildError
 from kinefold.kcm import StepConfig, fold
 from kinefold.pdbio import AtomRecord, StructureRecord, read_pdb, write_pdb
 
-from .conftest import make_field
+from .conftest import assert_identical, make_field
+from .oracles import reference_chain
 
 
 def reimport(chain, tmp_path, conf=None):
@@ -116,3 +120,73 @@ def test_insertion_code_starts_a_residue(tmp_path):
     assert ch2.n_atoms == 29
     got = forward_kinematics(ch2, ch2.conf_zp())
     assert np.abs(got - np.array([a.xyz for a in rec.atoms])).max() < 1e-9
+
+
+# ---- the one assembly against its per-residue reference -------------------
+
+def _atom_lines(lines, residue=None, name=None):
+    """Indices of the ATOM lines of residue number ``residue`` called ``name``
+    (either may be None for any)."""
+    return [k for k, line in enumerate(lines) if line.startswith("ATOM")
+            and (residue is None or int(line[22:26]) == residue)
+            and (name is None or line[12:16].strip() == name)]
+
+
+def _with_hetero(lines):
+    het = ["HETATM  901 FE   HEM B 501       3.000   4.000   1.000  1.00  0.00          FE",
+           "HETATM  902 ZN    ZN A 502      -2.000   1.500   6.000  1.00  0.00          ZN",
+           "HETATM  903  C1  LIG A 503       0.500  -4.000   2.000  1.00  0.00           C"]
+    return lines[:-1] + het + lines[-1:]
+
+
+def _without(lines, keep):
+    return [line for k, line in enumerate(lines) if keep(k, line)]
+
+
+def _ca_before_n(lines):
+    lines = list(lines)
+    for residue in (1, 3):
+        (n,), (ca,) = _atom_lines(lines, residue, "N"), _atom_lines(lines, residue, "CA")
+        lines[n], lines[ca] = lines[ca], lines[n]
+    return lines
+
+
+IMPORT_EDITS = {
+    "final.pdb as written": lambda lines: lines,
+    "hetero atoms": _with_hetero,
+    # residue 2 (ALA) without HB1: no chi joint, it rides on its CA link
+    "side atom missing": lambda lines: _without(
+        lines, lambda k, line: k not in _atom_lines(lines, 2, "HB1")),
+    # residue 3 renumbered 2A: same number, insertion code A
+    "insertion code": lambda lines: [
+        line[:22] + "   2A" + line[27:] if k in _atom_lines(lines, 3) else line
+        for k, line in enumerate(lines)],
+    "hydrogen-free": lambda lines: _without(
+        lines, lambda k, line: not (line.startswith("ATOM") and line[76:78].strip() == "H")),
+    "CA listed before N": _ca_before_n,
+}
+
+
+@pytest.fixture(scope="module")
+def folded_pdb(tmp_path_factory):
+    """``final.pdb`` of a short fold of a chain with every template kind."""
+    out = tmp_path_factory.mktemp("fold")
+    assert main(["fold", "--seq", "SACGA", "--max-iters", "3", "--out", str(out)]) == 0
+    return (out / "final.pdb").read_text().splitlines()
+
+
+@pytest.mark.parametrize("edit", sorted(IMPORT_EDITS))
+def test_import_equals_the_per_residue_reference(edit, folded_pdb, tmp_path):
+    """Imported structures go through the batched assembly to the chain the
+    per-residue one builds, byte for byte, with the same warnings."""
+    path = tmp_path / "edited.pdb"
+    path.write_text("\n".join(IMPORT_EDITS[edit](folded_pdb)) + "\n")
+    record = read_pdb(path)
+    chains, caught = [], []
+    for build in (build_chain, reference_chain):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            chains.append(build([], geometry=record))
+        caught.append([str(w.message) for w in seen])
+    assert_identical(*chains)
+    assert caught[0] == caught[1]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from kinefold.pdbio import (
     write_pdb,
 )
 
-from .conftest import atom_index
+from .conftest import assert_identical, atom_index
+from .oracles import reference_params
 
 WATER_ONLY = """\
 ATOM      1  O   HOH A   1       0.000   0.000   0.000  1.00  0.00           O
@@ -224,6 +227,29 @@ def test_resolve_matches_solvation_class(param_set, mixed_chain):
     for i, cls in enumerate(mixed_chain.atom_classes):
         assert params.gamma[i] == table[param_set.classes[cls][3]]
     assert np.all(params.R > 0)
+
+
+@pytest.mark.parametrize("gamma_set", ["sharp", "kyte"])
+def test_resolve_equals_the_per_atom_reference(param_set, mixed_chain, gamma_set, tmp_path):
+    """Distinct classes looked up once give the per-atom parameters byte
+    for byte, the element fallbacks of hetero atoms among them."""
+    path = tmp_path / "hetero.pdb"
+    path.write_text(HETERO_MIX)
+    for chain in (mixed_chain, build_chain([], geometry=read_pdb(path))):
+        assert_identical(param_set.resolve(chain, gamma_set),
+                         reference_params(param_set, chain, gamma_set))
+
+
+def test_resolve_names_the_first_missing_solvation_class(param_set, mixed_chain):
+    """The error names the missing class of the first atom that has one
+    (atom 1, an H of class NONE), not the first in any other order."""
+    gamma = {k: v for k, v in param_set.gamma_table("sharp").items()
+             if k not in ("C", "NONE")}
+    table = dataclasses.replace(param_set, gamma_sets={"sharp": gamma})
+    for resolve in (table.resolve, lambda chain: reference_params(table, chain)):
+        with pytest.raises(ParameterFileError,
+                           match=r"^solvation class 'NONE' missing from table$"):
+            resolve(mixed_chain)
 
 
 def test_gamma_set_selection(param_set, ala2):

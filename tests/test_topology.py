@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinefold.chain import build_chain
 from kinefold.errors import ConfigurationError, DisconnectedBondGraphError
@@ -11,8 +13,15 @@ from kinefold.topology import (
     build_tree,
 )
 
-from .conftest import atom_index, classify, native_classes
-from .oracles import bfs_tree_distance
+from .conftest import (
+    assert_identical,
+    atom_index,
+    cached_chain,
+    classify,
+    native_classes,
+    random_sequences,
+)
+from .oracles import bfs_tree_distance, reference_tree
 
 
 class FakeChain:
@@ -66,6 +75,35 @@ def test_parent_pointers_reproduce_bond_set(mixed_chain):
 def test_disconnected_graph_rejected():
     with pytest.raises(DisconnectedBondGraphError):
         build_tree(FakeChain(4, [(0, 1), (2, 3)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sequence=random_sequences)
+def test_tree_equals_the_per_atom_reference(sequence):
+    chain = cached_chain(tuple(sequence))
+    assert_identical(build_tree(chain), reference_tree(chain))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40))
+def test_ring_trees_equal_the_per_atom_reference(data, n):
+    """Random connected graphs with extra ring-closing edges, in a random
+    bond order: the list-based walk drops the same later edges and sets
+    the same parents as the numpy one."""
+    links = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=n))
+    bonds = data.draw(st.permutations(links + extra))
+    chain = FakeChain(n, bonds)
+    assert_identical(build_tree(chain), reference_tree(chain))
+
+
+def test_disconnected_graph_error_names_the_reference_atom():
+    chain = FakeChain(6, [(0, 1), (1, 2), (3, 4), (4, 5)], hetero=[0, 0, 0, 1, 0, 0])
+    for build in (build_tree, reference_tree):
+        with pytest.raises(DisconnectedBondGraphError,
+                           match=r"^bond graph does not reach atom 4 \(A4\)$"):
+            build(chain)
 
 
 def test_backbone_bonded_pair(ala2):
