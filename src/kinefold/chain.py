@@ -191,9 +191,9 @@ class Chain:
     bonds: list[tuple[int, int]]
     hetero_mask: np.ndarray
     source: str = "canonical"
-    hetero_res_names: dict[int, str] = field(default_factory=dict)  # atom -> as read
     chain_id: str = "A"   # of the protein atoms: as read when imported
-    hetero_chain_ids: dict[int, str] = field(default_factory=dict)  # atom -> as read
+    # hetero atom -> its residue name, chain ID and residue number, as read
+    hetero_residues: dict[int, tuple[str, str, int]] = field(default_factory=dict)
     offsets: np.ndarray = field(init=False, repr=False)  # (n_atoms, 3), from joint points
 
     def __post_init__(self):
@@ -546,14 +546,13 @@ def _assemble(groups: list[_ResidueGroup], m: int, hetero, source: str,
         names += t_names
         elements += t_elements
         classes += t_classes
-    hetero_res_names, hetero_chain_ids = {}, {}
+    hetero_residues = {}
     for k, a in enumerate(hetero, start=n_protein):
         names.append(a.name)
         elements.append(a.element)
         classes.append(f"EL_{a.element}")
         zp_pos[k] = a.xyz
-        hetero_res_names[k] = a.res_name
-        hetero_chain_ids[k] = a.chain_id
+        hetero_residues[k] = (a.res_name, a.chain_id, a.res_seq)
     atom_residue = np.concatenate([np.repeat(np.arange(m), n_atoms),
                                    np.array([m + a.res_seq % 10_000 for a in hetero], np.int64)])
     return Chain(
@@ -568,9 +567,8 @@ def _assemble(groups: list[_ResidueGroup], m: int, hetero, source: str,
         bonds=list(map(tuple, bonds.tolist())),
         hetero_mask=np.arange(n_total) >= n_protein,
         source=source,
-        hetero_res_names=hetero_res_names,
         chain_id=chain_id,
-        hetero_chain_ids=hetero_chain_ids,
+        hetero_residues=hetero_residues,
     )
 
 

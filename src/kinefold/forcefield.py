@@ -22,7 +22,8 @@ references live in ``tests/oracles.py``.
 its own), so their results are views that the next call on the same
 workspace overwrites; without one they get fresh arrays.
 ``accumulate_pair_forces`` always returns a fresh ``(n, 3)`` array, so
-the forces an evaluation hands out never alias a workspace.
+the forces an evaluation hands out never alias a workspace.  No stage
+converts an array; one in another dtype or layout is refused (``native``).
 """
 
 from __future__ import annotations
@@ -103,18 +104,16 @@ def extract_pairs(positions, table: NeighborTable, d_cut: float,
     count, an exact bound."""
     work = Workspace() if work is None else work
     n = len(table)
-    positions = np.ascontiguousarray(positions, float)
-    offsets = np.ascontiguousarray(table.offsets, np.int64)
-    neighbors = np.ascontiguousarray(table.neighbors, np.int64)
-    if positions.shape != (n, 3):
+    if np.shape(positions) != (n, 3):
         raise ConfigurationError(
-            f"positions of shape {positions.shape} do not match a table of {n} rows")
-    m = len(neighbors)
+            f"positions of shape {np.shape(positions)} do not match a table of {n} rows")
+    m = len(table.neighbors)
     ij = work.take("ij", (2, m), np.int64)
     dd = work.take("dd", (2, m))
     closest = ctypes.c_int64()
-    kept = native.load().call("cutoff_pairs", n, positions, offsets, neighbors, m,
-                              d_cut * d_cut, ij, dd, ctypes.byref(closest))
+    kept = native.load().call("cutoff_pairs", n, positions, table.offsets,
+                              table.neighbors, m, d_cut * d_cut, ij, dd,
+                              ctypes.byref(closest))
     if kept == native.REFUSED:
         raise ConfigurationError(f"neighbor rows do not index the {n} atoms")
     (i, j), (d2, d) = ij[:, :kept], dd[:, :kept]
@@ -133,10 +132,8 @@ def _pair_terms(name, n, i, j, d2, d, w, per_atom, cutoffs: Cutoffs, cut: float,
     the two rows of ``work``'s buffer ``name`` (a new workspace when
     None)."""
     work = Workspace() if work is None else work
-    i, j = (np.ascontiguousarray(a, np.int64) for a in (i, j))
-    d2, d, w = (np.ascontiguousarray(a, float) for a in (d2, d, w))
     m = len(i)
-    if any(a.shape != (m,) for a in (i, j, d2, d)) or w.shape != (m, 2):
+    if any(np.shape(a) != (m,) for a in (i, j, d2, d)) or np.shape(w) != (m, 2):
         raise ConfigurationError("pair arrays must share one length, weights (m, 2)")
     bound = max(cutoffs.elec, cutoffs.vdw)
     out = work.take(name, (2, m))
@@ -168,11 +165,8 @@ def vdw_pair_quantities(params, i, j, d2, d, w, cutoffs: Cutoffs,
 
 def accumulate_pair_forces(n, positions, i, j, d, mag) -> np.ndarray:
     """Scatter +/- mag * e_ij onto atoms i and j (action equals reaction)."""
-    positions = np.ascontiguousarray(positions, float)
-    i, j = (np.ascontiguousarray(a, np.int64) for a in (i, j))
-    d, mag = (np.ascontiguousarray(a, float) for a in (d, mag))
     m = len(i)
-    if positions.shape != (n, 3) or any(a.shape != (m,) for a in (i, j, d, mag)):
+    if np.shape(positions) != (n, 3) or any(np.shape(a) != (m,) for a in (i, j, d, mag)):
         raise ConfigurationError("positions must be (n, 3) and pair arrays one length")
     out = np.zeros((n, 3))
     if native.load().call("scatter_forces", n, positions, m, i, j, d, mag,

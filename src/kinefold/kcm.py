@@ -130,8 +130,12 @@ class Field:
         self.table_cutoff = max(cut.elec, cut.vdw)
         native.load()  # a missing compiler fails here, not mid-fold
         if self.config.solvation:
-            self._r_off = np.ascontiguousarray(offset_radii(self.params, solv), float)
+            self._r_off = offset_radii(self.params, solv)
             r_max = float(np.max(self._r_off))
+            if not math.isfinite(4.0 * math.pi * r_max * r_max):
+                raise ConfigurationError(
+                    f"probe radius {solv.probe_radius:g} A gives offset spheres of "
+                    f"radius up to {r_max:.6g} A, whose area 4 pi r^2 is not finite")
             self.table_cutoff = max(self.table_cutoff,
                                     reach(r_max, r_max, solv.delta_r))
 
@@ -145,8 +149,10 @@ class Field:
         return build_neighbor_table(build_grid(positions, self.table_cutoff), self.work)
 
     def evaluate(self, positions, *, energy_only: bool = False) -> FieldResult:
+        """Forces and energies at ``positions``, converted here once."""
         cfg = self.config
         cut = cfg.cutoffs
+        positions = np.ascontiguousarray(positions, float)
         t0 = time.perf_counter()
         table = self._neighbor_table(positions)
         t_hash = time.perf_counter() - t0
@@ -207,9 +213,8 @@ def link_wrenches(chain: Chain, positions, forces) -> np.ndarray:
     """Net wrench per link (ground included) as one (n_links, 6) array:
     columns 0-2 the force, 3-5 the moment about the origin, each summed
     over the link's atoms in atom order."""
-    positions, forces = (np.ascontiguousarray(a, float) for a in (positions, forces))
     n, n_links = chain.n_atoms, len(chain.links)
-    if positions.shape != (n, 3) or forces.shape != (n, 3):
+    if np.shape(positions) != (n, 3) or np.shape(forces) != (n, 3):
         raise ConfigurationError(f"positions and forces must be ({n}, 3) arrays")
     out = np.empty((n_links, 6))
     if native.load().call("link_wrenches", n_links, n, chain.atom_link, positions,
@@ -226,15 +231,14 @@ def joint_torques(chain: Chain, state: KinematicState,
     every joint; O(l) total.  ``wrenches`` is left as given."""
     links = chain.links
     n_links = len(links)
-    wrenches, axes, points = (np.ascontiguousarray(a, float)
-                              for a in (wrenches, state.axes, state.joint_points))
-    if (wrenches.shape != (n_links, 6) or axes.shape != (n_links, 3)
-            or points.shape != (n_links, 3)):
+    if (np.shape(wrenches) != (n_links, 6) or np.shape(state.axes) != (n_links, 3)
+            or np.shape(state.joint_points) != (n_links, 3)):
         raise ConfigurationError(
             f"wrenches must be ({n_links}, 6), state axes and joint points ({n_links}, 3)")
     tau = np.empty(chain.n_dof)
     if native.load().call("joint_torques", n_links, links.parent, links.dof, chain.n_dof,
-                          wrenches, axes, points, tau) == native.REFUSED:
+                          wrenches, state.axes, state.joint_points,
+                          tau) == native.REFUSED:
         raise link_index_error(chain)
     return tau
 

@@ -36,12 +36,13 @@ manifest's sha256 of the sources is computed by the CLI.
 
 The library is loaded with ``ctypes``, and every entry point is declared
 once in ``_SIGNATURES``.  An array argument must be a C-contiguous numpy
-array of the declared dtype (and writeable for an output), so a wrong
-dtype or layout raises ``ctypes.ArgumentError`` instead of being read as
-something else.  Arrays an object holds for its whole life (atom
-parameters, bond-tree pointers, weight tables, a chain's link table,
-atom owners and atom offsets) are converted to that form once, when it
-is built.
+array of the declared dtype (and writeable for an output).  Arrays take
+that form once, where they are built: ``AtomParams``, ``LinkArrays``,
+``Chain``, ``Conformation``, ``TreeWeights``, ``NeighborTable`` and
+``SampleSphere`` convert theirs, the stages write their outputs in it,
+and ``kcm.Field.evaluate`` converts the caller's positions.  Anything
+else (float32, strided, a list) is refused, never copied: ``from_param``
+raises ``TypeError``, which ``ctypes`` reports as ``ArgumentError``.
 """
 
 from __future__ import annotations
@@ -125,10 +126,9 @@ _SIGNATURES = {
     # delta_r -> acc; a count-1 sample's one coverer is found in its row
     "force_events": [_INT, _F64, _F64, _I64, _I64, _F64, _INT, _U8, _I64, _DBL,
                      _I64_OUT],
-    # n, m, i, j, d2, r_off, delta_r, reach slack -> offsets (n + 1), neighbors,
-    # capacity; the pairs within reach as symmetric rows (filled when they fit)
-    "cavity_rows": [_INT, _INT, _I64, _I64, _F64, _F64, _DBL, _DBL, _I64_OUT, _I64_OUT,
-                    _INT],
+    # n, m, i, j, d2, r_off, delta_r, reach slack -> offsets (n + 1), neighbors
+    # (room for 2 m); the pairs within reach as symmetric rows
+    "cavity_rows": [_INT, _INT, _I64, _I64, _F64, _F64, _DBL, _DBL, _I64_OUT, _I64_OUT],
 }
 
 

@@ -144,9 +144,8 @@ def write_pdb(chain, positions, path) -> None:
         res = int(chain.atom_residue[i])
         if res < chain.n_residues:
             res_name, res_seq, chain_id = chain.residues[res], res + 1, chain.chain_id
-        else:  # hetero atoms keep their own number, as read (mod 10000)
-            res_name, res_seq = chain.hetero_res_names[i], res - chain.n_residues
-            chain_id = chain.hetero_chain_ids[i]
+        else:
+            res_name, chain_id, res_seq = chain.hetero_residues[i]
         rec = "HETATM" if chain.hetero_mask[i] else "ATOM  "
         x, y, z = positions[i]
         lines.append(

@@ -29,10 +29,10 @@
  * count-1 sample has no coverer in its row (the codes of pairs.c and
  * native.py).
  *
- * The cavity rows are those CSR rows: the cut-off pairs of pairs.c whose
- * offset spheres are within reach, symmetrised by one count pass and one
- * fill pass in pair order, with no sort.  cavity_rows comes last in the
- * last source linked, so adding it moved no other entry point.
+ * The cavity rows are those CSR rows: the m cut-off pairs of pairs.c whose
+ * offset spheres are within reach, symmetrised into room for 2 m entries by
+ * one count pass and one fill pass in pair order, with no sort.  cavity_rows
+ * comes last in the last source linked, so it moves no other entry point.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -359,13 +359,12 @@ static inline int in_reach(double d2, double ri, double rj, double delta_r,
  * such pair with j[k] == a, then the partner j[k] of every one with
  * i[k] == a, each in pair order, as a stable sort of the rows (j, i)
  * places them; pairs i < j sorted by (i, j) give ascending rows.  A count
- * pass sizes the rows and a fill pass writes them, only when the total
- * fits capacity.  Returns the total (twice the pairs within reach),
- * REFUSED when a pair names an atom outside the n atoms, or NO_MEMORY. */
+ * pass sizes the rows and a fill pass writes them (at most 2 m entries).
+ * Returns the total (twice the pairs within reach), REFUSED when a pair
+ * names an atom outside the n atoms, or NO_MEMORY. */
 int64_t cavity_rows(int64_t n, int64_t m, const int64_t *i, const int64_t *j,
                     const double *d2, const double *r_off, double delta_r,
-                    double eps, int64_t *offsets, int64_t *neighbors,
-                    int64_t capacity)
+                    double eps, int64_t *offsets, int64_t *neighbors)
 {
     /* per atom: its partners below and above, then where the next one
      * below and the next one above go */
@@ -389,13 +388,11 @@ int64_t cavity_rows(int64_t n, int64_t m, const int64_t *i, const int64_t *j,
         above[a] = offsets[a] + below[a];
         below[a] = offsets[a];
     }
-    int64_t total = offsets[n];
-    if (total <= capacity)
-        for (int64_t k = 0; k < m; k++)
-            if (in_reach(d2[k], r_off[i[k]], r_off[j[k]], delta_r, eps)) {
-                neighbors[below[j[k]]++] = i[k];
-                neighbors[above[i[k]]++] = j[k];
-            }
+    for (int64_t k = 0; k < m; k++)
+        if (in_reach(d2[k], r_off[i[k]], r_off[j[k]], delta_r, eps)) {
+            neighbors[below[j[k]]++] = i[k];
+            neighbors[above[i[k]]++] = j[k];
+        }
     free(below);
-    return total;
+    return offsets[n];
 }

@@ -38,7 +38,8 @@ drive the force pass.
 
 Both passes take the pairs within ``spatial.reach`` as one symmetric
 ``spatial.NeighborTable`` (CSR); rows holding more pairs give the same
-result.
+result.  Neither converts an array; one in another dtype or layout is
+refused (``native``).  Both check that the rows index the atoms.
 """
 
 from __future__ import annotations
@@ -74,9 +75,12 @@ class SolvationConfig:
 
 @dataclass(frozen=True)
 class SampleSphere:
-    """Unit-sphere sample set shared by all atoms."""
+    """Unit-sphere sample set shared by all atoms, held C-contiguous."""
 
     points: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", np.ascontiguousarray(self.points, float))
 
     @property
     def n(self) -> int:
@@ -136,25 +140,22 @@ def offset_radii(params, config: SolvationConfig) -> np.ndarray:
 
 
 def _kernel_inputs(positions, params, neighbors: NeighborTable, sphere, config):
-    """Positions, offset radii, the CSR rows and the sample directions as
-    the kernels read them, checked so that no index leaves the arrays.
-    The kernels square the radii themselves."""
-    positions = np.ascontiguousarray(positions, float)
+    """The offset radii, after checking the shapes of the arrays the
+    kernels read and that no row leaves them.  The kernels square the
+    radii themselves."""
     n = len(positions)
-    r_off = np.ascontiguousarray(offset_radii(params, config), float)
-    offsets = np.ascontiguousarray(neighbors.offsets, np.int64)
-    nbrs = np.ascontiguousarray(neighbors.neighbors, np.int64)
-    points = np.ascontiguousarray(sphere.points, float)
-    if (positions.shape != (n, 3) or r_off.ndim != 1 or len(r_off) < n
-            or points.shape != (sphere.n, 3)):
+    r_off = offset_radii(params, config)
+    offsets, nbrs = neighbors.offsets, neighbors.neighbors
+    if (np.shape(positions) != (n, 3) or r_off.ndim != 1 or len(r_off) < n
+            or sphere.points.shape != (sphere.n, 3)):
         raise ConfigurationError(
-            f"positions {positions.shape}, offset radii {r_off.shape} and samples "
-            f"{points.shape} do not cover {n} atoms and {sphere.n} samples")
+            f"positions {np.shape(positions)}, offset radii {r_off.shape} and samples "
+            f"{sphere.points.shape} do not cover {n} atoms and {sphere.n} samples")
     if (len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(nbrs)
             or np.any(np.diff(offsets) < 0)
             or (len(nbrs) and not 0 <= nbrs.min() <= nbrs.max() < n)):
         raise ConfigurationError(f"neighbor rows do not index the {n} atoms")
-    return positions, r_off, offsets, nbrs, points
+    return r_off
 
 
 def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
@@ -176,14 +177,14 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
     same; the states' counts are clamped at 1, so only the area can be
     taken from them.
     """
-    positions, r_off, offsets, nbrs, points = _kernel_inputs(
-        positions, params, neighbors, sphere, config)
+    r_off = _kernel_inputs(positions, params, neighbors, sphere, config)
     n = len(positions)
     nq = sphere.n
     counts = np.empty((n, nq), np.uint8)
     covered = np.empty(n, np.int64)
-    native.load().call("exposure", n, positions, r_off, offsets, nbrs, points, nq,
-                       1 if area_only else 2, counts, covered)
+    native.load().call("exposure", n, positions, r_off, neighbors.offsets,
+                       neighbors.neighbors, sphere.points, nq, 1 if area_only else 2,
+                       counts, covered)
     f_exp = (nq - covered) / float(nq)
     a0 = 4.0 * math.pi * (r_off * r_off)
     a_exp = f_exp * a0
@@ -204,8 +205,9 @@ def _force_quantum(params, r_off: np.ndarray, nq: int, delta_r: float):
     peak = float(np.max(np.abs(delta)))
     quantum = math.ldexp(1.0, math.frexp(peak)[1] - 1 - _FIXED_POINT_BITS)
     if not (0.0 < peak < math.inf and quantum >= sys.float_info.min):
+        r_max = float(np.max(r_off))
         smallest = math.ldexp(sys.float_info.min, _FIXED_POINT_BITS) * nq * delta_r / (
-            4.0 * math.pi * float(np.max(r_off)) ** 2)
+            4.0 * math.pi * r_max * r_max)
         raise ConfigurationError(
             f"surface tensions give a largest solvation event of {peak:.3g}, "
             "whose fixed-point quantum is not a normal float; gamma must be "
@@ -246,11 +248,10 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
         raise ConfigurationError(
             "area-only exposure states (sasa_pass(..., area_only=True)) do not tell "
             "single from multiple coverage; the force pass needs a full sasa_pass")
-    positions, r_off, offsets, nbrs, points = _kernel_inputs(
-        positions, params, neighbors, sphere, config)
+    r_off = _kernel_inputs(positions, params, neighbors, sphere, config)
     n, nq = len(positions), sphere.n
     w_int, quantum = _force_quantum(params, r_off, nq, config.delta_r)
-    check_accumulator(nq, int(np.diff(offsets).max(initial=0)),
+    check_accumulator(nq, int(np.diff(neighbors.offsets).max(initial=0)),
                       max(-int(w_int.min(initial=0)), int(w_int.max(initial=0))))
     if states.counts.shape != (n, nq):
         raise ConfigurationError(
@@ -258,8 +259,8 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
             f"{n} atoms and {nq} samples")
     acc = np.zeros((n, 3), np.int64)
     status = native.load().call(
-        "force_events", n, positions, r_off, offsets, nbrs, points, nq,
-        states.counts, w_int, config.delta_r, acc)
+        "force_events", n, positions, r_off, neighbors.offsets, neighbors.neighbors,
+        sphere.points, nq, states.counts, w_int, config.delta_r, acc)
     if status == native.REFUSED:
         raise ConfigurationError(
             "exposure states do not belong to these rows and positions: a singly "

@@ -43,10 +43,11 @@ force sums identical to their brute-force definitions.
 read, without another distance pass: one native call (``cavity_rows`` in
 ``sasa.c``) keeps the pairs within ``reach`` of their offset spheres and
 writes them as symmetric rows, a count pass sizing each row and a fill
-pass in pair order writing it, with no sort.  The all-pairs scans these
-are checked against live with the other references in
-``tests/oracles.py``, the numpy reach mask and stable sort the cavity
-rows replaced among them.
+pass in pair order writing it, with no sort, into room for twice the
+pairs.  The all-pairs scans these are checked against live with the
+other references in ``tests/oracles.py``, the numpy reach mask and
+stable sort the cavity rows replaced among them.  No stage converts an
+array; one in another dtype or layout is refused (``native``).
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ def build_grid(positions: np.ndarray, d_cut: float) -> HashGrid:
     ``(2 * MAX_SPAN)**3``, far inside int64."""
     if not (math.isfinite(d_cut) and d_cut > 0):
         raise ConfigurationError(f"cutoff must be positive and finite, got {d_cut}")
-    positions = np.ascontiguousarray(positions, float)
-    if positions.ndim != 2 or positions.shape[1] != 3 or len(positions) < 1:
+    shape = np.shape(positions)
+    if len(shape) != 2 or shape[1] != 3 or shape[0] < 1:
         raise ConfigurationError("positions must be a non-empty (n, 3) array")
-    n = len(positions)
+    n = shape[0]
     dims = np.empty(3, np.int64)
     order = np.empty(n, np.int64)
     cells = np.empty((3, n), np.int64)
@@ -176,11 +177,16 @@ class NeighborTable:
 
     ``build_neighbor_table`` fills it as a half table (row i holds the
     candidates j > i, so its rows list every unordered pair once, sorted
-    by (i, j)); ``filtered_lists`` fills it with symmetric rows.
+    by (i, j)); ``filtered_lists`` fills it with symmetric rows.  Both
+    arrays are held C-contiguous int64, as the kernels read them.
     """
 
     offsets: np.ndarray    # CSR offsets, length n+1
     neighbors: np.ndarray  # concatenated rows
+
+    def __post_init__(self):
+        self.offsets = np.ascontiguousarray(self.offsets, np.int64)
+        self.neighbors = np.ascontiguousarray(self.neighbors, np.int64)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -232,31 +238,24 @@ def filtered_lists(i: np.ndarray, j: np.ndarray, d2: np.ndarray, r_off: np.ndarr
     ``r_off`` (one per atom), are within ``reach``: ``d2 <= rc * rc``,
     rounded as ``reach`` rounds ``rc``.
 
-    One native pass (``cavity_rows``) applies that test, counts each row
+    One native call (``cavity_rows``) applies that test, counts each row
     and fills it in pair order: row a holds the partners i < a of the
     pairs (i, a), ascending, then the partners j > a of the pairs (a, j),
-    ascending.  ``neighbors`` is filled into the whole buffer ``cavity``
-    of ``work`` (a new workspace when None); only when it is short is it
-    filled by a second call, after it grows to the size the first one
-    reported.  Every array must be C-contiguous of the dtype the pairs
-    come in from ``forcefield.extract_pairs`` (int64 indices, float64
-    ``d2`` and radii)."""
+    ascending.  Each kept pair is one entry in each of two rows, so
+    ``2 * m`` entries of ``work``'s buffer ``cavity`` (a new workspace
+    when None) always hold them.  Every array must be C-contiguous of the
+    dtype the pairs come in from ``forcefield.extract_pairs`` (int64
+    indices, float64 ``d2`` and radii); anything else is refused, not
+    converted."""
     work = Workspace() if work is None else work
     n, m = len(r_off), len(i)
     if len(j) != m or len(d2) != m:
         raise ConfigurationError(
             f"pair arrays of lengths {m}, {len(j)} and {len(d2)} do not match")
     offsets = np.empty(n + 1, np.int64)
-
-    def fill(neighbors):
-        return native.load().call("cavity_rows", n, m, i, j, d2, r_off, delta_r,
-                                  _REACH_EPS, offsets, neighbors, len(neighbors))
-
-    neighbors = work.whole("cavity", np.int64)
-    total = fill(neighbors)
+    neighbors = work.take("cavity", (2 * m,), np.int64)
+    total = native.load().call("cavity_rows", n, m, i, j, d2, r_off, delta_r, _REACH_EPS,
+                               offsets, neighbors)
     if total == native.REFUSED:
         raise ConfigurationError(f"pairs name atoms outside the {n} atoms")
-    if total > len(neighbors):
-        neighbors = work.take("cavity", (total,), np.int64)
-        fill(neighbors)
     return NeighborTable(offsets=offsets, neighbors=neighbors[:total])

@@ -154,8 +154,7 @@ class TreeWeights:
 
     def weights_for(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """(m, 2) elec/vdW weights of the pairs, from one classification."""
-        i, j = (np.ascontiguousarray(a, np.int64) for a in (i, j))
-        if i.ndim != 1 or j.shape != i.shape:
+        if np.ndim(i) != 1 or np.shape(j) != np.shape(i):
             raise ConfigurationError("pair index arrays must be 1-d and one length")
         n = len(self._arrays[0])
         w = np.empty((len(i), 2))

@@ -115,7 +115,7 @@ def native_classes(tree, i, j) -> np.ndarray:
 
 def classify(tree, i: int, j: int) -> InteractionClass:
     """Native interaction class of one pair."""
-    return InteractionClass(int(native_classes(tree, [i], [j])[0]))
+    return InteractionClass(int(native_classes(tree, np.array([i]), np.array([j]))[0]))
 
 
 def atom_index(chain, residue, name):

@@ -867,8 +867,7 @@ class Builder:
         self.pos: list[np.ndarray] = []
         self.bonds: list[tuple[int, int]] = []
         self.hetero: list[bool] = []
-        self.hetero_res_names: dict[int, str] = {}
-        self.hetero_chain_ids: dict[int, str] = {}
+        self.hetero_residues: dict[int, tuple[str, str, int]] = {}
         self.links: list[dict] = []
 
     def add_atom(self, name, element, cls, residue, link, xyz, hetero=False) -> int:
@@ -895,8 +894,7 @@ class Builder:
             atom_residue=np.asarray(self.residue_of, int),
             atom_link=np.asarray(self.link_of, int), zp_pos=np.array(self.pos),
             bonds=self.bonds, hetero_mask=np.asarray(self.hetero, bool),
-            source=source, hetero_res_names=self.hetero_res_names,
-            chain_id=chain_id, hetero_chain_ids=self.hetero_chain_ids,
+            source=source, chain_id=chain_id, hetero_residues=self.hetero_residues,
         )
 
 
@@ -966,8 +964,7 @@ def reference_assemble(residues: list[ResidueAtoms], hetero, source: str,
     for a in hetero:
         k = b.add_atom(a.name, a.element, f"EL_{a.element}", m + a.res_seq % 10_000,
                        ground, a.xyz, hetero=True)
-        b.hetero_res_names[k] = a.res_name
-        b.hetero_chain_ids[k] = a.chain_id
+        b.hetero_residues[k] = (a.res_name, a.chain_id, a.res_seq)
     return b.finish([r.code for r in residues], source, chain_id)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import kinefold
 from kinefold.cli import main, make_parser
 from kinefold.kcm import Field, StepConfig
 
@@ -318,6 +319,28 @@ def test_bad_arguments_exit_cleanly(tmp_path, capsys, argv, message):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [["sasa", "--seq", "AA"],
+                                  ["fold", "--seq", "AA", "--water", "--max-iters", "2"]],
+                         ids=["sasa", "fold"])
+def test_overflowing_probe_radius_is_refused(tmp_path, argv):
+    """A probe radius whose offset spheres have no finite area is refused
+    when the field is built: the process exits 2 with one ``error:`` line
+    naming the probe radius and the largest offset radius, no traceback
+    and no output files."""
+    out = tmp_path / "x"
+    src = str(Path(kinefold.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "kinefold.cli", *argv, "--probe-radius", "1e300",
+         "--samples", "12", "--out", str(out)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: probe radius 1e+300 A gives "
+                                                   "offset spheres of radius up to 1e+300")
+    assert not out.exists()
+
+
 def test_pdb_import_fold(tmp_path):
     # export a canonical chain, re-import it, run one native-mode iteration
     from kinefold.chain import build_chain, forward_kinematics
@@ -363,8 +386,6 @@ def vendored(tmp_path):
     """A copy of the package inside another project's git work tree (a
     venv in a project), untracked there, and a function returning the git
     entries of the copy's manifest environment."""
-    import kinefold
-
     project = tmp_path / "project"
     copy = project / ".venv" / "kinefold"
     shutil.copytree(Path(kinefold.__file__).parent, copy,

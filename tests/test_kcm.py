@@ -326,40 +326,45 @@ class CountingLibrary:
 @FIELD_MODES
 def test_repeat_evaluation_builds_the_table_in_one_call(param_set, solvation, energy_only,
                                                        monkeypatch):
-    """A fresh Field's first evaluation sizes the table, and when
-    solvated the cavity rows, with one native call each and fills them
-    with a second; the same positions again fit the workspace, so one
-    call sizes and fills each."""
-    _, _, fld, (_, compact) = workspace_case(param_set, solvation)
+    """A fresh Field's first evaluation sizes the table with one native
+    call and fills it with a second; the same positions again fit the
+    workspace, so one call sizes and fills it.  The cavity rows, when
+    solvated, are one call every time: twice the pairs bounds them.
+    Every result is bitwise a fresh Field's."""
+    chain, cfg, fld, (_, compact) = workspace_case(param_set, solvation)
     counting = CountingLibrary(native.load().library)
     counted = replace(native.load(), library=counting)
-    monkeypatch.setattr(native, "load", lambda: counted)
-    fld.evaluate(compact, energy_only=energy_only)
-    assert counting.calls["neighbor_table"] == 2
-    assert counting.calls["cavity_rows"] == (2 if solvation else 0)
-    fld.evaluate(compact, energy_only=energy_only)
-    assert counting.calls["neighbor_table"] == 3
-    assert counting.calls["cavity_rows"] == (3 if solvation else 0)
+    for table_calls, cavity_calls in ((2, 1), (3, 2)):
+        with monkeypatch.context() as mp:
+            mp.setattr(native, "load", lambda: counted)
+            got = result_arrays(fld.evaluate(compact, energy_only=energy_only))
+        assert counting.calls["neighbor_table"] == table_calls
+        assert counting.calls["cavity_rows"] == (cavity_calls if solvation else 0)
+        fresh = make_field(chain, param_set, **cfg).evaluate(compact,
+                                                             energy_only=energy_only)
+        assert_same_arrays(got, result_arrays(fresh))
 
 
 @pytest.mark.parametrize("energy_only", [False, True], ids=["solvated", "energy-only"])
 def test_cavity_rows_outgrow_the_workspace_mid_run(param_set, energy_only, monkeypatch):
     """Extended positions size the cavity buffer; the helix after them
-    has more pairs within reach, so its rows are sized by one call and
-    filled by a second into the grown buffer, and every result is bitwise
-    a fresh Field's."""
+    has more pairs, so the buffer grows before its rows are written, still
+    by one call per evaluation, and every result is bitwise a fresh
+    Field's."""
     chain, cfg, fld, (extended, compact) = workspace_case(param_set, True)
     counting = CountingLibrary(native.load().library)
     counted = replace(native.load(), library=counting)
-    calls = []
+    calls, sizes = [], []
     for pos in (extended, compact, compact):
         with monkeypatch.context() as mp:
             mp.setattr(native, "load", lambda: counted)
             got = result_arrays(fld.evaluate(pos, energy_only=energy_only))
         calls.append(counting.calls["cavity_rows"])
+        sizes.append(fld.work.buffers["cavity"].size)
         fresh = make_field(chain, param_set, **cfg).evaluate(pos, energy_only=energy_only)
         assert_same_arrays(got, result_arrays(fresh))
-    assert calls == [2, 4, 5]
+    assert calls == [1, 2, 3]
+    assert sizes[0] < sizes[1] == sizes[2]
 
 
 # ---- fold -----------------------------------------------------------------

@@ -30,11 +30,19 @@ from kinefold.forcefield import (
 )
 from kinefold.kcm import Field, FieldConfig, StepConfig, fold, joint_torques, link_wrenches
 from kinefold.pdbio import AtomRecord, read_pdb, write_pdb
-from kinefold.solvation import SolvationConfig, offset_radii, sasa_pass, solvation_forces
+from kinefold.solvation import (
+    SampleSphere,
+    SolvationConfig,
+    generate_samples,
+    offset_radii,
+    sasa_pass,
+    solvation_forces,
+)
 from kinefold.spatial import (
     EDGE_PER_CUTOFF,
     Cutoffs,
     HashGrid,
+    NeighborTable,
     Workspace,
     build_grid,
     build_neighbor_table,
@@ -554,3 +562,106 @@ def test_allocation_failure_is_memory_error(monkeypatch, ala2, param_set):
     for name, call in calls:
         with pytest.raises(MemoryError, match=f"native {name} pass could not allocate"):
             call()
+
+
+# --------------------------------------------------------------------------
+# one array contract at the native boundary
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def stage_calls(ala2, param_set):
+    """Each stage wrapper with one array argument left open: name -> (that
+    argument as the library hands it over, the call taking it)."""
+    state = kinematic_state(ala2, ala2.conf_zp())
+    pos, n = state.positions, ala2.n_atoms
+    field = make_field(ala2, param_set, solvation=True,
+                       solvation_cfg=SolvationConfig(samples=16))
+    params, solv, sphere = field.params, field.config.solvation_cfg, field.sphere()
+    table = build_neighbor_table(build_grid(pos, 9.0))
+    i, j, d2, d = extract_pairs(pos, table, 9.0)
+    w = field.weights.weights_for(i, j)
+    cut, r_off = Cutoffs(), offset_radii(params, solv)
+    lists = filtered_lists(i, j, d2, r_off, solv.delta_r)
+    _, states = sasa_pass(pos, params, lists, sphere, solv)
+    forces = np.ones((n, 3))
+    return {
+        "build_grid": (pos, lambda x: build_grid(x, 9.0)),
+        "extract_pairs": (pos, lambda x: extract_pairs(x, table, 9.0)),
+        "weights_for": (i, lambda x: field.weights.weights_for(x, j)),
+        "elec_pair_quantities": (d2, lambda x: elec_pair_quantities(
+            params, i, j, x, d, w, DielectricModel(), cut)),
+        "vdw_pair_quantities": (w, lambda x: vdw_pair_quantities(params, i, j, d2, d, x,
+                                                                 cut)),
+        "accumulate_pair_forces": (j, lambda x: accumulate_pair_forces(n, pos, i, x, d, d)),
+        "filtered_lists": (d2, lambda x: filtered_lists(i, j, x, r_off, solv.delta_r)),
+        "sasa_pass": (pos, lambda x: sasa_pass(x, params, lists, sphere, solv)),
+        "solvation_forces": (pos, lambda x: solvation_forces(x, params, lists, sphere,
+                                                             states, solv)),
+        "link_wrenches": (forces, lambda x: link_wrenches(ala2, pos, x)),
+        "joint_torques": (link_wrenches(ala2, pos, forces),
+                          lambda x: joint_torques(ala2, state, x)),
+    }
+
+
+BAD_LAYOUTS = {
+    "float32": lambda a: a.astype(np.float32),
+    "strided": lambda a: np.repeat(a, 2, axis=0)[::2],
+    "list": lambda a: a.tolist(),
+}
+
+
+@pytest.mark.parametrize("layout", list(BAD_LAYOUTS))
+@pytest.mark.parametrize("stage", ["build_grid", "extract_pairs", "weights_for",
+                                   "elec_pair_quantities", "vdw_pair_quantities",
+                                   "accumulate_pair_forces", "filtered_lists", "sasa_pass",
+                                   "solvation_forces", "link_wrenches", "joint_torques"])
+def test_stages_refuse_arrays_they_would_have_to_convert(stage_calls, stage, layout):
+    """A stage reads its arrays in the layout the library builds them in:
+    a float32, strided or list argument is refused by the declared
+    argument types (their ``TypeError``, raised as ``ctypes.ArgumentError``),
+    never copied."""
+    good, call = stage_calls[stage]
+    call(good)
+    bad = BAD_LAYOUTS[layout](good)
+    assert not (isinstance(bad, np.ndarray) and bad.dtype == good.dtype
+                and bad.flags.c_contiguous)
+    with pytest.raises(ctypes.ArgumentError, match="TypeError: expected a C-contiguous"):
+        call(bad)
+
+
+def test_row_tables_and_samples_take_the_kernels_layout_when_built():
+    """``NeighborTable`` and ``SampleSphere`` carry arrays into the
+    stages, so they convert them once, when built: C-contiguous int64
+    rows and float64 sample points, from lists, other dtypes or Fortran
+    order, with the same values."""
+    for offsets, neighbors in (([0, 2, 3, 4], [1, 2, 0, 0]),
+                               (np.array([0, 2, 3, 4], np.int32),
+                                np.array([1, 2, 0, 0], np.int32))):
+        table = NeighborTable(offsets=offsets, neighbors=neighbors)
+        for a in (table.offsets, table.neighbors):
+            assert a.dtype == np.int64 and a.flags.c_contiguous
+        assert [row.tolist() for row in table] == [[1, 2], [0], [0]]
+    points = generate_samples(12).points
+    for given in (points.tolist(), points.astype(np.float32), np.asfortranarray(points)):
+        held = SampleSphere(given).points
+        assert held.dtype == np.float64 and held.flags.c_contiguous
+        assert np.array_equal(held, np.asarray(given, float))
+
+
+@pytest.mark.parametrize("layout", ["list", "float32", "fortran"])
+def test_evaluate_converts_the_callers_positions_once(param_set, mixed_chain, layout):
+    """Positions are the one per-call input from outside the library:
+    ``Field.evaluate`` takes a list, float32 or Fortran-ordered array and
+    gives forces, energies and areas bitwise those of the float64 call."""
+    field = make_field(mixed_chain, param_set, solvation=True,
+                       solvation_cfg=SolvationConfig(samples=64))
+    pos = forward_kinematics(mixed_chain, mixed_chain.conf_zp())
+    pos = pos.astype(np.float32).astype(float)  # values float32 holds exactly
+    given = {"list": pos.tolist(), "float32": pos.astype(np.float32),
+             "fortran": np.asfortranarray(pos)}[layout]
+    for energy_only in (False, True):
+        got = field.evaluate(given, energy_only=energy_only)
+        want = field.evaluate(pos, energy_only=energy_only)
+        assert got.forces.tobytes() == want.forces.tobytes()
+        assert got.energy == want.energy
+        assert got.sasa.a_exp.tobytes() == want.sasa.a_exp.tobytes()

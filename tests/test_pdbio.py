@@ -185,6 +185,23 @@ def test_hetero_numbers_round_trip(tmp_path):
     assert again.read_text() == out.read_text()
 
 
+def test_negative_hetero_number_round_trips(tmp_path):
+    """A hetero residue numbered below zero is written with its number as
+    read, next to its residue name and chain ID; the residue index the
+    chain gives it (the ``sasa.csv`` residue column) is unchanged."""
+    src = tmp_path / "neg.pdb"
+    zinc = "HETATM    6 ZN    ZN B  -5       8.000   0.000   0.000  1.00  0.00          ZN"
+    src.write_text(HETERO_MIX.replace(HETERO_MIX.splitlines()[5], zinc))
+    ch = build_chain([], geometry=read_pdb(src))
+    out = tmp_path / "out.pdb"
+    write_pdb(ch, forward_kinematics(ch, ch.conf_zp()), out)
+    got = [(a.name, a.res_name, a.chain_id, a.res_seq)
+           for a in read_pdb(out).atoms if a.hetero]
+    assert got == [("FE", "HEM", "A", 2), ("ZN", "ZN", "B", -5)]
+    assert out.read_text().splitlines()[5][12:27] == "ZN    ZN B  -5 "
+    assert ch.atom_residue.tolist()[-2:] == [ch.n_residues + 2, ch.n_residues + 9995]
+
+
 # ---- sequences ------------------------------------------------------------
 
 def test_one_letter_sequence():
