@@ -20,9 +20,12 @@ per-residue reference, ``reference_chain`` in ``tests/oracles.py``, gives
 the same chain byte for byte.
 
 The links live in one table, ``Chain.links`` (a ``LinkArrays``): one
-row per link and one column per field (kind, residue, chi index and
-reference chi, dof, parent, reference axis, body vector and joint
-point), stacked once by the builder.  Atom positions follow from prefix
+row per link and one column per field (residue, chi index and reference
+chi, parent, reference axis, body vector and joint point), stacked once
+by the builder.  Row 0 is the ground link and link l drives
+``theta[l - 1]``: the dofs are the rows after the ground, so residue i's
+phi link is row 2i + 1, its psi link row 2i + 2, and the chi links
+follow in residue order.  Atom positions follow from prefix
 products of joint rotations about the reference axes and prefix sums of
 rotated body vectors; each rigid link carries its member atoms as fixed
 offsets from its joint point, worked out once when the chain is built.
@@ -128,29 +131,34 @@ class Conformation:
 class LinkArrays:
     """The links of a chain, one row per link in every column.
 
-    Rows are parent-first: row 0 is the ground link (kind "ground", zero
-    axis, dof and parent -1) and every other row's parent has a lower
-    index, so one forward pass places the tree and one reverse pass sums
-    it.  That order and unit joint axes are checked here, so every chain
-    has them, however its table was made.  The numeric columns are held as
-    the C-contiguous int64 and float64 arrays the native passes read.
+    Rows are parent-first: row 0 is the ground link (zero axis, parent
+    -1) and every other row's parent has a lower index, so one forward
+    pass places the tree and one reverse pass sums it.  That order, one
+    row per link in every column and unit joint axes are checked here, so
+    every chain has them, however its table was made.  The columns are
+    held as the C-contiguous int64 and float64 arrays the native passes
+    read.
     """
 
-    kind: list[str]           # ground | phi | psi | chi
     residue: np.ndarray       # (n_links,) 0-based residue, -1 for ground
     chi_index: np.ndarray     # (n_links,) 1..4 for chi links, else 0
     chi0: np.ndarray          # (n_links,) reference chi (deg) for the index map
-    dof: np.ndarray           # (n_links,) flat dof index
     parent: np.ndarray        # (n_links,) parent link index
     axis0: np.ndarray         # (n_links, 3) reference unit axes
     body0: np.ndarray         # (n_links, 3) reference body vectors
     point0: np.ndarray        # (n_links, 3) reference joint points
 
     def __post_init__(self):
-        for name, dtype in (("residue", np.int64), ("chi_index", np.int64),
-                            ("chi0", float), ("dof", np.int64), ("parent", np.int64),
-                            ("axis0", float), ("body0", float), ("point0", float)):
-            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype))
+        n_links = len(self.parent)
+        for name, dtype, shape in (("residue", np.int64, ()), ("chi_index", np.int64, ()),
+                                   ("chi0", float, ()), ("parent", np.int64, ()),
+                                   ("axis0", float, (3,)), ("body0", float, (3,)),
+                                   ("point0", float, (3,))):
+            column = np.ascontiguousarray(getattr(self, name), dtype)
+            if column.shape != (n_links, *shape):
+                raise ChainBuildError(f"link column {name} has shape {column.shape}, "
+                                      f"not {(n_links, *shape)}")
+            object.__setattr__(self, name, column)
         parent = self.parent
         row = np.arange(len(parent))
         misplaced = np.where(row == 0, parent != -1, (parent < 0) | (parent >= row))
@@ -199,6 +207,12 @@ class Chain:
     def __post_init__(self):
         self.atom_link = np.array(self.atom_link, np.int64)
         self.zp_pos = np.array(self.zp_pos, float)
+        n = self.n_atoms
+        for name, shape in (("atom_link", (n,)), ("zp_pos", (n, 3)),
+                            ("atom_residue", (n,)), ("hetero_mask", (n,))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ChainBuildError(f"{name} has shape {np.shape(getattr(self, name))}, "
+                                      f"not one row per atom {shape}")
         self.offsets = self.zp_pos - self.links.point0[self.atom_link]
         for column in (self.atom_link, self.zp_pos):
             column.flags.writeable = False
@@ -242,11 +256,10 @@ class Chain:
         phi = signed_degrees(conf.theta[0 : 2 * m : 2] - 180.0)
         psi = signed_degrees(conf.theta[1 : 2 * m : 2] - 180.0)
         links = self.links
-        chi = {}
-        for li in np.flatnonzero(links.chi_index):
-            chi[(int(links.residue[li]), int(links.chi_index[li]))] = float(
-                signed_degrees(conf.theta[links.dof[li]] + links.chi0[li])
-            )
+        rows = np.flatnonzero(links.chi_index)
+        values = signed_degrees(conf.theta[rows - 1] + links.chi0[rows])
+        chi = dict(zip(zip(links.residue[rows].tolist(), links.chi_index[rows].tolist()),
+                       values.tolist()))
         return phi, psi, chi
 
     def validate_conformation(self, conf: Conformation) -> None:
@@ -283,10 +296,9 @@ def kinematic_state(chain: Chain, conf: Conformation) -> KinematicState:
     P = np.empty((n_links, 3))
     axes = np.empty((n_links, 3))
     pos = np.empty((n, 3))
-    if native.load().call("forward_links", n_links, links.parent, links.dof,
-                          chain.n_dof, conf.theta, links.axis0, links.body0, n,
-                          chain.atom_link, chain.offsets, M, P, axes,
-                          pos) == native.REFUSED:
+    if native.load().call("forward_links", n_links, links.parent, conf.theta,
+                          links.axis0, links.body0, n, chain.atom_link, chain.offsets,
+                          M, P, axes, pos) == native.REFUSED:
         raise link_index_error(chain)
     return KinematicState(transforms=M, joint_points=P, axes=axes, positions=pos)
 
@@ -294,8 +306,8 @@ def kinematic_state(chain: Chain, conf: Conformation) -> KinematicState:
 def link_index_error(chain: Chain) -> ChainBuildError:
     """What a native link pass's refusal means: its index columns are
     out of range."""
-    return ChainBuildError(f"link parents, dofs or atom owners out of range for "
-                           f"{len(chain.links)} links and {chain.n_dof} dofs")
+    return ChainBuildError(f"link parents or atom owners out of range for "
+                           f"{len(chain.links)} links")
 
 
 def forward_kinematics(chain: Chain, conf: Conformation) -> np.ndarray:
@@ -450,10 +462,9 @@ def _assemble(groups: list[_ResidueGroup], m: int, hetero, source: str,
 
     Atoms are numbered residue by residue.  Links are the ground link,
     then per residue a phi (N-CA) and a psi (CA-C) link, then the chi
-    links in residue order, and link l drives dof l - 1: residue i's phi
-    link is 2i + 1, its psi link 2i + 2, and 2i (the previous psi, or the
-    ground) holds its N.  A psi body runs from CA to the next N, the last
-    one to the chain tip."""
+    links in residue order (the row order the module docstring states),
+    and link 2i (the previous psi, or the ground) holds residue i's N.  A
+    psi body runs from CA to the next N, the last one to the chain tip."""
     templates = default_templates()
     matched = []
     n_atoms, n_chi = np.zeros(m, np.int64), np.zeros(m, np.int64)
@@ -524,10 +535,8 @@ def _assemble(groups: list[_ResidueGroup], m: int, hetero, source: str,
     axis0[phi], axis0[psi] = unit_vector(ca - n), unit_vector(c - ca)
     body0[phi], body0[psi] = ca - n, np.vstack([n[1:], tip]) - ca
     point0[phi], point0[psi] = n, ca
-    links = LinkArrays(kind=["ground"] + ["phi", "psi"] * m + ["chi"] * (n_links - 2 * m - 1),
-                       residue=residue, chi_index=chi_index, chi0=chi0,
-                       dof=np.arange(n_links) - 1, parent=parent, axis0=axis0,
-                       body0=body0, point0=point0)
+    links = LinkArrays(residue=residue, chi_index=chi_index, chi0=chi0, parent=parent,
+                       axis0=axis0, body0=body0, point0=point0)
 
     # bonds in residue order: by name, by radius, then the peptide bond
     # C(i-1)-N(i); the bond tree drops the later edge of a ring, so this

@@ -236,9 +236,8 @@ def joint_torques(chain: Chain, state: KinematicState,
         raise ConfigurationError(
             f"wrenches must be ({n_links}, 6), state axes and joint points ({n_links}, 3)")
     tau = np.empty(chain.n_dof)
-    if native.load().call("joint_torques", n_links, links.parent, links.dof, chain.n_dof,
-                          wrenches, state.axes, state.joint_points,
-                          tau) == native.REFUSED:
+    if native.load().call("joint_torques", n_links, links.parent, wrenches, state.axes,
+                          state.joint_points, tau) == native.REFUSED:
         raise link_index_error(chain)
     return tau
 

@@ -16,9 +16,10 @@
  * a1*b1) + a2*b2, where numpy's matmul and einsum may round in another:
  * transforms, positions and torques agree with the references to rounding.
  *
- * Every entry point returns 0, NO_MEMORY when scratch memory cannot be
- * allocated, or REFUSED when a parent, dof or owning link is out of range
- * (the codes of pairs.c and native.py).
+ * Link l >= 1 turns by theta[l - 1], so the n_links - 1 dofs are the
+ * rows after the ground.  Every entry point returns 0, NO_MEMORY when
+ * scratch memory cannot be allocated, or REFUSED when a parent or owning
+ * link is out of range (the codes of pairs.c and native.py).
  */
 #include <math.h>
 #include <stdint.h>
@@ -49,13 +50,11 @@ static void apply(const double *m, const double *v, double *out)
         out[r] = dot(m + 3 * r, v);
 }
 
-/* Whether every link but the ground follows its parent and drives one
- * of the n_dof dofs. */
-static int valid_links(int64_t n_links, const int64_t *parent, const int64_t *dof,
-                       int64_t n_dof)
+/* Whether every link but the ground follows its parent. */
+static int valid_links(int64_t n_links, const int64_t *parent)
 {
     for (int64_t l = 1; l < n_links; l++)
-        if (parent[l] < 0 || parent[l] >= l || dof[l] < 0 || dof[l] >= n_dof)
+        if (parent[l] < 0 || parent[l] >= l)
             return 0;
     return 1;
 }
@@ -78,20 +77,19 @@ static void product(const double *a, const double *b, double *out)
                              + a[3 * r + 2] * b[6 + c];
 }
 
-/* Forward kinematics.  Per link l >= 1, the joint rotation by theta[dof[l]]
+/* Forward kinematics.  Per link l >= 1, the joint rotation by theta[l - 1]
  * degrees about the reference axis u = axis0[l], R = (I + sin(t) K) +
  * (1 - cos(t)) K K with K v = u x v, then
  *   M[l] = M[parent] R,  P[l] = P[parent] + M[parent] body0[parent],
  * with M[0] = I and P[0] = 0; axes[l] = M[l] axis0[l] for every link.
  * Each of the n_atoms atoms is placed at P[owner] + M[owner] offset, its
  * offset from its link's joint point in the reference build. */
-int64_t forward_links(int64_t n_links, const int64_t *parent, const int64_t *dof,
-                      int64_t n_dof, const double *theta, const double *axis0,
-                      const double *body0, int64_t n_atoms, const int64_t *owner,
-                      const double *offset, double *M, double *P, double *axes,
-                      double *pos)
+int64_t forward_links(int64_t n_links, const int64_t *parent, const double *theta,
+                      const double *axis0, const double *body0, int64_t n_atoms,
+                      const int64_t *owner, const double *offset, double *M, double *P,
+                      double *axes, double *pos)
 {
-    if (n_links < 1 || !valid_links(n_links, parent, dof, n_dof)
+    if (n_links < 1 || !valid_links(n_links, parent)
         || !valid_owners(n_links, n_atoms, owner))
         return REFUSED;
     memset(M, 0, 9 * sizeof *M);
@@ -101,7 +99,7 @@ int64_t forward_links(int64_t n_links, const int64_t *parent, const int64_t *dof
     for (int64_t l = 1; l < n_links; l++) {
         const double *u = axis0 + 3 * l;
         const double K[9] = {0.0, -u[2], u[1], u[2], 0.0, -u[0], -u[1], u[0], 0.0};
-        double t = theta[dof[l]] * RADIANS_PER_DEGREE;
+        double t = theta[l - 1] * RADIANS_PER_DEGREE;
         double s = sin(t), c = 1.0 - cos(t), KK[9], R[9];
         product(K, K, KK);
         for (int e = 0; e < 9; e++)
@@ -143,15 +141,14 @@ int64_t link_wrenches(int64_t n_links, int64_t n_atoms, const int64_t *owner,
     return 0;
 }
 
-/* tau[dof[l]] = u . moment - (u x p) . force for every link l >= 1, with
+/* tau[l - 1] = u . moment - (u x p) . force for every link l >= 1, with
  * u = axes[l], p = points[l] and (force, moment) the total wrench of the
  * subtree under l: one reverse pass adds each link's row of a copy of
  * wrenches (n_links x 6) into its parent's.  wrenches is left as given. */
-int64_t joint_torques(int64_t n_links, const int64_t *parent, const int64_t *dof,
-                      int64_t n_dof, const double *wrenches, const double *axes,
-                      const double *points, double *tau)
+int64_t joint_torques(int64_t n_links, const int64_t *parent, const double *wrenches,
+                      const double *axes, const double *points, double *tau)
 {
-    if (n_links < 1 || !valid_links(n_links, parent, dof, n_dof))
+    if (n_links < 1 || !valid_links(n_links, parent))
         return REFUSED;
     double *total = malloc((size_t)(6 * n_links) * sizeof *total);
     if (!total)
@@ -160,12 +157,11 @@ int64_t joint_torques(int64_t n_links, const int64_t *parent, const int64_t *dof
     for (int64_t l = n_links - 1; l > 0; l--)
         for (int s = 0; s < 6; s++)
             total[6 * parent[l] + s] += total[6 * l + s];
-    memset(tau, 0, (size_t)n_dof * sizeof *tau);
     for (int64_t l = 1; l < n_links; l++) {
         const double *u = axes + 3 * l, *w = total + 6 * l;
         double arm[3];
         cross(u, points + 3 * l, arm);
-        tau[dof[l]] = dot(u, w + 3) - dot(arm, w);
+        tau[l - 1] = dot(u, w + 3) - dot(arm, w);
     }
     free(total);
     return 0;

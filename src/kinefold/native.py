@@ -91,19 +91,20 @@ _F64, _I64, _U8 = (_array(t) for t in (np.float64, np.int64, np.uint8))
 _F64_OUT, _I64_OUT = _array(np.float64, True), _array(np.int64, True)
 _INT, _DBL = ctypes.c_int64, ctypes.c_double
 _SIGNATURES = {
-    # n_links, parent, dof, n_dof, theta, axis0, body0, n, owner, offsets
-    # -> transforms, joint points, axes, positions
-    "forward_links": [_INT, _I64, _I64, _INT, _F64, _F64, _F64, _INT, _I64, _F64,
+    # n_links, parent, theta (link l turns by theta[l - 1]), axis0, body0, n,
+    # owner, offsets -> transforms, joint points, axes, positions
+    "forward_links": [_INT, _I64, _F64, _F64, _F64, _INT, _I64, _F64,
                       _F64_OUT, _F64_OUT, _F64_OUT, _F64_OUT],
     # n_links, n, owner, positions, forces -> wrenches (n_links x 6)
     "link_wrenches": [_INT, _INT, _I64, _F64, _F64, _F64_OUT],
-    # n_links, parent, dof, n_dof, wrenches, axes, joint points -> tau
-    "joint_torques": [_INT, _I64, _I64, _INT, _F64, _F64, _F64, _F64_OUT],
-    # n, positions, edge, max_span -> dims, order, cells (3 x n)
+    # n_links, parent, wrenches, axes, joint points -> tau (link l's at l - 1)
+    "joint_torques": [_INT, _I64, _F64, _F64, _F64, _F64_OUT],
+    # n, positions, edge, max_span -> dims, order, cells (2 x (n + 1): the
+    # occupied ids and the k + 1 CSR starts)
     "grid_cells": [_INT, _F64, _DBL, _DBL, _I64_OUT, _I64_OUT, _I64_OUT],
-    # n, dims, order, occupied, starts, counts, k -> offsets, neighbors, capacity,
+    # n, dims, order, occupied, starts (k + 1), k -> offsets, neighbors, capacity,
     # unions (scratch), union capacity, union size
-    "neighbor_table": [_INT, _I64, _I64, _I64, _I64, _I64, _INT, _I64_OUT, _I64_OUT,
+    "neighbor_table": [_INT, _I64, _I64, _I64, _I64, _INT, _I64_OUT, _I64_OUT,
                        _INT, _I64_OUT, _INT, ctypes.POINTER(ctypes.c_int64)],
     # n, positions, offsets, neighbors, m, cut2 -> ij (2 x m), dd (2 x m), closest
     "cutoff_pairs": [_INT, _F64, _I64, _I64, _INT, _DBL, _I64_OUT, _F64_OUT,

@@ -69,10 +69,10 @@ static int64_t radix_order(int64_t n, const int64_t *key, int64_t bound,
 /* Bin the n positions into cubic cells of edge `edge`: cell
  * floor((p - min) / edge) per axis, dims = the largest cell + 3 per axis,
  * linear id (x * dims[1] + y) * dims[2] + z.  order gets the atoms stably
- * sorted by id; cells gets, in three rows of n, the occupied ids
- * ascending, where each begins in order and how many atoms it holds.
- * Returns the number of occupied cells, REFUSED for no atoms or a
- * non-finite coordinate, WIDE when an axis spans more than max_span. */
+ * sorted by id; cells gets, in two rows of n + 1, the k occupied ids
+ * ascending and, as CSR offsets, where each begins in order, with
+ * starts[k] = n where the last one ends.  Returns k, REFUSED for no atoms
+ * or a non-finite coordinate, WIDE when an axis spans more than max_span. */
 int64_t grid_cells(int64_t n, const double *pos, double edge, double max_span,
                    int64_t *dims, int64_t *order, int64_t *cells)
 {
@@ -115,18 +115,16 @@ int64_t grid_cells(int64_t n, const double *pos, double edge, double max_span,
         free(lin);
         return status;
     }
-    int64_t *occupied = cells, *starts = cells + n, *counts = cells + 2 * n;
+    int64_t *occupied = cells, *starts = cells + n + 1;
     int64_t m = 0;
     for (int64_t k = 0; k < n; k++) {
         int64_t id = lin[order[k]];
         if (m == 0 || id != occupied[m - 1]) {
             occupied[m] = id;
-            starts[m] = k;
-            counts[m] = 0;
-            m++;
+            starts[m++] = k;
         }
-        counts[m - 1]++;
     }
+    starts[m] = n;
     free(lin);
     return m;
 }
@@ -172,21 +170,19 @@ static int64_t read_marks(uint64_t *bits, uint64_t *summary, int64_t n_summary,
  * the stored unions, the offsets (n + 1) are summed from the lengths and
  * each row is copied from its union; otherwise nothing is written but
  * *union_size, the union capacity a fill needs.  Returns the number of
- * pairs, REFUSED when the grid does not partition the n atoms. */
+ * pairs, REFUSED when the grid does not partition the n atoms: cell a
+ * holds order[starts[a]] up to order[starts[a + 1]], so starts (k + 1)
+ * must run from 0 to n, strictly increasing, under ascending ids. */
 int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
-                       const int64_t *occupied, const int64_t *starts,
-                       const int64_t *counts, int64_t k, int64_t *offsets,
-                       int64_t *neighbors, int64_t capacity, int64_t *unions,
-                       int64_t union_capacity, int64_t *union_size)
+                       const int64_t *occupied, const int64_t *starts, int64_t k,
+                       int64_t *offsets, int64_t *neighbors, int64_t capacity,
+                       int64_t *unions, int64_t union_capacity, int64_t *union_size)
 {
-    int64_t seen = 0;
-    for (int64_t a = 0; a < k; a++) {
-        if (counts[a] < 1 || starts[a] != seen || (a && occupied[a] <= occupied[a - 1]))
-            return REFUSED;
-        seen += counts[a];
-    }
-    if (seen != n)
+    if (starts[0] != 0 || starts[k] != n)
         return REFUSED;
+    for (int64_t a = 0; a < k; a++)
+        if (starts[a + 1] <= starts[a] || (a && occupied[a] <= occupied[a - 1]))
+            return REFUSED;
     for (int64_t x = 0; x < n; x++)
         if (order[x] < 0 || order[x] >= n)
             return REFUSED;
@@ -217,7 +213,7 @@ int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
 
     /* column c's five ids are occupied[a] + column[c] + [0, 4]: the cells
      * first[c] up to after[c], and their atoms order[starts[first[c]]]
-     * up to order[starts[after[c]]] */
+     * up to order[starts[after[c]]] (both cursors stop at k at most) */
     int64_t column[25], first[25], after[25];
     for (int c = 0; c < 25; c++) {
         column[c] = ((int64_t)(c / 5 - 2) * dims[1] + (c % 5 - 2)) * dims[2] - 2;
@@ -233,7 +229,7 @@ int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
                 ;
             first[c] = b;
             after[c] = e;
-            int64_t x = b < k ? starts[b] : n, stop = e < k ? starts[e] : n;
+            int64_t x = starts[b], stop = starts[e];
             for (bound += stop - x; x < stop; x++) {
                 int64_t v = order[x];
                 bits[v >> 6] |= (uint64_t)1 << (v & 63);
@@ -243,7 +239,7 @@ int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
         need = used + bound > need ? used + bound : need;
         int64_t *u_a = used + bound <= union_capacity ? unions + used : spill;
         int64_t size = read_marks(bits, summary, n_summary, u_a);
-        for (int64_t x = starts[a]; x < starts[a] + counts[a]; x++) {
+        for (int64_t x = starts[a]; x < starts[a + 1]; x++) {
             int64_t u = order[x], lo = 0, hi = size - 1;
             while (lo < hi) {  /* u's rank: a's own cell is in its stencil */
                 int64_t mid = lo + (hi - lo) / 2;
@@ -264,7 +260,7 @@ int64_t neighbor_table(int64_t n, const int64_t *dims, const int64_t *order,
         for (int64_t u = 0; u < n; u++)
             offsets[u + 1] = offsets[u] + length[u];
         for (int64_t a = 0; a < k; a++)
-            for (int64_t x = starts[a]; x < starts[a] + counts[a]; x++) {
+            for (int64_t x = starts[a]; x < starts[a + 1]; x++) {
                 int64_t u = order[x];
                 memcpy(neighbors + offsets[u], unions + end[a] - length[u],
                        (size_t)length[u] * sizeof *neighbors);

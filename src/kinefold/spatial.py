@@ -87,13 +87,24 @@ class HashGrid:
     d_cut``; cell (x, y, z) has the id ``(x * dims[1] + y) * dims[2] + z``.  ``dims``
     runs two empty cells past the last occupied one on every axis, so a
     cell moved by an offset in [-2, 2]^3 that leaves the box gets an empty
-    or negative id, never another occupied cell's."""
+    or negative id, never another occupied cell's.  Occupied cell a holds
+    the atoms ``order[starts[a]:starts[a + 1]]``.  The column lengths are
+    checked here, so the native table pass reads inside every column; it
+    checks that the cells partition the atoms."""
 
-    dims: np.ndarray       # cells per axis of the id box
-    order: np.ndarray      # atoms sorted by linear cell id
-    occupied: np.ndarray   # sorted linear ids of the occupied cells
-    starts: np.ndarray     # where each occupied cell begins in ``order``
-    counts: np.ndarray     # atoms per occupied cell
+    dims: np.ndarray       # cells per axis of the id box, (3,)
+    order: np.ndarray      # atoms sorted by linear cell id, (n,)
+    occupied: np.ndarray   # sorted linear ids of the occupied cells, (k,)
+    starts: np.ndarray     # CSR offsets of the cells in ``order``, (k + 1,), ending at n
+
+    def __post_init__(self):
+        k = len(self.occupied)
+        for name, shape in (("dims", (3,)), ("order", (len(self.order),)),
+                            ("occupied", (k,)), ("starts", (k + 1,))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ConfigurationError(
+                    f"grid column {name} has shape {np.shape(getattr(self, name))}, "
+                    f"not {shape}")
 
 
 def build_grid(positions: np.ndarray, d_cut: float) -> HashGrid:
@@ -113,7 +124,7 @@ def build_grid(positions: np.ndarray, d_cut: float) -> HashGrid:
     n = shape[0]
     dims = np.empty(3, np.int64)
     order = np.empty(n, np.int64)
-    cells = np.empty((3, n), np.int64)
+    cells = np.empty((2, n + 1), np.int64)
     k = native.load().call("grid_cells", n, positions, EDGE_PER_CUTOFF * d_cut,
                            MAX_SPAN * d_cut, dims, order, cells)
     if k == native.REFUSED:
@@ -121,9 +132,7 @@ def build_grid(positions: np.ndarray, d_cut: float) -> HashGrid:
     if k == native.WIDE:
         raise ConfigurationError(
             f"coordinates span more than {MAX_SPAN:g} cutoffs of {d_cut} A on an axis")
-    occupied, starts, counts = cells[:, :k]
-    return HashGrid(dims=dims, order=order, occupied=occupied, starts=starts,
-                    counts=counts)
+    return HashGrid(dims=dims, order=order, occupied=cells[0, :k], starts=cells[1, :k + 1])
 
 
 class Workspace:
@@ -211,8 +220,8 @@ def build_neighbor_table(grid: HashGrid, work: Workspace | None = None) -> Neigh
     def fill(neighbors, unions):
         return native.load().call(
             "neighbor_table", n, grid.dims, grid.order, grid.occupied, grid.starts,
-            grid.counts, len(grid.occupied), offsets, neighbors, len(neighbors), unions,
-            len(unions), ctypes.byref(union_size))
+            len(grid.occupied), offsets, neighbors, len(neighbors), unions, len(unions),
+            ctypes.byref(union_size))
 
     neighbors, unions = work.whole("neighbors", np.int64), work.whole("unions", np.int64)
     total = fill(neighbors, unions)

@@ -103,15 +103,26 @@ def theta_from_dihedrals(chain, phi, psi, chi=None):
         theta = conf.theta.copy()
         for (i, k), value in chi.items():
             li = _chi_link_index(chain, i, k)
-            theta[chain.links.dof[li]] = wrap_degrees(value - chain.links.chi0[li])
+            theta[li - 1] = wrap_degrees(value - chain.links.chi0[li])
         conf = replace(conf, theta=theta)
     return conf
 
 
+def link_kind(chain, li: int) -> str:
+    """ground, phi, psi or chi: what link ``li`` is, read from its row
+    (the ground, then a phi and a psi link per residue, then the chi
+    links)."""
+    if li == 0:
+        return "ground"
+    if li <= 2 * chain.n_residues:
+        return "phi" if li % 2 else "psi"
+    return "chi"
+
+
 def _chi_link_index(chain, i: int, k: int) -> int:
     links = chain.links
-    for li, kind in enumerate(links.kind):
-        if kind == "chi" and links.residue[li] == i and links.chi_index[li] == k:
+    for li in range(len(links)):  # chi index k >= 1 marks a chi link
+        if links.residue[li] == i and links.chi_index[li] == k:
             return li
     raise KeyError((i, k))
 
@@ -150,9 +161,9 @@ def build_grid(positions, d_cut) -> HashGrid:
     dims = cells.max(axis=0) + 3
     lin = (cells[:, 0] * dims[1] + cells[:, 1]) * dims[2] + cells[:, 2]
     order = np.argsort(lin, kind="stable")
-    occupied, starts, counts = np.unique(lin[order], return_index=True, return_counts=True)
-    return HashGrid(dims=dims, order=order, occupied=occupied, starts=starts,
-                    counts=counts)
+    occupied, starts = np.unique(lin[order], return_index=True)
+    return HashGrid(dims=dims, order=order, occupied=occupied,
+                    starts=np.append(starts, len(order)))
 
 
 def _segment_arange(lengths):
@@ -169,7 +180,8 @@ def build_neighbor_table(grid: HashGrid, work=None) -> NeighborTable:
     between a cell and its occupied forward neighbors, sorted as keys
     ``i * n + j`` into a half table.  ``work`` is ignored, as in every
     stage reference here: the outputs are fresh arrays."""
-    order, occ, starts, counts = grid.order, grid.occupied, grid.starts, grid.counts
+    order, occ = grid.order, grid.occupied
+    starts, counts = grid.starts[:-1], np.diff(grid.starts)
     n = len(order)
     rest = np.repeat(starts + counts, counts) - np.arange(1, n + 1)
     i_in = np.repeat(order, rest)
@@ -337,7 +349,7 @@ def kinematic_state(chain, conf) -> KinematicState:
     ``P[li] = P[parent] + M[parent] @ body0[parent]``."""
     chain.validate_conformation(conf)
     arr = chain.links
-    t = np.radians(conf.theta[arr.dof[1:]])[:, None, None]
+    t = np.radians(conf.theta)[:, None, None]  # link l turns by theta[l - 1]
     x, y, z = arr.axis0[1:].T
     zero = np.zeros_like(x)
     k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
@@ -384,9 +396,7 @@ def joint_torques(chain, state, wrenches):
     arm = np.cross(u, state.joint_points[1:])
     proj = (np.einsum("li,li->l", u, total[1:, 3:])
             - np.einsum("li,li->l", arm, total[1:, :3]))
-    tau = np.zeros(chain.n_dof)
-    tau[arr.dof[1:]] = proj
-    return tau
+    return proj  # link l's torque is tau[l - 1]
 
 
 # --------------------------------------------------------------------------
@@ -616,9 +626,7 @@ def quadratic_joint_torques(chain, state, wrenches):
     n_links = len(links)
     subtree = _subtree_links(chain)
     tau = np.zeros(chain.n_dof)
-    for li, kind in enumerate(links.kind):
-        if kind == "ground":
-            continue
+    for li in range(1, n_links):
         u = state.axes[li]
         p = state.joint_points[li]
         total = 0.0
@@ -626,7 +634,7 @@ def quadratic_joint_torques(chain, state, wrenches):
             if li in subtree[h]:
                 total += float(u @ wrenches[h, 3:]
                                - np.cross(u, p) @ wrenches[h, :3])
-        tau[links.dof[li]] = total
+        tau[li - 1] = total
     return tau
 
 
@@ -659,7 +667,7 @@ def _subtree_links(chain):
     for li in range(len(links)):
         path = set()
         cur = li
-        while cur != -1 and links.kind[cur] != "ground":
+        while cur > 0:  # up to, not into, the ground link
             path.add(cur)
             cur = links.parent[cur]
         ancestors.append(path)
@@ -681,10 +689,8 @@ def twist_fk(chain, conf):
             out.extend(descend(ch))
         return out
 
-    for li, kind in enumerate(links.kind):
-        if kind == "ground":
-            continue
-        theta = float(conf.theta[links.dof[li]])
+    for li in range(1, len(links)):
+        theta = float(conf.theta[li - 1])
         src, dst = _axis_atoms(chain, li, positions)
         axis = dst - src
         axis = axis / np.linalg.norm(axis)
@@ -696,7 +702,7 @@ def twist_fk(chain, conf):
 
 def _axis_atoms(chain, li, positions):
     """Current axis endpoints of a joint, looked up by atom name."""
-    kind, res = chain.links.kind[li], int(chain.links.residue[li])
+    kind, res = link_kind(chain, li), int(chain.links.residue[li])
     if kind == "phi":
         return positions[atom_index(chain, res, "N")], positions[atom_index(chain, res, "CA")]
     if kind == "psi":
@@ -886,8 +892,7 @@ class Builder:
 
     def finish(self, residues, source, chain_id="A") -> Chain:
         columns = {name: [rec[name] for rec in self.links] for name in self.links[0]}
-        links = LinkArrays(**{name: col if name == "kind" else np.array(col)
-                              for name, col in columns.items()})
+        links = LinkArrays(**{name: np.array(col) for name, col in columns.items()})
         return Chain(
             residues=residues, links=links, atom_names=self.names,
             atom_elements=self.elements, atom_classes=self.classes,
@@ -909,24 +914,22 @@ def reference_assemble(residues: list[ResidueAtoms], hetero, source: str,
     tip = residues[-1].xyz[last["OXT" if "OXT" in last else "O" if "O" in last else "C"]]
 
     b = Builder()
-    ground = b.add_link(kind="ground", residue=-1, chi_index=0, dof=-1, parent=-1,
+    ground = b.add_link(residue=-1, chi_index=0, parent=-1,
                         axis0=np.zeros(3), body0=np.zeros(3), point0=np.zeros(3))
     phi_axis, psi_axis = unit_vector(ca - n), unit_vector(c - ca)
     psi_body = np.vstack([n[1:], tip]) - ca
     link_phi, link_psi = [], []
     for i in range(m):
         link_phi.append(b.add_link(
-            kind="phi", residue=i, chi_index=0, dof=2 * i,
-            parent=link_psi[i - 1] if i else ground,
+            residue=i, chi_index=0, parent=link_psi[i - 1] if i else ground,
             axis0=phi_axis[i], body0=ca[i] - n[i], point0=n[i],
         ))
         link_psi.append(b.add_link(
-            kind="psi", residue=i, chi_index=0, dof=2 * i + 1, parent=link_phi[i],
+            residue=i, chi_index=0, parent=link_phi[i],
             axis0=psi_axis[i], body0=psi_body[i], point0=ca[i],
         ))
 
     templates = default_templates()
-    next_dof = 2 * m
     for i, (r, at) in enumerate(zip(residues, where)):
         spec = templates.specs.get(r.code)
         if spec is not None and not all(ta.name in at for ta in spec.atoms if ta.link):
@@ -942,11 +945,10 @@ def reference_assemble(residues: list[ResidueAtoms], hetero, source: str,
                 else:
                     chi0 = float(spec.rotamer_defaults[k - 1]) if spec.rotamer_defaults else 0.0
                 side.append(b.add_link(
-                    kind="chi", residue=i, chi_index=k, dof=next_dof, parent=side[-1],
+                    residue=i, chi_index=k, parent=side[-1],
                     axis0=unit_vector(p_dst - p_src), body0=p_dst - p_src,
                     point0=p_src, chi0=chi0,
                 ))
-                next_dof += 1
             owner = {ta.name: side[ta.link] for ta in spec.atoms if ta.link}
         n_owner = link_psi[i - 1] if i else ground
         owner.update(dict.fromkeys(("N", *(ch._N_TERM_H_NAMES if i == 0 else ("H",))),

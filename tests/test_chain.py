@@ -21,6 +21,7 @@ from kinefold.residues import default_templates
 
 from .conftest import assert_identical, atom_index, random_case, random_sequences
 from .oracles import (
+    link_kind,
     measure_backbone_dihedrals,
     reference_chain,
     rotation_about_axis,
@@ -42,9 +43,13 @@ def random_conf(chain, rng, span=360.0):
 
 # ---- construction ---------------------------------------------------------
 
+def link_kinds(chain):
+    return [link_kind(chain, li) for li in range(len(chain.links))]
+
+
 def test_single_gly_link_count():
     ch = build_chain(["GLY"])
-    kinds = ch.links.kind
+    kinds = link_kinds(ch)
     assert kinds.count("phi") == 1 and kinds.count("psi") == 1
     assert kinds.count("chi") == 0
     assert ch.n_dof == 2
@@ -53,7 +58,7 @@ def test_single_gly_link_count():
 def test_polyalanine_15_links():
     ch = build_chain(["ALA"] * 15)
     assert ch.n_residues == 15
-    kinds = ch.links.kind
+    kinds = link_kinds(ch)
     assert kinds.count("phi") + kinds.count("psi") == 30
     assert kinds.count("chi") == 15  # one methyl rotor per template
     assert ch.n_dof == 45
@@ -152,9 +157,8 @@ def relinked(chain, order):
     new = {old: k for k, old in enumerate(order)}
     new[-1] = -1
     links = chain.links
-    table = LinkArrays(kind=[links.kind[old] for old in order],
-                       residue=links.residue[order], chi_index=links.chi_index[order],
-                       chi0=links.chi0[order], dof=links.dof[order],
+    table = LinkArrays(residue=links.residue[order], chi_index=links.chi_index[order],
+                       chi0=links.chi0[order],
                        parent=[new[p] for p in links.parent[order].tolist()],
                        axis0=links.axis0[order], body0=links.body0[order],
                        point0=links.point0[order])
@@ -187,6 +191,23 @@ def test_directly_built_links_must_follow_their_parents(ala2, rng):
         dataclasses.replace(ala2, links=dataclasses.replace(ala2.links, parent=parent))
 
 
+@pytest.mark.parametrize("column", ["residue", "chi_index", "chi0", "axis0", "body0",
+                                    "point0"])
+def test_link_columns_have_a_row_per_link(ala2, column):
+    """A link table whose column is shorter than ``parent`` is refused when
+    built, before a native pass reads past it."""
+    with pytest.raises(ChainBuildError, match=f"link column {column} has shape"):
+        dataclasses.replace(ala2.links, **{column: getattr(ala2.links, column)[:3]})
+
+
+@pytest.mark.parametrize("column", ["atom_link", "zp_pos", "atom_residue", "hetero_mask"])
+def test_atom_columns_have_a_row_per_atom(ala2, column):
+    """A chain whose per-atom column is one row short of its atom names
+    is refused when built."""
+    with pytest.raises(ChainBuildError, match=f"{column} has shape"):
+        dataclasses.replace(ala2, **{column: getattr(ala2, column)[:-1]})
+
+
 def test_non_unit_axis_rejected(ala2):
     axis0 = ala2.links.axis0.copy()
     axis0[3] = 1.001 * axis0[3]
@@ -210,9 +231,8 @@ def test_zp_backbone_planar(mixed_chain):
 
 def test_zp_axes_unit_length(mixed_chain):
     links = mixed_chain.links
-    for li, kind in enumerate(links.kind):
-        if kind != "ground":
-            assert abs(np.linalg.norm(links.axis0[li]) - 1.0) < 1e-12
+    for li in range(1, len(links)):
+        assert abs(np.linalg.norm(links.axis0[li]) - 1.0) < 1e-12
 
 
 def test_cis_chain_builds_planar():
@@ -253,7 +273,7 @@ def test_l_chirality_of_templates(mixed_chain):
 def joint_transforms(chain, conf):
     """Dof and prefix rotation of every joint link (ground excluded)."""
     transforms = kinematic_state(chain, conf).transforms
-    return list(zip(chain.links.dof[1:], transforms[1:]))
+    return list(enumerate(transforms[1:]))
 
 
 def test_all_zero_gives_identity(ala2):
@@ -276,13 +296,12 @@ def test_prefix_matches_naive_products(ala2, rng):
     transforms = kinematic_state(ala2, conf).transforms
     # naive: recompute each backbone prefix from scratch
     links = ala2.links
-    backbone = [li for li, kind in enumerate(links.kind) if kind in ("phi", "psi")]
-    backbone.sort(key=lambda li: links.dof[li])
+    backbone = [li for li in range(len(links)) if link_kind(ala2, li) in ("phi", "psi")]
     for j in range(len(backbone)):
         m = np.eye(3)
         for r in range(j + 1):
             li = backbone[r]
-            m = m @ rotation_about_axis(links.axis0[li], conf.theta[links.dof[li]])
+            m = m @ rotation_about_axis(links.axis0[li], conf.theta[li - 1])
         assert np.abs(m - transforms[backbone[j]]).max() < 1e-12
 
 
@@ -346,8 +365,8 @@ def test_peptide_atoms_match_plane_combination(ala2, rng):
     pos = state.positions
     pc = PLANE_CONSTANTS
     links = ala2.links
-    row = {(kind, int(res)): li for li, (kind, res) in enumerate(zip(links.kind, links.residue))
-           if kind != "ground"}
+    row = {(link_kind(ala2, li), int(res)): li for li, res in enumerate(links.residue)
+           if li}
     i = 0
     m_psi = state.transforms[row[("psi", i)]]
     m_phi_next = state.transforms[row[("phi", i + 1)]]
@@ -450,10 +469,9 @@ def test_index_map_round_trip(mixed_chain, rng):
     psi = rng.uniform(-180, 179.9, mixed_chain.n_residues)
     chi = {}
     links = mixed_chain.links
-    for li, kind in enumerate(links.kind):
-        if kind == "chi":
-            chi[(int(links.residue[li]), int(links.chi_index[li]))] = float(
-                rng.uniform(-180, 179.9))
+    for li in np.flatnonzero(links.chi_index):
+        chi[(int(links.residue[li]), int(links.chi_index[li]))] = float(
+            rng.uniform(-180, 179.9))
     conf = theta_from_dihedrals(mixed_chain, phi, psi, chi)
     phi2, psi2, chi2 = mixed_chain.dihedrals_from_theta(conf)
     assert np.abs(phi2 - phi).max() < 1e-9

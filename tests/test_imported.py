@@ -12,7 +12,7 @@ from kinefold.kcm import StepConfig, fold
 from kinefold.pdbio import AtomRecord, StructureRecord, read_pdb, write_pdb
 
 from .conftest import assert_identical, make_field
-from .oracles import reference_chain
+from .oracles import link_kind, reference_chain
 
 
 def reimport(chain, tmp_path, conf=None):
@@ -43,7 +43,7 @@ def test_templated_side_chains_keep_joints(tmp_path):
     ch = build_chain(["SER", "ALA"])
     ch2, _ = reimport(ch, tmp_path)
     assert ch2.n_dof == ch.n_dof  # full atom-name match keeps every chi joint
-    kinds = ch2.links.kind
+    kinds = [link_kind(ch2, li) for li in range(len(ch2.links))]
     assert kinds.count("chi") == 3
 
 

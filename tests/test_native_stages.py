@@ -124,7 +124,7 @@ def test_each_stage_matches_its_oracle(system):
     n = len(pos)
     cut = max(cutoffs.elec, cutoffs.vdw) + 1.0
     grid, want_grid = build_grid(pos, cut), oracles.build_grid(pos, cut)
-    for name in ("dims", "order", "occupied", "starts", "counts"):
+    for name in ("dims", "order", "occupied", "starts"):
         assert np.array_equal(getattr(grid, name), getattr(want_grid, name)), name
     table, want_table = build_neighbor_table(grid), oracles.build_neighbor_table(want_grid)
     assert np.array_equal(table.offsets, want_table.offsets)
@@ -267,22 +267,31 @@ def test_joint_torques_match_the_oracle(link_case):
 
 
 def test_link_passes_refuse_out_of_range_indices(ala2, rng):
-    """A dof or atom owner outside the table is refused, not read."""
+    """An atom owner or a parent outside the table is refused, not read.
+    ``LinkArrays`` refuses a bad parent when built, so a parent column
+    reaches the passes only by a direct call."""
     conf = Conformation(rng.uniform(0.0, 360.0, ala2.n_dof), np.zeros(ala2.n_dof, bool))
     state = kinematic_state(ala2, conf)
     forces = np.ones((ala2.n_atoms, 3))
-    wrenches = link_wrenches(ala2, state.positions, forces)
-    far_dof = replace(ala2, links=replace(ala2.links, dof=ala2.links.dof + ala2.n_dof))
     owner = ala2.atom_link.copy()
     owner[-1] = -1
     negative_owner = replace(ala2, atom_link=owner)
-    calls = [lambda: kinematic_state(far_dof, conf),
-             lambda: joint_torques(far_dof, state, wrenches),
-             lambda: kinematic_state(negative_owner, conf),
-             lambda: link_wrenches(negative_owner, state.positions, forces)]
-    for call in calls:
+    for call in (lambda: kinematic_state(negative_owner, conf),
+                 lambda: link_wrenches(negative_owner, state.positions, forces)):
         with pytest.raises(ChainBuildError, match="out of range"):
             call()
+    links, n_links, n = ala2.links, len(ala2.links), ala2.n_atoms
+    lib = native.load()
+    for bad in (n_links, -1, 3):  # past the table, below it, after link 3 itself
+        parent = links.parent.copy()
+        parent[3] = bad
+        assert lib.call("forward_links", n_links, parent, conf.theta, links.axis0,
+                        links.body0, n, ala2.atom_link, ala2.offsets,
+                        np.empty((n_links, 3, 3)), np.empty((n_links, 3)),
+                        np.empty((n_links, 3)), np.empty((n, 3))) == native.REFUSED
+        assert lib.call("joint_torques", n_links, parent, np.zeros((n_links, 6)),
+                        state.axes, state.joint_points,
+                        np.empty(ala2.n_dof)) == native.REFUSED
 
 
 def test_link_passes_refuse_wrong_dtype_or_layout(ala2):
@@ -294,9 +303,9 @@ def test_link_passes_refuse_wrong_dtype_or_layout(ala2):
            "axes": np.empty((n_links, 3)), "pos": np.empty((n, 3))}
 
     def forward(theta=np.zeros(n_dof), owner=ala2.atom_link, pos=out["pos"]):
-        return lib.call("forward_links", n_links, links.parent, links.dof, n_dof, theta,
-                        links.axis0, links.body0, n, owner, ala2.offsets, out["M"],
-                        out["P"], out["axes"], pos)
+        return lib.call("forward_links", n_links, links.parent, theta, links.axis0,
+                        links.body0, n, owner, ala2.offsets, out["M"], out["P"],
+                        out["axes"], pos)
 
     assert forward() == 0
     read_only = np.empty((n, 3))
@@ -308,7 +317,7 @@ def test_link_passes_refuse_wrong_dtype_or_layout(ala2):
            lambda: lib.call("link_wrenches", n_links, n, ala2.atom_link,
                             np.zeros((n, 3), np.float32), np.zeros((n, 3)),
                             np.empty((n_links, 6))),
-           lambda: lib.call("joint_torques", n_links, links.parent, links.dof, n_dof,
+           lambda: lib.call("joint_torques", n_links, links.parent,
                             np.zeros((n_links, 6)).T, out["axes"], out["P"],
                             np.empty(n_dof))]
     for call in bad:
@@ -389,7 +398,7 @@ def test_table_is_sized_by_its_count_pass():
         offsets, neighbors = np.full(301, -7, np.int64), np.full(capacity, -7, np.int64)
         got = native.load().call(
             "neighbor_table", 300, grid.dims, grid.order, grid.occupied, grid.starts,
-            grid.counts, len(grid.occupied), offsets, neighbors, capacity,
+            len(grid.occupied), offsets, neighbors, capacity,
             np.empty(union_capacity, np.int64), union_capacity, ctypes.byref(union_size))
         assert got == total and union_size.value == 300
         return offsets, neighbors
@@ -463,15 +472,18 @@ def test_table_is_the_oracles_on_hard_layouts(layout):
         assert np.array_equal(table.neighbors, want.neighbors)
 
 
-@pytest.mark.parametrize("broken", ["empty cell", "gap", "descending", "outside", "twice"])
+@pytest.mark.parametrize("broken", ["not from 0", "not ending at n", "empty cell",
+                                    "descending", "outside", "twice"])
 def test_table_refuses_a_grid_that_does_not_partition_the_atoms(broken):
     grid = build_grid(lattice((2, 2, 2), 9.0), 9.0)
-    bad = {name: getattr(grid, name).copy()
-           for name in ("dims", "order", "occupied", "starts", "counts")}
-    if broken == "empty cell":
-        bad["counts"][1], bad["counts"][2] = 0, 2
-    elif broken == "gap":
-        bad["starts"][3] += 1
+    bad = {name: getattr(grid, name).copy() for name in ("dims", "order", "occupied", "starts")}
+    assert bad["starts"].tolist() == list(range(9))  # one atom per cell
+    if broken == "not from 0":
+        bad["starts"][0] = -1
+    elif broken == "not ending at n":
+        bad["starts"][-1] = 9
+    elif broken == "empty cell":
+        bad["starts"][2] = bad["starts"][1]
     elif broken == "descending":
         bad["occupied"][[2, 3]] = bad["occupied"][[3, 2]]
     elif broken == "outside":
@@ -480,6 +492,22 @@ def test_table_refuses_a_grid_that_does_not_partition_the_atoms(broken):
         bad["order"][4] = bad["order"][5]
     with pytest.raises(ConfigurationError, match="does not partition its 8 atoms"):
         build_neighbor_table(HashGrid(**bad))
+
+
+@pytest.mark.parametrize("broken", ["one dims entry", "starts too short", "occupied too long"])
+def test_grid_refuses_columns_the_table_pass_would_read_past(broken):
+    """A grid whose columns disagree in length is refused when it is
+    built, not read past by the native table pass."""
+    grid = build_grid(lattice((2, 2, 2), 9.0), 9.0)
+    bad = {name: getattr(grid, name).copy() for name in ("dims", "order", "occupied", "starts")}
+    if broken == "one dims entry":
+        bad["dims"] = bad["dims"][:1]
+    elif broken == "starts too short":
+        bad["starts"] = bad["starts"][:-1]
+    else:
+        bad["occupied"] = np.append(bad["occupied"], bad["occupied"][-1] + 1)
+    with pytest.raises(ConfigurationError, match="grid column (dims|starts) has shape"):
+        HashGrid(**bad)
 
 
 def test_scatter_adds_each_pair_in_pair_order(rng):

@@ -84,7 +84,7 @@ def test_wrong_dtype_is_refused():
                  np.zeros(1, np.int64))
     with pytest.raises(ctypes.ArgumentError):
         lib.call("grid_cells", 1, np.zeros((1, 3))[:, ::2], 1.0, 1e5,
-                 np.empty(3, np.int64), np.empty(1, np.int64), np.empty((3, 1), np.int64))
+                 np.empty(3, np.int64), np.empty(1, np.int64), np.empty((2, 2), np.int64))
 
 
 def test_package_data_ships_the_kernel_source():

@@ -38,8 +38,8 @@ from .oracles import (
 def buckets(grid) -> dict[tuple[int, int, int], list[int]]:
     """Occupied cells -> atom indices, decoded from the grid's linear ids."""
     cells = np.stack(np.unravel_index(grid.occupied, grid.dims), axis=1)
-    return {tuple(cell): sorted(grid.order[s:s + c].tolist())
-            for cell, s, c in zip(cells.tolist(), grid.starts, grid.counts)}
+    return {tuple(cell): sorted(grid.order[s:e].tolist())
+            for cell, s, e in zip(cells.tolist(), grid.starts, grid.starts[1:])}
 
 
 def test_single_atom_single_bucket():
