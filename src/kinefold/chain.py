@@ -99,7 +99,7 @@ class Conformation:
     def __post_init__(self):
         theta = np.asarray(self.theta, float)
         finite = np.isfinite(theta)
-        if not finite.all():
+        if np.count_nonzero(finite) < finite.size:
             bad = int(np.argmin(finite))  # the first False
             raise ConfigurationError(
                 f"theta of dof {bad} is {theta.flat[bad]}: dihedrals must be finite")

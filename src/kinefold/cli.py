@@ -269,7 +269,7 @@ def cmd_scan_hinge(args) -> int:
 def cmd_sasa(args) -> int:
     chain, field = _build_system(args, solvation=True)
     positions = forward_kinematics(chain, chain.conf_zp())
-    result = field.evaluate(positions, energy_only=True).sasa
+    result = field.evaluate(positions, energy_only=True, all_areas=True).sasa
     out = Path(args.out)
     write_csv(out / "sasa.csv", ["atom", "name", "residue", "f_exp", "a_exp"], (
         [i, chain.atom_names[i], int(chain.atom_residue[i]),

@@ -42,7 +42,9 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
 def wrap_degrees(theta) -> np.ndarray:
     """Wrap angle(s) into [0, 360); a tiny negative goes to 0, not 360."""
     wrapped = np.mod(theta, 360.0)
-    return np.where(wrapped == 360.0, 0.0, wrapped)
+    # times 0.0 where the mod rounds up to 360, times 1.0 elsewhere, which
+    # keeps every value bit for bit
+    return wrapped * (wrapped != 360.0)
 
 
 def signed_degrees(theta) -> np.ndarray:

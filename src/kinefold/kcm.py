@@ -9,10 +9,16 @@ the SASA passes on the pairs whose offset spheres can meet
 ``single_point``, ``kinefold sasa``) needs G_cav and no forces, so its
 exposure pass stops each sample at its first coverer
 (``sasa_pass(..., area_only=True)``); its energies and areas are bitwise
-those of a force evaluation.  Every pair stage is one call into the native
-library (``native``): ``build_grid`` and ``build_neighbor_table``,
-``extract_pairs``, ``TreeWeights.weights_for``, ``elec_pair_quantities``
-and ``vdw_pair_quantities`` over the whole pair arrays,
+those of a force evaluation.  Both count the samples of the atoms of
+nonzero surface tension gamma only, worked out once per ``Field``: an
+atom of gamma 0 (every hydrogen) adds nothing to G_cav and no force
+events, though its offset sphere still occludes the others' samples, so
+it stays in their rows.  Their areas read ``nan``; ``kinefold sasa``
+asks for every atom's (``evaluate(..., all_areas=True)``).  Every pair
+stage is one call into the native library (``native``): ``build_grid``
+and ``build_neighbor_table``, ``extract_pairs``,
+``TreeWeights.weights_for``, ``elec_pair_quantities`` and
+``vdw_pair_quantities`` over the whole pair arrays,
 ``accumulate_pair_forces`` and, when solvated, ``filtered_lists`` (the
 reach test and the cavity rows); ``evaluate`` itself only sums the
 energies and the two force magnitudes.  The candidate-sized arrays of
@@ -124,6 +130,8 @@ class Field:
     _sphere: SampleSphere | None = field(default=None, init=False, repr=False)
     _r_off: np.ndarray | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    _weighted: np.ndarray | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         cut, solv = self.config.cutoffs, self.config.solvation_cfg
@@ -131,6 +139,7 @@ class Field:
         native.load()  # a missing compiler fails here, not mid-fold
         if self.config.solvation:
             self._r_off = offset_radii(self.params, solv)
+            self._weighted = np.flatnonzero(self.params.gamma)
             r_max = float(np.max(self._r_off))
             if not math.isfinite(4.0 * math.pi * r_max * r_max):
                 raise ConfigurationError(
@@ -148,8 +157,15 @@ class Field:
         """Superset half table from a cell list binned at the table cut-off."""
         return build_neighbor_table(build_grid(positions, self.table_cutoff), self.work)
 
-    def evaluate(self, positions, *, energy_only: bool = False) -> FieldResult:
-        """Forces and energies at ``positions``, converted here once."""
+    def evaluate(self, positions, *, energy_only: bool = False,
+                 all_areas: bool = False) -> FieldResult:
+        """Forces and energies at ``positions``, converted here once.
+
+        When solvated, the exposure pass counts the samples of the atoms
+        of nonzero gamma only, so ``sasa`` holds ``nan`` at the others;
+        ``all_areas`` counts every atom, for the per-atom areas of
+        ``kinefold sasa``.  Energies and forces are bitwise the same
+        either way."""
         cfg = self.config
         cut = cfg.cutoffs
         positions = np.ascontiguousarray(positions, float)
@@ -189,11 +205,13 @@ class Field:
             solv = cfg.solvation_cfg
             cav_lists = filtered_lists(i, j, d2, self._r_off, solv.delta_r, work)
             sasa, states = sasa_pass(positions, self.params, cav_lists,
-                                     self.sphere(), solv, area_only=energy_only)
+                                     self.sphere(), solv, area_only=energy_only,
+                                     atoms=None if all_areas else self._weighted,
+                                     r_off=self._r_off)
             g_cav = sasa.g_cav
             if not energy_only:
                 forces += solvation_forces(positions, self.params, cav_lists,
-                                           self.sphere(), states, solv)
+                                           self.sphere(), states, solv, r_off=self._r_off)
             t_solv = time.perf_counter() - t0
 
         energy = EnergyBreakdown(g_elec=g_elec, g_vdw=g_vdw, g_cav=g_cav)
@@ -251,7 +269,7 @@ class StepConfig:
     kappa: float = 0.5              # degrees; the largest per-step joint move
     max_iters: int = 2000
     torque_tol: float = 0.0         # absolute |tau_max| stop, 0 disables
-    torque_tol_rel: float = 1e-4    # fraction of the initial |tau_max|
+    torque_tol_rel: float = 0.0     # fraction of the initial |tau_max|, 0 disables
     energy_window: int = 20
     energy_tol: float = 0.02        # kcal/mol change across the window
     snapshot_every: int = 50
@@ -410,11 +428,11 @@ def ramachandran_scan(chain: Chain, residue: int, resolution: int,
     if resolution < 2:
         raise ConfigurationError("grid resolution must be at least 2")
     base = base or chain.conf_zp()
-    phis = np.linspace(-180.0, 180.0, resolution, endpoint=False)
-    psis = np.linspace(-180.0, 180.0, resolution, endpoint=False)
+    angles = np.linspace(-180.0, 180.0, resolution, endpoint=False)
+    shifted = angles + 180.0
     return _sweep(chain, fld, base,
                   [chain.dof_phi(residue), chain.dof_psi(residue)],
-                  [phis + 180.0, psis + 180.0], [phis, psis])
+                  [shifted, shifted], [angles, angles])
 
 
 def hinge_scan(chain: Chain, hinge_dofs: list[int], half_range: float,

@@ -120,12 +120,15 @@ _SIGNATURES = {
                   _F64_OUT],
     # n, positions, m, i, j, d, mag -> forces (n x 3)
     "scatter_forces": [_INT, _F64, _INT, _I64, _I64, _F64, _F64, _F64_OUT],
-    # n, positions, r_off, offsets, neighbors, points, nq, need
-    # -> counts (clamped at need), covered
-    "exposure": [_INT, _F64, _F64, _I64, _I64, _F64, _INT, _INT,
+    # n, positions, r_off, offsets, neighbors, k, atoms (the k counted,
+    # ascending: every atom, or those of nonzero gamma; the others still
+    # occlude as neighbors), points, nq, need -> counts (clamped at need;
+    # need in the rows of atoms not counted), covered (nq there)
+    "exposure": [_INT, _F64, _F64, _I64, _I64, _INT, _I64, _F64, _INT, _INT,
                  _array(np.uint8, True), _I64_OUT],
     # n, positions, r_off, offsets, neighbors, points, nq, counts, w_int,
-    # delta_r -> acc; a count-1 sample's one coverer is found in its row
+    # delta_r -> acc; only rows of nonzero weight are read; a count-1
+    # sample's one coverer is found in its row
     "force_events": [_INT, _F64, _F64, _I64, _I64, _F64, _INT, _U8, _I64, _DBL,
                      _I64_OUT],
     # n, m, i, j, d2, r_off, delta_r, reach slack -> offsets (n + 1), neighbors

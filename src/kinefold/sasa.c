@@ -21,12 +21,21 @@
  * coverer, and the covered samples are the same.
  *
  * Rows are CSR: the neighbors of atom i are neighbors[offsets[i]] up to
- * neighbors[offsets[i + 1]].  Each pass is one loop over the rows of all
- * n atoms, so it is one call whatever the table holds; a row may be
- * empty.  A neighbor's squared offset radius is r_off[j] * r_off[j],
- * the product numpy forms.  The passes return 0, NO_MEMORY when scratch
- * memory cannot be allocated, or REFUSED when need is not 1 or 2 or a
- * count-1 sample has no coverer in its row (the codes of pairs.c and
+ * neighbors[offsets[i + 1]].  Each pass is one call whatever the table
+ * holds; a row may be empty.  exposure counts the samples of the atoms on
+ * an ascending list: every atom when every area is wanted, and for folds
+ * and scans only the atoms whose surface tension gamma is nonzero, since
+ * an atom of gamma 0 adds nothing to G_cav = sum gamma_i a_i and, with
+ * weight 0, no force events.  Every atom stays in the rows of the others
+ * as a neighbor: its offset sphere still occludes their samples.
+ * force_events reads the rows of the atoms of nonzero weight, all of them
+ * counted.  A neighbor's squared offset radius
+ * is r_off[j] * r_off[j], the product numpy forms.  The passes check the
+ * rows they read as they gather them: offsets that fall, or a neighbor
+ * outside the n atoms, are REFUSED, as are an exposure atom list that does
+ * not ascend inside the n atoms, a need other than 1 or 2, and a count-1
+ * sample with no coverer in its row.  They return 0, or NO_MEMORY when
+ * scratch memory cannot be allocated, or REFUSED (the codes of pairs.c and
  * native.py).
  *
  * The cavity rows are those CSR rows: the m cut-off pairs of pairs.c whose
@@ -61,12 +70,20 @@ static void sort_nearest_first(Near *row, int64_t m)
     }
 }
 
+/* The longest of the n rows, or REFUSED when an offset falls below the
+ * one before it.  With offsets[0] = 0 and offsets[n] the number of
+ * entries, which the callers check, every row then lies inside the
+ * neighbor array. */
 static int64_t longest_row(int64_t n, const int64_t *offsets)
 {
     int64_t m = 0;
-    for (int64_t i = 0; i < n; i++)
-        if (offsets[i + 1] - offsets[i] > m)
-            m = offsets[i + 1] - offsets[i];
+    for (int64_t i = 0; i < n; i++) {
+        int64_t len = offsets[i + 1] - offsets[i];
+        if (len < 0)
+            return REFUSED;
+        if (len > m)
+            m = len;
+    }
     return m;
 }
 
@@ -178,26 +195,42 @@ atom_samples(const int need, const double *xi, double ri, const double *points,
     return hit;
 }
 
-/* Coverage counts of every sample of the n atoms, clamped at need (1 or
- * 2; REFUSED otherwise), and the number of covered samples per atom.
- * need = 2 gives the states the force pass reads, need = 1 the area
- * alone.  Every count is written, those of atoms with an empty row too.
- * A count of 1 has exactly one coverer and a count of 2 needs any two, so
- * the order of the tests cannot change them, and covered is the same for
- * either need.
- *
- * Each atom's row is sorted nearest center first and copied as structures
- * of arrays (cx, cy, cz, r2), padded to a multiple of four slots and to
- * at least four; a padding slot has r2 = -1 and covers nothing (see
- * atom_samples). */
-int64_t exposure(int64_t n, const double *pos, const double *r_off,
-                 const int64_t *offsets, const int64_t *neighbors,
-                 const double *points, int64_t nq, int64_t need,
+/* The rows of atoms lo up to hi, which exposure does not count: every
+ * count need and every sample covered. */
+static void bury(int64_t lo, int64_t hi, int64_t nq, int64_t need,
                  uint8_t *counts, int64_t *covered)
 {
-    if (need != 1 && need != 2)
+    if (hi > lo)
+        memset(counts + lo * nq, (int)need, (size_t)((hi - lo) * nq));
+    for (int64_t i = lo; i < hi; i++)
+        covered[i] = nq;
+}
+
+/* Coverage counts of every sample of the k atoms on the list atoms
+ * (ascending, inside the n atoms), clamped at need (1 or 2), and the
+ * number of covered samples per listed atom.  need = 2 gives the states
+ * the force pass reads, need = 1 the area alone.  A count of 1 has
+ * exactly one coverer and a count of 2 needs any two, so the order of the
+ * tests cannot change them, and covered is the same for either need.
+ * Every row of counts and covered is written: an atom not on the list gets
+ * counts of need and covered = nq, as if buried, which the force pass
+ * never reads because its weight is 0.  REFUSED for a need other than 1
+ * or 2, a list that does not ascend inside the n atoms, or rows that do
+ * not index the n atoms (see longest_row).
+ *
+ * Each listed atom's row is sorted nearest center first and copied as
+ * structures of arrays (cx, cy, cz, r2), padded to a multiple of four
+ * slots and to at least four; a padding slot has r2 = -1 and covers
+ * nothing (see atom_samples). */
+int64_t exposure(int64_t n, const double *pos, const double *r_off,
+                 const int64_t *offsets, const int64_t *neighbors, int64_t k,
+                 const int64_t *atoms, const double *points, int64_t nq,
+                 int64_t need, uint8_t *counts, int64_t *covered)
+{
+    int64_t longest = longest_row(n, offsets);
+    if ((need != 1 && need != 2) || longest < 0)
         return REFUSED;
-    int64_t cap4 = slots(longest_row(n, offsets));
+    int64_t cap4 = slots(longest);
     Near *row = malloc((size_t)cap4 * sizeof *row);
     double *soa = malloc((size_t)cap4 * 4 * sizeof *soa);
     if (!row || !soa) {
@@ -205,17 +238,30 @@ int64_t exposure(int64_t n, const double *pos, const double *r_off,
         free(soa);
         return NO_MEMORY;
     }
-    for (int64_t i = 0; i < n; i++) {
+    int64_t status = 0, next = 0; /* the rows below next are written */
+    for (int64_t s = 0; s < k; s++) {
+        int64_t i = atoms[s];
+        if (i < next || i >= n) {
+            status = REFUSED;
+            break;
+        }
+        bury(next, i, nq, need, counts, covered);
+        next = i + 1;
         int64_t a = offsets[i], m = offsets[i + 1] - a, m4 = slots(m);
-        uint8_t *cnt = counts + i * nq;
         const double *xi = pos + 3 * i;
         for (int64_t t = 0; t < m; t++) {
             int64_t j = neighbors[a + t];
+            if (j < 0 || j >= n) {
+                status = REFUSED;
+                break;
+            }
             double dx = pos[3 * j] - xi[0], dy = pos[3 * j + 1] - xi[1],
                    dz = pos[3 * j + 2] - xi[2];
             row[t].d2 = (dx * dx + dy * dy) + dz * dz;
             row[t].j = j;
         }
+        if (status != 0)
+            break;
         sort_nearest_first(row, m);
         double *cx = soa, *cy = soa + m4, *cz = soa + 2 * m4, *r2 = soa + 3 * m4;
         for (int64_t t = 0; t < m4; t++) {
@@ -225,13 +271,16 @@ int64_t exposure(int64_t n, const double *pos, const double *r_off,
             cz[t] = pos[3 * j + 2];
             r2[t] = t < m ? r_off[j] * r_off[j] : -1.0;
         }
+        uint8_t *cnt = counts + i * nq;
         covered[i] = need == 1
             ? atom_samples(1, xi, r_off[i], points, nq, cx, cy, cz, r2, m4, cnt)
             : atom_samples(2, xi, r_off[i], points, nq, cx, cy, cz, r2, m4, cnt);
     }
+    if (status == 0)
+        bury(next, n, nq, need, counts, covered);
     free(row);
     free(soa);
-    return 0;
+    return status;
 }
 
 /* The slot of the neighbor in c (m slots, 7 doubles each) that covers
@@ -256,13 +305,15 @@ static int64_t coverer(const double *c, int64_t m, int64_t t, double px,
  * atom i.  Multiply covered samples stay covered under one move.  The
  * coverer is found by the exposure test in the gathered row c (see
  * coverer); REFUSED when none covers, as the counts then belong to other
- * rows or positions. */
+ * rows or positions, and when the rows do not index the n atoms. */
 int64_t force_events(int64_t n, const double *pos, const double *r_off,
                      const int64_t *offsets, const int64_t *neighbors,
                      const double *points, int64_t nq, const uint8_t *counts,
                      const int64_t *w_int, double dr, int64_t *acc)
 {
     int64_t cap = longest_row(n, offsets);
+    if (cap < 0)
+        return REFUSED;
     /* per neighbor: center, moved center (x + dr, y + dr, z + dr), r^2 */
     double *c = malloc((size_t)(cap ? cap : 1) * 7 * sizeof *c);
     int64_t *gained = malloc((size_t)(cap ? cap : 1) * 3 * sizeof *gained);
@@ -280,6 +331,11 @@ int64_t force_events(int64_t n, const double *pos, const double *r_off,
         double ri = r_off[i];
         for (int64_t t = 0; t < m; t++) {
             int64_t j = neighbors[a + t];
+            if (j < 0 || j >= n) {
+                free(c);
+                free(gained);
+                return REFUSED;
+            }
             double *cj = c + 7 * t;
             for (int s = 0; s < 3; s++) {
                 cj[s] = pos[3 * j + s];

@@ -19,7 +19,7 @@ is exactly zero and results are independent of accumulation order
 (and therefore of how the rows are split between passes).
 
 Both passes run in the native library (``sasa.c``, built and loaded by
-``native``), one call each over the rows of every atom.  A
+``native``), one call each over the rows they read.  A
 sample ``x_i + r_i u`` is covered by neighbor j when
 ``((x_i + r_i u) - x_j)`` has ``(dx^2 + dy^2) + dz^2 <= r_j^2``, evaluated
 in that order with no fused multiply-add, which is the distance test of
@@ -36,10 +36,26 @@ coverer found first and otherwise scans only up to the first coverer;
 its areas are bitwise those of the full pass, and its states cannot
 drive the force pass.
 
+G_cav = sum gamma_i a_i weights each atom's area by its atomic solvation
+parameter (Eisenberg & McLachlan, Nature 319:199, 1986), so an atom of
+gamma 0 (solvation class NONE, which holds every hydrogen) adds nothing to
+it and, with a weight of 0, no force events.  ``sasa_pass`` counts the
+samples of the atoms it is given (``atoms``, ascending; every atom by
+default): folds and scans (``kcm.Field.evaluate``) give only the atoms of
+nonzero gamma, about half of a polyalanine's, and ``kinefold sasa`` every
+atom.  Every atom stays a neighbor in the others' rows, since its offset
+sphere still occludes their samples, so the counted atoms' states, areas,
+G_cav and forces are bitwise those of the all-atoms pass.  An atom not
+counted reads ``nan`` in ``SasaResult`` and, in ``ExposureStates``, counts
+of the pass's need (as if buried), which the force pass never reads.
+
 Both passes take the pairs within ``spatial.reach`` as one symmetric
 ``spatial.NeighborTable`` (CSR); rows holding more pairs give the same
 result.  Neither converts an array; one in another dtype or layout is
-refused (``native``).  Both check that the rows index the atoms.
+refused (``native``).  The rows' ends are checked here, and the kernels
+check every row they gather (offsets that fall, neighbors outside the
+atoms), so rows that leave the atoms are refused with no numpy pass over
+the table.
 """
 
 from __future__ import annotations
@@ -121,15 +137,20 @@ def generate_samples(n: int) -> SampleSphere:
 class ExposureStates:
     """Per (atom, sample) clamped overlap count, the whole state: the force
     pass finds a count-1 sample's coverer in its row.  ``sasa_pass`` sets
-    every entry.  Area-only states count to 1 (covered or not), so
-    ``solvation_forces`` refuses them."""
+    every entry; the rows of atoms it did not count hold its need (2, or 1
+    when area only), as if buried.  Area-only states count to 1 (covered
+    or not), so ``solvation_forces`` refuses them."""
 
-    counts: np.ndarray   # uint8, values 0/1/2 (0/1 when area only)
+    counts: np.ndarray   # uint8 (atoms, samples), values 0/1/2 (0/1 when area only)
     area_only: bool      # counts clamped at 1, by sasa_pass(..., area_only=True)
 
 
 @dataclass(frozen=True)
 class SasaResult:
+    """Areas of the atoms ``sasa_pass`` counted, ``nan`` at every other
+    atom.  ``g_cav`` sums ``gamma * a_exp`` over every atom, with 0.0 at
+    the atoms not counted, so it groups its terms as the all-atoms sum."""
+
     f_exp: np.ndarray   # exposure ratio per atom, multiples of 1/N
     a_exp: np.ndarray   # exposed area per atom, A^2
     g_cav: float        # nonpolar solvation free energy, kcal/mol
@@ -139,27 +160,41 @@ def offset_radii(params, config: SolvationConfig) -> np.ndarray:
     return params.R + config.probe_radius
 
 
-def _kernel_inputs(positions, params, neighbors: NeighborTable, sphere, config):
-    """The offset radii, after checking the shapes of the arrays the
-    kernels read and that no row leaves them.  The kernels square the
-    radii themselves."""
+def _kernel_inputs(positions, params, neighbors: NeighborTable, sphere, config, r_off):
+    """The offset radii (``r_off`` when the caller has them), after
+    checking the shapes of the arrays the kernels read and the ends of the
+    rows.  The kernels check the rows they gather, and square the radii,
+    themselves."""
     n = len(positions)
-    r_off = offset_radii(params, config)
+    if r_off is None:
+        r_off = offset_radii(params, config)
     offsets, nbrs = neighbors.offsets, neighbors.neighbors
     if (np.shape(positions) != (n, 3) or r_off.ndim != 1 or len(r_off) < n
             or sphere.points.shape != (sphere.n, 3)):
         raise ConfigurationError(
             f"positions {np.shape(positions)}, offset radii {r_off.shape} and samples "
             f"{sphere.points.shape} do not cover {n} atoms and {sphere.n} samples")
-    if (len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(nbrs)
-            or np.any(np.diff(offsets) < 0)
-            or (len(nbrs) and not 0 <= nbrs.min() <= nbrs.max() < n)):
-        raise ConfigurationError(f"neighbor rows do not index the {n} atoms")
+    if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(nbrs):
+        raise _rows_error(n)
     return r_off
 
 
+def _rows_error(n: int) -> ConfigurationError:
+    return ConfigurationError(f"neighbor rows do not index the {n} atoms")
+
+
+def _rows_index(neighbors: NeighborTable, n: int) -> bool:
+    """Whether the offsets never fall and every neighbor is one of the n
+    atoms: the kernels' own row checks, run here only after one refused,
+    to say why."""
+    offsets, nbrs = neighbors.offsets, neighbors.neighbors
+    return bool(np.all(np.diff(offsets) >= 0)
+                and (len(nbrs) == 0 or 0 <= nbrs.min() <= nbrs.max() < n))
+
+
 def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
-              config: SolvationConfig = SolvationConfig(), *, area_only: bool = False):
+              config: SolvationConfig = SolvationConfig(), *, area_only: bool = False,
+              atoms: np.ndarray | None = None, r_off: np.ndarray | None = None):
     """Exposure counting: returns (SasaResult, ExposureStates).
 
     ``neighbors`` holds one row per atom, the pairs within
@@ -176,19 +211,40 @@ def sasa_pass(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
     testing the last coverer found first.  The result is bitwise the
     same; the states' counts are clamped at 1, so only the area can be
     taken from them.
+
+    ``atoms`` (int64, ascending; every atom when None) are the atoms whose
+    samples are counted.  The others still occlude as neighbors, so the
+    counted atoms' states and areas are bitwise those of the all-atoms
+    pass; the others' areas read ``nan`` and their counts the pass's need.
+    ``g_cav`` leaves them out, so it equals the all-atoms G_cav when they
+    carry no surface tension.  ``r_off`` are the offset radii
+    (``offset_radii(params, config)``) when the caller already has them.
+    Refused: rows that do not index the atoms, and ``atoms`` that do not
+    ascend within them.
     """
-    r_off = _kernel_inputs(positions, params, neighbors, sphere, config)
+    r_off = _kernel_inputs(positions, params, neighbors, sphere, config, r_off)
     n = len(positions)
     nq = sphere.n
+    atoms = np.arange(n, dtype=np.int64) if atoms is None else atoms
     counts = np.empty((n, nq), np.uint8)
     covered = np.empty(n, np.int64)
-    native.load().call("exposure", n, positions, r_off, neighbors.offsets,
-                       neighbors.neighbors, sphere.points, nq, 1 if area_only else 2,
-                       counts, covered)
+    status = native.load().call(
+        "exposure", n, positions, r_off, neighbors.offsets, neighbors.neighbors,
+        len(atoms), atoms, sphere.points, nq, 1 if area_only else 2, counts, covered)
+    if status == native.REFUSED:
+        if not _rows_index(neighbors, n):
+            raise _rows_error(n)
+        raise ConfigurationError(f"the atoms to count do not ascend within the {n} atoms")
     f_exp = (nq - covered) / float(nq)
     a0 = 4.0 * math.pi * (r_off * r_off)
     a_exp = f_exp * a0
+    # covered = nq at the atoms not counted, so their terms are 0.0 and the
+    # full-length sum groups its terms as the all-atoms pass's does
     g_cav = float(np.sum(params.gamma * a_exp))
+    if len(atoms) < n:
+        skipped = np.ones(n, bool)
+        skipped[atoms] = False
+        f_exp[skipped] = a_exp[skipped] = np.nan
     return SasaResult(f_exp, a_exp, g_cav), ExposureStates(counts, area_only)
 
 
@@ -232,23 +288,26 @@ def check_accumulator(nq: int, max_nb: int, w_max: int) -> None:
 
 
 def solvation_forces(positions, params, neighbors: NeighborTable, sphere: SampleSphere,
-                     states: ExposureStates,
-                     config: SolvationConfig = SolvationConfig()) -> np.ndarray:
+                     states: ExposureStates, config: SolvationConfig = SolvationConfig(),
+                     *, r_off: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference solvation forces from the exposure ``states``
     ``sasa_pass`` gave for the same inputs.
 
     Exposed samples test every neighbor in the row, displaced by +delta_r
     along each axis; critically overlapped samples test only their one
     coverer, found again in the row.  Multiply overlapped samples cannot
-    change exposure under a single displacement and are skipped.  Refused:
-    area-only states, which do not tell critical samples from multiply
-    overlapped ones, and a count-1 sample that nothing in its row covers.
+    change exposure under a single displacement and are skipped.  Only
+    the atoms of nonzero weight are read, every one of them counted by a
+    pass over the atoms of nonzero gamma.  ``r_off`` as for ``sasa_pass``.
+    Refused: area-only states, which do not tell critical samples from
+    multiply overlapped ones, rows that do not index the atoms, and a
+    count-1 sample that nothing in its row covers.
     """
     if states.area_only:
         raise ConfigurationError(
             "area-only exposure states (sasa_pass(..., area_only=True)) do not tell "
             "single from multiple coverage; the force pass needs a full sasa_pass")
-    r_off = _kernel_inputs(positions, params, neighbors, sphere, config)
+    r_off = _kernel_inputs(positions, params, neighbors, sphere, config, r_off)
     n, nq = len(positions), sphere.n
     w_int, quantum = _force_quantum(params, r_off, nq, config.delta_r)
     check_accumulator(nq, int(np.diff(neighbors.offsets).max(initial=0)),
@@ -262,6 +321,8 @@ def solvation_forces(positions, params, neighbors: NeighborTable, sphere: Sample
         "force_events", n, positions, r_off, neighbors.offsets, neighbors.neighbors,
         sphere.points, nq, states.counts, w_int, config.delta_r, acc)
     if status == native.REFUSED:
+        if not _rows_index(neighbors, n):
+            raise _rows_error(n)
         raise ConfigurationError(
             "exposure states do not belong to these rows and positions: a singly "
             "covered sample has no coverer in its row")

@@ -56,6 +56,7 @@ import ctypes
 import math
 import mmap
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -203,6 +204,12 @@ class NeighborTable:
     def __getitem__(self, i) -> np.ndarray:
         i = range(len(self))[i]
         return self.neighbors[self.offsets[i]:self.offsets[i + 1]]
+
+    def __iter__(self):
+        # one pass over the offsets as Python ints, not a range check and
+        # two numpy scalar reads per row and an IndexError at the end
+        nbrs = self.neighbors
+        return (nbrs[a:b] for a, b in pairwise(self.offsets.tolist()))
 
 
 def build_neighbor_table(grid: HashGrid, work: Workspace | None = None) -> NeighborTable:

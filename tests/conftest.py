@@ -97,14 +97,16 @@ def row_parts(table, parts: int) -> list[tuple[int, int, NeighborTable]]:
     return out
 
 
-def passes_by_row_parts(pos, params, table, sphere, config, parts: int):
-    """Both SASA passes run once per part of ``row_parts``: each atom's
-    f_exp and full and area-only counts from the part holding its row, and
-    the forces summed over the parts."""
+def passes_by_row_parts(pos, params, table, sphere, config, parts: int, atoms=None):
+    """Both SASA passes run once per part of ``row_parts``, counting
+    ``atoms`` (every atom when None): each atom's f_exp and full and
+    area-only counts from the part holding its row, and the forces summed
+    over the parts."""
     f_exp, counts, clamped, forces = [], [], [], 0.0
     for lo, hi, part in row_parts(table, parts):
-        res, states = sasa_pass(pos, params, part, sphere, config)
-        _, area_states = sasa_pass(pos, params, part, sphere, config, area_only=True)
+        res, states = sasa_pass(pos, params, part, sphere, config, atoms=atoms)
+        _, area_states = sasa_pass(pos, params, part, sphere, config, area_only=True,
+                                   atoms=atoms)
         f_exp.append(res.f_exp[lo:hi])
         counts.append(states.counts[lo:hi])
         clamped.append(area_states.counts[lo:hi])

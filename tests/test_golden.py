@@ -63,3 +63,17 @@ def test_quickstart_fold_matches_its_golden_outputs(run, tmp_path):
     want_text, want_xyz = atom_lines(want_dir / "final.pdb")
     assert text == want_text
     np.testing.assert_allclose(xyz, want_xyz, rtol=0, atol=1e-3 + 1e-9)
+
+
+def test_quickstart_with_default_step_options_stops_as_golden(tmp_path):
+    """The README quick start without ``--torque-tol-rel 0``: the default
+    steps on to the golden plateau, where a stop relative to the first
+    torque ended it at iteration 111, at +69.8 kcal/mol."""
+    run = RUNS[0]
+    argv = shlex.split(run["command"])[1:]
+    at = argv.index("--torque-tol-rel")
+    del argv[at:at + 2]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    (outcome,) = json.loads((out / "manifest.json").read_text())["runs"]
+    assert outcome == {"run": 0, **run["outcome"]}

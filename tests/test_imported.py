@@ -1,5 +1,7 @@
 """Imported-geometry chains: retained coordinates, heteroatoms, side joints."""
 
+import csv
+import json
 import warnings
 
 import numpy as np
@@ -190,3 +192,21 @@ def test_import_equals_the_per_residue_reference(edit, folded_pdb, tmp_path):
         caught.append([str(w.message) for w in seen])
     assert_identical(*chains)
     assert caught[0] == caught[1]
+
+
+def test_clashing_hetero_import_does_not_stop_as_converged(tmp_path):
+    """FE, ZN and ligand records dropped into a folded GSAC chain clash:
+    ``g_vdw`` starts near 6e7 kcal/mol.  With the default step options the
+    fold may stop as converged only once that clash is gone; a stop
+    relative to the first torque declared it converged at ``g_vdw`` 8e3."""
+    first = tmp_path / "first"
+    assert main(["fold", "--seq", "GSAC", "--max-iters", "3", "--out", str(first)]) == 0
+    path = tmp_path / "clash.pdb"
+    path.write_text("\n".join(_with_hetero((first / "final.pdb").read_text().splitlines()))
+                    + "\n")
+    out = tmp_path / "out"
+    assert main(["fold", "--pdb", str(path), "--out", str(out)]) == 0
+    (outcome,) = json.loads((out / "manifest.json").read_text())["runs"]
+    rows = list(csv.DictReader((out / "log.csv").read_text().splitlines()[1:]))
+    assert float(rows[0]["g_vdw"]) > 1e6
+    assert not outcome["converged"] or float(rows[-1]["g_vdw"]) < 1000, outcome

@@ -272,7 +272,7 @@ def result_arrays(result):
 def assert_same_arrays(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+        assert np.array_equal(g, w, equal_nan=True)  # nan: areas not counted
 
 
 @FIELD_MODES

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kinefold import kcm, native, solvation
 from kinefold.chain import build_chain, forward_kinematics
+from kinefold.cli import main
 from kinefold.errors import ConfigurationError
 from kinefold.forcefield import AtomParams
 from kinefold.kcm import Field, FieldConfig
@@ -523,8 +524,8 @@ def test_exposure_refuses_a_count_other_than_one_or_two():
     pos = np.zeros((1, 3))
     for need in (0, 3):
         status = lib.call("exposure", 1, pos, np.ones(1),
-                          np.zeros(2, np.int64), np.zeros(0, np.int64),
-                          generate_samples(12).points, 12, need,
+                          np.zeros(2, np.int64), np.zeros(0, np.int64), 1,
+                          np.zeros(1, np.int64), generate_samples(12).points, 12, need,
                           np.zeros((1, 12), np.uint8), np.zeros(1, np.int64))
         assert status == native.REFUSED
 
@@ -747,9 +748,9 @@ def test_energy_only_evaluations_pass_area_only(param_set, monkeypatch):
                 FieldConfig(solvation=True, solvation_cfg=SolvationConfig(samples=64)))
     seen = []
 
-    def spy(*args, area_only=False):
+    def spy(*args, area_only=False, **kwargs):
         seen.append(area_only)
-        return sasa_pass(*args, area_only=area_only)
+        return sasa_pass(*args, area_only=area_only, **kwargs)
 
     monkeypatch.setattr(kcm, "sasa_pass", spy)
     pos = forward_kinematics(chain, chain.conf_zp())
@@ -760,7 +761,8 @@ def test_energy_only_evaluations_pass_area_only(param_set, monkeypatch):
 
 def test_each_pass_is_one_native_call(param_set, monkeypatch):
     """A solvated evaluation of the 301-atom 30-ALA helix runs each SASA
-    kernel once over every atom; an energy-only one runs exposure once."""
+    kernel once, whatever atoms it counts; an energy-only one runs
+    exposure once."""
     chain = build_chain(["ALA"] * 30)
     assert chain.n_atoms == 301
     fld = make_field(chain, param_set, solvation=True,
@@ -872,3 +874,181 @@ def test_config_validation():
         SolvationConfig(samples=4)
     with pytest.raises(ConfigurationError, match="positive and finite"):
         SolvationConfig(probe_radius=float("inf"))
+
+
+# ---- the counted atoms: only those of nonzero gamma -----------------------
+
+def counted_case(param_set, gamma_set, seed):
+    """A random SER/ALA/CYS/GLY chain of 2-10 residues at random phi/psi,
+    its parameters in ``gamma_set``, its rows within reach, a sphere, the
+    config and the atoms of nonzero gamma, as ``Field`` works them out."""
+    rng = np.random.default_rng(seed)
+    chain = build_chain(list(rng.choice(["SER", "ALA", "CYS", "GLY"], rng.integers(2, 11))))
+    phi, psi = rng.uniform(-180.0, 180.0, (2, chain.n_residues))
+    pos = forward_kinematics(chain, chain.conf_from_backbone(phi, psi))
+    params = param_set.resolve(chain, gamma_set)
+    cfg = SolvationConfig(samples=256)
+    weighted = np.flatnonzero(params.gamma)
+    assert 0 < len(weighted) < chain.n_atoms
+    return pos, params, helix_rows(pos, params, cfg), generate_samples(256), cfg, weighted
+
+
+def assert_counted_agree(counted, full, weighted, need):
+    """A counted pass's (SasaResult, ExposureStates) against the all-atoms
+    pass's: the counted atoms' counts, f_exp and a_exp and g_cav bitwise;
+    every other atom's counts ``need`` and its areas nan."""
+    (res, states), (want, want_states) = counted, full
+    skipped = np.ones(len(want.f_exp), bool)
+    skipped[weighted] = False
+    assert np.array_equal(states.counts[weighted], want_states.counts[weighted])
+    assert np.all(states.counts[skipped] == need)
+    assert states.counts.shape == want_states.counts.shape
+    for got, ref in ((res.f_exp, want.f_exp), (res.a_exp, want.a_exp)):
+        assert np.array_equal(got[weighted], ref[weighted])
+        assert np.isnan(got[skipped]).all() and not np.isnan(ref).any()
+    assert res.g_cav == want.g_cav
+
+
+@pytest.mark.parametrize("gamma_set", ["sharp", "kyte"])
+@pytest.mark.parametrize("seed", range(4))
+def test_counted_atoms_match_the_all_atoms_pass(param_set, gamma_set, seed):
+    """Counting only the atoms of nonzero gamma against the all-atoms pass,
+    in the full-state and area-only modes and over criterion 11's row
+    partitions: bitwise the counted atoms' counts and areas, g_cav and
+    the solvation forces."""
+    pos, params, rows, sp, cfg, weighted = counted_case(param_set, gamma_set, seed)
+    for area_only in (True, False):
+        full = sasa_pass(pos, params, rows, sp, cfg, area_only=area_only)
+        counted = sasa_pass(pos, params, rows, sp, cfg, area_only=area_only, atoms=weighted)
+        assert_counted_agree(counted, full, weighted, 1 if area_only else 2)
+    forces = solvation_forces(pos, params, rows, sp, counted[1], cfg)
+    assert np.any(forces != 0)
+    assert np.array_equal(forces, solvation_forces(pos, params, rows, sp, full[1], cfg))
+    for parts in (2, 4, 7):
+        f_all, c_all, a_all, forces_all = passes_by_row_parts(pos, params, rows, sp, cfg,
+                                                              parts)
+        f_exp, c, a, forces_parts = passes_by_row_parts(pos, params, rows, sp, cfg, parts,
+                                                        atoms=weighted)
+        assert np.array_equal(f_exp[weighted], f_all[weighted])
+        assert np.array_equal(c[weighted], c_all[weighted])
+        assert np.array_equal(a[weighted], a_all[weighted])
+        assert np.array_equal(forces_parts, forces_all)
+        assert np.array_equal(forces_parts, forces)
+
+
+def test_field_counts_only_the_atoms_of_nonzero_gamma(param_set, monkeypatch):
+    """Folds and scans pass ``sasa_pass`` the atoms of nonzero gamma (the
+    501 heavy atoms of 100-ALA's 1001), ``all_areas`` every atom; forces,
+    energies and the counted atoms' areas are bitwise the same."""
+    chain = build_chain(["ALA"] * 100)
+    fld = make_field(chain, param_set, solvation=True,
+                     solvation_cfg=SolvationConfig(samples=64))
+    seen = []
+
+    def spy(*args, atoms=None, **kwargs):
+        seen.append(chain.n_atoms if atoms is None else len(atoms))
+        return sasa_pass(*args, atoms=atoms, **kwargs)
+
+    monkeypatch.setattr(kcm, "sasa_pass", spy)
+    pos = forward_kinematics(chain, chain.conf_from_backbone(-57.0, -47.0))
+    weighted = np.flatnonzero(fld.params.gamma)
+    for energy_only in (False, True):
+        got = fld.evaluate(pos, energy_only=energy_only)
+        want = fld.evaluate(pos, energy_only=energy_only, all_areas=True)
+        assert got.forces.tobytes() == want.forces.tobytes()
+        assert got.energy == want.energy
+        assert np.array_equal(got.sasa.a_exp[weighted], want.sasa.a_exp[weighted])
+        assert np.isnan(got.sasa.a_exp).sum() == chain.n_atoms - len(weighted)
+    assert seen == [501, 1001] * 2
+
+
+def test_counted_fold_and_scan_write_the_all_atoms_outputs(tmp_path, monkeypatch):
+    """A 10-ALA water fold and a 3-ALA water Ramachandran scan write
+    byte-identical ``log.csv``, ``dihedrals.csv`` and ``rama.csv`` whether
+    the exposure pass counts the atoms of nonzero gamma or every atom."""
+    commands = (["fold", "--seq", "A" * 10, "--water", "--samples", "256",
+                 "--max-iters", "4"],
+                ["scan-rama", "--seq", "AAA", "--water", "--samples", "256", "--grid", "6"])
+    files = {"fold": ("log.csv", "dihedrals.csv"), "scan-rama": ("rama.csv",)}
+    outputs = {}
+    for mode in ("counted", "all"):
+        if mode == "all":
+            monkeypatch.setattr(kcm, "sasa_pass",
+                                lambda *args, atoms=None, **kwargs: sasa_pass(*args, **kwargs))
+        for argv in commands:
+            out = tmp_path / mode / argv[0]
+            assert main(argv + ["--out", str(out)]) == 0
+            for name in files[argv[0]]:
+                outputs[mode, name] = (out / name).read_bytes()
+    for name in ("log.csv", "dihedrals.csv", "rama.csv"):
+        assert outputs["counted", name] == outputs["all", name], name
+
+
+def test_no_weighted_atom_gives_no_cavity_term():
+    """Every gamma 0: nothing is counted, G_cav is 0.0, every area nan and
+    every solvation force 0."""
+    params = make_params(4, gamma=np.zeros(4))
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0]])
+    sp, cfg = generate_samples(64), SolvationConfig(samples=64)
+    weighted = np.flatnonzero(params.gamma)
+    res, states = sasa_pass(pos, params, all_neighbors(4), sp, cfg, atoms=weighted)
+    assert res.g_cav == 0.0 and np.isnan(res.f_exp).all() and np.isnan(res.a_exp).all()
+    assert np.all(states.counts == 2)
+    forces = solvation_forces(pos, params, all_neighbors(4), sp, states, cfg)
+    assert forces.tobytes() == np.zeros((4, 3)).tobytes()
+    fld = Field(params, UniformWeights(),
+                FieldConfig(solvation=True, solvation_cfg=cfg))
+    assert fld.evaluate(pos).energy.g_cav == 0.0
+
+
+@pytest.mark.parametrize("k", [0, 3, 4])
+def test_one_weighted_atom(rng, k):
+    """Exactly one atom of nonzero gamma: its counts, areas and G_cav, and
+    the forces, bitwise those of the all-atoms pass."""
+    pos = rng.uniform(0, 4.5, (5, 3))
+    gamma = np.zeros(5)
+    gamma[k] = 0.02
+    params = make_params(5, gamma=gamma)
+    sp, cfg, rows = generate_samples(512), SolvationConfig(samples=512), all_neighbors(5)
+    full = sasa_pass(pos, params, rows, sp, cfg)
+    counted = sasa_pass(pos, params, rows, sp, cfg, atoms=np.array([k]))
+    assert_counted_agree(counted, full, [k], 2)
+    forces = solvation_forces(pos, params, rows, sp, counted[1], cfg)
+    assert np.any(forces != 0)
+    assert np.array_equal(forces, solvation_forces(pos, params, rows, sp, full[1], cfg))
+    # G_cav leaves out the atoms not counted, whatever their gamma
+    res, _ = sasa_pass(pos, make_params(5), rows, sp, cfg, atoms=np.array([k]))
+    assert res.g_cav == 1.0 * full[0].a_exp[k]
+
+
+@pytest.mark.parametrize("atoms", [[0, 2], [-1, 0], [1, 0], [1, 1]],
+                         ids=["past-the-end", "negative", "descending", "repeated"])
+def test_atom_lists_outside_the_atoms_are_refused(atoms):
+    """The kernel refuses an atom list that does not ascend within the n
+    atoms; ``sasa_pass`` names it."""
+    params = make_params(2)
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    sp, cfg = generate_samples(12), SolvationConfig(samples=12)
+    with pytest.raises(ConfigurationError, match="atoms to count do not ascend within the 2"):
+        sasa_pass(pos, params, all_neighbors(2), sp, cfg, atoms=np.array(atoms))
+    status = native.load().call(
+        "exposure", 2, pos, offset_radii(params, cfg), all_neighbors(2).offsets,
+        all_neighbors(2).neighbors, len(atoms), np.array(atoms), sp.points, sp.n, 2,
+        np.zeros((2, sp.n), np.uint8), np.zeros(2, np.int64))
+    assert status == native.REFUSED
+
+
+@pytest.mark.parametrize("rows", [([0, 2, 1, 2], [1, 2]), ([0, 1, 2, 3], [1, 3, 0])],
+                         ids=["falling-offsets", "neighbor-past-the-end"])
+def test_kernels_refuse_rows_outside_the_atoms(rows):
+    """Rows whose ends are right but whose offsets fall, or that name an
+    atom past the end, are refused by the kernels as they gather them."""
+    params = make_params(3)
+    pos = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    sp, cfg = generate_samples(12), SolvationConfig(samples=12)
+    bad = NeighborTable(offsets=np.array(rows[0]), neighbors=np.array(rows[1]))
+    _, states = sasa_pass(pos, params, all_neighbors(3), sp, cfg)
+    with pytest.raises(ConfigurationError, match="neighbor rows do not index the 3 atoms"):
+        sasa_pass(pos, params, bad, sp, cfg)
+    with pytest.raises(ConfigurationError, match="neighbor rows do not index the 3 atoms"):
+        solvation_forces(pos, params, bad, sp, states, cfg)
